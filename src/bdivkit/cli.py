@@ -13,7 +13,6 @@ import argparse
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import product as iter_product
@@ -81,6 +80,16 @@ def _mismatch(what: str, fast, oracle):
 def _ensure_match(what: str, fast, oracle) -> None:
     if fast != oracle:
         _mismatch(what, fast, oracle)
+
+
+def _int_arg(value, key: str) -> int:
+    """An integer argument; anything int() rejects is bad input (exit 2)."""
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise PreconditionError(
+            f"argument {key!r} must be an integer, got {value!r}"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +179,7 @@ def _cmd_mld(p):
 
 
 def _cmd_round_check(p):
-    m = int(p["m"])
+    m = _int_arg(p["m"], "m")
     report = rounding_comparison(p["coeffs"], m)
     out = report.to_json()
     if p.get("verify"):
@@ -220,11 +229,11 @@ def _cmd_weight(p):
     model, bdiv, perm = _arranged_model(p)
     out = {"permutation": list(perm)}
     if p.get("stratum"):
-        raw = [int(i) - 1 for i in p["stratum"]]
+        raw = [_int_arg(i, "stratum") - 1 for i in p["stratum"]]
         inverse = {orig: new for new, orig in enumerate(perm)}
         mapped = tuple(sorted(inverse[i] for i in raw))
         w, witness = stratum_weight(model, bdiv, mapped)
-        out["stratum"] = sorted(int(i) for i in p["stratum"])
+        out["stratum"] = sorted(i + 1 for i in raw)
     else:
         w, witness = pair_weight_witness(model, bdiv)
     out["weight"] = w
@@ -241,7 +250,7 @@ def _cmd_weight(p):
 def _cmd_reduce(p):
     model, bdiv, perm = _arranged_model(p)
     trace = run_reduction(model, bdiv)
-    box = int(p.get("box") or 12)
+    box = _int_arg(p.get("box") or 12, "box")
     if p.get("verify"):
         box *= 2
     report = verify_reduction(trace.final_state, box)
@@ -259,12 +268,12 @@ def _cmd_reduce(p):
 
 def _cmd_verify(p):
     state = ReductionState.from_json(p["state"])
-    box = int(p.get("box") or 12)
+    box = _int_arg(p.get("box") or 12, "box")
     return verify_reduction(state, box).to_json()
 
 
 def _cmd_closure(p):
-    bound = int(p["denom_bound"])
+    bound = _int_arg(p["denom_bound"], "denom_bound")
     values = exceptional_closure(
         p["base"], bound, include_one=bool(p.get("include_one", False))
     )
@@ -285,18 +294,22 @@ def _cmd_closure(p):
 
 def _budget_from(p) -> SearchBudget:
     defaults = SearchBudget()
+
+    def arg(key, default):
+        return _int_arg(p.get(key) or default, key)
+
     return SearchBudget(
-        chain_length=int(p.get("threshold") or defaults.chain_length),
-        denom_bound=int(p.get("denom_bound") or defaults.denom_bound),
-        rounds=int(p.get("rounds") or defaults.rounds),
-        max_size=int(p.get("max_size") or defaults.max_size),
+        chain_length=arg("threshold", defaults.chain_length),
+        denom_bound=arg("denom_bound", defaults.denom_bound),
+        rounds=arg("rounds", defaults.rounds),
+        max_size=arg("max_size", defaults.max_size),
     )
 
 
 def _cmd_chain(p):
     desc = desc_from_json(p["set"])
-    length = int(p["length"])
-    bound = int(p.get("denom_bound") or 2000)
+    length = _int_arg(p["length"], "length")
+    bound = _int_arg(p.get("denom_bound") or 2000, "denom_bound")
     budget = _budget_from(p)
     chain = find_decreasing_chain(desc, length, bound, budget)
     out = {"found": chain is not None}
@@ -326,7 +339,7 @@ def _cmd_dcc(p):
 
 
 def _cmd_sylvester(p):
-    k = int(p["k"])
+    k = _int_arg(p["k"], "k")
     seq = sylvester(k)
     out = {"terms": [str(t) for t in seq.terms]}
     if p.get("verify"):
@@ -348,7 +361,7 @@ def _cmd_sylvester(p):
 
 
 def _cmd_minvol(p):
-    n = int(p["n"])
+    n = _int_arg(p["n"], "n")
     vol = min_volume_candidate(n)
     out = {"n": n, "volume": format_rat(vol)}
     if p.get("verify"):
@@ -359,7 +372,7 @@ def _cmd_minvol(p):
 
 
 def _cmd_pnvol(p):
-    n = int(p["n"])
+    n = _int_arg(p["n"], "n")
     if p.get("sylvester"):
         coeffs = sylvester_coeffs(n)
     else:
@@ -432,7 +445,7 @@ def _cmd_polyvol(p):
 
 
 def _cmd_hurwitz(p):
-    g = int(p["g"])
+    g = _int_arg(p["g"], "g")
     report = hurwitz_report(g)
     out = report.to_json()
     if p.get("verify"):
@@ -442,8 +455,8 @@ def _cmd_hurwitz(p):
 
 
 def _cmd_product(p):
-    n = int(p["n"])
-    g = int(p["g"])
+    n = _int_arg(p["n"], "n")
+    g = _int_arg(p["g"], "g")
     report = curve_power_report(n, g)
     out = report.to_json()
     if p.get("verify"):
@@ -473,7 +486,7 @@ def _cmd_fermat(p):
         rule = p.get("m_rule") or "n+3"
         if rule != "n+3":
             raise PreconditionError(f"unsupported m-rule {rule!r}; only 'n+3'")
-        n_max = int(p.get("n_max") or 10)
+        n_max = _int_arg(p.get("n_max") or 10, "n_max")
         rows = fermat_threshold_scan(n_max)
         out_rows = [
             {
@@ -493,8 +506,8 @@ def _cmd_fermat(p):
             "first_exceeding_n": first,
             "csv": _fermat_scan_csv(rows),
         }
-    n = int(p["n"])
-    m = int(p["m"])
+    n = _int_arg(p["n"], "n")
+    m = _int_arg(p["m"], "m")
     report = fermat_report(n, m)
     out = report.to_json()
     if p.get("verify"):
@@ -510,7 +523,7 @@ def _cmd_fermat(p):
 
 
 def _cmd_unitary(p):
-    n = int(p["n"])
+    n = _int_arg(p["n"], "n")
     poly, modulus = unitary_order_poly(n)
     out = {
         "n": n,
@@ -519,7 +532,7 @@ def _cmd_unitary(p):
         "gcd_rule": f"divide by gcd({modulus}, q+1)",
     }
     if p.get("q") is not None:
-        q = int(p["q"])
+        q = _int_arg(p["q"], "q")
         order = unitary_order_value(n, q)
         out["q"] = q
         out["order"] = str(order)
@@ -552,7 +565,7 @@ def _charp_csv(rows) -> str:
 
 
 def _cmd_charp(p):
-    q_max = int(p["q_max"])
+    q_max = _int_arg(p["q_max"], "q_max")
     report, rows = char_p_ratio_report(q_max)
     out = report.to_json()
     out["rows"] = [
@@ -577,12 +590,10 @@ def _cmd_charp(p):
 
 
 def _cmd_constants(p):
-    report = effective_constants(
-        int(p["n"]), p["eps"], p["gamma0"], p["delta"]
-    )
+    n = _int_arg(p["n"], "n")
+    report = effective_constants(n, p["eps"], p["gamma0"], p["delta"])
     out = report.to_json()
     if p.get("verify"):
-        n = int(p["n"])
         e = parse_rat(p["eps"])
         g0 = parse_rat(p["gamma0"])
         d = parse_rat(p["delta"])
@@ -642,8 +653,30 @@ def run_command(name: str, params: dict) -> dict:
 # batch execution
 
 
+def _error_record(exc) -> dict:
+    """The JSON error record of a handled error, with its exit code.
+
+    Invariant breaches exit 3.  Bad input exits 2; a KeyError from a params
+    dict is a missing argument.
+    """
+    if isinstance(exc, InvariantViolation):
+        return {"error": str(exc), "exit_code": 3}
+    if isinstance(exc, KeyError):
+        return {"error": f"missing argument {exc}", "exit_code": 2}
+    return {"error": str(exc), "exit_code": 2}
+
+
+_HANDLED_ERRORS = (PreconditionError, InvariantViolation, KeyError)
+
+
 def run_batch(entries, parallelism: int = 1) -> tuple:
-    """Run batch entries; results keyed by id, deterministic at any parallelism."""
+    """Run batch entries in order; results keyed by id.
+
+    Entries run one after another in this process.  ``parallelism`` is
+    validated (it must be >= 1) but does not change how entries run or what
+    they output: the work is pure Python and holds the interpreter lock, so a
+    thread pool gave no speedup.
+    """
     if parallelism < 1:
         raise PreconditionError("parallelism must be >= 1")
     ids = [e.get("id") for e in entries]
@@ -654,23 +687,10 @@ def run_batch(entries, parallelism: int = 1) -> tuple:
         try:
             output = run_command(entry["command"], entry.get("args") or {})
             return {"status": "ok", "exit_code": 0, "output": output}
-        except PreconditionError as exc:
-            return {"status": "error", "exit_code": 2, "error": str(exc)}
-        except InvariantViolation as exc:
-            return {"status": "error", "exit_code": 3, "error": str(exc)}
-        except KeyError as exc:
-            return {
-                "status": "error",
-                "exit_code": 2,
-                "error": f"missing argument {exc}",
-            }
+        except _HANDLED_ERRORS as exc:
+            return {"status": "error", **_error_record(exc)}
 
-    if parallelism == 1:
-        results = [run_one(e) for e in entries]
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(run_one, entries))
-
+    results = [run_one(e) for e in entries]
     keyed = {i: r for i, r in zip(ids, results)}
     first_error = next(
         (i for i, r in zip(ids, results) if r["status"] != "ok"), None
@@ -832,7 +852,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--delta")
 
     s = sub("batch", help="run a batch file of commands")
-    s.add_argument("--parallel", type=int, default=1)
+    s.add_argument(
+        "--parallel",
+        type=int,
+        default=1,
+        help="accepted for existing command lines; entries always run in order",
+    )
 
     return parser
 
@@ -918,27 +943,10 @@ def main(argv=None) -> int:
         else:
             _emit(json.dumps(result, sort_keys=True, indent=2) + "\n", args.out)
         return 0
-    except PreconditionError as exc:
-        print(
-            json.dumps({"error": str(exc), "exit_code": 2}, sort_keys=True),
-            file=sys.stderr,
-        )
-        return 2
-    except InvariantViolation as exc:
-        print(
-            json.dumps({"error": str(exc), "exit_code": 3}, sort_keys=True),
-            file=sys.stderr,
-        )
-        return 3
-    except KeyError as exc:
-        print(
-            json.dumps(
-                {"error": f"missing argument {exc}", "exit_code": 2},
-                sort_keys=True,
-            ),
-            file=sys.stderr,
-        )
-        return 2
+    except _HANDLED_ERRORS as exc:
+        record = _error_record(exc)
+        print(json.dumps(record, sort_keys=True), file=sys.stderr)
+        return record["exit_code"]
 
 
 if __name__ == "__main__":

@@ -241,21 +241,6 @@ class Cone:
 # fans
 
 
-_CONE_CACHE: dict = {}
-
-
-def _shared_cone(gens: tuple) -> Cone:
-    # cones are immutable and their adjugates are costly; share instances so
-    # repeated subdivisions of large fans reuse the exact linear algebra
-    cone = _CONE_CACHE.get(gens)
-    if cone is None:
-        if len(_CONE_CACHE) > 100_000:
-            _CONE_CACHE.clear()
-        cone = Cone(gens)
-        _CONE_CACHE[gens] = cone
-    return cone
-
-
 @dataclass(frozen=True)
 class BarycentricResult:
     """A maximal cone containing the query plus exact coordinates in it."""
@@ -307,9 +292,7 @@ class Fan:
 
     @cached_property
     def max_cones(self) -> tuple:
-        return tuple(
-            _shared_cone(tuple(self.rays[i] for i in c)) for c in self.cones
-        )
+        return tuple(Cone(tuple(self.rays[i] for i in c)) for c in self.cones)
 
     def locate(self, v) -> BarycentricResult:
         """Find a maximal cone containing v with exact coordinates.
@@ -366,6 +349,10 @@ def star_subdivide(fan: Fan, r) -> Fan:
     Every maximal cone containing r is replaced by the cones spanned by r
     together with each facet not containing r; cones not containing r are
     kept.  Subdividing at an existing ray returns the fan unchanged.
+
+    The kept cones enter the new fan as the parent's own ``Cone`` objects,
+    so their determinants and adjugates are computed once along a chain of
+    subdivisions; only the new pieces around r are built afresh.
     """
     vec = lattice_vec(r)
     if len(vec) != fan.n:
@@ -380,17 +367,20 @@ def star_subdivide(fan: Fan, r) -> Fan:
 
     new_rays = fan.rays + (vec,)
     r_idx = len(fan.rays)
-    new_cones = []
+    cones = {}  # sorted ray indices -> Cone
     for idx, cone in zip(fan.cones, fan.max_cones):
         lam = cone.barycentric(vec)
         if lam is None:
-            new_cones.append(idx)
+            cones[idx] = cone
             continue
         for j, l in enumerate(lam):
             if l > 0:
                 piece = tuple(k for pos, k in enumerate(idx) if pos != j) + (r_idx,)
-                new_cones.append(piece)
-    return Fan(n=fan.n, rays=new_rays, cones=tuple(set(new_cones)))
+                cones[piece] = Cone(tuple(new_rays[k] for k in piece))
+    child = Fan(n=fan.n, rays=new_rays, cones=tuple(cones))
+    # seed the cached property, in the child's canonical cone order
+    child.__dict__["max_cones"] = tuple(cones[c] for c in child.cones)
+    return child
 
 
 def is_smooth(fan: Fan) -> bool:

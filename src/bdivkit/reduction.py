@@ -42,7 +42,7 @@ from .exact import (
     format_rat,
     is_primitive,
 )
-from .fans import Cone, Fan, ensure_rays, orthant_fan, star_subdivide
+from .fans import Cone, Fan, ensure_rays, orthant_fan
 from .logpairs import (
     BDivisor,
     LocalPair,
@@ -354,49 +354,45 @@ class CutStep:
 def _theta_coeffs(state: ReductionState, sig, rays) -> tuple:
     """min over sigma of the pullback coefficient relative to Y_sigma.
 
-    On Y_sigma the divisor (pullback trace meet B) agrees with the current
-    trace away from sigma, because B equals the trace on every existing ray.
-    So the interpolated value at a query ray differs from the plain trace
-    value only inside the subdivided pieces around sigma; everything else
-    shares one base value per ray, and the minimum can stop early at zero.
-    """
-    base = {r: relative_pullback_coeff(state.phi, r) for r in rays}
-    one = Fraction(1)
-    piece_data = []
-    for vec in sig:
-        y_fan = star_subdivide(state.fan, vec)
-        sigma_val = min(relative_pullback_coeff(state.phi, vec), state.value(vec))
-        pieces = []
-        for cone in y_fan.max_cones:
-            if vec not in cone.gens:
-                continue
-            slopes = tuple(
-                one - (sigma_val if g == vec else state.phi.coeff(g))
-                for g in cone.gens
-            )
-            pieces.append((cone, slopes))
-        piece_data.append(pieces)
+    Y_sigma is the star subdivision of the current fan at sigma.  It carries
+    the current trace on the old rays and min(pb(sigma), B(sigma)) on sigma,
+    where pb is the pullback coefficient relative to the current trace.  So
+    it differs from the current trace only when B(sigma) < pb(sigma), and
+    only by the excess e_sigma = pb(sigma) - B(sigma).
 
+    Let C be an old cone containing sigma, with exact coordinates lam.  A ray
+    r of C lies in the piece of Y_sigma spanned by sigma and the facet of C
+    opposite the generator j that minimises lam_j(r) / lam_j(sigma) over the
+    j with lam_j(sigma) > 0; that minimum mu_sigma(r) is the weight of the
+    new ray in r.  Interpolating on the piece lowers the unclipped pullback
+    coefficient at r by mu_sigma(r) * e_sigma, hence
+
+        theta(r) = max(0, pb(r) - max over sigma of mu_sigma(r) * e_sigma).
+
+    mu_sigma(r) is 0 when r lies in no cone containing sigma, and it does not
+    depend on which containing cone is used: on a face shared with a cone
+    that misses sigma, some lam_j(r) is 0 where lam_j(sigma) > 0.  No fan is
+    built here.
+    """
+    excess = []
+    for vec in sig:
+        e = relative_pullback_coeff(state.phi, vec) - state.value(vec)
+        if e > 0:
+            excess.append((vec, e))
     zero = Fraction(0)
     out = []
     for r in rays:
-        best = base[r]
-        if best > 0:
-            for pieces in piece_data:
-                for cone, slopes in pieces:
-                    lam = cone.barycentric(r)
-                    if lam is None:
-                        continue
-                    total = sum(
-                        (l * s for l, s in zip(lam, slopes) if l), zero
-                    )
-                    val = max(zero, one - total)
-                    if val < best:
-                        best = val
-                    break
-                if best == 0:
-                    break
-        out.append(best)
+        pb = relative_pullback_coeff(state.phi, r)
+        drop = zero
+        if pb > 0 and excess:
+            loc = state.fan.locate(r)
+            for vec, e in excess:
+                lam_sigma = loc.cone.barycentric(vec)
+                if lam_sigma is None:
+                    continue
+                mu = min(a / b for a, b in zip(loc.lambdas, lam_sigma) if b > 0)
+                drop = max(drop, mu * e)
+        out.append(max(zero, pb - drop))
     return tuple(out)
 
 

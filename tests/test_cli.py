@@ -185,6 +185,19 @@ def test_run_batch_rejects_duplicate_ids():
         run_batch(entries, 1)
 
 
+def test_batch_entry_with_non_integer_argument_exits_2():
+    entries = [
+        {"id": "ok", "command": "minvol", "args": {"n": 1}},
+        {"id": "bad", "command": "minvol", "args": {"n": "abc"}},
+    ]
+    result, code = run_batch(entries, 2)
+    assert code == 2
+    assert result["first_error"] == "bad"
+    assert result["results"]["bad"]["exit_code"] == 2
+    assert "'n'" in result["results"]["bad"]["error"]
+    assert result["results"]["ok"]["status"] == "ok"
+
+
 def test_run_command_unknown():
     from bdivkit.exact import PreconditionError
 
@@ -238,6 +251,7 @@ BAD_INPUTS = [
      '{"kind":"closure","base":{"kind":"standard"},"denom_bound":-1}'],
     ["sylvester", "--k", "0"],
     ["minvol", "--n", "0"],
+    ["minvol", "--json", '{"n":"abc"}'],
     ["pnvol", "--n", "2", "--coeffs", '["1/2","1/2"]'],
     ["polyvol", "--polytope",
      '{"n":2,"normals":[[0,0],[1,0],[0,1]],"offsets":["0","0","0"]}'],
@@ -247,6 +261,7 @@ BAD_INPUTS = [
     ["charp", "--q-max", "2"],
     ["constants", "--n", "2", "--eps", "-1", "--gamma0", "1", "--delta", "1/2"],
     ["batch", "--parallel", "2"],
+    ["batch", "--file", str(GOLDEN / "batch_input.json"), "--parallel", "0"],
 ]
 
 

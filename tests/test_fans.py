@@ -22,6 +22,11 @@ def cone_fan(*gens):
     return Fan(n=n, rays=tuple(gens), cones=(tuple(range(len(gens))),))
 
 
+def assert_cones_match_rebuild(fan):
+    """The cones a subdivision handed over equal, in order, a fresh fan's."""
+    assert fan.max_cones == Fan(fan.n, fan.rays, fan.cones).max_cones
+
+
 def test_orthant_fan_examples():
     f1 = orthant_fan(1)
     assert f1.rays == ((1,),) and f1.cones == ((0,),)
@@ -162,7 +167,9 @@ def test_random_subdivisions_locate_reconstructs():
         if all(e == 0 for e in v):
             continue
         fan = star_subdivide(fan, primitive_part(v))
+        assert_cones_match_rebuild(fan)
     fan = resolve(fan)
+    assert_cones_match_rebuild(fan)
     assert is_smooth(fan)
     for _ in range(1000):
         v = tuple(rng.randint(0, 50) for _ in range(3))
@@ -182,6 +189,7 @@ def test_interior_points_lie_in_a_unique_cone():
     fan = orthant_fan(3)
     for v in [(1, 1, 1), (2, 1, 1), (1, 3, 2)]:
         fan = star_subdivide(fan, v)
+        assert_cones_match_rebuild(fan)
     for _ in range(300):
         v = tuple(rng.randint(0, 20) for _ in range(3))
         if all(e == 0 for e in v):

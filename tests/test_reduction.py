@@ -306,54 +306,96 @@ def test_descent_chain_instrumented():
 
 
 def test_theta_matches_naive_computation():
-    # the piecewise shortcut must agree with interpolating the full divisor
-    # on every one-ray extraction
-    from bdivkit.fans import ensure_rays, star_subdivide
+    # the closed form must agree with interpolating the full divisor on every
+    # one-ray extraction Y_sigma, on the orthant and on fans refined by a
+    # first cut, for sigma with B below and at or above its pullback
+    from bdivkit.fans import ensure_rays
+    from bdivkit.logpairs import unit_index
     from bdivkit.reduction import _theta_coeffs
 
+    def naive_theta(state, sigmas, rays):
+        gammas = []
+        for s in sigmas:
+            y_fan = star_subdivide(state.fan, s)
+            gammas.append(
+                ModelDivisor(
+                    y_fan,
+                    tuple(
+                        min(relative_pullback_coeff(state.phi, r), state.value(r))
+                        for r in y_fan.rays
+                    ),
+                )
+            )
+        return tuple(
+            min(relative_pullback_coeff(g, r) for g in gammas) for r in rays
+        )
+
     rng = random.Random(31337)
-    pool = [F(0), F(1, 2), F(2, 3), F(6, 7), F(1)]
+
+    def random_valuation(n, top):
+        while True:
+            v = tuple(rng.randint(0, top) for _ in range(n))
+            if any(v) and unit_index(primitive_part(v)) is None:
+                return primitive_part(v)
+
+    pool = [F(0), F(1, 2), F(2, 3), F(3, 4), F(6, 7), F(1)]
     values = [F(0), F(1, 3), F(1, 2), F(5, 6)]
-    checked = 0
-    for _ in range(80):
+    seen = dict.fromkeys(
+        ["n2", "n3", "refined", "below", "not_below", "shared_face"], 0
+    )
+    for _ in range(400):
         n = rng.choice([2, 3])
         coeffs = sorted(
             (rng.choice(pool) for _ in range(n)), key=lambda c: c == 1
         )
         pair = LocalPair(tuple(coeffs))
-        devs = {}
-        for _ in range(rng.randint(1, 3)):
-            v = tuple(rng.randint(0, 3) for _ in range(n))
-            if all(e == 0 for e in v):
-                continue
-            v = primitive_part(v)
-            if sum(1 for e in v if e) == 1 and max(v) == 1:
-                continue
-            devs[v] = rng.choice(values)
+        devs = {
+            random_valuation(n, 3): rng.choice(values)
+            for _ in range(rng.randint(1, 3))
+        }
         state = initial_state(LocalModel(pair), BDivisor(pair.coeffs, devs))
-        sigmas = [
-            v for v in devs if relative_pullback_coeff(state.phi, v) > 0
-        ]
+        if rng.random() < 0.6:
+            first = [
+                v for v in devs if relative_pullback_coeff(state.phi, v) > 0
+            ]
+            if first:
+                state, _ = build_cut(state, first)
+        # listed sigmas get a random B, unlisted ones keep the default 1
+        sigmas = []
+        updates = {}
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:
+                v = random_valuation(n, 4)
+            else:
+                # the sum of two generators of a maximal cone lies on their
+                # common face, which a refined fan may share between cones
+                a, b = rng.sample(rng.choice(state.fan.cones), 2)
+                ra, rb = state.fan.rays[a], state.fan.rays[b]
+                v = primitive_part(tuple(x + y for x, y in zip(ra, rb)))
+            if v in state.fan.ray_set or v in sigmas:
+                continue
+            if relative_pullback_coeff(state.phi, v) == 0:
+                continue
+            if rng.random() < 0.6:
+                updates[v] = rng.choice(values)
+            sigmas.append(v)
         if not sigmas:
             continue
+        state = ReductionState(
+            state.fan, state.phi, state.bdiv.with_deviations(updates)
+        )
         new_fan = ensure_rays(state.fan, sigmas)
         fast = _theta_coeffs(state, sigmas, new_fan.rays)
-        naive = []
-        gammas = [
-            ModelDivisor(
-                star_subdivide(state.fan, s),
-                tuple(
-                    min(relative_pullback_coeff(state.phi, r), state.value(r))
-                    for r in star_subdivide(state.fan, s).rays
-                ),
-            )
-            for s in sigmas
-        ]
-        for r in new_fan.rays:
-            naive.append(min(relative_pullback_coeff(g, r) for g in gammas))
-        assert list(fast) == naive
-        checked += 1
-    assert checked >= 15
+        assert fast == naive_theta(state, sigmas, new_fan.rays)
+
+        seen[f"n{n}"] += 1
+        seen["refined"] += len(state.fan.cones) > 1
+        for s in sigmas:
+            below = state.value(s) < relative_pullback_coeff(state.phi, s)
+            seen["below" if below else "not_below"] += 1
+            holders = [c for c in state.fan.max_cones if c.contains(s)]
+            seen["shared_face"] += len(holders) > 1
+    assert all(count >= 10 for count in seen.values()), seen
 
 
 def test_multi_cut_regression():
