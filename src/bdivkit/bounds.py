@@ -22,6 +22,7 @@ from .exact import (
     PreconditionError,
     UniPoly,
     format_rat,
+    parse_int,
     parse_rat,
     parse_rat_list,
 )
@@ -85,10 +86,20 @@ class SylvesterSeq:
         object.__setattr__(self, "terms", ts)
 
 
+# r_15 has 6 671 digits, past the 4 300 that Python converts to decimal by
+# default, and each further term doubles the length
+SYLVESTER_K_CAP = 14
+
+# 1 / r_{n+2}^n: n = 10 gives an 8 338-digit denominator, past the same limit
+MINVOL_N_CAP = 9
+
+
 def sylvester(k: int) -> SylvesterSeq:
     """First k+1 terms of the sequence, exactly."""
     if k < 1:
         raise PreconditionError("need k >= 1")
+    if k > SYLVESTER_K_CAP:
+        raise PreconditionError(f"k = {k} exceeds the cap SYLVESTER_K_CAP = {SYLVESTER_K_CAP}")
     terms = [1]
     for _ in range(k):
         terms.append(terms[-1] * (terms[-1] + 1))
@@ -99,6 +110,8 @@ def min_volume_candidate(n: int) -> Fraction:
     """1 / r_{n+2}^n: the smallest known log-pair volume in dimension n."""
     if n < 1:
         raise PreconditionError("need n >= 1")
+    if n > MINVOL_N_CAP:
+        raise PreconditionError(f"n = {n} exceeds the cap MINVOL_N_CAP = {MINVOL_N_CAP}")
     r = sylvester(n + 2).terms[n + 2]
     return Fraction(1, r**n)
 
@@ -147,7 +160,7 @@ class Polytope:
     def __post_init__(self):
         if not 1 <= self.n <= 4:
             raise PreconditionError("polytope dimension must be between 1 and 4")
-        normals = tuple(tuple(int(x) for x in row) for row in self.normals)
+        normals = tuple(tuple(parse_int(x, "normals") for x in row) for row in self.normals)
         offsets = tuple(parse_rat(b) for b in self.offsets)
         if len(normals) != len(offsets):
             raise PreconditionError("one offset per normal is required")
@@ -163,11 +176,14 @@ class Polytope:
 
     @classmethod
     def from_json(cls, data: dict) -> "Polytope":
-        return cls(
-            n=int(data["n"]),
-            normals=tuple(tuple(int(x) for x in r) for r in data["normals"]),
-            offsets=tuple(data["offsets"]),
-        )
+        try:
+            return cls(
+                n=parse_int(data["n"], "n"),
+                normals=tuple(tuple(r) for r in data["normals"]),
+                offsets=tuple(data["offsets"]),
+            )
+        except TypeError as exc:
+            raise PreconditionError(f"malformed polytope JSON: {exc}") from exc
 
     @classmethod
     def simplex(cls, n: int, d) -> "Polytope":

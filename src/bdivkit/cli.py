@@ -46,7 +46,9 @@ from .exact import (
     InvariantViolation,
     PreconditionError,
     format_rat,
+    parse_int,
     parse_rat,
+    parse_rat_list,
 )
 from .fans import Fan
 from .logpairs import (
@@ -80,16 +82,6 @@ def _mismatch(what: str, fast, oracle):
 def _ensure_match(what: str, fast, oracle) -> None:
     if fast != oracle:
         _mismatch(what, fast, oracle)
-
-
-def _int_arg(value, key: str) -> int:
-    """An integer argument; anything int() rejects is bad input (exit 2)."""
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise PreconditionError(
-            f"argument {key!r} must be an integer, got {value!r}"
-        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +171,7 @@ def _cmd_mld(p):
 
 
 def _cmd_round_check(p):
-    m = _int_arg(p["m"], "m")
+    m = parse_int(p["m"], "m")
     report = rounding_comparison(p["coeffs"], m)
     out = report.to_json()
     if p.get("verify"):
@@ -229,7 +221,7 @@ def _cmd_weight(p):
     model, bdiv, perm = _arranged_model(p)
     out = {"permutation": list(perm)}
     if p.get("stratum"):
-        raw = [_int_arg(i, "stratum") - 1 for i in p["stratum"]]
+        raw = [parse_int(i, "stratum") - 1 for i in p["stratum"]]
         inverse = {orig: new for new, orig in enumerate(perm)}
         mapped = tuple(sorted(inverse[i] for i in raw))
         w, witness = stratum_weight(model, bdiv, mapped)
@@ -250,7 +242,7 @@ def _cmd_weight(p):
 def _cmd_reduce(p):
     model, bdiv, perm = _arranged_model(p)
     trace = run_reduction(model, bdiv)
-    box = _int_arg(p.get("box") or 12, "box")
+    box = parse_int(p.get("box") or 12, "box")
     if p.get("verify"):
         box *= 2
     report = verify_reduction(trace.final_state, box)
@@ -268,12 +260,12 @@ def _cmd_reduce(p):
 
 def _cmd_verify(p):
     state = ReductionState.from_json(p["state"])
-    box = _int_arg(p.get("box") or 12, "box")
+    box = parse_int(p.get("box") or 12, "box")
     return verify_reduction(state, box).to_json()
 
 
 def _cmd_closure(p):
-    bound = _int_arg(p["denom_bound"], "denom_bound")
+    bound = parse_int(p["denom_bound"], "denom_bound")
     values = exceptional_closure(
         p["base"], bound, include_one=bool(p.get("include_one", False))
     )
@@ -296,7 +288,7 @@ def _budget_from(p) -> SearchBudget:
     defaults = SearchBudget()
 
     def arg(key, default):
-        return _int_arg(p.get(key) or default, key)
+        return parse_int(p.get(key) or default, key)
 
     return SearchBudget(
         chain_length=arg("threshold", defaults.chain_length),
@@ -308,8 +300,8 @@ def _budget_from(p) -> SearchBudget:
 
 def _cmd_chain(p):
     desc = desc_from_json(p["set"])
-    length = _int_arg(p["length"], "length")
-    bound = _int_arg(p.get("denom_bound") or 2000, "denom_bound")
+    length = parse_int(p["length"], "length")
+    bound = parse_int(p.get("denom_bound") or 2000, "denom_bound")
     budget = _budget_from(p)
     chain = find_decreasing_chain(desc, length, bound, budget)
     out = {"found": chain is not None}
@@ -339,7 +331,7 @@ def _cmd_dcc(p):
 
 
 def _cmd_sylvester(p):
-    k = _int_arg(p["k"], "k")
+    k = parse_int(p["k"], "k")
     seq = sylvester(k)
     out = {"terms": [str(t) for t in seq.terms]}
     if p.get("verify"):
@@ -361,7 +353,7 @@ def _cmd_sylvester(p):
 
 
 def _cmd_minvol(p):
-    n = _int_arg(p["n"], "n")
+    n = parse_int(p["n"], "n")
     vol = min_volume_candidate(n)
     out = {"n": n, "volume": format_rat(vol)}
     if p.get("verify"):
@@ -372,11 +364,11 @@ def _cmd_minvol(p):
 
 
 def _cmd_pnvol(p):
-    n = _int_arg(p["n"], "n")
+    n = parse_int(p["n"], "n")
     if p.get("sylvester"):
         coeffs = sylvester_coeffs(n)
     else:
-        coeffs = [parse_rat(c) for c in p["coeffs"]]
+        coeffs = parse_rat_list(p["coeffs"])
     vol = projective_space_log_volume(n, coeffs)
     out = {
         "n": n,
@@ -445,7 +437,7 @@ def _cmd_polyvol(p):
 
 
 def _cmd_hurwitz(p):
-    g = _int_arg(p["g"], "g")
+    g = parse_int(p["g"], "g")
     report = hurwitz_report(g)
     out = report.to_json()
     if p.get("verify"):
@@ -455,8 +447,8 @@ def _cmd_hurwitz(p):
 
 
 def _cmd_product(p):
-    n = _int_arg(p["n"], "n")
-    g = _int_arg(p["g"], "g")
+    n = parse_int(p["n"], "n")
+    g = parse_int(p["g"], "g")
     report = curve_power_report(n, g)
     out = report.to_json()
     if p.get("verify"):
@@ -486,7 +478,7 @@ def _cmd_fermat(p):
         rule = p.get("m_rule") or "n+3"
         if rule != "n+3":
             raise PreconditionError(f"unsupported m-rule {rule!r}; only 'n+3'")
-        n_max = _int_arg(p.get("n_max") or 10, "n_max")
+        n_max = parse_int(p.get("n_max") or 10, "n_max")
         rows = fermat_threshold_scan(n_max)
         out_rows = [
             {
@@ -506,8 +498,8 @@ def _cmd_fermat(p):
             "first_exceeding_n": first,
             "csv": _fermat_scan_csv(rows),
         }
-    n = _int_arg(p["n"], "n")
-    m = _int_arg(p["m"], "m")
+    n = parse_int(p["n"], "n")
+    m = parse_int(p["m"], "m")
     report = fermat_report(n, m)
     out = report.to_json()
     if p.get("verify"):
@@ -523,7 +515,7 @@ def _cmd_fermat(p):
 
 
 def _cmd_unitary(p):
-    n = _int_arg(p["n"], "n")
+    n = parse_int(p["n"], "n")
     poly, modulus = unitary_order_poly(n)
     out = {
         "n": n,
@@ -532,7 +524,7 @@ def _cmd_unitary(p):
         "gcd_rule": f"divide by gcd({modulus}, q+1)",
     }
     if p.get("q") is not None:
-        q = _int_arg(p["q"], "q")
+        q = parse_int(p["q"], "q")
         order = unitary_order_value(n, q)
         out["q"] = q
         out["order"] = str(order)
@@ -565,7 +557,7 @@ def _charp_csv(rows) -> str:
 
 
 def _cmd_charp(p):
-    q_max = _int_arg(p["q_max"], "q_max")
+    q_max = parse_int(p["q_max"], "q_max")
     report, rows = char_p_ratio_report(q_max)
     out = report.to_json()
     out["rows"] = [
@@ -590,7 +582,7 @@ def _cmd_charp(p):
 
 
 def _cmd_constants(p):
-    n = _int_arg(p["n"], "n")
+    n = parse_int(p["n"], "n")
     report = effective_constants(n, p["eps"], p["gamma0"], p["delta"])
     out = report.to_json()
     if p.get("verify"):
@@ -646,6 +638,8 @@ def run_command(name: str, params: dict) -> dict:
     handler = _HANDLERS.get(name)
     if handler is None:
         raise PreconditionError(f"unknown command {name!r}")
+    if not isinstance(params, dict):
+        raise PreconditionError(f"the arguments of {name!r} must be a JSON object")
     return handler(params)
 
 
@@ -679,6 +673,8 @@ def run_batch(entries, parallelism: int = 1) -> tuple:
     """
     if parallelism < 1:
         raise PreconditionError("parallelism must be >= 1")
+    if not all(isinstance(e, dict) for e in entries):
+        raise PreconditionError("batch entries must be JSON objects")
     ids = [e.get("id") for e in entries]
     if len(ids) != len(set(ids)) or any(i is None for i in ids):
         raise PreconditionError("batch entries need unique non-null ids")
@@ -786,9 +782,9 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub("reduce", help="run the weight-descent reduction")
     s.add_argument("--model", type=_json_flag)
     s.add_argument("--B", type=_json_flag)
-    s.add_argument("--box", type=int, help="verification box (default 12)")
+    s.add_argument("--box", type=int, help="box of the checked count (default 12)")
 
-    s = sub("verify", help="check pullback <= B on a box for a state")
+    s = sub("verify", help="check pullback <= B at every valuation of a state")
     s.add_argument("--state", type=_json_flag)
     s.add_argument("--box", type=int)
 
@@ -888,11 +884,21 @@ _PARAM_KEYS = {
 }
 
 
+def _read_json_file(path: str):
+    """The JSON value in a file; a missing or unreadable file is bad input."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise PreconditionError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # not JSON, not UTF-8, or an integer too long
+        raise PreconditionError(f"{path} does not hold valid JSON: {exc}") from exc
+
+
 def _collect_params(args) -> dict:
     params = {}
     if getattr(args, "file", None):
-        with open(args.file, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = _read_json_file(args.file)
         if not isinstance(data, dict):
             raise PreconditionError("--file must contain a JSON object")
         params.update(data)
@@ -925,9 +931,8 @@ def main(argv=None) -> int:
         if args.command == "batch":
             if not getattr(args, "file", None):
                 raise PreconditionError("batch needs --file with the entries")
-            with open(args.file, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            entries = data.get("entries")
+            data = _read_json_file(args.file)
+            entries = data.get("entries") if isinstance(data, dict) else None
             if not isinstance(entries, list):
                 raise PreconditionError("batch file needs an 'entries' list")
             result, code = run_batch(entries, args.parallel)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import PreconditionError, format_rat, parse_rat, parse_rat_list
+from .exact import PreconditionError, format_rat, parse_int, parse_rat, parse_rat_list
 
 
 def standard_coeff(r: int) -> Fraction:
@@ -145,19 +145,24 @@ CoeffSetDesc = object  # FiniteSet | StandardSet | UnionSet | SumClosure
 
 
 def desc_from_json(data: dict) -> CoeffSetDesc:
+    if not isinstance(data, dict):
+        raise PreconditionError(f"a set description must be an object, got {data!r}")
     kind = data.get("kind")
-    if kind == "finite":
-        return FiniteSet(tuple(data["values"]))
-    if kind == "standard":
-        return StandardSet()
-    if kind == "union":
-        return UnionSet(tuple(desc_from_json(m) for m in data["members"]))
-    if kind == "closure":
-        return SumClosure(
-            base=desc_from_json(data["base"]),
-            denom_bound=int(data["denom_bound"]),
-            include_one=bool(data.get("include_one", False)),
-        )
+    try:
+        if kind == "finite":
+            return FiniteSet(tuple(data["values"]))
+        if kind == "standard":
+            return StandardSet()
+        if kind == "union":
+            return UnionSet(tuple(desc_from_json(m) for m in data["members"]))
+        if kind == "closure":
+            return SumClosure(
+                base=desc_from_json(data["base"]),
+                denom_bound=parse_int(data["denom_bound"], "denom_bound"),
+                include_one=bool(data.get("include_one", False)),
+            )
+    except TypeError as exc:
+        raise PreconditionError(f"malformed set description: {exc}") from exc
     raise PreconditionError(f"unknown set description kind: {kind!r}")
 
 

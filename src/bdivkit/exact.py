@@ -50,6 +50,16 @@ def parse_rat(value) -> Fraction:
         raise PreconditionError(f"not a rational: {value!r}") from exc
 
 
+def parse_int(value, key: str) -> int:
+    """An integer input; anything int() rejects is bad input, naming the key."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise PreconditionError(
+            f"argument {key!r} must be an integer, got {value!r}"
+        ) from exc
+
+
 def format_rat(x) -> str:
     """Serialize a rational as ``"p/q"`` in lowest terms (``"p"`` when q=1)."""
     x = Fraction(x)
@@ -59,6 +69,8 @@ def format_rat(x) -> str:
 
 
 def parse_rat_list(values) -> tuple[Fraction, ...]:
+    if not isinstance(values, (list, tuple)):
+        raise PreconditionError(f"expected a list of rationals, got {values!r}")
     return tuple(parse_rat(v) for v in values)
 
 
@@ -74,7 +86,10 @@ LatticeVec = tuple
 
 def lattice_vec(entries) -> LatticeVec:
     """Validate and freeze an integer vector of dimension >= 1."""
-    vec = tuple(entries)
+    try:
+        vec = tuple(entries)
+    except TypeError as exc:
+        raise PreconditionError(f"a lattice vector must be a list, got {entries!r}") from exc
     if not vec:
         raise PreconditionError("lattice vector needs dimension >= 1")
     for e in vec:

@@ -21,8 +21,10 @@ from math import gcd
 from .exact import (
     InvariantViolation,
     PreconditionError,
+    format_rat,
     is_primitive,
     lattice_vec,
+    parse_int,
     primitive_part,
 )
 
@@ -137,7 +139,14 @@ class Cone:
                 raise PreconditionError(f"generator {g} is not primitive")
         if len(gens) > n:
             raise PreconditionError("more generators than the ambient dimension")
-        if _rank(gens) != len(gens):
+        if len(gens) == n:
+            # det(G^T) = det(G): the integer determinant decides independence
+            # and seeds the cached ``det``
+            det = _det(gens)
+            if det == 0:
+                raise PreconditionError("cone generators are linearly dependent")
+            self.__dict__["det"] = det
+        elif _rank(gens) != len(gens):
             raise PreconditionError("cone generators are linearly dependent")
         object.__setattr__(self, "gens", gens)
 
@@ -294,11 +303,25 @@ class Fan:
     def max_cones(self) -> tuple:
         return tuple(Cone(tuple(self.rays[i] for i in c)) for c in self.cones)
 
+    @cached_property
+    def _first_cone_of_ray(self) -> dict:
+        """Ray index -> position of the first cone (canonical order) it spans."""
+        first = {}
+        for pos, idx in enumerate(self.cones):
+            for i in idx:
+                first.setdefault(i, pos)
+        return first
+
     def locate(self, v) -> BarycentricResult:
         """Find a maximal cone containing v with exact coordinates.
 
         Ties on shared faces go to the lexicographically-first cone by sorted
-        ray indices (the cones are stored in that order).
+        ray indices (the cones are stored in that order).  A ray of the fan is
+        answered from a table: where cones meet in common faces, as in every
+        fan built by star subdivision or accepted by ``from_json``, the cones
+        containing a ray are exactly those it spans, and its coordinates there
+        are a unit vector.  Any other vector, and a ray that spans no cone,
+        is found by scanning the cones in order.
         """
         vec = lattice_vec(v)
         if len(vec) != self.n:
@@ -307,6 +330,12 @@ class Fan:
             raise PreconditionError("cannot locate the zero vector")
         if any(e < 0 for e in vec):
             raise PreconditionError(f"{vec} is outside the positive orthant")
+        i = self.ray_index.get(vec)
+        pos = self._first_cone_of_ray.get(i)
+        if pos is not None:
+            idx = self.cones[pos]
+            lam = tuple(Fraction(int(k == i)) for k in idx)
+            return BarycentricResult(cone=self.max_cones[pos], ray_indices=idx, lambdas=lam)
         for idx, cone in zip(self.cones, self.max_cones):
             lam = cone.barycentric(vec)
             if lam is not None:
@@ -314,6 +343,51 @@ class Fan:
         raise InvariantViolation(
             f"fan does not cover the orthant: no cone contains {vec}"
         )
+
+    @cached_property
+    def subdivision_defect(self) -> str | None:
+        """Why the cones fail to subdivide the orthant, or None if they do.
+
+        The cones subdivide the orthant when every ray spans a cone and
+        (1) every facet either lies in a coordinate hyperplane and bounds
+        one cone, or bounds exactly two cones whose apexes lie on opposite
+        sides of it, and (2) the cross-sections of the cones with the simplex
+        sum x_i = 1 fill it: sum |det C| / prod_j |g_j|_1 = 1.  By (1) the
+        number of cones over a generic point is the same across every facet,
+        hence constant on the orthant; by (2) that number is 1.
+        """
+        n = self.n
+        cones = self.max_cones  # rejects cones with dependent generators
+        unused = set(range(len(self.rays))).difference(*self.cones)
+        if unused:
+            return f"ray {self.rays[min(unused)]} spans no cone"
+        apexes = {}  # facet (sorted ray indices) -> apex ray indices
+        for idx in self.cones:
+            for j, apex in enumerate(idx):
+                apexes.setdefault(idx[:j] + idx[j + 1 :], []).append(apex)
+        for facet, tops in apexes.items():
+            gens = [self.rays[i] for i in facet]
+            if any(all(g[i] == 0 for g in gens) for i in range(n)):
+                if len(tops) != 1:
+                    return f"boundary facet {gens} bounds {len(tops)} cones"
+                continue
+            if len(tops) != 2:
+                return f"interior facet {gens} bounds {len(tops)} cones, not 2"
+            normal = [
+                (-1) ** k * _det([g[:k] + g[k + 1 :] for g in gens]) for k in range(n)
+            ]
+            a, b = (sum(x * y for x, y in zip(normal, self.rays[t])) for t in tops)
+            if (a > 0) == (b > 0):
+                return f"the two cones on facet {gens} overlap"
+        volume = Fraction(0)
+        for cone in cones:
+            norms = 1
+            for g in cone.gens:
+                norms *= sum(g)
+            volume += Fraction(abs(cone.det), norms)
+        if volume != 1:
+            return f"the cones fill {format_rat(volume)} of the orthant, not all of it"
+        return None
 
     def to_json(self) -> dict:
         return {
@@ -324,14 +398,19 @@ class Fan:
 
     @classmethod
     def from_json(cls, data: dict) -> "Fan":
+        """Read a fan and check that its cones subdivide the orthant."""
         try:
-            return cls(
-                n=int(data["n"]),
-                rays=tuple(tuple(int(x) for x in r) for r in data["rays"]),
-                cones=tuple(tuple(int(i) for i in c) for c in data["cones"]),
+            fan = cls(
+                n=parse_int(data["n"], "n"),
+                rays=tuple(tuple(parse_int(x, "rays") for x in r) for r in data["rays"]),
+                cones=tuple(tuple(parse_int(i, "cones") for i in c) for c in data["cones"]),
             )
         except (KeyError, TypeError) as exc:
             raise PreconditionError(f"malformed fan JSON: {exc}") from exc
+        defect = fan.subdivision_defect
+        if defect is not None:
+            raise PreconditionError(f"not a subdivision of the orthant: {defect}")
+        return fan
 
 
 def orthant_fan(n: int) -> Fan:
@@ -343,17 +422,8 @@ def orthant_fan(n: int) -> Fan:
     return Fan(n=n, rays=rays, cones=(tuple(range(n)),))
 
 
-def star_subdivide(fan: Fan, r) -> Fan:
-    """Star subdivision at a ray through r (r is made primitive internally).
-
-    Every maximal cone containing r is replaced by the cones spanned by r
-    together with each facet not containing r; cones not containing r are
-    kept.  Subdividing at an existing ray returns the fan unchanged.
-
-    The kept cones enter the new fan as the parent's own ``Cone`` objects,
-    so their determinants and adjugates are computed once along a chain of
-    subdivisions; only the new pieces around r are built afresh.
-    """
+def _subdivision_ray(fan: Fan, r) -> tuple:
+    """The primitive vector of a star subdivision of the fan at r."""
     vec = lattice_vec(r)
     if len(vec) != fan.n:
         raise PreconditionError("subdivision ray dimension mismatch")
@@ -361,26 +431,97 @@ def star_subdivide(fan: Fan, r) -> Fan:
         raise PreconditionError("cannot subdivide at the zero vector")
     if any(e < 0 for e in vec):
         raise PreconditionError(f"{vec} is outside the positive orthant")
-    vec = primitive_part(vec)
-    if vec in fan.ray_set:
-        return fan
+    return primitive_part(vec)
 
-    new_rays = fan.rays + (vec,)
-    r_idx = len(fan.rays)
-    cones = {}  # sorted ray indices -> Cone
-    for idx, cone in zip(fan.cones, fan.max_cones):
-        lam = cone.barycentric(vec)
-        if lam is None:
-            cones[idx] = cone
+
+def _subdivide_all(fan: Fan, vecs) -> Fan:
+    """Star-subdivide at each primitive vector in order, building one fan.
+
+    The result equals the chain of one-ray star subdivisions.  A mutable cone
+    table carries the chain, with the set of cones each ray spans and, for
+    every pending vector, a home: a current cone containing it, with its
+    coordinates there.  The cones containing the next vector v are those
+    spanned by every ray of its support in its home (the generators with
+    positive coordinate): v lies in the relative interior of that face, and
+    cones of a fan meet in common faces.  Each such cone C is replaced by one
+    piece per support ray s, spanned by v and the facet of C opposite s; the
+    pending vectors homed in C are then re-homed among those pieces only.
+    The initial homes are found by one scan of the fan, first cone first, and
+    a vector in no cone becomes a ray of no cone, as the chain makes it.
+    """
+    known = set(fan.ray_set)
+    pending = []
+    for v in vecs:
+        if v not in known:
+            known.add(v)
+            pending.append(v)
+    if not pending:
+        return fan
+    rays = list(fan.rays)
+    cones = dict(zip(fan.cones, fan.max_cones))
+    spans = [set() for _ in rays]  # ray index -> keys of the cones it spans
+    for idx in fan.cones:
+        for i in idx:
+            spans[i].add(idx)
+    home = {}  # pending position -> (cone key, coordinates of the vector there)
+    homed = {}  # cone key -> pending positions homed there
+    for pos, v in enumerate(pending):
+        for idx, cone in cones.items():
+            lam = cone.barycentric(v)
+            if lam is not None:
+                home[pos] = (idx, lam)
+                homed.setdefault(idx, []).append(pos)
+                break
+    for pos, v in enumerate(pending):
+        r_idx = len(rays)
+        rays.append(v)
+        spans.append(set())
+        if pos not in home:
             continue
-        for j, l in enumerate(lam):
-            if l > 0:
-                piece = tuple(k for pos, k in enumerate(idx) if pos != j) + (r_idx,)
-                cones[piece] = Cone(tuple(new_rays[k] for k in piece))
-    child = Fan(n=fan.n, rays=new_rays, cones=tuple(cones))
+        idx, lam = home.pop(pos)
+        support = [i for i, l in zip(idx, lam) if l > 0]
+        for old in set.intersection(*(spans[i] for i in support)):
+            del cones[old]
+            for i in old:
+                spans[i].discard(old)
+            pieces = []
+            for s in support:
+                piece = tuple(k for k in old if k != s) + (r_idx,)
+                cones[piece] = Cone(tuple(rays[k] for k in piece))
+                for k in piece:
+                    spans[k].add(piece)
+                pieces.append(piece)
+            for q in homed.pop(old, ()):
+                if q not in home:
+                    continue
+                for piece in pieces:
+                    lam = cones[piece].barycentric(pending[q])
+                    if lam is not None:
+                        home[q] = (piece, lam)
+                        homed.setdefault(piece, []).append(q)
+                        break
+                else:
+                    raise InvariantViolation(
+                        f"{pending[q]} left its cone {old} during subdivision"
+                    )
+    child = Fan(n=fan.n, rays=tuple(rays), cones=tuple(cones))
     # seed the cached property, in the child's canonical cone order
     child.__dict__["max_cones"] = tuple(cones[c] for c in child.cones)
     return child
+
+
+def star_subdivide(fan: Fan, r) -> Fan:
+    """Star subdivision at a ray through r (r is made primitive internally).
+
+    Every maximal cone containing r is replaced by the cones spanned by r
+    together with each facet not containing r; cones not containing r are
+    kept.  Subdividing at an existing ray returns the fan unchanged.  This is
+    the one-ray case of the batched insertion behind ``ensure_rays``: the
+    kept cones enter the new fan as the parent's own ``Cone`` objects, and
+    the cones containing r are read off the face of the first cone found to
+    contain it, not tested one by one.
+    """
+    return _subdivide_all(fan, [_subdivision_ray(fan, r)])
 
 
 def is_smooth(fan: Fan) -> bool:
@@ -419,17 +560,16 @@ def resolve(fan: Fan) -> Fan:
 
 
 def ensure_rays(fan: Fan, vs) -> Fan:
-    """Star-subdivide at each v in order (skipping existing rays), then resolve."""
-    current = fan
-    for v in vs:
-        vec = primitive_part(lattice_vec(v))
-        if vec in current.ray_set:
-            continue
-        current = star_subdivide(current, vec)
-    current = resolve(current)
-    for v in vs:
-        if primitive_part(lattice_vec(v)) not in current.ray_set:
-            raise InvariantViolation(f"requested ray {tuple(v)} missing after resolve")
+    """Star-subdivide at each v in order (skipping existing rays), then resolve.
+
+    All of vs go into the fan in one batched insertion, which builds one
+    ``Fan``; resolution then runs one star subdivision per step.
+    """
+    vecs = [_subdivision_ray(fan, v) for v in vs]
+    current = resolve(_subdivide_all(fan, vecs))
+    for v in vecs:
+        if v not in current.ray_set:
+            raise InvariantViolation(f"requested ray {v} missing after resolve")
     return current
 
 

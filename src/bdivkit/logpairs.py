@@ -34,6 +34,7 @@ from .exact import (
     format_rat_list,
     is_primitive,
     lattice_vec,
+    parse_int,
     parse_rat,
     parse_rat_list,
 )
@@ -97,8 +98,12 @@ class LocalPair:
 
     @classmethod
     def from_json(cls, data: dict) -> "LocalPair":
-        coeffs = parse_rat_list(data["coeffs"])
-        if "n" in data and int(data["n"]) != len(coeffs):
+        try:
+            coeffs = parse_rat_list(data["coeffs"])
+            n = parse_int(data["n"], "n") if "n" in data else len(coeffs)
+        except TypeError as exc:
+            raise PreconditionError(f"malformed pair JSON: {exc}") from exc
+        if n != len(coeffs):
             raise PreconditionError("pair JSON: n does not match the coefficient count")
         return cls(coeffs)
 
@@ -194,15 +199,20 @@ class BDivisor:
 
     @classmethod
     def from_json(cls, data: dict, default_pair: LocalPair | None = None) -> "BDivisor":
-        if "pair" in data and data["pair"] is not None:
-            pcs = parse_rat_list(data["pair"])
-        elif default_pair is not None:
-            pcs = default_pair.coeffs
-        else:
-            raise PreconditionError("b-divisor JSON needs 'pair' values")
-        devs = {}
-        for item in data.get("deviations", ()):
-            devs[tuple(int(x) for x in item["v"])] = parse_rat(item["value"])
+        if not isinstance(data, dict):
+            raise PreconditionError(f"b-divisor JSON must be an object, got {data!r}")
+        try:
+            if data.get("pair") is not None:
+                pcs = parse_rat_list(data["pair"])
+            elif default_pair is not None:
+                pcs = default_pair.coeffs
+            else:
+                raise PreconditionError("b-divisor JSON needs 'pair' values")
+            devs = {}
+            for item in data.get("deviations", ()):
+                devs[tuple(parse_int(x, "v") for x in item["v"])] = parse_rat(item["value"])
+        except TypeError as exc:
+            raise PreconditionError(f"malformed b-divisor JSON: {exc}") from exc
         return cls(pcs, devs)
 
 
@@ -263,7 +273,11 @@ def relative_pullback_coeff(md: ModelDivisor, v) -> Fraction:
     ``pullback_coeff``; the value is independent of the cone chosen on a
     shared face because the interpolated ray values agree there.
     """
-    loc = md.fan.locate(v)
+    return pullback_at(md, md.fan.locate(v))
+
+
+def pullback_at(md: ModelDivisor, loc) -> Fraction:
+    """``relative_pullback_coeff`` at a vector already located in md's fan."""
     total = Fraction(0)
     for lam, ray_idx in zip(loc.lambdas, loc.ray_indices):
         if lam:

@@ -262,6 +262,43 @@ BAD_INPUTS = [
     ["constants", "--n", "2", "--eps", "-1", "--gamma0", "1", "--delta", "1/2"],
     ["batch", "--parallel", "2"],
     ["batch", "--file", str(GOLDEN / "batch_input.json"), "--parallel", "0"],
+    # hand-built fans must subdivide the orthant; the ids are explicit so
+    # that the entries above keep theirs
+    pytest.param(["verify", "--state", json.dumps({
+        "fan": {"n": 2, "rays": [[1, 0], [0, 1], [1, 1]], "cones": [[0, 1], [0, 2]]},
+        "phi": ["1/2", "1/2", "1"], "B": {"pair": ["1/2", "1/2"], "deviations": []}})],
+        id="verify overlapping cones"),
+    pytest.param(["verify", "--state", json.dumps({
+        "fan": {"n": 2, "rays": [[1, 0], [0, 1], [1, 1]], "cones": [[0, 2]]},
+        "phi": ["1/2", "1/2", "1"], "B": {"pair": ["1/2", "1/2"], "deviations": []}})],
+        id="verify one cone of two"),
+    pytest.param(["ltrace", "--pair", '{"n":2,"coeffs":["1/2","1/2"]}', "--fan",
+                  '{"n":2,"rays":[[1,0],[0,1],[1,1]],"cones":[[0,1],[1,2]]}'],
+                 id="ltrace overlapping cones"),
+    # integers in JSON readers, files, and size caps
+    pytest.param(["ltrace", "--pair", '{"n":2,"coeffs":["1/2","1/2"]}', "--fan",
+                  '{"n":"x","rays":[[1,0],[0,1]],"cones":[[0,1]]}'],
+                 id="ltrace fan n not an integer"),
+    pytest.param(["polyvol", "--polytope",
+                  '{"n":"x","normals":[[1,0],[0,1],[-1,-1]],"offsets":["0","0","1"]}'],
+                 id="polyvol n not an integer"),
+    pytest.param(["ldisc", "--pair", '{"n":"x","coeffs":["1/2","1/2"]}', "--v", "[1,1]"],
+                 id="ldisc pair n not an integer"),
+    pytest.param(["verify", "--state",
+                  '{"fan":{"n":2,"rays":[[1,0],["a",1]],"cones":[[0,1]]},'
+                  '"phi":["1/2","1/2"],"B":{"pair":["1/2","1/2"],"deviations":[]}}'],
+                 id="verify ray entry not an integer"),
+    pytest.param(["dcc", "--set",
+                  '{"kind":"closure","base":{"kind":"standard"},"denom_bound":"x"}'],
+                 id="dcc denom_bound not an integer"),
+    pytest.param(["minvol", "--file", str(GOLDEN / "no-such-file.json")],
+                 id="missing --file"),
+    pytest.param(["sylvester", "--k", "15"], id="sylvester k past the cap"),
+    pytest.param(["sylvester", "--k", "40"], id="sylvester k far past the cap"),
+    pytest.param(["minvol", "--n", "10"], id="minvol n past the cap"),
+    pytest.param(["closure", "--base", "5", "--denom-bound", "5"], id="closure base not a list"),
+    pytest.param(["round-check", "--coeffs", "5", "--m", "3"], id="round-check coeffs not a list"),
+    pytest.param(["pnvol", "--n", "2", "--coeffs", "5"], id="pnvol coeffs not a list"),
 ]
 
 
@@ -284,3 +321,78 @@ def test_verify_flag_catches_mismatch(monkeypatch):
     code, _, err = run_cli(["minvol", "--n", "1", "--verify"])
     assert code == 3
     assert json.loads(err)["exit_code"] == 3
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the JSON readers: malformed arguments exit 0 or 2, never 1 or 3
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+_SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12)
+    | st.sampled_from(["", "x", "1/2", "0", "1", "-1", "3/0", "1e400", "9" * 5000])
+    | st.just(1e400) | st.just(0.5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["n", "coeffs", "rays", "cones", "kind", "values", "base",
+                         "members", "denom_bound", "v", "value", "pair",
+                         "deviations", "normals", "offsets", "fan", "phi", "B"]),
+        inner, max_size=4),
+    max_leaves=12,
+)
+
+_FAN = {"n": 2, "rays": [[1, 0], [0, 1], [1, 1]], "cones": [[0, 2], [1, 2]]}
+_PAIR = {"n": 2, "coeffs": ["1/2", "2/3"]}
+# well-formed arguments whose parts the fuzzer replaces; every size is small
+_TEMPLATES = {
+    "ltrace": {"pair": _PAIR, "fan": _FAN},
+    "verify": {"state": {"fan": _FAN, "phi": ["1/2", "2/3", "1/6"],
+                         "B": {"pair": ["1/2", "2/3"], "deviations": []}},
+               "box": 4},
+    "polyvol": {"polytope": {"n": 2, "normals": [[1, 0], [0, 1], [-1, -1]],
+                             "offsets": ["0", "0", "1"]}},
+    "ldisc": {"pair": _PAIR, "v": [1, 2]},
+    "dcc": {"set": {"kind": "closure", "denom_bound": 12,
+                    "base": {"kind": "finite", "values": ["1/2", "2/3"]}},
+            "denom_bound": 30, "max_size": 200, "rounds": 2, "threshold": 3},
+    "sylvester": {"k": 4},
+    "minvol": {"n": 2},
+}
+
+
+def _paths(value, prefix=()):
+    """Every position in a JSON value that a fuzzed value can replace."""
+    yield prefix
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _paths(item, prefix + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _paths(item, prefix + (i,))
+
+
+def _replace(value, path, new):
+    if not path:
+        return new
+    out = dict(value) if isinstance(value, dict) else list(value)
+    out[path[0]] = _replace(value[path[0]], path[1:], new)
+    return out
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_fuzzed_arguments_exit_0_or_2(data):
+    command = data.draw(st.sampled_from(sorted(_TEMPLATES)))
+    args = _TEMPLATES[command]
+    for _ in range(data.draw(st.integers(1, 2))):
+        path = data.draw(st.sampled_from(list(_paths(args))[1:]))
+        args = _replace(args, path, data.draw(_SMALL_JSON))
+    code, out, err = run_cli([command, "--json", json.dumps(args)])
+    assert code in (0, 2), (command, args, err)
+    if code == 0:
+        assert err == ""
+        json.loads(out)
+    else:
+        record = json.loads(err)
+        assert isinstance(record, dict) and record["exit_code"] == 2

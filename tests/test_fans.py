@@ -262,3 +262,185 @@ def test_parallelepiped_points():
     pts = c.parallelepiped_points()
     assert pts == [(1, 1), (1, 2), (2, 3), (2, 4)]
     assert Cone(((1, 0), (0, 1))).parallelepiped_points() == []
+
+
+# ---------------------------------------------------------------------------
+# batched insertion, ray location and the subdivision check against the
+# one-ray-at-a-time algorithms they replace
+
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import bdivkit.fans as fans_mod
+from bdivkit.fans import BarycentricResult
+
+
+def reference_star_subdivide(fan, r):
+    """One star subdivision by testing every cone, rebuilding the whole fan."""
+    vec = primitive_part(r)
+    if vec in fan.ray_set:
+        return fan
+    new_rays = fan.rays + (vec,)
+    r_idx = len(fan.rays)
+    cones = {}
+    for idx, cone in zip(fan.cones, fan.max_cones):
+        lam = cone.barycentric(vec)
+        if lam is None:
+            cones[idx] = cone
+            continue
+        for j, l in enumerate(lam):
+            if l > 0:
+                piece = tuple(k for pos, k in enumerate(idx) if pos != j) + (r_idx,)
+                cones[piece] = Cone(tuple(new_rays[k] for k in piece))
+    return Fan(n=fan.n, rays=new_rays, cones=tuple(cones))
+
+
+def reference_locate(fan, v):
+    """The first cone in canonical order that contains v, by a full scan."""
+    for idx, cone in zip(fan.cones, fan.max_cones):
+        lam = cone.barycentric(v)
+        if lam is not None:
+            return BarycentricResult(cone=cone, ray_indices=idx, lambdas=lam)
+    raise InvariantViolation(f"no cone contains {v}")
+
+
+def same_fan(a, b):
+    return (
+        a.rays == b.rays
+        and a.cones == b.cones
+        and [c.gens for c in a.max_cones] == [c.gens for c in b.max_cones]
+    )
+
+
+@st.composite
+def refined_fans(draw, max_n=4, max_rays=4):
+    """A star-subdivision chain of the orthant, built by the reference."""
+    n = draw(st.integers(1, max_n))
+    fan = orthant_fan(n)
+    for _ in range(draw(st.integers(0, max_rays))):
+        fan = reference_star_subdivide(fan, draw(subdivision_vectors(fan)))
+    return fan
+
+
+def subdivision_vectors(fan):
+    """Nonzero vectors: random ones, ones on a face of a cone, existing rays."""
+    n = fan.n
+    free = st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any)
+
+    @st.composite
+    def on_face(draw):
+        idx = draw(st.sampled_from(fan.cones))
+        picked = draw(st.lists(st.sampled_from(idx), min_size=1, max_size=n, unique=True))
+        weights = draw(st.lists(st.integers(1, 3), min_size=len(picked), max_size=len(picked)))
+        return [sum(w * fan.rays[i][k] for w, i in zip(weights, picked)) for k in range(n)]
+
+    return st.one_of(free, on_face(), st.sampled_from(fan.rays).map(list)).map(tuple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_batched_insertion_equals_one_ray_chain(data):
+    fan = data.draw(refined_fans())
+    vecs = data.draw(st.lists(subdivision_vectors(fan), min_size=1, max_size=6))
+    # duplicates: repeat a drawn vector, possibly scaled
+    if data.draw(st.booleans()):
+        k = data.draw(st.integers(1, 3))
+        vecs.append(tuple(k * e for e in data.draw(st.sampled_from(vecs))))
+    expected = fan
+    for v in vecs:
+        expected = reference_star_subdivide(expected, v)
+    got = fans_mod._subdivide_all(fan, [primitive_part(v) for v in vecs])
+    assert same_fan(got, expected)
+    one_by_one = fan
+    for v in vecs:
+        one_by_one = star_subdivide(one_by_one, v)
+    assert same_fan(one_by_one, expected)
+    if fan.n <= 3:
+        # in dimension 4 resolving by the reference can take seconds
+        with mock.patch.object(fans_mod, "star_subdivide", reference_star_subdivide):
+            resolved = resolve(expected)
+        assert same_fan(ensure_rays(fan, vecs), resolved)
+
+
+@settings(max_examples=100, deadline=None)
+@given(refined_fans(max_rays=6))
+def test_locate_on_rays_equals_the_scan(fan):
+    fan = resolve(fan)
+    for ray in fan.rays:
+        assert fan.locate(ray) == reference_locate(fan, ray)
+
+
+def test_locate_falls_back_to_the_scan_for_rays_outside_every_cone():
+    partial = Fan(n=2, rays=((1, 0), (1, 1), (0, 1)), cones=((0, 1),))
+    with pytest.raises(InvariantViolation):
+        partial.locate((0, 1))
+    assert partial.locate((1, 1)) == reference_locate(partial, (1, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(refined_fans(max_rays=6), st.booleans())
+def test_subdivision_check_accepts_star_subdivision_chains(fan, smooth):
+    if smooth:
+        fan = resolve(fan)
+    assert fan.subdivision_defect is None
+    assert Fan.from_json(fan.to_json()) == fan
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_subdivision_check_rejects_broken_fans(data):
+    fan = data.draw(refined_fans(max_rays=6).filter(lambda f: len(f.cones) > 1))
+    drop = data.draw(st.sampled_from(fan.cones))
+    units = tuple(sorted(fan.ray_index[tuple(int(i == j) for i in range(fan.n))]
+                         for j in range(fan.n)))
+    broken = {
+        "gapped": tuple(c for c in fan.cones if c != drop),
+        "duplicated": fan.cones + (drop,),
+        "overlapping": fan.cones + (units,),
+    }
+    for cones in broken.values():
+        bad = Fan(n=fan.n, rays=fan.rays, cones=cones)
+        assert bad.subdivision_defect is not None
+        with pytest.raises(PreconditionError):
+            Fan.from_json(bad.to_json())
+
+
+def test_subdivision_check_examples():
+    rays = ((1, 0), (0, 1), (1, 1))
+    assert Fan(2, rays, ((0, 2), (1, 2))).subdivision_defect is None
+    # overlapping: both cones contain the corner of e1 and (1,1)
+    overlap = Fan(2, rays, ((0, 1), (0, 2)))
+    assert overlap.subdivision_defect == "boundary facet [(1, 0)] bounds 2 cones"
+    # one cone twice, each half the orthant: facets paired and the volume
+    # right, but both copies lie on the same side of each facet
+    pillow = Fan(2, ((3, 1), (1, 3)), ((0, 1), (0, 1)))
+    assert pillow.subdivision_defect == "the two cones on facet [(1, 3)] overlap"
+    # a gap, with every ray in a cone
+    gap = Fan(2, ((1, 0), (1, 1)), ((0, 1),))
+    assert "bounds 1 cones" in gap.subdivision_defect
+    assert Fan(1, ((1,),), ((0,),)).subdivision_defect is None
+    assert Fan(1, ((1,),), ((0,), (0,))).subdivision_defect is not None
+    # two triangulations of the orthant, starred at (1,1,1) and at (1,2,1)
+    # with the edge midpoints: every facet passes, and only the volume sum
+    # (2) shows the double cover
+    rays = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1),
+            (1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 2, 1))
+    first = ((3, 0, 1), (3, 1, 2), (3, 2, 0))
+    second = ((7, 0, 4), (7, 4, 1), (7, 1, 5), (7, 5, 2), (7, 2, 6), (7, 6, 0))
+    assert Fan(3, rays[:4], first).subdivision_defect is None
+    renumber = {0: 0, 1: 1, 2: 2, 4: 3, 5: 4, 6: 5, 7: 6}
+    alone = tuple(tuple(renumber[i] for i in c) for c in second)
+    assert Fan(3, rays[:3] + rays[4:], alone).subdivision_defect is None
+    double = Fan(3, rays, first + second)
+    assert double.subdivision_defect == "the cones fill 2 of the orthant, not all of it"
+
+
+def test_full_dimensional_cone_seeds_its_determinant():
+    cone = Cone(((1, 0), (2, 5)))
+    assert cone.__dict__["det"] == 5 == cone.det
+    with pytest.raises(PreconditionError, match="linearly dependent"):
+        Cone(((1, 0, 0), (0, 1, 0), (1, 1, 0)))
+    with pytest.raises(PreconditionError, match="linearly dependent"):
+        Cone(((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)))

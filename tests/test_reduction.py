@@ -475,3 +475,125 @@ def test_state_json_roundtrip():
     trace = run_reduction(model, b)
     data = trace.final_state.to_json()
     assert ReductionState.from_json(data).to_json() == data
+
+
+# ---------------------------------------------------------------------------
+# the verifier against the exhaustive box scan it replaces
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bdivkit.exact import InvariantViolation
+from bdivkit.fans import Fan
+from bdivkit.reduction import MAX_BOX, VerifyReport, primitive_box_count
+
+
+def reference_verify(state, box):
+    """Scan rays, deviations and every primitive box vector in lex order."""
+    candidates = set(state.fan.rays)
+    candidates.update(state.bdiv.deviations)
+    for vec in product(range(box + 1), repeat=state.fan.n):
+        g = 0
+        for e in vec:
+            g = gcd(g, e)
+        if g == 1:
+            candidates.add(vec)
+    checked = 0
+    for vec in sorted(candidates):
+        pb = relative_pullback_coeff(state.phi, vec)
+        bv = state.value(vec)
+        checked += 1
+        if pb > bv:
+            return VerifyReport(ok=False, box=box, checked=checked, violation=(vec, pb, bv))
+    return VerifyReport(ok=True, box=box, checked=checked, violation=None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 9),
+    st.lists(st.integers(0, 11), min_size=4, max_size=4),
+)
+def test_primitive_box_count_matches_enumeration(n, box, bound):
+    upto = tuple(bound[:n]) if any(bound[:n]) else None
+    points = [
+        v for v in product(range(box + 1), repeat=n)
+        if any(v) and gcd(*v) == 1 and (upto is None or v <= upto)
+    ]
+    assert primitive_box_count(n, box, upto) == len(points)
+
+
+@st.composite
+def reduced_states(draw):
+    """A reduction output, sometimes with a violation planted in it."""
+    n = draw(st.sampled_from([1, 2, 2, 3]))
+    pool = [F(0), F(1, 2), F(2, 3), F(6, 7), F(1)]
+    coeffs = sorted(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)),
+                    key=lambda c: c == 1)
+    pair = LocalPair(tuple(coeffs))
+    vec = st.lists(st.integers(0, 9), min_size=n, max_size=n).filter(any).map(
+        lambda v: primitive_part(tuple(v)))
+    devs = {}
+    for v in draw(st.lists(vec, max_size=3)):
+        if sum(1 for e in v if e) > 1:
+            devs[v] = draw(st.sampled_from([F(0), F(1, 7), F(1, 2)]))
+    state = run_reduction(LocalModel(pair), BDivisor(pair.coeffs, devs)).final_state
+    plant = draw(st.sampled_from(["none", "ray", "deviation", "off_box"]))
+    if plant == "ray":
+        # raise the trace at a ray above its B-value
+        i = draw(st.integers(0, len(state.fan.rays) - 1))
+        bv = state.value(state.fan.rays[i])
+        if bv < 1:
+            coeffs = list(state.phi.ray_coeffs)
+            coeffs[i] = draw(st.sampled_from([c for c in (bv + (1 - bv) / 2, F(1))]))
+            state = ReductionState(state.fan, ModelDivisor(state.fan, tuple(coeffs)), state.bdiv)
+    elif plant in ("deviation", "off_box"):
+        # B = 0 violates wherever the pullback is positive
+        top = 9 if plant == "deviation" else 30
+        vecs = st.lists(st.integers(0, top), min_size=n, max_size=n).filter(any)
+        for v in draw(st.lists(vecs, min_size=8, max_size=8)):
+            v = primitive_part(tuple(v))
+            if (
+                sum(1 for e in v if e) > 1
+                and v not in state.fan.ray_set
+                and relative_pullback_coeff(state.phi, v) > 0
+            ):
+                state = ReductionState(
+                    state.fan, state.phi, state.bdiv.with_deviations({v: F(0)})
+                )
+                break
+    return state
+
+
+@settings(max_examples=200, deadline=None)
+@given(reduced_states(), st.integers(1, 8))
+def test_verify_matches_the_box_scan(state, box):
+    assert verify_reduction(state, box) == reference_verify(state, box)
+
+
+def test_verify_counts_past_a_violation_outside_the_box():
+    fan = star_subdivide(orthant_fan(2), (1, 1))
+    phi = ModelDivisor(fan, (F(1, 2), F(1, 2), F(1)))
+    b = BDivisor((F(1, 2), F(1, 2)), {(9, 10): F(0), (3, 4): F(0), (3, 1): F(0)})
+    state = ReductionState(fan, phi, b)
+    report = verify_reduction(state, 2)
+    assert report == reference_verify(state, 2)
+    assert report.violation == ((3, 4), F(1, 2), F(0))
+    # the primitive vectors of [0, 2]^2, then (3, 1) and (3, 4)
+    assert report.checked == 5 + 2
+
+
+def test_verify_rejects_a_fan_that_is_no_subdivision():
+    fan = Fan(2, ((1, 0), (0, 1), (1, 1)), ((0, 1), (0, 2)))
+    phi = ModelDivisor(fan, (F(1, 2), F(1, 2), F(1)))
+    state = ReductionState(fan, phi, BDivisor((F(1, 2), F(1, 2)), {}))
+    with pytest.raises(InvariantViolation):
+        verify_reduction(state, 4)
+
+
+def test_verify_box_cap():
+    pair = LocalPair((F(1, 2), F(2, 3)))
+    state = initial_state(LocalModel(pair), BDivisor(pair.coeffs, {}))
+    with pytest.raises(PreconditionError, match="MAX_BOX"):
+        verify_reduction(state, MAX_BOX + 1)
+    assert verify_reduction(state, 10_000).checked == primitive_box_count(2, 10_000)
