@@ -21,6 +21,7 @@ from .exact import (
     InvariantViolation,
     PreconditionError,
     UniPoly,
+    format_int,
     format_rat,
     parse_int,
     parse_rat,
@@ -43,7 +44,7 @@ class BoundReport:
             if isinstance(val, bool):
                 out[key] = val
             elif isinstance(val, int):
-                out[key] = str(val)
+                out[key] = format_int(val)
             elif isinstance(val, Fraction):
                 out[key] = format_rat(val)
             elif isinstance(val, UniPoly):
@@ -92,6 +93,11 @@ SYLVESTER_K_CAP = 14
 
 # 1 / r_{n+2}^n: n = 10 gives an 8 338-digit denominator, past the same limit
 MINVOL_N_CAP = 9
+
+# the polynomial part has degree about n^2 and is built densely in about n^4
+# coefficient products: on a 2-vCPU machine `unitary --n 32 --q 2 --verify`
+# takes 1.4 s, n = 120 took 97 s, and n = 100 000 raised MemoryError
+UNITARY_N_CAP = 32
 
 
 def sylvester(k: int) -> SylvesterSeq:
@@ -506,6 +512,8 @@ def unitary_order_poly(n: int) -> tuple:
     """
     if n < 1:
         raise PreconditionError("need n >= 1")
+    if n > UNITARY_N_CAP:
+        raise PreconditionError(f"n = {n} exceeds the cap UNITARY_N_CAP = {UNITARY_N_CAP}")
     poly = UniPoly.monomial(1, comb(n + 2, 2))
     for i in range(2, n + 3):
         sign = 1 if i % 2 == 0 else -1

@@ -45,6 +45,7 @@ from .dcc import (
 from .exact import (
     InvariantViolation,
     PreconditionError,
+    format_int,
     format_rat,
     parse_int,
     parse_rat,
@@ -220,12 +221,20 @@ def _cmd_fset(p):
 def _cmd_weight(p):
     model, bdiv, perm = _arranged_model(p)
     out = {"permutation": list(perm)}
-    if p.get("stratum"):
-        raw = [parse_int(i, "stratum") - 1 for i in p["stratum"]]
+    stratum = p.get("stratum")
+    if stratum is not None and not isinstance(stratum, list):
+        raise PreconditionError(
+            f"stratum must be a list of 1-based component indices, got {stratum!r}"
+        )
+    if stratum:
+        raw = [parse_int(i, "stratum") for i in stratum]
+        for i in raw:
+            if not 1 <= i <= model.n:
+                raise PreconditionError(f"stratum index {i} is outside 1..{model.n}")
         inverse = {orig: new for new, orig in enumerate(perm)}
-        mapped = tuple(sorted(inverse[i] for i in raw))
+        mapped = tuple(sorted(inverse[i - 1] for i in raw))
         w, witness = stratum_weight(model, bdiv, mapped)
-        out["stratum"] = sorted(i + 1 for i in raw)
+        out["stratum"] = sorted(raw)
     else:
         w, witness = pair_weight_witness(model, bdiv)
     out["weight"] = w
@@ -333,7 +342,7 @@ def _cmd_dcc(p):
 def _cmd_sylvester(p):
     k = parse_int(p["k"], "k")
     seq = sylvester(k)
-    out = {"terms": [str(t) for t in seq.terms]}
+    out = {"terms": [format_int(t) for t in seq.terms]}
     if p.get("verify"):
         prod = 1
         for i in range(1, len(seq.terms)):
@@ -463,6 +472,7 @@ def _cmd_product(p):
 
 
 def _fermat_scan_csv(rows) -> str:
+    """The scan as CSV, from the formatted rows."""
     buf = io.StringIO()
     buf.write("n,m,aut_lower,vol,ratio,threshold,exceeds\n")
     for r in rows:
@@ -484,10 +494,10 @@ def _cmd_fermat(p):
             {
                 "n": r["n"],
                 "m": r["m"],
-                "aut_lower": str(r["aut_lower"]),
-                "vol": str(r["vol"]),
+                "aut_lower": format_int(r["aut_lower"]),
+                "vol": format_int(r["vol"]),
                 "ratio": format_rat(r["ratio"]),
-                "threshold": str(r["threshold"]),
+                "threshold": format_int(r["threshold"]),
                 "exceeds": r["exceeds"],
             }
             for r in rows
@@ -496,7 +506,7 @@ def _cmd_fermat(p):
         return {
             "rows": out_rows,
             "first_exceeding_n": first,
-            "csv": _fermat_scan_csv(rows),
+            "csv": _fermat_scan_csv(out_rows),
         }
     n = parse_int(p["n"], "n")
     m = parse_int(p["m"], "m")
@@ -527,7 +537,7 @@ def _cmd_unitary(p):
         q = parse_int(p["q"], "q")
         order = unitary_order_value(n, q)
         out["q"] = q
-        out["order"] = str(order)
+        out["order"] = format_int(order)
         if p.get("verify"):
             direct = q ** comb(n + 2, 2)
             for i in range(2, n + 3):
@@ -546,6 +556,7 @@ def _cmd_unitary(p):
 
 
 def _charp_csv(rows) -> str:
+    """The scan as CSV, from the formatted rows."""
     buf = io.StringIO()
     buf.write("q,g,vol,order,bound,ok\n")
     for r in rows:
@@ -563,15 +574,15 @@ def _cmd_charp(p):
     out["rows"] = [
         {
             "q": r["q"],
-            "g": str(r["g"]),
-            "vol": str(r["vol"]),
-            "order": str(r["order"]),
-            "bound": str(r["bound"]),
+            "g": format_int(r["g"]),
+            "vol": format_int(r["vol"]),
+            "order": format_int(r["order"]),
+            "bound": format_int(r["bound"]),
             "ok": r["ok"],
         }
         for r in rows
     ]
-    out["csv"] = _charp_csv(rows)
+    out["csv"] = _charp_csv(out["rows"])
     if p.get("verify"):
         for r in rows:
             q = r["q"]
@@ -594,10 +605,14 @@ def _cmd_constants(p):
         for _ in range(n - 1):
             c *= 1 + gamma
         _ensure_match("constants C", report.values["C"], c)
-        m_min = 1
-        while not m_min > c * n / d + 1:
-            m_min += 1
-        _ensure_match("constants M_min", report.values["M_min"], m_min)
+        y = c * n / d + 1
+        m_min = y.numerator // y.denominator + 1
+        # for an integer m, "m is the least integer > y" is equivalent to m - 1 <= y < m
+        if not m_min - 1 <= y < m_min:
+            _mismatch("constants M_min bracket", m_min, y)
+        fast = report.values["M_min"]
+        if type(fast) is not int or fast != m_min:
+            _mismatch("constants M_min (an int)", repr(fast), m_min)
         gr = Fraction(2 * n) / e
         mr = 2 * g0
         for _ in range(n - 1):

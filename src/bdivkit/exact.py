@@ -13,6 +13,7 @@ package.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -60,12 +61,28 @@ def parse_int(value, key: str) -> int:
         ) from exc
 
 
+def format_int(x: int) -> str:
+    """Decimal text of an integer; one too long to convert is bad input.
+
+    Python refuses to convert integers longer than ``sys.get_int_max_str_digits()``
+    digits (4300 by default) to decimal; that limit is left as it is.
+    """
+    try:
+        return str(x)
+    except ValueError as exc:
+        raise PreconditionError(
+            f"the result has an integer of more than {sys.get_int_max_str_digits()} "
+            "digits, the limit of int-to-decimal conversion "
+            "(sys.get_int_max_str_digits)"
+        ) from exc
+
+
 def format_rat(x) -> str:
     """Serialize a rational as ``"p/q"`` in lowest terms (``"p"`` when q=1)."""
     x = Fraction(x)
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return format_int(x.numerator)
+    return f"{format_int(x.numerator)}/{format_int(x.denominator)}"
 
 
 def parse_rat_list(values) -> tuple[Fraction, ...]:

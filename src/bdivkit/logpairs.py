@@ -30,6 +30,7 @@ from .exact import (
     InvariantViolation,
     LatticeVec,
     PreconditionError,
+    format_int,
     format_rat,
     format_rat_list,
     is_primitive,
@@ -360,8 +361,8 @@ class RoundingReport:
 
     def to_json(self) -> dict:
         return {
-            "floor_m": [str(x) for x in self.floor_up],
-            "ceil_m_minus_1": [str(x) for x in self.ceil_down],
+            "floor_m": [format_int(x) for x in self.floor_up],
+            "ceil_m_minus_1": [format_int(x) for x in self.ceil_down],
             "le": self.le,
             "equal": self.equal,
         }

@@ -1,10 +1,17 @@
 import io
 import json
 import contextlib
+import dataclasses
+import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+import bdivkit.cli as cli_mod
 from bdivkit.cli import main, run_batch, run_command
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -299,6 +306,16 @@ BAD_INPUTS = [
     pytest.param(["closure", "--base", "5", "--denom-bound", "5"], id="closure base not a list"),
     pytest.param(["round-check", "--coeffs", "5", "--m", "3"], id="round-check coeffs not a list"),
     pytest.param(["pnvol", "--n", "2", "--coeffs", "5"], id="pnvol coeffs not a list"),
+    # results past Python's int-to-decimal digit limit, and unbounded sizes
+    pytest.param(["constants", "--n", "200", "--eps", "1", "--gamma0", "1", "--delta", "1/2"],
+                 id="constants past the digit limit"),
+    pytest.param(["pnvol", "--sylvester", "--n", "10"], id="pnvol sylvester past the digit limit"),
+    pytest.param(["fermat", "--n", "100000", "--m", "100003"], id="fermat past the digit limit"),
+    pytest.param(["unitary", "--n", "100000"], id="unitary n past the cap"),
+    pytest.param(["weight", "--model", '{"n":2,"coeffs":["1/2","1"]}', "--stratum", "5"],
+                 id="weight stratum not a list"),
+    pytest.param(["weight", "--model", '{"n":2,"coeffs":["1/2","1"]}', "--stratum", "[9]"],
+                 id="weight stratum index out of range"),
 ]
 
 
@@ -308,6 +325,23 @@ def test_malformed_inputs_exit_2_with_json_error(argv):
     assert code == 2
     payload = json.loads(err)
     assert payload.get("exit_code") == 2 and "error" in payload
+
+
+_DIGIT_LIMIT = f"{sys.get_int_max_str_digits()} digits"
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (["constants", "--n", "200", "--eps", "1", "--gamma0", "1", "--delta", "1/2"], _DIGIT_LIMIT),
+    (["pnvol", "--sylvester", "--n", "10"], _DIGIT_LIMIT),
+    (["fermat", "--n", "100000", "--m", "100003"], _DIGIT_LIMIT),
+    (["unitary", "--n", "33"], "UNITARY_N_CAP = 32"),
+    (["weight", "--model", '{"n":2,"coeffs":["1/2","1"]}', "--stratum", "[9]"],
+     "stratum index 9 is outside 1..2"),
+])
+def test_errors_name_their_cause(argv, cause):
+    code, _, err = run_cli(argv)
+    assert code == 2
+    assert cause in json.loads(err)["error"]
 
 
 def test_verify_flag_catches_mismatch(monkeypatch):
@@ -324,10 +358,77 @@ def test_verify_flag_catches_mismatch(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# fuzzing the JSON readers: malformed arguments exit 0 or 2, never 1 or 3
+# the constants oracle: M_min in closed form, against counting up
 
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
+
+def _unary_least_integer_above(y):
+    """The least integer > y, found by counting up from 1 (for y >= 0)."""
+    m = 1
+    while not m > y:
+        m += 1
+    return m
+
+
+def _constants_with_m_min(m_min_of):
+    """effective_constants with M_min replaced by m_min_of(the true M_min)."""
+    from bdivkit.bounds import effective_constants
+
+    def patched(*args):
+        report = effective_constants(*args)
+        values = dict(report.values, M_min=m_min_of(report.values["M_min"]))
+        return dataclasses.replace(report, values=values)
+
+    return patched
+
+
+_SMALL_FRACTIONS = st.builds(Fraction, st.integers(1, 24), st.integers(1, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 3), eps=_SMALL_FRACTIONS, delta=_SMALL_FRACTIONS)
+def test_constants_oracle_matches_unary_count(n, eps, delta):
+    c = 2 * (1 + Fraction(4 * n) / eps) ** (n - 1)
+    assume(c * n / delta <= 10**4)
+    ref = _unary_least_integer_above(c * n / delta + 1)
+    args = {"n": n, "eps": str(eps), "gamma0": "1", "delta": str(delta), "verify": True}
+    # the report carries the reference, so --verify passes only if the oracle agrees
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli_mod, "effective_constants", _constants_with_m_min(lambda _: ref))
+        out = run_command("constants", args)
+    assert out["verified"] is True and out["M_min"] == str(ref)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(CASES["constants"], id="integral C*n/delta"),
+    pytest.param(["constants", "--n", "3", "--eps", "1", "--gamma0", "1", "--delta", "5/7",
+                  "--verify"], id="fractional C*n/delta"),
+])
+@pytest.mark.parametrize("wrong", [
+    pytest.param(lambda m: m - 1, id="one less"),
+    pytest.param(lambda m: m + 1, id="one more"),
+    pytest.param(Fraction, id="a Fraction"),
+])
+def test_constants_verify_rejects_a_wrong_m_min(monkeypatch, argv, wrong):
+    monkeypatch.setattr(cli_mod, "effective_constants", _constants_with_m_min(wrong))
+    code, out, err = run_cli(argv)
+    assert code == 3 and out == ""
+    assert json.loads(err)["exit_code"] == 3
+
+
+def test_constants_verify_in_dimension_4_is_fast():
+    start = time.perf_counter()
+    code, out, _ = run_cli(["constants", "--n", "4", "--eps", "1/2", "--gamma0", "1",
+                            "--delta", "1/1806", "--verify"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    data = json.loads(out)
+    # C = 2 * 33^3 = 71874 and C*n/delta = 519217776, an integer
+    assert data["verified"] is True and data["M_min"] == "519217778"
+    assert elapsed < 1.0
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the JSON readers: malformed arguments exit 0 or 2, never 1 or 3
 
 _SMALL_JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 12)
@@ -358,6 +459,13 @@ _TEMPLATES = {
             "denom_bound": 30, "max_size": 200, "rounds": 2, "threshold": 3},
     "sylvester": {"k": 4},
     "minvol": {"n": 2},
+    "constants": {"n": 2, "eps": "1", "gamma0": "1", "delta": "1/42", "verify": True},
+    "unitary": {"n": 1, "q": 3, "verify": True},
+    "weight": {"model": {"n": 2, "coeffs": ["1/2", "1"]},
+               "B": {"deviations": [{"v": [1, 2], "value": "0"}]},
+               "stratum": [1, 2], "verify": True},
+    "pnvol": {"n": 1, "coeffs": ["1/2", "2/3", "6/7"], "sylvester": False, "verify": True},
+    "fermat": {"n": 5, "m": 8, "verify": True},
 }
 
 
@@ -380,7 +488,7 @@ def _replace(value, path, new):
     return out
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=520, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_fuzzed_arguments_exit_0_or_2(data):
     command = data.draw(st.sampled_from(sorted(_TEMPLATES)))
