@@ -21,6 +21,7 @@ from .exact import (
     InvariantViolation,
     PreconditionError,
     UniPoly,
+    checked_power,
     format_int,
     format_rat,
     parse_int,
@@ -93,6 +94,17 @@ SYLVESTER_K_CAP = 14
 
 # 1 / r_{n+2}^n: n = 10 gives an 8 338-digit denominator, past the same limit
 MINVOL_N_CAP = 9
+
+# a fixed cap on time, like UNITARY_N_CAP below, whatever the digit limit:
+# the rows grow to (n+2)! (n+3)^(n+1), the scan to 798 takes 0.28 s on a
+# 2-vCPU machine and n_max = 3000 took 4.1 s; 798 is also the last scan
+# whose rows fit the default 4 300-digit limit
+FERMAT_SCAN_N_CAP = 798
+
+# one row per prime power up to q_max, found by trial division: on a
+# 2-vCPU machine `charp --q-max 10000` takes 0.35 s and prints 356 kB,
+# and q_max = 100 000 took 2.9 s and printed 3 MB
+CHARP_Q_CAP = 10_000
 
 # the polynomial part has degree about n^2 and is built densely in about n^4
 # coefficient products: on a 2-vCPU machine `unitary --n 32 --q 2 --verify`
@@ -461,6 +473,10 @@ def fermat_threshold_scan(n_max: int) -> list:
     """Rows comparing (n+2)!(n+3)^n against 42^n for m = n+3, n = 1..n_max."""
     if n_max < 1:
         raise PreconditionError("need n_max >= 1")
+    if n_max > FERMAT_SCAN_N_CAP:
+        raise PreconditionError(
+            f"n_max = {n_max} exceeds the cap FERMAT_SCAN_N_CAP = {FERMAT_SCAN_N_CAP}"
+        )
     rows = []
     for n in range(1, n_max + 1):
         report = fermat_report(n, n + 3)
@@ -547,6 +563,8 @@ def char_p_ratio_report(q_max: int) -> tuple:
     """
     if q_max < 3:
         raise PreconditionError("need q_max >= 3")
+    if q_max > CHARP_Q_CAP:
+        raise PreconditionError(f"q_max = {q_max} exceeds the cap CHARP_Q_CAP = {CHARP_Q_CAP}")
     rows = []
     max_ratio = None
     for q in range(3, q_max + 1):
@@ -616,10 +634,10 @@ def effective_constants(n: int, eps, gamma0, delta) -> BoundReport:
     if g0 < 1:
         raise PreconditionError("gamma0 must be >= 1")
     gamma_rec = Fraction(2 * n) / e
-    m_rec = 2 * g0 * (1 + gamma_rec) ** (n - 1)
+    m_rec = 2 * g0 * checked_power(1 + gamma_rec, n - 1)
     gamma_bir = Fraction(4 * n) / e
-    big_c = 2 * (1 + gamma_bir) ** (n - 1)
-    vol_threshold = (big_c * n) ** n
+    big_c = 2 * checked_power(1 + gamma_bir, n - 1)
+    vol_threshold = checked_power(big_c * n, n)
     x = big_c * n / d
     m_min = floor(x) + 2  # least integer > x + 1, whether or not x is integral
     if not (m_min > x + 1 and m_min - 1 <= x + 1):

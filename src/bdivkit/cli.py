@@ -735,168 +735,94 @@ def _json_flag(text):
         raise argparse.ArgumentTypeError(f"invalid JSON: {exc}") from exc
 
 
-def _add_common(sub):
-    sub.add_argument("--out", help="write the output to a file instead of stdout")
-    sub.add_argument(
-        "--verify",
-        action="store_true",
-        help="re-run an independent oracle and fail loudly on mismatch",
-    )
-    sub.add_argument(
-        "--file",
-        help="read a JSON object supplying defaults for this command's inputs",
-    )
-    sub.add_argument(
-        "--json",
-        dest="inline_json",
-        type=_json_flag,
-        help="inline JSON object supplying defaults for this command's inputs",
-    )
+_COMMON_ARGS = (
+    ("--out", {"help": "write the output to a file instead of stdout"}),
+    ("--verify", {"action": "store_true",
+                  "help": "re-run an independent oracle and fail loudly on mismatch"}),
+    ("--file", {"help": "read a JSON object supplying defaults for this command's inputs"}),
+    ("--json", {"dest": "inline_json", "type": _json_flag,
+                "help": "inline JSON object supplying defaults for this command's inputs"}),
+)
+
+_JSON = {"type": _json_flag}
+_INT = {"type": int}
+_FLAG = {"action": "store_true"}
+
+# command -> (help, its own options); every command also takes _COMMON_ARGS.
+# The dest of each option (argparse's: dashes become underscores) is the
+# params key the handler reads.
+_COMMANDS = {
+    "ldisc": ("log discrepancy of a monomial valuation",
+              (("--pair", _JSON), ("--v", _JSON))),
+    "lcoeff": ("positive-part pullback coefficient of a valuation",
+               (("--pair", _JSON), ("--v", _JSON))),
+    "ltrace": ("pullback trace of a pair on a fan", (("--pair", _JSON), ("--fan", _JSON))),
+    "mld": ("minimal log discrepancy at the origin", (("--pair", _JSON),)),
+    "round-check": ("compare floor(m c) with ceil((m-1) c)",
+                    (("--coeffs", _JSON), ("--m", _INT))),
+    "fset": ("prefixes with positive pullback coefficient", (("--model", _JSON),)),
+    "weight": ("weight of a model against a b-divisor",
+               (("--model", _JSON), ("--B", _JSON),
+                ("--stratum", {"type": _json_flag, "help": "1-based component indices"}))),
+    "reduce": ("run the weight-descent reduction",
+               (("--model", _JSON), ("--B", _JSON),
+                ("--box", {"type": int, "help": "box of the checked count (default 12)"}))),
+    "verify": ("check pullback <= B at every valuation of a state",
+               (("--state", _JSON), ("--box", _INT))),
+    "closure": ("closure of a base under b1+b2-1",
+                (("--base", _JSON), ("--denom-bound", _INT), ("--include-one", _FLAG))),
+    "chain": ("find a strictly decreasing chain in a set",
+              (("--set", _JSON), ("--length", _INT), ("--denom-bound", _INT))),
+    "dcc": ("three-valued descending-chain verdict",
+            (("--set", _JSON), ("--threshold", _INT), ("--denom-bound", _INT),
+             ("--rounds", _INT), ("--max-size", _INT))),
+    "sylvester": ("terms of r0=1, r_{k+1}=r_k(r_k+1)", (("--k", _INT),)),
+    "minvol": ("minimal-volume candidate 1/r_{n+2}^n", (("--n", _INT),)),
+    "pnvol": ("log volume of projective space with n+2 hyperplanes",
+              (("--n", _INT), ("--coeffs", _JSON), ("--sylvester", _FLAG))),
+    "polyvol": ("exact volume of a rational polytope", (("--polytope", _JSON),)),
+    "hurwitz": ("84(g-1) bound and canonical volume", (("--g", _INT),)),
+    "product": ("n-fold product of a maximal-symmetry curve", (("--n", _INT), ("--g", _INT))),
+    "fermat": ("Fermat hypersurface report or threshold scan",
+               (("--n", _INT), ("--m", _INT), ("--scan", _FLAG), ("--m-rule", {}),
+                ("--n-max", _INT))),
+    "unitary": ("unitary group order: polynomial part or value",
+                (("--n", _INT), ("--q", _INT))),
+    "charp": ("characteristic-p ratio check up to q_max",
+              (("--q-max", _INT), ("--csv", {"action": "store_true",
+                                             "help": "emit the scan as CSV"}))),
+    "constants": ("explicit constant propagation",
+                  (("--n", _INT), ("--eps", {}), ("--gamma0", {}), ("--delta", {}))),
+    "batch": ("run a batch file of commands",
+              (("--parallel", {"type": int, "default": 1,
+                               "help": "accepted for existing command lines; "
+                                       "entries always run in order"}),)),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _param_keys(command: str) -> tuple:
+    return tuple(flag[2:].replace("-", "_") for flag, _ in _COMMANDS[command][1])
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser: every subcommand, or only the one named.
+
+    argparse builds a help formatter for every option it adds, so a command
+    line that names a known command builds that subcommand alone; help, an
+    unknown command and a missing one need them all.
+    """
     parser = _Parser(
         prog="bdivkit",
         description="Exact toolkit for b-divisor reductions, coefficient-set "
         "chains, and explicit volume/symmetry bounds.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    def sub(name, **kw):
-        s = subs.add_parser(name, **kw)
-        _add_common(s)
-        return s
-
-    s = sub("ldisc", help="log discrepancy of a monomial valuation")
-    s.add_argument("--pair", type=_json_flag)
-    s.add_argument("--v", type=_json_flag)
-
-    s = sub("lcoeff", help="positive-part pullback coefficient of a valuation")
-    s.add_argument("--pair", type=_json_flag)
-    s.add_argument("--v", type=_json_flag)
-
-    s = sub("ltrace", help="pullback trace of a pair on a fan")
-    s.add_argument("--pair", type=_json_flag)
-    s.add_argument("--fan", type=_json_flag)
-
-    s = sub("mld", help="minimal log discrepancy at the origin")
-    s.add_argument("--pair", type=_json_flag)
-
-    s = sub("round-check", help="compare floor(m c) with ceil((m-1) c)")
-    s.add_argument("--coeffs", type=_json_flag)
-    s.add_argument("--m", type=int)
-
-    s = sub("fset", help="prefixes with positive pullback coefficient")
-    s.add_argument("--model", type=_json_flag)
-
-    s = sub("weight", help="weight of a model against a b-divisor")
-    s.add_argument("--model", type=_json_flag)
-    s.add_argument("--B", type=_json_flag)
-    s.add_argument("--stratum", type=_json_flag, help="1-based component indices")
-
-    s = sub("reduce", help="run the weight-descent reduction")
-    s.add_argument("--model", type=_json_flag)
-    s.add_argument("--B", type=_json_flag)
-    s.add_argument("--box", type=int, help="box of the checked count (default 12)")
-
-    s = sub("verify", help="check pullback <= B at every valuation of a state")
-    s.add_argument("--state", type=_json_flag)
-    s.add_argument("--box", type=int)
-
-    s = sub("closure", help="closure of a base under b1+b2-1")
-    s.add_argument("--base", type=_json_flag)
-    s.add_argument("--denom-bound", dest="denom_bound", type=int)
-    s.add_argument("--include-one", dest="include_one", action="store_true")
-
-    s = sub("chain", help="find a strictly decreasing chain in a set")
-    s.add_argument("--set", dest="set", type=_json_flag)
-    s.add_argument("--length", type=int)
-    s.add_argument("--denom-bound", dest="denom_bound", type=int)
-
-    s = sub("dcc", help="three-valued descending-chain verdict")
-    s.add_argument("--set", dest="set", type=_json_flag)
-    s.add_argument("--threshold", type=int)
-    s.add_argument("--denom-bound", dest="denom_bound", type=int)
-    s.add_argument("--rounds", type=int)
-    s.add_argument("--max-size", dest="max_size", type=int)
-
-    s = sub("sylvester", help="terms of r0=1, r_{k+1}=r_k(r_k+1)")
-    s.add_argument("--k", type=int)
-
-    s = sub("minvol", help="minimal-volume candidate 1/r_{n+2}^n")
-    s.add_argument("--n", type=int)
-
-    s = sub("pnvol", help="log volume of projective space with n+2 hyperplanes")
-    s.add_argument("--n", type=int)
-    s.add_argument("--coeffs", type=_json_flag)
-    s.add_argument("--sylvester", action="store_true")
-
-    s = sub("polyvol", help="exact volume of a rational polytope")
-    s.add_argument("--polytope", type=_json_flag)
-
-    s = sub("hurwitz", help="84(g-1) bound and canonical volume")
-    s.add_argument("--g", type=int)
-
-    s = sub("product", help="n-fold product of a maximal-symmetry curve")
-    s.add_argument("--n", type=int)
-    s.add_argument("--g", type=int)
-
-    s = sub("fermat", help="Fermat hypersurface report or threshold scan")
-    s.add_argument("--n", type=int)
-    s.add_argument("--m", type=int)
-    s.add_argument("--scan", action="store_true")
-    s.add_argument("--m-rule", dest="m_rule")
-    s.add_argument("--n-max", dest="n_max", type=int)
-
-    s = sub("unitary", help="unitary group order: polynomial part or value")
-    s.add_argument("--n", type=int)
-    s.add_argument("--q", type=int)
-
-    s = sub("charp", help="characteristic-p ratio check up to q_max")
-    s.add_argument("--q-max", dest="q_max", type=int)
-    s.add_argument("--csv", action="store_true", help="emit the scan as CSV")
-
-    s = sub("constants", help="explicit constant propagation")
-    s.add_argument("--n", type=int)
-    s.add_argument("--eps")
-    s.add_argument("--gamma0")
-    s.add_argument("--delta")
-
-    s = sub("batch", help="run a batch file of commands")
-    s.add_argument(
-        "--parallel",
-        type=int,
-        default=1,
-        help="accepted for existing command lines; entries always run in order",
-    )
-
+    for name in (command,) if command is not None else _COMMANDS:
+        help_text, own = _COMMANDS[name]
+        sub = subs.add_parser(name, help=help_text)
+        for flag, kwargs in _COMMON_ARGS + own:
+            sub.add_argument(flag, **kwargs)
     return parser
-
-
-_PARAM_KEYS = {
-    "ldisc": ("pair", "v"),
-    "lcoeff": ("pair", "v"),
-    "ltrace": ("pair", "fan"),
-    "mld": ("pair",),
-    "round-check": ("coeffs", "m"),
-    "fset": ("model",),
-    "weight": ("model", "B", "stratum"),
-    "reduce": ("model", "B", "box"),
-    "verify": ("state", "box"),
-    "closure": ("base", "denom_bound", "include_one"),
-    "chain": ("set", "length", "denom_bound"),
-    "dcc": ("set", "threshold", "denom_bound", "rounds", "max_size"),
-    "sylvester": ("k",),
-    "minvol": ("n",),
-    "pnvol": ("n", "coeffs", "sylvester"),
-    "polyvol": ("polytope",),
-    "hurwitz": ("g",),
-    "product": ("n", "g"),
-    "fermat": ("n", "m", "scan", "m_rule", "n_max"),
-    "unitary": ("n", "q"),
-    "charp": ("q_max", "csv"),
-    "constants": ("n", "eps", "gamma0", "delta"),
-}
 
 
 def _read_json_file(path: str):
@@ -922,7 +848,7 @@ def _collect_params(args) -> dict:
         if not isinstance(inline, dict):
             raise PreconditionError("--json must be a JSON object")
         params.update(inline)
-    for key in _PARAM_KEYS.get(args.command, ()):
+    for key in _param_keys(args.command):
         val = getattr(args, key, None)
         if val is not None and val is not False:
             params[key] = val
@@ -940,8 +866,9 @@ def _emit(text: str, out_path) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         if args.command == "batch":
             if not getattr(args, "file", None):

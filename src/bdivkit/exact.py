@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class PreconditionError(ValueError):
@@ -61,6 +61,14 @@ def parse_int(value, key: str) -> int:
         ) from exc
 
 
+def _digit_limit_error() -> PreconditionError:
+    return PreconditionError(
+        f"the result has an integer of more than {sys.get_int_max_str_digits()} "
+        "digits, the limit of int-to-decimal conversion "
+        "(sys.get_int_max_str_digits)"
+    )
+
+
 def format_int(x: int) -> str:
     """Decimal text of an integer; one too long to convert is bad input.
 
@@ -70,11 +78,25 @@ def format_int(x: int) -> str:
     try:
         return str(x)
     except ValueError as exc:
-        raise PreconditionError(
-            f"the result has an integer of more than {sys.get_int_max_str_digits()} "
-            "digits, the limit of int-to-decimal conversion "
-            "(sys.get_int_max_str_digits)"
-        ) from exc
+        raise _digit_limit_error() from exc
+
+
+def checked_power(base: Fraction, k: int) -> Fraction:
+    """base ** k for a result to be printed, refused before it is computed
+    when its numerator or denominator must pass the digit limit.
+
+    An integer of b bits has k (b - 1) + 1 bits or more in its k-th power,
+    and 2^x >= 10^y when x >= y log2(10).  The test refuses only powers with
+    more than twice the limit's digits: multiplying by an input, whose parts
+    have at most the limit's digits, cannot cancel such a power back under
+    the limit, so every refused result would have failed to print, and the
+    largest power computed has about twice the limit's digits.
+    """
+    limit = sys.get_int_max_str_digits()
+    bits = max(base.numerator.bit_length(), base.denominator.bit_length()) - 1
+    if limit and k * bits * 1000 > 6644 * limit:  # 6.644 > 2 log2(10)
+        raise _digit_limit_error()
+    return base**k
 
 
 def format_rat(x) -> str:
@@ -83,6 +105,12 @@ def format_rat(x) -> str:
     if x.denominator == 1:
         return format_int(x.numerator)
     return f"{format_int(x.numerator)}/{format_int(x.denominator)}"
+
+
+def complement_weights(values) -> tuple:
+    """(w, den): each 1 - x as an integer w_i over the least common denominator."""
+    den = lcm(*(x.denominator for x in values))
+    return tuple((x.denominator - x.numerator) * (den // x.denominator) for x in values), den
 
 
 def parse_rat_list(values) -> tuple[Fraction, ...]:

@@ -7,6 +7,16 @@ Star subdivision at a primitive vector models a weighted blow-up; repeated
 star subdivision at fundamental-parallelepiped points resolves the fan to a
 smooth one.  All linear algebra is exact over the integers and rationals.
 
+The coordinates of a lattice vector v in a full-dimensional cone are kept as
+integers: ``Cone.coords`` returns numerators over the cone's |det| (the rows
+of the adjugate, with the sign of det folded in, applied to v), so v is in
+the cone exactly when every numerator is >= 0, and ``Fan.locate`` returns a
+``BarycentricResult`` holding those numerators, over |det| of the cone found
+whether v is a fan ray read from the ray table or found by a scan.  On a
+smooth cone |det| = 1 and the numerators are the coordinates themselves.
+``Fraction``s are built only by ``Cone.barycentric`` and by
+``BarycentricResult.lambdas``, on first use.
+
 Dimensions are capped at 6: cone and parallelepiped enumeration costs grow
 quickly and nothing in this toolkit needs more.
 """
@@ -17,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import mul
 
 from .exact import (
     InvariantViolation,
@@ -176,25 +187,70 @@ class Cone:
             raise PreconditionError("barycentric solve needs a full-dimensional cone")
         return _adjugate(self._matrix)
 
+    @cached_property
+    def _inward_adjugate(self) -> tuple:
+        # rows of sign(det) * adj(G): row . v is |det| times v's coordinate
+        adj = self._adjugate
+        if self.det > 0:
+            return tuple(tuple(row) for row in adj)
+        return tuple(tuple(-x for x in row) for row in adj)
+
+    def coords(self, v):
+        """Integer numerators of v's coordinates over |det|, or None.
+
+        Returns the tuple nums of integers with sum(nums[j] * gens[j]) ==
+        |det| * v when every nums[j] >= 0, that is when v lies in this
+        full-dimensional cone, else None.
+        """
+        nums = []
+        for row in self._inward_adjugate:
+            x = sum(map(mul, row, v))
+            if x < 0:
+                return None
+            nums.append(x)
+        return tuple(nums)
+
+    def _star_piece(self, j: int, v, nums) -> Cone:
+        """The cone spanned by the facet opposite gens[j], then v, unchecked.
+
+        v is a primitive vector of this full-dimensional cone with numerators
+        ``nums = coords(v)`` and nums[j] > 0.  Replacing gens[j] by v
+        multiplies det by lambda_j = nums[j] / |det|, so the piece has |det|
+        nums[j], and the rank-one update of the inverse gives its inward
+        adjugate from this cone's rows B: B_j for v, and (nums[j] B_k -
+        nums[k] B_j) / |det| for the others, an exact division.  Moving v from
+        position j to the end takes n - 1 - j transpositions.
+        """
+        d = abs(self.det)
+        rows = self._inward_adjugate
+        b_j, n_j = rows[j], nums[j]
+        adj = [
+            tuple((n_j * x - n_k * y) // d for x, y in zip(row, b_j))
+            for k, (row, n_k) in enumerate(zip(rows, nums))
+            if k != j
+        ]
+        adj.append(b_j)
+        piece = object.__new__(Cone)
+        object.__setattr__(piece, "gens", self.gens[:j] + self.gens[j + 1 :] + (v,))
+        flip = (self.det < 0) != ((len(nums) - 1 - j) % 2 == 1)
+        piece.__dict__["det"] = -n_j if flip else n_j
+        piece.__dict__["_inward_adjugate"] = tuple(adj)
+        return piece
+
     def barycentric(self, v):
         """Exact coordinates of v in this full-dimensional cone, or None.
 
         Returns the tuple of Fractions lam with sum(lam_j * gens[j]) == v when
-        all lam_j >= 0, else None.  Uses the integer adjugate so membership is
-        decided with integer arithmetic only.
+        all lam_j >= 0, else None: the ``coords`` numerators over |det|.
         """
-        d = self.det
-        nums = [sum(row[i] * v[i] for i in range(len(v))) for row in self._adjugate]
-        if d > 0:
-            if any(x < 0 for x in nums):
-                return None
-        else:
-            if any(x > 0 for x in nums):
-                return None
+        nums = self.coords(v)
+        if nums is None:
+            return None
+        d = abs(self.det)
         return tuple(Fraction(x, d) for x in nums)
 
     def contains(self, v) -> bool:
-        return self.barycentric(v) is not None
+        return self.coords(v) is not None
 
     def is_smooth(self) -> bool:
         return abs(self.det) == 1
@@ -250,13 +306,42 @@ class Cone:
 # fans
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BarycentricResult:
-    """A maximal cone containing the query plus exact coordinates in it."""
+    """A maximal cone containing the query plus exact coordinates in it.
+
+    ``nums`` are the coordinates as integers over the cone's |det|, as
+    ``Cone.coords`` returns them; ``lambdas`` are the same coordinates as
+    Fractions, built on first use.  The constructor takes the Fractions.
+    """
 
     cone: Cone
     ray_indices: tuple
-    lambdas: tuple
+    nums: tuple
+
+    def __init__(self, cone, ray_indices, lambdas):
+        lam = tuple(Fraction(x) for x in lambdas)
+        scaled = [x * abs(cone.det) for x in lam]
+        if any(x.denominator != 1 for x in scaled):
+            raise PreconditionError("coordinates are not integers over the cone's |det|")
+        self._fill(cone, tuple(ray_indices), tuple(int(x) for x in scaled))
+        self.__dict__["lambdas"] = lam
+
+    @classmethod
+    def _of(cls, cone, ray_indices, nums) -> BarycentricResult:
+        res = object.__new__(cls)
+        res._fill(cone, ray_indices, nums)
+        return res
+
+    def _fill(self, cone, ray_indices, nums) -> None:
+        object.__setattr__(self, "cone", cone)
+        object.__setattr__(self, "ray_indices", ray_indices)
+        object.__setattr__(self, "nums", nums)
+
+    @cached_property
+    def lambdas(self) -> tuple:
+        d = abs(self.cone.det)
+        return tuple(Fraction(x, d) for x in self.nums)
 
 
 @dataclass(frozen=True)
@@ -320,8 +405,8 @@ class Fan:
         answered from a table: where cones meet in common faces, as in every
         fan built by star subdivision or accepted by ``from_json``, the cones
         containing a ray are exactly those it spans, and its coordinates there
-        are a unit vector.  Any other vector, and a ray that spans no cone,
-        is found by scanning the cones in order.
+        are a unit vector, numerators |det| and 0.  Any other vector, and a
+        ray that spans no cone, is found by scanning the cones in order.
         """
         vec = lattice_vec(v)
         if len(vec) != self.n:
@@ -334,12 +419,13 @@ class Fan:
         pos = self._first_cone_of_ray.get(i)
         if pos is not None:
             idx = self.cones[pos]
-            lam = tuple(Fraction(int(k == i)) for k in idx)
-            return BarycentricResult(cone=self.max_cones[pos], ray_indices=idx, lambdas=lam)
+            cone = self.max_cones[pos]
+            d = abs(cone.det)
+            return BarycentricResult._of(cone, idx, tuple(d if k == i else 0 for k in idx))
         for idx, cone in zip(self.cones, self.max_cones):
-            lam = cone.barycentric(vec)
-            if lam is not None:
-                return BarycentricResult(cone=cone, ray_indices=idx, lambdas=lam)
+            nums = cone.coords(vec)
+            if nums is not None:
+                return BarycentricResult._of(cone, idx, nums)
         raise InvariantViolation(
             f"fan does not cover the orthant: no cone contains {vec}"
         )
@@ -444,7 +530,8 @@ def _subdivide_all(fan: Fan, vecs) -> Fan:
     spanned by every ray of its support in its home (the generators with
     positive coordinate): v lies in the relative interior of that face, and
     cones of a fan meet in common faces.  Each such cone C is replaced by one
-    piece per support ray s, spanned by v and the facet of C opposite s; the
+    piece per support ray s, spanned by v and the facet of C opposite s and
+    built from C's determinant and adjugate (``Cone._star_piece``); the
     pending vectors homed in C are then re-homed among those pieces only.
     The initial homes are found by one scan of the fan, first cone first, and
     a vector in no cone becomes a ray of no cone, as the chain makes it.
@@ -463,13 +550,13 @@ def _subdivide_all(fan: Fan, vecs) -> Fan:
     for idx in fan.cones:
         for i in idx:
             spans[i].add(idx)
-    home = {}  # pending position -> (cone key, coordinates of the vector there)
+    home = {}  # pending position -> (cone key, coordinate numerators there)
     homed = {}  # cone key -> pending positions homed there
     for pos, v in enumerate(pending):
         for idx, cone in cones.items():
-            lam = cone.barycentric(v)
-            if lam is not None:
-                home[pos] = (idx, lam)
+            nums = cone.coords(v)
+            if nums is not None:
+                home[pos] = (idx, nums)
                 homed.setdefault(idx, []).append(pos)
                 break
     for pos, v in enumerate(pending):
@@ -478,16 +565,18 @@ def _subdivide_all(fan: Fan, vecs) -> Fan:
         spans.append(set())
         if pos not in home:
             continue
-        idx, lam = home.pop(pos)
-        support = [i for i, l in zip(idx, lam) if l > 0]
+        idx, at_home = home.pop(pos)
+        support = [i for i, x in zip(idx, at_home) if x > 0]
         for old in set.intersection(*(spans[i] for i in support)):
-            del cones[old]
+            cone = cones.pop(old)
+            at = at_home if old == idx else cone.coords(v)
             for i in old:
                 spans[i].discard(old)
             pieces = []
             for s in support:
-                piece = tuple(k for k in old if k != s) + (r_idx,)
-                cones[piece] = Cone(tuple(rays[k] for k in piece))
+                j = old.index(s)
+                piece = old[:j] + old[j + 1 :] + (r_idx,)
+                cones[piece] = cone._star_piece(j, v, at)
                 for k in piece:
                     spans[k].add(piece)
                 pieces.append(piece)
@@ -495,9 +584,9 @@ def _subdivide_all(fan: Fan, vecs) -> Fan:
                 if q not in home:
                     continue
                 for piece in pieces:
-                    lam = cones[piece].barycentric(pending[q])
-                    if lam is not None:
-                        home[q] = (piece, lam)
+                    nums = cones[piece].coords(pending[q])
+                    if nums is not None:
+                        home[q] = (piece, nums)
                         homed.setdefault(piece, []).append(q)
                         break
                 else:

@@ -17,19 +17,23 @@ Two coefficient functions on valuations are central:
 ``BDivisor`` stores a default-one b-divisor as a finite list of deviations,
 and ``ModelDivisor`` carries ray coefficients on a fan so the pullback
 coefficient can be evaluated relative to a higher model via barycentric
-coordinates.
+coordinates: an integer dot product of the fan's coordinate numerators with
+the weights 1 - g_j over one common denominator, and one ``Fraction`` at the
+end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import ceil, floor
 
 from .exact import (
     InvariantViolation,
     LatticeVec,
     PreconditionError,
+    complement_weights,
     format_int,
     format_rat,
     format_rat_list,
@@ -237,6 +241,11 @@ class ModelDivisor:
             _check_unit_interval(c, "ray coefficient")
         object.__setattr__(self, "ray_coeffs", coeffs)
 
+    @cached_property
+    def weights(self) -> tuple:
+        """(w, den): the weights 1 - g_j of the rays as integers w_j over den."""
+        return complement_weights(self.ray_coeffs)
+
     def coeff(self, ray) -> Fraction:
         idx = self.fan.ray_index.get(tuple(ray))
         if idx is None:
@@ -277,13 +286,25 @@ def relative_pullback_coeff(md: ModelDivisor, v) -> Fraction:
     return pullback_at(md, md.fan.locate(v))
 
 
+def pullback_gap(md: ModelDivisor, loc) -> tuple:
+    """1 - sum lam_j (1 - g_j) at a ``Fan.locate`` result, as integers (gap, scale).
+
+    With lam_j = nums_j / |det| and 1 - g_j = w_j / D the value is gap / scale
+    with scale = |det| * D; gap may be <= 0, where the pullback clips to 0.
+    """
+    w, wden = md.weights
+    total = 0
+    for x, ray_idx in zip(loc.nums, loc.ray_indices):
+        if x:
+            total += x * w[ray_idx]
+    scale = abs(loc.cone.det) * wden
+    return scale - total, scale
+
+
 def pullback_at(md: ModelDivisor, loc) -> Fraction:
     """``relative_pullback_coeff`` at a vector already located in md's fan."""
-    total = Fraction(0)
-    for lam, ray_idx in zip(loc.lambdas, loc.ray_indices):
-        if lam:
-            total += lam * (1 - md.ray_coeffs[ray_idx])
-    return max(Fraction(0), 1 - total)
+    gap, scale = pullback_gap(md, loc)
+    return Fraction(gap, scale) if gap > 0 else Fraction(0)
 
 
 def meet(a: ModelDivisor, b: ModelDivisor) -> ModelDivisor:

@@ -34,13 +34,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
-from math import floor
+from operator import mul
 
 from .exact import (
     InvariantViolation,
     LatticeVec,
     PreconditionError,
+    complement_weights,
     format_rat,
     is_primitive,
 )
@@ -51,6 +51,7 @@ from .logpairs import (
     ModelDivisor,
     pullback_at,
     pullback_coeff,
+    pullback_gap,
     relative_pullback_coeff,
     unit_index,
     valuation,
@@ -114,27 +115,39 @@ class LocalModel:
         return cls(new_pair), new_bdiv, perm
 
 
-def positive_pullback_prefixes(model: LocalModel) -> list:
-    """All v in N^s with sum v_i (1 - c_i) < 1, sorted lexicographically.
-
-    These are exactly the sub-one coordinate prefixes of valuations with
-    positive pullback coefficient; the zero vector is included.  The box
-    bound v_i <= floor(1/(1-c_i)) holds because a single term must already
-    stay below 1.
-    """
+def _prefix_weights(model: LocalModel) -> tuple:
+    """(w, den): the weights 1 - c_i of the sub-one coordinates over den."""
     cs = model.pair.coeffs[: model.s]
     for c in cs:
         if c == 1:
             raise PreconditionError("prefix coefficients must be < 1")
-    if model.s == 0:
-        return [()]
-    bounds = [floor(Fraction(1) / (1 - c)) for c in cs]
+    return complement_weights(cs)
+
+
+def positive_pullback_prefixes(model: LocalModel) -> list:
+    """All v in N^s with sum v_i (1 - c_i) < 1, sorted lexicographically.
+
+    These are exactly the sub-one coordinate prefixes of valuations with
+    positive pullback coefficient; the zero vector is included.  With the
+    weights as integers w_i > 0 over one denominator D, a depth-first walk
+    extends each prefix by every entry e with e * w_i below the budget D
+    minus the prefix's weight, in increasing order, so the output comes
+    sorted.
+    """
+    w, den = _prefix_weights(model)
     out = []
-    for v in iter_product(*(range(b + 1) for b in bounds)):
-        total = sum((e * (1 - c) for e, c in zip(v, cs)), Fraction(0))
-        if total < 1:
-            out.append(tuple(v))
-    out.sort()
+
+    def walk(prefix, budget):
+        if len(prefix) == len(w):
+            out.append(prefix)
+            return
+        step = w[len(prefix)]
+        e = 0
+        while e * step < budget:
+            walk(prefix + (e,), budget - e * step)
+            e += 1
+
+    walk((), den)
     return out
 
 
@@ -224,7 +237,12 @@ def pick_fiber_minimizer(model: LocalModel, bdiv: BDivisor, prefix) -> LatticeVe
     holds no valuation at all.
     """
     f = tuple(prefix)
-    if f not in set(positive_pullback_prefixes(model)):
+    w, den = _prefix_weights(model)
+    if (
+        len(f) != len(w)
+        or any(not isinstance(e, int) or e < 0 for e in f)
+        or sum(map(mul, f, w)) >= den
+    ):
         raise PreconditionError(f"prefix {f} has no positive pullback coefficient")
     best = None
     for vec, val in sorted(bdiv.deviations.items()):
@@ -322,12 +340,10 @@ def state_witnesses(state: ReductionState) -> list:
     for vec, val in sorted(state.bdiv.deviations.items()):
         if vec in state.fan.ray_set:
             continue
-        pb = relative_pullback_coeff(state.phi, vec)
+        loc = state.fan.locate(vec)
+        pb = pullback_at(state.phi, loc)
         if val < pb:
-            loc = state.fan.locate(vec)
-            support = tuple(
-                idx for idx, lam in zip(loc.ray_indices, loc.lambdas) if lam > 0
-            )
+            support = tuple(idx for idx, x in zip(loc.ray_indices, loc.nums) if x > 0)
             w = sum(1 for idx in support if state.phi.ray_coeffs[idx] == 1)
             out.append(Witness(vec, val, pb, support, w))
     return out
@@ -382,26 +398,46 @@ def _theta_coeffs(state: ReductionState, sig, rays) -> tuple:
     depend on which containing cone is used: on a face shared with a cone
     that misses sigma, some lam_j(r) is 0 where lam_j(sigma) > 0.  No fan is
     built here.
+
+    The arithmetic is on integers: in a cone C, r's and sigma's coordinates
+    are numerators a_j and b_j over the same |det C|, sigma's computed once
+    per cone, so mu_sigma(r) = min a_j / b_j is found by cross-multiplication.
+    The drops are compared the same way, and theta(r) is the one Fraction
+    built per ray.
     """
     excess = []
     for vec in sig:
         e = relative_pullback_coeff(state.phi, vec) - state.value(vec)
         if e > 0:
             excess.append((vec, e))
-    zero = Fraction(0)
+    in_cone = {}  # cone C -> (b, e numerator, e denominator) per sigma in C
     out = []
     for r in rays:
         loc = state.fan.locate(r)
-        pb = pullback_at(state.phi, loc)
-        drop = zero
-        if pb > 0 and excess:
+        gap, scale = pullback_gap(state.phi, loc)
+        if gap <= 0:
+            out.append(Fraction(0))
+            continue
+        drops = in_cone.get(loc.ray_indices)
+        if drops is None:
+            drops = in_cone[loc.ray_indices] = []
             for vec, e in excess:
-                lam_sigma = loc.cone.barycentric(vec)
-                if lam_sigma is None:
-                    continue
-                mu = min(a / b for a, b in zip(loc.lambdas, lam_sigma) if b > 0)
-                drop = max(drop, mu * e)
-        out.append(max(zero, pb - drop))
+                b = loc.cone.coords(vec)
+                if b is not None:
+                    drops.append((b, e.numerator, e.denominator))
+        # the largest drop mu * e as top / bottom (0 / 1 when nothing drops)
+        top, bottom = 0, 1
+        for b, e_num, e_den in drops:
+            a_min, b_min = None, None
+            for a_j, b_j in zip(loc.nums, b):
+                if b_j and (a_min is None or a_j * b_min < a_min * b_j):
+                    a_min, b_min = a_j, b_j
+            t, u = a_min * e_num, b_min * e_den
+            if t * bottom > top * u:
+                top, bottom = t, u
+        # theta = gap / scale - top / bottom, clipped at 0
+        num = gap * bottom - top * scale
+        out.append(Fraction(num, scale * bottom) if num > 0 else Fraction(0))
     return tuple(out)
 
 
@@ -459,7 +495,8 @@ def _chart_model(state: ReductionState, cone_ray_indices) -> tuple:
 
     The chart coordinates are the cone's generators (a lattice basis since
     the fan is smooth), permuted so coefficient-one components come last.
-    Deviations inside the cone map to their integer barycentric coordinates.
+    Deviations inside the cone map to their coordinates, integers since
+    |det| = 1.
     """
     gens = tuple(state.fan.rays[i] for i in cone_ray_indices)
     coeffs = tuple(state.phi.ray_coeffs[i] for i in cone_ray_indices)
@@ -467,17 +504,15 @@ def _chart_model(state: ReductionState, cone_ray_indices) -> tuple:
     basis = tuple(gens[j] for j in order)
     chart_pair = LocalPair(tuple(coeffs[j] for j in order))
     cone = Cone(basis)
+    if not cone.is_smooth():
+        raise InvariantViolation(f"chart cone {basis} is not smooth")
     devs = {}
     for vec, val in state.bdiv.deviations.items():
         if vec in state.fan.ray_set:
             continue
-        lam = cone.barycentric(vec)
-        if lam is None:
-            continue
-        chart_vec = tuple(int(x) for x in lam)
-        if tuple(Fraction(e) for e in chart_vec) != lam:
-            raise InvariantViolation("non-integral chart coordinates on a smooth cone")
-        devs[chart_vec] = val
+        nums = cone.coords(vec)
+        if nums is not None:
+            devs[nums] = val
     model = LocalModel(chart_pair)
     chart_bdiv = BDivisor(chart_pair.coeffs, devs)
     return model, chart_bdiv, basis

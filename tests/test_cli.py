@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import contextlib
@@ -316,6 +317,10 @@ BAD_INPUTS = [
                  id="weight stratum not a list"),
     pytest.param(["weight", "--model", '{"n":2,"coeffs":["1/2","1"]}', "--stratum", "[9]"],
                  id="weight stratum index out of range"),
+    pytest.param(["constants", "--n", "2000", "--eps", "1", "--gamma0", "1", "--delta", "1/2"],
+                 id="constants power past the digit limit"),
+    pytest.param(["fermat", "--scan", "--n-max", "3000"], id="fermat scan n_max past the cap"),
+    pytest.param(["charp", "--q-max", "100000"], id="charp q_max past the cap"),
 ]
 
 
@@ -337,11 +342,32 @@ _DIGIT_LIMIT = f"{sys.get_int_max_str_digits()} digits"
     (["unitary", "--n", "33"], "UNITARY_N_CAP = 32"),
     (["weight", "--model", '{"n":2,"coeffs":["1/2","1"]}', "--stratum", "[9]"],
      "stratum index 9 is outside 1..2"),
+    (["constants", "--n", "2000", "--eps", "1", "--gamma0", "1", "--delta", "1/2"], _DIGIT_LIMIT),
+    (["fermat", "--scan", "--n-max", "799"], "FERMAT_SCAN_N_CAP = 798"),
+    (["charp", "--q-max", "10001"], "CHARP_Q_CAP = 10000"),
 ])
 def test_errors_name_their_cause(argv, cause):
     code, _, err = run_cli(argv)
     assert code == 2
     assert cause in json.loads(err)["error"]
+
+
+def test_constants_refuses_a_huge_power_at_once():
+    # (C n)^n has about n^2 log10(4n/eps) digits; it is refused from bit
+    # lengths before any power that size is taken
+    start = time.perf_counter()
+    code, out, err = run_cli(["constants", "--n", "2000", "--eps", "1", "--gamma0", "1",
+                              "--delta", "1/2"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert _DIGIT_LIMIT in json.loads(err)["error"]
+
+
+def test_scan_caps_admit_their_largest_value():
+    code, out, _ = run_cli(["fermat", "--scan", "--n-max", "798"])
+    assert code == 0 and out.count("\n") == 799
+    code, out, _ = run_cli(["charp", "--q-max", "10000", "--csv"])
+    assert code == 0 and out.splitlines()[-1].startswith("9973,")
 
 
 def test_verify_flag_catches_mismatch(monkeypatch):
@@ -504,3 +530,49 @@ def test_fuzzed_arguments_exit_0_or_2(data):
     else:
         record = json.loads(err)
         assert isinstance(record, dict) and record["exit_code"] == 2
+
+
+# ---------------------------------------------------------------------------
+# the parser of one command against the parser of them all
+
+
+def _command_parser(parser, name):
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return subs.choices
+
+
+def _registered(parser):
+    return [(a.option_strings, a.dest, a.type, a.default, a.help) for a in parser._actions]
+
+
+@pytest.mark.parametrize("name", sorted(cli_mod._HANDLERS) + ["batch"])
+def test_command_parser_registers_what_the_full_parser_does(name):
+    alone = _command_parser(cli_mod.build_parser(name), name)
+    full = _command_parser(cli_mod.build_parser(), name)
+    assert list(alone) == [name]
+    assert _registered(alone[name]) == _registered(full[name])
+    assert alone[name].format_help() == full[name].format_help()
+
+
+def _run_catching_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: help, unknown or missing command
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+_ARGVS = [CASES[name] for name in sorted(CASES)] + [
+    p.values[0] if hasattr(p, "values") else p for p in BAD_INPUTS
+] + [["-h"], ["minvol", "-h"], ["frobnicate"], [], ["minvol", "--n", "x"],
+     ["minvol", "--bogus", "1"], ["--verify", "minvol"]]
+
+
+@pytest.mark.parametrize("argv", _ARGVS, ids=lambda a: " ".join(a[:2]) or "no command")
+def test_command_parser_answers_as_the_full_parser(monkeypatch, argv):
+    alone = _run_catching_exit(argv)
+    full_parser = cli_mod.build_parser
+    monkeypatch.setattr(cli_mod, "build_parser", lambda command=None: full_parser())
+    assert _run_catching_exit(argv) == alone

@@ -444,3 +444,112 @@ def test_full_dimensional_cone_seeds_its_determinant():
         Cone(((1, 0, 0), (0, 1, 0), (1, 1, 0)))
     with pytest.raises(PreconditionError, match="linearly dependent"):
         Cone(((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)))
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel: coordinates as numerators over |det|
+
+from fractions import Fraction
+
+from hypothesis import assume
+
+
+def reference_coordinates(gens, v):
+    """Solve sum lam_j gens[j] = v by Gaussian elimination over Fractions."""
+    n = len(v)
+    m = [[Fraction(g[i]) for g in gens] + [Fraction(v[i])] for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if m[r][col] != 0)
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return tuple(row[n] for row in m)
+
+
+@st.composite
+def cones_and_vectors(draw):
+    """A full-dimensional cone, smooth or not, and a vector in or out of it.
+
+    The vector is a nonnegative combination of the generators (on a face
+    when a weight is 0) or a free one; reversing the generators flips the
+    sign of det in dimensions 2 and 3.
+    """
+    n = draw(st.integers(1, 4))
+    gen = st.lists(st.integers(0, 5), min_size=n, max_size=n).filter(any).map(primitive_part)
+    gens = draw(st.lists(gen, min_size=n, max_size=n, unique=True))
+    try:
+        cone = Cone(tuple(gens))
+    except PreconditionError:
+        assume(False)
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        v = tuple(sum(w * g[i] for w, g in zip(weights, gens)) for i in range(n))
+    else:
+        v = tuple(draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)))
+    return cone, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(cones_and_vectors(), st.booleans())
+def test_integer_coordinates_are_barycentric_times_det(cone_v, reverse):
+    cone, v = cone_v
+    if reverse:
+        cone = Cone(tuple(reversed(cone.gens)))
+    ref = reference_coordinates(cone.gens, v)
+    d = abs(cone.det)
+    nums = cone.coords(v)
+    if all(x >= 0 for x in ref):
+        assert nums == tuple(x * d for x in ref)
+        assert all(type(x) is int for x in nums)
+        assert cone.barycentric(v) == ref
+        assert cone.contains(v)
+    else:
+        assert nums is None and cone.barycentric(v) is None
+        assert not cone.contains(v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_locate_gives_numerators_over_det(data):
+    fan = data.draw(refined_fans(max_rays=5))  # no resolve: cones stay non-smooth
+    v = data.draw(subdivision_vectors(fan))
+    loc = fan.locate(v)
+    ref = reference_locate(fan, v)
+    assert loc == ref
+    d = abs(loc.cone.det)
+    assert all(type(x) is int for x in loc.nums)
+    assert tuple(Fraction(x, d) for x in loc.nums) == reference_coordinates(loc.cone.gens, v)
+    assert loc.lambdas == ref.lambdas == reference_coordinates(loc.cone.gens, v)
+
+
+def test_barycentric_result_from_fractions():
+    cone = Cone(((1, 0), (1, 2)))  # det 2
+    res = BarycentricResult(cone, (0, 1), (Fraction(1, 2), Fraction(3, 2)))
+    assert res.nums == (1, 3) and res.lambdas == (Fraction(1, 2), Fraction(3, 2))
+    with pytest.raises(PreconditionError, match="integers over"):
+        BarycentricResult(cone, (0, 1), (Fraction(1, 3), Fraction(0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cones_and_vectors(), st.booleans(), st.data())
+def test_star_piece_equals_a_cone_built_from_scratch(cone_v, reverse, data):
+    cone, v = cone_v
+    if reverse:
+        cone = Cone(tuple(reversed(cone.gens)))
+    assume(any(v))
+    v = primitive_part(v)
+    nums = cone.coords(v)
+    assume(nums is not None)
+    j = data.draw(st.sampled_from([k for k, x in enumerate(nums) if x > 0]))
+    piece = cone._star_piece(j, v, nums)
+    gens = cone.gens[:j] + cone.gens[j + 1 :] + (v,)
+    try:
+        ref = Cone(gens)
+    except PreconditionError:  # v is gens[j] itself: a repeated generator
+        assume(False)
+    assert piece == ref
+    assert piece.det == ref.det
+    assert piece._inward_adjugate == ref._inward_adjugate

@@ -289,3 +289,37 @@ def test_pair_json_roundtrip():
     assert (
         BDivisor.from_json({"deviations": [{"v": [1, 2], "value": "0"}]}, p) == b
     )
+
+
+def fraction_pullback(md, cone, lam):
+    """The Fraction formula max(0, 1 - sum lam_j (1 - g_j)) in one cone."""
+    total = sum((l * (1 - md.coeff(g)) for l, g in zip(lam, cone.gens)), F(0))
+    return max(F(0), 1 - total)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_integer_pullback_equals_the_fraction_formula_in_every_cone(data):
+    # star-subdivision chains without resolve, so cones are non-smooth; the
+    # points are rays, points on faces and interior points of cones
+    n = data.draw(st.integers(1, 4))
+    vec = st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any).map(tuple)
+    fan = orthant_fan(n)
+    for _ in range(data.draw(st.integers(0, 4))):
+        fan = star_subdivide(fan, data.draw(vec))
+    md = ModelDivisor(fan, tuple(data.draw(unit_fracs) for _ in fan.rays))
+    cone = data.draw(st.sampled_from(fan.max_cones))
+    weights = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+    points = [
+        data.draw(st.sampled_from(fan.rays)),
+        tuple(sum(w * g[i] for w, g in zip(weights, cone.gens)) for i in range(n)),
+        tuple(sum((w + 1) * g[i] for w, g in zip(weights, cone.gens)) for i in range(n)),
+        data.draw(vec),
+    ]
+    for pt in points:
+        values = {
+            fraction_pullback(md, c, lam)
+            for c in fan.max_cones
+            if (lam := c.barycentric(pt)) is not None
+        }
+        assert values == {relative_pullback_coeff(md, pt)}

@@ -307,10 +307,11 @@ def test_descent_chain_instrumented():
 
 def test_theta_matches_naive_computation():
     # the closed form must agree with interpolating the full divisor on every
-    # one-ray extraction Y_sigma, on the orthant and on fans refined by a
-    # first cut, for sigma with B below and at or above its pullback
-    from bdivkit.fans import ensure_rays
-    from bdivkit.logpairs import unit_index
+    # one-ray extraction Y_sigma, on the orthant, on fans refined by a first
+    # cut and on non-smooth fans, for sigma with B below and at or above its
+    # pullback
+    from bdivkit.fans import ensure_rays, is_smooth
+    from bdivkit.logpairs import pullback_trace, unit_index
     from bdivkit.reduction import _theta_coeffs
 
     def naive_theta(state, sigmas, rays):
@@ -341,9 +342,9 @@ def test_theta_matches_naive_computation():
     pool = [F(0), F(1, 2), F(2, 3), F(3, 4), F(6, 7), F(1)]
     values = [F(0), F(1, 3), F(1, 2), F(5, 6)]
     seen = dict.fromkeys(
-        ["n2", "n3", "refined", "below", "not_below", "shared_face"], 0
+        ["n2", "n3", "refined", "non_smooth", "below", "not_below", "shared_face"], 0
     )
-    for _ in range(400):
+    for _ in range(600):
         n = rng.choice([2, 3])
         coeffs = sorted(
             (rng.choice(pool) for _ in range(n)), key=lambda c: c == 1
@@ -354,7 +355,21 @@ def test_theta_matches_naive_computation():
             for _ in range(rng.randint(1, 3))
         }
         state = initial_state(LocalModel(pair), BDivisor(pair.coeffs, devs))
-        if rng.random() < 0.6:
+        roll = rng.random()
+        if roll < 0.3:
+            # a non-smooth old fan: star subdivisions without resolve, so
+            # rays read from the ray table and sigmas found by a scan both
+            # sit over |det| > 1; the trace is the pullback, listed in B on
+            # the rays
+            fan = state.fan
+            for _ in range(rng.randint(1, 2)):
+                fan = star_subdivide(fan, random_valuation(n, 4))
+            phi = pullback_trace(pair, fan)
+            on_rays = {
+                r: c for r, c in zip(fan.rays, phi.ray_coeffs) if unit_index(r) is None
+            }
+            state = ReductionState(fan, phi, BDivisor(pair.coeffs, {**devs, **on_rays}))
+        elif roll < 0.7:
             first = [
                 v for v in devs if relative_pullback_coeff(state.phi, v) > 0
             ]
@@ -390,6 +405,7 @@ def test_theta_matches_naive_computation():
 
         seen[f"n{n}"] += 1
         seen["refined"] += len(state.fan.cones) > 1
+        seen["non_smooth"] += not is_smooth(state.fan)
         for s in sigmas:
             below = state.value(s) < relative_pullback_coeff(state.phi, s)
             seen["below" if below else "not_below"] += 1
@@ -480,7 +496,7 @@ def test_state_json_roundtrip():
 # ---------------------------------------------------------------------------
 # the verifier against the exhaustive box scan it replaces
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bdivkit.exact import InvariantViolation
@@ -597,3 +613,45 @@ def test_verify_box_cap():
     with pytest.raises(PreconditionError, match="MAX_BOX"):
         verify_reduction(state, MAX_BOX + 1)
     assert verify_reduction(state, 10_000).checked == primitive_box_count(2, 10_000)
+
+
+# ---------------------------------------------------------------------------
+# prefixes on integer weights, against the box scan over Fractions
+
+from math import floor, prod
+
+
+def reference_prefixes(model):
+    """The box scan: every v with v_i <= floor(1/(1-c_i)), summed in Fractions."""
+    cs = model.pair.coeffs[: model.s]
+    bounds = [floor(F(1) / (1 - c)) for c in cs]
+    return sorted(
+        v for v in product(*(range(b + 1) for b in bounds))
+        if sum((e * (1 - c) for e, c in zip(v, cs)), F(0)) < 1
+    )
+
+
+_SUB_ONE = st.one_of(
+    st.just(F(0)), st.fractions(min_value=0, max_value=F(59, 60), max_denominator=60)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_SUB_ONE, min_size=0, max_size=4), st.integers(0, 2), st.data())
+def test_prefixes_equal_the_box_scan(cs, w, data):
+    cs = [c for c in cs if c < 1]
+    box = prod(floor(F(1) / (1 - c)) + 1 for c in cs)
+    assume(cs or w)
+    assume(box <= 20_000)
+    model = make_model(*cs, *[F(1)] * w)
+    expected = reference_prefixes(model)
+    assert positive_pullback_prefixes(model) == expected
+    # pick_fiber_minimizer accepts exactly these prefixes
+    bdiv = BDivisor(model.pair.coeffs, {})
+    f = tuple(data.draw(st.lists(st.integers(0, 3), min_size=len(cs), max_size=len(cs))))
+    try:
+        pick_fiber_minimizer(model, bdiv, f)
+        accepted = True
+    except PreconditionError as exc:
+        accepted = "no positive pullback coefficient" not in str(exc)
+    assert accepted == (f in set(expected))
