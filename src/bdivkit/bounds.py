@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, floor
+from math import comb, factorial, floor, gcd, lcm
 
 from .exact import (
     InvariantViolation,
@@ -337,17 +337,9 @@ def _null_direction(rows):
     vec[f] = Fraction(1)
     for row_idx, col in enumerate(pivots):
         vec[col] = -m[row_idx][f]
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // _gcd_int(denom, x.denominator)
+    denom = lcm(*(x.denominator for x in vec))
     ints = tuple(int(x * denom) for x in vec)
     return ints
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a else 1
 
 
 def _triangulate(verts_active, dim: int):
@@ -394,10 +386,7 @@ def polytope_volume(poly: Polytope) -> Fraction:
         base = simplex[0]
         rows = [[x - y for x, y in zip(p, base)] for p in simplex[1:]]
         # rational determinant via clearing denominators
-        denom = 1
-        for row in rows:
-            for x in row:
-                denom = denom * x.denominator // _gcd_int(denom, x.denominator)
+        denom = lcm(*(x.denominator for row in rows for x in row))
         int_rows = [[int(x * denom) for x in row] for row in rows]
         det = _det(int_rows)
         total += Fraction(abs(det), denom**poly.n)
@@ -547,7 +536,7 @@ def unitary_order_value(n: int, q: int) -> int:
     value = poly.eval(Fraction(q))
     if value.denominator != 1:
         raise InvariantViolation("polynomial part is not integral")
-    g = _gcd_int(gcd_mod, q + 1)
+    g = gcd(gcd_mod, q + 1)
     num = int(value)
     if num % g:
         raise InvariantViolation("gcd divisor does not divide the polynomial part")

@@ -85,6 +85,12 @@ def _ensure_match(what: str, fast, oracle) -> None:
         _mismatch(what, fast, oracle)
 
 
+def _arg(p, key, default):
+    """p[key], or the default when the key is absent or null."""
+    value = p.get(key)
+    return default if value is None else value
+
+
 # ---------------------------------------------------------------------------
 # command handlers (pure: params dict in, JSON-able dict out)
 
@@ -186,7 +192,7 @@ def _cmd_round_check(p):
 
 def _arranged_model(p):
     pair = LocalPair.from_json(p["model"])
-    raw = p.get("B") or {"deviations": []}
+    raw = _arg(p, "B", {"deviations": []})
     bdiv = BDivisor.from_json(raw, default_pair=pair)
     model, arranged, perm = LocalModel.arrange(pair, bdiv)
     return model, arranged, perm
@@ -251,7 +257,7 @@ def _cmd_weight(p):
 def _cmd_reduce(p):
     model, bdiv, perm = _arranged_model(p)
     trace = run_reduction(model, bdiv)
-    box = parse_int(p.get("box") or 12, "box")
+    box = parse_int(_arg(p, "box", 12), "box")
     if p.get("verify"):
         box *= 2
     report = verify_reduction(trace.final_state, box)
@@ -269,7 +275,7 @@ def _cmd_reduce(p):
 
 def _cmd_verify(p):
     state = ReductionState.from_json(p["state"])
-    box = parse_int(p.get("box") or 12, "box")
+    box = parse_int(_arg(p, "box", 12), "box")
     return verify_reduction(state, box).to_json()
 
 
@@ -297,7 +303,10 @@ def _budget_from(p) -> SearchBudget:
     defaults = SearchBudget()
 
     def arg(key, default):
-        return parse_int(p.get(key) or default, key)
+        value = parse_int(_arg(p, key, default), key)
+        if value < 1:
+            raise PreconditionError(f"{key} must be >= 1, got {value}")
+        return value
 
     return SearchBudget(
         chain_length=arg("threshold", defaults.chain_length),
@@ -310,14 +319,13 @@ def _budget_from(p) -> SearchBudget:
 def _cmd_chain(p):
     desc = desc_from_json(p["set"])
     length = parse_int(p["length"], "length")
-    bound = parse_int(p.get("denom_bound") or 2000, "denom_bound")
     budget = _budget_from(p)
-    chain = find_decreasing_chain(desc, length, bound, budget)
+    chain = find_decreasing_chain(desc, length, budget.denom_bound, budget)
     out = {"found": chain is not None}
     if chain is not None:
         out["chain"] = chain.to_json()
         if p.get("verify"):
-            members = set(materialize(desc, bound, budget))
+            members = set(materialize(desc, budget.denom_bound, budget))
             for e in chain.elements:
                 if e not in members:
                     _mismatch("chain membership", list(chain.elements), e)
@@ -485,10 +493,10 @@ def _fermat_scan_csv(rows) -> str:
 
 def _cmd_fermat(p):
     if p.get("scan"):
-        rule = p.get("m_rule") or "n+3"
+        rule = _arg(p, "m_rule", "n+3")
         if rule != "n+3":
             raise PreconditionError(f"unsupported m-rule {rule!r}; only 'n+3'")
-        n_max = parse_int(p.get("n_max") or 10, "n_max")
+        n_max = parse_int(_arg(p, "n_max", 10), "n_max")
         rows = fermat_threshold_scan(n_max)
         out_rows = [
             {
@@ -622,35 +630,9 @@ def _cmd_constants(p):
     return out
 
 
-_HANDLERS = {
-    "ldisc": _cmd_ldisc,
-    "lcoeff": _cmd_lcoeff,
-    "ltrace": _cmd_ltrace,
-    "mld": _cmd_mld,
-    "round-check": _cmd_round_check,
-    "fset": _cmd_fset,
-    "weight": _cmd_weight,
-    "reduce": _cmd_reduce,
-    "verify": _cmd_verify,
-    "closure": _cmd_closure,
-    "chain": _cmd_chain,
-    "dcc": _cmd_dcc,
-    "sylvester": _cmd_sylvester,
-    "minvol": _cmd_minvol,
-    "pnvol": _cmd_pnvol,
-    "polyvol": _cmd_polyvol,
-    "hurwitz": _cmd_hurwitz,
-    "product": _cmd_product,
-    "fermat": _cmd_fermat,
-    "unitary": _cmd_unitary,
-    "charp": _cmd_charp,
-    "constants": _cmd_constants,
-}
-
-
 def run_command(name: str, params: dict) -> dict:
     """Execute one command from a params dict; raises on bad input."""
-    handler = _HANDLERS.get(name)
+    handler = _COMMANDS[name][2] if isinstance(name, str) and name in _COMMANDS else None
     if handler is None:
         raise PreconditionError(f"unknown command {name!r}")
     if not isinstance(params, dict):
@@ -696,7 +678,7 @@ def run_batch(entries, parallelism: int = 1) -> tuple:
 
     def run_one(entry):
         try:
-            output = run_command(entry["command"], entry.get("args") or {})
+            output = run_command(entry["command"], _arg(entry, "args", {}))
             return {"status": "ok", "exit_code": 0, "output": output}
         except _HANDLED_ERRORS as exc:
             return {"status": "error", **_error_record(exc)}
@@ -748,55 +730,62 @@ _JSON = {"type": _json_flag}
 _INT = {"type": int}
 _FLAG = {"action": "store_true"}
 
-# command -> (help, its own options); every command also takes _COMMON_ARGS.
-# The dest of each option (argparse's: dashes become underscores) is the
-# params key the handler reads.
+# command -> (help, its own options, handler); every command also takes
+# _COMMON_ARGS.  The dest of each option (argparse's: dashes become
+# underscores) is the params key the handler reads.  ``batch`` has no
+# handler: ``main`` runs it, and ``run_command`` refuses it.
 _COMMANDS = {
     "ldisc": ("log discrepancy of a monomial valuation",
-              (("--pair", _JSON), ("--v", _JSON))),
+              (("--pair", _JSON), ("--v", _JSON)), _cmd_ldisc),
     "lcoeff": ("positive-part pullback coefficient of a valuation",
-               (("--pair", _JSON), ("--v", _JSON))),
-    "ltrace": ("pullback trace of a pair on a fan", (("--pair", _JSON), ("--fan", _JSON))),
-    "mld": ("minimal log discrepancy at the origin", (("--pair", _JSON),)),
+               (("--pair", _JSON), ("--v", _JSON)), _cmd_lcoeff),
+    "ltrace": ("pullback trace of a pair on a fan", (("--pair", _JSON), ("--fan", _JSON)),
+               _cmd_ltrace),
+    "mld": ("minimal log discrepancy at the origin", (("--pair", _JSON),), _cmd_mld),
     "round-check": ("compare floor(m c) with ceil((m-1) c)",
-                    (("--coeffs", _JSON), ("--m", _INT))),
-    "fset": ("prefixes with positive pullback coefficient", (("--model", _JSON),)),
+                    (("--coeffs", _JSON), ("--m", _INT)), _cmd_round_check),
+    "fset": ("prefixes with positive pullback coefficient", (("--model", _JSON),), _cmd_fset),
     "weight": ("weight of a model against a b-divisor",
                (("--model", _JSON), ("--B", _JSON),
-                ("--stratum", {"type": _json_flag, "help": "1-based component indices"}))),
+                ("--stratum", {"type": _json_flag, "help": "1-based component indices"})),
+               _cmd_weight),
     "reduce": ("run the weight-descent reduction",
                (("--model", _JSON), ("--B", _JSON),
-                ("--box", {"type": int, "help": "box of the checked count (default 12)"}))),
+                ("--box", {"type": int, "help": "box of the checked count (default 12)"})),
+               _cmd_reduce),
     "verify": ("check pullback <= B at every valuation of a state",
-               (("--state", _JSON), ("--box", _INT))),
+               (("--state", _JSON), ("--box", _INT)), _cmd_verify),
     "closure": ("closure of a base under b1+b2-1",
-                (("--base", _JSON), ("--denom-bound", _INT), ("--include-one", _FLAG))),
+                (("--base", _JSON), ("--denom-bound", _INT), ("--include-one", _FLAG)),
+                _cmd_closure),
     "chain": ("find a strictly decreasing chain in a set",
-              (("--set", _JSON), ("--length", _INT), ("--denom-bound", _INT))),
+              (("--set", _JSON), ("--length", _INT), ("--denom-bound", _INT)), _cmd_chain),
     "dcc": ("three-valued descending-chain verdict",
             (("--set", _JSON), ("--threshold", _INT), ("--denom-bound", _INT),
-             ("--rounds", _INT), ("--max-size", _INT))),
-    "sylvester": ("terms of r0=1, r_{k+1}=r_k(r_k+1)", (("--k", _INT),)),
-    "minvol": ("minimal-volume candidate 1/r_{n+2}^n", (("--n", _INT),)),
+             ("--rounds", _INT), ("--max-size", _INT)), _cmd_dcc),
+    "sylvester": ("terms of r0=1, r_{k+1}=r_k(r_k+1)", (("--k", _INT),), _cmd_sylvester),
+    "minvol": ("minimal-volume candidate 1/r_{n+2}^n", (("--n", _INT),), _cmd_minvol),
     "pnvol": ("log volume of projective space with n+2 hyperplanes",
-              (("--n", _INT), ("--coeffs", _JSON), ("--sylvester", _FLAG))),
-    "polyvol": ("exact volume of a rational polytope", (("--polytope", _JSON),)),
-    "hurwitz": ("84(g-1) bound and canonical volume", (("--g", _INT),)),
-    "product": ("n-fold product of a maximal-symmetry curve", (("--n", _INT), ("--g", _INT))),
+              (("--n", _INT), ("--coeffs", _JSON), ("--sylvester", _FLAG)), _cmd_pnvol),
+    "polyvol": ("exact volume of a rational polytope", (("--polytope", _JSON),), _cmd_polyvol),
+    "hurwitz": ("84(g-1) bound and canonical volume", (("--g", _INT),), _cmd_hurwitz),
+    "product": ("n-fold product of a maximal-symmetry curve", (("--n", _INT), ("--g", _INT)),
+                _cmd_product),
     "fermat": ("Fermat hypersurface report or threshold scan",
                (("--n", _INT), ("--m", _INT), ("--scan", _FLAG), ("--m-rule", {}),
-                ("--n-max", _INT))),
+                ("--n-max", _INT)), _cmd_fermat),
     "unitary": ("unitary group order: polynomial part or value",
-                (("--n", _INT), ("--q", _INT))),
+                (("--n", _INT), ("--q", _INT)), _cmd_unitary),
     "charp": ("characteristic-p ratio check up to q_max",
               (("--q-max", _INT), ("--csv", {"action": "store_true",
-                                             "help": "emit the scan as CSV"}))),
+                                             "help": "emit the scan as CSV"})), _cmd_charp),
     "constants": ("explicit constant propagation",
-                  (("--n", _INT), ("--eps", {}), ("--gamma0", {}), ("--delta", {}))),
+                  (("--n", _INT), ("--eps", {}), ("--gamma0", {}), ("--delta", {})),
+                  _cmd_constants),
     "batch": ("run a batch file of commands",
               (("--parallel", {"type": int, "default": 1,
                                "help": "accepted for existing command lines; "
-                                       "entries always run in order"}),)),
+                                       "entries always run in order"}),), None),
 }
 
 
@@ -818,7 +807,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for name in (command,) if command is not None else _COMMANDS:
-        help_text, own = _COMMANDS[name]
+        help_text, own, _ = _COMMANDS[name]
         sub = subs.add_parser(name, help=help_text)
         for flag, kwargs in _COMMON_ARGS + own:
             sub.add_argument(flag, **kwargs)

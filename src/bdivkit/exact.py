@@ -27,6 +27,20 @@ class InvariantViolation(RuntimeError):
     """An internal mathematical invariant failed (CLI exit code 3)."""
 
 
+def trusted(cls, **attrs):
+    """An instance of the frozen dataclass cls built without validation.
+
+    For values the package made itself from data already validated: attrs
+    holds every field, and optionally the values of cached properties, which
+    are seeded as they are.  ``__init__`` and ``__post_init__`` do not run,
+    so nothing is checked or normalised.  Input from outside the program goes
+    through the public constructor instead.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(attrs)
+    return obj
+
+
 # ---------------------------------------------------------------------------
 # rationals
 

@@ -37,6 +37,7 @@ from .exact import (
     lattice_vec,
     parse_int,
     primitive_part,
+    trusted,
 )
 
 MAX_DIM = 6
@@ -230,12 +231,13 @@ class Cone:
             if k != j
         ]
         adj.append(b_j)
-        piece = object.__new__(Cone)
-        object.__setattr__(piece, "gens", self.gens[:j] + self.gens[j + 1 :] + (v,))
         flip = (self.det < 0) != ((len(nums) - 1 - j) % 2 == 1)
-        piece.__dict__["det"] = -n_j if flip else n_j
-        piece.__dict__["_inward_adjugate"] = tuple(adj)
-        return piece
+        return trusted(
+            Cone,
+            gens=self.gens[:j] + self.gens[j + 1 :] + (v,),
+            det=-n_j if flip else n_j,
+            _inward_adjugate=tuple(adj),
+        )
 
     def barycentric(self, v):
         """Exact coordinates of v in this full-dimensional cone, or None.
@@ -324,19 +326,12 @@ class BarycentricResult:
         scaled = [x * abs(cone.det) for x in lam]
         if any(x.denominator != 1 for x in scaled):
             raise PreconditionError("coordinates are not integers over the cone's |det|")
-        self._fill(cone, tuple(ray_indices), tuple(int(x) for x in scaled))
-        self.__dict__["lambdas"] = lam
-
-    @classmethod
-    def _of(cls, cone, ray_indices, nums) -> BarycentricResult:
-        res = object.__new__(cls)
-        res._fill(cone, ray_indices, nums)
-        return res
-
-    def _fill(self, cone, ray_indices, nums) -> None:
-        object.__setattr__(self, "cone", cone)
-        object.__setattr__(self, "ray_indices", ray_indices)
-        object.__setattr__(self, "nums", nums)
+        self.__dict__.update(
+            cone=cone,
+            ray_indices=tuple(ray_indices),
+            nums=tuple(int(x) for x in scaled),
+            lambdas=lam,
+        )
 
     @cached_property
     def lambdas(self) -> tuple:
@@ -406,8 +401,17 @@ class Fan:
         fan built by star subdivision or accepted by ``from_json``, the cones
         containing a ray are exactly those it spans, and its coordinates there
         are a unit vector, numerators |det| and 0.  Any other vector, and a
-        ray that spans no cone, is found by scanning the cones in order.
+        ray that spans no cone, is found by scanning the cones in order; only
+        such a vector is validated, since a ray of the fan already was.
         """
+        i = self.ray_index.get(v) if isinstance(v, tuple) else None
+        pos = self._first_cone_of_ray.get(i)
+        if pos is not None:
+            idx = self.cones[pos]
+            cone = self.max_cones[pos]
+            d = abs(cone.det)
+            nums = tuple(d if k == i else 0 for k in idx)
+            return trusted(BarycentricResult, cone=cone, ray_indices=idx, nums=nums)
         vec = lattice_vec(v)
         if len(vec) != self.n:
             raise PreconditionError("query dimension mismatch")
@@ -415,17 +419,10 @@ class Fan:
             raise PreconditionError("cannot locate the zero vector")
         if any(e < 0 for e in vec):
             raise PreconditionError(f"{vec} is outside the positive orthant")
-        i = self.ray_index.get(vec)
-        pos = self._first_cone_of_ray.get(i)
-        if pos is not None:
-            idx = self.cones[pos]
-            cone = self.max_cones[pos]
-            d = abs(cone.det)
-            return BarycentricResult._of(cone, idx, tuple(d if k == i else 0 for k in idx))
         for idx, cone in zip(self.cones, self.max_cones):
             nums = cone.coords(vec)
             if nums is not None:
-                return BarycentricResult._of(cone, idx, nums)
+                return trusted(BarycentricResult, cone=cone, ray_indices=idx, nums=nums)
         raise InvariantViolation(
             f"fan does not cover the orthant: no cone contains {vec}"
         )
@@ -593,10 +590,15 @@ def _subdivide_all(fan: Fan, vecs) -> Fan:
                     raise InvariantViolation(
                         f"{pending[q]} left its cone {old} during subdivision"
                     )
-    child = Fan(n=fan.n, rays=tuple(rays), cones=tuple(cones))
-    # seed the cached property, in the child's canonical cone order
-    child.__dict__["max_cones"] = tuple(cones[c] for c in child.cones)
-    return child
+    # every key is sorted: a piece's key ends with its new, largest ray index
+    keys = tuple(sorted(cones))
+    return trusted(
+        Fan,
+        n=fan.n,
+        rays=tuple(rays),
+        cones=keys,
+        max_cones=tuple(cones[c] for c in keys),
+    )
 
 
 def star_subdivide(fan: Fan, r) -> Fan:

@@ -178,15 +178,17 @@ class BDivisor:
         return len(self.pair_coeffs)
 
     def value(self, v) -> Fraction:
-        vec = valuation(v)
-        if len(vec) != self.n:
-            raise PreconditionError("valuation dimension mismatch")
-        if vec in self.deviations:
-            return self.deviations[vec]
-        i = unit_index(vec)
-        if i is not None:
-            return self.pair_coeffs[i]
-        return Fraction(1)
+        """The value at v, which must be a valuation tuple of dimension n.
+
+        Nothing is checked here: callers pass a fan ray, a deviation key or a
+        vector they validated, such as a cut valuation.  ``bdiv_eval``
+        validates its argument first.
+        """
+        val = self.deviations.get(v)
+        if val is not None:
+            return val
+        i = unit_index(v)
+        return Fraction(1) if i is None else self.pair_coeffs[i]
 
     def with_deviations(self, updates: dict) -> "BDivisor":
         devs = dict(self.deviations)
@@ -223,7 +225,10 @@ class BDivisor:
 
 def bdiv_eval(bdiv: BDivisor, v) -> Fraction:
     """Value of the b-divisor at a valuation (deviation, divisorial, or 1)."""
-    return bdiv.value(v)
+    vec = valuation(v)
+    if len(vec) != bdiv.n:
+        raise PreconditionError("valuation dimension mismatch")
+    return bdiv.value(vec)
 
 
 @dataclass(frozen=True)

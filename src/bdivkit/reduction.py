@@ -32,7 +32,7 @@ coefficient exceeds, so only listed deviations can witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import mul
 
@@ -43,6 +43,7 @@ from .exact import (
     complement_weights,
     format_rat,
     is_primitive,
+    trusted,
 )
 from .fans import Cone, Fan, ensure_rays, orthant_fan
 from .logpairs import (
@@ -116,12 +117,12 @@ class LocalModel:
 
 
 def _prefix_weights(model: LocalModel) -> tuple:
-    """(w, den): the weights 1 - c_i of the sub-one coordinates over den."""
-    cs = model.pair.coeffs[: model.s]
-    for c in cs:
-        if c == 1:
-            raise PreconditionError("prefix coefficients must be < 1")
-    return complement_weights(cs)
+    """(w, den): the weights 1 - c_i of the sub-one coordinates over den.
+
+    The first s coefficients are the ones below 1, since ``LocalModel`` puts
+    every coefficient-one component last, so every w_i is positive.
+    """
+    return complement_weights(model.pair.coeffs[: model.s])
 
 
 def positive_pullback_prefixes(model: LocalModel) -> list:
@@ -470,14 +471,15 @@ def build_cut(state: ReductionState, sigmas) -> tuple:
     new_phi_coeffs = tuple(
         min(t, state.value(r)) for t, r in zip(theta, new_fan.rays)
     )
-    updates = {}
+    # fan rays are valuations and every coefficient lies in [0, 1]: theta
+    # is clipped to [0, pb] and B's values are in [0, 1]
+    devs = dict(state.bdiv.deviations)
     for r, c in zip(new_fan.rays, new_phi_coeffs):
         if unit_index(r) is None:
-            updates[r] = c
-    new_bdiv = state.bdiv.with_deviations(updates)
-    new_state = ReductionState(
-        new_fan, ModelDivisor(new_fan, new_phi_coeffs), new_bdiv
-    )
+            devs[r] = c
+    new_bdiv = trusted(BDivisor, pair_coeffs=state.bdiv.pair_coeffs, deviations=devs)
+    new_phi = trusted(ModelDivisor, fan=new_fan, ray_coeffs=new_phi_coeffs)
+    new_state = ReductionState(new_fan, new_phi, new_bdiv)
     if not new_state.trace_consistent():
         raise InvariantViolation("cut produced an inconsistent trace")
     rays_added = tuple(r for r in new_fan.rays if r not in state.fan.ray_set)
@@ -590,21 +592,10 @@ def run_reduction(model: LocalModel, bdiv: BDivisor) -> ReductionTrace:
                 continue
             seen_charts.add(loc.ray_indices)
             sigmas.extend(_chart_sigmas(state, loc.ray_indices))
-        deduped = []
-        for s in sigmas:
-            if s not in deduped:
-                deduped.append(s)
-        if not deduped:
+        if not sigmas:
             raise InvariantViolation("witnesses present but no cut valuation found")
-        state, step = build_cut(state, deduped)
-        steps.append(
-            CutStep(
-                weight_before=weight,
-                sigmas=step.sigmas,
-                rays_added=step.rays_added,
-                theta=step.theta,
-            )
-        )
+        state, step = build_cut(state, list(dict.fromkeys(sigmas)))
+        steps.append(replace(step, weight_before=weight))
         witnesses = state_witnesses(state)
         new_weight = max((w.weight for w in witnesses), default=-1)
         if new_weight >= weight:

@@ -209,8 +209,10 @@ def test_batch_entry_with_non_integer_argument_exits_2():
 def test_run_command_unknown():
     from bdivkit.exact import PreconditionError
 
-    with pytest.raises(PreconditionError):
-        run_command("nope", {})
+    # batch runs only from main; a list is not a command name
+    for name in ("nope", "batch", ["minvol"]):
+        with pytest.raises(PreconditionError):
+            run_command(name, {})
 
 
 def test_verify_accepts_reduce_output():
@@ -321,6 +323,15 @@ BAD_INPUTS = [
                  id="constants power past the digit limit"),
     pytest.param(["fermat", "--scan", "--n-max", "3000"], id="fermat scan n_max past the cap"),
     pytest.param(["charp", "--q-max", "100000"], id="charp q_max past the cap"),
+    # an explicit zero or negative value is not the default
+    pytest.param(CASES["reduce"][:-1] + ["0"], id="reduce box 0"),
+    pytest.param(CASES["verify"][:-1] + ["0"], id="verify box 0"),
+    pytest.param(["fermat", "--scan", "--n-max", "0"], id="fermat scan n_max 0"),
+    pytest.param(["dcc", "--set", '{"kind":"standard"}', "--rounds", "-1", "--max-size", "-5"],
+                 id="dcc negative rounds and max_size"),
+    pytest.param(["dcc", "--set", '{"kind":"standard"}', "--threshold", "0"],
+                 id="dcc threshold 0"),
+    pytest.param(CASES["chain"][:-2] + ["0"], id="chain denom_bound 0"),
 ]
 
 
@@ -345,6 +356,14 @@ _DIGIT_LIMIT = f"{sys.get_int_max_str_digits()} digits"
     (["constants", "--n", "2000", "--eps", "1", "--gamma0", "1", "--delta", "1/2"], _DIGIT_LIMIT),
     (["fermat", "--scan", "--n-max", "799"], "FERMAT_SCAN_N_CAP = 798"),
     (["charp", "--q-max", "10001"], "CHARP_Q_CAP = 10000"),
+    (CASES["reduce"][:-1] + ["0"], "box must be >= 1"),
+    (CASES["verify"][:-1] + ["0"], "box must be >= 1"),
+    (["fermat", "--scan", "--n-max", "0"], "need n_max >= 1"),
+    (["dcc", "--set", '{"kind":"standard"}', "--rounds", "-1", "--max-size", "-5"],
+     "rounds must be >= 1, got -1"),
+    (["dcc", "--set", '{"kind":"standard"}', "--max-size", "-5"], "max_size must be >= 1"),
+    (["dcc", "--set", '{"kind":"standard"}', "--threshold", "0"], "threshold must be >= 1"),
+    (CASES["chain"][:-2] + ["0"], "denom_bound must be >= 1"),
 ])
 def test_errors_name_their_cause(argv, cause):
     code, _, err = run_cli(argv)
@@ -492,6 +511,12 @@ _TEMPLATES = {
                "stratum": [1, 2], "verify": True},
     "pnvol": {"n": 1, "coeffs": ["1/2", "2/3", "6/7"], "sylvester": False, "verify": True},
     "fermat": {"n": 5, "m": 8, "verify": True},
+    "reduce": {"model": {"n": 2, "coeffs": ["1/2", "1"]},
+               "B": {"deviations": [{"v": [1, 2], "value": "0"}]}, "box": 4, "verify": True},
+    "lcoeff": {"pair": _PAIR, "v": [2, 1], "verify": True},
+    "mld": {"pair": _PAIR, "verify": True},
+    "fset": {"model": _PAIR, "verify": True},
+    "round-check": {"coeffs": ["1/2", "2/5"], "m": 2, "verify": True},
 }
 
 
@@ -514,7 +539,7 @@ def _replace(value, path, new):
     return out
 
 
-@settings(max_examples=520, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=740, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_fuzzed_arguments_exit_0_or_2(data):
     command = data.draw(st.sampled_from(sorted(_TEMPLATES)))
@@ -545,7 +570,7 @@ def _registered(parser):
     return [(a.option_strings, a.dest, a.type, a.default, a.help) for a in parser._actions]
 
 
-@pytest.mark.parametrize("name", sorted(cli_mod._HANDLERS) + ["batch"])
+@pytest.mark.parametrize("name", sorted(cli_mod._COMMANDS))
 def test_command_parser_registers_what_the_full_parser_does(name):
     alone = _command_parser(cli_mod.build_parser(name), name)
     full = _command_parser(cli_mod.build_parser(), name)

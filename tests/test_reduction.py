@@ -655,3 +655,59 @@ def test_prefixes_equal_the_box_scan(cs, w, data):
     except PreconditionError as exc:
         accepted = "no positive pullback coefficient" not in str(exc)
     assert accepted == (f in set(expected))
+
+
+# ---------------------------------------------------------------------------
+# what build_cut builds unchecked, against the validating constructors
+
+from unittest import mock
+
+import bdivkit.reduction as reduction_mod
+from bdivkit.fans import BarycentricResult, Cone
+
+
+@st.composite
+def reduction_inputs(draw):
+    """A model and a b-divisor with a witness, klt or with a coefficient one."""
+    n = draw(st.sampled_from([2, 3]))
+    klt = draw(st.booleans())
+    pool = [F(1, 2), F(2, 3)] + ([F(6, 7)] if n == 2 else [])
+    coeffs = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    if not klt:
+        coeffs[-1] = F(1)
+    pair = LocalPair(tuple(coeffs))
+    vec = st.lists(st.integers(0, 6), min_size=n, max_size=n).filter(
+        lambda v: sum(1 for e in v if e) > 1
+    ).map(lambda v: primitive_part(tuple(v)))
+    devs = {v: draw(st.sampled_from([F(0), F(1, 7)])) for v in draw(st.lists(vec, max_size=3))}
+    witness = vec.filter(lambda v: relative_pullback_coeff(ModelDivisor(
+        orthant_fan(n), pair.coeffs), v) > 0)
+    devs[draw(witness)] = F(0)
+    return LocalModel(pair), BDivisor(pair.coeffs, devs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(reduction_inputs())
+def test_cut_states_equal_their_validated_rebuilds(inputs):
+    states = []
+    build_cut_checked = reduction_mod.build_cut
+
+    def recording(state, sigmas):
+        new_state, step = build_cut_checked(state, sigmas)
+        states.append(new_state)
+        return new_state, step
+
+    with mock.patch.object(reduction_mod, "build_cut", recording):
+        run_reduction(*inputs)
+    assert states
+    for state in states:
+        fan = state.fan
+        assert Fan(fan.n, fan.rays, fan.cones) == fan
+        for cone in fan.max_cones:
+            fresh = Cone(cone.gens)
+            assert (cone.det, cone._inward_adjugate) == (fresh.det, fresh._inward_adjugate)
+        assert ModelDivisor(fan, state.phi.ray_coeffs) == state.phi
+        assert BDivisor(state.bdiv.pair_coeffs, state.bdiv.deviations) == state.bdiv
+        for ray in fan.rays:
+            loc = fan.locate(ray)
+            assert BarycentricResult(loc.cone, loc.ray_indices, loc.lambdas) == loc
