@@ -5,13 +5,17 @@ stdout; scan commands emit CSV.  Errors are machine-readable JSON on stderr
 with exit code 2 for precondition violations and 3 for internal invariant
 breaches.  ``--verify`` re-runs an independent oracle next to the fast path
 and fails loudly (exit 3) on any mismatch.
+
+The command line is ``bdivkit COMMAND [OPTION ...]``, read by ``Parser``
+straight from the table ``_COMMANDS``; an error in argv itself exits 2 with
+the same JSON record.
 """
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 from functools import cmp_to_key
@@ -673,8 +677,12 @@ def run_batch(entries, parallelism: int = 1) -> tuple:
     if not all(isinstance(e, dict) for e in entries):
         raise PreconditionError("batch entries must be JSON objects")
     ids = [e.get("id") for e in entries]
-    if len(ids) != len(set(ids)) or any(i is None for i in ids):
-        raise PreconditionError("batch entries need unique non-null ids")
+    # the ids key the output, whose keys json.dumps must hash and sort
+    kinds = {type(i) for i in ids}
+    if not (kinds <= {str} or kinds <= {int}) or len(set(ids)) != len(ids):
+        raise PreconditionError(
+            "batch entry ids must be unique, and all strings or all integers"
+        )
 
     def run_one(entry):
         try:
@@ -700,40 +708,22 @@ def run_batch(entries, parallelism: int = 1) -> tuple:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+_JSON = json.loads
+_FLAG = None
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        print(
-            json.dumps({"error": message, "exit_code": 2}, sort_keys=True),
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-
-
-def _json_flag(text):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise argparse.ArgumentTypeError(f"invalid JSON: {exc}") from exc
-
-
-_COMMON_ARGS = (
-    ("--out", {"help": "write the output to a file instead of stdout"}),
-    ("--verify", {"action": "store_true",
-                  "help": "re-run an independent oracle and fail loudly on mismatch"}),
-    ("--file", {"help": "read a JSON object supplying defaults for this command's inputs"}),
-    ("--json", {"dest": "inline_json", "type": _json_flag,
-                "help": "inline JSON object supplying defaults for this command's inputs"}),
+_COMMON_OPTIONS = (
+    ("--out", str, "write the output to a file instead of stdout"),
+    ("--verify", _FLAG, "re-run an independent oracle and fail loudly on mismatch"),
+    ("--file", str, "read a JSON object supplying defaults for this command's inputs"),
+    ("--json", _JSON, "inline JSON object supplying defaults for this command's inputs"),
 )
 
-_JSON = {"type": _json_flag}
-_INT = {"type": int}
-_FLAG = {"action": "store_true"}
-
 # command -> (help, its own options, handler); every command also takes
-# _COMMON_ARGS.  The dest of each option (argparse's: dashes become
-# underscores) is the params key the handler reads.  ``batch`` has no
-# handler: ``main`` runs it, and ``run_command`` refuses it.
+# _COMMON_OPTIONS.  An option is (flag, type, help), the help optional: the
+# type converts the option's value, and _FLAG marks an option that takes
+# none.  The flag without its leading dashes, "-" read as "_", is the params
+# key the handler reads.  ``batch`` has no handler: ``main`` runs it, and
+# ``run_command`` refuses it.
 _COMMANDS = {
     "ldisc": ("log discrepancy of a monomial valuation",
               (("--pair", _JSON), ("--v", _JSON)), _cmd_ldisc),
@@ -743,75 +733,186 @@ _COMMANDS = {
                _cmd_ltrace),
     "mld": ("minimal log discrepancy at the origin", (("--pair", _JSON),), _cmd_mld),
     "round-check": ("compare floor(m c) with ceil((m-1) c)",
-                    (("--coeffs", _JSON), ("--m", _INT)), _cmd_round_check),
+                    (("--coeffs", _JSON), ("--m", int)), _cmd_round_check),
     "fset": ("prefixes with positive pullback coefficient", (("--model", _JSON),), _cmd_fset),
     "weight": ("weight of a model against a b-divisor",
                (("--model", _JSON), ("--B", _JSON),
-                ("--stratum", {"type": _json_flag, "help": "1-based component indices"})),
+                ("--stratum", _JSON, "1-based component indices")),
                _cmd_weight),
     "reduce": ("run the weight-descent reduction",
                (("--model", _JSON), ("--B", _JSON),
-                ("--box", {"type": int, "help": "box of the checked count (default 12)"})),
+                ("--box", int, "box of the checked count (default 12)")),
                _cmd_reduce),
     "verify": ("check pullback <= B at every valuation of a state",
-               (("--state", _JSON), ("--box", _INT)), _cmd_verify),
+               (("--state", _JSON), ("--box", int)), _cmd_verify),
     "closure": ("closure of a base under b1+b2-1",
-                (("--base", _JSON), ("--denom-bound", _INT), ("--include-one", _FLAG)),
+                (("--base", _JSON), ("--denom-bound", int), ("--include-one", _FLAG)),
                 _cmd_closure),
     "chain": ("find a strictly decreasing chain in a set",
-              (("--set", _JSON), ("--length", _INT), ("--denom-bound", _INT)), _cmd_chain),
+              (("--set", _JSON), ("--length", int), ("--denom-bound", int)), _cmd_chain),
     "dcc": ("three-valued descending-chain verdict",
-            (("--set", _JSON), ("--threshold", _INT), ("--denom-bound", _INT),
-             ("--rounds", _INT), ("--max-size", _INT)), _cmd_dcc),
-    "sylvester": ("terms of r0=1, r_{k+1}=r_k(r_k+1)", (("--k", _INT),), _cmd_sylvester),
-    "minvol": ("minimal-volume candidate 1/r_{n+2}^n", (("--n", _INT),), _cmd_minvol),
+            (("--set", _JSON), ("--threshold", int), ("--denom-bound", int),
+             ("--rounds", int), ("--max-size", int)), _cmd_dcc),
+    "sylvester": ("terms of r0=1, r_{k+1}=r_k(r_k+1)", (("--k", int),), _cmd_sylvester),
+    "minvol": ("minimal-volume candidate 1/r_{n+2}^n", (("--n", int),), _cmd_minvol),
     "pnvol": ("log volume of projective space with n+2 hyperplanes",
-              (("--n", _INT), ("--coeffs", _JSON), ("--sylvester", _FLAG)), _cmd_pnvol),
+              (("--n", int), ("--coeffs", _JSON), ("--sylvester", _FLAG)), _cmd_pnvol),
     "polyvol": ("exact volume of a rational polytope", (("--polytope", _JSON),), _cmd_polyvol),
-    "hurwitz": ("84(g-1) bound and canonical volume", (("--g", _INT),), _cmd_hurwitz),
-    "product": ("n-fold product of a maximal-symmetry curve", (("--n", _INT), ("--g", _INT)),
+    "hurwitz": ("84(g-1) bound and canonical volume", (("--g", int),), _cmd_hurwitz),
+    "product": ("n-fold product of a maximal-symmetry curve", (("--n", int), ("--g", int)),
                 _cmd_product),
     "fermat": ("Fermat hypersurface report or threshold scan",
-               (("--n", _INT), ("--m", _INT), ("--scan", _FLAG), ("--m-rule", {}),
-                ("--n-max", _INT)), _cmd_fermat),
+               (("--n", int), ("--m", int), ("--scan", _FLAG), ("--m-rule", str),
+                ("--n-max", int)), _cmd_fermat),
     "unitary": ("unitary group order: polynomial part or value",
-                (("--n", _INT), ("--q", _INT)), _cmd_unitary),
+                (("--n", int), ("--q", int)), _cmd_unitary),
     "charp": ("characteristic-p ratio check up to q_max",
-              (("--q-max", _INT), ("--csv", {"action": "store_true",
-                                             "help": "emit the scan as CSV"})), _cmd_charp),
+              (("--q-max", int), ("--csv", _FLAG, "emit the scan as CSV")), _cmd_charp),
     "constants": ("explicit constant propagation",
-                  (("--n", _INT), ("--eps", {}), ("--gamma0", {}), ("--delta", {})),
+                  (("--n", int), ("--eps", str), ("--gamma0", str), ("--delta", str)),
                   _cmd_constants),
     "batch": ("run a batch file of commands",
-              (("--parallel", {"type": int, "default": 1,
-                               "help": "accepted for existing command lines; "
-                                       "entries always run in order"}),), None),
+              (("--parallel", int, "accepted for existing command lines; "
+                                   "entries always run in order (default 1)"),), None),
 }
 
+# A token starting with "-" is an option, unless it is "-" itself, a negative
+# number as this pattern reads one, or holds a space: those are values.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-def _param_keys(command: str) -> tuple:
-    return tuple(flag[2:].replace("-", "_") for flag, _ in _COMMANDS[command][1])
+
+def _key(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser: every subcommand, or only the one named.
+def _options(command=None) -> dict:
+    """Option string -> (params key, type); before the command only help exists."""
+    table = {"-h": ("help", _FLAG), "--help": ("help", _FLAG)}
+    if command is not None:
+        for flag, kind, *_ in _COMMON_OPTIONS + _COMMANDS[command][1]:
+            table[flag] = (_key(flag), kind)
+    return table
 
-    argparse builds a help formatter for every option it adds, so a command
-    line that names a known command builds that subcommand alone; help, an
-    unknown command and a missing one need them all.
+
+class Parser:
+    """The command line ``bdivkit COMMAND [OPTION ...]``, read against ``_COMMANDS``.
+
+    An option is ``--opt value``, ``--opt=value`` or a flag alone, and may be
+    shortened to any prefix that no other option of the command shares.  A
+    repeated option keeps its last value.  ``-h``/``--help``, before or after
+    the command, prints help on stdout and exits 0.  Any other error in argv
+    prints ``{"error": ..., "exit_code": 2}`` on stderr and exits 2.
     """
-    parser = _Parser(
-        prog="bdivkit",
-        description="Exact toolkit for b-divisor reductions, coefficient-set "
-        "chains, and explicit volume/symmetry bounds.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name in (command,) if command is not None else _COMMANDS:
-        help_text, own, _ = _COMMANDS[name]
-        sub = subs.add_parser(name, help=help_text)
-        for flag, kwargs in _COMMON_ARGS + own:
-            sub.add_argument(flag, **kwargs)
-    return parser
+
+    def error(self, message: str):
+        print(json.dumps({"error": message, "exit_code": 2}, sort_keys=True),
+              file=sys.stderr)
+        raise SystemExit(2)
+
+    def help(self, command=None):
+        if command is None:
+            head = ["usage: bdivkit COMMAND [OPTION ...]", "",
+                    "Exact toolkit for b-divisor reductions, coefficient-set chains,",
+                    "and explicit volume/symmetry bounds.", "", "commands:"]
+            rows = [(name, entry[0]) for name, entry in _COMMANDS.items()]
+            tail = ["", "'bdivkit COMMAND -h' lists the options of a command."]
+        else:
+            help_text, own, _ = _COMMANDS[command]
+            head = [f"usage: bdivkit {command} [OPTION ...]", "", help_text, "", "options:"]
+            rows = [("-h, --help", "show this help message and exit")] + [
+                (flag if kind is _FLAG else f"{flag} {_key(flag).upper()}", "".join(text))
+                for flag, kind, *text in _COMMON_OPTIONS + own
+            ]
+            tail = []
+        width = max(len(left) for left, _ in rows) + 2
+        body = [f"  {left:<{width}}{right}".rstrip() for left, right in rows]
+        print("\n".join(head + body + tail))
+        raise SystemExit(0)
+
+    def _classify(self, token: str, table: dict):
+        """(option, attached value or None) for an option, None for a value.
+
+        An option the table does not hold comes back as (None, None).
+        """
+        if token[:1] != "-" or token == "-":
+            return None
+        if token in table:
+            return token, None
+        name, eq, attached = token.partition("=")
+        if eq and name in table:
+            return name, attached
+        if token[1] == "-":
+            matches = [flag for flag in table if flag.startswith(name)]
+            if len(matches) > 1:
+                self.error(f"ambiguous option: {name} could match {', '.join(matches)}")
+            if matches:
+                return matches[0], (attached if eq else None)
+        elif token[:2] in table:  # a one-letter option with a value attached
+            return token[:2], token[2:]
+        if _NEGATIVE_NUMBER.match(token) or " " in token:
+            return None
+        return None, None
+
+    def _take(self, tokens, command, strays: list) -> dict:
+        """The options in tokens by params key; what no option takes goes to strays.
+
+        Every token is classified before any is taken, so an ambiguous option
+        is an error even after a help flag.  Tokens after "--" are strays.
+        """
+        table = _options(command)
+        end = tokens.index("--") if "--" in tokens else len(tokens)
+        found = [self._classify(token, table) for token in tokens[:end]]
+        options = {}
+        i = 0
+        while i < end:
+            flag, attached = found[i] or (None, None)
+            if flag is None:
+                strays.append(tokens[i])
+            else:
+                key, kind = table[flag]
+                if kind is _FLAG:
+                    if attached is not None:
+                        self.error(f"{flag} takes no value, got {attached!r}")
+                    if key == "help":
+                        self.help(command)
+                    options[key] = True
+                else:
+                    if attached is None:
+                        if i + 1 == end or found[i + 1] is not None:
+                            self.error(f"{flag} expects one value")
+                        i += 1
+                        attached = tokens[i]
+                    try:
+                        options[key] = kind(attached)
+                    except ValueError as exc:
+                        self.error(f"{flag}: invalid value ({exc})")
+            i += 1
+        strays += tokens[end:]
+        return options
+
+    def parse_args(self, argv) -> tuple:
+        """(command, options): the given options' values by params key, flags as True."""
+        argv = list(argv)
+        top = _options()
+        i = next((i for i, token in enumerate(argv)
+                  if token == "--" or self._classify(token, top) is None), len(argv))
+        strays = []
+        self._take(argv[:i], None, strays)
+        choices = ", ".join(_COMMANDS)
+        if i == len(argv):
+            self.error(f"a command is required; choose from {choices}")
+        command = argv[i]
+        if command not in _COMMANDS:
+            self.error(f"unknown command {command!r}; choose from {choices}")
+        options = self._take(argv[i + 1:], command, strays)
+        if strays:
+            self.error(f"unrecognized arguments: {' '.join(strays)}")
+        return command, options
+
+
+def build_parser() -> Parser:
+    """The command-line parser."""
+    return Parser()
 
 
 def _read_json_file(path: str):
@@ -825,59 +926,61 @@ def _read_json_file(path: str):
         raise PreconditionError(f"{path} does not hold valid JSON: {exc}") from exc
 
 
-def _collect_params(args) -> dict:
+def _params(options: dict) -> dict:
+    """A handler's params: --file's object, then --json's, then the options given.
+
+    An option whose value is null or false leaves the key to the objects.
+    """
     params = {}
-    if getattr(args, "file", None):
-        data = _read_json_file(args.file)
+    path = options.pop("file", None)
+    if path:
+        data = _read_json_file(path)
         if not isinstance(data, dict):
             raise PreconditionError("--file must contain a JSON object")
         params.update(data)
-    inline = getattr(args, "inline_json", None)
+    inline = options.pop("json", None)
     if inline is not None:
         if not isinstance(inline, dict):
             raise PreconditionError("--json must be a JSON object")
         params.update(inline)
-    for key in _param_keys(args.command):
-        val = getattr(args, key, None)
-        if val is not None and val is not False:
-            params[key] = val
-    if getattr(args, "verify", False):
-        params["verify"] = True
+    params.update((k, v) for k, v in options.items() if v is not None and v is not False)
     return params
 
 
 def _emit(text: str, out_path) -> None:
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {out_path}: {exc.strerror}") from exc
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    command, options = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
+    out = options.pop("out", None)
     try:
-        if args.command == "batch":
-            if not getattr(args, "file", None):
+        if command == "batch":
+            if not options.get("file"):
                 raise PreconditionError("batch needs --file with the entries")
-            data = _read_json_file(args.file)
+            data = _read_json_file(options["file"])
             entries = data.get("entries") if isinstance(data, dict) else None
             if not isinstance(entries, list):
                 raise PreconditionError("batch file needs an 'entries' list")
-            result, code = run_batch(entries, args.parallel)
-            _emit(json.dumps(result, sort_keys=True, indent=2) + "\n", args.out)
+            result, code = run_batch(entries, options.get("parallel", 1))
+            _emit(json.dumps(result, sort_keys=True, indent=2) + "\n", out)
             return code
-        params = _collect_params(args)
-        result = run_command(args.command, params)
-        wants_csv = (args.command == "fermat" and params.get("scan")) or (
-            args.command == "charp" and params.get("csv")
+        params = _params(options)
+        result = run_command(command, params)
+        wants_csv = (command == "fermat" and params.get("scan")) or (
+            command == "charp" and params.get("csv")
         )
         if wants_csv:
-            _emit(result["csv"], args.out)
+            _emit(result["csv"], out)
         else:
-            _emit(json.dumps(result, sort_keys=True, indent=2) + "\n", args.out)
+            _emit(json.dumps(result, sort_keys=True, indent=2) + "\n", out)
         return 0
     except _HANDLED_ERRORS as exc:
         record = _error_record(exc)

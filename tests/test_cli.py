@@ -3,6 +3,9 @@ import io
 import json
 import contextlib
 import dataclasses
+import os
+import re
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 
 import bdivkit.cli as cli_mod
 from bdivkit.cli import main, run_batch, run_command
+from bdivkit.exact import PreconditionError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -193,6 +197,29 @@ def test_run_batch_rejects_duplicate_ids():
         run_batch(entries, 1)
 
 
+@pytest.mark.parametrize("ids", [
+    pytest.param([["a"], "b"], id="a list id"),
+    pytest.param([1, "b"], id="integer and string ids"),
+    pytest.param([1, "1"], id="1 beside '1'"),
+    pytest.param([True, 2], id="a bool beside an integer"),
+    pytest.param(["a", None], id="a null id"),
+])
+def test_batch_ids_must_be_unique_strings_or_integers(tmp_path, ids):
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps({"entries": [
+        {"id": i, "command": "minvol", "args": {"n": 1}} for i in ids]}))
+    code, out, err = run_cli(["batch", "--file", str(path)])
+    assert code == 2 and out == ""
+    assert "all strings or all integers" in json.loads(err)["error"]
+
+
+def test_batch_accepts_integer_ids():
+    entries = [{"id": i, "command": "minvol", "args": {"n": i}} for i in (2, 1)]
+    result, code = run_batch(entries)
+    assert code == 0 and result["first_error"] is None
+    assert json.loads(json.dumps(result, sort_keys=True))["results"]["1"]["output"]["n"] == 1
+
+
 def test_batch_entry_with_non_integer_argument_exits_2():
     entries = [
         {"id": "ok", "command": "minvol", "args": {"n": 1}},
@@ -332,6 +359,12 @@ BAD_INPUTS = [
     pytest.param(["dcc", "--set", '{"kind":"standard"}', "--threshold", "0"],
                  id="dcc threshold 0"),
     pytest.param(CASES["chain"][:-2] + ["0"], id="chain denom_bound 0"),
+    # an output path that cannot be written
+    pytest.param(["minvol", "--n", "1", "--out", "."], id="--out a directory"),
+    pytest.param(["minvol", "--n", "1", "--out", str(GOLDEN / "no-such-dir" / "x.json")],
+                 id="--out in a missing directory"),
+    pytest.param(["batch", "--out", ".", "--file", str(GOLDEN / "batch_input.json")],
+                 id="batch --out a directory"),
 ]
 
 
@@ -364,6 +397,7 @@ _DIGIT_LIMIT = f"{sys.get_int_max_str_digits()} digits"
     (["dcc", "--set", '{"kind":"standard"}', "--max-size", "-5"], "max_size must be >= 1"),
     (["dcc", "--set", '{"kind":"standard"}', "--threshold", "0"], "threshold must be >= 1"),
     (CASES["chain"][:-2] + ["0"], "denom_bound must be >= 1"),
+    (["minvol", "--n", "1", "--out", "."], "cannot write ."),
 ])
 def test_errors_name_their_cause(argv, cause):
     code, _, err = run_cli(argv)
@@ -517,6 +551,13 @@ _TEMPLATES = {
     "mld": {"pair": _PAIR, "verify": True},
     "fset": {"model": _PAIR, "verify": True},
     "round-check": {"coeffs": ["1/2", "2/5"], "m": 2, "verify": True},
+    "closure": {"base": ["1/2", "2/3"], "denom_bound": 6, "include_one": True, "verify": True},
+    "chain": {"set": {"kind": "closure", "denom_bound": 12,
+                      "base": {"kind": "finite", "values": ["1/2", "2/3", "3/4"]}},
+              "length": 3, "denom_bound": 12, "verify": True},
+    "hurwitz": {"g": 2, "verify": True},
+    "product": {"n": 2, "g": 2, "verify": True},
+    "charp": {"q_max": 10, "verify": True},
 }
 
 
@@ -539,7 +580,7 @@ def _replace(value, path, new):
     return out
 
 
-@settings(max_examples=740, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=950, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_fuzzed_arguments_exit_0_or_2(data):
     command = data.draw(st.sampled_from(sorted(_TEMPLATES)))
@@ -558,46 +599,254 @@ def test_fuzzed_arguments_exit_0_or_2(data):
 
 
 # ---------------------------------------------------------------------------
-# the parser of one command against the parser of them all
+# the parser against the argparse parser the command line had before, kept
+# here as the reference: same exit codes, and the same params, --out path
+# and --parallel for every command line both accept
 
 
-def _command_parser(parser, name):
-    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return subs.choices
+class _ReferenceParser(argparse.ArgumentParser):
+    def error(self, message):
+        print(json.dumps({"error": message, "exit_code": 2}, sort_keys=True), file=sys.stderr)
+        raise SystemExit(2)
 
 
-def _registered(parser):
-    return [(a.option_strings, a.dest, a.type, a.default, a.help) for a in parser._actions]
+def _reference_json(text):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise argparse.ArgumentTypeError(f"invalid JSON: {exc}") from exc
 
 
-@pytest.mark.parametrize("name", sorted(cli_mod._COMMANDS))
-def test_command_parser_registers_what_the_full_parser_does(name):
-    alone = _command_parser(cli_mod.build_parser(name), name)
-    full = _command_parser(cli_mod.build_parser(), name)
-    assert list(alone) == [name]
-    assert _registered(alone[name]) == _registered(full[name])
-    assert alone[name].format_help() == full[name].format_help()
+_RJ, _RI, _RF, _RS = {"type": _reference_json}, {"type": int}, {"action": "store_true"}, {}
+_REFERENCE_COMMON = (("--out", _RS), ("--verify", _RF), ("--file", _RS),
+                     ("--json", {"dest": "inline_json", "type": _reference_json}))
+_REFERENCE_OPTIONS = {
+    "ldisc": (("--pair", _RJ), ("--v", _RJ)),
+    "lcoeff": (("--pair", _RJ), ("--v", _RJ)),
+    "ltrace": (("--pair", _RJ), ("--fan", _RJ)),
+    "mld": (("--pair", _RJ),),
+    "round-check": (("--coeffs", _RJ), ("--m", _RI)),
+    "fset": (("--model", _RJ),),
+    "weight": (("--model", _RJ), ("--B", _RJ), ("--stratum", _RJ)),
+    "reduce": (("--model", _RJ), ("--B", _RJ), ("--box", _RI)),
+    "verify": (("--state", _RJ), ("--box", _RI)),
+    "closure": (("--base", _RJ), ("--denom-bound", _RI), ("--include-one", _RF)),
+    "chain": (("--set", _RJ), ("--length", _RI), ("--denom-bound", _RI)),
+    "dcc": (("--set", _RJ), ("--threshold", _RI), ("--denom-bound", _RI), ("--rounds", _RI),
+            ("--max-size", _RI)),
+    "sylvester": (("--k", _RI),),
+    "minvol": (("--n", _RI),),
+    "pnvol": (("--n", _RI), ("--coeffs", _RJ), ("--sylvester", _RF)),
+    "polyvol": (("--polytope", _RJ),),
+    "hurwitz": (("--g", _RI),),
+    "product": (("--n", _RI), ("--g", _RI)),
+    "fermat": (("--n", _RI), ("--m", _RI), ("--scan", _RF), ("--m-rule", _RS), ("--n-max", _RI)),
+    "unitary": (("--n", _RI), ("--q", _RI)),
+    "charp": (("--q-max", _RI), ("--csv", _RF)),
+    "constants": (("--n", _RI), ("--eps", _RS), ("--gamma0", _RS), ("--delta", _RS)),
+    "batch": (("--parallel", {"type": int, "default": 1}),),
+}
 
 
-def _run_catching_exit(argv):
+def _reference_build_parser():
+    parser = _ReferenceParser(prog="bdivkit")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, own in _REFERENCE_OPTIONS.items():
+        sub = subs.add_parser(name)
+        for flag, kwargs in _REFERENCE_COMMON + own:
+            sub.add_argument(flag, **kwargs)
+    return parser
+
+
+def _reference_collect_params(args) -> dict:
+    params = {}
+    if getattr(args, "file", None):
+        data = cli_mod._read_json_file(args.file)
+        if not isinstance(data, dict):
+            raise PreconditionError("--file must contain a JSON object")
+        params.update(data)
+    inline = getattr(args, "inline_json", None)
+    if inline is not None:
+        if not isinstance(inline, dict):
+            raise PreconditionError("--json must be a JSON object")
+        params.update(inline)
+    for flag, _ in _REFERENCE_OPTIONS[args.command]:
+        key = flag[2:].replace("-", "_")
+        val = getattr(args, key, None)
+        if val is not None and val is not False:
+            params[key] = val
+    if getattr(args, "verify", False):
+        params["verify"] = True
+    return params
+
+
+def _reference_main(argv) -> int:
+    """``main`` as it was, on the reference parser."""
+    args = _reference_build_parser().parse_args(argv)
+    try:
+        if args.command == "batch":
+            if not getattr(args, "file", None):
+                raise PreconditionError("batch needs --file with the entries")
+            data = cli_mod._read_json_file(args.file)
+            entries = data.get("entries") if isinstance(data, dict) else None
+            if not isinstance(entries, list):
+                raise PreconditionError("batch file needs an 'entries' list")
+            result, code = cli_mod.run_batch(entries, args.parallel)
+            cli_mod._emit(json.dumps(result, sort_keys=True, indent=2) + "\n", args.out)
+            return code
+        params = _reference_collect_params(args)
+        result = cli_mod.run_command(args.command, params)
+        wants_csv = (args.command == "fermat" and params.get("scan")) or (
+            args.command == "charp" and params.get("csv")
+        )
+        cli_mod._emit(result["csv"] if wants_csv
+                      else json.dumps(result, sort_keys=True, indent=2) + "\n", args.out)
+        return 0
+    except cli_mod._HANDLED_ERRORS as exc:
+        record = cli_mod._error_record(exc)
+        print(json.dumps(record, sort_keys=True), file=sys.stderr)
+        return record["exit_code"]
+
+
+def _run_catching_exit(run, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse: help, unknown or missing command
+            code = run(argv)
+        except SystemExit as exc:  # help, or an error in argv itself
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def _calls(run, argv) -> tuple:
+    """run(argv)'s exit code and what it handed the commands and the output."""
+    calls = []
+
+    def command(name, params):
+        calls.append(("run_command", name, params))
+        return {"csv": ""}
+
+    def batch(entries, parallel):
+        calls.append(("run_batch", parallel))
+        return {}, 0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli_mod, "run_command", command)
+        mp.setattr(cli_mod, "run_batch", batch)
+        mp.setattr(cli_mod, "_emit", lambda text, out: calls.append(("out", out)))
+        code, _, _ = _run_catching_exit(run, argv)
+    return code, calls
+
+
+# values and stray tokens: negative numbers, a lone "-" and a token with a
+# space are values; "--" ends the options; the rest starting with "-" are options
+_VALUES = ["1", "0", "-3", "-2.5", "-.5", "x", "1/2", '{"n": 1}', "[1, 2]", "null", "false",
+           "n+3", "", "-", "- 1", "-x", "--1", "-1e5", str(GOLDEN / "batch_input.json"),
+           str(GOLDEN / "no-such-file.json")]
+_STRAYS = ["-x", "--", "-", "--bogus", "--bogus=1", "stray", "-1", "-h", "--he", "--=x"]
+
+
+@st.composite
+def _option_tokens(draw, flags):
+    flag = draw(st.sampled_from(flags))
+    name = flag[:draw(st.integers(3, len(flag)))] if draw(st.booleans()) else flag
+    form = draw(st.sampled_from(["separate", "separate", "attached", "attached", "alone",
+                                 "stray"]))
+    if form == "stray":
+        return [draw(st.sampled_from(_STRAYS))]
+    if form == "alone":  # a flag, or an option missing its value
+        return [name]
+    value = draw(st.sampled_from(_VALUES))
+    return [name, value] if form == "separate" else [f"{name}={value}"]
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(cli_mod._COMMANDS) + ["frobnicate"]))
+    own = cli_mod._COMMANDS.get(command, cli_mod._COMMANDS["minvol"])[1]
+    flags = [flag for flag, *_ in cli_mod._COMMON_OPTIONS + own]
+    argv = [command]
+    for _ in range(draw(st.integers(0, 4))):
+        argv += draw(_option_tokens(flags))
+    if draw(st.integers(0, 7)) == 0:  # an option before the command
+        argv = draw(_option_tokens(flags)) + argv
+    if draw(st.integers(0, 15)) == 0:
+        argv = argv[1:]
+    return argv
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_argvs())
+def test_parser_answers_as_the_reference_parser(argv):
+    assert _calls(main, argv) == _calls(_reference_main, argv), argv
 
 
 _ARGVS = [CASES[name] for name in sorted(CASES)] + [
     p.values[0] if hasattr(p, "values") else p for p in BAD_INPUTS
 ] + [["-h"], ["minvol", "-h"], ["frobnicate"], [], ["minvol", "--n", "x"],
-     ["minvol", "--bogus", "1"], ["--verify", "minvol"]]
+     ["minvol", "--bogus", "1"], ["--verify", "minvol"], ["minvol", "--ver", "--n", "1"],
+     ["minvol", "--n=2", "--n", "1"], ["ltrace", "-h", "--f"]]
 
 
 @pytest.mark.parametrize("argv", _ARGVS, ids=lambda a: " ".join(a[:2]) or "no command")
-def test_command_parser_answers_as_the_full_parser(monkeypatch, argv):
-    alone = _run_catching_exit(argv)
-    full_parser = cli_mod.build_parser
-    monkeypatch.setattr(cli_mod, "build_parser", lambda command=None: full_parser())
-    assert _run_catching_exit(argv) == alone
+def test_command_parser_answers_as_the_full_parser(argv):
+    """main on the parser answers as main on the argparse reference."""
+    new = _run_catching_exit(main, argv)
+    reference = _run_catching_exit(_reference_main, argv)
+    assert new[0] == reference[0]
+    if reference[0] == 0 and reference[1].startswith("usage:"):
+        # help: the layout is the parser's own, not argparse's
+        assert new[1].startswith("usage: bdivkit")
+    else:
+        assert new[1] == reference[1]
+
+
+_REFERENCE_KIND = {int: int, _reference_json: json.loads, None: str}
+
+
+@pytest.mark.parametrize("name", sorted(cli_mod._COMMANDS))
+def test_command_parser_registers_what_the_full_parser_does(name):
+    """Each command has the options of the argparse reference, with the same kind of value."""
+    (subs,) = [a for a in _reference_build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    reference = {}
+    for action in subs.choices[name]._actions:
+        kind = cli_mod._FLAG if action.nargs == 0 else _REFERENCE_KIND[action.type]
+        reference.update(dict.fromkeys(action.option_strings, kind))
+    assert {flag: kind for flag, (_, kind) in cli_mod._options(name).items()} == reference
+
+
+def test_help_lists_every_command_and_option():
+    code, out, _ = _run_catching_exit(main, ["-h"])
+    assert code == 0
+    for name, (help_text, *_) in cli_mod._COMMANDS.items():
+        assert re.search(rf"^  {re.escape(name)} +{re.escape(help_text)}$", out, re.M), name
+    assert set(cli_mod._COMMANDS) == set(_REFERENCE_OPTIONS)
+    for name, own in _REFERENCE_OPTIONS.items():
+        code, out, _ = _run_catching_exit(main, [name, "-h"])
+        assert code == 0
+        for flag, _ in _REFERENCE_COMMON + own:
+            assert re.search(rf"^  {re.escape(flag)}( |$)", out, re.M), (name, flag)
+
+
+def test_cli_imports_no_argparse_gettext_or_locale(tmp_path):
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps(
+        {"entries": [{"id": "a", "command": "minvol", "args": {"n": 1}}]}))
+    script = (
+        "import contextlib, io, sys\n"
+        "from bdivkit.cli import main\n"
+        f"for argv in ({CASES['reduce']!r}, ['batch', '--file', {str(batch)!r}],"
+        " ['minvol', '-h']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        try:\n"
+        "            assert main(argv) == 0\n"
+        "        except SystemExit as exc:\n"
+        "            assert exc.code == 0\n"
+        "print(sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
