@@ -7,7 +7,8 @@ on them in characteristic p, the doubly-exponential sequence r0 = 1,
 r_{k+1} = r_k (r_k + 1) governing the smallest known log-pair volumes, exact
 lattice-polytope volumes backing the toric volume computations, and the
 constant propagation m = 2 g0 (1 + gamma)^(n-1) used by the effectivity
-bookkeeping.
+bookkeeping.  The polytope code solves, ranks and takes determinants with
+the linear-algebra kernel in ``exact``.
 """
 
 from __future__ import annotations
@@ -22,13 +23,16 @@ from .exact import (
     PreconditionError,
     UniPoly,
     checked_power,
+    cofactor_normal,
+    determinant,
     format_int,
     format_rat,
     parse_int,
     parse_rat,
     parse_rat_list,
+    rank,
+    solve,
 )
-from .fans import _det, _rank  # exact linear algebra helpers
 
 
 @dataclass(frozen=True)
@@ -224,67 +228,38 @@ class Polytope:
         return cls(n=n, normals=tuple(normals), offsets=tuple(offsets))
 
 
-def _solve_square(rows, rhs):
-    """Exact solution of a square rational system, or None if singular."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if m[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return tuple(m[i][n] for i in range(n))
-
-
 def _affine_dim(points) -> int:
     if not points:
         return -1
     base = points[0]
     rows = [[x - y for x, y in zip(p, base)] for p in points[1:]]
-    return _rank(rows)
+    return rank(rows)
 
 
-def _enumerate_vertices(poly: Polytope):
-    """All vertices with their active-constraint sets; errors when unbounded."""
+def polytope_vertices(poly: Polytope):
+    """All vertices with their active-constraint sets; errors when unbounded.
+
+    Returns (vertex, frozenset of active row indices) pairs, vertices sorted.
+    """
     # recession ray check: a nonzero direction with <normal, d> >= 0 for all
     # rows makes the polyhedron unbounded; extreme rays lie on n-1 active
-    # constraints, so scanning those null spaces is exhaustive
+    # constraints of rank n-1, whose null space the cofactor normal spans
+    # (it is zero when the rank is lower), so scanning those is exhaustive
     n = poly.n
     rows = poly.normals
-    if n == 1:
-        has_upper = any(r[0] < 0 for r in rows)
-        has_lower = any(r[0] > 0 for r in rows)
-        if not (has_upper and has_lower):
-            raise PreconditionError("polytope is unbounded")
-    else:
-        for subset in combinations(range(len(rows)), n - 1):
-            mat = [rows[i] for i in subset]
-            if _rank(mat) != n - 1:
-                continue
-            direction = _null_direction(mat)
-            if direction is None:
-                continue
-            for cand in (direction, tuple(-x for x in direction)):
-                if all(
-                    sum(a * x for a, x in zip(row, cand)) >= 0 for row in rows
-                ):
-                    raise PreconditionError("polytope is unbounded")
+    for subset in combinations(range(len(rows)), n - 1):
+        direction = cofactor_normal([rows[i] for i in subset])
+        if not any(direction):
+            continue
+        for cand in (direction, tuple(-x for x in direction)):
+            if all(sum(a * x for a, x in zip(row, cand)) >= 0 for row in rows):
+                raise PreconditionError("polytope is unbounded")
 
     verts = {}
     for subset in combinations(range(len(rows)), n):
         mat = [rows[i] for i in subset]
         rhs = [-poly.offsets[i] for i in subset]
-        pt = _solve_square(mat, rhs)
+        pt = solve(mat, rhs)
         if pt is None:
             continue
         ok = True
@@ -304,42 +279,6 @@ def _enumerate_vertices(poly: Polytope):
         )
         out.append((pt, active))
     return out
-
-
-def _null_direction(rows):
-    """An integer spanning vector of a corank-1 null space, or None."""
-    n = len(rows[0])
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][col]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    if len(free) != 1:
-        return None
-    f = free[0]
-    vec = [Fraction(0)] * n
-    vec[f] = Fraction(1)
-    for row_idx, col in enumerate(pivots):
-        vec[col] = -m[row_idx][f]
-    denom = lcm(*(x.denominator for x in vec))
-    ints = tuple(int(x * denom) for x in vec)
-    return ints
 
 
 def _triangulate(verts_active, dim: int):
@@ -376,7 +315,7 @@ def polytope_volume(poly: Polytope) -> Fraction:
 
     Returns 0 for empty or lower-dimensional input; raises on unbounded.
     """
-    verts = _enumerate_vertices(poly)
+    verts = polytope_vertices(poly)
     if len(verts) < poly.n + 1:
         return Fraction(0)
     if _affine_dim([p for p, _ in verts]) < poly.n:
@@ -388,7 +327,7 @@ def polytope_volume(poly: Polytope) -> Fraction:
         # rational determinant via clearing denominators
         denom = lcm(*(x.denominator for row in rows for x in row))
         int_rows = [[int(x * denom) for x in row] for row in rows]
-        det = _det(int_rows)
+        det = determinant(int_rows)
         total += Fraction(abs(det), denom**poly.n)
     return total / factorial(poly.n)
 

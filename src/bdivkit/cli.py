@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import product as iter_product
-from math import comb, gcd
+from math import ceil, comb, factorial, gcd
 
 from .bounds import (
     Polytope,
@@ -31,6 +31,7 @@ from .bounds import (
     hurwitz_report,
     curve_power_report,
     min_volume_candidate,
+    polytope_vertices,
     polytope_volume,
     projective_space_log_volume,
     sylvester,
@@ -49,6 +50,7 @@ from .dcc import (
 from .exact import (
     InvariantViolation,
     PreconditionError,
+    UniPoly,
     format_int,
     format_rat,
     parse_int,
@@ -147,8 +149,6 @@ def _cmd_ltrace(p):
 
 def _mld_bruteforce(pair: LocalPair, factor: int):
     """Plain exhaustive minimum over an enlarged box; independent oracle."""
-    from math import ceil
-
     a0 = sum((1 - c for c in pair.coeffs), Fraction(0))
     box = []
     for c in pair.coeffs:
@@ -399,8 +399,6 @@ def _cmd_pnvol(p):
     if p.get("verify"):
         excess = sum(coeffs, Fraction(0)) - (n + 1)
         if excess > 0 and n <= 4:
-            from math import factorial
-
             oracle = factorial(n) * polytope_volume(Polytope.simplex(n, excess))
             _ensure_match("pnvol", vol, oracle)
             out["verified"] = True
@@ -449,9 +447,7 @@ def _cmd_polyvol(p):
         )
         _ensure_match("polyvol translation invariance", vol, polytope_volume(shifted))
         if poly.n == 2:
-            from .bounds import _enumerate_vertices
-
-            verts = [pt for pt, _ in _enumerate_vertices(poly)]
+            verts = [pt for pt, _ in polytope_vertices(poly)]
             _ensure_match("polyvol shoelace", vol, _polygon_area(verts))
         out["verified"] = True
     return out
@@ -483,15 +479,14 @@ def _cmd_product(p):
     return out
 
 
-def _fermat_scan_csv(rows) -> str:
-    """The scan as CSV, from the formatted rows."""
+def _scan_csv(rows, columns) -> str:
+    """A scan as CSV from its formatted rows: the columns, the last one a
+    boolean written as pass or fail."""
     buf = io.StringIO()
-    buf.write("n,m,aut_lower,vol,ratio,threshold,exceeds\n")
+    buf.write(",".join(columns) + "\n")
+    *values, verdict = columns
     for r in rows:
-        buf.write(
-            f"{r['n']},{r['m']},{r['aut_lower']},{r['vol']},"
-            f"{r['ratio']},{r['threshold']},{'pass' if r['exceeds'] else 'fail'}\n"
-        )
+        buf.write("".join(f"{r[c]}," for c in values) + ("pass\n" if r[verdict] else "fail\n"))
     return buf.getvalue()
 
 
@@ -518,15 +513,15 @@ def _cmd_fermat(p):
         return {
             "rows": out_rows,
             "first_exceeding_n": first,
-            "csv": _fermat_scan_csv(out_rows),
+            "csv": _scan_csv(
+                out_rows, ("n", "m", "aut_lower", "vol", "ratio", "threshold", "exceeds")
+            ),
         }
     n = parse_int(p["n"], "n")
     m = parse_int(p["m"], "m")
     report = fermat_report(n, m)
     out = report.to_json()
     if p.get("verify"):
-        from .exact import UniPoly
-
         base = UniPoly.from_ints([-(n + 2), 1])  # x - (n+2)
         poly = UniPoly.from_ints([0, 1])
         for _ in range(n):
@@ -567,18 +562,6 @@ def _cmd_unitary(p):
     return out
 
 
-def _charp_csv(rows) -> str:
-    """The scan as CSV, from the formatted rows."""
-    buf = io.StringIO()
-    buf.write("q,g,vol,order,bound,ok\n")
-    for r in rows:
-        buf.write(
-            f"{r['q']},{r['g']},{r['vol']},{r['order']},{r['bound']},"
-            f"{'pass' if r['ok'] else 'fail'}\n"
-        )
-    return buf.getvalue()
-
-
 def _cmd_charp(p):
     q_max = parse_int(p["q_max"], "q_max")
     report, rows = char_p_ratio_report(q_max)
@@ -594,7 +577,7 @@ def _cmd_charp(p):
         }
         for r in rows
     ]
-    out["csv"] = _charp_csv(out["rows"])
+    out["csv"] = _scan_csv(out["rows"], ("q", "g", "vol", "order", "bound", "ok"))
     if p.get("verify"):
         for r in rows:
             q = r["q"]
@@ -710,6 +693,7 @@ def run_batch(entries, parallelism: int = 1) -> tuple:
 
 _JSON = json.loads
 _FLAG = None
+_TOO_DEEP = "JSON nested too deeply to decode (past Python's recursion limit)"
 
 _COMMON_OPTIONS = (
     ("--out", str, "write the output to a file instead of stdout"),
@@ -886,6 +870,8 @@ class Parser:
                         options[key] = kind(attached)
                     except ValueError as exc:
                         self.error(f"{flag}: invalid value ({exc})")
+                    except RecursionError:
+                        self.error(f"{flag}: {_TOO_DEEP}")
             i += 1
         strays += tokens[end:]
         return options
@@ -924,6 +910,8 @@ def _read_json_file(path: str):
         raise PreconditionError(f"cannot read {path}: {exc.strerror}") from exc
     except ValueError as exc:  # not JSON, not UTF-8, or an integer too long
         raise PreconditionError(f"{path} does not hold valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise PreconditionError(f"{path}: {_TOO_DEEP}") from exc
 
 
 def _params(options: dict) -> dict:

@@ -144,7 +144,15 @@ class SumClosure:
 CoeffSetDesc = object  # FiniteSet | StandardSet | UnionSet | SumClosure
 
 
-def desc_from_json(data: dict) -> CoeffSetDesc:
+# materializing, hashing and printing a description recurse once per level
+MAX_SET_DEPTH = 100
+
+
+def desc_from_json(data: dict, _depth: int = 0) -> CoeffSetDesc:
+    if _depth > MAX_SET_DEPTH:
+        raise PreconditionError(
+            f"set description nested deeper than the cap MAX_SET_DEPTH = {MAX_SET_DEPTH}"
+        )
     if not isinstance(data, dict):
         raise PreconditionError(f"a set description must be an object, got {data!r}")
     kind = data.get("kind")
@@ -154,10 +162,10 @@ def desc_from_json(data: dict) -> CoeffSetDesc:
         if kind == "standard":
             return StandardSet()
         if kind == "union":
-            return UnionSet(tuple(desc_from_json(m) for m in data["members"]))
+            return UnionSet(tuple(desc_from_json(m, _depth + 1) for m in data["members"]))
         if kind == "closure":
             return SumClosure(
-                base=desc_from_json(data["base"]),
+                base=desc_from_json(data["base"], _depth + 1),
                 denom_bound=parse_int(data["denom_bound"], "denom_bound"),
                 include_one=bool(data.get("include_one", False)),
             )

@@ -6,6 +6,11 @@ when the denominator is 1, so command-line output is bit-exact and diffable.
 Lattice vectors are plain tuples of ints.  Univariate polynomials keep
 Fraction coefficients indexed by degree.
 
+The exact linear algebra of the package lives here too: one fraction-free
+elimination (rank, and determinants past 3 x 3), the cofactor normal of
+n - 1 rows, the adjugate built from cofactor normals, and ``solve``.  Cones
+in ``fans`` and polytopes in ``bounds`` call it; neither carries its own.
+
 Every downstream decision (argmin choices, weight comparisons, chain
 conditions) is made by exact comparison, so floating point is banned in this
 package.
@@ -17,6 +22,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 class PreconditionError(ValueError):
@@ -176,6 +182,121 @@ def is_primitive(v) -> bool:
     for e in vec:
         g = gcd(g, abs(e))
     return g == 1
+
+
+# ---------------------------------------------------------------------------
+# exact linear algebra (small dense matrices)
+
+
+def _eliminate(rows) -> tuple:
+    """(rank, det) of an integer matrix by fraction-free elimination.
+
+    Bareiss's elimination: after k pivots every entry still to be reduced is
+    a (k+1)-minor of the input, so each division by the previous pivot is
+    exact and the entries stay integers.  A column with no pivot is passed
+    over.  det is 0 unless the matrix is square and of full rank.
+    """
+    m = [list(r) for r in rows]
+    n = len(m)
+    ncols = len(m[0]) if m else 0
+    sign = prev = 1
+    r = 0
+    for c in range(ncols):
+        for p in range(r, n):
+            if m[p][c]:
+                break
+        else:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            sign = -sign
+        top = m[r]
+        piv = top[c]
+        for i in range(r + 1, n):
+            row = m[i]
+            f = row[c]
+            for j in range(c + 1, ncols):
+                row[j] = (row[j] * piv - f * top[j]) // prev
+        prev = piv
+        r += 1
+        if r == n:
+            break
+    return r, (sign * prev if r == n == ncols else 0)
+
+
+def rank(rows) -> int:
+    """Rank of a matrix of rationals (ints or Fractions).
+
+    Each row is first scaled by the lcm of its denominators, which keeps the
+    rank and makes the row integral.
+    """
+    ints = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        ints.append([x.numerator * (den // x.denominator) for x in row])
+    return _eliminate(ints)[0]
+
+
+def determinant(rows) -> int:
+    """Determinant of a square integer matrix; a closed form up to 3 x 3."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    if n <= 3:
+        return sum(map(mul, cofactor_normal(rows[:-1]), rows[-1]))
+    return _eliminate(rows)[1]
+
+
+def cofactor_normal(rows) -> tuple:
+    """The signed maximal minors of n - 1 integer rows of length n.
+
+    The vector N with N . x = det(rows + [x]) for every x: orthogonal to
+    every row, and zero exactly when the rows are dependent.  No rows at all
+    is the case n = 1, where N = (1,).
+    """
+    k = len(rows)
+    if k == 0:
+        return (1,)
+    if k == 1:
+        ((a, b),) = rows
+        return (-b, a)
+    if k == 2:
+        (a, b, c), (d, e, f) = rows
+        return (b * f - c * e, c * d - a * f, a * e - b * d)
+    return tuple(
+        (-1) ** (k + j) * determinant([r[:j] + r[j + 1 :] for r in rows])
+        for j in range(k + 1)
+    )
+
+
+def adjugate(rows) -> tuple:
+    """adj(A) of a square integer matrix A: adj(A) A = A adj(A) = det(A) I.
+
+    Column k of adj(A) is orthogonal to every row of A but row k, and its
+    product with row k is det(A): it is the cofactor normal of the other
+    rows, with the sign of moving row k to the end.
+    """
+    n = len(rows)
+    cols = []
+    for k in range(n):
+        normal = cofactor_normal(rows[:k] + rows[k + 1 :])
+        cols.append(normal if (n - 1 - k) % 2 == 0 else tuple(-x for x in normal))
+    return tuple(zip(*cols))
+
+
+def solve(rows, rhs):
+    """The x with A x = rhs, as adj(A) rhs / det(A); None when A is singular.
+
+    A is a square integer matrix and rhs a vector of rationals, scaled to
+    integers over their lcm denominator before the product.
+    """
+    adj = adjugate(rows)
+    det = sum(map(mul, adj[0], (row[0] for row in rows)))
+    if det == 0:
+        return None
+    den = lcm(*(b.denominator for b in rhs))
+    ints = [b.numerator * (den // b.denominator) for b in rhs]
+    return tuple(Fraction(sum(map(mul, row, ints)), det * den) for row in adj)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ A fan here is a simplicial subdivision of the closed positive orthant of
 cones (given as sorted tuples of ray indices) whose union covers the orthant.
 Star subdivision at a primitive vector models a weighted blow-up; repeated
 star subdivision at fundamental-parallelepiped points resolves the fan to a
-smooth one.  All linear algebra is exact over the integers and rationals.
+smooth one.  All linear algebra is exact over the integers and rationals, and
+comes from the kernel in ``exact`` (determinants, ranks, adjugates and
+cofactor normals); this module carries none of its own.
 
 The coordinates of a lattice vector v in a full-dimensional cone are kept as
 integers: ``Cone.coords`` returns numerators over the cone's |det| (the rows
@@ -32,11 +34,15 @@ from operator import mul
 from .exact import (
     InvariantViolation,
     PreconditionError,
+    adjugate,
+    cofactor_normal,
+    determinant,
     format_rat,
     is_primitive,
     lattice_vec,
     parse_int,
     primitive_part,
+    rank,
     trusted,
 )
 
@@ -50,80 +56,6 @@ def _check_dim(n: int) -> None:
         raise PreconditionError("dimension must be >= 1")
     if n > MAX_DIM:
         raise PreconditionError(f"dimension {n} exceeds the supported cap {MAX_DIM}")
-
-
-# ---------------------------------------------------------------------------
-# exact linear algebra (small dense matrices)
-
-
-def _det(rows) -> int:
-    """Bareiss fraction-free determinant of a square integer matrix."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _minor(rows, i: int, j: int):
-    return [r[:j] + r[j + 1 :] for k, r in enumerate(rows) if k != i]
-
-
-def _adjugate(rows) -> list[list[int]]:
-    """Adjugate matrix: adj(M) @ M = det(M) * I, all integer."""
-    n = len(rows)
-    if n == 1:
-        return [[1]]
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            c = _det(_minor(rows, i, j))
-            adj[j][i] = -c if (i + j) % 2 else c
-    return adj
-
-
-def _rank(rows) -> int:
-    """Rank by exact Gaussian elimination over the rationals."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(row, len(m)):
-            if m[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        pv = m[row][col]
-        m[row] = [x / pv for x in m[row]]
-        for i in range(len(m)):
-            if i != row and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[row])]
-        rank += 1
-        row += 1
-        if row == len(m):
-            break
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +86,11 @@ class Cone:
         if len(gens) == n:
             # det(G^T) = det(G): the integer determinant decides independence
             # and seeds the cached ``det``
-            det = _det(gens)
-            if det == 0:
+            d = determinant(gens)
+            if d == 0:
                 raise PreconditionError("cone generators are linearly dependent")
-            self.__dict__["det"] = det
-        elif _rank(gens) != len(gens):
+            self.__dict__["det"] = d
+        elif rank(gens) != len(gens):
             raise PreconditionError("cone generators are linearly dependent")
         object.__setattr__(self, "gens", gens)
 
@@ -171,29 +103,22 @@ class Cone:
         return len(self.gens[0])
 
     @cached_property
-    def _matrix(self) -> list[list[int]]:
-        # column j is generator j
-        n = self.ambient_dim
-        return [[self.gens[j][i] for j in range(self.dim)] for i in range(n)]
-
-    @cached_property
     def det(self) -> int:
         if self.dim != self.ambient_dim:
             raise PreconditionError("determinant needs a full-dimensional cone")
-        return _det(self._matrix)
-
-    @cached_property
-    def _adjugate(self) -> list[list[int]]:
-        if self.dim != self.ambient_dim:
-            raise PreconditionError("barycentric solve needs a full-dimensional cone")
-        return _adjugate(self._matrix)
+        return determinant(self.gens)
 
     @cached_property
     def _inward_adjugate(self) -> tuple:
-        # rows of sign(det) * adj(G): row . v is |det| times v's coordinate
-        adj = self._adjugate
+        # rows of sign(det) adj(G), G the matrix with columns gens, so row .
+        # v is |det| times v's coordinate; adj(G) is the transpose of the
+        # adjugate of gens, and its row j the cofactor normal of the facet
+        # opposite gens[j], up to sign
+        if self.dim != self.ambient_dim:
+            raise PreconditionError("barycentric solve needs a full-dimensional cone")
+        adj = zip(*adjugate(self.gens))
         if self.det > 0:
-            return tuple(tuple(row) for row in adj)
+            return tuple(adj)
         return tuple(tuple(-x for x in row) for row in adj)
 
     def coords(self, v):
@@ -270,12 +195,11 @@ class Cone:
         n = self.dim
         if d == 1:
             return []
-        adj = self._adjugate
-        det = self.det
+        adj = self._inward_adjugate
         # columns of G^{-1} reduced mod 1
         gens_frac = []
         for j in range(n):
-            col = tuple(Fraction(adj[i][j], det) % 1 for i in range(n))
+            col = tuple(Fraction(adj[i][j], d) % 1 for i in range(n))
             gens_frac.append(col)
         group = {(Fraction(0),) * n}
         frontier = list(group)
@@ -456,9 +380,7 @@ class Fan:
                 continue
             if len(tops) != 2:
                 return f"interior facet {gens} bounds {len(tops)} cones, not 2"
-            normal = [
-                (-1) ** k * _det([g[:k] + g[k + 1 :] for g in gens]) for k in range(n)
-            ]
+            normal = cofactor_normal(gens)
             a, b = (sum(x * y for x, y in zip(normal, self.rays[t])) for t in tops)
             if (a > 0) == (b > 0):
                 return f"the two cones on facet {gens} overlap"

@@ -1,7 +1,9 @@
 from fractions import Fraction as F
-from math import comb, factorial
+from itertools import combinations
+from math import comb, factorial, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bdivkit.bounds import (
     Polytope,
@@ -13,6 +15,7 @@ from bdivkit.bounds import (
     hurwitz_report,
     is_prime_power,
     min_volume_candidate,
+    polytope_vertices,
     polytope_volume,
     projective_space_log_volume,
     sylvester,
@@ -20,7 +23,8 @@ from bdivkit.bounds import (
     unitary_order_poly,
     unitary_order_value,
 )
-from bdivkit.exact import PreconditionError
+from bdivkit.exact import InvariantViolation, PreconditionError
+from test_exact import _null_direction, _rank, _solve_square, leibniz_det
 
 
 def test_sylvester_terms():
@@ -126,6 +130,130 @@ def test_polytope_degenerate_cases():
         )
     with pytest.raises(PreconditionError):
         Polytope(n=5, normals=((1,) * 5,) * 6, offsets=(0,) * 6)
+
+
+# ---------------------------------------------------------------------------
+# vertex enumeration and volume against the Fraction elimination path they
+# replaced, kept here as the reference
+
+
+def _reference_vertices(poly):
+    n = poly.n
+    rows = poly.normals
+    if n == 1:
+        has_upper = any(r[0] < 0 for r in rows)
+        has_lower = any(r[0] > 0 for r in rows)
+        if not (has_upper and has_lower):
+            raise PreconditionError("polytope is unbounded")
+    else:
+        for subset in combinations(range(len(rows)), n - 1):
+            mat = [rows[i] for i in subset]
+            if _rank(mat) != n - 1:
+                continue
+            direction = _null_direction(mat)
+            if direction is None:
+                continue
+            for cand in (direction, tuple(-x for x in direction)):
+                if all(sum(a * x for a, x in zip(row, cand)) >= 0 for row in rows):
+                    raise PreconditionError("polytope is unbounded")
+    verts = {}
+    for subset in combinations(range(len(rows)), n):
+        pt = _solve_square([rows[i] for i in subset], [-poly.offsets[i] for i in subset])
+        if pt is None:
+            continue
+        if all(sum(a * x for a, x in zip(row, pt)) >= -off
+               for row, off in zip(rows, poly.offsets)):
+            verts.setdefault(pt, set()).update(subset)
+    out = []
+    for pt in sorted(verts):
+        active = frozenset(
+            i for i, (row, off) in enumerate(zip(rows, poly.offsets))
+            if sum(a * x for a, x in zip(row, pt)) == -off
+        )
+        out.append((pt, active))
+    return out
+
+
+def _reference_affine_dim(points):
+    if not points:
+        return -1
+    return _rank([[x - y for x, y in zip(p, points[0])] for p in points[1:]])
+
+
+def _reference_triangulate(verts_active, dim):
+    if _reference_affine_dim([p for p, _ in verts_active]) != dim:
+        raise InvariantViolation("face has unexpected affine dimension")
+    if len(verts_active) == dim + 1:
+        return [tuple(p for p, _ in verts_active)]
+    base_pt, base_active = min(verts_active)
+    simplices = []
+    facets_seen = set()
+    for j in sorted(set().union(*(act for _, act in verts_active))):
+        if j in base_active:
+            continue
+        sub = [(p, a) for p, a in verts_active if j in a]
+        if len(sub) < dim or _reference_affine_dim([p for p, _ in sub]) != dim - 1:
+            continue
+        key = frozenset(p for p, _ in sub)
+        if key in facets_seen:
+            continue
+        facets_seen.add(key)
+        simplices += [(base_pt,) + s for s in _reference_triangulate(sub, dim - 1)]
+    return simplices
+
+
+def _reference_volume(poly):
+    verts = _reference_vertices(poly)
+    if len(verts) < poly.n + 1 or _reference_affine_dim([p for p, _ in verts]) < poly.n:
+        return F(0)
+    total = F(0)
+    for simplex in _reference_triangulate(verts, poly.n):
+        rows = [[x - y for x, y in zip(p, simplex[0])] for p in simplex[1:]]
+        denom = lcm(*(x.denominator for row in rows for x in row))
+        total += F(abs(leibniz_det([[int(x * denom) for x in row] for row in rows])),
+                   denom**poly.n)
+    return total / factorial(poly.n)
+
+
+@st.composite
+def h_polytopes(draw):
+    """A random H-polytope of dimension 1-4: random halfspaces alone (often
+    unbounded), or inside a box, with a coordinate pinned (flat) or two
+    opposite halfspaces that miss each other (empty)."""
+    n = draw(st.integers(1, 4))
+    offset = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    normal = st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any).map(tuple)
+    kind = draw(st.sampled_from(["random", "boxed", "flat", "empty"]))
+    rows = []
+    if kind != "random":
+        for i in range(n):
+            e = tuple(int(j == i) for j in range(n))
+            rows += [(e, F(2)), (tuple(-x for x in e), F(2))]
+    extra = draw(st.integers(0, 2) if n == 4 else st.integers(0, 3))
+    rows += [(draw(normal), draw(offset)) for _ in range(extra)]
+    if kind in ("flat", "empty"):
+        a = draw(normal)
+        b = draw(offset)
+        gap = 0 if kind == "flat" else draw(st.fractions(min_value=F(1, 4), max_value=2))
+        rows += [(a, b), (tuple(-x for x in a), -b - gap)]
+    if len(rows) < n + 1:
+        rows += [(draw(normal), draw(offset)) for _ in range(n + 1 - len(rows))]
+    return Polytope(n=n, normals=tuple(r for r, _ in rows), offsets=tuple(b for _, b in rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(h_polytopes())
+def test_vertices_and_volume_match_the_fraction_path(poly):
+    try:
+        ref = _reference_vertices(poly)
+    except PreconditionError:
+        with pytest.raises(PreconditionError, match="unbounded"):
+            polytope_vertices(poly)
+        with pytest.raises(PreconditionError, match="unbounded"):
+            polytope_volume(poly)
+        return
+    assert polytope_vertices(poly) == ref
+    assert polytope_volume(poly) == _reference_volume(poly)
 
 
 def test_hurwitz_examples():

@@ -266,6 +266,11 @@ def test_charp_csv_mode():
     assert all(l.endswith("pass") for l in lines[1:])
 
 
+_DEEP_LIST = "[" * 5000 + "]" * 5000
+_DEEP_SET = '{"kind":"finite","values":["1/2"]}'
+for _ in range(700):
+    _DEEP_SET = f'{{"kind":"closure","denom_bound":10,"base":{_DEEP_SET}}}'
+
 BAD_INPUTS = [
     ["ldisc", "--pair", '{"n":2,"coeffs":["1/2"]}', "--v", "[1,1]"],
     ["ldisc", "--pair", '{"n":2,"coeffs":["1/2","0.5"]}', "--v", "[1,1]"],
@@ -365,12 +370,22 @@ BAD_INPUTS = [
                  id="--out in a missing directory"),
     pytest.param(["batch", "--out", ".", "--file", str(GOLDEN / "batch_input.json")],
                  id="batch --out a directory"),
+    # JSON nested past Python's recursion limit, and a set description deeper
+    # than the cap
+    pytest.param(["sylvester", "--json", _DEEP_LIST], id="--json nested too deeply"),
+    pytest.param(["ldisc", "--pair", _DEEP_LIST, "--v", "[1,1]"], id="--pair nested too deeply"),
+    pytest.param(["hurwitz", "--file", str(GOLDEN / "deep_nesting.json")],
+                 id="--file nested too deeply"),
+    pytest.param(["batch", "--parallel=2", "--file", str(GOLDEN / "deep_nesting.json")],
+                 id="batch file nested too deeply"),
+    pytest.param(["chain", "--set", _DEEP_SET, "--length", "3"],
+                 id="chain set description nested 700 levels"),
 ]
 
 
 @pytest.mark.parametrize("argv", BAD_INPUTS, ids=lambda a: " ".join(a[:2]))
 def test_malformed_inputs_exit_2_with_json_error(argv):
-    code, out, err = run_cli(argv)
+    code, out, err = _run_catching_exit(main, argv)  # an error in argv exits from the parser
     assert code == 2
     payload = json.loads(err)
     assert payload.get("exit_code") == 2 and "error" in payload
@@ -613,7 +628,7 @@ class _ReferenceParser(argparse.ArgumentParser):
 def _reference_json(text):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise argparse.ArgumentTypeError(f"invalid JSON: {exc}") from exc
 
 

@@ -1,15 +1,22 @@
 from fractions import Fraction
+from itertools import permutations
+from math import lcm, prod
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bdivkit.exact import (
     MINUS_INFINITY,
     PreconditionError,
     UniPoly,
+    adjugate,
+    cofactor_normal,
+    determinant,
     format_rat,
     parse_rat,
     primitive_part,
+    rank,
+    solve,
 )
 
 rationals = st.fractions(
@@ -107,3 +114,213 @@ def test_poly_string_roundtrip():
     p = UniPoly((Fraction(1, 2), Fraction(0), Fraction(-3)))
     assert p.to_strings() == ["1/2", "0", "-3"]
     assert UniPoly.from_strings(p.to_strings()) == p
+
+
+# ---------------------------------------------------------------------------
+# the linear-algebra kernel against the Gauss-Jordan eliminations over
+# Fractions that fans and bounds each carried before it, kept here as the
+# references, and the Leibniz formula for determinants
+
+
+def leibniz_det(rows):
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+def _rank(rows) -> int:
+    """Rank by exact Gaussian elimination over the rationals."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    if not m:
+        return 0
+    ncols = len(m[0])
+    rank = 0
+    row = 0
+    for col in range(ncols):
+        pivot = None
+        for i in range(row, len(m)):
+            if m[i][col] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        pv = m[row][col]
+        m[row] = [x / pv for x in m[row]]
+        for i in range(len(m)):
+            if i != row and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[row])]
+        rank += 1
+        row += 1
+        if row == len(m):
+            break
+    return rank
+
+
+def _solve_square(rows, rhs):
+    """Exact solution of a square rational system, or None if singular."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for col in range(n):
+        pivot = None
+        for i in range(col, n):
+            if m[i][col] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        pv = m[col][col]
+        m[col] = [x / pv for x in m[col]]
+        for i in range(n):
+            if i != col and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
+    return tuple(m[i][n] for i in range(n))
+
+
+def _null_direction(rows):
+    """An integer spanning vector of a corank-1 null space, or None."""
+    n = len(rows[0])
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for col in range(n):
+        piv = None
+        for i in range(r, len(m)):
+            if m[i][col] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        pv = m[r][col]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+    free = [c for c in range(n) if c not in pivots]
+    if len(free) != 1:
+        return None
+    f = free[0]
+    vec = [Fraction(0)] * n
+    vec[f] = Fraction(1)
+    for row_idx, col in enumerate(pivots):
+        vec[col] = -m[row_idx][f]
+    denom = lcm(*(x.denominator for x in vec))
+    ints = tuple(int(x * denom) for x in vec)
+    return ints
+
+
+@st.composite
+def int_matrices(draw, rows=None, cols=None):
+    """An integer matrix of 1-6 rows and columns, often singular or of low
+    rank: a random one, one with a row repeated or zeroed, or a product of
+    random factors through an inner dimension below the size."""
+    n = draw(st.integers(1, 6)) if rows is None else rows
+    k = draw(st.integers(1, 6)) if cols is None else cols
+    entry = st.integers(-9, 9)
+
+    def block(r, c):
+        return [draw(st.lists(entry, min_size=c, max_size=c)) for _ in range(r)]
+
+    kind = draw(st.sampled_from(["random", "repeat", "zero", "low rank"]))
+    if kind == "low rank":
+        inner = draw(st.integers(0, min(n, k)))
+        a, b = block(n, inner), block(inner, k)
+        return [tuple(sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(k))
+                for i in range(n)]
+    m = [tuple(r) for r in block(n, k)]
+    if n > 1 and kind != "random":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 2))
+        m[j if j < i else j + 1] = m[i] if kind == "repeat" else (0,) * k
+    return m
+
+
+square_matrices = st.integers(1, 6).flatmap(lambda n: int_matrices(rows=n, cols=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices)
+def test_determinant_matches_leibniz(m):
+    assert determinant(m) == leibniz_det(m)
+    assert determinant(tuple(m)) == determinant([list(r) for r in m])
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrices(), st.integers(1, 7))
+def test_rank_matches_gauss_jordan(m, scale):
+    assert rank(m) == _rank(m)
+    rational = [[Fraction(x, scale + i) for x in row] for i, row in enumerate(m)]
+    assert rank(rational) == _rank(rational) == _rank(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices)
+def test_adjugate_is_the_transposed_cofactor_matrix(m):
+    n = len(m)
+    adj = adjugate(m)
+    d = leibniz_det(m)
+    eye = [[d if i == j else 0 for j in range(n)] for i in range(n)]
+    assert [[sum(adj[i][t] * m[t][j] for t in range(n)) for j in range(n)]
+            for i in range(n)] == eye
+    assert [[sum(m[i][t] * adj[t][j] for t in range(n)) for j in range(n)]
+            for i in range(n)] == eye
+    for i in range(n):
+        for j in range(n):
+            minor = [r[:j] + r[j + 1 :] for k, r in enumerate(m) if k != i]
+            assert adj[j][i] == (-1) ** (i + j) * (leibniz_det(minor) if minor else 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    int_matrices(rows=n - 1, cols=n) if n > 1 else st.just([]),
+    st.lists(st.integers(-9, 9), min_size=n, max_size=n))))
+def test_cofactor_normal_spans_the_null_space(rows_x):
+    rows, x = rows_x
+    n = len(x)
+    normal = cofactor_normal(rows)
+    assert len(normal) == n
+    assert sum(a * b for a, b in zip(normal, x)) == leibniz_det(list(rows) + [tuple(x)])
+    for row in rows:
+        assert sum(a * b for a, b in zip(normal, row)) == 0
+    if n > 1 and _rank(rows) < n - 1:
+        assert not any(normal)
+        return
+    assert any(normal)
+    if n > 1:  # a multiple of the reference's spanning vector
+        ref = _null_direction(rows)
+        i = next(i for i, r in enumerate(ref) if r)
+        assert [a * ref[i] for a in normal] == [normal[i] * r for r in ref]
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices.flatmap(lambda m: st.tuples(st.just(m), st.lists(
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    min_size=len(m), max_size=len(m)))))
+def test_solve_matches_gauss_jordan(m_rhs):
+    m, rhs = m_rhs
+    assert solve(m, rhs) == _solve_square(m, rhs)
+    assert solve(m, [int(b.numerator) for b in rhs]) == _solve_square(
+        m, [b.numerator for b in rhs])
+
+
+def test_kernel_examples():
+    assert determinant([[2, 1], [1, 1]]) == 1
+    assert determinant([[0, 1], [1, 0]]) == -1
+    assert cofactor_normal([]) == (1,)
+    assert cofactor_normal([(1, 2)]) == (-2, 1)
+    assert cofactor_normal([(1, 0, 0), (0, 1, 0)]) == (0, 0, 1)
+    assert adjugate([[3]]) == ((1,),)
+    assert adjugate([[1, 2], [3, 4]]) == ((4, -2), (-3, 1))
+    assert solve([[1, 2], [2, 4]], [1, 2]) is None
+    assert solve([[2, 0], [0, 3]], [1, Fraction(1, 2)]) == (Fraction(1, 2), Fraction(1, 6))
+    assert rank([]) == 0 and rank([[0, 0]]) == 0
+    assert rank([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]) == 1

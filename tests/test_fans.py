@@ -275,6 +275,7 @@ from hypothesis import strategies as st
 
 import bdivkit.fans as fans_mod
 from bdivkit.fans import BarycentricResult
+from test_exact import _rank  # the Fraction elimination the kernel replaced
 
 
 def reference_star_subdivide(fan, r):
@@ -444,6 +445,32 @@ def test_full_dimensional_cone_seeds_its_determinant():
         Cone(((1, 0, 0), (0, 1, 0), (1, 1, 0)))
     with pytest.raises(PreconditionError, match="linearly dependent"):
         Cone(((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cone_with_fewer_generators_than_the_dimension(data):
+    n = data.draw(st.integers(2, 6))
+    k = data.draw(st.integers(1, n - 1))
+    gen = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any).map(primitive_part)
+    gens = data.draw(st.lists(gen, min_size=1, max_size=k, unique=True))
+    if data.draw(st.booleans()) and len(gens) > 1:  # a dependent one: a sum of two others
+        gens[-1] = primitive_part(tuple(a + b for a, b in zip(gens[0], gens[1])))
+    if _rank(gens) == len(gens):
+        cone = Cone(tuple(gens))
+        assert cone.dim == len(gens) < cone.ambient_dim
+        with pytest.raises(PreconditionError, match="full-dimensional"):
+            cone.det
+    else:
+        with pytest.raises(PreconditionError, match="linearly dependent"):
+            Cone(tuple(gens))
+
+
+def test_lower_dimensional_cone_examples():
+    assert Cone(((1, 2, 0),)).dim == 1
+    assert Cone(((1, 0, 1), (0, 1, 1))).dim == 2
+    with pytest.raises(PreconditionError, match="linearly dependent"):
+        Cone(((1, 0, 1), (0, 1, 1), (1, 1, 2)))
 
 
 # ---------------------------------------------------------------------------
