@@ -9,8 +9,10 @@ components through the centre of a witness.
 A *cut* replaces the model by a smooth refinement extracting a chosen set of
 valuations (all with positive pullback coefficient), re-traces the pullback
 through each one-ray extraction, takes the ray-wise minimum of those traces,
-and meets the result with B.  The driver picks the cut valuations chart by
-chart:
+and meets the result with B.  Where a witness of the old weight or more would
+be left in a cone that straddles two pieces of some one-ray extraction, that
+cone is first split along a hyperplane between the pieces.  The driver picks
+the cut valuations chart by chart:
 
 * in a chart with no coefficient-one components, every lattice vector with
   positive pullback coefficient (other than the chart's own rays) is
@@ -19,7 +21,9 @@ chart:
   pullback coefficient, one valuation minimising B over the fibre
   {(f, anything)} is extracted.
 
-Each such cut strictly decreases the weight, so the loop ends at weight -1,
+With at most one coefficient-one component per chart each such cut strictly
+decreases the weight (with two or more a witness can still keep it, and the
+driver then stops with an invariant breach), so the loop ends at weight -1,
 where the pullback of the final trace is bounded by B everywhere; the
 ``verify_reduction`` checker confirms that bound at every valuation, by
 checking that the fan subdivides the orthant and evaluating the fan rays and
@@ -43,6 +47,7 @@ from .exact import (
     complement_weights,
     format_rat,
     is_primitive,
+    primitive_part,
     trusted,
 )
 from .fans import Cone, Fan, ensure_rays, orthant_fan
@@ -442,14 +447,119 @@ def _theta_coeffs(state: ReductionState, sig, rays) -> tuple:
     return tuple(out)
 
 
+# refinement rounds allowed in one cut; each round splits every cone holding
+# a witness that straddles a piece, by one of finitely many hyperplanes
+_SPLIT_ROUND_CAP = 64
+
+
+def _piece_splits(state: ReductionState, sig, cut: ReductionState) -> list:
+    """Points splitting the cones of the cut that hold a witness across a piece.
+
+    In an old cone C containing sigma, with sigma's coordinates b, the piece
+    of Y_sigma spanned by sigma and the facet opposite j is where j attains
+    min lam_j / b_j over the j with b_j > 0; the trace of Y_sigma is linear on
+    each piece.  A cone D of the cut's fan inside C lies in one piece when one
+    j attains that minimum at all of D's rays.  When D holds a witness of the
+    cut whose weight is not below the state's, and lies in no piece, its
+    edges are split where they cross a hyperplane separating its rays
+    (``_straddle_points``).
+
+    Once no such witness lies in such a cone, the pullback there is at most
+    the pullback relative to each Y_sigma, since the trace is at most theta,
+    the ray-wise minimum of those, and each is linear on the witness's cone;
+    so the witness either stops being one or moves to a centre of lower
+    weight.  Cuts that already lower the weight get no split, so their fans
+    cross the walls of Y_sigma only away from the witnesses that matter.
+    """
+    witnesses = state_witnesses(cut)
+    if not witnesses:
+        return []
+    top = state_weight(state)
+    homes = []  # (old cone, sigma's numerators, their support)
+    for vec in sig:
+        for cone in state.fan.max_cones:
+            b = cone.coords(vec)
+            if b is not None:
+                homes.append((cone, b, [j for j, x in enumerate(b) if x]))
+    fan = cut.fan
+    points = set()
+    for wit in witnesses:
+        if wit.weight < top:
+            continue
+        idx = fan.locate(wit.vec).ray_indices
+        for cone, b, supp in homes:
+            nums = [cone.coords(fan.rays[i]) for i in idx]
+            if None not in nums:
+                points.update(_straddle_points(fan, idx, nums, b, supp))
+    return sorted(points)
+
+
+def _straddle_points(fan: Fan, idx, nums, b, supp) -> list:
+    """Where the edges of cone idx cross a hyperplane between two pieces.
+
+    With the argmin sets of the rays' coordinates nums, the cone lies in one
+    piece when the sets meet.  Otherwise two indices j, k attaining the
+    minimum at some ray leave rays strictly on both sides of the hyperplane
+    lam_j b_k = lam_k b_j: were every such pair on one side, the least of
+    them would attain the minimum at every ray.  The coordinates are
+    numerators over one positive |det|, so every comparison is on integers.
+    """
+    argmins = []
+    for a in nums:
+        best = supp[0]
+        for j in supp[1:]:
+            if a[j] * b[best] < a[best] * b[j]:
+                best = j
+        argmins.append({j for j in supp if a[j] * b[best] == a[best] * b[j]})
+    if set.intersection(*argmins):
+        return []
+    touched = sorted(set.union(*argmins))
+    for pos, j in enumerate(touched):
+        for k in touched[pos + 1 :]:
+            h = [a[j] * b[k] - a[k] * b[j] for a in nums]
+            if min(h) < 0 < max(h):
+                return [
+                    primitive_part(tuple(
+                        h[q] * x - h[p] * y
+                        for x, y in zip(fan.rays[idx[p]], fan.rays[idx[q]])
+                    ))
+                    for p in range(len(idx))
+                    for q in range(len(idx))
+                    if h[p] < 0 < h[q]
+                ]
+    raise InvariantViolation(f"cone {idx} straddles a piece along no hyperplane")
+
+
+def _cut_state(state: ReductionState, sig, new_fan: Fan) -> tuple:
+    """The state on new_fan with trace min(theta, B), and theta itself."""
+    theta = _theta_coeffs(state, sig, new_fan.rays)
+    new_phi_coeffs = tuple(
+        min(t, state.value(r)) for t, r in zip(theta, new_fan.rays)
+    )
+    # fan rays are valuations and every coefficient lies in [0, 1]: theta
+    # is clipped to [0, pb] and B's values are in [0, 1]
+    devs = dict(state.bdiv.deviations)
+    for r, c in zip(new_fan.rays, new_phi_coeffs):
+        if unit_index(r) is None:
+            devs[r] = c
+    new_bdiv = trusted(BDivisor, pair_coeffs=state.bdiv.pair_coeffs, deviations=devs)
+    new_phi = trusted(ModelDivisor, fan=new_fan, ray_coeffs=new_phi_coeffs)
+    new_state = ReductionState(new_fan, new_phi, new_bdiv)
+    if not new_state.trace_consistent():
+        raise InvariantViolation("cut produced an inconsistent trace")
+    return new_state, theta
+
+
 def build_cut(state: ReductionState, sigmas) -> tuple:
     """One cut: extract the given valuations and meet the traces.
 
     For each sigma, the one-ray extraction Y_sigma carries the ray-wise
     minimum of the pullback trace and B; the new trace on the refined smooth
     fan is the minimum over sigma of the pullback coefficients relative to
-    those divisors, met with B.  Every sigma must have positive pullback
-    coefficient and must not already be a divisor of the model.
+    those divisors, met with B.  The fan is split further at cones that hold
+    a witness of the state's weight or more across two pieces of some Y_sigma
+    (``_piece_splits``).  Every sigma must have positive pullback coefficient
+    and must not already be a divisor of the model.
     """
     sig = []
     for s in sigmas:
@@ -467,21 +577,14 @@ def build_cut(state: ReductionState, sigmas) -> tuple:
         raise PreconditionError("a cut needs at least one valuation")
 
     new_fan = ensure_rays(state.fan, sig)
-    theta = _theta_coeffs(state, sig, new_fan.rays)
-    new_phi_coeffs = tuple(
-        min(t, state.value(r)) for t, r in zip(theta, new_fan.rays)
-    )
-    # fan rays are valuations and every coefficient lies in [0, 1]: theta
-    # is clipped to [0, pb] and B's values are in [0, 1]
-    devs = dict(state.bdiv.deviations)
-    for r, c in zip(new_fan.rays, new_phi_coeffs):
-        if unit_index(r) is None:
-            devs[r] = c
-    new_bdiv = trusted(BDivisor, pair_coeffs=state.bdiv.pair_coeffs, deviations=devs)
-    new_phi = trusted(ModelDivisor, fan=new_fan, ray_coeffs=new_phi_coeffs)
-    new_state = ReductionState(new_fan, new_phi, new_bdiv)
-    if not new_state.trace_consistent():
-        raise InvariantViolation("cut produced an inconsistent trace")
+    for _ in range(_SPLIT_ROUND_CAP):
+        new_state, theta = _cut_state(state, sig, new_fan)
+        splits = _piece_splits(state, sig, new_state)
+        if not splits:
+            break
+        new_fan = ensure_rays(new_fan, splits)
+    else:
+        raise InvariantViolation("a witness still straddles a piece of the cut")
     rays_added = tuple(r for r in new_fan.rays if r not in state.fan.ray_set)
     step = CutStep(
         weight_before=0,  # the driver records the measured weight

@@ -427,6 +427,26 @@ def test_multi_cut_regression():
     assert verify_reduction(trace.final_state, 12).ok
 
 
+@pytest.mark.parametrize(
+    "coeffs, devs",
+    [
+        ((F(1, 2), F(2, 3), F(1)), {(1, 1, 3): F(0), (1, 1, 0): F(0)}),
+        ((F(2, 3), F(2, 3), F(1)), {(1, 1, 5): F(0), (1, 1, 1): F(0)}),
+    ],
+)
+def test_cut_splits_a_witness_cone_across_a_piece(coeffs, devs):
+    # the fibre minimiser of prefix (1, 1) is extracted with (0,1,1) and
+    # (1,0,1), whose cone with (0,0,1) holds the other deviation across the
+    # wall x = y of that extraction; without the split at (1,1,2) the
+    # deviation keeps its weight-one centre and pullback 1/6 or 1/3
+    pair = LocalPair(coeffs)
+    trace = run_reduction(LocalModel(pair), BDivisor(pair.coeffs, devs))
+    assert [s.weight_before for s in trace.steps] == [1]
+    assert trace.terminated_weight == -1
+    assert (1, 1, 2) in trace.steps[0].rays_added
+    assert verify_reduction(trace.final_state, 12).ok
+
+
 def test_randomized_reductions_small():
     rng = random.Random(77)
     pool = [F(0), F(1, 2), F(2, 3), F(6, 7), F(1)]
