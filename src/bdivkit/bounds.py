@@ -472,6 +472,11 @@ def unitary_order_value(n: int, q: int) -> int:
     if not is_prime_power(q):
         raise PreconditionError(f"q = {q} is not a prime power")
     poly, gcd_mod = unitary_order_poly(n)
+    return _unitary_order_at(poly, gcd_mod, q)
+
+
+def _unitary_order_at(poly: UniPoly, gcd_mod: int, q: int) -> int:
+    """The order at the prime power q from unitary_order_poly's (poly, gcd_mod)."""
     value = poly.eval(Fraction(q))
     if value.denominator != 1:
         raise InvariantViolation("polynomial part is not integral")
@@ -493,6 +498,7 @@ def char_p_ratio_report(q_max: int) -> tuple:
         raise PreconditionError("need q_max >= 3")
     if q_max > CHARP_Q_CAP:
         raise PreconditionError(f"q_max = {q_max} exceeds the cap CHARP_Q_CAP = {CHARP_Q_CAP}")
+    poly, gcd_mod = unitary_order_poly(1)
     rows = []
     max_ratio = None
     for q in range(3, q_max + 1):
@@ -502,7 +508,7 @@ def char_p_ratio_report(q_max: int) -> tuple:
         vol = 2 * g - 2
         if vol != (q + 1) * (q - 2):
             raise InvariantViolation("volume identity (q+1)(q-2) failed")
-        order = unitary_order_value(1, q)
+        order = _unitary_order_at(poly, gcd_mod, q)
         bound = 216 * vol**4
         if order > bound:
             raise InvariantViolation(
@@ -521,7 +527,6 @@ def char_p_ratio_report(q_max: int) -> tuple:
                 "ok": order <= bound,
             }
         )
-    poly, _ = unitary_order_poly(1)
     return BoundReport(
         kind="char-p",
         values={

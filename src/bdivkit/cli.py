@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import product as iter_product
-from math import ceil, comb, factorial, gcd
+from math import ceil, comb, factorial, gcd, lcm
 
 from .bounds import (
     Polytope,
@@ -216,12 +216,15 @@ def _cmd_fset(p):
         bound = 0
         for c in cs:
             bound = max(bound, int(Fraction(2) / (1 - c)) + 2)
+        # sum e_i (1 - c_i) < 1, scaled to integers by the lcm of the 1 - c_i
+        scale = lcm(*((1 - c).denominator for c in cs))
+        weights = [int((1 - c) * scale) for c in cs]
         naive = []
         if model.s == 0:
             naive = [()]
         else:
             for v in iter_product(range(bound + 1), repeat=model.s):
-                if sum((e * (1 - c) for e, c in zip(v, cs)), Fraction(0)) < 1:
+                if sum(e * w for e, w in zip(v, weights)) < scale:
                     naive.append(v)
         _ensure_match("fset", sorted(prefixes), sorted(naive))
         out["verified"] = True

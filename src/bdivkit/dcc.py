@@ -14,7 +14,12 @@ closure is never declared DCC: the search can only certify failure.
 Materializing a closure exactly is exponential, so the bounded search closes
 the base under *left-linear* applications (each round combines the current
 set with the base only) and caps rounds and size; the result is a verified
-subset of the closure, which is all a NOT_DCC witness needs.
+subset of the closure, which is all a NOT_DCC witness needs.  The full
+closure and the bounded search both run on integers: every base value is
+written as a numerator over L, the lcm of the base's denominators, so an
+exceptional sum is e = a + b - L and its reduced denominator is
+L // gcd(e, L).  Every member keeps a denominator dividing L, so one Fraction
+per member is built, only when the sorted result is returned.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .exact import PreconditionError, format_rat, parse_int, parse_rat, parse_rat_list
 
@@ -48,36 +54,55 @@ def exceptional_sum(b1, b2) -> Fraction | None:
     return e if e >= 0 else None
 
 
+# the full closure pairs every new member with every member, so its time grows
+# with the square of its size: on a 2-vCPU machine the 1,966 values k/q with
+# q <= 80 take about 1 s, and refusing a larger closure takes about as long.  The
+# closures of the tests, goldens and benchmark have at most 69 members.
+CLOSURE_SIZE_CAP = 2000
+
+
 def exceptional_closure(base, denom_bound: int, include_one: bool = False) -> list:
     """Full closure of a finite base under the exceptional sum.
 
     Values whose reduced denominator exceeds denom_bound are pruned (and do
     not generate), which keeps the universe finite; the result is sorted
     ascending.  ``include_one`` adds the value 1 to the starting set, since
-    the sum of two values below 1 can never reach it.
+    the sum of two values below 1 can never reach it.  A closure with more
+    than CLOSURE_SIZE_CAP members is refused.
     """
     if denom_bound < 1:
         raise PreconditionError("denominator bound must be >= 1")
-    start = set()
+    start = []
     for v in parse_rat_list(base):
         if not 0 <= v <= 1:
             raise PreconditionError(f"{format_rat(v)} is outside [0, 1]")
         if v.denominator <= denom_bound:
-            start.add(v)
+            start.append(v)
     if include_one:
-        start.add(Fraction(1))
-    out = set(start)
-    frontier = set(start)
+        start.append(Fraction(1))
+    big_l, out = _numerators(start)
+    frontier = set(out)
     while frontier:
         fresh = set()
         for a in frontier:
             for b in out:
-                e = a + b - 1
-                if e >= 0 and e.denominator <= denom_bound and e not in out:
+                e = a + b - big_l
+                if e >= 0 and e not in out and big_l // gcd(e, big_l) <= denom_bound:
                     fresh.add(e)
+                    if len(out) + len(fresh) > CLOSURE_SIZE_CAP:
+                        raise PreconditionError(
+                            "the closure has more members than the cap "
+                            f"CLOSURE_SIZE_CAP = {CLOSURE_SIZE_CAP}"
+                        )
         out |= fresh
         frontier = fresh
-    return sorted(out)
+    return [Fraction(x, big_l) for x in sorted(out)]
+
+
+def _numerators(values) -> tuple:
+    """(L, numerators): the values as integers over L, the lcm of their denominators."""
+    big_l = lcm(*(v.denominator for v in values))
+    return big_l, {v.numerator * (big_l // v.denominator) for v in values}
 
 
 # ---------------------------------------------------------------------------
@@ -202,30 +227,56 @@ def materialize(desc: CoeffSetDesc, denom_bound: int, budget: SearchBudget | Non
         return sorted(out)
     if isinstance(desc, SumClosure):
         budget = budget or SearchBudget()
-        return list(_materialize_closure(desc, denom_bound, budget))
+        return list(_materialize_closure(desc, denom_bound, budget)[0])
     raise PreconditionError(f"unknown set description: {desc!r}")
 
 
 @lru_cache(maxsize=32)
 def _materialize_closure(desc: "SumClosure", denom_bound: int, budget: SearchBudget) -> tuple:
+    """(sorted members, the first search limit that fired or None)."""
     bound = min(denom_bound, desc.denom_bound)
     base = materialize(desc.base, bound, budget)
     if desc.include_one:
-        base = sorted(set(base) | {Fraction(1)})
-    current = set(base)
-    frontier = set(base)
+        base = base + [Fraction(1)]
+    big_l, base_nums = _numerators(base)
+    current = set(base_nums)
+    frontier = set(base_nums)
+    pruned = False
     for _ in range(budget.rounds):
         if not frontier or len(current) > budget.max_size:
             break
         fresh = set()
         for a in frontier:
-            for b in base:
-                e = a + b - 1
-                if e >= 0 and e.denominator <= bound and e not in current:
-                    fresh.add(e)
+            for b in base_nums:
+                e = a + b - big_l
+                if e >= 0 and e not in current and e not in fresh:
+                    if big_l // gcd(e, big_l) <= bound:
+                        fresh.add(e)
+                    else:
+                        pruned = True
         current |= fresh
         frontier = fresh
-    return tuple(sorted(current))
+    if not frontier:
+        stop = "denom_bound" if pruned else None
+    else:
+        stop = "max_size" if len(current) > budget.max_size else "rounds"
+    members = tuple(Fraction(x, big_l) for x in sorted(current))
+    return members, stop or _search_stop(desc.base, bound, budget)
+
+
+def _search_stop(desc: CoeffSetDesc, denom_bound: int, budget: SearchBudget) -> str | None:
+    """The first search limit that fired while materializing desc, or None.
+
+    Reads the closures' cached results, which materialize has just filled.
+    """
+    if isinstance(desc, SumClosure):
+        return _materialize_closure(desc, denom_bound, budget)[1]
+    if isinstance(desc, UnionSet):
+        for m in desc.members:
+            stop = _search_stop(m, denom_bound, budget)
+            if stop is not None:
+                return stop
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +419,14 @@ class DccVerdict:
         return out
 
 
+_STOP_REASONS = {
+    "rounds": "the search used all its rounds with members left to extend",
+    "max_size": "the set outgrew the search's max_size",
+    "denom_bound": "the denominator bound pruned candidates",
+    None: "the left-linear search ran out of new members within every limit",
+}
+
+
 def dcc_verdict(desc: CoeffSetDesc, budget: SearchBudget | None = None) -> DccVerdict:
     """Three-valued descending-chain verdict.
 
@@ -375,7 +434,9 @@ def dcc_verdict(desc: CoeffSetDesc, budget: SearchBudget | None = None) -> DccVe
     below, so every nonempty subset has a least element).  Unions of decided
     descriptions are decided.  Closures: NOT_DCC when the bounded search
     finds a verified chain approaching a limit with geometrically shrinking
-    distances, else UNKNOWN -- a closure is never declared DCC.
+    distances, else UNKNOWN, whose reason names the search limit that ended
+    the search (rounds, max_size or the denominator bound), if any -- a
+    closure is never declared DCC.
     """
     budget = budget or SearchBudget()
     if isinstance(desc, FiniteSet):
@@ -404,9 +465,10 @@ def dcc_verdict(desc: CoeffSetDesc, budget: SearchBudget | None = None) -> DccVe
                 reason="verified chain with geometrically shrinking distance "
                 "to its limit",
             )
+        stop = _search_stop(desc, budget.denom_bound, budget)
         return DccVerdict(
             "UNKNOWN",
-            reason="no witness found within the search budget; closures are "
-            "never declared DCC",
+            reason=f"no witness found: {_STOP_REASONS[stop]}; closures are never "
+            "declared DCC",
         )
     raise PreconditionError(f"unknown set description: {desc!r}")

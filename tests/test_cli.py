@@ -271,6 +271,11 @@ _DEEP_SET = '{"kind":"finite","values":["1/2"]}'
 for _ in range(700):
     _DEEP_SET = f'{{"kind":"closure","denom_bound":10,"base":{_DEEP_SET}}}'
 
+# the standard coefficients up to 23/24 close to millions of members below
+# the denominator bound
+_CLOSURE_PAST_THE_CAP = ["closure", "--base", json.dumps([f"{r - 1}/{r}" for r in range(2, 24)]),
+                         "--denom-bound", "1000000"]
+
 BAD_INPUTS = [
     ["ldisc", "--pair", '{"n":2,"coeffs":["1/2"]}', "--v", "[1,1]"],
     ["ldisc", "--pair", '{"n":2,"coeffs":["1/2","0.5"]}', "--v", "[1,1]"],
@@ -380,6 +385,8 @@ BAD_INPUTS = [
                  id="batch file nested too deeply"),
     pytest.param(["chain", "--set", _DEEP_SET, "--length", "3"],
                  id="chain set description nested 700 levels"),
+    # a closure past its size cap
+    pytest.param(_CLOSURE_PAST_THE_CAP, id="closure past the size cap"),
 ]
 
 
@@ -413,6 +420,7 @@ _DIGIT_LIMIT = f"{sys.get_int_max_str_digits()} digits"
     (["dcc", "--set", '{"kind":"standard"}', "--threshold", "0"], "threshold must be >= 1"),
     (CASES["chain"][:-2] + ["0"], "denom_bound must be >= 1"),
     (["minvol", "--n", "1", "--out", "."], "cannot write ."),
+    (_CLOSURE_PAST_THE_CAP, "CLOSURE_SIZE_CAP = 2000"),
 ])
 def test_errors_name_their_cause(argv, cause):
     code, _, err = run_cli(argv)
@@ -429,6 +437,13 @@ def test_constants_refuses_a_huge_power_at_once():
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert _DIGIT_LIMIT in json.loads(err)["error"]
+
+
+def test_closure_refuses_a_set_past_the_cap_at_once():
+    start = time.perf_counter()
+    code, out, _ = run_cli(_CLOSURE_PAST_THE_CAP)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
 
 
 def test_scan_caps_admit_their_largest_value():
@@ -448,6 +463,20 @@ def test_verify_flag_catches_mismatch(monkeypatch):
     )
     code, _, err = run_cli(["minvol", "--n", "1", "--verify"])
     assert code == 3
+    assert json.loads(err)["exit_code"] == 3
+
+
+@pytest.mark.parametrize("tamper", [
+    pytest.param(lambda prefixes: prefixes[:-1], id="a prefix dropped"),
+    # 2 * (1 - 1/2) = 1: inside the oracle's box, outside the set
+    pytest.param(lambda prefixes: prefixes + [(2, 0)], id="a prefix outside the set added"),
+])
+def test_fset_verify_rejects_a_wrong_prefix_set(monkeypatch, tamper):
+    original = cli_mod.positive_pullback_prefixes
+    monkeypatch.setattr(cli_mod, "positive_pullback_prefixes",
+                        lambda model: tamper(list(original(model))))
+    code, out, err = run_cli(CASES["fset"])
+    assert code == 3 and out == ""
     assert json.loads(err)["exit_code"] == 3
 
 

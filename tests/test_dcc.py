@@ -1,8 +1,10 @@
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bdivkit import dcc
 from bdivkit.dcc import (
     Chain,
     FiniteSet,
@@ -148,6 +150,29 @@ def test_verdict_closure_never_claims_dcc():
     assert dcc_verdict(tiny).verdict == "UNKNOWN"
 
 
+# 6/7 steps down through 5/7, 4/7, ... one value per round
+_SEVENTHS = SumClosure(FiniteSet((F(6, 7),)), denom_bound=7)
+
+
+@pytest.mark.parametrize("desc, budget, limit", [
+    pytest.param(_SEVENTHS, SearchBudget(rounds=1), "used all its rounds", id="rounds"),
+    pytest.param(_SEVENTHS, SearchBudget(rounds=10, max_size=1), "outgrew the search's max_size",
+                 id="max_size"),
+    # 1/2 + 2/3 - 1 = 1/6 is past the bound 3
+    pytest.param(SumClosure(FiniteSet((F(1, 2), F(2, 3))), denom_bound=3), SearchBudget(),
+                 "denominator bound pruned candidates", id="denom_bound"),
+    pytest.param(SumClosure(FiniteSet((F(1, 2),)), denom_bound=10), SearchBudget(),
+                 "ran out of new members within every limit", id="enumerated in full"),
+    # the outer search runs out of members, over a base its inner search cut short
+    pytest.param(SumClosure(_SEVENTHS, denom_bound=7), SearchBudget(rounds=3),
+                 "used all its rounds", id="rounds in the base"),
+])
+def test_unknown_names_the_limit_that_fired(desc, budget, limit):
+    verdict = dcc_verdict(desc, budget)
+    assert verdict.verdict == "UNKNOWN" and verdict.witness is None
+    assert verdict.reason.startswith("no witness found: ") and limit in verdict.reason
+
+
 def test_verdict_union_propagates_not_dcc():
     desc = UnionSet(
         (StandardSet(), SumClosure(truncated_standard(43), denom_bound=2000))
@@ -181,3 +206,110 @@ def test_desc_json_roundtrip():
         )
     )
     assert desc_from_json(desc.to_json()) == desc
+
+
+# ---------------------------------------------------------------------------
+# the integer closures against the Fraction code they replaced
+
+
+def _reference_exceptional_closure(base, denom_bound, include_one=False):
+    start = {v for v in base if v.denominator <= denom_bound}
+    if include_one:
+        start.add(F(1))
+    out = set(start)
+    frontier = set(start)
+    while frontier:
+        fresh = set()
+        for a in frontier:
+            for b in out:
+                e = a + b - 1
+                if e >= 0 and e.denominator <= denom_bound and e not in out:
+                    fresh.add(e)
+        out |= fresh
+        frontier = fresh
+    return sorted(out)
+
+
+def _reference_materialize(desc, denom_bound, budget=None):
+    if isinstance(desc, FiniteSet):
+        return [v for v in desc.values if v.denominator <= denom_bound]
+    if isinstance(desc, StandardSet):
+        return [F(r - 1, r) for r in range(1, denom_bound + 1)]
+    if isinstance(desc, UnionSet):
+        out = set()
+        for m in desc.members:
+            out.update(_reference_materialize(m, denom_bound, budget))
+        return sorted(out)
+    return list(_reference_materialize_closure(desc, denom_bound, budget or SearchBudget()))
+
+
+def _reference_materialize_closure(desc, denom_bound, budget):
+    bound = min(denom_bound, desc.denom_bound)
+    base = _reference_materialize(desc.base, bound, budget)
+    if desc.include_one:
+        base = sorted(set(base) | {F(1)})
+    current = set(base)
+    frontier = set(base)
+    for _ in range(budget.rounds):
+        if not frontier or len(current) > budget.max_size:
+            break
+        fresh = set()
+        for a in frontier:
+            for b in base:
+                e = a + b - 1
+                if e >= 0 and e.denominator <= bound and e not in current:
+                    fresh.add(e)
+        current |= fresh
+        frontier = fresh
+    return tuple(sorted(current))
+
+
+_unit_fracs = st.one_of(
+    st.sampled_from([F(0), F(1)]),
+    st.fractions(min_value=F(0), max_value=F(1), max_denominator=16),
+)
+_bounds = st.integers(min_value=1, max_value=80)
+_plain_sets = st.one_of(
+    st.lists(_unit_fracs, max_size=6).map(lambda vs: FiniteSet(tuple(vs))),
+    st.integers(min_value=1, max_value=12).map(truncated_standard),
+    st.just(StandardSet()),
+)
+_sets = st.recursive(
+    _plain_sets,
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=1, max_size=3).map(lambda ms: UnionSet(tuple(ms))),
+        st.builds(SumClosure, inner, _bounds, st.booleans()),
+    ),
+    max_leaves=4,
+)
+_closures = st.builds(SumClosure, _sets, _bounds, st.booleans())
+_budgets = st.builds(
+    SearchBudget,
+    chain_length=st.integers(min_value=1, max_value=6),
+    denom_bound=_bounds,
+    rounds=st.integers(min_value=1, max_value=4),
+    max_size=st.integers(min_value=1, max_value=400),
+)
+
+
+@given(st.lists(_unit_fracs, max_size=6), _bounds, st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_exceptional_closure_matches_the_fraction_reference(base, bound, include_one):
+    assert exceptional_closure(base, bound, include_one) == _reference_exceptional_closure(
+        base, bound, include_one
+    )
+
+
+@given(_closures, _budgets)
+@settings(max_examples=150, deadline=None)
+def test_closure_search_matches_the_fraction_reference(desc, budget):
+    dcc._materialize_closure.cache_clear()
+    bound = budget.denom_bound
+    got = materialize(desc, bound, budget)
+    assert got == _reference_materialize(desc, bound, budget)
+    chain = find_decreasing_chain(desc, budget.chain_length, bound, budget)
+    verdict = dcc_verdict(desc, budget)
+    # the same searches over the reference's members
+    with mock.patch.object(dcc, "materialize", _reference_materialize):
+        assert chain == find_decreasing_chain(desc, budget.chain_length, bound, budget)
+        assert verdict == dcc_verdict(desc, budget)
