@@ -293,15 +293,18 @@ def _cmd_closure(p):
     )
     out = {"values": [format_rat(v) for v in values]}
     if p.get("verify"):
+        # every pair, on numerators over L: a + b - 1 is (x + y - L) / L
+        big_l = lcm(*(v.denominator for v in values))
+        nums = {v.numerator * (big_l // v.denominator) for v in values}
+        for x in nums:
+            for y in nums:
+                e = x + y - big_l
+                if e >= 0 and big_l // gcd(e, big_l) <= bound and e not in nums:
+                    _mismatch("closure closedness", values, Fraction(e, big_l))
         vals = set(values)
-        for a in vals:
-            for b in vals:
-                e = a + b - 1
-                if e >= 0 and e.denominator <= bound and e not in vals:
-                    _mismatch("closure closedness", sorted(vals), e)
         for v in (parse_rat(x) for x in p["base"]):
             if v.denominator <= bound and v not in vals:
-                _mismatch("closure base membership", sorted(vals), v)
+                _mismatch("closure base membership", values, v)
         out["verified"] = True
     return out
 

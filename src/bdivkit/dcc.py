@@ -20,10 +20,19 @@ written as a numerator over L, the lcm of the base's denominators, so an
 exceptional sum is e = a + b - L and its reduced denominator is
 L // gcd(e, L).  Every member keeps a denominator dividing L, so one Fraction
 per member is built, only when the sorted result is returned.
+
+One memoised walk over a description returns its sorted members together
+with the first search limit that fired inside it (a union's first, in member
+order; a closure's own, else its base's), so a verdict reads both from a
+single pass.  The halving-chain search runs over those sorted members: the
+members above a candidate limit are a suffix of them, and each chain step is
+one bisection into that suffix, so a search over N members costs
+O(N * length * log N) comparisons.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -216,28 +225,30 @@ def materialize(desc: CoeffSetDesc, denom_bound: int, budget: SearchBudget | Non
     bound; a closure is explored by the bounded left-linear search (a
     verified subset of the closure).
     """
-    if isinstance(desc, FiniteSet):
-        return [v for v in desc.values if v.denominator <= denom_bound]
-    if isinstance(desc, StandardSet):
-        return [Fraction(r - 1, r) for r in range(1, denom_bound + 1)]
-    if isinstance(desc, UnionSet):
-        out = set()
-        for m in desc.members:
-            out.update(materialize(m, denom_bound, budget))
-        return sorted(out)
-    if isinstance(desc, SumClosure):
-        budget = budget or SearchBudget()
-        return list(_materialize_closure(desc, denom_bound, budget)[0])
-    raise PreconditionError(f"unknown set description: {desc!r}")
+    return list(_members(desc, denom_bound, budget or SearchBudget())[0])
 
 
 @lru_cache(maxsize=32)
-def _materialize_closure(desc: "SumClosure", denom_bound: int, budget: SearchBudget) -> tuple:
-    """(sorted members, the first search limit that fired or None)."""
+def _members(desc: CoeffSetDesc, denom_bound: int, budget: SearchBudget) -> tuple:
+    """(materialize's members as a tuple, the first search limit that fired or None).
+
+    A union's limit is the first that fired among its members, in order; a
+    closure's is its own, or else its base's.
+    """
+    if isinstance(desc, FiniteSet):
+        return tuple(v for v in desc.values if v.denominator <= denom_bound), None
+    if isinstance(desc, StandardSet):
+        return tuple(Fraction(r - 1, r) for r in range(1, denom_bound + 1)), None
+    if isinstance(desc, UnionSet):
+        parts = [_members(m, denom_bound, budget) for m in desc.members]
+        members = sorted(set().union(*(values for values, _ in parts)))
+        return tuple(members), next((stop for _, stop in parts if stop), None)
+    if not isinstance(desc, SumClosure):
+        raise PreconditionError(f"unknown set description: {desc!r}")
     bound = min(denom_bound, desc.denom_bound)
-    base = materialize(desc.base, bound, budget)
+    base, base_stop = _members(desc.base, bound, budget)
     if desc.include_one:
-        base = base + [Fraction(1)]
+        base += (Fraction(1),)
     big_l, base_nums = _numerators(base)
     current = set(base_nums)
     frontier = set(base_nums)
@@ -260,23 +271,7 @@ def _materialize_closure(desc: "SumClosure", denom_bound: int, budget: SearchBud
         stop = "denom_bound" if pruned else None
     else:
         stop = "max_size" if len(current) > budget.max_size else "rounds"
-    members = tuple(Fraction(x, big_l) for x in sorted(current))
-    return members, stop or _search_stop(desc.base, bound, budget)
-
-
-def _search_stop(desc: CoeffSetDesc, denom_bound: int, budget: SearchBudget) -> str | None:
-    """The first search limit that fired while materializing desc, or None.
-
-    Reads the closures' cached results, which materialize has just filled.
-    """
-    if isinstance(desc, SumClosure):
-        return _materialize_closure(desc, denom_bound, budget)[1]
-    if isinstance(desc, UnionSet):
-        for m in desc.members:
-            stop = _search_stop(m, denom_bound, budget)
-            if stop is not None:
-                return stop
-    return None
+    return tuple(Fraction(x, big_l) for x in sorted(current)), stop or base_stop
 
 
 # ---------------------------------------------------------------------------
@@ -334,32 +329,20 @@ def _halving_chain(values: list, length: int) -> Chain | None:
     For each candidate limit (0 first, then members ascending), greedily
     picks the largest member within half the previous distance; the returned
     chain satisfies x_{i+1} - limit <= (x_i - limit) / 2, so its differences
-    shrink geometrically toward the limit.
+    shrink geometrically toward the limit.  The members above a limit are a
+    suffix of the sorted values, and each pick is one bisection into it.
     """
     ordered = sorted(values)
-    limits = [Fraction(0)] + ordered
-    for limit in limits:
-        above = [v for v in ordered if v > limit]
-        if len(above) < length:
+    for limit in [Fraction(0)] + ordered:
+        lo = bisect_right(ordered, limit)  # ordered[lo:] lies above the limit
+        if len(ordered) - lo < length:
             continue
-        chain = [above[-1]]
+        chain = [ordered[-1]]
         while len(chain) < length:
-            gap = chain[-1] - limit
-            # bisect by hand: largest member <= limit + gap/2
-            target = limit + gap / 2
-            lo, hi = 0, len(above)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if above[mid] <= target:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            if lo == 0:
+            hi = bisect_right(ordered, limit + (chain[-1] - limit) / 2, lo)
+            if hi == lo:
                 break
-            nxt = above[lo - 1]
-            if nxt <= limit or nxt >= chain[-1]:
-                break
-            chain.append(nxt)
+            chain.append(ordered[hi - 1])
         if len(chain) >= length:
             return Chain(tuple(chain[:length]), limit=limit)
     return None
@@ -432,11 +415,12 @@ def dcc_verdict(desc: CoeffSetDesc, budget: SearchBudget | None = None) -> DccVe
 
     Finite -> DCC.  Standard -> DCC (its only accumulation point is 1 from
     below, so every nonempty subset has a least element).  Unions of decided
-    descriptions are decided.  Closures: NOT_DCC when the bounded search
-    finds a verified chain approaching a limit with geometrically shrinking
-    distances, else UNKNOWN, whose reason names the search limit that ended
-    the search (rounds, max_size or the denominator bound), if any -- a
-    closure is never declared DCC.
+    descriptions are decided; an undecided union's reason names its first
+    undecided member by index and carries that member's reason.  Closures:
+    NOT_DCC when the bounded search finds a verified chain approaching a limit
+    with geometrically shrinking distances, else UNKNOWN, whose reason names
+    the search limit that ended the search (rounds, max_size or the
+    denominator bound), if any -- a closure is never declared DCC.
     """
     budget = budget or SearchBudget()
     if isinstance(desc, FiniteSet):
@@ -450,14 +434,13 @@ def dcc_verdict(desc: CoeffSetDesc, budget: SearchBudget | None = None) -> DccVe
         for v in verdicts:
             if v.verdict == "NOT_DCC":
                 return DccVerdict("NOT_DCC", witness=v.witness, reason=v.reason)
-        if all(v.verdict == "DCC" for v in verdicts):
-            return DccVerdict("DCC", reason="finite union of DCC sets")
-        return DccVerdict("UNKNOWN", reason="undecided member")
+        for i, v in enumerate(verdicts):
+            if v.verdict == "UNKNOWN":
+                return DccVerdict("UNKNOWN", reason=f"member {i} is undecided: {v.reason}")
+        return DccVerdict("DCC", reason="finite union of DCC sets")
     if isinstance(desc, SumClosure):
-        values = [
-            v for v in materialize(desc, budget.denom_bound, budget) if v > 0
-        ]
-        chain = _halving_chain(values, budget.chain_length)
+        members, stop = _members(desc, budget.denom_bound, budget)
+        chain = _halving_chain([v for v in members if v > 0], budget.chain_length)
         if chain is not None:
             return DccVerdict(
                 "NOT_DCC",
@@ -465,7 +448,6 @@ def dcc_verdict(desc: CoeffSetDesc, budget: SearchBudget | None = None) -> DccVe
                 reason="verified chain with geometrically shrinking distance "
                 "to its limit",
             )
-        stop = _search_stop(desc, budget.denom_bound, budget)
         return DccVerdict(
             "UNKNOWN",
             reason=f"no witness found: {_STOP_REASONS[stop]}; closures are never "

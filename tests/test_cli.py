@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -446,6 +447,29 @@ def test_closure_refuses_a_set_past_the_cap_at_once():
     assert code == 2 and out == ""
 
 
+def test_dcc_union_names_its_undecided_member_and_the_limit():
+    code, out, _ = run_cli(["dcc", "--set", json.dumps({"kind": "union", "members": [
+        {"kind": "closure", "denom_bound": 7, "base": {"kind": "finite", "values": ["6/7"]}}]}),
+        "--rounds", "1"])
+    assert code == 0
+    verdict = json.loads(out)
+    assert verdict["verdict"] == "UNKNOWN"
+    assert verdict["reason"].startswith("member 0 is undecided: no witness found: ")
+    assert "used all its rounds" in verdict["reason"]
+
+
+def test_dcc_long_chain_search_over_a_large_closure_is_bounded():
+    # 4,466 members and no halving chain of length 20: every candidate limit
+    # is tried
+    base = [f"{r - 1}/{r}" for r in range(2, 31)]
+    start = time.perf_counter()
+    code, out, _ = run_cli(["dcc", "--set", json.dumps({
+        "kind": "closure", "denom_bound": 400, "base": {"kind": "finite", "values": base}}),
+        "--threshold", "20", "--denom-bound", "400"])
+    assert time.perf_counter() - start < 5.0
+    assert code == 0 and json.loads(out)["verdict"] == "UNKNOWN"
+
+
 def test_scan_caps_admit_their_largest_value():
     code, out, _ = run_cli(["fermat", "--scan", "--n-max", "798"])
     assert code == 0 and out.count("\n") == 799
@@ -478,6 +502,22 @@ def test_fset_verify_rejects_a_wrong_prefix_set(monkeypatch, tamper):
     code, out, err = run_cli(CASES["fset"])
     assert code == 3 and out == ""
     assert json.loads(err)["exit_code"] == 3
+
+
+# the closure of {1/2, 2/3} under the bound 6 is {0, 1/6, 1/3, 1/2, 2/3}; no
+# two of the rest sum to 2/3 + 1, so only the base check can miss it
+@pytest.mark.parametrize("dropped, cause", [
+    pytest.param(Fraction(1, 6), "closure closedness", id="a generated member dropped"),
+    pytest.param(Fraction(2, 3), "closure base membership", id="a base value dropped"),
+])
+def test_closure_verify_rejects_a_wrong_closure(monkeypatch, dropped, cause):
+    original = cli_mod.exceptional_closure
+    monkeypatch.setattr(cli_mod, "exceptional_closure",
+                        lambda *args, **kwargs: [v for v in original(*args, **kwargs)
+                                                 if v != dropped])
+    code, out, err = run_cli(CASES["closure"])
+    assert code == 3 and out == ""
+    assert cause in json.loads(err)["error"]
 
 
 # ---------------------------------------------------------------------------
@@ -624,14 +664,21 @@ def _replace(value, path, new):
     return out
 
 
-@settings(max_examples=950, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.data())
-def test_fuzzed_arguments_exit_0_or_2(data):
-    command = data.draw(st.sampled_from(sorted(_TEMPLATES)))
+@st.composite
+def _fuzzed_command(draw):
+    """A command from _TEMPLATES with one or two parts of its arguments replaced."""
+    command = draw(st.sampled_from(sorted(_TEMPLATES)))
     args = _TEMPLATES[command]
-    for _ in range(data.draw(st.integers(1, 2))):
-        path = data.draw(st.sampled_from(list(_paths(args))[1:]))
-        args = _replace(args, path, data.draw(_SMALL_JSON))
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_paths(args))[1:]))
+        args = _replace(args, path, draw(_SMALL_JSON))
+    return command, args
+
+
+@settings(max_examples=950, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_fuzzed_command())
+def test_fuzzed_arguments_exit_0_or_2(fuzzed):
+    command, args = fuzzed
     code, out, err = run_cli([command, "--json", json.dumps(args)])
     assert code in (0, 2), (command, args, err)
     if code == 0:
@@ -640,6 +687,22 @@ def test_fuzzed_arguments_exit_0_or_2(data):
     else:
         record = json.loads(err)
         assert isinstance(record, dict) and record["exit_code"] == 2
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(_fuzzed_command(), min_size=1, max_size=3))
+def test_fuzzed_batch_files_exit_0_or_2(commands):
+    ids = [f"entry {i}" for i in range(len(commands))]
+    entries = [{"id": i, "command": command, "args": args}
+               for i, (command, args) in zip(ids, commands)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "batch.json"
+        path.write_text(json.dumps({"entries": entries}))
+        code, out, err = run_cli(["batch", "--file", str(path)])
+    assert code in (0, 2), (entries, err)
+    results = json.loads(out)["results"]
+    assert sorted(results) == ids
+    assert all(r["exit_code"] in (0, 2) for r in results.values()), results
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 from fractions import Fraction as F
+from functools import lru_cache
+from math import gcd, lcm
 from unittest import mock
 
 import pytest
@@ -300,16 +302,155 @@ def test_exceptional_closure_matches_the_fraction_reference(base, bound, include
     )
 
 
+def _reference_members(desc, denom_bound, budget):
+    """dcc._members from the Fraction reference and the parent's limit walk (below)."""
+    return (tuple(_reference_materialize(desc, denom_bound, budget)),
+            _parent_search_stop(desc, denom_bound, budget))
+
+
 @given(_closures, _budgets)
 @settings(max_examples=150, deadline=None)
 def test_closure_search_matches_the_fraction_reference(desc, budget):
-    dcc._materialize_closure.cache_clear()
+    dcc._members.cache_clear()
     bound = budget.denom_bound
     got = materialize(desc, bound, budget)
     assert got == _reference_materialize(desc, bound, budget)
     chain = find_decreasing_chain(desc, budget.chain_length, bound, budget)
     verdict = dcc_verdict(desc, budget)
     # the same searches over the reference's members
-    with mock.patch.object(dcc, "materialize", _reference_materialize):
+    with mock.patch.object(dcc, "materialize", _reference_materialize), \
+            mock.patch.object(dcc, "_members", _reference_members):
         assert chain == find_decreasing_chain(desc, budget.chain_length, bound, budget)
         assert verdict == dcc_verdict(desc, budget)
+
+
+# ---------------------------------------------------------------------------
+# the one memoised walk and the bisecting chain search against the code they
+# replaced: a second walk that read each closure's search limit back from the
+# cache the members walk had filled, and a chain search that rebuilt the
+# members above every candidate limit
+
+
+@lru_cache(maxsize=32)
+def _parent_materialize_closure(desc, denom_bound, budget):
+    bound = min(denom_bound, desc.denom_bound)
+    base = _reference_materialize(desc.base, bound, budget)  # the same members
+    if desc.include_one:
+        base = base + [F(1)]
+    big_l = lcm(*(v.denominator for v in base))
+    base_nums = {v.numerator * (big_l // v.denominator) for v in base}
+    current = set(base_nums)
+    frontier = set(base_nums)
+    pruned = False
+    for _ in range(budget.rounds):
+        if not frontier or len(current) > budget.max_size:
+            break
+        fresh = set()
+        for a in frontier:
+            for b in base_nums:
+                e = a + b - big_l
+                if e >= 0 and e not in current and e not in fresh:
+                    if big_l // gcd(e, big_l) <= bound:
+                        fresh.add(e)
+                    else:
+                        pruned = True
+        current |= fresh
+        frontier = fresh
+    if not frontier:
+        stop = "denom_bound" if pruned else None
+    else:
+        stop = "max_size" if len(current) > budget.max_size else "rounds"
+    members = tuple(F(x, big_l) for x in sorted(current))
+    return members, stop or _parent_search_stop(desc.base, bound, budget)
+
+
+def _parent_search_stop(desc, denom_bound, budget):
+    if isinstance(desc, SumClosure):
+        return _parent_materialize_closure(desc, denom_bound, budget)[1]
+    if isinstance(desc, UnionSet):
+        for m in desc.members:
+            stop = _parent_search_stop(m, denom_bound, budget)
+            if stop is not None:
+                return stop
+    return None
+
+
+def _parent_halving_chain(values, length):
+    ordered = sorted(values)
+    limits = [F(0)] + ordered
+    for limit in limits:
+        above = [v for v in ordered if v > limit]
+        if len(above) < length:
+            continue
+        chain = [above[-1]]
+        while len(chain) < length:
+            gap = chain[-1] - limit
+            target = limit + gap / 2
+            lo, hi = 0, len(above)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if above[mid] <= target:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            if lo == 0:
+                break
+            nxt = above[lo - 1]
+            if nxt <= limit or nxt >= chain[-1]:
+                break
+            chain.append(nxt)
+        if len(chain) >= length:
+            return Chain(tuple(chain[:length]), limit=limit)
+    return None
+
+
+# budgets whose rounds, max_size and denominator bound each fire on some draws
+_tight_budgets = st.builds(
+    SearchBudget,
+    chain_length=st.integers(min_value=1, max_value=6),
+    denom_bound=st.integers(min_value=1, max_value=40),
+    rounds=st.integers(min_value=1, max_value=3),
+    max_size=st.integers(min_value=1, max_value=60),
+)
+
+
+# a closure over a closure: the inner search can fire where the outer one does not
+_nested_closures = st.builds(SumClosure, _closures, _bounds, st.booleans())
+
+
+@given(st.one_of(_sets, _closures, _nested_closures), st.one_of(_budgets, _tight_budgets),
+       st.data())
+@settings(max_examples=300, deadline=None)
+def test_members_walk_matches_the_parent_walks(desc, budget, data):
+    dcc._members.cache_clear()
+    _parent_materialize_closure.cache_clear()
+    bound = data.draw(st.one_of(st.just(budget.denom_bound), _bounds))
+    members, stop = dcc._members(desc, bound, budget)
+    assert list(members) == _reference_materialize(desc, bound, budget)
+    assert stop == _parent_search_stop(desc, bound, budget)
+
+
+def test_members_walk_reports_every_limit():
+    # the limits the property test above compares, each seen on a union that
+    # holds the closure second, behind a finite member
+    closures = {
+        "rounds": (_SEVENTHS, SearchBudget(rounds=1)),
+        "max_size": (_SEVENTHS, SearchBudget(rounds=10, max_size=1)),
+        "denom_bound": (SumClosure(FiniteSet((F(1, 2), F(2, 3))), denom_bound=3),
+                        SearchBudget()),
+        None: (SumClosure(FiniteSet((F(1, 2),)), denom_bound=10), SearchBudget()),
+    }
+    for limit, (closure, budget) in closures.items():
+        union = UnionSet((FiniteSet((F(1, 3),)), closure))
+        assert dcc._members(union, 7, budget)[1] == limit
+        assert dcc._members(SumClosure(union, 7), 7, budget)[1] == limit
+
+
+_positive_fracs = st.fractions(min_value=F(0), max_value=F(2), max_denominator=24).filter(
+    lambda v: v > 0)
+
+
+@given(st.lists(_positive_fracs, max_size=40).map(sorted), st.integers(min_value=1, max_value=8))
+@settings(max_examples=1000, deadline=None)
+def test_halving_chain_matches_the_parent(values, length):
+    assert dcc._halving_chain(values, length) == _parent_halving_chain(values, length)
