@@ -2,98 +2,16 @@
 
 Subpackages by topic:
 
-* :mod:`bdivkit.exact` -- rationals, lattice vectors, polynomials
+* :mod:`bdivkit.exact` -- rationals, lattice vectors, exact linear algebra
 * :mod:`bdivkit.fans` -- simplicial fans over the positive orthant
 * :mod:`bdivkit.logpairs` -- local SNC pairs, valuations, b-divisors
 * :mod:`bdivkit.reduction` -- the weight-descent reduction and its verifier
 * :mod:`bdivkit.dcc` -- coefficient sets and descending-chain verdicts
-* :mod:`bdivkit.bounds` -- explicit volume and symmetry bound formulas
+* :mod:`bdivkit.bounds` -- explicit volume and symmetry bound formulas,
+  integer polynomials
 * :mod:`bdivkit.cli` -- command-line front end
-"""
 
-from .exact import (
-    InvariantViolation,
-    PreconditionError,
-    UniPoly,
-    format_rat,
-    parse_rat,
-    primitive_part,
-)
-from .fans import (
-    BarycentricResult,
-    Cone,
-    Fan,
-    ensure_rays,
-    hirzebruch_jung_rays,
-    is_smooth,
-    orthant_fan,
-    resolve,
-    star_subdivide,
-)
-from .logpairs import (
-    BDivisor,
-    LocalPair,
-    ModelDivisor,
-    bdiv_eval,
-    blowup_chain_coeff,
-    default_one_coeff,
-    log_discrepancy,
-    meet,
-    mld_origin,
-    mld_origin_minimizer,
-    pullback_coeff,
-    pullback_trace,
-    relative_pullback_coeff,
-    rounding_comparison,
-    valuation,
-)
-from .reduction import (
-    LocalModel,
-    ReductionState,
-    ReductionTrace,
-    build_cut,
-    initial_state,
-    pair_weight,
-    pair_weight_witness,
-    pick_fiber_minimizer,
-    positive_pullback_prefixes,
-    run_reduction,
-    state_weight,
-    stratum_weight,
-    verify_reduction,
-)
-from .dcc import (
-    Chain,
-    DccVerdict,
-    FiniteSet,
-    SearchBudget,
-    StandardSet,
-    SumClosure,
-    UnionSet,
-    dcc_verdict,
-    exceptional_closure,
-    exceptional_sum,
-    find_decreasing_chain,
-    standard_coeff,
-)
-from .bounds import (
-    BoundReport,
-    Polytope,
-    SylvesterSeq,
-    char_p_ratio_report,
-    curve_power_report,
-    effective_constants,
-    fermat_report,
-    fermat_threshold_scan,
-    hurwitz_report,
-    is_prime_power,
-    min_volume_candidate,
-    polytope_volume,
-    projective_space_log_volume,
-    sylvester,
-    sylvester_coeffs,
-    unitary_order_poly,
-    unitary_order_value,
-)
+The package root re-exports nothing: import names from these modules.
+"""
 
 __version__ = "0.1.0"

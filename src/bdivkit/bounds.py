@@ -9,6 +9,10 @@ lattice-polytope volumes backing the toric volume computations, and the
 constant propagation m = 2 g0 (1 + gamma)^(n-1) used by the effectivity
 bookkeeping.  The polytope code solves, ranks and takes determinants with
 the linear-algebra kernel in ``exact``.
+
+Polynomials here have integer coefficients and are plain tuples of ints,
+constant term first: ``poly_times`` multiplies one by x^i - s and
+``poly_eval`` evaluates one by Horner's rule.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from math import comb, factorial, floor, gcd, lcm
 from .exact import (
     InvariantViolation,
     PreconditionError,
-    UniPoly,
     checked_power,
     cofactor_normal,
     determinant,
@@ -46,21 +49,7 @@ class BoundReport:
     def to_json(self) -> dict:
         out = {"kind": self.kind}
         for key, val in sorted(self.values.items()):
-            if isinstance(val, bool):
-                out[key] = val
-            elif isinstance(val, int):
-                out[key] = format_int(val)
-            elif isinstance(val, Fraction):
-                out[key] = format_rat(val)
-            elif isinstance(val, UniPoly):
-                out[key] = val.to_strings()
-            elif isinstance(val, (list, tuple)):
-                out[key] = [
-                    format_rat(x) if isinstance(x, (Fraction, int)) else x
-                    for x in val
-                ]
-            else:
-                out[key] = val
+            out[key] = format_int(val) if isinstance(val, int) else format_rat(val)
         if self.notes:
             out["notes"] = dict(sorted(self.notes.items()))
         return out
@@ -110,9 +99,10 @@ FERMAT_SCAN_N_CAP = 798
 # and q_max = 100 000 took 2.9 s and printed 3 MB
 CHARP_Q_CAP = 10_000
 
-# the polynomial part has degree about n^2 and is built densely in about n^4
-# coefficient products: on a 2-vCPU machine `unitary --n 32 --q 2 --verify`
-# takes 1.4 s, n = 120 took 97 s, and n = 100 000 raised MemoryError
+# the polynomial part has degree about n^2 and is built densely, one factor
+# x^i - s at a time, in about n^3 coefficient operations: on a 2-vCPU machine
+# `unitary --n 32 --q 2 --verify` takes 0.2 s, building the n = 400 part 7 s,
+# and n = 100 000 would need about 5 * 10^9 coefficients
 UNITARY_N_CAP = 32
 
 
@@ -447,10 +437,27 @@ def is_prime_power(q: int) -> bool:
     return m == 1
 
 
+def poly_times(coeffs: tuple, i: int, s: int) -> tuple:
+    """The integer polynomial coeffs times x^i - s, constant term first."""
+    out = [0] * i + list(coeffs)
+    for k, c in enumerate(coeffs):
+        out[k] -= s * c
+    return tuple(out)
+
+
+def poly_eval(coeffs: tuple, x):
+    """The polynomial at x, by Horner's rule."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def unitary_order_poly(n: int) -> tuple:
     """Polynomial part of the unitary group order, plus the gcd divisor rule.
 
-    Returns (q^binom(n+2,2) * prod_{i=2}^{n+2} (q^i - (-1)^i), n+2); the true
+    Returns (coeffs, n+2), where coeffs are the integer coefficients, constant
+    term first, of q^binom(n+2,2) * prod_{i=2}^{n+2} (q^i - (-1)^i); the true
     order divides the polynomial value by gcd(n+2, q+1).  The gcd factor is
     not polynomial in q, so degree statements refer to the polynomial part.
     """
@@ -458,13 +465,10 @@ def unitary_order_poly(n: int) -> tuple:
         raise PreconditionError("need n >= 1")
     if n > UNITARY_N_CAP:
         raise PreconditionError(f"n = {n} exceeds the cap UNITARY_N_CAP = {UNITARY_N_CAP}")
-    poly = UniPoly.monomial(1, comb(n + 2, 2))
+    coeffs = (0,) * comb(n + 2, 2) + (1,)
     for i in range(2, n + 3):
-        sign = 1 if i % 2 == 0 else -1
-        # q^i - (-1)^i
-        factor = UniPoly.monomial(1, i) - UniPoly.monomial(sign, 0)
-        poly = poly * factor
-    return poly, n + 2
+        coeffs = poly_times(coeffs, i, (-1) ** i)
+    return coeffs, n + 2
 
 
 def unitary_order_value(n: int, q: int) -> int:
@@ -475,16 +479,13 @@ def unitary_order_value(n: int, q: int) -> int:
     return _unitary_order_at(poly, gcd_mod, q)
 
 
-def _unitary_order_at(poly: UniPoly, gcd_mod: int, q: int) -> int:
+def _unitary_order_at(poly: tuple, gcd_mod: int, q: int) -> int:
     """The order at the prime power q from unitary_order_poly's (poly, gcd_mod)."""
-    value = poly.eval(Fraction(q))
-    if value.denominator != 1:
-        raise InvariantViolation("polynomial part is not integral")
+    value = poly_eval(poly, q)
     g = gcd(gcd_mod, q + 1)
-    num = int(value)
-    if num % g:
+    if value % g:
         raise InvariantViolation("gcd divisor does not divide the polynomial part")
-    return num // g
+    return value // g
 
 
 def char_p_ratio_report(q_max: int) -> tuple:
@@ -533,7 +534,7 @@ def char_p_ratio_report(q_max: int) -> tuple:
             "q_max": q_max,
             "count": len(rows),
             "max_ratio": max_ratio,
-            "order_degree": int(poly.degree),
+            "order_degree": len(poly) - 1,
             "vol_degree": 2,
         },
         notes={

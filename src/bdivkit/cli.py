@@ -31,6 +31,8 @@ from .bounds import (
     hurwitz_report,
     curve_power_report,
     min_volume_candidate,
+    poly_eval,
+    poly_times,
     polytope_vertices,
     polytope_volume,
     projective_space_log_volume,
@@ -50,7 +52,6 @@ from .dcc import (
 from .exact import (
     InvariantViolation,
     PreconditionError,
-    UniPoly,
     format_int,
     format_rat,
     parse_int,
@@ -143,7 +144,9 @@ def _cmd_ltrace(p):
             for ray, c in zip(fan.rays, md.ray_coeffs):
                 oracle = blowup_chain_coeff(pair.coeffs[0], pair.coeffs[1], ray)
                 _ensure_match(f"ltrace at {ray}", c, oracle)
-        out["verified"] = True
+            out["verified"] = True
+        else:
+            out["verified"] = "oracle-skipped"
     return out
 
 
@@ -528,11 +531,10 @@ def _cmd_fermat(p):
     report = fermat_report(n, m)
     out = report.to_json()
     if p.get("verify"):
-        base = UniPoly.from_ints([-(n + 2), 1])  # x - (n+2)
-        poly = UniPoly.from_ints([0, 1])
+        poly = (0, 1)  # x (x - (n+2))^n
         for _ in range(n):
-            poly = poly * base
-        _ensure_match("fermat volume", Fraction(report.values["vol"]), poly.eval(m))
+            poly = poly_times(poly, 1, n + 2)
+        _ensure_match("fermat volume", report.values["vol"], poly_eval(poly, m))
         out["verified"] = True
     return out
 
@@ -542,8 +544,8 @@ def _cmd_unitary(p):
     poly, modulus = unitary_order_poly(n)
     out = {
         "n": n,
-        "poly": poly.to_strings(),
-        "degree": int(poly.degree),
+        "poly": [format_int(c) for c in poly],
+        "degree": len(poly) - 1,
         "gcd_rule": f"divide by gcd({modulus}, q+1)",
     }
     if p.get("q") is not None:
@@ -561,7 +563,7 @@ def _cmd_unitary(p):
     elif p.get("verify"):
         _ensure_match(
             "unitary degree",
-            int(poly.degree),
+            len(poly) - 1,
             comb(n + 2, 2) + comb(n + 3, 2) - 1,
         )
         out["verified"] = True

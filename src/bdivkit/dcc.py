@@ -14,20 +14,23 @@ closure is never declared DCC: the search can only certify failure.
 Materializing a closure exactly is exponential, so the bounded search closes
 the base under *left-linear* applications (each round combines the current
 set with the base only) and caps rounds and size; the result is a verified
-subset of the closure, which is all a NOT_DCC witness needs.  The full
-closure and the bounded search both run on integers: every base value is
-written as a numerator over L, the lcm of the base's denominators, so an
-exceptional sum is e = a + b - L and its reduced denominator is
-L // gcd(e, L).  Every member keeps a denominator dividing L, so one Fraction
-per member is built, only when the sorted result is returned.
+subset of the closure, which is all a NOT_DCC witness needs.
 
-One memoised walk over a description returns its sorted members together
-with the first search limit that fired inside it (a union's first, in member
-order; a closure's own, else its base's), so a verdict reads both from a
-single pass.  The halving-chain search runs over those sorted members: the
-members above a candidate limit are a suffix of them, and each chain step is
-one bisection into that suffix, so a search over N members costs
-O(N * length * log N) comparisons.
+Members are integers inside this module: a set's members are numerators
+over L, the lcm of their denominators, so an exceptional sum is
+e = a + b - L and its reduced denominator is L // gcd(e, L).  A closure keeps
+its base's L, since every sum has a denominator dividing it, and a union
+rescales its parts to the lcm of theirs.  Fractions are built only where a
+value leaves the module: by ``materialize`` and for the chains returned.
+
+One memoised walk over a description returns L, its sorted numerators and
+the first search limit that fired inside it (a union's first, in member
+order; a closure's own, else its base's), so a verdict reads all three from
+a single pass.  The chain searches run over those numerators and compare
+integers only.  In the halving search the members above a candidate limit
+are a suffix of the sorted numerators, and each chain step is one bisection
+into that suffix, so a search over N members costs O(N * length * log N)
+comparisons.
 """
 
 from __future__ import annotations
@@ -225,31 +228,37 @@ def materialize(desc: CoeffSetDesc, denom_bound: int, budget: SearchBudget | Non
     bound; a closure is explored by the bounded left-linear search (a
     verified subset of the closure).
     """
-    return list(_members(desc, denom_bound, budget or SearchBudget())[0])
+    big_l, nums, _ = _members(desc, denom_bound, budget or SearchBudget())
+    return [Fraction(x, big_l) for x in nums]
 
 
 @lru_cache(maxsize=32)
 def _members(desc: CoeffSetDesc, denom_bound: int, budget: SearchBudget) -> tuple:
-    """(materialize's members as a tuple, the first search limit that fired or None).
+    """(L, materialize's members as sorted numerators over L, the first search
+    limit that fired or None), where L is the lcm of the members' denominators.
 
     A union's limit is the first that fired among its members, in order; a
     closure's is its own, or else its base's.
     """
     if isinstance(desc, FiniteSet):
-        return tuple(v for v in desc.values if v.denominator <= denom_bound), None
+        big_l, nums = _numerators([v for v in desc.values if v.denominator <= denom_bound])
+        return big_l, tuple(sorted(nums)), None
     if isinstance(desc, StandardSet):
-        return tuple(Fraction(r - 1, r) for r in range(1, denom_bound + 1)), None
+        big_l = lcm(*range(1, denom_bound + 1))
+        return big_l, tuple((r - 1) * (big_l // r) for r in range(1, denom_bound + 1)), None
     if isinstance(desc, UnionSet):
         parts = [_members(m, denom_bound, budget) for m in desc.members]
-        members = sorted(set().union(*(values for values, _ in parts)))
-        return tuple(members), next((stop for _, stop in parts if stop), None)
+        big_l = lcm(*(part_l for part_l, _, _ in parts))
+        nums = set()
+        for part_l, part_nums, _ in parts:
+            nums.update(x * (big_l // part_l) for x in part_nums)
+        return big_l, tuple(sorted(nums)), next((stop for _, _, stop in parts if stop), None)
     if not isinstance(desc, SumClosure):
         raise PreconditionError(f"unknown set description: {desc!r}")
     bound = min(denom_bound, desc.denom_bound)
-    base, base_stop = _members(desc.base, bound, budget)
+    big_l, base_nums, base_stop = _members(desc.base, bound, budget)
     if desc.include_one:
-        base += (Fraction(1),)
-    big_l, base_nums = _numerators(base)
+        base_nums += (big_l,)
     current = set(base_nums)
     frontier = set(base_nums)
     pruned = False
@@ -271,7 +280,7 @@ def _members(desc: CoeffSetDesc, denom_bound: int, budget: SearchBudget) -> tupl
         stop = "denom_bound" if pruned else None
     else:
         stop = "max_size" if len(current) > budget.max_size else "rounds"
-    return tuple(Fraction(x, big_l) for x in sorted(current)), stop or base_stop
+    return big_l, tuple(sorted(current)), stop or base_stop
 
 
 # ---------------------------------------------------------------------------
@@ -299,52 +308,55 @@ class Chain:
         return out
 
 
-def _arithmetic_run_chain(values: list, length: int) -> Chain | None:
-    """A descending run k0/q > (k0-1)/q > ... inside the value set, if any.
+def _arithmetic_run_chain(big_l: int, nums: tuple, length: int) -> Chain | None:
+    """A descending run k0/q > (k0-1)/q > ... inside the members, if any.
 
-    Searches common denominators q ascending and returns the first run of
-    consecutive multiples of 1/q of the requested length.
+    The members are the positive numerators nums over big_l.  Searches common
+    denominators q ascending, up to the largest reduced denominator of a
+    member, and returns the first run of consecutive multiples of 1/q of the
+    requested length.  k/q is a member exactly when k L / q is an integer
+    and one of the numerators.
     """
-    members = set(values)
+    members = set(nums)
     if not members:
         return None
-    max_q = max(v.denominator for v in members)
+    max_q = max(big_l // gcd(x, big_l) for x in members)
     for q in range(2, max_q + 1):
-        ks = sorted(
-            (k for k in range(1, q) if Fraction(k, q) in members), reverse=True
-        )
         run = []
-        for k in ks:
-            if run and run[-1] - k != 1:
-                run = []
-            run.append(k)
-            if len(run) >= length:
-                return Chain(tuple(Fraction(k2, q) for k2 in run[:length]))
+        for k in range(q - 1, 0, -1):
+            if k * big_l % q == 0 and k * big_l // q in members:
+                if run and run[-1] - k != 1:
+                    run = []
+                run.append(k)
+                if len(run) >= length:
+                    return Chain(tuple(Fraction(k2, q) for k2 in run))
     return None
 
 
-def _halving_chain(values: list, length: int) -> Chain | None:
+def _halving_chain(big_l: int, nums: tuple, length: int) -> Chain | None:
     """A chain whose distance to an explicit limit halves at every step.
 
-    For each candidate limit (0 first, then members ascending), greedily
-    picks the largest member within half the previous distance; the returned
-    chain satisfies x_{i+1} - limit <= (x_i - limit) / 2, so its differences
+    The members are the sorted positive numerators nums over big_l.  For each
+    candidate limit (0 first, then members ascending), greedily picks the
+    largest member within half the previous distance; the returned chain
+    satisfies x_{i+1} - limit <= (x_i - limit) / 2, so its differences
     shrink geometrically toward the limit.  The members above a limit are a
-    suffix of the sorted values, and each pick is one bisection into it.
+    suffix of nums, and each pick is one bisection into it; with integer
+    members, y <= limit + (x - limit) / 2 exactly when y <= limit +
+    (x - limit) // 2.
     """
-    ordered = sorted(values)
-    for limit in [Fraction(0)] + ordered:
-        lo = bisect_right(ordered, limit)  # ordered[lo:] lies above the limit
-        if len(ordered) - lo < length:
+    for limit in (0,) + nums:
+        lo = bisect_right(nums, limit)  # nums[lo:] lies above the limit
+        if len(nums) - lo < length:
             continue
-        chain = [ordered[-1]]
+        chain = [nums[-1]]
         while len(chain) < length:
-            hi = bisect_right(ordered, limit + (chain[-1] - limit) / 2, lo)
+            hi = bisect_right(nums, limit + (chain[-1] - limit) // 2, lo)
             if hi == lo:
                 break
-            chain.append(ordered[hi - 1])
+            chain.append(nums[hi - 1])
         if len(chain) >= length:
-            return Chain(tuple(chain[:length]), limit=limit)
+            return Chain(tuple(Fraction(x, big_l) for x in chain), limit=Fraction(limit, big_l))
     return None
 
 
@@ -377,11 +389,11 @@ def find_decreasing_chain(
                 return chain
         return None
     if isinstance(desc, SumClosure):
-        values = [v for v in materialize(desc, denom_bound, budget) if v > 0]
-        chain = _arithmetic_run_chain(values, length)
-        if chain is not None:
-            return chain
-        return _halving_chain(values, length)
+        big_l, nums, _ = _members(desc, denom_bound, budget or SearchBudget())
+        positives = nums[bisect_right(nums, 0):]
+        return _arithmetic_run_chain(big_l, positives, length) or _halving_chain(
+            big_l, positives, length
+        )
     raise PreconditionError(f"unknown set description: {desc!r}")
 
 
@@ -439,8 +451,8 @@ def dcc_verdict(desc: CoeffSetDesc, budget: SearchBudget | None = None) -> DccVe
                 return DccVerdict("UNKNOWN", reason=f"member {i} is undecided: {v.reason}")
         return DccVerdict("DCC", reason="finite union of DCC sets")
     if isinstance(desc, SumClosure):
-        members, stop = _members(desc, budget.denom_bound, budget)
-        chain = _halving_chain([v for v in members if v > 0], budget.chain_length)
+        big_l, nums, stop = _members(desc, budget.denom_bound, budget)
+        chain = _halving_chain(big_l, nums[bisect_right(nums, 0):], budget.chain_length)
         if chain is not None:
             return DccVerdict(
                 "NOT_DCC",

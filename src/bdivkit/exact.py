@@ -3,8 +3,7 @@
 Rationals are `fractions.Fraction` (always in lowest terms with positive
 denominator); the serialized form is the string ``"p/q"``, or ``"p"`` alone
 when the denominator is 1, so command-line output is bit-exact and diffable.
-Lattice vectors are plain tuples of ints.  Univariate polynomials keep
-Fraction coefficients indexed by degree.
+Lattice vectors are plain tuples of ints.
 
 The exact linear algebra of the package lives here too: one fraction-free
 elimination (rank, and determinants past 3 x 3), the cofactor normal of
@@ -19,7 +18,6 @@ package.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -72,13 +70,18 @@ def parse_rat(value) -> Fraction:
 
 
 def parse_int(value, key: str) -> int:
-    """An integer input; anything int() rejects is bad input, naming the key."""
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise PreconditionError(
-            f"argument {key!r} must be an integer, got {value!r}"
-        ) from exc
+    """An integer input: an int (not a bool) or its decimal text.
+
+    Anything else, a float or a bool among them, is bad input naming the key.
+    """
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise PreconditionError(f"argument {key!r} must be an integer, got {value!r}")
 
 
 def _digit_limit_error() -> PreconditionError:
@@ -297,118 +300,3 @@ def solve(rows, rhs):
     den = lcm(*(b.denominator for b in rhs))
     ints = [b.numerator * (den // b.denominator) for b in rhs]
     return tuple(Fraction(sum(map(mul, row, ints)), det * den) for row in adj)
-
-
-# ---------------------------------------------------------------------------
-# univariate polynomials
-
-
-class _MinusInfinity:
-    """Degree of the zero polynomial; compares below every integer."""
-
-    __slots__ = ()
-
-    def __lt__(self, other):
-        return other is not MINUS_INFINITY
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return other is MINUS_INFINITY
-
-    def __repr__(self):
-        return "-oo"
-
-
-MINUS_INFINITY = _MinusInfinity()
-
-
-@dataclass(frozen=True)
-class UniPoly:
-    """Univariate polynomial with exact rational coefficients.
-
-    ``coeffs[k]`` is the coefficient of degree k; trailing zeros are trimmed
-    at construction, so the zero polynomial has an empty coefficient tuple.
-    """
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        cs = tuple(Fraction(c) for c in self.coeffs)
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
-
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "UniPoly":
-        return cls((Fraction(1),))
-
-    @classmethod
-    def monomial(cls, coeff, degree: int) -> "UniPoly":
-        if degree < 0:
-            raise PreconditionError("monomial degree must be >= 0")
-        return cls((Fraction(0),) * degree + (Fraction(coeff),))
-
-    @classmethod
-    def from_ints(cls, coeffs) -> "UniPoly":
-        return cls(tuple(Fraction(c) for c in coeffs))
-
-    @property
-    def degree(self):
-        """Index of the highest nonzero coefficient; -oo for the zero polynomial."""
-        if not self.coeffs:
-            return MINUS_INFINITY
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def eval(self, x) -> Fraction:
-        """Exact Horner evaluation."""
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(tuple(out))
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "UniPoly") -> "UniPoly":
-        if self.is_zero() or other.is_zero():
-            return UniPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(tuple(out))
-
-    def to_strings(self) -> list[str]:
-        """JSON form: coefficient strings, constant term first."""
-        return [format_rat(c) for c in self.coeffs]
-
-    @classmethod
-    def from_strings(cls, items) -> "UniPoly":
-        return cls(tuple(parse_rat(s) for s in items))

@@ -99,7 +99,7 @@ def test_criterion_4_unitary_degrees_and_char_p():
     with criterion(4, "unitary degrees and char-p bound", 5.0):
         for n in range(1, 7):
             poly, _ = unitary_order_poly(n)
-            assert poly.degree == comb(n + 2, 2) + comb(n + 3, 2) - 1
+            assert len(poly) - 1 == comb(n + 2, 2) + comb(n + 3, 2) - 1
         report, rows = char_p_ratio_report(50)
         assert report.values["order_degree"] == 8 == 4 * report.values["vol_degree"]
         assert rows and all(r["ok"] for r in rows)

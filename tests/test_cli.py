@@ -422,11 +422,28 @@ _DIGIT_LIMIT = f"{sys.get_int_max_str_digits()} digits"
     (CASES["chain"][:-2] + ["0"], "denom_bound must be >= 1"),
     (["minvol", "--n", "1", "--out", "."], "cannot write ."),
     (_CLOSURE_PAST_THE_CAP, "CLOSURE_SIZE_CAP = 2000"),
+    # integers are ints or their decimal text: no float is truncated, no bool taken
+    (["minvol", "--json", '{"n": 1.9}'], "argument 'n' must be an integer, got 1.9"),
+    (["minvol", "--json", '{"n": true}'], "argument 'n' must be an integer, got True"),
+    (["hurwitz", "--json", '{"g": 2.5}'], "argument 'g' must be an integer, got 2.5"),
+    (["ltrace", "--pair", '{"n":2,"coeffs":["1/2","1/2"]}', "--fan",
+      '{"n":2,"rays":[[1.0,0],[0,1]],"cones":[[0,1]]}'],
+     "argument 'rays' must be an integer, got 1.0"),
 ])
 def test_errors_name_their_cause(argv, cause):
     code, _, err = run_cli(argv)
     assert code == 2
     assert cause in json.loads(err)["error"]
+
+
+def test_ltrace_verify_outside_dimension_2_says_its_oracle_was_skipped():
+    # the blow-up chain oracle covers surfaces only
+    code, out, _ = run_cli([
+        "ltrace", "--pair", '{"n":3,"coeffs":["3/4","5/6","1/2"]}', "--fan",
+        '{"n":3,"rays":[[1,0,0],[0,1,0],[0,0,1],[1,1,1]],"cones":[[0,1,3],[0,2,3],[1,2,3]]}',
+        "--verify"])
+    assert code == 0
+    assert json.loads(out)["verified"] == "oracle-skipped"
 
 
 def test_constants_refuses_a_huge_power_at_once():

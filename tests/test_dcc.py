@@ -302,10 +302,21 @@ def test_exceptional_closure_matches_the_fraction_reference(base, bound, include
     )
 
 
+def _over_one_denominator(values):
+    """(L, numerators over L) of Fractions, L the lcm of their denominators."""
+    big_l = lcm(*(v.denominator for v in values))
+    return big_l, tuple(v.numerator * (big_l // v.denominator) for v in values)
+
+
 def _reference_members(desc, denom_bound, budget):
     """dcc._members from the Fraction reference and the parent's limit walk (below)."""
-    return (tuple(_reference_materialize(desc, denom_bound, budget)),
+    return (*_over_one_denominator(_reference_materialize(desc, denom_bound, budget)),
             _parent_search_stop(desc, denom_bound, budget))
+
+
+def _on_fractions(parent_search):
+    """A parent chain search over Fractions, called as the integer one is."""
+    return lambda big_l, nums, length: parent_search([F(x, big_l) for x in nums], length)
 
 
 @given(_closures, _budgets)
@@ -317,9 +328,11 @@ def test_closure_search_matches_the_fraction_reference(desc, budget):
     assert got == _reference_materialize(desc, bound, budget)
     chain = find_decreasing_chain(desc, budget.chain_length, bound, budget)
     verdict = dcc_verdict(desc, budget)
-    # the same searches over the reference's members
-    with mock.patch.object(dcc, "materialize", _reference_materialize), \
-            mock.patch.object(dcc, "_members", _reference_members):
+    # the same searches over the reference's members, by the parent's Fraction searches
+    with mock.patch.object(dcc, "_members", _reference_members), \
+            mock.patch.object(dcc, "_arithmetic_run_chain",
+                              _on_fractions(_parent_arithmetic_run_chain)), \
+            mock.patch.object(dcc, "_halving_chain", _on_fractions(_parent_halving_chain)):
         assert chain == find_decreasing_chain(desc, budget.chain_length, bound, budget)
         assert verdict == dcc_verdict(desc, budget)
 
@@ -328,7 +341,8 @@ def test_closure_search_matches_the_fraction_reference(desc, budget):
 # the one memoised walk and the bisecting chain search against the code they
 # replaced: a second walk that read each closure's search limit back from the
 # cache the members walk had filled, and a chain search that rebuilt the
-# members above every candidate limit
+# members above every candidate limit; and the integer walk and chain searches
+# against the Fraction members and run search they replaced
 
 
 @lru_cache(maxsize=32)
@@ -372,6 +386,23 @@ def _parent_search_stop(desc, denom_bound, budget):
             stop = _parent_search_stop(m, denom_bound, budget)
             if stop is not None:
                 return stop
+    return None
+
+
+def _parent_arithmetic_run_chain(values, length):
+    members = set(values)
+    if not members:
+        return None
+    max_q = max(v.denominator for v in members)
+    for q in range(2, max_q + 1):
+        ks = sorted((k for k in range(1, q) if F(k, q) in members), reverse=True)
+        run = []
+        for k in ks:
+            if run and run[-1] - k != 1:
+                run = []
+            run.append(k)
+            if len(run) >= length:
+                return Chain(tuple(F(k2, q) for k2 in run[:length]))
     return None
 
 
@@ -425,8 +456,8 @@ def test_members_walk_matches_the_parent_walks(desc, budget, data):
     dcc._members.cache_clear()
     _parent_materialize_closure.cache_clear()
     bound = data.draw(st.one_of(st.just(budget.denom_bound), _bounds))
-    members, stop = dcc._members(desc, bound, budget)
-    assert list(members) == _reference_materialize(desc, bound, budget)
+    big_l, nums, stop = dcc._members(desc, bound, budget)
+    assert (big_l, nums) == _over_one_denominator(_reference_materialize(desc, bound, budget))
     assert stop == _parent_search_stop(desc, bound, budget)
 
 
@@ -442,8 +473,8 @@ def test_members_walk_reports_every_limit():
     }
     for limit, (closure, budget) in closures.items():
         union = UnionSet((FiniteSet((F(1, 3),)), closure))
-        assert dcc._members(union, 7, budget)[1] == limit
-        assert dcc._members(SumClosure(union, 7), 7, budget)[1] == limit
+        assert dcc._members(union, 7, budget)[2] == limit
+        assert dcc._members(SumClosure(union, 7), 7, budget)[2] == limit
 
 
 _positive_fracs = st.fractions(min_value=F(0), max_value=F(2), max_denominator=24).filter(
@@ -453,4 +484,19 @@ _positive_fracs = st.fractions(min_value=F(0), max_value=F(2), max_denominator=2
 @given(st.lists(_positive_fracs, max_size=40).map(sorted), st.integers(min_value=1, max_value=8))
 @settings(max_examples=1000, deadline=None)
 def test_halving_chain_matches_the_parent(values, length):
-    assert dcc._halving_chain(values, length) == _parent_halving_chain(values, length)
+    big_l, nums = _over_one_denominator(values)
+    assert dcc._halving_chain(big_l, nums, length) == _parent_halving_chain(values, length)
+
+
+# members of (0, 1] with small denominators, dense enough for runs k/q, (k-1)/q, ...
+_run_fracs = st.fractions(min_value=F(0), max_value=F(1), max_denominator=12).filter(
+    lambda v: v > 0)
+
+
+@given(st.lists(_run_fracs, max_size=40).map(lambda vs: sorted(set(vs))),
+       st.integers(min_value=1, max_value=6))
+@settings(max_examples=500, deadline=None)
+def test_arithmetic_run_chain_matches_the_parent(values, length):
+    big_l, nums = _over_one_denominator(values)
+    assert dcc._arithmetic_run_chain(big_l, nums, length) == _parent_arithmetic_run_chain(
+        values, length)

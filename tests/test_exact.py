@@ -1,14 +1,13 @@
 from fractions import Fraction
 from itertools import permutations
-from math import lcm, prod
+from math import comb, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bdivkit.bounds import poly_eval, poly_times, unitary_order_poly
 from bdivkit.exact import (
-    MINUS_INFINITY,
     PreconditionError,
-    UniPoly,
     adjugate,
     cofactor_normal,
     determinant,
@@ -73,47 +72,47 @@ def test_primitive_part_idempotent(entries):
     assert primitive_part(once) == once
 
 
+# ---------------------------------------------------------------------------
+# the integer polynomials of bounds: coefficient tuples, constant term first
+
+
 def test_poly_degree_examples():
-    p = UniPoly.from_ints([1, 0, 0, 1])  # q^3 + 1
-    assert p.degree == 3
-    assert UniPoly.zero().degree is MINUS_INFINITY
-    prod = UniPoly.from_ints([-1, 0, 1]) * UniPoly.from_ints([1, 0, 0, 1])
-    assert prod.degree == 5
-
-
-def test_minus_infinity_ordering():
-    assert MINUS_INFINITY < -(10**100)
-    assert not (MINUS_INFINITY > 0)
-    assert MINUS_INFINITY <= MINUS_INFINITY
+    p = poly_times((1,), 3, -1)  # q^3 + 1
+    assert p == (1, 0, 0, 1) and len(p) - 1 == 3
+    assert len(poly_times(p, 2, 1)) - 1 == 5  # (q^2 - 1)(q^3 + 1)
 
 
 def test_poly_eval_examples():
-    p = UniPoly.from_ints([-1, 0, 1])  # q^2 - 1
-    assert p.eval(3) == 8
-    assert UniPoly.zero().eval(Fraction(7, 3)) == 0
-    big = (
-        UniPoly.monomial(1, 3)
-        * UniPoly.from_ints([-1, 0, 1])
-        * UniPoly.from_ints([1, 0, 0, 1])
-    )
-    assert big.eval(3) == 27 * 8 * 28 == 6048
+    p = poly_times((1,), 2, 1)  # q^2 - 1
+    assert p == (-1, 0, 1) and poly_eval(p, 3) == 8
+    assert poly_eval((), Fraction(7, 3)) == 0
+    big = poly_times(poly_times((0, 0, 0, 1), 2, 1), 3, -1)  # q^3 (q^2 - 1)(q^3 + 1)
+    assert big == (0, 0, 0, -1, 0, 1, -1, 0, 1)
+    assert poly_eval(big, 3) == 27 * 8 * 28 == 6048
 
 
 @given(
-    st.lists(st.integers(-5, 5), min_size=0, max_size=4),
-    st.lists(st.integers(-5, 5), min_size=0, max_size=4),
+    st.lists(st.integers(-5, 5), min_size=0, max_size=4).map(tuple),
+    st.integers(1, 4),
+    st.integers(-3, 3),
     st.integers(-6, 6),
 )
-def test_poly_eval_multiplicative(a, b, x):
-    pa = UniPoly.from_ints(a)
-    pb = UniPoly.from_ints(b)
-    assert (pa * pb).eval(x) == pa.eval(x) * pb.eval(x)
+def test_poly_eval_multiplicative(p, i, s, x):
+    assert poly_eval(poly_times(p, i, s), x) == poly_eval(p, x) * (x**i - s)
 
 
-def test_poly_string_roundtrip():
-    p = UniPoly((Fraction(1, 2), Fraction(0), Fraction(-3)))
-    assert p.to_strings() == ["1/2", "0", "-3"]
-    assert UniPoly.from_strings(p.to_strings()) == p
+def test_unitary_poly_equals_the_direct_product_at_degree_plus_one_points():
+    # two integer polynomials of degree d that agree at d + 1 points are equal,
+    # so this pins every coefficient
+    for n in range(1, 33):
+        poly, _ = unitary_order_poly(n)
+        d = len(poly) - 1
+        assert d == comb(n + 2, 2) + comb(n + 3, 2) - 1 and poly[-1] == 1
+        for x in range(-(d // 2), d - d // 2 + 1):
+            direct = x ** comb(n + 2, 2)
+            for i in range(2, n + 3):
+                direct *= x**i - (-1) ** i
+            assert poly_eval(poly, x) == direct, (n, x)
 
 
 # ---------------------------------------------------------------------------

@@ -41,3 +41,14 @@ def test_imports_only_at_module_level(path):
         if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
     ]
     assert nested == []
+
+
+def test_package_root_imports_no_names_from_its_modules():
+    # the root holds the docstring and the version; callers import from the modules
+    imported = [
+        f"line {node.lineno}: {', '.join(a.name for a in node.names)}"
+        for node in ast.walk(_tree(SRC / "__init__.py"))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("bdivkit"))
+    ]
+    assert imported == []
