@@ -7,8 +7,14 @@ on them in characteristic p, the doubly-exponential sequence r0 = 1,
 r_{k+1} = r_k (r_k + 1) governing the smallest known log-pair volumes, exact
 lattice-polytope volumes backing the toric volume computations, and the
 constant propagation m = 2 g0 (1 + gamma)^(n-1) used by the effectivity
-bookkeeping.  The polytope code solves, ranks and takes determinants with
-the linear-algebra kernel in ``exact``.
+bookkeeping.
+
+Polytope vertices are integer numerators over one positive denominator:
+the offsets are scaled to integers, each n-subset of rows meets in
+adj(A_S) (-B_S) / det(A_S) from the ``exact`` kernel, feasibility and
+active rows are integer comparisons, and the feasible vertices share the
+lcm of their |det|.  Volumes sum integer simplex determinants, and the one
+``Fraction`` built is the volume returned.
 
 Polynomials here have integer coefficients and are plain tuples of ints,
 constant term first: ``poly_times`` multiplies one by x^i - s and
@@ -21,10 +27,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, floor, gcd, lcm
+from operator import mul
 
 from .exact import (
     InvariantViolation,
     PreconditionError,
+    adjugate,
     checked_power,
     cofactor_normal,
     determinant,
@@ -34,7 +42,6 @@ from .exact import (
     parse_rat,
     parse_rat_list,
     rank,
-    solve,
 )
 
 
@@ -104,6 +111,12 @@ CHARP_Q_CAP = 10_000
 # `unitary --n 32 --q 2 --verify` takes 0.2 s, building the n = 400 part 7 s,
 # and n = 100 000 would need about 5 * 10^9 coefficients
 UNITARY_N_CAP = 32
+
+# vertex enumeration solves every n-subset of the rows, binom(rows, n) of
+# them: on a 2-vCPU machine `polyvol --verify` on a 4-D polytope with 21 rows
+# (5 985 subsets) takes 1.0 s, and the time grows with the subsets: 4.9 s at
+# 30 rows, 14 s at 40
+POLYTOPE_SUBSET_CAP = 6000
 
 
 def sylvester(k: int) -> SylvesterSeq:
@@ -178,6 +191,12 @@ class Polytope:
             raise PreconditionError("one offset per normal is required")
         if len(normals) < self.n + 1:
             raise PreconditionError("too few halfspaces to bound a polytope")
+        subsets = comb(len(normals), self.n)
+        if subsets > POLYTOPE_SUBSET_CAP:
+            raise PreconditionError(
+                f"{subsets} subsets of {self.n} rows exceed the cap "
+                f"POLYTOPE_SUBSET_CAP = {POLYTOPE_SUBSET_CAP}"
+            )
         for row in normals:
             if len(row) != self.n:
                 raise PreconditionError("normal dimension mismatch")
@@ -229,7 +248,9 @@ def _affine_dim(points) -> int:
 def polytope_vertices(poly: Polytope):
     """All vertices with their active-constraint sets; errors when unbounded.
 
-    Returns (vertex, frozenset of active row indices) pairs, vertices sorted.
+    Returns (den, verts): den is a positive integer, and verts the sorted
+    (numerators, frozenset of active row indices) pairs, each vertex being
+    its integer numerators over den.
     """
     # recession ray check: a nonzero direction with <normal, d> >= 0 for all
     # rows makes the polyhedron unbounded; extreme rays lie on n-1 active
@@ -242,33 +263,39 @@ def polytope_vertices(poly: Polytope):
         if not any(direction):
             continue
         for cand in (direction, tuple(-x for x in direction)):
-            if all(sum(a * x for a, x in zip(row, cand)) >= 0 for row in rows):
+            if all(sum(map(mul, row, cand)) >= 0 for row in rows):
                 raise PreconditionError("polytope is unbounded")
 
-    verts = {}
+    # y = D x, with D the lcm of the offsets' denominators, keeps the rows
+    # <a_i, y> >= -B_i on integers; an n-subset S of rows with det(A_S) != 0
+    # meets in y = u / |det|, u = sign(det) adj(A_S) (-B_S)
+    d = lcm(*(b.denominator for b in poly.offsets))
+    offs = [b.numerator * (d // b.denominator) for b in poly.offsets]
+    found = set()
     for subset in combinations(range(len(rows)), n):
         mat = [rows[i] for i in subset]
-        rhs = [-poly.offsets[i] for i in subset]
-        pt = solve(mat, rhs)
-        if pt is None:
+        adj = adjugate(mat)
+        det = sum(map(mul, adj[0], (row[0] for row in mat)))
+        if det == 0:
             continue
-        ok = True
-        for row, off in zip(rows, poly.offsets):
-            if sum(a * x for a, x in zip(row, pt)) < -off:
-                ok = False
-                break
-        if ok:
-            verts.setdefault(pt, set()).update(subset)
-    # active sets recomputed exactly so shared vertices merge
+        rhs = [offs[i] if det > 0 else -offs[i] for i in subset]
+        u = tuple(-sum(map(mul, row, rhs)) for row in adj)
+        q = abs(det)
+        if all(sum(map(mul, row, u)) >= -b * q for row, b in zip(rows, offs)):
+            found.add((u, q))
+    # over M = lcm of the |det| every vertex has one integer tuple, and
+    # tuples over one positive denominator sort as the points do
+    m = lcm(*(q for _, q in found))
+    points = sorted({tuple(x * (m // q) for x in u) for u, q in found})
     out = []
-    for pt in sorted(verts):
+    for pt in points:
         active = frozenset(
             i
-            for i, (row, off) in enumerate(zip(rows, poly.offsets))
-            if sum(a * x for a, x in zip(row, pt)) == -off
+            for i, (row, b) in enumerate(zip(rows, offs))
+            if sum(map(mul, row, pt)) == -b * m
         )
         out.append((pt, active))
-    return out
+    return m * d, out
 
 
 def _triangulate(verts_active, dim: int):
@@ -305,21 +332,16 @@ def polytope_volume(poly: Polytope) -> Fraction:
 
     Returns 0 for empty or lower-dimensional input; raises on unbounded.
     """
-    verts = polytope_vertices(poly)
+    den, verts = polytope_vertices(poly)
     if len(verts) < poly.n + 1:
         return Fraction(0)
     if _affine_dim([p for p, _ in verts]) < poly.n:
         return Fraction(0)
-    total = Fraction(0)
+    total = 0
     for simplex in _triangulate(verts, poly.n):
         base = simplex[0]
-        rows = [[x - y for x, y in zip(p, base)] for p in simplex[1:]]
-        # rational determinant via clearing denominators
-        denom = lcm(*(x.denominator for row in rows for x in row))
-        int_rows = [[int(x * denom) for x in row] for row in rows]
-        det = determinant(int_rows)
-        total += Fraction(abs(det), denom**poly.n)
-    return total / factorial(poly.n)
+        total += abs(determinant([[x - y for x, y in zip(p, base)] for p in simplex[1:]]))
+    return Fraction(total, den**poly.n * factorial(poly.n))
 
 
 # ---------------------------------------------------------------------------

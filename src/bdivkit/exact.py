@@ -7,8 +7,8 @@ Lattice vectors are plain tuples of ints.
 
 The exact linear algebra of the package lives here too: one fraction-free
 elimination (rank, and determinants past 3 x 3), the cofactor normal of
-n - 1 rows, the adjugate built from cofactor normals, and ``solve``.  Cones
-in ``fans`` and polytopes in ``bounds`` call it; neither carries its own.
+n - 1 rows, and the adjugate built from cofactor normals.  Cones in ``fans``
+and polytopes in ``bounds`` call it; neither carries its own.
 
 Every downstream decision (argmin choices, weight comparisons, chain
 conditions) is made by exact comparison, so floating point is banned in this
@@ -286,17 +286,3 @@ def adjugate(rows) -> tuple:
         cols.append(normal if (n - 1 - k) % 2 == 0 else tuple(-x for x in normal))
     return tuple(zip(*cols))
 
-
-def solve(rows, rhs):
-    """The x with A x = rhs, as adj(A) rhs / det(A); None when A is singular.
-
-    A is a square integer matrix and rhs a vector of rationals, scaled to
-    integers over their lcm denominator before the product.
-    """
-    adj = adjugate(rows)
-    det = sum(map(mul, adj[0], (row[0] for row in rows)))
-    if det == 0:
-        return None
-    den = lcm(*(b.denominator for b in rhs))
-    ints = [b.numerator * (den // b.denominator) for b in rhs]
-    return tuple(Fraction(sum(map(mul, row, ints)), det * den) for row in adj)

@@ -325,45 +325,16 @@ def meet(a: ModelDivisor, b: ModelDivisor) -> ModelDivisor:
 # minimal log discrepancy at the origin
 
 
-def _mld_box(pair: LocalPair) -> list:
-    # Any minimizer v >= (1,..,1) satisfies v_i (1 - c_i) <= a0 where a0 is
-    # the value at (1,..,1): otherwise its single term already exceeds the
-    # value attained there.  Hence v_i <= ceil(a0 / (1 - c_i)) when c_i < 1;
-    # coordinates with c_i = 1 contribute nothing and stay pinned at 1.
-    a0 = sum((1 - c for c in pair.coeffs), Fraction(0))
-    box = []
-    for c in pair.coeffs:
-        if c == 1:
-            box.append(1)
-        else:
-            box.append(max(1, ceil(a0 / (1 - c))))
-    return box
-
-
 def mld_origin_minimizer(pair: LocalPair) -> tuple:
-    """Exact (minimal log discrepancy at the origin, lex-least minimizer)."""
-    box = _mld_box(pair)
-    weights = [1 - c for c in pair.coeffs]
-    best = None
-    best_v = None
+    """Exact (minimal log discrepancy at the origin, lex-least minimizer).
 
-    def walk(prefix, partial):
-        nonlocal best, best_v
-        i = len(prefix)
-        if best is not None and partial > best:
-            return
-        if i == pair.n:
-            if best is None or partial < best:
-                best = partial
-                best_v = tuple(prefix)
-            return
-        for e in range(1, box[i] + 1):
-            walk(prefix + [e], partial + e * weights[i])
-            if weights[i] == 0:
-                break
-
-    walk([], Fraction(0))
-    return best, best_v
+    pair is a ``LocalPair``, so every coefficient c_i lies in [0, 1].  The
+    valuations centred at the origin are the v >= (1,..,1), and the log
+    discrepancy sum v_i (1 - c_i) has weights 1 - c_i >= 0, so raising a
+    coordinate past 1 never lowers it: the minimum is sum (1 - c_i), attained
+    at (1,..,1), which is also the lex-least of all the vectors allowed.
+    """
+    return sum((1 - c for c in pair.coeffs), Fraction(0)), (1,) * pair.n
 
 
 def mld_origin(pair: LocalPair) -> Fraction:

@@ -24,6 +24,7 @@ from bdivkit.bounds import (
     unitary_order_poly,
     unitary_order_value,
 )
+from bdivkit.cli import _polygon_area
 from bdivkit.exact import InvariantViolation, PreconditionError
 from test_exact import _null_direction, _rank, _solve_square, leibniz_det
 
@@ -217,11 +218,11 @@ def _reference_volume(poly):
 
 
 @st.composite
-def h_polytopes(draw):
+def h_polytopes(draw, dims=st.integers(1, 4)):
     """A random H-polytope of dimension 1-4: random halfspaces alone (often
     unbounded), or inside a box, with a coordinate pinned (flat) or two
     opposite halfspaces that miss each other (empty)."""
-    n = draw(st.integers(1, 4))
+    n = draw(dims)
     offset = st.fractions(min_value=-3, max_value=3, max_denominator=4)
     normal = st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any).map(tuple)
     kind = draw(st.sampled_from(["random", "boxed", "flat", "empty"]))
@@ -253,8 +254,20 @@ def test_vertices_and_volume_match_the_fraction_path(poly):
         with pytest.raises(PreconditionError, match="unbounded"):
             polytope_volume(poly)
         return
-    assert polytope_vertices(poly) == ref
+    den, verts = polytope_vertices(poly)
+    assert den > 0
+    assert [(tuple(F(x, den) for x in p), a) for p, a in verts] == ref
     assert polytope_volume(poly) == _reference_volume(poly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(h_polytopes(st.just(2)))
+def test_shoelace_area_equals_the_polygon_volume(poly):
+    try:
+        den, verts = polytope_vertices(poly)
+    except PreconditionError:
+        return  # unbounded: no area to compare
+    assert _polygon_area(den, [p for p, _ in verts]) == polytope_volume(poly)
 
 
 def test_hurwitz_examples():

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import bdivkit.cli as cli_mod
 from bdivkit.cli import main, run_batch, run_command
 from bdivkit.exact import PreconditionError
+from bdivkit.logpairs import LocalPair
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -277,6 +278,13 @@ for _ in range(700):
 _CLOSURE_PAST_THE_CAP = ["closure", "--base", json.dumps([f"{r - 1}/{r}" for r in range(2, 24)]),
                          "--denom-bound", "1000000"]
 
+# 22 rows in dimension 4 give binom(22, 4) = 7315 vertex subsets
+_POLYTOPE_PAST_THE_CAP = ["polyvol", "--polytope", json.dumps({
+    "n": 4,
+    "normals": [[int(j == i) * s for j in range(4)] for i in range(4) for s in (1, -1)]
+               + [[1, 1, 1, 1]] * 14,
+    "offsets": ["1"] * 22})]
+
 BAD_INPUTS = [
     ["ldisc", "--pair", '{"n":2,"coeffs":["1/2"]}', "--v", "[1,1]"],
     ["ldisc", "--pair", '{"n":2,"coeffs":["1/2","0.5"]}', "--v", "[1,1]"],
@@ -388,6 +396,7 @@ BAD_INPUTS = [
                  id="chain set description nested 700 levels"),
     # a closure past its size cap
     pytest.param(_CLOSURE_PAST_THE_CAP, id="closure past the size cap"),
+    pytest.param(_POLYTOPE_PAST_THE_CAP, id="polyvol past the subset cap"),
 ]
 
 
@@ -429,6 +438,7 @@ _DIGIT_LIMIT = f"{sys.get_int_max_str_digits()} digits"
     (["ltrace", "--pair", '{"n":2,"coeffs":["1/2","1/2"]}', "--fan",
       '{"n":2,"rays":[[1.0,0],[0,1]],"cones":[[0,1]]}'],
      "argument 'rays' must be an integer, got 1.0"),
+    (_POLYTOPE_PAST_THE_CAP, "POLYTOPE_SUBSET_CAP = 6000"),
 ])
 def test_errors_name_their_cause(argv, cause):
     code, _, err = run_cli(argv)
@@ -444,6 +454,49 @@ def test_ltrace_verify_outside_dimension_2_says_its_oracle_was_skipped():
         "--verify"])
     assert code == 0
     assert json.loads(out)["verified"] == "oracle-skipped"
+
+
+def test_mld_verify_says_its_oracle_was_skipped_past_the_box_cap():
+    # the oracle's box for (0, 249/250, 249/250) has 4 * 504 * 504 > 10^6 points
+    code, out, _ = run_cli(["mld", "--pair", '{"n":3,"coeffs":["0","249/250","249/250"]}',
+                            "--verify"])
+    assert code == 0
+    assert json.loads(out) == {"klt": True, "minimizer": [1, 1, 1], "mld": "126/125",
+                               "verified": "oracle-skipped"}
+
+
+def test_mld_oracle_scans_a_box_at_the_cap(monkeypatch):
+    pair = LocalPair((Fraction(1, 2), Fraction(1, 2)))  # a box of 4 * 4 points
+    monkeypatch.setattr(cli_mod, "MLD_ORACLE_BOX_CAP", 16)
+    assert cli_mod._mld_bruteforce(pair, 2) == (1, (1, 1))
+    monkeypatch.setattr(cli_mod, "MLD_ORACLE_BOX_CAP", 15)
+    assert cli_mod._mld_bruteforce(pair, 2) is None
+
+
+def _parent_mld_bruteforce(pair, factor):
+    """The Fraction oracle that the integer scan replaced, kept as the reference."""
+    from itertools import product
+    from math import ceil
+
+    a0 = sum((1 - c for c in pair.coeffs), Fraction(0))
+    box = [1 if c == 1 else max(1, factor * ceil(a0 / (1 - c))) for c in pair.coeffs]
+    best = None
+    best_v = None
+    for v in product(*(range(1, b + 1) for b in box)):
+        val = sum((e * (1 - c) for e, c in zip(v, pair.coeffs)), Fraction(0))
+        if best is None or val < best or (val == best and v < best_v):
+            best = val
+            best_v = v
+    return best, best_v
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([Fraction(0), Fraction(1)]),
+                          st.fractions(min_value=0, max_value=1, max_denominator=6)),
+                min_size=1, max_size=3))
+def test_mld_oracle_matches_the_fraction_oracle(coeffs):
+    pair = LocalPair(tuple(coeffs))
+    assert cli_mod._mld_bruteforce(pair, 2) == _parent_mld_bruteforce(pair, 2)
 
 
 def test_constants_refuses_a_huge_power_at_once():

@@ -15,7 +15,6 @@ from bdivkit.exact import (
     parse_rat,
     primitive_part,
     rank,
-    solve,
 )
 
 rationals = st.fractions(
@@ -300,17 +299,6 @@ def test_cofactor_normal_spans_the_null_space(rows_x):
         assert [a * ref[i] for a in normal] == [normal[i] * r for r in ref]
 
 
-@settings(max_examples=300, deadline=None)
-@given(square_matrices.flatmap(lambda m: st.tuples(st.just(m), st.lists(
-    st.fractions(min_value=-20, max_value=20, max_denominator=12),
-    min_size=len(m), max_size=len(m)))))
-def test_solve_matches_gauss_jordan(m_rhs):
-    m, rhs = m_rhs
-    assert solve(m, rhs) == _solve_square(m, rhs)
-    assert solve(m, [int(b.numerator) for b in rhs]) == _solve_square(
-        m, [b.numerator for b in rhs])
-
-
 def test_kernel_examples():
     assert determinant([[2, 1], [1, 1]]) == 1
     assert determinant([[0, 1], [1, 0]]) == -1
@@ -319,7 +307,5 @@ def test_kernel_examples():
     assert cofactor_normal([(1, 0, 0), (0, 1, 0)]) == (0, 0, 1)
     assert adjugate([[3]]) == ((1,),)
     assert adjugate([[1, 2], [3, 4]]) == ((4, -2), (-3, 1))
-    assert solve([[1, 2], [2, 4]], [1, 2]) is None
-    assert solve([[2, 0], [0, 3]], [1, Fraction(1, 2)]) == (Fraction(1, 2), Fraction(1, 6))
     assert rank([]) == 0 and rank([[0, 0]]) == 0
     assert rank([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]) == 1

@@ -249,6 +249,43 @@ def test_mld_agrees_with_enlarged_bruteforce():
         assert mld_origin(pair) == _mld_bruteforce(pair, 2)
 
 
+def _parent_mld_walk(pair):
+    """The pruned walk over the a0 / (1 - c_i) box that the closed form
+    replaced, kept as the reference."""
+    from math import ceil
+
+    a0 = sum((1 - c for c in pair.coeffs), F(0))
+    box = [1 if c == 1 else max(1, ceil(a0 / (1 - c))) for c in pair.coeffs]
+    weights = [1 - c for c in pair.coeffs]
+    best = None
+    best_v = None
+
+    def walk(prefix, partial):
+        nonlocal best, best_v
+        i = len(prefix)
+        if best is not None and partial > best:
+            return
+        if i == pair.n:
+            if best is None or partial < best:
+                best = partial
+                best_v = tuple(prefix)
+            return
+        for e in range(1, box[i] + 1):
+            walk(prefix + [e], partial + e * weights[i])
+            if weights[i] == 0:
+                break
+
+    walk([], F(0))
+    return best, best_v
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([F(0), F(1)]), unit_fracs), min_size=1, max_size=4))
+def test_mld_closed_form_matches_the_parent_walk(coeffs):
+    pair = LocalPair(tuple(coeffs))
+    assert mld_origin_minimizer(pair) == _parent_mld_walk(pair)
+
+
 def test_rounding_examples():
     r = rounding_comparison([F(1, 2)], 3)
     assert r.floor_up == (1,) and r.ceil_down == (1,) and r.equal and r.le
