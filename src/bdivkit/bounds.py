@@ -23,8 +23,8 @@ constant term first: ``poly_times`` multiplies one by x^i - s and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb, factorial, floor, gcd, lcm
 from operator import mul
@@ -42,16 +42,17 @@ from .exact import (
     parse_rat,
     parse_rat_list,
     rank,
+    record,
 )
 
 
-@dataclass(frozen=True)
+@record
 class BoundReport:
     """Named exact quantities with short provenance notes."""
 
     kind: str
     values: dict
-    notes: dict = field(default_factory=dict)
+    notes: dict = {}
 
     def to_json(self) -> dict:
         out = {"kind": self.kind}
@@ -66,7 +67,7 @@ class BoundReport:
 # the doubly-exponential sequence and minimal-volume candidates
 
 
-@dataclass(frozen=True)
+@record
 class SylvesterSeq:
     """Terms r_0..r_k with r_0 = 1 and r_{k+1} = r_k (r_k + 1)."""
 
@@ -174,7 +175,7 @@ def projective_space_log_volume(n: int, coeffs) -> Fraction:
 # exact lattice-polytope volume
 
 
-@dataclass(frozen=True)
+@record
 class Polytope:
     """H-representation: rows (normal, offset) meaning <normal, x> >= -offset."""
 
@@ -204,6 +205,11 @@ class Polytope:
                 raise PreconditionError("zero normal")
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "offsets", offsets)
+
+    @cached_property
+    def vertices(self) -> tuple:
+        """``polytope_vertices(self)``, enumerated on first use."""
+        return _vertices(self)
 
     @classmethod
     def from_json(cls, data: dict) -> "Polytope":
@@ -249,9 +255,14 @@ def polytope_vertices(poly: Polytope):
     """All vertices with their active-constraint sets; errors when unbounded.
 
     Returns (den, verts): den is a positive integer, and verts the sorted
-    (numerators, frozenset of active row indices) pairs, each vertex being
-    its integer numerators over den.
+    tuple of (numerators, frozenset of active row indices) pairs, each vertex
+    being its integer numerators over den.  They are enumerated once per
+    polytope, as its ``vertices``.
     """
+    return poly.vertices
+
+
+def _vertices(poly: Polytope) -> tuple:
     # recession ray check: a nonzero direction with <normal, d> >= 0 for all
     # rows makes the polyhedron unbounded; extreme rays lie on n-1 active
     # constraints of rank n-1, whose null space the cofactor normal spans
@@ -295,7 +306,7 @@ def polytope_vertices(poly: Polytope):
             if sum(map(mul, row, pt)) == -b * m
         )
         out.append((pt, active))
-    return m * d, out
+    return m * d, tuple(out)
 
 
 def _triangulate(verts_active, dim: int):

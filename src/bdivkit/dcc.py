@@ -36,12 +36,11 @@ comparisons.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .exact import PreconditionError, format_rat, parse_int, parse_rat, parse_rat_list
+from .exact import PreconditionError, format_rat, parse_int, parse_rat, parse_rat_list, record
 
 
 def standard_coeff(r: int) -> Fraction:
@@ -121,7 +120,7 @@ def _numerators(values) -> tuple:
 # set descriptions
 
 
-@dataclass(frozen=True)
+@record
 class FiniteSet:
     values: tuple
 
@@ -136,7 +135,7 @@ class FiniteSet:
         return {"kind": "finite", "values": [format_rat(v) for v in self.values]}
 
 
-@dataclass(frozen=True)
+@record
 class StandardSet:
     """The set {(r-1)/r : r in N}: increasing, accumulating only at 1."""
 
@@ -144,7 +143,7 @@ class StandardSet:
         return {"kind": "standard"}
 
 
-@dataclass(frozen=True)
+@record
 class UnionSet:
     members: tuple
 
@@ -157,7 +156,7 @@ class UnionSet:
         return {"kind": "union", "members": [m.to_json() for m in self.members]}
 
 
-@dataclass(frozen=True)
+@record
 class SumClosure:
     """Closure of a base description under the exceptional sum."""
 
@@ -211,7 +210,7 @@ def desc_from_json(data: dict, _depth: int = 0) -> CoeffSetDesc:
     raise PreconditionError(f"unknown set description kind: {kind!r}")
 
 
-@dataclass(frozen=True)
+@record
 class SearchBudget:
     """Bounds for chain searches over materialized closures."""
 
@@ -287,7 +286,7 @@ def _members(desc: CoeffSetDesc, denom_bound: int, budget: SearchBudget) -> tupl
 # chains
 
 
-@dataclass(frozen=True)
+@record
 class Chain:
     """Strictly decreasing members of a described set."""
 
@@ -401,7 +400,7 @@ def find_decreasing_chain(
 # verdicts
 
 
-@dataclass(frozen=True)
+@record
 class DccVerdict:
     verdict: str  # "DCC" | "NOT_DCC" | "UNKNOWN"
     witness: Chain | None = None

@@ -13,6 +13,12 @@ and polytopes in ``bounds`` call it; neither carries its own.
 Every downstream decision (argmin choices, weight comparisons, chain
 conditions) is made by exact comparison, so floating point is banned in this
 package.
+
+The package's value types are records: ``record`` turns a class whose
+annotations name its fields into a frozen value with a constructor,
+equality, hashing and a repr, all plain functions, so defining one compiles
+no code at import.  ``trusted`` builds an instance of one without running
+its validation, for values the package made itself.
 """
 
 from __future__ import annotations
@@ -31,8 +37,70 @@ class InvariantViolation(RuntimeError):
     """An internal mathematical invariant failed (CLI exit code 3)."""
 
 
+def record(cls):
+    """Make cls a frozen value record of the fields its own annotations name.
+
+    The methods are closures over the field names, so nothing is compiled,
+    and a method the class defines itself, such as an ``__init__``, is kept.
+    ``__init__`` binds the fields by position or keyword, in annotation
+    order.  A class attribute of a field's name is its default, copied per
+    instance when it is a dict or list.  A missing or unknown field is a
+    TypeError.  Then ``self.__post_init__()`` runs, looked up on each call,
+    when the class has one.  Instances of one class are equal when their
+    field tuples are, the hash is the field tuple's, and the repr reads
+    ``Name(a=1, b=(2, 3))``.  Assigning or deleting an attribute raises
+    AttributeError; ``object.__setattr__`` and ``cached_property`` still
+    write the instance ``__dict__``.
+    """
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    post_init = hasattr(cls, "__post_init__")
+
+    def fields(self):
+        return tuple([getattr(self, name) for name in names])
+
+    def __init__(self, *args, **kwargs):
+        if len(args) > len(names) or not kwargs.keys() <= set(names[len(args):]):
+            raise TypeError(f"{cls.__name__}() got too many, unknown or repeated fields")
+        values = self.__dict__
+        values.update(zip(names, args), **kwargs)
+        for name in names:
+            if name not in values:
+                if name not in defaults:
+                    raise TypeError(f"{cls.__name__}() missing field {name!r}")
+                value = defaults[name]
+                values[name] = value.copy() if isinstance(value, (dict, list)) else value
+        if post_init:
+            self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return fields(self) == fields(other)
+        return NotImplemented
+
+    def __repr__(self):
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{self.__class__.__qualname__}({inner})"
+
+    def frozen(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    methods = {
+        "__init__": __init__,
+        "__eq__": __eq__,
+        "__hash__": lambda self: hash(fields(self)),
+        "__repr__": __repr__,
+        "__setattr__": frozen,
+        "__delattr__": frozen,
+    }
+    for name, method in methods.items():
+        if name not in cls.__dict__:
+            setattr(cls, name, method)
+    return cls
+
+
 def trusted(cls, **attrs):
-    """An instance of the frozen dataclass cls built without validation.
+    """An instance of the ``record`` class cls built without validation.
 
     For values the package made itself from data already validated: attrs
     holds every field, and optionally the values of cached properties, which
@@ -230,11 +298,15 @@ def _eliminate(rows) -> tuple:
 def rank(rows) -> int:
     """Rank of a matrix of rationals (ints or Fractions).
 
-    Each row is first scaled by the lcm of its denominators, which keeps the
-    rank and makes the row integral.
+    A row holding a Fraction is first scaled by the lcm of its denominators,
+    which keeps the rank and makes the row integral; a row of ints is used
+    as it is.
     """
     ints = []
     for row in rows:
+        if all(type(x) is int for x in row):
+            ints.append(row)
+            continue
         den = lcm(*(x.denominator for x in row))
         ints.append([x.numerator * (den // x.denominator) for x in row])
     return _eliminate(ints)[0]

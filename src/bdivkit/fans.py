@@ -25,7 +25,6 @@ quickly and nothing in this toolkit needs more.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -43,6 +42,7 @@ from .exact import (
     parse_int,
     primitive_part,
     rank,
+    record,
     trusted,
 )
 
@@ -62,7 +62,7 @@ def _check_dim(n: int) -> None:
 # cones
 
 
-@dataclass(frozen=True)
+@record
 class Cone:
     """Simplicial cone spanned by primitive, independent rays of the orthant."""
 
@@ -232,7 +232,7 @@ class Cone:
 # fans
 
 
-@dataclass(frozen=True, init=False)
+@record
 class BarycentricResult:
     """A maximal cone containing the query plus exact coordinates in it.
 
@@ -263,7 +263,7 @@ class BarycentricResult:
         return tuple(Fraction(x, d) for x in self.nums)
 
 
-@dataclass(frozen=True)
+@record
 class Fan:
     """Simplicial subdivision of the positive orthant of dimension n."""
 

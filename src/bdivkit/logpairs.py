@@ -24,7 +24,6 @@ end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, floor
@@ -42,6 +41,7 @@ from .exact import (
     parse_int,
     parse_rat,
     parse_rat_list,
+    record,
 )
 from .fans import Fan
 
@@ -76,7 +76,7 @@ def _check_unit_interval(x: Fraction, what: str) -> Fraction:
     return x
 
 
-@dataclass(frozen=True)
+@record
 class LocalPair:
     """Dimension n with exact coefficients c_1..c_n in [0,1] (0 means absent)."""
 
@@ -142,7 +142,7 @@ def default_one_coeff(pair: LocalPair, v) -> Fraction:
     return pair.coeffs[i] if i is not None else Fraction(1)
 
 
-@dataclass(frozen=True)
+@record
 class BDivisor:
     """Default-one b-divisor: values at e_1..e_n plus finitely many deviations.
 
@@ -151,7 +151,7 @@ class BDivisor:
     """
 
     pair_coeffs: tuple
-    deviations: dict = field(default_factory=dict)
+    deviations: dict = {}
 
     def __post_init__(self):
         pcs = tuple(parse_rat(c) for c in self.pair_coeffs)
@@ -231,7 +231,7 @@ def bdiv_eval(bdiv: BDivisor, v) -> Fraction:
     return bdiv.value(vec)
 
 
-@dataclass(frozen=True)
+@record
 class ModelDivisor:
     """A divisor on a toric model: one exact coefficient per fan ray."""
 
@@ -349,7 +349,7 @@ def mld_origin(pair: LocalPair) -> Fraction:
 # rounding comparison
 
 
-@dataclass(frozen=True)
+@record
 class RoundingReport:
     floor_up: tuple
     ceil_down: tuple

@@ -36,7 +36,6 @@ coefficient exceeds, so only listed deviations can witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import mul
 
@@ -48,6 +47,7 @@ from .exact import (
     format_rat,
     is_primitive,
     primitive_part,
+    record,
     trusted,
 )
 from .fans import Cone, Fan, ensure_rays, orthant_fan
@@ -67,7 +67,7 @@ from .logpairs import (
 MAX_BOX = 1_000_000
 
 
-@dataclass(frozen=True)
+@record
 class LocalModel:
     """A local pair with its coefficient-one components listed last."""
 
@@ -157,7 +157,7 @@ def positive_pullback_prefixes(model: LocalModel) -> list:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class Witness:
     """A valuation whose B-value lies strictly below its pullback coefficient."""
 
@@ -270,7 +270,7 @@ def pick_fiber_minimizer(model: LocalModel, bdiv: BDivisor, prefix) -> LatticeVe
 # reduction states
 
 
-@dataclass(frozen=True)
+@record
 class ReductionState:
     """Current model, its boundary trace, and the b-divisor rebased to it.
 
@@ -364,7 +364,7 @@ def state_weight(state: ReductionState) -> int:
 # cuts
 
 
-@dataclass(frozen=True)
+@record
 class CutStep:
     weight_before: int
     sigmas: tuple
@@ -410,9 +410,17 @@ def _theta_coeffs(state: ReductionState, sig, rays) -> tuple:
     per cone, so mu_sigma(r) = min a_j / b_j is found by cross-multiplication.
     The drops are compared the same way, and theta(r) is the one Fraction
     built per ray.
+
+    Only a sigma listed among B's deviations can have an excess.  Any other
+    sigma is not a unit vector, since units are rays of every subdivision of
+    the orthant and ``build_cut`` refuses rays, so B(sigma) = 1.  And
+    pb(sigma) <= 1, as every trace coefficient is at most 1.  The excess of
+    an unlisted sigma is therefore never positive, and it is not computed.
     """
     excess = []
     for vec in sig:
+        if vec not in state.bdiv.deviations:
+            continue
         e = relative_pullback_coeff(state.phi, vec) - state.value(vec)
         if e > 0:
             excess.append((vec, e))
@@ -653,7 +661,7 @@ def _chart_sigmas(state: ReductionState, cone_ray_indices) -> list:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class ReductionTrace:
     initial_weight: int
     steps: tuple
@@ -698,7 +706,7 @@ def run_reduction(model: LocalModel, bdiv: BDivisor) -> ReductionTrace:
         if not sigmas:
             raise InvariantViolation("witnesses present but no cut valuation found")
         state, step = build_cut(state, list(dict.fromkeys(sigmas)))
-        steps.append(replace(step, weight_before=weight))
+        steps.append(CutStep(weight, step.sigmas, step.rays_added, step.theta))
         witnesses = state_witnesses(state)
         new_weight = max((w.weight for w in witnesses), default=-1)
         if new_weight >= weight:
@@ -734,7 +742,7 @@ def reduce_surface_strata(instances) -> list:
 # verification
 
 
-@dataclass(frozen=True)
+@record
 class VerifyReport:
     ok: bool
     box: int

@@ -2,7 +2,6 @@ import argparse
 import io
 import json
 import contextlib
-import dataclasses
 import os
 import re
 import subprocess
@@ -604,12 +603,12 @@ def _unary_least_integer_above(y):
 
 def _constants_with_m_min(m_min_of):
     """effective_constants with M_min replaced by m_min_of(the true M_min)."""
-    from bdivkit.bounds import effective_constants
+    from bdivkit.bounds import BoundReport, effective_constants
 
     def patched(*args):
         report = effective_constants(*args)
         values = dict(report.values, M_min=m_min_of(report.values["M_min"]))
-        return dataclasses.replace(report, values=values)
+        return BoundReport(report.kind, values, report.notes)
 
     return patched
 

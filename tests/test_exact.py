@@ -1,4 +1,6 @@
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 from math import comb, lcm, prod
 
@@ -15,6 +17,8 @@ from bdivkit.exact import (
     parse_rat,
     primitive_part,
     rank,
+    record,
+    trusted,
 )
 
 rationals = st.fractions(
@@ -258,6 +262,8 @@ def test_rank_matches_gauss_jordan(m, scale):
     assert rank(m) == _rank(m)
     rational = [[Fraction(x, scale + i) for x in row] for i, row in enumerate(m)]
     assert rank(rational) == _rank(rational) == _rank(m)
+    mixed = [row if i % 2 else rational[i] for i, row in enumerate(m)]
+    assert rank(mixed) == _rank(m)
 
 
 @settings(max_examples=300, deadline=None)
@@ -309,3 +315,131 @@ def test_kernel_examples():
     assert adjugate([[1, 2], [3, 4]]) == ((4, -2), (-3, 1))
     assert rank([]) == 0 and rank([[0, 0]]) == 0
     assert rank([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]) == 1
+
+
+# ---------------------------------------------------------------------------
+# record against a frozen dataclass twin
+
+
+@record
+class _Point:
+    x: int
+    y: tuple = (0,)
+
+
+@dataclass(frozen=True)
+class _PointTwin:
+    x: int
+    y: tuple = (0,)
+
+
+@record
+class _Notes:
+    kind: str
+    notes: dict = {}
+
+
+@dataclass(frozen=True)
+class _NotesTwin:
+    kind: str
+    notes: dict = field(default_factory=dict)
+
+
+@record
+class _Checked:
+    x: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "x", int(self.x))
+
+    @cached_property
+    def double(self):
+        return 2 * self.x
+
+
+@dataclass(frozen=True)
+class _CheckedTwin:
+    x: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "x", int(self.x))
+
+
+def _bind(cls, args, kwargs):
+    try:
+        obj = cls(*args, **kwargs)
+    except TypeError:
+        return TypeError
+    return obj.x, obj.y
+
+
+_FIELD_VALUES = st.one_of(st.integers(-3, 3), st.tuples(st.integers(-3, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_FIELD_VALUES, max_size=3),
+    st.dictionaries(st.sampled_from(["x", "y", "z"]), _FIELD_VALUES, max_size=3),
+)
+def test_record_binds_arguments_as_a_frozen_dataclass(args, kwargs):
+    assert _bind(_Point, args, kwargs) == _bind(_PointTwin, args, kwargs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-3, 3), _FIELD_VALUES, st.integers(-3, 3), _FIELD_VALUES)
+def test_record_equality_hash_and_repr_match_a_frozen_dataclass(x, y, u, v):
+    a, b = _Point(x, y), _Point(u, v)
+    ta, tb = _PointTwin(x, y), _PointTwin(u, v)
+    assert (a == b) == (ta == tb) and (a != b) == (ta != tb)
+    assert hash(a) == hash(ta) and hash(b) == hash(tb)
+    assert a != ta and _Point(x) == _Point(x, (0,)) == _Point(y=(0,), x=x)
+    assert repr(a) == "_Point" + repr(ta)[len("_PointTwin"):]
+    with pytest.raises(TypeError):
+        hash(_Notes("k"))
+    assert repr(_Notes("k", {1: 2})) == "_Notes(kind='k', notes={1: 2})"
+
+
+def test_record_copies_dict_defaults_per_instance():
+    for cls in (_Notes, _NotesTwin):
+        first, second = cls("a"), cls("a")
+        first.notes["key"] = 1
+        assert second.notes == {} and first.notes == {"key": 1}
+        assert cls("a", {"k": 2}).notes == {"k": 2}
+
+
+def test_record_refuses_assignment_and_deletion():
+    for obj in (_Point(1), _PointTwin(1)):
+        for name in ("x", "other"):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, 2)
+        with pytest.raises(AttributeError):
+            del obj.x
+        assert obj.x == 1
+
+
+def test_record_finds_post_init_at_call_time(monkeypatch):
+    for cls in (_Checked, _CheckedTwin):
+        calls = []
+        original = cls.__post_init__
+
+        def counted(self, original=original):
+            calls.append(self)
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+        obj = cls(True)
+        assert calls == [obj] and type(obj.x) is int
+    assert _Checked(3).double == 6
+
+
+def test_record_keeps_an_own_init_and_trusted_skips_it():
+    @record
+    class Scaled:
+        value: int
+
+        def __init__(self, raw):
+            object.__setattr__(self, "value", 10 * raw)
+
+    assert Scaled(2) == trusted(Scaled, value=20)
+    assert repr(Scaled(2)).endswith(".<locals>.Scaled(value=20)")
+    assert trusted(_Checked, x="7").x == "7"

@@ -6,6 +6,8 @@ block, not inside functions.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +54,31 @@ def test_package_root_imports_no_names_from_its_modules():
         and (node.level > 0 or (node.module or "").startswith("bdivkit"))
     ]
     assert imported == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dataclasses_and_no_generated_code(path):
+    # records come from exact.record, which compiles nothing
+    found = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "dataclasses"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            found.append(f"line {node.lineno}: from dataclasses")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("exec", "eval", "compile")):
+            found.append(f"line {node.lineno}: {node.func.id}()")
+    assert found == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(SRC.parent)!r})\n"
+        "import bdivkit.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == "[]"
