@@ -192,7 +192,8 @@ def checked_power(base: Fraction, k: int) -> Fraction:
 
 def format_rat(x) -> str:
     """Serialize a rational as ``"p/q"`` in lowest terms (``"p"`` when q=1)."""
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     if x.denominator == 1:
         return format_int(x.numerator)
     return f"{format_int(x.numerator)}/{format_int(x.denominator)}"

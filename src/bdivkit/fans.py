@@ -19,6 +19,14 @@ smooth cone |det| = 1 and the numerators are the coordinates themselves.
 ``Fraction``s are built only by ``Cone.barycentric`` and by
 ``BarycentricResult.lambdas``, on first use.
 
+A 2-D fan is subdivided in angular order: its cones are arcs between
+consecutive rays of the quadrant, sorted by angle and kept with the fan, and
+a new ray finds the arc it splits by bisection on integer cross products.
+Every surface cut inserts its valuations this way, with no search over the
+cones and no adjugate built for a cone nothing locates in.  Higher
+dimensions keep a cone table that finds the cones containing a new ray
+through the face it lies on.
+
 Dimensions are capped at 6: cone and parallelepiped enumeration costs grow
 quickly and nothing in this toolkit needs more.
 """
@@ -27,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm, prod
 from operator import mul
 
 from .exact import (
@@ -308,6 +316,39 @@ class Fan:
         return tuple(Cone(tuple(self.rays[i] for i in c)) for c in self.cones)
 
     @cached_property
+    def _arcs(self) -> tuple:
+        """The cones of a 2-D fan as arcs (lo, hi) of ray indices, by angle.
+
+        lo is the generator of smaller angle: the first of the cone's key
+        exactly when det > 0.  Going from each arc's hi to the arc with that
+        lo walks a chain of adjacent cones, each step turning
+        counterclockwise inside the quadrant, so a chain runs in angular
+        order.  The chains of a partial fan follow the angles y / (x + y) of
+        their first rays.  Overlapping cones are refused: they repeat a lo,
+        leave an arc off every chain or make two chains interleave.
+        """
+        rays = self.rays
+        after = {}  # lo -> hi
+        for (i, j), cone in zip(self.cones, self.max_cones):
+            if cone.det > 0:
+                after[i] = j
+            else:
+                after[j] = i
+        starts = set(after).difference(after.values())
+        arcs = []
+        for lo in sorted(starts, key=lambda i: Fraction(rays[i][1], sum(rays[i]))):
+            if arcs:
+                (a, b), (c, d) = rays[arcs[-1][1]], rays[lo]
+                if a * d <= b * c:  # this chain starts before the last ended
+                    break
+            while lo in after:
+                arcs.append((lo, after[lo]))
+                lo = after[lo]
+        if len(arcs) != len(self.cones):
+            raise PreconditionError("the cones of the fan overlap")
+        return tuple(arcs)
+
+    @cached_property
     def _first_cone_of_ray(self) -> dict:
         """Ray index -> position of the first cone (canonical order) it spans."""
         first = {}
@@ -384,14 +425,13 @@ class Fan:
             a, b = (sum(x * y for x, y in zip(normal, self.rays[t])) for t in tops)
             if (a > 0) == (b > 0):
                 return f"the two cones on facet {gens} overlap"
-        volume = Fraction(0)
-        for cone in cones:
-            norms = 1
-            for g in cone.gens:
-                norms *= sum(g)
-            volume += Fraction(abs(cone.det), norms)
-        if volume != 1:
-            return f"the cones fill {format_rat(volume)} of the orthant, not all of it"
+        # the sum over L, the lcm of the norm products, in integers
+        norms = [prod(map(sum, cone.gens)) for cone in cones]
+        den = lcm(*norms)
+        volume = sum(abs(cone.det) * (den // q) for cone, q in zip(cones, norms))
+        if volume != den:
+            filled = format_rat(Fraction(volume, den))
+            return f"the cones fill {filled} of the orthant, not all of it"
         return None
 
     def to_json(self) -> dict:
@@ -454,6 +494,12 @@ def _subdivide_all(fan: Fan, vecs) -> Fan:
     pending vectors homed in C are then re-homed among those pieces only.
     The initial homes are found by one scan of the fan, first cone first, and
     a vector in no cone becomes a ray of no cone, as the chain makes it.
+
+    A 2-D fan is subdivided in angular order instead (``_subdivide_surface``):
+    there a fan is its arcs sorted by angle, one bisection places each vector
+    and one split replaces one arc by two, where the table would keep its
+    span sets, build each piece's adjugate and re-home the split cone's
+    pending vectors.
     """
     known = set(fan.ray_set)
     pending = []
@@ -463,6 +509,8 @@ def _subdivide_all(fan: Fan, vecs) -> Fan:
             pending.append(v)
     if not pending:
         return fan
+    if fan.n == 2:
+        return _subdivide_surface(fan, pending)
     rays = list(fan.rays)
     cones = dict(zip(fan.cones, fan.max_cones))
     spans = [set() for _ in rays]  # ray index -> keys of the cones it spans
@@ -520,6 +568,61 @@ def _subdivide_all(fan: Fan, vecs) -> Fan:
         rays=tuple(rays),
         cones=keys,
         max_cones=tuple(cones[c] for c in keys),
+    )
+
+
+def _subdivide_surface(fan: Fan, pending) -> Fan:
+    """``_subdivide_all`` in dimension 2: the arcs in angular order.
+
+    A 2-D fan is its cones as arcs (lo, hi) sorted by angle (``Fan._arcs``).
+    A new primitive vector v is no existing ray, so it is parallel to none
+    and lies strictly inside one arc or in a gap between arcs.  Bisecting on
+    the sign of the cross product of v with each arc's lo ray finds the last
+    arc starting before v; v splits it when it also ends after v, into the
+    cones (lo, v) and (v, hi).  A vector in a gap becomes a ray of no cone,
+    as the one-ray chain makes it.  Only the cones left at the end are
+    built, each from its two rays and its determinant, with its adjugate
+    left to be computed where it is used.
+    """
+    rays = list(fan.rays)
+    arcs = list(fan._arcs)
+    cones = dict(zip(fan.cones, fan.max_cones))
+    for v in pending:
+        r = len(rays)
+        rays.append(v)
+        x, y = v
+        # first arc whose lo ray lies after v: cross(v, lo) > 0
+        a, b = 0, len(arcs)
+        while a < b:
+            mid = (a + b) // 2
+            p, q = rays[arcs[mid][0]]
+            if x * q > y * p:
+                b = mid
+            else:
+                a = mid + 1
+        if not a:
+            continue
+        lo, hi = arcs[a - 1]
+        p, q = rays[hi]
+        if x * q > y * p:  # v lies before hi, inside the arc
+            arcs[a - 1 : a] = (lo, r), (r, hi)
+            del cones[(lo, hi) if lo < hi else (hi, lo)]
+            cones[lo, r] = cones[hi, r] = None
+    keys = tuple(sorted(cones))
+    max_cones = []
+    for key in keys:
+        cone = cones[key]
+        if cone is None:
+            g, h = rays[key[0]], rays[key[1]]
+            cone = trusted(Cone, gens=(g, h), det=g[0] * h[1] - g[1] * h[0])
+        max_cones.append(cone)
+    return trusted(
+        Fan,
+        n=2,
+        rays=tuple(rays),
+        cones=keys,
+        max_cones=tuple(max_cones),
+        _arcs=tuple(arcs),
     )
 
 

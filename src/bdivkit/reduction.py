@@ -570,9 +570,10 @@ def build_cut(state: ReductionState, sigmas) -> tuple:
     and must not already be a divisor of the model.
     """
     sig = []
+    seen = set()
     for s in sigmas:
         vec = valuation(s)
-        if vec in sig:
+        if vec in seen:
             continue
         if vec in state.fan.ray_set:
             raise PreconditionError(f"{vec} is already a divisor on the model")
@@ -580,6 +581,7 @@ def build_cut(state: ReductionState, sigmas) -> tuple:
             raise PreconditionError(
                 f"cut valuation {vec} has zero pullback coefficient"
             )
+        seen.add(vec)
         sig.append(vec)
     if not sig:
         raise PreconditionError("a cut needs at least one valuation")

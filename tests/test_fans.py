@@ -316,9 +316,12 @@ def same_fan(a, b):
 
 
 @st.composite
-def refined_fans(draw, max_n=4, max_rays=4):
-    """A star-subdivision chain of the orthant, built by the reference."""
-    n = draw(st.integers(1, max_n))
+def refined_fans(draw, max_n=4, max_rays=4, n=None):
+    """A star-subdivision chain of the orthant, built by the reference.
+
+    The dimension is drawn from 1..max_n unless n fixes it.
+    """
+    n = n or draw(st.integers(1, max_n))
     fan = orthant_fan(n)
     for _ in range(draw(st.integers(0, max_rays))):
         fan = reference_star_subdivide(fan, draw(subdivision_vectors(fan)))
@@ -363,6 +366,57 @@ def test_batched_insertion_equals_one_ray_chain(data):
         with mock.patch.object(fans_mod, "star_subdivide", reference_star_subdivide):
             resolved = resolve(expected)
         assert same_fan(ensure_rays(fan, vecs), resolved)
+
+
+@st.composite
+def surface_cuts(draw):
+    """A 2-D fan, perhaps with cones dropped, and 20-80 vectors to insert.
+
+    The vectors are a lexicographically ordered run of the primitive vectors
+    of a box, as a cut lists its valuations, with random vectors, vectors on
+    a face of a cone and existing rays put in at drawn positions.
+    """
+    fan = whole = draw(refined_fans(n=2, max_rays=6))
+    if draw(st.booleans()):  # a proper partial fan: some cones dropped
+        kept = draw(st.lists(st.sampled_from(fan.cones), unique=True, max_size=len(fan.cones) - 1))
+        fan = Fan(n=2, rays=fan.rays, cones=tuple(kept))
+    a, b = draw(st.integers(6, 12)), draw(st.integers(6, 12))
+    box = [(x, y) for x in range(1, a + 1) for y in range(1, b + 1) if gcd(x, y) == 1]
+    start = draw(st.integers(0, len(box) - 20))
+    vecs = box[start : start + draw(st.integers(20, 60))]
+    extras = draw(st.lists(subdivision_vectors(whole), max_size=20))
+    for v in extras:
+        vecs.insert(draw(st.integers(0, len(vecs))), primitive_part(v))
+    return fan, vecs
+
+
+@settings(max_examples=60, deadline=None)
+@given(surface_cuts())
+def test_surface_insertion_in_angular_order_equals_one_ray_chain(fan_vecs):
+    fan, vecs = fan_vecs
+    expected = fan
+    for v in vecs:
+        expected = reference_star_subdivide(expected, v)
+    got = fans_mod._subdivide_all(fan, vecs)
+    one_by_one = fan
+    for v in vecs:
+        one_by_one = star_subdivide(one_by_one, v)
+    for out in (got, one_by_one):
+        assert same_fan(out, expected)
+        assert [c.det for c in out.max_cones] == [c.det for c in expected.max_cones]
+        # the angular order handed to the next subdivision is the fan's own
+        assert out._arcs == Fan(2, out.rays, out.cones)._arcs
+
+
+def test_surface_insertion_refuses_overlapping_cones():
+    rays = ((1, 0), (0, 1), (1, 1))
+    for cones in [((0, 1), (0, 2)), ((0, 1), (1, 2)), ((0, 2), (0, 2))]:
+        with pytest.raises(PreconditionError, match="overlap"):
+            star_subdivide(Fan(2, rays, cones), (2, 1))
+    # a partial fan with a gap is no overlap: (3, 2) lies in the gap
+    partial = Fan(2, ((1, 0), (2, 1), (1, 1), (0, 1)), ((0, 1), (2, 3)))
+    out = star_subdivide(partial, (3, 2))
+    assert out.cones == partial.cones and out.rays[-1] == (3, 2)
 
 
 @settings(max_examples=100, deadline=None)
