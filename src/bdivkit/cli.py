@@ -1,10 +1,12 @@
 """Command-line front end: one subcommand per public operation.
 
 Output is deterministic JSON (sorted keys, rationals as "p/q" strings) on
-stdout; scan commands emit CSV.  Errors are machine-readable JSON on stderr
-with exit code 2 for precondition violations and 3 for internal invariant
-breaches.  ``--verify`` re-runs an independent oracle next to the fast path
-and fails loudly (exit 3) on any mismatch.
+stdout, byte for byte ``json.dumps(result, sort_keys=True, indent=2)`` plus a
+newline, written in one pass by ``_dump``; scan commands emit CSV.  Errors
+are machine-readable JSON on stderr with exit code 2 for precondition
+violations and 3 for internal invariant breaches.  ``--verify`` re-runs an
+independent oracle next to the fast path and fails loudly (exit 3) on any
+mismatch.
 
 The command line is ``bdivkit COMMAND [OPTION ...]``, read by ``Parser``
 straight from the table ``_COMMANDS``; an error in argv itself exits 2 with
@@ -20,6 +22,7 @@ import sys
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import product as iter_product
+from json.encoder import encode_basestring_ascii as _escape
 from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 
@@ -684,7 +687,7 @@ def run_batch(entries, parallelism: int = 1) -> tuple:
     if not all(isinstance(e, dict) for e in entries):
         raise PreconditionError("batch entries must be JSON objects")
     ids = [e.get("id") for e in entries]
-    # the ids key the output, whose keys json.dumps must hash and sort
+    # the ids key the output, whose keys the writer must hash and sort
     kinds = {type(i) for i in ids}
     if not (kinds <= {str} or kinds <= {int}) or len(set(ids)) != len(ids):
         raise PreconditionError(
@@ -959,6 +962,53 @@ def _params(options: dict) -> dict:
     return params
 
 
+def _dump(value, indent: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, in one pass.
+
+    Python's C encoder ignores ``indent``, so ``json.dumps`` would run its
+    pure-Python encoder on every result.  Here each container returns its own
+    text, joined once; the ints and strings of a list and the strings of a
+    dict are written without a call.  Types are matched exactly, so a bool is never an int.
+    Keys, all str or all int, are sorted before int keys are quoted, as in
+    ``json``.  Any other type, floats included (the package has none),
+    raises ``TypeError``.
+    """
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        return "{" + inner + ("," + inner).join([
+            (_escape(k) if type(k) is str else _int_key(k)) + ": "
+            + (_escape(v) if type(v) is str else _dump(v, inner))
+            for k, v in sorted(value.items())
+        ]) + indent + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join([
+            int.__repr__(v) if (t := type(v)) is int
+            else _escape(v) if t is str else _dump(v, inner)
+            for v in value
+        ]) + indent + "]"
+    if kind is str:
+        return _escape(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _int_key(key) -> str:
+    if type(key) is not int:
+        raise TypeError(f"keys must be str or int, not {type(key).__name__}")
+    return '"' + int.__repr__(key) + '"'
+
+
 def _emit(text: str, out_path) -> None:
     if not out_path:
         sys.stdout.write(text)
@@ -982,7 +1032,7 @@ def main(argv=None) -> int:
             if not isinstance(entries, list):
                 raise PreconditionError("batch file needs an 'entries' list")
             result, code = run_batch(entries, options.get("parallel", 1))
-            _emit(json.dumps(result, sort_keys=True, indent=2) + "\n", out)
+            _emit(_dump(result) + "\n", out)
             return code
         params = _params(options)
         result = run_command(command, params)
@@ -992,7 +1042,7 @@ def main(argv=None) -> int:
         if wants_csv:
             _emit(result["csv"], out)
         else:
-            _emit(json.dumps(result, sort_keys=True, indent=2) + "\n", out)
+            _emit(_dump(result) + "\n", out)
         return 0
     except _HANDLED_ERRORS as exc:
         record = _error_record(exc)

@@ -58,7 +58,6 @@ from .logpairs import (
     pullback_at,
     pullback_coeff,
     pullback_gap,
-    relative_pullback_coeff,
     unit_index,
     valuation,
 )
@@ -382,7 +381,7 @@ class CutStep:
         }
 
 
-def _theta_coeffs(state: ReductionState, sig, rays) -> tuple:
+def _theta_coeffs(state: ReductionState, sig, rays, located: dict) -> tuple:
     """min over sigma of the pullback coefficient relative to Y_sigma.
 
     Y_sigma is the star subdivision of the current fan at sigma.  It carries
@@ -416,18 +415,23 @@ def _theta_coeffs(state: ReductionState, sig, rays) -> tuple:
     the orthant and ``build_cut`` refuses rays, so B(sigma) = 1.  And
     pb(sigma) <= 1, as every trace coefficient is at most 1.  The excess of
     an unlisted sigma is therefore never positive, and it is not computed.
+
+    ``located`` maps vectors to their ``Fan.locate`` results in the current
+    fan; ``build_cut`` hands in those of the sigmas, which it located for its
+    zero-pullback check.  Every other vector is located here.
     """
     excess = []
     for vec in sig:
         if vec not in state.bdiv.deviations:
             continue
-        e = relative_pullback_coeff(state.phi, vec) - state.value(vec)
+        loc = located.get(vec) or state.fan.locate(vec)
+        e = pullback_at(state.phi, loc) - state.value(vec)
         if e > 0:
             excess.append((vec, e))
     in_cone = {}  # cone C -> (b, e numerator, e denominator) per sigma in C
     out = []
     for r in rays:
-        loc = state.fan.locate(r)
+        loc = located.get(r) or state.fan.locate(r)
         gap, scale = pullback_gap(state.phi, loc)
         if gap <= 0:
             out.append(Fraction(0))
@@ -538,9 +542,9 @@ def _straddle_points(fan: Fan, idx, nums, b, supp) -> list:
     raise InvariantViolation(f"cone {idx} straddles a piece along no hyperplane")
 
 
-def _cut_state(state: ReductionState, sig, new_fan: Fan) -> tuple:
+def _cut_state(state: ReductionState, sig, new_fan: Fan, located) -> tuple:
     """The state on new_fan with trace min(theta, B), and theta itself."""
-    theta = _theta_coeffs(state, sig, new_fan.rays)
+    theta = _theta_coeffs(state, sig, new_fan.rays, located)
     new_phi_coeffs = tuple(
         min(t, state.value(r)) for t, r in zip(theta, new_fan.rays)
     )
@@ -568,27 +572,31 @@ def build_cut(state: ReductionState, sigmas) -> tuple:
     a witness of the state's weight or more across two pieces of some Y_sigma
     (``_piece_splits``).  Every sigma must have positive pullback coefficient
     and must not already be a divisor of the model.
+
+    Each sigma is located in the current fan once, for the zero-pullback
+    check, and ``_theta_coeffs`` reads that location in every split round
+    instead of locating sigma again.
     """
-    sig = []
-    seen = set()
+    located = {}  # sigma -> its Fan.locate result in state.fan, in order
     for s in sigmas:
         vec = valuation(s)
-        if vec in seen:
+        if vec in located:
             continue
         if vec in state.fan.ray_set:
             raise PreconditionError(f"{vec} is already a divisor on the model")
-        if relative_pullback_coeff(state.phi, vec) == 0:
+        loc = state.fan.locate(vec)
+        if pullback_gap(state.phi, loc)[0] <= 0:
             raise PreconditionError(
                 f"cut valuation {vec} has zero pullback coefficient"
             )
-        seen.add(vec)
-        sig.append(vec)
+        located[vec] = loc
+    sig = list(located)
     if not sig:
         raise PreconditionError("a cut needs at least one valuation")
 
     new_fan = ensure_rays(state.fan, sig)
     for _ in range(_SPLIT_ROUND_CAP):
-        new_state, theta = _cut_state(state, sig, new_fan)
+        new_state, theta = _cut_state(state, sig, new_fan, located)
         splits = _piece_splits(state, sig, new_state)
         if not splits:
             break
@@ -819,6 +827,10 @@ def verify_reduction(state: ReductionState, box: int) -> VerifyReport:
     deviations and the primitive vectors with entries <= box, stopped at the
     first violation: ``checked`` counts those candidates up to and including
     it (all of them when none fails), the box part by Mobius inversion.
+
+    The comparison is on integers: with the pullback max(0, gap / scale)
+    from ``pullback_gap`` and B(v) = p / q >= 0, the bound fails exactly when
+    gap * q > p * scale.  Fractions are built only for a violation.
     """
     if box < 1:
         raise PreconditionError("box must be >= 1")
@@ -831,12 +843,13 @@ def verify_reduction(state: ReductionState, box: int) -> VerifyReport:
     listed = sorted(set(state.fan.rays).union(state.bdiv.deviations))
     outside = [vec for vec in listed if max(vec) > box]
     for vec in listed:
-        pb = relative_pullback_coeff(state.phi, vec)
+        gap, scale = pullback_gap(state.phi, state.fan.locate(vec))
         bv = state.value(vec)
-        if pb > bv:
+        if gap * bv.denominator > bv.numerator * scale:
             checked = primitive_box_count(n, box, vec) + sum(
                 1 for u in outside if u <= vec
             )
-            return VerifyReport(ok=False, box=box, checked=checked, violation=(vec, pb, bv))
+            violation = (vec, Fraction(gap, scale), bv)
+            return VerifyReport(ok=False, box=box, checked=checked, violation=violation)
     checked = primitive_box_count(n, box) + len(outside)
     return VerifyReport(ok=True, box=box, checked=checked, violation=None)

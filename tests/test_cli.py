@@ -221,6 +221,25 @@ def test_batch_accepts_integer_ids():
     assert json.loads(json.dumps(result, sort_keys=True))["results"]["1"]["output"]["n"] == 1
 
 
+def test_batch_output_is_json_dumps_with_int_ids_sorted_as_ints(tmp_path):
+    entries = [{"id": i, "command": "minvol", "args": {"n": n}} for i, n in ((10, 1), (2, 2))]
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps({"entries": entries}))
+    result, _ = run_batch(entries)
+    code, out, err = run_cli(["batch", "--file", str(path)])
+    assert (code, err) == (0, "")
+    assert out == json.dumps(result, sort_keys=True, indent=2) + "\n"
+    assert out.index('"2": {') < out.index('"10": {')
+    target = tmp_path / "out.json"
+    code, nothing, _ = run_cli(["batch", "--file", str(path), "--out", str(target)])
+    assert (code, nothing) == (0, "")
+    assert target.read_bytes() == out.encode()
+    # CSV output bypasses the writer
+    code, out, _ = run_cli(["charp", "--q-max", "10", "--csv"])
+    assert code == 0
+    assert out == run_command("charp", {"q_max": 10, "csv": True})["csv"]
+
+
 def test_batch_entry_with_non_integer_argument_exits_2():
     entries = [
         {"id": "ok", "command": "minvol", "args": {"n": 1}},
@@ -1026,3 +1045,39 @@ def test_cli_imports_no_argparse_gettext_or_locale(tmp_path):
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# the result writer against json.dumps
+
+_TEXT = st.one_of(
+    st.text(),
+    st.text(st.characters(max_codepoint=0x1F)),
+    st.text(st.sampled_from('"\\/\x7fé \U0001f600\ud800')),
+)
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(10**60), 10**60), _TEXT
+)
+_JSON_VALUES = st.recursive(
+    _LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, kids, max_size=4),
+        st.dictionaries(st.integers(), kids, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_JSON_VALUES)
+def test_writer_equals_json_dumps(value):
+    assert cli_mod._dump(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("bad", [0.5, Fraction(1, 2), {1}], ids=["float", "Fraction", "set"])
+def test_writer_refuses_types_outside_json(bad):
+    for value in (bad, [1, bad], {"a": {"b": bad}}):
+        with pytest.raises(TypeError):
+            cli_mod._dump(value)

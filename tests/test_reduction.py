@@ -400,7 +400,7 @@ def test_theta_matches_naive_computation():
             state.fan, state.phi, state.bdiv.with_deviations(updates)
         )
         new_fan = ensure_rays(state.fan, sigmas)
-        fast = _theta_coeffs(state, sigmas, new_fan.rays)
+        fast = _theta_coeffs(state, sigmas, new_fan.rays, {})
         assert fast == naive_theta(state, sigmas, new_fan.rays)
 
         seen[f"n{n}"] += 1
@@ -731,3 +731,67 @@ def test_cut_states_equal_their_validated_rebuilds(inputs):
         for ray in fan.rays:
             loc = fan.locate(ray)
             assert BarycentricResult(loc.cone, loc.ray_indices, loc.lambdas) == loc
+
+
+# ---------------------------------------------------------------------------
+# the sigma locations build_cut hands to _theta_coeffs
+
+import bdivkit.cli as cli_mod
+from bdivkit.logpairs import unit_index
+
+
+@settings(max_examples=100, deadline=None)
+@given(reduction_inputs())
+def test_theta_reads_handed_in_locations_as_it_would_find_them(inputs):
+    calls = []
+    theta_coeffs = reduction_mod._theta_coeffs
+
+    def both(state, sig, rays, located):
+        assert list(located) == list(sig)
+        for vec, loc in located.items():
+            assert loc == state.fan.locate(vec)
+        handed = theta_coeffs(state, sig, rays, located)
+        assert handed == theta_coeffs(state, sig, rays, {})
+        calls.append((state, sig))
+        return handed
+
+    with mock.patch.object(reduction_mod, "_theta_coeffs", both):
+        run_reduction(*inputs)
+    assert calls
+    # a zero-pullback valuation is still refused, after valid ones too
+    state, sig = calls[-1]
+    v = primitive_part(tuple(range(9, 9 + state.fan.n)))
+    assert relative_pullback_coeff(state.phi, v) == 0
+    for sigmas in ([v], list(sig) + [v]):
+        with pytest.raises(PreconditionError) as exc:
+            build_cut(state, sigmas)
+        assert cli_mod._error_record(exc.value) == {
+            "error": f"cut valuation {v} has zero pullback coefficient", "exit_code": 2,
+        }
+
+
+# ---------------------------------------------------------------------------
+# the verifier's integer comparison, on final states with one value moved
+
+
+@settings(max_examples=80, deadline=None)
+@given(reduction_inputs(), st.data())
+def test_verify_on_a_lowered_or_boundary_value_equals_the_fraction_reference(inputs, data):
+    state = run_reduction(*inputs).final_state
+    listed = sorted(
+        v for v in set(state.fan.rays).union(state.bdiv.deviations)
+        if unit_index(v) is None and relative_pullback_coeff(state.phi, v) > 0
+    )
+    assume(listed)
+    v = data.draw(st.sampled_from(listed))
+    pb = relative_pullback_coeff(state.phi, v)
+    lowered = data.draw(st.booleans())
+    value = pb * data.draw(st.sampled_from([F(0), F(1, 3), F(1, 2), F(6, 7)])) if lowered else pb
+    moved = ReductionState(state.fan, state.phi, state.bdiv.with_deviations({v: value}))
+    box = data.draw(st.integers(1, 6))
+    report = verify_reduction(moved, box)
+    assert report == reference_verify(moved, box)
+    assert report.ok is not lowered
+    if lowered:
+        _, pullback, b_value = report.violation
+        assert type(pullback) is F and type(b_value) is F
