@@ -58,6 +58,7 @@ from .logpairs import (
     pullback_at,
     pullback_coeff,
     pullback_gap,
+    relative_pullback_coeff,
     unit_index,
     valuation,
 )
@@ -381,7 +382,7 @@ class CutStep:
         }
 
 
-def _theta_coeffs(state: ReductionState, sig, rays, located: dict) -> tuple:
+def _theta_coeffs(state: ReductionState, located: dict, rays) -> tuple:
     """min over sigma of the pullback coefficient relative to Y_sigma.
 
     Y_sigma is the star subdivision of the current fan at sigma.  It carries
@@ -416,16 +417,16 @@ def _theta_coeffs(state: ReductionState, sig, rays, located: dict) -> tuple:
     pb(sigma) <= 1, as every trace coefficient is at most 1.  The excess of
     an unlisted sigma is therefore never positive, and it is not computed.
 
-    ``located`` maps vectors to their ``Fan.locate`` results in the current
-    fan; ``build_cut`` hands in those of the sigmas, which it located for its
-    zero-pullback check.  Every other vector is located here.
+    ``located`` maps each sigma, in order, to its ``Fan.locate`` result in
+    the current fan, which ``build_cut`` found for its zero-pullback check.
+    A ray of ``rays`` that is a sigma reads its location there; every other
+    ray is located here.
     """
     excess = []
-    for vec in sig:
+    for vec in located:
         if vec not in state.bdiv.deviations:
             continue
-        loc = located.get(vec) or state.fan.locate(vec)
-        e = pullback_at(state.phi, loc) - state.value(vec)
+        e = relative_pullback_coeff(state.phi, vec) - state.value(vec)
         if e > 0:
             excess.append((vec, e))
     in_cone = {}  # cone C -> (b, e numerator, e denominator) per sigma in C
@@ -542,9 +543,9 @@ def _straddle_points(fan: Fan, idx, nums, b, supp) -> list:
     raise InvariantViolation(f"cone {idx} straddles a piece along no hyperplane")
 
 
-def _cut_state(state: ReductionState, sig, new_fan: Fan, located) -> tuple:
+def _cut_state(state: ReductionState, located: dict, new_fan: Fan) -> tuple:
     """The state on new_fan with trace min(theta, B), and theta itself."""
-    theta = _theta_coeffs(state, sig, new_fan.rays, located)
+    theta = _theta_coeffs(state, located, new_fan.rays)
     new_phi_coeffs = tuple(
         min(t, state.value(r)) for t, r in zip(theta, new_fan.rays)
     )
@@ -574,8 +575,8 @@ def build_cut(state: ReductionState, sigmas) -> tuple:
     and must not already be a divisor of the model.
 
     Each sigma is located in the current fan once, for the zero-pullback
-    check, and ``_theta_coeffs`` reads that location in every split round
-    instead of locating sigma again.
+    check, and ``_theta_coeffs`` reads that location for the sigma's new ray
+    in every split round instead of locating it again.
     """
     located = {}  # sigma -> its Fan.locate result in state.fan, in order
     for s in sigmas:
@@ -596,7 +597,7 @@ def build_cut(state: ReductionState, sigmas) -> tuple:
 
     new_fan = ensure_rays(state.fan, sig)
     for _ in range(_SPLIT_ROUND_CAP):
-        new_state, theta = _cut_state(state, sig, new_fan, located)
+        new_state, theta = _cut_state(state, located, new_fan)
         splits = _piece_splits(state, sig, new_state)
         if not splits:
             break
