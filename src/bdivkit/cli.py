@@ -21,10 +21,10 @@ import re
 import sys
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import product as iter_product
+from itertools import chain, product as iter_product
 from json.encoder import encode_basestring_ascii as _escape
 from math import comb, factorial, gcd, lcm, prod
-from operator import mul
+from operator import itemgetter, mul
 
 from .bounds import (
     Polytope,
@@ -77,6 +77,7 @@ from .logpairs import (
 from .reduction import (
     LocalModel,
     ReductionState,
+    check_box,
     pair_weight_witness,
     positive_pullback_prefixes,
     run_reduction,
@@ -284,10 +285,12 @@ def _cmd_weight(p):
 
 def _cmd_reduce(p):
     model, bdiv, perm = _arranged_model(p)
-    trace = run_reduction(model, bdiv)
+    # a bad box is refused before the reduction does its work
     box = parse_int(_arg(p, "box", 12), "box")
     if p.get("verify"):
         box *= 2
+    check_box(box)
+    trace = run_reduction(model, bdiv)
     report = verify_reduction(trace.final_state, box)
     if not report.ok:
         raise InvariantViolation(
@@ -967,8 +970,9 @@ def _dump(value, indent: str = "\n") -> str:
 
     Python's C encoder ignores ``indent``, so ``json.dumps`` would run its
     pure-Python encoder on every result.  Here each container returns its own
-    text, joined once; the ints and strings of a list and the strings of a
-    dict are written without a call.  Types are matched exactly, so a bool is never an int.
+    text, joined once, and the items of a list come from ``_items``, which
+    renders like siblings together.  The strings of a dict are written
+    without a call.  Types are matched exactly, so a bool is never an int.
     Keys, all str or all int, are sorted before int keys are quoted, as in
     ``json``.  Any other type, floats included (the package has none),
     raises ``TypeError``.
@@ -979,19 +983,14 @@ def _dump(value, indent: str = "\n") -> str:
             return "{}"
         inner = indent + "  "
         return "{" + inner + ("," + inner).join([
-            (_escape(k) if type(k) is str else _int_key(k)) + ": "
-            + (_escape(v) if type(v) is str else _dump(v, inner))
+            _label(k) + ": " + (_escape(v) if type(v) is str else _dump(v, inner))
             for k, v in sorted(value.items())
         ]) + indent + "}"
     if kind is list or kind is tuple:
         if not value:
             return "[]"
         inner = indent + "  "
-        return "[" + inner + ("," + inner).join([
-            int.__repr__(v) if (t := type(v)) is int
-            else _escape(v) if t is str else _dump(v, inner)
-            for v in value
-        ]) + indent + "]"
+        return "[" + inner + ("," + inner).join(_items(value, inner)) + indent + "]"
     if kind is str:
         return _escape(value)
     if kind is int:
@@ -1003,7 +1002,55 @@ def _dump(value, indent: str = "\n") -> str:
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _int_key(key) -> str:
+def _items(items, indent: str):
+    """The texts of the items of a list, each written at indent.
+
+    A list of two or more like siblings is written column by column, with
+    one C-level pass per column instead of one ``_dump`` call per item:
+    strings through the escaper, ints through ``int.__repr__``, rows of
+    exact ints all of one length through one ``%d`` template, and dicts that
+    all have the same keys one key at a time, each key's column by this
+    same rule, the columns then zipped into one ``%s`` template per dict.
+    Anything else, and a single item, is written item by item.  A lone dict
+    stays on that path: setting up its columns costs more than it saves.
+    """
+    if len(items) > 1:
+        kinds = set(map(type, items))
+        if kinds == {str}:
+            return map(_escape, items)
+        if kinds == {int}:
+            return map(int.__repr__, items)
+        if kinds <= {list, tuple}:
+            sizes = set(map(len, items))
+            if len(sizes) == 1 and set(map(type, chain.from_iterable(items))) <= {int}:
+                inner = indent + "  "
+                size = sizes.pop()
+                template = (
+                    "[" + inner + ("," + inner).join(["%d"] * size) + indent + "]"
+                    if size else "[]"
+                )
+                return map(template.__mod__, map(tuple, items))
+        elif kinds == {dict}:
+            keys = items[0].keys()
+            if keys and all(map(keys.__eq__, map(dict.keys, items))):
+                inner = indent + "  "
+                names = sorted(keys)
+                template = "{" + inner + ("," + inner).join([
+                    _label(k).replace("%", "%%") + ": %s" for k in names
+                ]) + indent + "}"
+                columns = [_items(list(map(itemgetter(k), items)), inner) for k in names]
+                return map(template.__mod__, zip(*columns))
+    return [
+        int.__repr__(v) if (t := type(v)) is int
+        else _escape(v) if t is str else _dump(v, indent)
+        for v in items
+    ]
+
+
+def _label(key) -> str:
+    """A dict key as JSON text: a str escaped, an int quoted."""
+    if type(key) is str:
+        return _escape(key)
     if type(key) is not int:
         raise TypeError(f"keys must be str or int, not {type(key).__name__}")
     return '"' + int.__repr__(key) + '"'

@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .exact import PreconditionError, format_rat, parse_int, parse_rat, parse_rat_list, record
+from .exact import PreconditionError, format_rat, parse_int, parse_rat_list, record
 
 
 def standard_coeff(r: int) -> Fraction:
@@ -48,21 +48,6 @@ def standard_coeff(r: int) -> Fraction:
     if r < 1:
         raise PreconditionError("standard coefficients need r >= 1")
     return Fraction(r - 1, r)
-
-
-def exceptional_sum(b1, b2) -> Fraction | None:
-    """b1 + b2 - 1 when non-negative, else None.
-
-    This is the coefficient a corner blow-up puts on its exceptional divisor
-    when the two branches carry b1 and b2.
-    """
-    x = parse_rat(b1)
-    y = parse_rat(b2)
-    for v in (x, y):
-        if not 0 <= v <= 1:
-            raise PreconditionError(f"{format_rat(v)} is outside [0, 1]")
-    e = x + y - 1
-    return e if e >= 0 else None
 
 
 # the full closure pairs every new member with every member, so its time grows

@@ -191,12 +191,17 @@ def checked_power(base: Fraction, k: int) -> Fraction:
 
 
 def format_rat(x) -> str:
-    """Serialize a rational as ``"p/q"`` in lowest terms (``"p"`` when q=1)."""
+    """Serialize a rational as ``"p/q"`` in lowest terms (``"p"`` when q=1).
+
+    A part past the digit limit is bad input, as in ``format_int``.
+    """
     if not isinstance(x, Fraction):
         x = Fraction(x)
-    if x.denominator == 1:
-        return format_int(x.numerator)
-    return f"{format_int(x.numerator)}/{format_int(x.denominator)}"
+    num, den = x.numerator, x.denominator
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError as exc:
+        raise _digit_limit_error() from exc
 
 
 def complement_weights(values) -> tuple:

@@ -404,25 +404,28 @@ class Fan:
         number of cones over a generic point is the same across every facet,
         hence constant on the orthant; by (2) that number is 1.
         """
-        n = self.n
+        rays = self.rays
         cones = self.max_cones  # rejects cones with dependent generators
-        unused = set(range(len(self.rays))).difference(*self.cones)
+        unused = set(range(len(rays))).difference(*self.cones)
         if unused:
-            return f"ray {self.rays[min(unused)]} spans no cone"
+            return f"ray {rays[min(unused)]} spans no cone"
         apexes = {}  # facet (sorted ray indices) -> apex ray indices
         for idx in self.cones:
             for j, apex in enumerate(idx):
                 apexes.setdefault(idx[:j] + idx[j + 1 :], []).append(apex)
         for facet, tops in apexes.items():
-            gens = [self.rays[i] for i in facet]
-            if any(all(g[i] == 0 for g in gens) for i in range(n)):
+            gens = [rays[i] for i in facet]
+            # on the boundary when some coordinate is 0 on every generator;
+            # for n = 1 the facet is empty and lies there too
+            if not gens or not all(map(any, zip(*gens))):
                 if len(tops) != 1:
                     return f"boundary facet {gens} bounds {len(tops)} cones"
                 continue
             if len(tops) != 2:
                 return f"interior facet {gens} bounds {len(tops)} cones, not 2"
             normal = cofactor_normal(gens)
-            a, b = (sum(x * y for x, y in zip(normal, self.rays[t])) for t in tops)
+            a = sum(map(mul, normal, rays[tops[0]]))
+            b = sum(map(mul, normal, rays[tops[1]]))
             if (a > 0) == (b > 0):
                 return f"the two cones on facet {gens} overlap"
         # the sum over L, the lcm of the norm products, in integers
@@ -678,10 +681,20 @@ def resolve(fan: Fan) -> Fan:
 def ensure_rays(fan: Fan, vs) -> Fan:
     """Star-subdivide at each v in order (skipping existing rays), then resolve.
 
-    All of vs go into the fan in one batched insertion, which builds one
+    Each v is checked and made primitive first (``_subdivision_ray``); then
+    ``insert_rays`` does the work.
+    """
+    return insert_rays(fan, [_subdivision_ray(fan, v) for v in vs])
+
+
+def insert_rays(fan: Fan, vecs) -> Fan:
+    """``ensure_rays`` at vectors already known to be primitive vectors of
+    the orthant of the fan's dimension, such as a reduction's cut
+    valuations; they are not checked again.
+
+    All of vecs go into the fan in one batched insertion, which builds one
     ``Fan``; resolution then runs one star subdivision per step.
     """
-    vecs = [_subdivision_ray(fan, v) for v in vs]
     current = resolve(_subdivide_all(fan, vecs))
     for v in vecs:
         if v not in current.ray_set:

@@ -142,6 +142,11 @@ def default_one_coeff(pair: LocalPair, v) -> Fraction:
     return pair.coeffs[i] if i is not None else Fraction(1)
 
 
+# the value of every unlisted valuation that is not a unit vector; one
+# shared Fraction, since Fractions are immutable
+_ONE = Fraction(1)
+
+
 @record
 class BDivisor:
     """Default-one b-divisor: values at e_1..e_n plus finitely many deviations.
@@ -188,12 +193,7 @@ class BDivisor:
         if val is not None:
             return val
         i = unit_index(v)
-        return Fraction(1) if i is None else self.pair_coeffs[i]
-
-    def with_deviations(self, updates: dict) -> "BDivisor":
-        devs = dict(self.deviations)
-        devs.update(updates)
-        return BDivisor(self.pair_coeffs, devs)
+        return _ONE if i is None else self.pair_coeffs[i]
 
     def to_json(self) -> dict:
         return {
@@ -256,9 +256,6 @@ class ModelDivisor:
         if idx is None:
             raise PreconditionError(f"{tuple(ray)} is not a ray of the model")
         return self.ray_coeffs[idx]
-
-    def as_dict(self) -> dict:
-        return {r: c for r, c in zip(self.fan.rays, self.ray_coeffs)}
 
     def to_json(self) -> dict:
         return {

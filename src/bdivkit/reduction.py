@@ -37,6 +37,8 @@ coefficient exceeds, so only listed deviations can witness.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
+from math import gcd
 from operator import mul
 
 from .exact import (
@@ -50,7 +52,7 @@ from .exact import (
     record,
     trusted,
 )
-from .fans import Cone, Fan, ensure_rays, orthant_fan
+from .fans import BarycentricResult, Fan, insert_rays, orthant_fan
 from .logpairs import (
     BDivisor,
     LocalPair,
@@ -138,16 +140,20 @@ def positive_pullback_prefixes(model: LocalModel) -> list:
     weights as integers w_i > 0 over one denominator D, a depth-first walk
     extends each prefix by every entry e with e * w_i below the budget D
     minus the prefix's weight, in increasing order, so the output comes
-    sorted.
+    sorted.  The entries of the last coordinate are the e < budget / w_i,
+    the first ceil(budget / w_i) naturals, added in one step.
     """
     w, den = _prefix_weights(model)
+    if not w:
+        return [()]
+    last = len(w) - 1
     out = []
 
     def walk(prefix, budget):
-        if len(prefix) == len(w):
-            out.append(prefix)
-            return
         step = w[len(prefix)]
+        if len(prefix) == last:
+            out.extend([prefix + (e,) for e in range(-(-budget // step))])
+            return
         e = 0
         while e * step < budget:
             walk(prefix + (e,), budget - e * step)
@@ -228,11 +234,6 @@ def pair_weight_witness(model: LocalModel, bdiv: BDivisor) -> tuple:
     return best, best_witness
 
 
-def pair_weight(model: LocalModel, bdiv: BDivisor) -> int:
-    """Maximum stratum weight over all strata of the model (-1 if none)."""
-    return pair_weight_witness(model, bdiv)[0]
-
-
 def pick_fiber_minimizer(model: LocalModel, bdiv: BDivisor, prefix) -> LatticeVec:
     """A valuation minimising B over the fibre of a prefix f.
 
@@ -294,13 +295,19 @@ class ReductionState:
         Holds for every state produced by ``initial_state`` and ``build_cut``;
         hand-built states fed to the verifier may break it on purpose.
         """
-        return all(
-            self.bdiv.value(ray) == c
-            for ray, c in zip(self.fan.rays, self.phi.ray_coeffs)
-        )
+        return tuple(map(self.bdiv.value, self.fan.rays)) == self.phi.ray_coeffs
 
     def value(self, v) -> Fraction:
         return self.bdiv.value(v)
+
+    @cached_property
+    def witnesses(self) -> list:
+        """``state_witnesses(self)``, found once per state.
+
+        A cut finds the witnesses of the state it makes, to decide its piece
+        splits, and the driver reads the same list for the next round.
+        """
+        return state_witnesses(self)
 
     def to_json(self) -> dict:
         return {
@@ -342,10 +349,10 @@ def state_witnesses(state: ReductionState) -> list:
     Only listed non-ray deviations can witness: unlisted valuations default
     to 1 and rays carry the trace value itself.
     """
+    devs = state.bdiv.deviations
     out = []
-    for vec, val in sorted(state.bdiv.deviations.items()):
-        if vec in state.fan.ray_set:
-            continue
+    for vec in sorted(devs.keys() - state.fan.ray_set):
+        val = devs[vec]
         loc = state.fan.locate(vec)
         pb = pullback_at(state.phi, loc)
         if val < pb:
@@ -356,8 +363,7 @@ def state_witnesses(state: ReductionState) -> list:
 
 
 def state_weight(state: ReductionState) -> int:
-    witnesses = state_witnesses(state)
-    return max((wit.weight for wit in witnesses), default=-1)
+    return max((wit.weight for wit in state.witnesses), default=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +423,13 @@ def _theta_coeffs(state: ReductionState, located: dict, rays) -> tuple:
     pb(sigma) <= 1, as every trace coefficient is at most 1.  The excess of
     an unlisted sigma is therefore never positive, and it is not computed.
 
-    ``located`` maps each sigma, in order, to its ``Fan.locate`` result in
-    the current fan, which ``build_cut`` found for its zero-pullback check.
-    A ray of ``rays`` that is a sigma reads its location there; every other
-    ray is located here.
+    ``located`` maps each sigma, in order, to a location in a maximal cone
+    of the current fan that contains it, as ``build_cut`` checked it: its
+    chart cone when the driver handed it over, else its ``Fan.locate``
+    result.  A ray of ``rays`` that is a sigma reads its location there;
+    every other ray is located here.  Where a sigma lies on a face of
+    several cones, theta does not depend on which of them holds its
+    location: pb(sigma) is the same in each, and so is mu_sigma(r) above.
     """
     excess = []
     for vec in located:
@@ -484,7 +493,7 @@ def _piece_splits(state: ReductionState, sig, cut: ReductionState) -> list:
     weight.  Cuts that already lower the weight get no split, so their fans
     cross the walls of Y_sigma only away from the witnesses that matter.
     """
-    witnesses = state_witnesses(cut)
+    witnesses = cut.witnesses
     if not witnesses:
         return []
     top = state_weight(state)
@@ -545,16 +554,17 @@ def _straddle_points(fan: Fan, idx, nums, b, supp) -> list:
 
 def _cut_state(state: ReductionState, located: dict, new_fan: Fan) -> tuple:
     """The state on new_fan with trace min(theta, B), and theta itself."""
-    theta = _theta_coeffs(state, located, new_fan.rays)
-    new_phi_coeffs = tuple(
-        min(t, state.value(r)) for t, r in zip(theta, new_fan.rays)
-    )
+    rays = new_fan.rays
+    theta = _theta_coeffs(state, located, rays)
+    new_phi_coeffs = tuple(map(min, theta, map(state.bdiv.value, rays)))
     # fan rays are valuations and every coefficient lies in [0, 1]: theta
-    # is clipped to [0, pb] and B's values are in [0, 1]
+    # is clipped to [0, pb] and B's values are in [0, 1].  Every ray but
+    # the unit vectors becomes a deviation; no deviation is a unit vector.
     devs = dict(state.bdiv.deviations)
-    for r, c in zip(new_fan.rays, new_phi_coeffs):
-        if unit_index(r) is None:
-            devs[r] = c
+    devs.update(zip(rays, new_phi_coeffs))
+    n = new_fan.n
+    for i in range(n):
+        devs.pop(tuple([int(j == i) for j in range(n)]), None)
     new_bdiv = trusted(BDivisor, pair_coeffs=state.bdiv.pair_coeffs, deviations=devs)
     new_phi = trusted(ModelDivisor, fan=new_fan, ray_coeffs=new_phi_coeffs)
     new_state = ReductionState(new_fan, new_phi, new_bdiv)
@@ -574,34 +584,45 @@ def build_cut(state: ReductionState, sigmas) -> tuple:
     (``_piece_splits``).  Every sigma must have positive pullback coefficient
     and must not already be a divisor of the model.
 
-    Each sigma is located in the current fan once, for the zero-pullback
-    check, and ``_theta_coeffs`` reads that location for the sigma's new ray
+    Validation happens where the sigmas enter.  ``sigmas`` is either a list
+    of valuations, each validated here and located in the current fan once,
+    or, from the driver, a dict mapping each valuation to its location in a
+    maximal cone of the current fan that contains it (a ``BarycentricResult``
+    whose numerators are its coordinates there).  The driver's valuations
+    are primitive vectors of the orthant built from chart coordinates, so
+    they are not validated or located again.  Either way the two refusals
+    are integer checks on the location: a primitive vector with one nonzero
+    coordinate is that generator, a ray, and the pullback gap must be
+    positive.  ``_theta_coeffs`` reads each sigma's location for its new ray
     in every split round instead of locating it again.
     """
-    located = {}  # sigma -> its Fan.locate result in state.fan, in order
-    for s in sigmas:
-        vec = valuation(s)
-        if vec in located:
-            continue
-        if vec in state.fan.ray_set:
+    if isinstance(sigmas, dict):
+        located = sigmas
+    else:
+        located = {}
+        for s in sigmas:
+            vec = valuation(s)
+            if vec not in located:
+                located[vec] = state.fan.locate(vec)
+    for vec, loc in located.items():
+        if loc.nums.count(0) == len(loc.nums) - 1:
             raise PreconditionError(f"{vec} is already a divisor on the model")
-        loc = state.fan.locate(vec)
         if pullback_gap(state.phi, loc)[0] <= 0:
             raise PreconditionError(
                 f"cut valuation {vec} has zero pullback coefficient"
             )
-        located[vec] = loc
     sig = list(located)
     if not sig:
         raise PreconditionError("a cut needs at least one valuation")
 
-    new_fan = ensure_rays(state.fan, sig)
+    # the cut valuations are primitive, and so are the split points
+    new_fan = insert_rays(state.fan, sig)
     for _ in range(_SPLIT_ROUND_CAP):
         new_state, theta = _cut_state(state, located, new_fan)
         splits = _piece_splits(state, sig, new_state)
         if not splits:
             break
-        new_fan = ensure_rays(new_fan, splits)
+        new_fan = insert_rays(new_fan, splits)
     else:
         raise InvariantViolation("a witness still straddles a piece of the cut")
     rays_added = tuple(r for r in new_fan.rays if r not in state.fan.ray_set)
@@ -614,61 +635,64 @@ def build_cut(state: ReductionState, sigmas) -> tuple:
     return new_state, step
 
 
-def _chart_model(state: ReductionState, cone_ray_indices) -> tuple:
-    """Unimodular chart at a maximal cone: local model, b-divisor, basis.
+def _chart_model(state: ReductionState, loc) -> tuple:
+    """Unimodular chart at a maximal cone: local model, b-divisor, order.
 
-    The chart coordinates are the cone's generators (a lattice basis since
-    the fan is smooth), permuted so coefficient-one components come last.
-    Deviations inside the cone map to their coordinates, integers since
-    |det| = 1.
+    ``loc`` is a location in the cone.  The chart coordinates are the
+    cone's generators (a lattice basis since the fan is smooth), permuted so
+    coefficient-one components come last: chart coordinate j is the
+    generator at position order[j] of the cone's key.  Deviations inside the
+    cone map to their coordinates, integers since |det| = 1.
     """
-    gens = tuple(state.fan.rays[i] for i in cone_ray_indices)
-    coeffs = tuple(state.phi.ray_coeffs[i] for i in cone_ray_indices)
-    order = sorted(range(len(gens)), key=lambda j: (coeffs[j] == 1, j))
-    basis = tuple(gens[j] for j in order)
-    chart_pair = LocalPair(tuple(coeffs[j] for j in order))
-    cone = Cone(basis)
-    if not cone.is_smooth():
+    cone, idx = loc.cone, loc.ray_indices
+    coeffs = tuple(state.phi.ray_coeffs[i] for i in idx)
+    order = sorted(range(len(idx)), key=lambda j: (coeffs[j] == 1, j))
+    if abs(cone.det) != 1:
+        basis = tuple(cone.gens[j] for j in order)
         raise InvariantViolation(f"chart cone {basis} is not smooth")
+    chart_pair = LocalPair(tuple(coeffs[j] for j in order))
     devs = {}
-    for vec, val in state.bdiv.deviations.items():
-        if vec in state.fan.ray_set:
-            continue
+    deviations = state.bdiv.deviations
+    for vec in deviations.keys() - state.fan.ray_set:
         nums = cone.coords(vec)
         if nums is not None:
-            devs[nums] = val
+            devs[tuple([nums[j] for j in order])] = deviations[vec]
     model = LocalModel(chart_pair)
     chart_bdiv = BDivisor(chart_pair.coeffs, devs)
-    return model, chart_bdiv, basis
+    return model, chart_bdiv, order
 
 
-def _chart_sigmas(state: ReductionState, cone_ray_indices) -> list:
-    """Cut valuations for one chart, mapped back to ambient coordinates."""
-    model, chart_bdiv, basis = _chart_model(state, cone_ray_indices)
+def _chart_sigmas(state: ReductionState, loc) -> dict:
+    """Cut valuations for the chart at loc's cone, each mapped to its location.
+
+    Each valuation is mapped back to ambient coordinates.  The cone is
+    unimodular, so its chart coordinates, put back in the order of the
+    cone's key, are its ``Fan.locate`` numerators in that cone (over
+    |det| = 1); they become its location there, in the form ``build_cut``
+    takes from the driver.
+    """
+    model, chart_bdiv, order = _chart_model(state, loc)
     prefixes = positive_pullback_prefixes(model)
-    chart_sigmas = []
     if model.w == 0:
         # the valuations with positive pullback coefficient are the primitive
-        # nonzero prefixes; multiples reduce to them and units are divisors
-        for f in prefixes:
-            if all(e == 0 for e in f) or unit_index(f) is not None:
-                continue
-            if not is_primitive(f):
-                continue
-            chart_sigmas.append(f)
+        # prefixes other than 0 and the units (sum > 1); multiples reduce to
+        # them and units are divisors
+        chart_sigmas = [f for f in prefixes if sum(f) > 1 and gcd(*f) == 1]
     else:
+        chart_sigmas = []
         for f in prefixes:
             sigma = pick_fiber_minimizer(model, chart_bdiv, f)
             if unit_index(sigma) is not None:
                 continue
             chart_sigmas.append(sigma)
-    n = state.fan.n
-    out = []
+    cone, idx = loc.cone, loc.ray_indices
+    position = [order.index(k) for k in range(len(order))]
+    columns = tuple(zip(*cone.gens))
+    out = {}
     for sigma in chart_sigmas:
-        ambient = tuple(
-            sum(basis[j][i] * sigma[j] for j in range(n)) for i in range(n)
-        )
-        out.append(ambient)
+        nums = tuple(map(sigma.__getitem__, position))
+        ambient = tuple([sum(map(mul, col, nums)) for col in columns])
+        out[ambient] = trusted(BarycentricResult, cone=cone, ray_indices=idx, nums=nums)
     return out
 
 
@@ -695,10 +719,15 @@ def run_reduction(model: LocalModel, bdiv: BDivisor) -> ReductionTrace:
     merges their cut valuations, and applies one cut.  The weight must
     strictly decrease every round; a failure to do so is an internal
     invariant breach, never silently ignored.
+
+    The model and b-divisor are validated where they were built; the cut
+    valuations are handed to ``build_cut`` with their chart locations, so
+    the cut checks them without validating or locating them again.  The
+    witnesses of each new state are the ones the cut found for its piece
+    splits (``ReductionState.witnesses``).
     """
     state = initial_state(model, bdiv)
-    witnesses = state_witnesses(state)
-    weight = max((w.weight for w in witnesses), default=-1)
+    weight = state_weight(state)
     initial = weight
     steps = []
     rounds = 0
@@ -706,20 +735,20 @@ def run_reduction(model: LocalModel, bdiv: BDivisor) -> ReductionTrace:
         rounds += 1
         if rounds > model.n + 2:
             raise InvariantViolation("reduction exceeded the round cap")
-        sigmas = []
+        located = {}
         seen_charts = set()
-        for wit in witnesses:
+        for wit in state.witnesses:
             loc = state.fan.locate(wit.vec)
             if loc.ray_indices in seen_charts:
                 continue
             seen_charts.add(loc.ray_indices)
-            sigmas.extend(_chart_sigmas(state, loc.ray_indices))
-        if not sigmas:
+            for sigma, at in _chart_sigmas(state, loc).items():
+                located.setdefault(sigma, at)
+        if not located:
             raise InvariantViolation("witnesses present but no cut valuation found")
-        state, step = build_cut(state, list(dict.fromkeys(sigmas)))
+        state, step = build_cut(state, located)
         steps.append(CutStep(weight, step.sigmas, step.rays_added, step.theta))
-        witnesses = state_witnesses(state)
-        new_weight = max((w.weight for w in witnesses), default=-1)
+        new_weight = state_weight(state)
         if new_weight >= weight:
             raise InvariantViolation(
                 f"cut failed to decrease the weight ({weight} -> {new_weight})"
@@ -731,22 +760,6 @@ def run_reduction(model: LocalModel, bdiv: BDivisor) -> ReductionTrace:
         final_state=state,
         terminated_weight=weight,
     )
-
-
-def reduce_surface_strata(instances) -> list:
-    """Independent reductions at the crossing points of an SNC surface.
-
-    Each instance is a pair (LocalModel, BDivisor) describing the local
-    picture at one point where two boundary components meet; points do not
-    interact, so the reduction runs per point.  Only the surface case (n = 2)
-    is supported here.
-    """
-    out = []
-    for model, bdiv in instances:
-        if model.n != 2:
-            raise PreconditionError("the surface driver expects 2-dimensional charts")
-        out.append(run_reduction(model, bdiv))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -814,6 +827,14 @@ def primitive_box_count(n: int, box: int, upto=None) -> int:
     return total
 
 
+def check_box(box: int) -> None:
+    """Refuse a box outside 1..MAX_BOX, the range the verifier counts."""
+    if box < 1:
+        raise PreconditionError("box must be >= 1")
+    if box > MAX_BOX:
+        raise PreconditionError(f"box {box} exceeds the cap MAX_BOX = {MAX_BOX}")
+
+
 def verify_reduction(state: ReductionState, box: int) -> VerifyReport:
     """Check pullback(phi) <= B on every valuation, reporting a box count.
 
@@ -829,28 +850,40 @@ def verify_reduction(state: ReductionState, box: int) -> VerifyReport:
     first violation: ``checked`` counts those candidates up to and including
     it (all of them when none fails), the box part by Mobius inversion.
 
-    The comparison is on integers: with the pullback max(0, gap / scale)
-    from ``pullback_gap`` and B(v) = p / q >= 0, the bound fails exactly when
-    gap * q > p * scale.  Fractions are built only for a violation.
+    At a fan ray r_i the pullback is its own trace coefficient g_i.  The
+    subdivision check has found that every ray spans a cone, and in such a
+    cone r_i has coordinates e_i, so the pullback is max(0, 1 - (1 - g_i)) =
+    g_i, which is >= 0; this is the location ``Fan.locate`` reads from its
+    ray table.  So a ray is checked by comparing g_i = a / b with B(r_i) =
+    p / q as integers, a * q > p * b, and only the listed deviations that
+    are not rays are located.  There, with the pullback max(0, gap / scale)
+    from ``pullback_gap``, the bound fails exactly when gap * q > p * scale.
+    Fractions are built only for a violation.
     """
-    if box < 1:
-        raise PreconditionError("box must be >= 1")
-    if box > MAX_BOX:
-        raise PreconditionError(f"box {box} exceeds the cap MAX_BOX = {MAX_BOX}")
+    check_box(box)
     defect = state.fan.subdivision_defect
     if defect is not None:
         raise InvariantViolation(f"the fan does not subdivide the orthant: {defect}")
-    n = state.fan.n
-    listed = sorted(set(state.fan.rays).union(state.bdiv.deviations))
+    fan = state.fan
+    ray_index = fan.ray_index
+    coeffs = state.phi.ray_coeffs
+    listed = sorted(set(fan.rays).union(state.bdiv.deviations))
     outside = [vec for vec in listed if max(vec) > box]
     for vec in listed:
-        gap, scale = pullback_gap(state.phi, state.fan.locate(vec))
         bv = state.value(vec)
-        if gap * bv.denominator > bv.numerator * scale:
-            checked = primitive_box_count(n, box, vec) + sum(
-                1 for u in outside if u <= vec
-            )
-            violation = (vec, Fraction(gap, scale), bv)
-            return VerifyReport(ok=False, box=box, checked=checked, violation=violation)
-    checked = primitive_box_count(n, box) + len(outside)
+        i = ray_index.get(vec)
+        if i is not None:
+            pb = coeffs[i]
+            if pb.numerator * bv.denominator <= bv.numerator * pb.denominator:
+                continue
+        else:
+            gap, scale = pullback_gap(state.phi, fan.locate(vec))
+            if gap * bv.denominator <= bv.numerator * scale:
+                continue
+            pb = Fraction(gap, scale)
+        checked = primitive_box_count(fan.n, box, vec) + sum(
+            1 for u in outside if u <= vec
+        )
+        return VerifyReport(ok=False, box=box, checked=checked, violation=(vec, pb, bv))
+    checked = primitive_box_count(fan.n, box) + len(outside)
     return VerifyReport(ok=True, box=box, checked=checked, violation=None)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import bdivkit.cli as cli_mod
@@ -303,6 +303,10 @@ _POLYTOPE_PAST_THE_CAP = ["polyvol", "--polytope", json.dumps({
                + [[1, 1, 1, 1]] * 14,
     "offsets": ["1"] * 22})]
 
+# a reduction that takes a few tenths of a second
+_SLOW_REDUCE = ["reduce", "--model", '{"n":2,"coeffs":["40/41","41/42"]}', "--B",
+                '{"deviations":[{"v":[20,19],"value":"0"}]}']
+
 BAD_INPUTS = [
     ["ldisc", "--pair", '{"n":2,"coeffs":["1/2"]}', "--v", "[1,1]"],
     ["ldisc", "--pair", '{"n":2,"coeffs":["1/2","0.5"]}', "--v", "[1,1]"],
@@ -415,6 +419,10 @@ BAD_INPUTS = [
     # a closure past its size cap
     pytest.param(_CLOSURE_PAST_THE_CAP, id="closure past the size cap"),
     pytest.param(_POLYTOPE_PAST_THE_CAP, id="polyvol past the subset cap"),
+    # the box of `reduce` is checked before the reduction runs
+    pytest.param(_SLOW_REDUCE + ["--box", "0"], id="reduce box 0 before the cut"),
+    pytest.param(_SLOW_REDUCE + ["--box", "600000", "--verify"],
+                 id="reduce box past the cap after doubling"),
 ]
 
 
@@ -459,6 +467,20 @@ _DIGIT_LIMIT = f"{sys.get_int_max_str_digits()} digits"
     (_POLYTOPE_PAST_THE_CAP, "POLYTOPE_SUBSET_CAP = 6000"),
 ])
 def test_errors_name_their_cause(argv, cause):
+    code, _, err = run_cli(argv)
+    assert code == 2
+    assert cause in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (_SLOW_REDUCE + ["--box", "0"], "box must be >= 1"),
+    (_SLOW_REDUCE + ["--box", "600000", "--verify"], "box 1200000 exceeds the cap"),
+])
+def test_reduce_refuses_a_bad_box_before_it_reduces(monkeypatch, argv, cause):
+    def reduction_ran(*args):
+        raise AssertionError("run_reduction ran before the box was checked")
+
+    monkeypatch.setattr(cli_mod, "run_reduction", reduction_ran)
     code, _, err = run_cli(argv)
     assert code == 2
     assert cause in json.loads(err)["error"]
@@ -1055,9 +1077,40 @@ _TEXT = st.one_of(
     st.text(st.characters(max_codepoint=0x1F)),
     st.text(st.sampled_from('"\\/\x7fé \U0001f600\ud800')),
 )
-_LEAVES = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.integers(-(10**60), 10**60), _TEXT
-)
+_INTS = st.one_of(st.integers(), st.integers(-(10**60), 10**60))
+_LEAVES = st.one_of(st.none(), st.booleans(), _INTS, _TEXT)
+# str keys that a template could misread: %, quotes, backslashes, non-ASCII
+_KEYS = st.one_of(_TEXT, st.text(st.sampled_from('%ds"\\é\U0001f600'), max_size=4))
+
+
+def _rows(entries):
+    """Two or more rows of one length (0, 1 or 3), each a list or a tuple."""
+    row = lambda k: st.lists(entries, min_size=k, max_size=k).flatmap(
+        lambda r: st.sampled_from([r, tuple(r)]))
+    return st.sampled_from([0, 1, 3]).flatmap(
+        lambda k: st.lists(row(k), min_size=2, max_size=5))
+
+
+def _dict_rows(keys, values):
+    """Two or more dicts, all with the same keys."""
+    return st.sets(keys, max_size=4).flatmap(lambda names: st.lists(
+        st.fixed_dictionaries({k: values for k in names}), min_size=2, max_size=5))
+
+
+def _siblings(kids):
+    """Lists of like items, which the writer renders column by column."""
+    return st.one_of(
+        _rows(_INTS),
+        _rows(st.one_of(st.booleans(), _INTS)),
+        _dict_rows(_KEYS, kids),
+        _dict_rows(st.integers(-20, 20), kids),
+        # dicts of dicts, the inner ones again all with the same keys
+        st.sets(_KEYS, max_size=3).flatmap(lambda inner: _dict_rows(
+            _KEYS, st.fixed_dictionaries({k: _LEAVES for k in inner}))),
+        st.lists(st.dictionaries(_KEYS, kids, max_size=3), min_size=2, max_size=4),
+    )
+
+
 _JSON_VALUES = st.recursive(
     _LEAVES,
     lambda kids: st.one_of(
@@ -1065,6 +1118,7 @@ _JSON_VALUES = st.recursive(
         st.lists(kids, max_size=4).map(tuple),
         st.dictionaries(_TEXT, kids, max_size=4),
         st.dictionaries(st.integers(), kids, max_size=4),
+        _siblings(kids),
     ),
     max_leaves=30,
 )
@@ -1072,6 +1126,11 @@ _JSON_VALUES = st.recursive(
 
 @settings(max_examples=250, deadline=None)
 @given(_JSON_VALUES)
+@example([[True, 1], [2, 3]])
+@example([(1, False), [2, 3]])
+@example([{"%d": 1, "a%s": [2]}, {"%d": 3, "a%s": [4]}])
+@example([{2: "a", 10: "b", -3: "c"}, {2: "d", 10: "e", -3: "f"}])
+@example([{"r": {"x": [1, 2], "y": "p"}}, {"r": {"x": [3, 4], "y": "q"}}])
 def test_writer_equals_json_dumps(value):
     assert cli_mod._dump(value) == json.dumps(value, sort_keys=True, indent=2)
 

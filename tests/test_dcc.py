@@ -17,7 +17,6 @@ from bdivkit.dcc import (
     dcc_verdict,
     desc_from_json,
     exceptional_closure,
-    exceptional_sum,
     find_decreasing_chain,
     materialize,
     standard_coeff,
@@ -37,16 +36,6 @@ def test_standard_coeff_examples():
     assert standard_coeff(7) == F(6, 7)
     with pytest.raises(PreconditionError):
         standard_coeff(0)
-
-
-def test_exceptional_sum_examples():
-    assert exceptional_sum(F(1, 2), F(2, 3)) == F(1, 6)
-    assert exceptional_sum(F(1, 2), F(1, 2)) == 0
-    assert exceptional_sum(F(1, 3), F(1, 2)) is None
-    # (i/r, (r-1)/r) -> (i-1)/r
-    for r in range(2, 10):
-        for i in range(1, r):
-            assert exceptional_sum(F(i, r), F(r - 1, r)) == F(i - 1, r)
 
 
 def test_exceptional_closure_examples():

@@ -109,7 +109,7 @@ def test_pullback_trace_examples():
     p = LocalPair((F(3, 4), F(5, 6)))
     f = orthant_fan(2)
     md = pullback_trace(p, f)
-    assert md.as_dict() == {(1, 0): F(3, 4), (0, 1): F(5, 6)}
+    assert dict(zip(md.fan.rays, md.ray_coeffs)) == {(1, 0): F(3, 4), (0, 1): F(5, 6)}
     blow = star_subdivide(f, (1, 1))
     md2 = pullback_trace(p, blow)
     assert md2.coeff((1, 1)) == F(3, 4) + F(5, 6) - 1

@@ -18,7 +18,7 @@ from bdivkit.reduction import (
     ReductionState,
     build_cut,
     initial_state,
-    pair_weight,
+    pair_weight_witness,
     pick_fiber_minimizer,
     positive_pullback_prefixes,
     run_reduction,
@@ -90,7 +90,7 @@ def test_stratum_weight_examples():
     # no deviations, trace values: no strict witness anywhere
     m = make_model(F(1, 2), F(1))
     b0 = BDivisor(m.pair.coeffs, {})
-    assert pair_weight(m, b0) == -1
+    assert pair_weight_witness(m, b0) == (-1, None)
 
     b = BDivisor(m.pair.coeffs, {(1, 2): F(0)})
     w, witness = stratum_weight(m, b, (0, 1))
@@ -101,7 +101,7 @@ def test_stratum_weight_examples():
     b2 = BDivisor(m2.pair.coeffs, {(1, 1): F(0)})
     w2, witness2 = stratum_weight(m2, b2, (0, 1))
     assert w2 == 0 and witness2.pullback == F(1, 6)
-    assert pair_weight(m2, b2) == 0
+    assert pair_weight_witness(m2, b2)[0] == 0
 
 
 def test_stratum_weight_divisorial_witness():
@@ -176,22 +176,6 @@ def test_build_cut_klt_branch_reaches_weight_minus_one():
     ]
     new_state, _ = build_cut(state, sigmas)
     assert state_weight(new_state) == -1
-
-
-def test_surface_driver_runs_per_point():
-    from bdivkit.reduction import reduce_surface_strata
-
-    pair1 = LocalPair((F(1, 2), F(1)))
-    pair2 = LocalPair((F(2, 3), F(2, 3)))
-    instances = [
-        (LocalModel(pair1), BDivisor(pair1.coeffs, {(1, 2): F(0)})),
-        (LocalModel(pair2), BDivisor(pair2.coeffs, {(1, 1): F(0)})),
-    ]
-    traces = reduce_surface_strata(instances)
-    assert [t.terminated_weight for t in traces] == [-1, -1]
-    pair3 = LocalPair((F(1, 2), F(1, 2), F(1)))
-    with pytest.raises(PreconditionError):
-        reduce_surface_strata([(LocalModel(pair3), BDivisor(pair3.coeffs, {}))])
 
 
 def test_cut_keeps_trace_below_old_pullback():
@@ -396,9 +380,8 @@ def test_theta_matches_naive_computation():
             sigmas.append(v)
         if not sigmas:
             continue
-        state = ReductionState(
-            state.fan, state.phi, state.bdiv.with_deviations(updates)
-        )
+        bdiv = BDivisor(state.bdiv.pair_coeffs, {**state.bdiv.deviations, **updates})
+        state = ReductionState(state.fan, state.phi, bdiv)
         new_fan = ensure_rays(state.fan, sigmas)
         located = {v: state.fan.locate(v) for v in sigmas}
         fast = _theta_coeffs(state, located, new_fan.rays)
@@ -597,9 +580,8 @@ def reduced_states(draw):
                 and v not in state.fan.ray_set
                 and relative_pullback_coeff(state.phi, v) > 0
             ):
-                state = ReductionState(
-                    state.fan, state.phi, state.bdiv.with_deviations({v: F(0)})
-                )
+                bdiv = BDivisor(state.bdiv.pair_coeffs, {**state.bdiv.deviations, v: F(0)})
+                state = ReductionState(state.fan, state.phi, bdiv)
                 break
     elif plant in ("lowered", "boundary"):
         # B at a listed valuation lowered below its pullback, or set equal to it
@@ -612,9 +594,8 @@ def reduced_states(draw):
             value = relative_pullback_coeff(state.phi, v)
             if plant == "lowered":
                 value *= draw(st.sampled_from([F(0), F(1, 3), F(1, 2), F(6, 7)]))
-            state = ReductionState(
-                state.fan, state.phi, state.bdiv.with_deviations({v: value})
-            )
+            bdiv = BDivisor(state.bdiv.pair_coeffs, {**state.bdiv.deviations, v: value})
+            state = ReductionState(state.fan, state.phi, bdiv)
     return state
 
 
@@ -743,7 +724,9 @@ def test_cut_states_equal_their_validated_rebuilds(inputs):
     for state in states:
         fan = state.fan
         assert Fan(fan.n, fan.rays, fan.cones) == fan
-        for cone in fan.max_cones:
+        for key, cone in zip(fan.cones, fan.max_cones):
+            # the chart code reads a cone's generators in the order of its key
+            assert cone.gens == tuple(fan.rays[i] for i in key)
             fresh = Cone(cone.gens)
             assert (cone.det, cone._inward_adjugate) == (fresh.det, fresh._inward_adjugate)
         assert ModelDivisor(fan, state.phi.ray_coeffs) == state.phi
@@ -754,9 +737,20 @@ def test_cut_states_equal_their_validated_rebuilds(inputs):
 
 
 # ---------------------------------------------------------------------------
-# the sigma locations build_cut hands to _theta_coeffs
+# the sigma locations the driver hands to build_cut, and build_cut to
+# _theta_coeffs
 
 import bdivkit.cli as cli_mod
+from bdivkit.fans import insert_rays
+
+
+def assert_valid_location(fan, vec, loc):
+    """loc locates vec in a maximal cone of fan: sum nums_j gen_j = |det| vec."""
+    pos = fan.cones.index(loc.ray_indices)
+    assert loc.cone == fan.max_cones[pos]
+    assert all(x >= 0 for x in loc.nums)
+    combo = tuple(sum(x * g[i] for x, g in zip(loc.nums, loc.cone.gens)) for i in range(fan.n))
+    assert combo == tuple(abs(loc.cone.det) * e for e in vec)
 
 
 @settings(max_examples=100, deadline=None)
@@ -767,7 +761,10 @@ def test_theta_reads_handed_in_locations_as_it_would_find_them(inputs):
 
     def both(state, located, rays):
         found = {vec: state.fan.locate(vec) for vec in located}
-        assert found == located
+        for vec, loc in located.items():
+            assert_valid_location(state.fan, vec, loc)
+            if loc.ray_indices == found[vec].ray_indices:
+                assert loc == found[vec]
         handed = theta_coeffs(state, located, rays)
         assert handed == theta_coeffs(state, found, rays)
         calls.append((state, list(located)))
@@ -786,3 +783,29 @@ def test_theta_reads_handed_in_locations_as_it_would_find_them(inputs):
         assert cli_mod._error_record(exc.value) == {
             "error": f"cut valuation {v} has zero pullback coefficient", "exit_code": 2,
         }
+
+
+def test_chart_locations_off_the_tie_rule_give_the_same_theta():
+    # a chart's valuation on a face it shares with a cone of smaller key is
+    # located by Fan.locate in that other cone; its chart location must be
+    # valid and give the same theta
+    pair = LocalPair((F(1, 2), F(2, 3), F(1)))
+    b = BDivisor(pair.coeffs, {(1, 1, 3): F(0), (1, 1, 0): F(0)})
+    state, _ = build_cut(initial_state(LocalModel(pair), b), [(1, 1, 1)])
+    ties = 0
+    for key, cone in zip(state.fan.cones, state.fan.max_cones):
+        chart = reduction_mod._chart_sigmas(state, state.fan.locate(
+            tuple(map(sum, zip(*cone.gens)))))
+        found = {vec: state.fan.locate(vec) for vec in chart}
+        for vec, loc in chart.items():
+            assert loc.ray_indices == key
+            assert_valid_location(state.fan, vec, loc)
+            ties += found[vec].ray_indices != key
+        rays = insert_rays(state.fan, list(chart)).rays
+        assert reduction_mod._theta_coeffs(state, chart, rays) == (
+            reduction_mod._theta_coeffs(state, found, rays))
+    assert ties
+    # a handed location on a ray is refused as build_cut refuses the ray
+    ray = state.fan.rays[-1]
+    with pytest.raises(PreconditionError, match="already a divisor"):
+        build_cut(state, {ray: state.fan.locate(ray)})
