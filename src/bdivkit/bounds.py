@@ -230,18 +230,6 @@ class Polytope:
         offsets = [Fraction(0)] * n + [parse_rat(d)]
         return cls(n=n, normals=tuple(normals), offsets=tuple(offsets))
 
-    @classmethod
-    def box(cls, n: int, side) -> "Polytope":
-        normals = []
-        offsets = []
-        for i in range(n):
-            e = tuple(1 if j == i else 0 for j in range(n))
-            normals.append(e)
-            offsets.append(Fraction(0))
-            normals.append(tuple(-x for x in e))
-            offsets.append(parse_rat(side))
-        return cls(n=n, normals=tuple(normals), offsets=tuple(offsets))
-
 
 def _affine_dim(points) -> int:
     if not points:

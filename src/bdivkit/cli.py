@@ -19,6 +19,7 @@ import io
 import json
 import re
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import chain, product as iter_product
@@ -95,6 +96,14 @@ def _mismatch(what: str, fast, oracle):
 def _ensure_match(what: str, fast, oracle) -> None:
     if fast != oracle:
         _mismatch(what, fast, oracle)
+
+
+def _check_members(what: str, fast, members: list, elements) -> None:
+    """Refuse the first of elements missing from the sorted list members."""
+    for e in elements:
+        i = bisect_left(members, e)
+        if i == len(members) or members[i] != e:
+            _mismatch(what, fast, e)
 
 
 def _arg(p, key, default):
@@ -246,7 +255,7 @@ def _cmd_fset(p):
             naive = [()]
         else:
             for v in iter_product(range(bound + 1), repeat=model.s):
-                if sum(e * w for e, w in zip(v, weights)) < scale:
+                if sum(map(mul, v, weights)) < scale:
                     naive.append(v)
         _ensure_match("fset", sorted(prefixes), sorted(naive))
         out["verified"] = True
@@ -359,10 +368,8 @@ def _cmd_chain(p):
     if chain is not None:
         out["chain"] = chain.to_json()
         if p.get("verify"):
-            members = set(materialize(desc, budget.denom_bound, budget))
-            for e in chain.elements:
-                if e not in members:
-                    _mismatch("chain membership", list(chain.elements), e)
+            members = materialize(desc, budget.denom_bound, budget)
+            _check_members("chain membership", list(chain.elements), members, chain.elements)
             out["verified"] = True
     return out
 
@@ -373,10 +380,8 @@ def _cmd_dcc(p):
     verdict = dcc_verdict(desc, budget)
     out = verdict.to_json()
     if p.get("verify") and verdict.witness is not None:
-        members = set(materialize(desc, budget.denom_bound, budget))
-        for e in verdict.witness.elements:
-            if e not in members:
-                _mismatch("dcc witness membership", None, e)
+        members = materialize(desc, budget.denom_bound, budget)
+        _check_members("dcc witness membership", None, members, verdict.witness.elements)
         out["verified"] = True
     return out
 

@@ -16,8 +16,7 @@ the cone exactly when every numerator is >= 0, and ``Fan.locate`` returns a
 ``BarycentricResult`` holding those numerators, over |det| of the cone found
 whether v is a fan ray read from the ray table or found by a scan.  On a
 smooth cone |det| = 1 and the numerators are the coordinates themselves.
-``Fraction``s are built only by ``Cone.barycentric`` and by
-``BarycentricResult.lambdas``, on first use.
+``Fraction``s are built only by ``Cone.barycentric``.
 
 A 2-D fan is subdivided in angular order: its cones are arcs between
 consecutive rays of the quadrant, sorted by angle and kept with the fan, and
@@ -91,16 +90,12 @@ class Cone:
                 raise PreconditionError(f"generator {g} is not primitive")
         if len(gens) > n:
             raise PreconditionError("more generators than the ambient dimension")
-        if len(gens) == n:
-            # det(G^T) = det(G): the integer determinant decides independence
-            # and seeds the cached ``det``
-            d = determinant(gens)
-            if d == 0:
-                raise PreconditionError("cone generators are linearly dependent")
-            self.__dict__["det"] = d
-        elif rank(gens) != len(gens):
-            raise PreconditionError("cone generators are linearly dependent")
         object.__setattr__(self, "gens", gens)
+        # det(G^T) = det(G): a full cone's integer determinant, cached here,
+        # decides independence
+        independent = self.det != 0 if len(gens) == n else rank(gens) == len(gens)
+        if not independent:
+            raise PreconditionError("cone generators are linearly dependent")
 
     @property
     def dim(self) -> int:
@@ -184,9 +179,6 @@ class Cone:
         d = abs(self.det)
         return tuple(Fraction(x, d) for x in nums)
 
-    def contains(self, v) -> bool:
-        return self.coords(v) is not None
-
     def is_smooth(self) -> bool:
         return abs(self.det) == 1
 
@@ -245,30 +237,12 @@ class BarycentricResult:
     """A maximal cone containing the query plus exact coordinates in it.
 
     ``nums`` are the coordinates as integers over the cone's |det|, as
-    ``Cone.coords`` returns them; ``lambdas`` are the same coordinates as
-    Fractions, built on first use.  The constructor takes the Fractions.
+    ``Cone.coords`` returns them.
     """
 
     cone: Cone
     ray_indices: tuple
     nums: tuple
-
-    def __init__(self, cone, ray_indices, lambdas):
-        lam = tuple(Fraction(x) for x in lambdas)
-        scaled = [x * abs(cone.det) for x in lam]
-        if any(x.denominator != 1 for x in scaled):
-            raise PreconditionError("coordinates are not integers over the cone's |det|")
-        self.__dict__.update(
-            cone=cone,
-            ray_indices=tuple(ray_indices),
-            nums=tuple(int(x) for x in scaled),
-            lambdas=lam,
-        )
-
-    @cached_property
-    def lambdas(self) -> tuple:
-        d = abs(self.cone.det)
-        return tuple(Fraction(x, d) for x in self.nums)
 
 
 @record
@@ -635,7 +609,7 @@ def star_subdivide(fan: Fan, r) -> Fan:
     Every maximal cone containing r is replaced by the cones spanned by r
     together with each facet not containing r; cones not containing r are
     kept.  Subdividing at an existing ray returns the fan unchanged.  This is
-    the one-ray case of the batched insertion behind ``ensure_rays``: the
+    the one-ray case of the batched insertion behind ``insert_rays``: the
     kept cones enter the new fan as the parent's own ``Cone`` objects, and
     the cones containing r are read off the face of the first cone found to
     contain it, not tested one by one.
@@ -678,22 +652,13 @@ def resolve(fan: Fan) -> Fan:
     raise InvariantViolation("resolution exceeded the step cap")
 
 
-def ensure_rays(fan: Fan, vs) -> Fan:
+def insert_rays(fan: Fan, vecs) -> Fan:
     """Star-subdivide at each v in order (skipping existing rays), then resolve.
 
-    Each v is checked and made primitive first (``_subdivision_ray``); then
-    ``insert_rays`` does the work.
-    """
-    return insert_rays(fan, [_subdivision_ray(fan, v) for v in vs])
-
-
-def insert_rays(fan: Fan, vecs) -> Fan:
-    """``ensure_rays`` at vectors already known to be primitive vectors of
-    the orthant of the fan's dimension, such as a reduction's cut
-    valuations; they are not checked again.
-
-    All of vecs go into the fan in one batched insertion, which builds one
-    ``Fan``; resolution then runs one star subdivision per step.
+    The vecs must be primitive vectors of the orthant of the fan's
+    dimension, such as a reduction's cut valuations; they are not checked
+    again.  All of them go into the fan in one batched insertion, which
+    builds one ``Fan``; resolution then runs one star subdivision per step.
     """
     current = resolve(_subdivide_all(fan, vecs))
     for v in vecs:

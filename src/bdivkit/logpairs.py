@@ -6,16 +6,14 @@ primitive nonzero integer vector v in the closed positive orthant; its
 log discrepancy against the pair is sum v_i (1 - c_i), an affine-linear
 function pinned by the values at the origin and at the unit vectors.
 
-Two coefficient functions on valuations are central:
+``pullback_coeff`` is the coefficient of the valuation in the positive
+part of the log pullback, max(0, 1 - sum v_i (1 - c_i)); this is the value
+of the pullback b-divisor of the pair.
 
-* ``pullback_coeff`` -- the coefficient of the valuation in the positive
-  part of the log pullback, max(0, 1 - sum v_i (1 - c_i)); this is the
-  value of the pullback b-divisor of the pair.
-* ``default_one_coeff`` -- the naive extension of the pair: its own
-  coefficient on a coordinate divisor and 1 on every other valuation.
-
-``BDivisor`` stores a default-one b-divisor as a finite list of deviations,
-and ``ModelDivisor`` carries ray coefficients on a fan so the pullback
+``BDivisor`` stores a default-one b-divisor as a finite list of deviations
+from the naive extension of the pair, which takes the pair's own
+coefficient on a coordinate divisor and 1 on every other valuation.
+``ModelDivisor`` carries ray coefficients on a fan so the pullback
 coefficient can be evaluated relative to a higher model via barycentric
 coordinates: an integer dot product of the fan's coordinate numerators with
 the weights 1 - g_j over one common denominator, and one ``Fraction`` at the
@@ -133,15 +131,6 @@ def pullback_coeff(pair: LocalPair, v) -> Fraction:
     return max(Fraction(0), 1 - log_discrepancy(pair, v))
 
 
-def default_one_coeff(pair: LocalPair, v) -> Fraction:
-    """c_i when v = e_i, else 1."""
-    vec = valuation(v)
-    if len(vec) != pair.n:
-        raise PreconditionError("valuation dimension mismatch")
-    i = unit_index(vec)
-    return pair.coeffs[i] if i is not None else Fraction(1)
-
-
 # the value of every unlisted valuation that is not a unit vector; one
 # shared Fraction, since Fractions are immutable
 _ONE = Fraction(1)
@@ -186,8 +175,7 @@ class BDivisor:
         """The value at v, which must be a valuation tuple of dimension n.
 
         Nothing is checked here: callers pass a fan ray, a deviation key or a
-        vector they validated, such as a cut valuation.  ``bdiv_eval``
-        validates its argument first.
+        vector they validated, such as a cut valuation.
         """
         val = self.deviations.get(v)
         if val is not None:
@@ -223,14 +211,6 @@ class BDivisor:
         return cls(pcs, devs)
 
 
-def bdiv_eval(bdiv: BDivisor, v) -> Fraction:
-    """Value of the b-divisor at a valuation (deviation, divisorial, or 1)."""
-    vec = valuation(v)
-    if len(vec) != bdiv.n:
-        raise PreconditionError("valuation dimension mismatch")
-    return bdiv.value(vec)
-
-
 @record
 class ModelDivisor:
     """A divisor on a toric model: one exact coefficient per fan ray."""
@@ -250,23 +230,6 @@ class ModelDivisor:
     def weights(self) -> tuple:
         """(w, den): the weights 1 - g_j of the rays as integers w_j over den."""
         return complement_weights(self.ray_coeffs)
-
-    def coeff(self, ray) -> Fraction:
-        idx = self.fan.ray_index.get(tuple(ray))
-        if idx is None:
-            raise PreconditionError(f"{tuple(ray)} is not a ray of the model")
-        return self.ray_coeffs[idx]
-
-    def to_json(self) -> dict:
-        return {
-            "fan": self.fan.to_json(),
-            "ray_coeffs": format_rat_list(self.ray_coeffs),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ModelDivisor":
-        fan = Fan.from_json(data["fan"])
-        return cls(fan, parse_rat_list(data["ray_coeffs"]))
 
 
 def pullback_trace(pair: LocalPair, fan: Fan) -> ModelDivisor:
@@ -307,15 +270,6 @@ def pullback_at(md: ModelDivisor, loc) -> Fraction:
     """``relative_pullback_coeff`` at a vector already located in md's fan."""
     gap, scale = pullback_gap(md, loc)
     return Fraction(gap, scale) if gap > 0 else Fraction(0)
-
-
-def meet(a: ModelDivisor, b: ModelDivisor) -> ModelDivisor:
-    """Ray-wise minimum of two divisors on the same fan."""
-    if a.fan != b.fan:
-        raise PreconditionError("meet needs divisors on the same fan")
-    return ModelDivisor(
-        a.fan, tuple(min(x, y) for x, y in zip(a.ray_coeffs, b.ray_coeffs))
-    )
 
 
 # ---------------------------------------------------------------------------

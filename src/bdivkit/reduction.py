@@ -104,23 +104,26 @@ class LocalModel:
         """Sort coefficient-one components last; permute a b-divisor along.
 
         Returns (model, permuted b-divisor, permutation), where permutation
-        maps new positions to original ones.
+        maps new positions to original ones.  The pair and b-divisor were
+        validated where they were built, and permuting coordinates keeps them
+        valid, so the copies are not checked again; under the identity
+        permutation they are returned unchanged.
         """
-        order = sorted(range(pair.n), key=lambda i: (pair.coeffs[i] == 1, i))
-        perm = tuple(order)
-        new_pair = LocalPair(tuple(pair.coeffs[i] for i in perm))
-        new_bdiv = None
-        if bdiv is not None:
-            if bdiv.n != pair.n:
-                raise PreconditionError("b-divisor dimension mismatch")
-            new_bdiv = BDivisor(
-                tuple(bdiv.pair_coeffs[i] for i in perm),
-                {
-                    tuple(vec[i] for i in perm): val
-                    for vec, val in bdiv.deviations.items()
-                },
-            )
-        return cls(new_pair), new_bdiv, perm
+        perm = tuple(sorted(range(pair.n), key=lambda i: (pair.coeffs[i] == 1, i)))
+        if bdiv is not None and bdiv.n != pair.n:
+            raise PreconditionError("b-divisor dimension mismatch")
+        if perm != tuple(range(pair.n)):
+            pair = trusted(LocalPair, coeffs=tuple(pair.coeffs[i] for i in perm))
+            if bdiv is not None:
+                bdiv = trusted(
+                    BDivisor,
+                    pair_coeffs=tuple(bdiv.pair_coeffs[i] for i in perm),
+                    deviations={
+                        tuple(vec[i] for i in perm): val
+                        for vec, val in bdiv.deviations.items()
+                    },
+                )
+        return cls(pair), bdiv, perm
 
 
 def _prefix_weights(model: LocalModel) -> tuple:
@@ -165,13 +168,18 @@ def positive_pullback_prefixes(model: LocalModel) -> list:
 
 @record
 class Witness:
-    """A valuation whose B-value lies strictly below its pullback coefficient."""
+    """A valuation whose B-value lies strictly below its pullback coefficient.
+
+    ``loc`` is where ``state_witnesses`` located vec in the state's fan; it
+    is not written out.
+    """
 
     vec: tuple
     b_value: Fraction
     pullback: Fraction
     stratum: tuple
     weight: int
+    loc: BarycentricResult | None = None
 
     def to_json(self) -> dict:
         return {
@@ -358,7 +366,7 @@ def state_witnesses(state: ReductionState) -> list:
         if val < pb:
             support = tuple(idx for idx, x in zip(loc.ray_indices, loc.nums) if x > 0)
             w = sum(1 for idx in support if state.phi.ray_coeffs[idx] == 1)
-            out.append(Witness(vec, val, pb, support, w))
+            out.append(Witness(vec, val, pb, support, w, loc))
     return out
 
 
@@ -388,7 +396,7 @@ class CutStep:
         }
 
 
-def _theta_coeffs(state: ReductionState, located: dict, rays) -> tuple:
+def _theta_coeffs(state: ReductionState, located: dict, gaps: dict, rays) -> tuple:
     """min over sigma of the pullback coefficient relative to Y_sigma.
 
     Y_sigma is the star subdivision of the current fan at sigma.  It carries
@@ -426,8 +434,10 @@ def _theta_coeffs(state: ReductionState, located: dict, rays) -> tuple:
     ``located`` maps each sigma, in order, to a location in a maximal cone
     of the current fan that contains it, as ``build_cut`` checked it: its
     chart cone when the driver handed it over, else its ``Fan.locate``
-    result.  A ray of ``rays`` that is a sigma reads its location there;
-    every other ray is located here.  Where a sigma lies on a face of
+    result.  ``gaps`` maps each sigma to its ``pullback_gap`` at that
+    location, which ``build_cut`` computed for its refusal.  A ray of
+    ``rays`` that is a sigma reads its location and gap there; every other
+    ray is located here.  Where a sigma lies on a face of
     several cones, theta does not depend on which of them holds its
     location: pb(sigma) is the same in each, and so is mu_sigma(r) above.
     """
@@ -442,7 +452,7 @@ def _theta_coeffs(state: ReductionState, located: dict, rays) -> tuple:
     out = []
     for r in rays:
         loc = located.get(r) or state.fan.locate(r)
-        gap, scale = pullback_gap(state.phi, loc)
+        gap, scale = gaps.get(r) or pullback_gap(state.phi, loc)
         if gap <= 0:
             out.append(Fraction(0))
             continue
@@ -508,7 +518,7 @@ def _piece_splits(state: ReductionState, sig, cut: ReductionState) -> list:
     for wit in witnesses:
         if wit.weight < top:
             continue
-        idx = fan.locate(wit.vec).ray_indices
+        idx = wit.loc.ray_indices
         for cone, b, supp in homes:
             nums = [cone.coords(fan.rays[i]) for i in idx]
             if None not in nums:
@@ -552,10 +562,10 @@ def _straddle_points(fan: Fan, idx, nums, b, supp) -> list:
     raise InvariantViolation(f"cone {idx} straddles a piece along no hyperplane")
 
 
-def _cut_state(state: ReductionState, located: dict, new_fan: Fan) -> tuple:
+def _cut_state(state: ReductionState, located: dict, gaps: dict, new_fan: Fan) -> tuple:
     """The state on new_fan with trace min(theta, B), and theta itself."""
     rays = new_fan.rays
-    theta = _theta_coeffs(state, located, rays)
+    theta = _theta_coeffs(state, located, gaps, rays)
     new_phi_coeffs = tuple(map(min, theta, map(state.bdiv.value, rays)))
     # fan rays are valuations and every coefficient lies in [0, 1]: theta
     # is clipped to [0, pb] and B's values are in [0, 1].  Every ray but
@@ -593,8 +603,8 @@ def build_cut(state: ReductionState, sigmas) -> tuple:
     they are not validated or located again.  Either way the two refusals
     are integer checks on the location: a primitive vector with one nonzero
     coordinate is that generator, a ray, and the pullback gap must be
-    positive.  ``_theta_coeffs`` reads each sigma's location for its new ray
-    in every split round instead of locating it again.
+    positive.  ``_theta_coeffs`` reads each sigma's location and gap for
+    its new ray in every split round instead of finding them again.
     """
     if isinstance(sigmas, dict):
         located = sigmas
@@ -604,10 +614,12 @@ def build_cut(state: ReductionState, sigmas) -> tuple:
             vec = valuation(s)
             if vec not in located:
                 located[vec] = state.fan.locate(vec)
+    gaps = {}
     for vec, loc in located.items():
         if loc.nums.count(0) == len(loc.nums) - 1:
             raise PreconditionError(f"{vec} is already a divisor on the model")
-        if pullback_gap(state.phi, loc)[0] <= 0:
+        gaps[vec] = pullback_gap(state.phi, loc)
+        if gaps[vec][0] <= 0:
             raise PreconditionError(
                 f"cut valuation {vec} has zero pullback coefficient"
             )
@@ -618,7 +630,7 @@ def build_cut(state: ReductionState, sigmas) -> tuple:
     # the cut valuations are primitive, and so are the split points
     new_fan = insert_rays(state.fan, sig)
     for _ in range(_SPLIT_ROUND_CAP):
-        new_state, theta = _cut_state(state, located, new_fan)
+        new_state, theta = _cut_state(state, located, gaps, new_fan)
         splits = _piece_splits(state, sig, new_state)
         if not splits:
             break
@@ -642,7 +654,10 @@ def _chart_model(state: ReductionState, loc) -> tuple:
     cone's generators (a lattice basis since the fan is smooth), permuted so
     coefficient-one components come last: chart coordinate j is the
     generator at position order[j] of the cone's key.  Deviations inside the
-    cone map to their coordinates, integers since |det| = 1.
+    cone map to their coordinates, integers since |det| = 1.  Nothing is
+    validated again: the coefficients are trace values, and a deviation that
+    is not a ray has primitive coordinates, nonnegative in the cone and not a
+    unit vector, since a unit vector there is a generator.
     """
     cone, idx = loc.cone, loc.ray_indices
     coeffs = tuple(state.phi.ray_coeffs[i] for i in idx)
@@ -650,15 +665,15 @@ def _chart_model(state: ReductionState, loc) -> tuple:
     if abs(cone.det) != 1:
         basis = tuple(cone.gens[j] for j in order)
         raise InvariantViolation(f"chart cone {basis} is not smooth")
-    chart_pair = LocalPair(tuple(coeffs[j] for j in order))
+    chart_pair = trusted(LocalPair, coeffs=tuple(coeffs[j] for j in order))
     devs = {}
     deviations = state.bdiv.deviations
     for vec in deviations.keys() - state.fan.ray_set:
         nums = cone.coords(vec)
         if nums is not None:
             devs[tuple([nums[j] for j in order])] = deviations[vec]
-    model = LocalModel(chart_pair)
-    chart_bdiv = BDivisor(chart_pair.coeffs, devs)
+    model = trusted(LocalModel, pair=chart_pair)
+    chart_bdiv = trusted(BDivisor, pair_coeffs=chart_pair.coeffs, deviations=devs)
     return model, chart_bdiv, order
 
 
@@ -724,7 +739,8 @@ def run_reduction(model: LocalModel, bdiv: BDivisor) -> ReductionTrace:
     valuations are handed to ``build_cut`` with their chart locations, so
     the cut checks them without validating or locating them again.  The
     witnesses of each new state are the ones the cut found for its piece
-    splits (``ReductionState.witnesses``).
+    splits (``ReductionState.witnesses``), and each names its chart by the
+    location it was found at.
     """
     state = initial_state(model, bdiv)
     weight = state_weight(state)
@@ -738,11 +754,10 @@ def run_reduction(model: LocalModel, bdiv: BDivisor) -> ReductionTrace:
         located = {}
         seen_charts = set()
         for wit in state.witnesses:
-            loc = state.fan.locate(wit.vec)
-            if loc.ray_indices in seen_charts:
+            if wit.loc.ray_indices in seen_charts:
                 continue
-            seen_charts.add(loc.ray_indices)
-            for sigma, at in _chart_sigmas(state, loc).items():
+            seen_charts.add(wit.loc.ray_indices)
+            for sigma, at in _chart_sigmas(state, wit.loc).items():
                 located.setdefault(sigma, at)
         if not located:
             raise InvariantViolation("witnesses present but no cut valuation found")

@@ -90,8 +90,14 @@ def test_polytope_simplex_volumes():
 
 
 def test_polytope_examples():
-    assert polytope_volume(Polytope.box(2, 1)) == 1
-    assert polytope_volume(Polytope.box(3, 2)) == 8
+    square = Polytope(n=2, normals=((1, 0), (-1, 0), (0, 1), (0, -1)), offsets=(0, 1, 0, 1))
+    assert polytope_volume(square) == 1
+    cube = Polytope(
+        n=3,
+        normals=((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)),
+        offsets=(0, 2, 0, 2, 0, 2),
+    )
+    assert polytope_volume(cube) == 8
     clipped = Polytope(
         n=2,
         normals=((1, 0), (0, 1), (-1, -1), (-1, 0)),

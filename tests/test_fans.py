@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -7,8 +8,8 @@ from bdivkit.exact import InvariantViolation, PreconditionError, primitive_part
 from bdivkit.fans import (
     Cone,
     Fan,
-    ensure_rays,
     hirzebruch_jung_rays,
+    insert_rays,
     is_smooth,
     orthant_fan,
     resolve,
@@ -20,6 +21,12 @@ def cone_fan(*gens):
     """Fan consisting of a single full-dimensional cone."""
     n = len(gens[0])
     return Fan(n=n, rays=tuple(gens), cones=(tuple(range(len(gens))),))
+
+
+def lambdas(loc):
+    """A location's coordinates as Fractions: its numerators over |det|."""
+    d = abs(loc.cone.det)
+    return tuple(Fraction(x, d) for x in loc.nums)
 
 
 def assert_cones_match_rebuild(fan):
@@ -83,11 +90,11 @@ def test_star_subdivide_rejects_bad_rays():
 def test_locate_blowup_fan():
     f = star_subdivide(orthant_fan(2), (1, 1))
     loc = f.locate((2, 3))
-    coords = dict(zip(loc.cone.gens, loc.lambdas))
+    coords = dict(zip(loc.cone.gens, lambdas(loc)))
     assert coords == {(1, 1): 2, (0, 1): 1}
     # reconstruction is exact
     rebuilt = tuple(
-        sum(g[i] * l for g, l in zip(loc.cone.gens, loc.lambdas)) for i in range(2)
+        sum(g[i] * l for g, l in zip(loc.cone.gens, lambdas(loc))) for i in range(2)
     )
     assert rebuilt == (2, 3)
 
@@ -95,11 +102,11 @@ def test_locate_blowup_fan():
 def test_locate_on_ray_and_standard_cone():
     f = star_subdivide(orthant_fan(2), (1, 1))
     loc = f.locate((1, 1))
-    coords = dict(zip(loc.cone.gens, loc.lambdas))
+    coords = dict(zip(loc.cone.gens, lambdas(loc)))
     assert coords[(1, 1)] == 1 and sum(coords.values()) == 1
     f0 = orthant_fan(2)
     loc0 = f0.locate((5, 7))
-    assert dict(zip(loc0.cone.gens, loc0.lambdas)) == {(1, 0): 5, (0, 1): 7}
+    assert dict(zip(loc0.cone.gens, lambdas(loc0))) == {(1, 0): 5, (0, 1): 7}
 
 
 def test_locate_errors():
@@ -141,24 +148,6 @@ def test_resolve_matches_continued_fraction_oracle():
             assert added == sorted(hirzebruch_jung_rays(a, b)), (a, b)
 
 
-def test_ensure_rays():
-    f = orthant_fan(2)
-    assert ensure_rays(f, [(1, 0), (0, 1)]) == f
-    blow = ensure_rays(f, [(1, 1)])
-    assert (1, 1) in blow.rays
-    deep = ensure_rays(f, [(2, 3)])
-    assert (2, 3) in deep.rays and is_smooth(deep)
-
-
-def test_ensure_rays_multiple_and_order_deterministic():
-    f = orthant_fan(3)
-    out = ensure_rays(f, [(1, 1, 0), (1, 1, 2)])
-    assert {(1, 1, 0), (1, 1, 2)} <= set(out.rays)
-    assert is_smooth(out)
-    again = ensure_rays(f, [(1, 1, 0), (1, 1, 2)])
-    assert out == again
-
-
 def test_random_subdivisions_locate_reconstructs():
     rng = random.Random(1234)
     fan = orthant_fan(3)
@@ -177,11 +166,11 @@ def test_random_subdivisions_locate_reconstructs():
             continue
         loc = fan.locate(v)
         rebuilt = tuple(
-            sum(g[i] * l for g, l in zip(loc.cone.gens, loc.lambdas))
+            sum(g[i] * l for g, l in zip(loc.cone.gens, lambdas(loc)))
             for i in range(3)
         )
         assert rebuilt == v
-        assert all(l >= 0 for l in loc.lambdas)
+        assert all(l >= 0 for l in lambdas(loc))
 
 
 def test_interior_points_lie_in_a_unique_cone():
@@ -194,9 +183,9 @@ def test_interior_points_lie_in_a_unique_cone():
         v = tuple(rng.randint(0, 20) for _ in range(3))
         if all(e == 0 for e in v):
             continue
-        containing = [c for c in fan.max_cones if c.contains(v)]
+        containing = [c for c in fan.max_cones if c.coords(v) is not None]
         loc = fan.locate(v)
-        if all(l > 0 for l in loc.lambdas):
+        if all(l > 0 for l in lambdas(loc)):
             assert len(containing) == 1
         else:
             assert len(containing) >= 1
@@ -235,7 +224,7 @@ def test_resolve_3d_stress():
                 continue
             loc = res.locate(pt)
             rebuilt = tuple(
-                sum(g[i] * l for g, l in zip(loc.cone.gens, loc.lambdas))
+                sum(g[i] * l for g, l in zip(loc.cone.gens, lambdas(loc)))
                 for i in range(3)
             )
             assert rebuilt == pt
@@ -303,7 +292,8 @@ def reference_locate(fan, v):
     for idx, cone in zip(fan.cones, fan.max_cones):
         lam = cone.barycentric(v)
         if lam is not None:
-            return BarycentricResult(cone=cone, ray_indices=idx, lambdas=lam)
+            d = abs(cone.det)
+            return BarycentricResult(cone, idx, tuple(int(x * d) for x in lam))
     raise InvariantViolation(f"no cone contains {v}")
 
 
@@ -365,7 +355,7 @@ def test_batched_insertion_equals_one_ray_chain(data):
         # in dimension 4 resolving by the reference can take seconds
         with mock.patch.object(fans_mod, "star_subdivide", reference_star_subdivide):
             resolved = resolve(expected)
-        assert same_fan(ensure_rays(fan, vecs), resolved)
+        assert same_fan(insert_rays(fan, [primitive_part(v) for v in vecs]), resolved)
 
 
 @st.composite
@@ -586,10 +576,8 @@ def test_integer_coordinates_are_barycentric_times_det(cone_v, reverse):
         assert nums == tuple(x * d for x in ref)
         assert all(type(x) is int for x in nums)
         assert cone.barycentric(v) == ref
-        assert cone.contains(v)
     else:
         assert nums is None and cone.barycentric(v) is None
-        assert not cone.contains(v)
 
 
 @settings(max_examples=100, deadline=None)
@@ -603,15 +591,6 @@ def test_locate_gives_numerators_over_det(data):
     d = abs(loc.cone.det)
     assert all(type(x) is int for x in loc.nums)
     assert tuple(Fraction(x, d) for x in loc.nums) == reference_coordinates(loc.cone.gens, v)
-    assert loc.lambdas == ref.lambdas == reference_coordinates(loc.cone.gens, v)
-
-
-def test_barycentric_result_from_fractions():
-    cone = Cone(((1, 0), (1, 2)))  # det 2
-    res = BarycentricResult(cone, (0, 1), (Fraction(1, 2), Fraction(3, 2)))
-    assert res.nums == (1, 3) and res.lambdas == (Fraction(1, 2), Fraction(3, 2))
-    with pytest.raises(PreconditionError, match="integers over"):
-        BarycentricResult(cone, (0, 1), (Fraction(1, 3), Fraction(0)))
 
 
 @settings(max_examples=300, deadline=None)

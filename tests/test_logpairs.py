@@ -12,11 +12,8 @@ from bdivkit.logpairs import (
     BDivisor,
     LocalPair,
     ModelDivisor,
-    bdiv_eval,
     blowup_chain_coeff,
-    default_one_coeff,
     log_discrepancy,
-    meet,
     mld_origin,
     mld_origin_minimizer,
     pullback_coeff,
@@ -27,6 +24,11 @@ from bdivkit.logpairs import (
 )
 
 unit_fracs = st.fractions(min_value=F(0), max_value=F(1), max_denominator=12)
+
+
+def coeff(md, ray):
+    """The coefficient of a model divisor at one of its fan's rays."""
+    return md.ray_coeffs[md.fan.ray_index[ray]]
 
 
 def test_log_discrepancy_examples():
@@ -82,18 +84,11 @@ def test_affine_pinning():
         assert 1 - log_discrepancy(p, v) == affine
 
 
-def test_default_one_coeff_examples():
-    p = LocalPair((F(1, 2), F(2, 3)))
-    assert default_one_coeff(p, (0, 1)) == F(2, 3)
-    assert default_one_coeff(p, (1, 1)) == 1
-    assert default_one_coeff(p, (3, 1)) == 1
-
-
 def test_bdivisor_eval_examples():
     b = BDivisor((F(1, 2), F(2, 3)), {(1, 1): F(1, 3)})
-    assert bdiv_eval(b, (1, 1)) == F(1, 3)
-    assert bdiv_eval(b, (2, 1)) == 1
-    assert bdiv_eval(b, (1, 0)) == F(1, 2)
+    assert b.value((1, 1)) == F(1, 3)
+    assert b.value((2, 1)) == 1
+    assert b.value((1, 0)) == F(1, 2)
 
 
 def test_bdivisor_validation():
@@ -112,10 +107,10 @@ def test_pullback_trace_examples():
     assert dict(zip(md.fan.rays, md.ray_coeffs)) == {(1, 0): F(3, 4), (0, 1): F(5, 6)}
     blow = star_subdivide(f, (1, 1))
     md2 = pullback_trace(p, blow)
-    assert md2.coeff((1, 1)) == F(3, 4) + F(5, 6) - 1
+    assert coeff(md2, (1, 1)) == F(3, 4) + F(5, 6) - 1
     q = LocalPair((F(1, 2), F(2, 3)))
     blow12 = star_subdivide(f, (1, 2))
-    assert pullback_trace(q, blow12).coeff((1, 2)) == 0  # 1 - (1/2 + 2/3) clamps
+    assert coeff(pullback_trace(q, blow12), (1, 2)) == 0  # 1 - (1/2 + 2/3) clamps
 
 
 def test_relative_pullback_coeff_examples():
@@ -157,23 +152,10 @@ def test_relative_pullback_well_defined_on_shared_faces():
                 if lam is None:
                     continue
                 total = sum(
-                    l * (1 - md.coeff(gen)) for l, gen in zip(lam, cone2.gens)
+                    l * (1 - coeff(md, gen)) for l, gen in zip(lam, cone2.gens)
                 )
                 values.add(max(F(0), 1 - total))
             assert len(values) == 1
-
-
-def test_meet_examples():
-    f = orthant_fan(2)
-    a = ModelDivisor(f, (F(1, 2), F(1)))
-    b = ModelDivisor(f, (F(2, 3), F(1, 3)))
-    assert meet(a, b).ray_coeffs == (F(1, 2), F(1, 3))
-    assert meet(a, a) == a
-    ones = ModelDivisor(f, (F(1), F(1)))
-    assert meet(a, ones) == a
-    other = ModelDivisor(orthant_fan(3), (F(1), F(1), F(1)))
-    with pytest.raises(PreconditionError):
-        meet(a, other)
 
 
 @given(st.lists(unit_fracs, min_size=1, max_size=3), st.data())
@@ -330,7 +312,7 @@ def test_pair_json_roundtrip():
 
 def fraction_pullback(md, cone, lam):
     """The Fraction formula max(0, 1 - sum lam_j (1 - g_j)) in one cone."""
-    total = sum((l * (1 - md.coeff(g)) for l, g in zip(lam, cone.gens)), F(0))
+    total = sum((l * (1 - coeff(md, g)) for l, g in zip(lam, cone.gens)), F(0))
     return max(F(0), 1 - total)
 
 
