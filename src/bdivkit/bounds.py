@@ -77,15 +77,9 @@ class SylvesterSeq:
         ts = tuple(int(t) for t in self.terms)
         if not ts or ts[0] != 1:
             raise PreconditionError("the sequence starts at r_0 = 1")
-        prod = 1
         for i in range(1, len(ts)):
             if ts[i] != ts[i - 1] * (ts[i - 1] + 1):
                 raise PreconditionError("recursion r_{k+1} = r_k (r_k + 1) violated")
-            prod *= ts[i - 1] + 1
-            if ts[i] != prod:
-                raise InvariantViolation(
-                    "product identity r_{k+1} = prod (r_i + 1) violated"
-                )
         object.__setattr__(self, "terms", ts)
 
 
@@ -353,8 +347,6 @@ def hurwitz_report(g: int) -> BoundReport:
         raise PreconditionError("need genus g >= 2 (general type)")
     vol = 2 * g - 2
     bound = 84 * (g - 1)
-    if bound != 42 * vol:
-        raise InvariantViolation("84(g-1) != 42(2g-2)")
     return BoundReport(
         kind="hurwitz",
         values={"g": g, "vol": vol, "bound": bound, "ratio": Fraction(bound, vol)},
@@ -371,8 +363,6 @@ def curve_power_report(n: int, g: int) -> BoundReport:
     aut = factorial(n) * 42**n * (2 * g - 2) ** n
     vol = factorial(n) * (2 * g - 2) ** n
     ratio = Fraction(aut, vol)
-    if ratio != 42**n:
-        raise InvariantViolation("aut/vol != 42^n")
     return BoundReport(
         kind="curve-power",
         values={"n": n, "g": g, "aut": aut, "vol": vol, "ratio": ratio},
@@ -420,8 +410,6 @@ def fermat_threshold_scan(n_max: int) -> list:
     for n in range(1, n_max + 1):
         report = fermat_report(n, n + 3)
         ratio = report.values["ratio"]
-        if ratio != factorial(n + 2) * (n + 3) ** n:
-            raise InvariantViolation("scan ratio disagrees with (n+2)!(n+3)^n")
         rows.append(
             {
                 "n": n,
@@ -528,8 +516,6 @@ def char_p_ratio_report(q_max: int) -> tuple:
             continue
         g = q * (q - 1) // 2
         vol = 2 * g - 2
-        if vol != (q + 1) * (q - 2):
-            raise InvariantViolation("volume identity (q+1)(q-2) failed")
         order = _unitary_order_at(poly, gcd_mod, q)
         bound = 216 * vol**4
         if order > bound:
@@ -595,8 +581,6 @@ def effective_constants(n: int, eps, gamma0, delta) -> BoundReport:
     vol_threshold = checked_power(big_c * n, n)
     x = big_c * n / d
     m_min = floor(x) + 2  # least integer > x + 1, whether or not x is integral
-    if not (m_min > x + 1 and m_min - 1 <= x + 1):
-        raise InvariantViolation("M_min does not bracket C*n/delta + 1")
     return BoundReport(
         kind="constants",
         values={

@@ -5,8 +5,9 @@ stdout, byte for byte ``json.dumps(result, sort_keys=True, indent=2)`` plus a
 newline, written in one pass by ``_dump``; scan commands emit CSV.  Errors
 are machine-readable JSON on stderr with exit code 2 for precondition
 violations and 3 for internal invariant breaches.  ``--verify`` re-runs an
-independent oracle next to the fast path and fails loudly (exit 3) on any
-mismatch.
+oracle next to the fast path and fails loudly (exit 3) on any mismatch; for
+hurwitz, product, minvol, sylvester, polyvol, lcoeff with n != 2, weight
+and reduce the oracle shares code or values with the fast path.
 
 The command line is ``bdivkit COMMAND [OPTION ...]``, read by ``Parser``
 straight from the table ``_COMMANDS``; an error in argv itself exits 2 with
@@ -919,12 +920,11 @@ class Parser:
                   if token == "--" or self._classify(token, top) is None), len(argv))
         strays = []
         self._take(argv[:i], None, strays)
-        choices = ", ".join(_COMMANDS)
         if i == len(argv):
-            self.error(f"a command is required; choose from {choices}")
+            self.error(f"a command is required; choose from {', '.join(_COMMANDS)}")
         command = argv[i]
         if command not in _COMMANDS:
-            self.error(f"unknown command {command!r}; choose from {choices}")
+            self.error(f"unknown command {command!r}; choose from {', '.join(_COMMANDS)}")
         options = self._take(argv[i + 1:], command, strays)
         if strays:
             self.error(f"unrecognized arguments: {' '.join(strays)}")

@@ -12,11 +12,15 @@ cofactor normals); this module carries none of its own.
 The coordinates of a lattice vector v in a full-dimensional cone are kept as
 integers: ``Cone.coords`` returns numerators over the cone's |det| (the rows
 of the adjugate, with the sign of det folded in, applied to v), so v is in
-the cone exactly when every numerator is >= 0, and ``Fan.locate`` returns a
-``BarycentricResult`` holding those numerators, over |det| of the cone found
+the cone exactly when every numerator is >= 0.  ``Fan.locate`` returns a
+location, a ``BarycentricResult``: a plain tuple (cone, ray_indices, nums)
+with those field names, holding the numerators over |det| of the cone found,
 whether v is a fan ray read from the ray table or found by a scan.  On a
 smooth cone |det| = 1 and the numerators are the coordinates themselves.
-``Fraction``s are built only by ``Cone.barycentric``.
+No coordinate is a ``Fraction``: only ``Cone.barycentric`` returns them, and
+the other ``Fraction``s here are the residues of ``parallelepiped_points``,
+the angle key ``Fan._arcs`` sorts chain starts by and the share of the
+orthant that ``subdivision_defect`` reports unfilled.
 
 A 2-D fan is subdivided in angular order: its cones are arcs between
 consecutive rays of the quadrant, sorted by angle and kept with the fan, and
@@ -32,6 +36,7 @@ quickly and nothing in this toolkit needs more.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
@@ -232,17 +237,15 @@ class Cone:
 # fans
 
 
-@record
-class BarycentricResult:
+class BarycentricResult(namedtuple("BarycentricResult", "cone ray_indices nums")):
     """A maximal cone containing the query plus exact coordinates in it.
 
-    ``nums`` are the coordinates as integers over the cone's |det|, as
-    ``Cone.coords`` returns them.
+    ``ray_indices`` is the cone's key in its fan, and ``nums`` are the
+    coordinates as integers over the cone's |det|, as ``Cone.coords``
+    returns them.  A tuple, so building one fills no instance dict.
     """
 
-    cone: Cone
-    ray_indices: tuple
-    nums: tuple
+    __slots__ = ()
 
 
 @record
@@ -350,7 +353,7 @@ class Fan:
             cone = self.max_cones[pos]
             d = abs(cone.det)
             nums = tuple(d if k == i else 0 for k in idx)
-            return trusted(BarycentricResult, cone=cone, ray_indices=idx, nums=nums)
+            return BarycentricResult(cone, idx, nums)
         vec = lattice_vec(v)
         if len(vec) != self.n:
             raise PreconditionError("query dimension mismatch")
@@ -361,7 +364,7 @@ class Fan:
         for idx, cone in zip(self.cones, self.max_cones):
             nums = cone.coords(vec)
             if nums is not None:
-                return trusted(BarycentricResult, cone=cone, ray_indices=idx, nums=nums)
+                return BarycentricResult(cone, idx, nums)
         raise InvariantViolation(
             f"fan does not cover the orthant: no cone contains {vec}"
         )
@@ -412,11 +415,8 @@ class Fan:
         return None
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "rays": [list(r) for r in self.rays],
-            "cones": [list(c) for c in self.cones],
-        }
+        # the writer renders a tuple as it renders a list
+        return {"n": self.n, "rays": self.rays, "cones": self.cones}
 
     @classmethod
     def from_json(cls, data: dict) -> "Fan":

@@ -186,8 +186,9 @@ class BDivisor:
     def to_json(self) -> dict:
         return {
             "pair": format_rat_list(self.pair_coeffs),
+            # the writer renders a tuple as it renders a list
             "deviations": [
-                {"v": list(k), "value": format_rat(val)}
+                {"v": k, "value": format_rat(val)}
                 for k, val in sorted(self.deviations.items())
             ],
         }

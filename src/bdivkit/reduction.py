@@ -386,13 +386,12 @@ class CutStep:
     theta: tuple  # (ray, value) pairs on the new fan
 
     def to_json(self) -> dict:
+        # the writer renders a tuple as it renders a list
         return {
             "weight_before": self.weight_before,
-            "sigmas": [list(s) for s in self.sigmas],
-            "rays_added": [list(r) for r in self.rays_added],
-            "theta": [
-                {"ray": list(r), "value": format_rat(v)} for r, v in self.theta
-            ],
+            "sigmas": self.sigmas,
+            "rays_added": self.rays_added,
+            "theta": [{"ray": r, "value": format_rat(v)} for r, v in self.theta],
         }
 
 
@@ -445,6 +444,8 @@ def _theta_coeffs(state: ReductionState, located: dict, gaps: dict, rays) -> tup
     for vec in located:
         if vec not in state.bdiv.deviations:
             continue
+        # gaps[vec] holds the same pullback; this call stays only because
+        # bench/test_bench.py requires its span on reduce_cut
         e = relative_pullback_coeff(state.phi, vec) - state.value(vec)
         if e > 0:
             excess.append((vec, e))
@@ -563,18 +564,30 @@ def _straddle_points(fan: Fan, idx, nums, b, supp) -> list:
 
 
 def _cut_state(state: ReductionState, located: dict, gaps: dict, new_fan: Fan) -> tuple:
-    """The state on new_fan with trace min(theta, B), and theta itself."""
+    """The state on new_fan with trace min(theta, B), and theta itself.
+
+    The minimum is taken only at the rays B lists as deviations and at the
+    unit rays.  At every other ray B is 1, and theta is at most gap / scale
+    <= 1, so the trace there is theta itself, the value ``min`` returns.
+    """
     rays = new_fan.rays
     theta = _theta_coeffs(state, located, gaps, rays)
-    new_phi_coeffs = tuple(map(min, theta, map(state.bdiv.value, rays)))
+    listed = state.bdiv.deviations
+    coeffs = [min(t, listed[r]) if r in listed else t for t, r in zip(theta, rays)]
+    n = new_fan.n
+    units = [tuple([int(j == i) for j in range(n)]) for i in range(n)]
+    for u, c in zip(units, state.bdiv.pair_coeffs):
+        if u in new_fan.ray_set:
+            i = rays.index(u)
+            coeffs[i] = min(coeffs[i], c)
+    new_phi_coeffs = tuple(coeffs)
     # fan rays are valuations and every coefficient lies in [0, 1]: theta
     # is clipped to [0, pb] and B's values are in [0, 1].  Every ray but
     # the unit vectors becomes a deviation; no deviation is a unit vector.
-    devs = dict(state.bdiv.deviations)
+    devs = dict(listed)
     devs.update(zip(rays, new_phi_coeffs))
-    n = new_fan.n
-    for i in range(n):
-        devs.pop(tuple([int(j == i) for j in range(n)]), None)
+    for u in units:
+        devs.pop(u, None)
     new_bdiv = trusted(BDivisor, pair_coeffs=state.bdiv.pair_coeffs, deviations=devs)
     new_phi = trusted(ModelDivisor, fan=new_fan, ray_coeffs=new_phi_coeffs)
     new_state = ReductionState(new_fan, new_phi, new_bdiv)
@@ -707,7 +720,7 @@ def _chart_sigmas(state: ReductionState, loc) -> dict:
     for sigma in chart_sigmas:
         nums = tuple(map(sigma.__getitem__, position))
         ambient = tuple([sum(map(mul, col, nums)) for col in columns])
-        out[ambient] = trusted(BarycentricResult, cone=cone, ray_indices=idx, nums=nums)
+        out[ambient] = BarycentricResult(cone, idx, nums)
     return out
 
 

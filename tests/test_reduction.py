@@ -821,3 +821,47 @@ def test_chart_locations_off_the_tie_rule_give_the_same_theta():
     ray = state.fan.rays[-1]
     with pytest.raises(PreconditionError, match="already a divisor"):
         build_cut(state, {ray: state.fan.locate(ray)})
+
+
+# ---------------------------------------------------------------------------
+# _cut_state takes min(theta, B) only at listed and unit rays; the trace must
+# still be that minimum at every ray
+
+
+def cut_state_and_theta(state, sigmas):
+    located = {vec: state.fan.locate(vec) for vec in sigmas}
+    new_fan = insert_rays(state.fan, list(sigmas))
+    return reduction_mod._cut_state(state, located, gaps_at(state, located), new_fan)
+
+
+def assert_trace_is_min_of_theta_and_b(state, new_state, theta):
+    rays = new_state.fan.rays
+    expected = tuple(map(min, theta, map(state.bdiv.value, rays)))
+    assert len(new_state.phi.ray_coeffs) == len(expected)
+    for ray, c, e in zip(rays, new_state.phi.ray_coeffs, expected):
+        assert (ray, c) == (ray, e)
+
+
+def test_cut_state_meets_theta_with_a_listed_deviation_on_a_new_ray():
+    # (1, 2) cuts the orthant into a cone of det 2, so resolve adds (1, 1),
+    # a new ray that is no sigma; B lists it below its theta
+    pair = LocalPair((F(2, 3), F(5, 6)))
+    b = BDivisor(pair.coeffs, {(1, 1): F(1, 5)})
+    state = initial_state(LocalModel(pair), b)
+    new_state, theta = cut_state_and_theta(state, [(1, 2)])
+    i = new_state.fan.rays.index((1, 1))
+    assert (1, 1) not in state.fan.rays and theta[i] == F(1, 2)
+    assert new_state.phi.ray_coeffs[i] == F(1, 5)
+    assert_trace_is_min_of_theta_and_b(state, new_state, theta)
+
+
+def test_cut_state_meets_theta_with_a_unit_coefficient_below_it():
+    # a hand-built state whose B is below the trace at e_1: the unit ray's
+    # theta is its trace coefficient 2/3, and its new coefficient is B's 1/3
+    fan = orthant_fan(2)
+    phi = ModelDivisor(fan, (F(2, 3), F(5, 6)))
+    b = BDivisor((F(1, 3), F(5, 6)))
+    state = ReductionState(fan, phi, b)
+    new_state, theta = cut_state_and_theta(state, [(1, 1)])
+    assert theta[0] == F(2, 3) and new_state.phi.ray_coeffs[0] == F(1, 3)
+    assert_trace_is_min_of_theta_and_b(state, new_state, theta)
