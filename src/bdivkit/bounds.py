@@ -30,7 +30,6 @@ from math import comb, factorial, floor, gcd, lcm
 from operator import mul
 
 from .exact import (
-    InvariantViolation,
     PreconditionError,
     adjugate,
     checked_power,
@@ -226,8 +225,7 @@ class Polytope:
 
 
 def _affine_dim(points) -> int:
-    if not points:
-        return -1
+    """The dimension of the affine hull of a nonempty list of points."""
     base = points[0]
     rows = [[x - y for x, y in zip(p, base)] for p in points[1:]]
     return rank(rows)
@@ -292,9 +290,10 @@ def _vertices(poly: Polytope) -> tuple:
 
 
 def _triangulate(verts_active, dim: int):
-    """Fan triangulation of a face into dim-simplices (tuples of points)."""
-    if _affine_dim([p for p, _ in verts_active]) != dim:
-        raise InvariantViolation("face has unexpected affine dimension")
+    """Fan triangulation of a face into dim-simplices (tuples of points).
+
+    The face has affine dimension dim: both callers check that rank first.
+    """
     if len(verts_active) == dim + 1:
         return [tuple(p for p, _ in verts_active)]
     base_pt, base_active = min(verts_active)
@@ -489,12 +488,12 @@ def unitary_order_value(n: int, q: int) -> int:
 
 
 def _unitary_order_at(poly: tuple, gcd_mod: int, q: int) -> int:
-    """The order at the prime power q from unitary_order_poly's (poly, gcd_mod)."""
-    value = poly_eval(poly, q)
-    g = gcd(gcd_mod, q + 1)
-    if value % g:
-        raise InvariantViolation("gcd divisor does not divide the polynomial part")
-    return value // g
+    """The order at the prime power q from unitary_order_poly's (poly, gcd_mod).
+
+    The division is exact: q = -1 modulo q + 1, so q + 1 divides every factor
+    q^i - (-1)^i, and gcd(gcd_mod, q + 1) divides q + 1.
+    """
+    return poly_eval(poly, q) // gcd(gcd_mod, q + 1)
 
 
 def char_p_ratio_report(q_max: int) -> tuple:
@@ -503,6 +502,10 @@ def char_p_ratio_report(q_max: int) -> tuple:
     For each q the curve has genus q(q-1)/2, canonical volume (q+1)(q-2),
     and a unitary symmetry group of order q^3 (q^2-1)(q^3+1)/gcd(3, q+1);
     the order stays below 216 * vol^4 throughout.  Returns (report, rows).
+
+    The bound holds for every q >= 3: the order is at most
+    q^3 * q(q+1) * (q+1)q^2 = q^6 (q+1)^2, and q - 2 >= q/3 gives
+    216 vol^4 >= (8/3) q^4 (q+1)^4, which is larger since q <= q + 1.
     """
     if q_max < 3:
         raise PreconditionError("need q_max >= 3")
@@ -518,10 +521,6 @@ def char_p_ratio_report(q_max: int) -> tuple:
         vol = 2 * g - 2
         order = _unitary_order_at(poly, gcd_mod, q)
         bound = 216 * vol**4
-        if order > bound:
-            raise InvariantViolation(
-                f"order {order} exceeds 216*vol^4 = {bound} at q = {q}"
-            )
         ratio = Fraction(order, vol**4)
         if max_ratio is None or ratio > max_ratio:
             max_ratio = ratio

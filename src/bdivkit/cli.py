@@ -637,10 +637,7 @@ def _cmd_constants(p):
             c *= 1 + gamma
         _ensure_match("constants C", report.values["C"], c)
         y = c * n / d + 1
-        m_min = y.numerator // y.denominator + 1
-        # for an integer m, "m is the least integer > y" is equivalent to m - 1 <= y < m
-        if not m_min - 1 <= y < m_min:
-            _mismatch("constants M_min bracket", m_min, y)
+        m_min = y.numerator // y.denominator + 1  # floor(y) + 1, the least integer > y
         fast = report.values["M_min"]
         if type(fast) is not int or fast != m_min:
             _mismatch("constants M_min (an int)", repr(fast), m_min)
@@ -976,8 +973,9 @@ def _dump(value, indent: str = "\n") -> str:
     Python's C encoder ignores ``indent``, so ``json.dumps`` would run its
     pure-Python encoder on every result.  Here each container returns its own
     text, joined once, and the items of a list come from ``_items``, which
-    renders like siblings together.  The strings of a dict are written
-    without a call.  Types are matched exactly, so a bool is never an int.
+    renders like siblings together.  A string is written by the dict or
+    list that holds it, without a call, so ``value`` is never one: a result
+    is a dict.  Types are matched exactly, so a bool is never an int.
     Keys, all str or all int, are sorted before int keys are quoted, as in
     ``json``.  Any other type, floats included (the package has none),
     raises ``TypeError``.
@@ -996,8 +994,6 @@ def _dump(value, indent: str = "\n") -> str:
             return "[]"
         inner = indent + "  "
         return "[" + inner + ("," + inner).join(_items(value, inner)) + indent + "]"
-    if kind is str:
-        return _escape(value)
     if kind is int:
         return int.__repr__(value)
     if value is None:

@@ -191,12 +191,10 @@ def checked_power(base: Fraction, k: int) -> Fraction:
 
 
 def format_rat(x) -> str:
-    """Serialize a rational as ``"p/q"`` in lowest terms (``"p"`` when q=1).
+    """Serialize a Fraction or an int as ``"p/q"`` in lowest terms (``"p"`` when q=1).
 
     A part past the digit limit is bad input, as in ``format_int``.
     """
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
     num, den = x.numerator, x.denominator
     try:
         return str(num) if den == 1 else f"{num}/{den}"
@@ -302,20 +300,8 @@ def _eliminate(rows) -> tuple:
 
 
 def rank(rows) -> int:
-    """Rank of a matrix of rationals (ints or Fractions).
-
-    A row holding a Fraction is first scaled by the lcm of its denominators,
-    which keeps the rank and makes the row integral; a row of ints is used
-    as it is.
-    """
-    ints = []
-    for row in rows:
-        if all(type(x) is int for x in row):
-            ints.append(row)
-            continue
-        den = lcm(*(x.denominator for x in row))
-        ints.append([x.numerator * (den // x.denominator) for x in row])
-    return _eliminate(ints)[0]
+    """Rank of an integer matrix."""
+    return _eliminate(rows)[0]
 
 
 def determinant(rows) -> int:

@@ -6,8 +6,8 @@ cones (given as sorted tuples of ray indices) whose union covers the orthant.
 Star subdivision at a primitive vector models a weighted blow-up; repeated
 star subdivision at fundamental-parallelepiped points resolves the fan to a
 smooth one.  All linear algebra is exact over the integers and rationals, and
-comes from the kernel in ``exact`` (determinants, ranks, adjugates and
-cofactor normals); this module carries none of its own.
+comes from the kernel in ``exact`` (determinants, adjugates and cofactor
+normals); this module carries none of its own.
 
 The coordinates of a lattice vector v in a full-dimensional cone are kept as
 integers: ``Cone.coords`` returns numerators over the cone's |det| (the rows
@@ -53,7 +53,6 @@ from .exact import (
     lattice_vec,
     parse_int,
     primitive_part,
-    rank,
     record,
     trusted,
 )
@@ -76,44 +75,30 @@ def _check_dim(n: int) -> None:
 
 @record
 class Cone:
-    """Simplicial cone spanned by primitive, independent rays of the orthant."""
+    """Full-dimensional simplicial cone spanned by n primitive, independent
+    rays of the orthant of R^n."""
 
     gens: tuple
 
     def __post_init__(self):
         gens = tuple(lattice_vec(g) for g in self.gens)
-        if not gens:
-            raise PreconditionError("cone needs at least one generator")
-        n = len(gens[0])
+        n = len(gens)
         _check_dim(n)
         for g in gens:
             if len(g) != n:
-                raise PreconditionError("cone generators have mixed dimensions")
+                raise PreconditionError(f"a cone needs {n} generators of length {n}, got {g}")
             if any(e < 0 for e in g):
                 raise PreconditionError(f"generator {g} leaves the positive orthant")
             if not is_primitive(g):
                 raise PreconditionError(f"generator {g} is not primitive")
-        if len(gens) > n:
-            raise PreconditionError("more generators than the ambient dimension")
         object.__setattr__(self, "gens", gens)
-        # det(G^T) = det(G): a full cone's integer determinant, cached here,
-        # decides independence
-        independent = self.det != 0 if len(gens) == n else rank(gens) == len(gens)
-        if not independent:
+        # det(G^T) = det(G): the integer determinant, cached here, decides
+        # independence
+        if self.det == 0:
             raise PreconditionError("cone generators are linearly dependent")
-
-    @property
-    def dim(self) -> int:
-        return len(self.gens)
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.gens[0])
 
     @cached_property
     def det(self) -> int:
-        if self.dim != self.ambient_dim:
-            raise PreconditionError("determinant needs a full-dimensional cone")
         return determinant(self.gens)
 
     @cached_property
@@ -122,8 +107,6 @@ class Cone:
         # v is |det| times v's coordinate; adj(G) is the transpose of the
         # adjugate of gens, and its row j the cofactor normal of the facet
         # opposite gens[j], up to sign
-        if self.dim != self.ambient_dim:
-            raise PreconditionError("barycentric solve needs a full-dimensional cone")
         adj = zip(*adjugate(self.gens))
         if self.det > 0:
             return tuple(adj)
@@ -133,8 +116,8 @@ class Cone:
         """Integer numerators of v's coordinates over |det|, or None.
 
         Returns the tuple nums of integers with sum(nums[j] * gens[j]) ==
-        |det| * v when every nums[j] >= 0, that is when v lies in this
-        full-dimensional cone, else None.
+        |det| * v when every nums[j] >= 0, that is when v lies in this cone,
+        else None.
         """
         nums = []
         for row in self._inward_adjugate:
@@ -147,7 +130,7 @@ class Cone:
     def _star_piece(self, j: int, v, nums) -> Cone:
         """The cone spanned by the facet opposite gens[j], then v, unchecked.
 
-        v is a primitive vector of this full-dimensional cone with numerators
+        v is a primitive vector of this cone with numerators
         ``nums = coords(v)`` and nums[j] > 0.  Replacing gens[j] by v
         multiplies det by lambda_j = nums[j] / |det|, so the piece has |det|
         nums[j], and the rank-one update of the inverse gives its inward
@@ -173,7 +156,7 @@ class Cone:
         )
 
     def barycentric(self, v):
-        """Exact coordinates of v in this full-dimensional cone, or None.
+        """Exact coordinates of v in this cone, or None.
 
         Returns the tuple of Fractions lam with sum(lam_j * gens[j]) == v when
         all lam_j >= 0, else None: the ``coords`` numerators over |det|.
@@ -194,12 +177,12 @@ class Cone:
         spanned by the generators; there are |det|-1 of them.  They are found
         by closing the subgroup of (Q/Z)^n generated by the columns of the
         inverse generator matrix, which keeps the cost proportional to |det|
-        instead of the volume of a bounding box.
+        instead of the volume of a bounding box.  The subgroup is G^-1 Z^n / Z^n,
+        G the matrix with columns gens, of order |det|, and each residue t
+        gives the integer point G t.
         """
         d = abs(self.det)
-        n = self.dim
-        if d == 1:
-            return []
+        n = len(self.gens)
         adj = self._inward_adjugate
         # columns of G^{-1} reduced mod 1
         gens_frac = []
@@ -217,18 +200,13 @@ class Cone:
                         group.add(u)
                         nxt.append(u)
             frontier = nxt
-        if len(group) != d:
-            raise InvariantViolation("parallelepiped residue count mismatch")
         points = []
         for t in group:
             if all(x == 0 for x in t):
                 continue
-            pt = tuple(
-                sum(self.gens[j][i] * t[j] for j in range(n)) for i in range(n)
-            )
-            if any(x.denominator != 1 for x in pt):
-                raise InvariantViolation("non-integral parallelepiped point")
-            points.append(tuple(int(x) for x in pt))
+            points.append(tuple(
+                int(sum(self.gens[j][i] * t[j] for j in range(n))) for i in range(n)
+            ))
         points.sort()
         return points
 
@@ -307,10 +285,8 @@ class Fan:
         rays = self.rays
         after = {}  # lo -> hi
         for (i, j), cone in zip(self.cones, self.max_cones):
-            if cone.det > 0:
-                after[i] = j
-            else:
-                after[j] = i
+            lo, hi = (i, j) if cone.det > 0 else (j, i)
+            after[lo] = hi
         starts = set(after).difference(after.values())
         arcs = []
         for lo in sorted(starts, key=lambda i: Fraction(rays[i][1], sum(rays[i]))):
@@ -484,8 +460,6 @@ def _subdivide_all(fan: Fan, vecs) -> Fan:
         if v not in known:
             known.add(v)
             pending.append(v)
-    if not pending:
-        return fan
     if fan.n == 2:
         return _subdivide_surface(fan, pending)
     rays = list(fan.rays)
@@ -608,7 +582,7 @@ def star_subdivide(fan: Fan, r) -> Fan:
 
     Every maximal cone containing r is replaced by the cones spanned by r
     together with each facet not containing r; cones not containing r are
-    kept.  Subdividing at an existing ray returns the fan unchanged.  This is
+    kept.  Subdividing at an existing ray returns an equal fan.  This is
     the one-ray case of the batched insertion behind ``insert_rays``: the
     kept cones enter the new fan as the parent's own ``Cone`` objects, and
     the cones containing r are read off the face of the first cone found to
@@ -627,7 +601,9 @@ def resolve(fan: Fan) -> Fan:
 
     Repeatedly star-subdivides the first non-smooth cone (in the canonical
     cone order) at the lexicographically smallest primitive lattice point of
-    its fundamental parallelepiped.  Each step strictly decreases the
+    its fundamental parallelepiped.  A non-smooth cone has one: it has a
+    nonzero parallelepiped point p = k q with q primitive, and q = p / k
+    lies in the parallelepiped too.  Each step strictly decreases the
     affected cones' determinants, so the loop terminates.
     """
     current = fan
@@ -635,18 +611,12 @@ def resolve(fan: Fan) -> Fan:
         pivot = None
         for cone in current.max_cones:
             if not cone.is_smooth():
-                points = [p for p in cone.parallelepiped_points() if is_primitive(p)]
-                if not points:
-                    raise InvariantViolation(
-                        f"non-smooth cone {cone.gens} has no primitive "
-                        "parallelepiped point"
-                    )
-                pivot = points[0]
+                pivot = next(p for p in cone.parallelepiped_points() if is_primitive(p))
                 break
         if pivot is None:
             return current
         refined = star_subdivide(current, pivot)
-        if refined is current or len(refined.rays) == len(current.rays):
+        if len(refined.rays) == len(current.rays):
             raise InvariantViolation("resolution failed to make progress")
         current = refined
     raise InvariantViolation("resolution exceeded the step cap")
@@ -658,13 +628,10 @@ def insert_rays(fan: Fan, vecs) -> Fan:
     The vecs must be primitive vectors of the orthant of the fan's
     dimension, such as a reduction's cut valuations; they are not checked
     again.  All of them go into the fan in one batched insertion, which
-    builds one ``Fan``; resolution then runs one star subdivision per step.
+    builds one ``Fan`` holding every one of them as a ray; resolution then
+    runs one star subdivision per step and removes no ray.
     """
-    current = resolve(_subdivide_all(fan, vecs))
-    for v in vecs:
-        if v not in current.ray_set:
-            raise InvariantViolation(f"requested ray {v} missing after resolve")
-    return current
+    return resolve(_subdivide_all(fan, vecs))
 
 
 def hirzebruch_jung_rays(a: int, b: int) -> list:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import gcd
 from operator import mul
 
@@ -62,7 +63,6 @@ from .logpairs import (
     pullback_gap,
     relative_pullback_coeff,
     unit_index,
-    valuation,
 )
 
 # the verifier's box count costs O(box); larger boxes are refused
@@ -345,10 +345,9 @@ def initial_state(model: LocalModel, bdiv: BDivisor) -> ReductionState:
         )
     fan = orthant_fan(model.n)
     phi = ModelDivisor(fan, model.pair.coeffs)
-    state = ReductionState(fan, phi, bdiv)
-    if not state.trace_consistent():
-        raise InvariantViolation("initial trace disagrees with the b-divisor")
-    return state
+    # the trace agrees with B on every ray: the rays are the units, never
+    # deviation keys, where B takes the pair coefficients checked above
+    return ReductionState(fan, phi, bdiv)
 
 
 def state_witnesses(state: ReductionState) -> list:
@@ -533,7 +532,8 @@ def _straddle_points(fan: Fan, idx, nums, b, supp) -> list:
     With the argmin sets of the rays' coordinates nums, the cone lies in one
     piece when the sets meet.  Otherwise two indices j, k attaining the
     minimum at some ray leave rays strictly on both sides of the hyperplane
-    lam_j b_k = lam_k b_j: were every such pair on one side, the least of
+    lam_j b_k = lam_k b_j: were every such pair on one side, the pairs
+    would order the indices the same way at every ray, and the least of
     them would attain the minimum at every ray.  The coordinates are
     numerators over one positive |det|, so every comparison is on integers.
     """
@@ -546,21 +546,20 @@ def _straddle_points(fan: Fan, idx, nums, b, supp) -> list:
         argmins.append({j for j in supp if a[j] * b[best] == a[best] * b[j]})
     if set.intersection(*argmins):
         return []
-    touched = sorted(set.union(*argmins))
-    for pos, j in enumerate(touched):
-        for k in touched[pos + 1 :]:
-            h = [a[j] * b[k] - a[k] * b[j] for a in nums]
-            if min(h) < 0 < max(h):
-                return [
-                    primitive_part(tuple(
-                        h[q] * x - h[p] * y
-                        for x, y in zip(fan.rays[idx[p]], fan.rays[idx[q]])
-                    ))
-                    for p in range(len(idx))
-                    for q in range(len(idx))
-                    if h[p] < 0 < h[q]
-                ]
-    raise InvariantViolation(f"cone {idx} straddles a piece along no hyperplane")
+    sides = (
+        [a[j] * b[k] - a[k] * b[j] for a in nums]
+        for j, k in combinations(sorted(set.union(*argmins)), 2)
+    )
+    h = next(h for h in sides if min(h) < 0 < max(h))
+    return [
+        primitive_part(tuple(
+            h[q] * x - h[p] * y
+            for x, y in zip(fan.rays[idx[p]], fan.rays[idx[q]])
+        ))
+        for p in range(len(idx))
+        for q in range(len(idx))
+        if h[p] < 0 < h[q]
+    ]
 
 
 def _cut_state(state: ReductionState, located: dict, gaps: dict, new_fan: Fan) -> tuple:
@@ -596,7 +595,7 @@ def _cut_state(state: ReductionState, located: dict, gaps: dict, new_fan: Fan) -
     return new_state, theta
 
 
-def build_cut(state: ReductionState, sigmas) -> tuple:
+def build_cut(state: ReductionState, located: dict) -> tuple:
     """One cut: extract the given valuations and meet the traces.
 
     For each sigma, the one-ray extraction Y_sigma carries the ray-wise
@@ -607,26 +606,17 @@ def build_cut(state: ReductionState, sigmas) -> tuple:
     (``_piece_splits``).  Every sigma must have positive pullback coefficient
     and must not already be a divisor of the model.
 
-    Validation happens where the sigmas enter.  ``sigmas`` is either a list
-    of valuations, each validated here and located in the current fan once,
-    or, from the driver, a dict mapping each valuation to its location in a
-    maximal cone of the current fan that contains it (a ``BarycentricResult``
-    whose numerators are its coordinates there).  The driver's valuations
-    are primitive vectors of the orthant built from chart coordinates, so
-    they are not validated or located again.  Either way the two refusals
-    are integer checks on the location: a primitive vector with one nonzero
-    coordinate is that generator, a ray, and the pullback gap must be
-    positive.  ``_theta_coeffs`` reads each sigma's location and gap for
-    its new ray in every split round instead of finding them again.
+    ``located`` maps each sigma, a primitive vector of the orthant, to its
+    location in a maximal cone of the current fan that contains it (a
+    ``BarycentricResult`` whose numerators are its coordinates there), as
+    ``run_reduction`` builds them from chart coordinates; a library caller
+    passes ``{v: state.fan.locate(v)}``.  The sigmas are not validated or
+    located again.  The two refusals are integer checks on the location: a
+    primitive vector with one nonzero coordinate is that generator, a ray,
+    and the pullback gap must be positive.  ``_theta_coeffs`` reads each
+    sigma's location and gap for its new ray in every split round instead
+    of finding them again.
     """
-    if isinstance(sigmas, dict):
-        located = sigmas
-    else:
-        located = {}
-        for s in sigmas:
-            vec = valuation(s)
-            if vec not in located:
-                located[vec] = state.fan.locate(vec)
     gaps = {}
     for vec, loc in located.items():
         if loc.nums.count(0) == len(loc.nums) - 1:
@@ -746,7 +736,8 @@ def run_reduction(model: LocalModel, bdiv: BDivisor) -> ReductionTrace:
     Each round gathers the charts (maximal cones) containing a witness,
     merges their cut valuations, and applies one cut.  The weight must
     strictly decrease every round; a failure to do so is an internal
-    invariant breach, never silently ignored.
+    invariant breach, never silently ignored.  It starts at no more than
+    n, so the loop runs at most n + 1 rounds.
 
     The model and b-divisor are validated where they were built; the cut
     valuations are handed to ``build_cut`` with their chart locations, so
@@ -759,11 +750,7 @@ def run_reduction(model: LocalModel, bdiv: BDivisor) -> ReductionTrace:
     weight = state_weight(state)
     initial = weight
     steps = []
-    rounds = 0
     while weight >= 0:
-        rounds += 1
-        if rounds > model.n + 2:
-            raise InvariantViolation("reduction exceeded the round cap")
         located = {}
         seen_charts = set()
         for wit in state.witnesses:

@@ -423,6 +423,141 @@ BAD_INPUTS = [
     pytest.param(_SLOW_REDUCE + ["--box", "0"], id="reduce box 0 before the cut"),
     pytest.param(_SLOW_REDUCE + ["--box", "600000", "--verify"],
                  id="reduce box past the cap after doubling"),
+    # every refusal a command line can reach; the argv orders keep the first
+    # two tokens of each existing command line unique where they were
+    pytest.param(["polyvol", "--polytope", '{"n":5,"normals":[[1,0,0,0,0]],"offsets":["0"]}'],
+                 id="polyvol dimension 5"),
+    pytest.param(["polyvol", "--polytope",
+                  '{"n":2,"normals":[[1,0],[0,1],[-1,-1]],"offsets":["0","0"]}'],
+                 id="polyvol fewer offsets than normals"),
+    pytest.param(["polyvol", "--polytope", '{"n":2,"normals":[[1,0],[0,1]],"offsets":["0","0"]}'],
+                 id="polyvol too few halfspaces"),
+    pytest.param(["polyvol", "--polytope",
+                  '{"n":2,"normals":[[1,0],[0,1],[-1,-1,0]],"offsets":["0","0","1"]}'],
+                 id="polyvol normal of the wrong length"),
+    pytest.param(["polyvol", "--polytope", '{"n":2,"normals":5,"offsets":[]}'],
+                 id="polyvol normals not a list"),
+    pytest.param(["polyvol", "--polytope",
+                  '{"n":2,"normals":[[1,0],[0,1],[1,1]],"offsets":["0","0","1"]}'],
+                 id="polyvol unbounded"),
+    pytest.param(["product", "--g", "2", "--n", "0"], id="product n 0"),
+    pytest.param(["product", "--g", "1", "--n", "1"], id="product genus 1"),
+    pytest.param(["constants", "--eps", "1", "--gamma0", "1", "--delta", "1/2", "--n", "0"],
+                 id="constants n 0"),
+    pytest.param(["constants", "--gamma0", "1/2", "--n", "1", "--eps", "1", "--delta", "1/2"],
+                 id="constants gamma0 below 1"),
+    pytest.param(["fermat", "--m", "5", "--n", "0"], id="fermat n 0"),
+    pytest.param(["hurwitz", "--json", '{"g": 1}'], id="hurwitz genus 1"),
+    pytest.param(["pnvol", "--coeffs", '["1"]', "--n", "0"], id="pnvol n 0"),
+    pytest.param(["pnvol", "--coeffs", '["2","1/2","1/2"]', "--n", "1"],
+                 id="pnvol coefficient above 1"),
+    pytest.param(["pnvol", "--n", "0", "--sylvester"], id="pnvol sylvester n 0"),
+    pytest.param(["unitary", "--q", "3", "--n", "0"], id="unitary n 0"),
+    pytest.param(["unitary", "--q", "1", "--n", "1"], id="unitary q 1"),
+    # the command line itself
+    pytest.param(["ltrace", "--f", "x"], id="ambiguous option prefix"),
+    pytest.param(["minvol", "-hx"], id="a value attached to -h"),
+    pytest.param(["hurwitz", "--bogus", "1"], id="unknown option"),
+    pytest.param(["unitary", "--q"], id="option without its value"),
+    pytest.param(["sylvester", "--k=x"], id="option value not an integer"),
+    pytest.param(["--verify"], id="no command"),
+    pytest.param(["frobnicate", "--x"], id="unknown command with an option"),
+    pytest.param(["minvol", "--verify"], id="missing argument"),
+    pytest.param(["sylvester", "--file", str(GOLDEN / "fermat-scan.out")], id="--file not JSON"),
+    pytest.param(["sylvester", "--file", str(GOLDEN / "not_an_object.json")],
+                 id="--file not an object"),
+    pytest.param(["hurwitz", "--json", "[1]"], id="--json not an object"),
+    pytest.param(["batch", "--fi", str(GOLDEN / "not_an_object.json")],
+                 id="batch file not an object"),
+    pytest.param(["batch", "--fi", str(GOLDEN / "batch_entry_not_object.json")],
+                 id="batch entry not an object"),
+    pytest.param(["batch", "--fi", str(GOLDEN / "batch_duplicate_ids.json")],
+                 id="batch duplicate ids"),
+    # coefficient sets
+    pytest.param(["dcc", "--set", '{"kind":"finite","values":["2"]}'], id="dcc value above 1"),
+    pytest.param(["dcc", "--set", '{"kind":"union","members":[]}'], id="dcc empty union"),
+    pytest.param(["dcc", "--set", '{"kind":"union","members":[5]}'],
+                 id="dcc member not an object"),
+    pytest.param(["dcc", "--set", '{"kind":"finite","values":5}'], id="dcc values not a list"),
+    pytest.param(["closure", "--base", '["2"]', "--denom-bound", "5"],
+                 id="closure base value above 1"),
+    pytest.param(["chain", "--set", '{"kind":"standard"}', "--length", "0"], id="chain length 0"),
+    # rationals, valuations and pairs
+    pytest.param(["ldisc", "--pair", '{"n":2,"coeffs":[true,"1/2"]}', "--v", "[1,1]"],
+                 id="ldisc bool coefficient"),
+    pytest.param(["ldisc", "--pair", '{"n":2,"coeffs":[0.5,"1/2"]}', "--v", "[1,1]"],
+                 id="ldisc float coefficient"),
+    pytest.param(["ldisc", "--pair", '{"n":2,"coeffs":["1/2","1/2"]}', "--v", "5"],
+                 id="ldisc valuation not a list"),
+    pytest.param(["ldisc", "--pair", '{"n":2,"coeffs":["1/2","1/2"]}', "--v", "[]"],
+                 id="ldisc empty valuation"),
+    pytest.param(["ldisc", "--pair", '{"n":2,"coeffs":["1/2","1/2"]}', "--v", '["a",1]'],
+                 id="ldisc valuation entry not an integer"),
+    pytest.param(["ldisc", "--pair", '{"n":2,"coeffs":["1/2","1/2"]}', "--v", "[-1,1]"],
+                 id="ldisc valuation with a negative entry"),
+    pytest.param(["ldisc", "--pair", '{"n":2,"coeffs":["1/2","1/2"]}', "--v", "[1,1,1]"],
+                 id="ldisc valuation of another dimension"),
+    pytest.param(["ldisc", "--pair", "[1]", "--v", "[1,1]"], id="ldisc pair not an object"),
+    # b-divisors and states
+    pytest.param(["weight", "--model", '{"n":2,"coeffs":["1/2","1"]}', "--B",
+                  '{"deviations":[{"v":[1,1,1],"value":"0"}]}'],
+                 id="weight deviation of another dimension"),
+    pytest.param(["weight", "--model", '{"n":2,"coeffs":["1/2","1"]}', "--B",
+                  '{"deviations":[{"v":[1,2],"value":"0"},{"v":[1,2],"value":"1/2"}]}'],
+                 id="weight deviation listed twice"),
+    pytest.param(["weight", "--model", '{"n":2,"coeffs":["1/2","1"]}', "--B", "[1]"],
+                 id="weight B not an object"),
+    pytest.param(["weight", "--model", '{"n":2,"coeffs":["1/2","1"]}', "--B",
+                  '{"deviations":5}'], id="weight deviations not a list"),
+    pytest.param(["reduce", "--model", '{"n":2,"coeffs":["1/2","1"]}', "--B",
+                  '{"pair":["1/3","1"],"deviations":[]}'], id="reduce B pair not the model's"),
+    pytest.param(["reduce", "--model", '{"n":2,"coeffs":["1/2","1"]}', "--B",
+                  '{"pair":["1/2","1","1"],"deviations":[]}'],
+                 id="reduce B of another dimension"),
+    pytest.param(["verify", "--state", json.dumps({
+        "fan": {"n": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]]},
+        "phi": ["1/2", "1/2"], "B": {"deviations": []}})], id="verify B without pair"),
+    pytest.param(["verify", "--state", json.dumps({
+        "fan": {"n": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]]},
+        "phi": ["1/2"], "B": {"pair": ["1/2", "1/2"], "deviations": []}})],
+        id="verify phi shorter than the rays"),
+    pytest.param(["verify", "--state", json.dumps({
+        "fan": {"n": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]]},
+        "phi": ["1/2", "1/2"], "B": {"pair": ["1/2", "1/2", "1/2"], "deviations": []}})],
+        id="verify B of another dimension"),
+    pytest.param(["verify", "--state", json.dumps({
+        "fan": {"n": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]]},
+        "phi": 5, "B": {"pair": ["1/2", "1/2"], "deviations": []}})],
+        id="verify phi not a list"),
+    # hand-built fans
+    pytest.param(["ltrace", "--pair", '{"n":2,"coeffs":["1/2","1/2"]}', "--fan",
+                  '{"n":3,"rays":[[1,0,0],[0,1,0],[0,0,1]],"cones":[[0,1,2]]}'],
+                 id="ltrace fan of another dimension"),
+    *(pytest.param(["ltrace", "--pair", '{"n":2,"coeffs":["1/2","1/2"]}', "--fan", fan],
+                   id=f"ltrace {cause}") for cause, fan in [
+        ("fan dimension 0", '{"n":0,"rays":[],"cones":[]}'),
+        ("ray of another length", '{"n":2,"rays":[[1,0],[0,1,0]],"cones":[[0,1]]}'),
+        ("ray with a negative entry", '{"n":2,"rays":[[1,0],[-1,1]],"cones":[[0,1]]}'),
+        ("ray not primitive", '{"n":2,"rays":[[1,0],[0,2]],"cones":[[0,1]]}'),
+        ("ray listed twice", '{"n":2,"rays":[[1,0],[0,1],[1,0]],"cones":[[0,1]]}'),
+        ("cone of one ray", '{"n":2,"rays":[[1,0],[0,1]],"cones":[[0]]}'),
+        ("cone repeating a ray", '{"n":2,"rays":[[1,0],[0,1]],"cones":[[0,0]]}'),
+        ("cone naming a missing ray", '{"n":2,"rays":[[1,0],[0,1]],"cones":[[0,5]]}'),
+        ("fan without rays", '{"n":2}'),
+        ("3-D cone of dependent rays",
+         '{"n":3,"rays":[[1,0,0],[0,1,0],[0,0,1],[1,1,0]],"cones":[[0,1,3],[0,2,3],[1,2,3]]}'),
+        ("interior facet on one cone", '{"n":2,"rays":[[1,0],[0,1],[1,1],[1,2]],'
+                                       '"cones":[[0,2],[1,3]]}'),
+        ("cones folded over a facet", '{"n":2,"rays":[[1,0],[0,1],[1,2],[1,1]],'
+                                      '"cones":[[0,2],[1,3],[2,3]]}'),
+        # two subdivisions of the orthant on separate boundary edges: every
+        # facet passes, and the cones fill the orthant twice
+        ("cones filling the orthant twice", json.dumps({
+            "n": 3, "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 1, 1], [1, 0, 1],
+                             [2, 1, 0], [0, 2, 1], [1, 0, 2]],
+            "cones": [[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5],
+                      [0, 6, 8], [6, 1, 7], [8, 7, 2], [6, 7, 8]]})),
+    ]),
 ]
 
 
@@ -1132,7 +1267,9 @@ _JSON_VALUES = st.recursive(
 @example([{2: "a", 10: "b", -3: "c"}, {2: "d", 10: "e", -3: "f"}])
 @example([{"r": {"x": [1, 2], "y": "p"}}, {"r": {"x": [3, 4], "y": "q"}}])
 def test_writer_equals_json_dumps(value):
-    assert cli_mod._dump(value) == json.dumps(value, sort_keys=True, indent=2)
+    # a result is a dict, and a string is written by the container holding it
+    result = {"value": value}
+    assert cli_mod._dump(result) == json.dumps(result, sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize("bad", [0.5, Fraction(1, 2), {1}], ids=["float", "Fraction", "set"])
@@ -1140,3 +1277,44 @@ def test_writer_refuses_types_outside_json(bad):
     for value in (bad, [1, bad], {"a": {"b": bad}}):
         with pytest.raises(TypeError):
             cli_mod._dump(value)
+
+
+# ---------------------------------------------------------------------------
+# exit 3 and writer refusals that no command line reaches, with the fault planted
+
+
+def test_chain_verify_rejects_a_chain_outside_its_set(monkeypatch):
+    monkeypatch.setattr(cli_mod, "materialize", lambda *args: [])
+    code, out, err = run_cli(CASES["chain"])
+    assert code == 3 and out == ""
+    assert "chain membership" in json.loads(err)["error"]
+
+
+def test_reduce_refuses_an_output_the_verifier_refutes(monkeypatch):
+    from bdivkit.reduction import VerifyReport
+
+    def refuted(state, box):
+        return VerifyReport(ok=False, box=box, checked=1,
+                            violation=((1, 1), Fraction(1), Fraction(0)))
+
+    monkeypatch.setattr(cli_mod, "verify_reduction", refuted)
+    code, out, err = run_cli(CASES["reduce"])
+    assert code == 3 and out == ""
+    assert "violates the bound at (1, 1)" in json.loads(err)["error"]
+
+
+def test_writer_refuses_keys_outside_json():
+    with pytest.raises(TypeError, match="keys must be str or int"):
+        cli_mod._dump({(1, 2): 1})
+
+
+def test_batch_exits_3_when_an_entry_breaches(monkeypatch):
+    original = cli_mod.min_volume_candidate
+    monkeypatch.setattr(cli_mod, "min_volume_candidate", lambda n: original(n) * 2)
+    result, code = run_batch([
+        {"id": "a", "command": "minvol", "args": {"n": 1, "verify": True}},
+        {"id": "b", "command": "minvol", "args": {"n": 0}},
+    ])
+    assert code == 3
+    assert result["first_error"] == "a"
+    assert [result["results"][i]["exit_code"] for i in "ab"] == [3, 2]

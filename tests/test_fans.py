@@ -264,7 +264,6 @@ from hypothesis import strategies as st
 
 import bdivkit.fans as fans_mod
 from bdivkit.fans import BarycentricResult
-from test_exact import _rank  # the Fraction elimination the kernel replaced
 
 
 def reference_star_subdivide(fan, r):
@@ -508,33 +507,12 @@ def test_full_dimensional_cone_seeds_its_determinant():
     with pytest.raises(PreconditionError, match="linearly dependent"):
         Cone(((1, 0, 0), (0, 1, 0), (1, 1, 0)))
     with pytest.raises(PreconditionError, match="linearly dependent"):
-        Cone(((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_cone_with_fewer_generators_than_the_dimension(data):
-    n = data.draw(st.integers(2, 6))
-    k = data.draw(st.integers(1, n - 1))
-    gen = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any).map(primitive_part)
-    gens = data.draw(st.lists(gen, min_size=1, max_size=k, unique=True))
-    if data.draw(st.booleans()) and len(gens) > 1:  # a dependent one: a sum of two others
-        gens[-1] = primitive_part(tuple(a + b for a, b in zip(gens[0], gens[1])))
-    if _rank(gens) == len(gens):
-        cone = Cone(tuple(gens))
-        assert cone.dim == len(gens) < cone.ambient_dim
-        with pytest.raises(PreconditionError, match="full-dimensional"):
-            cone.det
-    else:
-        with pytest.raises(PreconditionError, match="linearly dependent"):
-            Cone(tuple(gens))
-
-
-def test_lower_dimensional_cone_examples():
-    assert Cone(((1, 2, 0),)).dim == 1
-    assert Cone(((1, 0, 1), (0, 1, 1))).dim == 2
-    with pytest.raises(PreconditionError, match="linearly dependent"):
-        Cone(((1, 0, 1), (0, 1, 1), (1, 1, 2)))
+        Cone(((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 0, 1)))
+    # a cone is full-dimensional: n generators of length n
+    with pytest.raises(PreconditionError, match="3 generators of length 3"):
+        Cone(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)))
+    with pytest.raises(PreconditionError, match="2 generators of length 2"):
+        Cone(((1, 0, 1), (0, 1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -633,3 +611,38 @@ def test_star_piece_equals_a_cone_built_from_scratch(cone_v, reverse, data):
     assert piece == ref
     assert piece.det == ref.det
     assert piece._inward_adjugate == ref._inward_adjugate
+
+
+# ---------------------------------------------------------------------------
+# invariant breaches no command reaches, with the fault planted
+
+
+def test_subdivision_refuses_a_vector_that_leaves_its_cone(monkeypatch):
+    # pieces whose coordinates hold nothing: the second vector homed in the
+    # split cone then lies in none of its pieces
+    from bdivkit.exact import trusted
+
+    original = Cone._star_piece
+
+    def hollow(self, j, v, nums):
+        piece = original(self, j, v, nums)
+        rows = tuple(tuple(-x for x in row) for row in piece._inward_adjugate)
+        return trusted(Cone, gens=piece.gens, det=piece.det, _inward_adjugate=rows)
+
+    monkeypatch.setattr(Cone, "_star_piece", hollow)
+    with pytest.raises(InvariantViolation, match="left its cone"):
+        fans_mod._subdivide_all(orthant_fan(3), [(1, 1, 1), (1, 2, 3)])
+
+
+def test_resolve_stops_at_its_step_cap(monkeypatch):
+    monkeypatch.setattr(fans_mod, "_RESOLVE_STEP_CAP", 1)
+    with pytest.raises(InvariantViolation, match="step cap"):
+        resolve(cone_fan((1, 0), (1, 3)))  # two steps: (1, 1) and (2, 1)
+
+
+def test_resolve_refuses_a_pivot_that_is_already_a_ray():
+    # the cones overlap: (1, 1, 0), the one parallelepiped point of the first
+    # cone, is a ray of the second, so the step adds no ray
+    fan = Fan(3, ((1, 0, 0), (1, 2, 0), (0, 0, 1), (1, 1, 0)), ((0, 1, 2), (0, 2, 3)))
+    with pytest.raises(InvariantViolation, match="failed to make progress"):
+        resolve(fan)

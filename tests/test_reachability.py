@@ -1,16 +1,20 @@
-"""Every function and method of the package is entered by some command line.
+"""Every statement of the package runs for some command line.
 
-The golden command lines and malformed inputs of ``test_cli``, ``-h``, the
-golden batch and a few command lines picked for paths those miss run in
-process under ``sys.setprofile``.  A module-level function or a method of a
-module-level class that none of them enters must be on ``ALLOWED`` with its
-reason; anything else is code that no command needs.
+The golden command lines and malformed inputs of ``test_cli`` and the
+command lines of ``EXTRA`` run in process under one ``sys.settrace`` pass,
+which records the line events of the package's functions.  A module-level function or a method of a module-level class that
+none of them enters, and a statement in a function body that none of them
+runs, must be on ``ALLOWED`` with its reason; anything else is code that no
+command needs.
 """
 
+import ast
 import contextlib
+import functools
 import inspect
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -19,7 +23,7 @@ from test_cli import BAD_INPUTS, CASES, GOLDEN
 
 SRC = Path(cli_mod.__file__).resolve().parent
 
-# a few command lines for paths that neither the goldens nor the bad inputs take
+# command lines for paths that neither the goldens nor the bad inputs take
 EXTRA = [
     ["-h"],
     ["batch", "--file", str(GOLDEN / "batch_input.json")],
@@ -31,6 +35,85 @@ EXTRA = [
         {"kind": "closure", "base": {"kind": "finite", "values": ["6/7"]}, "denom_bound": 7},
     ]}), "--verify"],
     ["chain", "--set", '{"kind":"standard"}', "--length", "1", "--denom-bound", "12"],
+    # the command line: help for a command, an option shortened, --out, --file
+    ["minvol", "-h"],
+    ["minvol", "--ver", "--n", "1"],
+    ["minvol", "--n", "1", "--out", os.devnull],
+    ["minvol", "--file", str(GOLDEN / "minvol.out")],
+    # integer ids, error records, null and empty results
+    ["batch", "--file", str(GOLDEN / "batch_int_ids.json")],
+    ["batch", "--file", str(GOLDEN / "batch_empty.json")],
+    ["closure", "--base", "[]", "--denom-bound", "3"],
+    ["closure", "--base", '["1/2"]', "--denom-bound", "4", "--include-one"],
+    ["round-check", "--coeffs", "[0]", "--m", "2"],
+    # oracles on their other branches, and oracles that are skipped
+    ["fset", "--model", '{"n":2,"coeffs":["1","1"]}', "--verify"],
+    ["lcoeff", "--pair", '{"n":3,"coeffs":["1/2","1/2","1/2"]}', "--v", "[1,1,1]", "--verify"],
+    ["lcoeff", "--pair", '{"n":2,"coeffs":["1/2","2/3"]}', "--v", "[1,2]", "--verify"],
+    ["ltrace", "--pair", '{"n":3,"coeffs":["3/4","5/6","1/2"]}', "--fan",
+     '{"n":3,"rays":[[1,0,0],[0,1,0],[0,0,1],[1,1,1]],"cones":[[0,1,3],[0,2,3],[1,2,3]]}',
+     "--verify"],
+    ["mld", "--pair", '{"n":3,"coeffs":["0","249/250","249/250"]}', "--verify"],
+    ["pnvol", "--n", "1", "--coeffs", '["1/2","1/2","1/2"]', "--verify"],
+    ["unitary", "--n", "1", "--verify"],
+    # a stratum, with the model's components permuted
+    ["weight", "--model", '{"n":2,"coeffs":["1","1/2"]}', "--B",
+     '{"deviations":[{"v":[2,1],"value":"0"}]}', "--stratum", "[1,2]", "--verify"],
+    # polytopes: a 4-cube cut by two constraints that touch it along a square
+    # face and at a vertex, a segment and a flat square
+    ["polyvol", "--polytope", json.dumps({
+        "n": 4,
+        "normals": [[int(j == i) * s for j in range(4)] for i in range(4) for s in (1, -1)]
+                   + [[-1, -1, 0, 0], [-1, -1, -1, -1]],
+        "offsets": ["0", "1"] * 4 + ["2", "4"]})],
+    ["polyvol", "--polytope",
+     '{"n":2,"normals":[[1,0],[-1,0],[0,1],[0,-1]],"offsets":["0","0","0","1"]}', "--verify"],
+    ["polyvol", "--polytope", '{"n":3,"normals":[[0,0,1],[0,0,-1],[1,0,0],[-1,0,0],[0,1,0],'
+                              '[0,-1,0]],"offsets":["0","0","0","1","0","1"]}'],
+    # reductions: a klt chart, a chart that needs resolve, and a state the
+    # verifier refutes
+    ["reduce", "--model", '{"n":2,"coeffs":["1/2","2/3"]}', "--B",
+     '{"deviations":[{"v":[1,1],"value":"0"}]}'],
+    ["reduce", "--model", '{"n":2,"coeffs":["3/4","1"]}', "--B",
+     '{"deviations":[{"v":[1,1],"value":"4/7"},{"v":[3,5],"value":"1/7"}]}'],
+    ["verify", "--state", json.dumps({
+        "fan": {"n": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]]},
+        "phi": ["1/2", "2/3"],
+        "B": {"pair": ["1/2", "2/3"], "deviations": [{"v": [1, 1], "value": "0"}]}})],
+    # a cut whose new rays include one of pullback 0, with a witness of lower
+    # weight left in a cone
+    ["reduce", "--model", '{"n":3,"coeffs":["2/5","1","1"]}', "--B",
+     '{"deviations":[{"v":[3,2,2],"value":"1/7"},{"v":[0,5,1],"value":"0"},'
+     '{"v":[0,1,3],"value":"1/2"}]}'],
+    # piece splits at points that are not primitive, (2, 2, 0) and (2, 2, 2)
+    ["reduce", "--model", '{"n":3,"coeffs":["1","1","2/3"]}', "--B",
+     '{"deviations":[{"v":[3,2,2],"value":"1/4"},{"v":[2,3,2],"value":"0"},'
+     '{"v":[1,4,1],"value":"7/8"}]}'],
+    # two coefficient-one components through a witness's centre: the cut does
+    # not lower the weight, and reduce exits 3 (ROADMAP item 4)
+    ["reduce", "--model", '{"n":3,"coeffs":["3/4","1","1"]}', "--B",
+     '{"deviations":[{"v":[1,0,1],"value":"1/7"},{"v":[4,2,1],"value":"1/3"},'
+     '{"v":[1,6,0],"value":"0"}]}'],
+    # coefficient sets: verdicts of unions and closures, chains in finite
+    # sets, unions and closures
+    ["dcc", "--set", json.dumps({"kind": "union", "members": [
+        {"kind": "standard"},
+        {"kind": "closure", "base": {"kind": "standard"}, "denom_bound": 12}]}), "--verify"],
+    ["dcc", "--set", '{"kind":"union","members":[{"kind":"finite","values":["1/2"]},'
+                     '{"kind":"standard"}]}'],
+    ["dcc", "--set", '{"kind":"closure","base":{"kind":"finite","values":["1/2"]},'
+                     '"denom_bound":2,"include_one":true}'],
+    ["dcc", "--set", '{"kind":"closure","base":{"kind":"standard"},"denom_bound":12}',
+     "--max-size", "2"],
+    ["chain", "--set", json.dumps({"kind": "union", "members": [
+        {"kind": "finite", "values": ["1/2"]}, {"kind": "standard"},
+        {"kind": "finite", "values": ["1/2", "1/3"]}]}), "--length", "2", "--verify"],
+    ["chain", "--set", '{"kind":"union","members":[{"kind":"finite","values":["1/2"]}]}',
+     "--length", "2"],
+    ["chain", "--set", '{"kind":"closure","base":{"kind":"finite","values":["0"]},'
+                       '"denom_bound":5}', "--length", "2"],
+    ["chain", "--set", '{"kind":"closure","base":{"kind":"finite","values":["1/5","3/5"]},'
+                       '"denom_bound":5}', "--length", "2"],
 ]
 
 REASONS = (
@@ -38,23 +121,144 @@ REASONS = (
     "pinned by the tracer",
     "needed by an acceptance test",
     "test oracle",
-    "reached only on a mismatch",
+    "reached only on a breach",
+    "a guard only library callers reach",
 )
 
-# module:qualname -> why it stays although no command line enters it
+BREACH = "reached only on a breach: "
+LIBRARY = "a guard only library callers reach: "
+
+# (module:qualname, stripped first line of a statement) -> why it stays although
+# no command line runs it; the statement None stands for a function no command
+# line enters.  Each breach has a test that plants the fault and reaches it.
 ALLOWED = {
-    "exact:record": "runs at import: it builds the record classes",
-    "fans:Cone.barycentric":
+    ("exact:record", None): "runs at import: it builds the record classes",
+    ("fans:Cone.barycentric", None):
         "pinned by the tracer: bench/tracing.py wraps it by name in METHODS",
-    "logpairs:mld_origin":
+    ("logpairs:mld_origin", None):
         "needed by an acceptance test: tests/test_acceptance.py calls it",
-    "fans:hirzebruch_jung_rays": "test oracle: the resolve tests check against it",
-    "fans:is_smooth": "test oracle: the resolve tests check their fans with it",
-    "dcc:FiniteSet.to_json": "test oracle: the round trip of desc_from_json",
-    "dcc:StandardSet.to_json": "test oracle: the round trip of desc_from_json",
-    "dcc:UnionSet.to_json": "test oracle: the round trip of desc_from_json",
-    "dcc:SumClosure.to_json": "test oracle: the round trip of desc_from_json",
-    "cli:_mismatch": "reached only on a mismatch of a --verify oracle",
+    ("fans:hirzebruch_jung_rays", None): "test oracle: the resolve tests check against it",
+    ("fans:is_smooth", None): "test oracle: the resolve tests check their fans with it",
+    ("dcc:FiniteSet.to_json", None): "test oracle: the round trip of desc_from_json",
+    ("dcc:StandardSet.to_json", None): "test oracle: the round trip of desc_from_json",
+    ("dcc:UnionSet.to_json", None): "test oracle: the round trip of desc_from_json",
+    ("dcc:SumClosure.to_json", None): "test oracle: the round trip of desc_from_json",
+    # --verify oracles that disagree with the fast path, and invariants
+    ("cli:_mismatch", None): BREACH + "a --verify oracle disagrees",
+    ("cli:_ensure_match", "_mismatch(what, fast, oracle)"): BREACH + "a --verify oracle disagrees",
+    ("cli:_check_members", "_mismatch(what, fast, e)"):
+        BREACH + "a chain or witness outside its set",
+    ("cli:_cmd_closure", '_mismatch("closure closedness", values, Fraction(e, big_l))'):
+        BREACH + "a closure missing a generated member",
+    ("cli:_cmd_closure", '_mismatch("closure base membership", values, v)'):
+        BREACH + "a closure missing a base value",
+    ("cli:_cmd_constants", '_mismatch("constants M_min (an int)", repr(fast), m_min)'):
+        BREACH + "a wrong M_min",
+    ("cli:_cmd_reduce", "raise InvariantViolation("): BREACH + "the verifier refutes a reduction",
+    ("cli:_dump", 'raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")'):
+        BREACH + "a result holding a value outside JSON",
+    ("cli:_label", 'raise TypeError(f"keys must be str or int, not {type(key).__name__}")'):
+        BREACH + "a result with a key outside JSON",
+    ("cli:run_batch", "exit_code = 3"): BREACH + "a batch entry exits 3",
+    ("fans:Fan.locate", "raise InvariantViolation("): BREACH + "a fan that misses a vector",
+    ("fans:_subdivide_all", "raise InvariantViolation("):
+        BREACH + "a piece of a subdivision that loses a pending vector",
+    ("fans:resolve", 'raise InvariantViolation("resolution failed to make progress")'):
+        BREACH + "a parallelepiped point that is a ray of another cone",
+    ("fans:resolve", 'raise InvariantViolation("resolution exceeded the step cap")'):
+        BREACH + "a resolution past its step cap",
+    ("reduction:_chart_model", "basis = tuple(cone.gens[j] for j in order)"):
+        BREACH + "a chart cone that is not smooth",
+    ("reduction:_chart_model", 'raise InvariantViolation(f"chart cone {basis} is not smooth")'):
+        BREACH + "a chart cone that is not smooth",
+    ("reduction:_cut_state", 'raise InvariantViolation("cut produced an inconsistent trace")'):
+        BREACH + "a cut trace that leaves B at a ray",
+    ("reduction:build_cut",
+     'raise InvariantViolation("a witness still straddles a piece of the cut")'):
+        BREACH + "piece splits that never end",
+    ("reduction:run_reduction",
+     'raise InvariantViolation("witnesses present but no cut valuation found")'):
+        BREACH + "a chart of a witness with no cut valuation",
+    ("reduction:verify_reduction",
+     'raise InvariantViolation(f"the fan does not subdivide the orthant: {defect}")'):
+        BREACH + "a cut fan that is no subdivision",
+    # checks of values that every command validates before, or builds valid
+    ("bounds:SylvesterSeq.__post_init__", 'raise PreconditionError("the sequence starts at r_0 = 1")'):
+        LIBRARY + "sylvester() builds the terms by the recursion",
+    ("bounds:SylvesterSeq.__post_init__",
+     'raise PreconditionError("recursion r_{k+1} = r_k (r_k + 1) violated")'):
+        LIBRARY + "sylvester() builds the terms by the recursion",
+    ("dcc:Chain.__post_init__", 'raise PreconditionError("chain is not strictly decreasing")'):
+        LIBRARY + "every search builds its chain decreasing",
+    ("dcc:_members", 'raise PreconditionError(f"unknown set description: {desc!r}")'):
+        LIBRARY + "desc_from_json builds only the four kinds",
+    ("dcc:dcc_verdict", 'raise PreconditionError(f"unknown set description: {desc!r}")'):
+        LIBRARY + "desc_from_json builds only the four kinds",
+    ("dcc:find_decreasing_chain", 'raise PreconditionError(f"unknown set description: {desc!r}")'):
+        LIBRARY + "desc_from_json builds only the four kinds",
+    ("dcc:standard_coeff", 'raise PreconditionError("standard coefficients need r >= 1")'):
+        LIBRARY + "chain checks its denominator bound first",
+    ("exact:primitive_part", 'raise PreconditionError("zero vector has no primitive part")'):
+        LIBRARY + "its callers refuse or never make the zero vector",
+    ("fans:Cone.__post_init__",
+     'raise PreconditionError(f"a cone needs {n} generators of length {n}, got {g}")'):
+        LIBRARY + "a fan checks its rays and cones before it builds a Cone",
+    ("fans:Cone.__post_init__",
+     'raise PreconditionError(f"generator {g} leaves the positive orthant")'):
+        LIBRARY + "a fan checks its rays and cones before it builds a Cone",
+    ("fans:Cone.__post_init__", 'raise PreconditionError(f"generator {g} is not primitive")'):
+        LIBRARY + "a fan checks its rays and cones before it builds a Cone",
+    ("fans:Fan._arcs", "(a, b), (c, d) = rays[arcs[-1][1]], rays[lo]"):
+        LIBRARY + "commands find arcs only of the undivided quadrant",
+    ("fans:Fan._arcs", "if a * d <= b * c:  # this chain starts before the last ended"):
+        LIBRARY + "commands find arcs only of the undivided quadrant",
+    ("fans:Fan._arcs", "break"): LIBRARY + "commands find arcs only of the undivided quadrant",
+    ("fans:Fan._arcs", 'raise PreconditionError("the cones of the fan overlap")'):
+        LIBRARY + "commands find arcs only of the undivided quadrant",
+    ("fans:Fan.locate", 'raise PreconditionError("query dimension mismatch")'):
+        LIBRARY + "commands locate validated valuations of the fan's dimension",
+    ("fans:Fan.locate", 'raise PreconditionError("cannot locate the zero vector")'):
+        LIBRARY + "commands locate validated valuations of the fan's dimension",
+    ("fans:Fan.locate", 'raise PreconditionError(f"{vec} is outside the positive orthant")'):
+        LIBRARY + "commands locate validated valuations of the fan's dimension",
+    ("fans:_subdivide_all", "continue"):
+        LIBRARY + "a vector in no cone, as only a hand-built partial fan has",
+    ("fans:_subdivide_surface", "continue"):
+        LIBRARY + "a vector in no cone, as only a hand-built partial fan has",
+    ("fans:_subdivision_ray", 'raise PreconditionError("subdivision ray dimension mismatch")'):
+        LIBRARY + "resolve subdivides at parallelepiped points",
+    ("fans:_subdivision_ray", 'raise PreconditionError("cannot subdivide at the zero vector")'):
+        LIBRARY + "resolve subdivides at parallelepiped points",
+    ("fans:_subdivision_ray", 'raise PreconditionError(f"{vec} is outside the positive orthant")'):
+        LIBRARY + "resolve subdivides at parallelepiped points",
+    ("logpairs:blowup_chain_coeff",
+     'raise PreconditionError("the blow-up chain oracle works in dimension 2")'):
+        LIBRARY + "the oracles call it for surfaces only",
+    ("reduction:LocalModel.__post_init__", "raise PreconditionError("):
+        LIBRARY + "LocalModel.arrange sorts the coefficients",
+    ("reduction:ReductionState.__post_init__",
+     'raise PreconditionError("trace lives on a different fan")'):
+        LIBRARY + "states are built with the trace on their own fan",
+    ("reduction:build_cut", 'raise PreconditionError(f"{vec} is already a divisor on the model")'):
+        LIBRARY + "run_reduction cuts at chart valuations that are valid",
+    ("reduction:build_cut", "raise PreconditionError("):
+        LIBRARY + "run_reduction cuts at chart valuations that are valid",
+    ("reduction:build_cut", 'raise PreconditionError("a cut needs at least one valuation")'):
+        LIBRARY + "run_reduction cuts at chart valuations that are valid",
+    ("reduction:initial_state", 'raise PreconditionError("b-divisor dimension mismatch")'):
+        LIBRARY + "LocalModel.arrange checks the dimension first",
+    ("reduction:pick_fiber_minimizer",
+     'raise PreconditionError(f"prefix {f} has no positive pullback coefficient")'):
+        LIBRARY + "run_reduction passes prefixes of positive pullback",
+    ("reduction:pick_fiber_minimizer",
+     'raise PreconditionError(f"the fibre over {f} holds no valuation")'):
+        LIBRARY + "run_reduction asks only charts with a coefficient-one component",
+    ("reduction:stratum_weight", 'raise PreconditionError("stratum must be a nonempty index set")'):
+        LIBRARY + "weight checks the stratum first",
+    ("reduction:stratum_weight", 'raise PreconditionError(f"stratum index {i} out of range")'):
+        LIBRARY + "weight checks the stratum first",
+    ("reduction:stratum_weight", 'raise PreconditionError("b-divisor dimension mismatch")'):
+        LIBRARY + "LocalModel.arrange checks the dimension first",
 }
 
 
@@ -63,51 +267,92 @@ def _argvs():
         yield argv if isinstance(argv, list) else argv.values[0]
 
 
+def _statement_lines(tree):
+    """line -> first line of the innermost statement that holds it."""
+    owner = {}
+    for node in ast.walk(tree):  # outer statements come before inner ones
+        if isinstance(node, (ast.stmt, ast.excepthandler)):
+            inner = [n for field in ("body", "orelse", "finalbody", "handlers")
+                     for n in getattr(node, field, ()) if isinstance(n, ast.AST)]
+            last = min((n.lineno for n in inner), default=node.end_lineno + 1) - 1
+            for line in range(node.lineno, max(last, node.lineno) + 1):
+                owner[line] = node.lineno
+    return owner
+
+
 def _defined():
-    """module:qualname -> code key of every function the package defines."""
+    """code key -> (module:qualname, {(statement's first line, its stripped
+    text): the statement's code lines}) for every function the package defines."""
     out = {}
     for path in sorted(SRC.glob("*.py")):
-        todo = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+        text = path.read_text(encoding="utf-8")
+        source = text.splitlines()
+        owner = _statement_lines(ast.parse(text))
+        todo = [compile(text, str(path), "exec")]
         while todo:
             code = todo.pop()
-            for const in code.co_consts:
-                if isinstance(const, type(code)):
-                    todo.append(const)
+            todo.extend(c for c in code.co_consts if isinstance(c, type(code)))
             if code.co_flags & inspect.CO_OPTIMIZED and "<" not in code.co_qualname:
-                out[f"{path.stem}:{code.co_qualname}"] = (
-                    path.name, code.co_qualname, code.co_firstlineno)
+                statements = {}
+                for _, _, line in code.co_lines():
+                    if line is not None and line != code.co_firstlineno:
+                        first = owner[line]
+                        statements.setdefault((first, source[first - 1].strip()), set()).add(line)
+                key = (path.name, code.co_qualname, code.co_firstlineno)
+                out[key] = (f"{path.stem}:{code.co_qualname}", statements)
     return out
 
 
-def _entered():
-    seen = set()
+@functools.cache
+def _missed():
+    """The ALLOWED-style keys of every function not entered and every
+    statement not run by the command lines, in one tracing pass."""
+    ran = {}
 
-    def profile(frame, event, arg):
-        if event == "call":
-            seen.add(frame.f_code)
+    def trace(frame, event, arg):
+        code = frame.f_code
+        if Path(code.co_filename).parent != SRC:
+            return None
+        key = (Path(code.co_filename).name, code.co_qualname, code.co_firstlineno)
+        lines = ran.setdefault(key, set())
+
+        def line(frame, event, arg):
+            if event == "line":
+                lines.add(frame.f_lineno)
+            return line
+        return line
 
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-        sys.setprofile(profile)
+        sys.settrace(trace)
         try:
             for argv in _argvs():
                 with contextlib.suppress(SystemExit):  # argv errors exit 2
                     cli_mod.main(argv)
         finally:
-            sys.setprofile(None)
-    return {
-        (Path(code.co_filename).name, code.co_qualname, code.co_firstlineno)
-        for code in seen
-        if Path(code.co_filename).resolve().parent == SRC
-    }
+            sys.settrace(None)
+
+    missed = set()
+    for key, (name, statements) in _defined().items():
+        if key not in ran:
+            missed.add((name, None))
+            continue
+        missed.update((name, text) for (_, text), lines in statements.items()
+                      if not lines & ran[key])
+    return missed
 
 
 def test_every_function_is_entered_by_a_command_or_allowed():
-    defined = _defined()
-    entered = _entered()
-    missed = sorted(name for name, key in defined.items() if key not in entered)
-    assert [name for name in missed if name not in ALLOWED] == []
-    # the list stays exact: each entry names a function that is still there,
-    # still not entered, and a reason of one of the kinds above
-    assert sorted(ALLOWED) == [name for name in missed if name in ALLOWED]
+    missed = {key for key in _missed() if key[1] is None}
+    allowed = {key for key in ALLOWED if key[1] is None}
+    assert sorted(missed - allowed) == []
+    assert sorted(allowed - missed) == []  # still there and still not entered
+
+
+def test_every_statement_runs_for_a_command_or_is_allowed():
+    missed = _missed()
+    assert sorted(missed - ALLOWED.keys(), key=str) == []
+    # the list stays exact: each entry names a statement that is still there
+    # and still does not run, with a reason of one of the kinds above
+    assert sorted(ALLOWED.keys() - missed, key=str) == []
     assert all(reason.startswith(REASONS) for reason in ALLOWED.values())

@@ -39,6 +39,11 @@ def gaps_at(state, located):
     return {vec: pullback_gap(state.phi, loc) for vec, loc in located.items()}
 
 
+def locations(state, vecs):
+    """The cut valuations vecs, each mapped to its location, as build_cut takes them."""
+    return {v: state.fan.locate(v) for v in vecs}
+
+
 def make_model(*coeffs):
     return LocalModel(LocalPair(tuple(coeffs)))
 
@@ -151,7 +156,7 @@ def test_build_cut_single_sigma():
     pair = LocalPair((F(2, 3), F(2, 3)))
     b = BDivisor(pair.coeffs, {(1, 1): F(1, 6)})
     state = initial_state(LocalModel(pair), b)
-    new_state, step = build_cut(state, [(1, 1)])
+    new_state, step = build_cut(state, locations(state, [(1, 1)]))
     assert coeff(new_state.phi, (1, 1)) == min(F(1, 3), F(1, 6))
     assert coeff(new_state.phi, (1, 0)) == F(2, 3)
     assert coeff(new_state.phi, (0, 1)) == F(2, 3)
@@ -163,13 +168,13 @@ def test_build_cut_rejects_zero_pullback_and_rays():
     pair = LocalPair((F(1, 4), F(1, 4)))
     state = initial_state(LocalModel(pair), BDivisor(pair.coeffs, {}))
     with pytest.raises(PreconditionError):
-        build_cut(state, [(1, 1)])  # pullback coefficient 0
+        build_cut(state, locations(state, [(1, 1)]))  # pullback coefficient 0
     pair2 = LocalPair((F(2, 3), F(2, 3)))
     state2 = initial_state(LocalModel(pair2), BDivisor(pair2.coeffs, {}))
     with pytest.raises(PreconditionError):
-        build_cut(state2, [(1, 0)])  # already a divisor
+        build_cut(state2, locations(state2, [(1, 0)]))  # already a divisor
     with pytest.raises(PreconditionError):
-        build_cut(state2, [])
+        build_cut(state2, locations(state2, []))
 
 
 def test_build_cut_klt_branch_reaches_weight_minus_one():
@@ -185,7 +190,7 @@ def test_build_cut_klt_branch_reaches_weight_minus_one():
         and sum(1 for e in f if e) > 1  # units are already divisors
         and gcd(*f) == 1
     ]
-    new_state, _ = build_cut(state, sigmas)
+    new_state, _ = build_cut(state, locations(state, sigmas))
     assert state_weight(new_state) == -1
 
 
@@ -193,7 +198,7 @@ def test_cut_keeps_trace_below_old_pullback():
     pair = LocalPair((F(1, 2), F(1)))
     b = BDivisor(pair.coeffs, {(1, 2): F(0)})
     state = initial_state(LocalModel(pair), b)
-    new_state, _ = build_cut(state, [(1, 2)])
+    new_state, _ = build_cut(state, locations(state, [(1, 2)]))
     for ray, c in zip(new_state.fan.rays, new_state.phi.ray_coeffs):
         assert c <= relative_pullback_coeff(state.phi, ray)
 
@@ -257,7 +262,7 @@ def test_weight_never_increases_under_any_cut():
         ]
         if not candidates:
             continue
-        new_state, _ = build_cut(state, candidates[:1])
+        new_state, _ = build_cut(state, locations(state, candidates[:1]))
         assert state_weight(new_state) <= before
 
 
@@ -290,7 +295,7 @@ def test_descent_chain_instrumented():
             for r in y_fan.rays
         ),
     )
-    new_state, _ = build_cut(state, [sigma])
+    new_state, _ = build_cut(state, locations(state, [sigma]))
     for k in range(2, 7):
         nu = (1, k)  # same prefix, nu >= sigma
         l_phi2 = relative_pullback_coeff(new_state.phi, nu)
@@ -369,7 +374,7 @@ def test_theta_matches_naive_computation():
                 v for v in devs if relative_pullback_coeff(state.phi, v) > 0
             ]
             if first:
-                state, _ = build_cut(state, first)
+                state, _ = build_cut(state, locations(state, first))
         # listed sigmas get a random B, unlisted ones keep the default 1
         sigmas = []
         updates = {}
@@ -791,7 +796,7 @@ def test_theta_reads_handed_in_locations_as_it_would_find_them(inputs):
     assert relative_pullback_coeff(state.phi, v) == 0
     for sigmas in ([v], list(sig) + [v]):
         with pytest.raises(PreconditionError) as exc:
-            build_cut(state, sigmas)
+            build_cut(state, locations(state, sigmas))
         assert cli_mod._error_record(exc.value) == {
             "error": f"cut valuation {v} has zero pullback coefficient", "exit_code": 2,
         }
@@ -803,7 +808,8 @@ def test_chart_locations_off_the_tie_rule_give_the_same_theta():
     # valid and give the same theta
     pair = LocalPair((F(1, 2), F(2, 3), F(1)))
     b = BDivisor(pair.coeffs, {(1, 1, 3): F(0), (1, 1, 0): F(0)})
-    state, _ = build_cut(initial_state(LocalModel(pair), b), [(1, 1, 1)])
+    state = initial_state(LocalModel(pair), b)
+    state, _ = build_cut(state, locations(state, [(1, 1, 1)]))
     ties = 0
     for key, cone in zip(state.fan.cones, state.fan.max_cones):
         chart = reduction_mod._chart_sigmas(state, state.fan.locate(
@@ -865,3 +871,51 @@ def test_cut_state_meets_theta_with_a_unit_coefficient_below_it():
     new_state, theta = cut_state_and_theta(state, [(1, 1)])
     assert theta[0] == F(2, 3) and new_state.phi.ray_coeffs[0] == F(1, 3)
     assert_trace_is_min_of_theta_and_b(state, new_state, theta)
+
+
+# ---------------------------------------------------------------------------
+# invariant breaches no command reaches, with the fault planted
+
+
+def test_chart_of_a_cone_that_is_not_smooth_is_a_breach():
+    fan = Fan(2, ((1, 0), (0, 1), (1, 2)), ((0, 2), (1, 2)))
+    phi = ModelDivisor(fan, (F(1, 2), F(1), F(1, 2)))
+    state = ReductionState(fan, phi, BDivisor((F(1, 2), F(1)), {(1, 2): F(1, 2)}))
+    with pytest.raises(InvariantViolation, match="not smooth"):
+        reduction_mod._chart_model(state, fan.locate((1, 1)))
+
+
+def test_cut_whose_trace_leaves_b_at_a_ray_is_a_breach(monkeypatch):
+    # theta planted at 0 puts the unit rays below B's pair values there
+    monkeypatch.setattr(reduction_mod, "_theta_coeffs",
+                        lambda state, located, gaps, rays: tuple(F(0) for _ in rays))
+    pair = LocalPair((F(1, 2), F(1)))
+    state = initial_state(LocalModel(pair), BDivisor(pair.coeffs, {(1, 2): F(0)}))
+    with pytest.raises(InvariantViolation, match="inconsistent trace"):
+        build_cut(state, locations(state, [(1, 2)]))
+
+
+def test_cut_whose_piece_splits_never_end_is_a_breach(monkeypatch):
+    monkeypatch.setattr(reduction_mod, "_SPLIT_ROUND_CAP", 2)
+    monkeypatch.setattr(reduction_mod, "_piece_splits", lambda state, sig, cut: [(1, 0)])
+    pair = LocalPair((F(1, 2), F(1)))
+    state = initial_state(LocalModel(pair), BDivisor(pair.coeffs, {(1, 2): F(0)}))
+    with pytest.raises(InvariantViolation, match="still straddles"):
+        build_cut(state, locations(state, [(1, 2)]))
+
+
+def test_witness_whose_chart_gives_no_cut_valuation_is_a_breach(monkeypatch):
+    monkeypatch.setattr(reduction_mod, "_chart_sigmas", lambda state, loc: {})
+    pair = LocalPair((F(1, 2), F(1)))
+    with pytest.raises(InvariantViolation, match="no cut valuation"):
+        run_reduction(LocalModel(pair), BDivisor(pair.coeffs, {(1, 2): F(0)}))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the descent with two "
+                   "coefficient-one components through a witness's centre")
+def test_reduce_with_two_unit_coefficient_components_exits_0():
+    code = cli_mod.main([
+        "reduce", "--model", '{"n":3,"coeffs":["3/4","1","1"]}', "--B",
+        '{"deviations":[{"v":[1,0,1],"value":"1/7"},{"v":[4,2,1],"value":"1/3"},'
+        '{"v":[1,6,0],"value":"0"}]}'])
+    assert code == 0
