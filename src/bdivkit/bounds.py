@@ -374,12 +374,17 @@ def curve_power_report(n: int, g: int) -> BoundReport:
 
 
 def fermat_report(n: int, m: int) -> BoundReport:
-    """Degree-m Fermat hypersurface in projective (n+1)-space."""
+    """Degree-m Fermat hypersurface in projective (n+1)-space.
+
+    m^(n+1) is bounded before it is computed, and the factorial after, so a
+    symmetry count past the digit limit is refused before any product is
+    built: aut_lower, printed in full, is at least that power.
+    """
     if n < 1:
         raise PreconditionError("need n >= 1")
     if m <= n + 2:
         raise PreconditionError("not of general type: volume <= 0")
-    aut_lower = factorial(n + 2) * m ** (n + 1)
+    aut_lower = checked_power(m, n + 1) * factorial(n + 2)
     vol = m * (m - n - 2) ** n
     return BoundReport(
         kind="fermat",

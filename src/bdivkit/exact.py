@@ -172,7 +172,7 @@ def format_int(x: int) -> str:
         raise _digit_limit_error() from exc
 
 
-def checked_power(base: Fraction, k: int) -> Fraction:
+def checked_power(base: Fraction | int, k: int) -> Fraction | int:
     """base ** k for a result to be printed, refused before it is computed
     when its numerator or denominator must pass the digit limit.
 

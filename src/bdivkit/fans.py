@@ -26,9 +26,18 @@ A 2-D fan is subdivided in angular order: its cones are arcs between
 consecutive rays of the quadrant, sorted by angle and kept with the fan, and
 a new ray finds the arc it splits by bisection on integer cross products.
 Every surface cut inserts its valuations this way, with no search over the
-cones and no adjugate built for a cone nothing locates in.  Higher
+cones, and builds no ``Cone``: a 2-D fan carries its rays, its cone keys and
+its arcs, and builds its ``Cone`` objects only when something asks for
+them.  It is checked by one walk along its arcs (``Fan.subdivision_defect``):
+orient each cone by the sign of its rays' cross product, start at the ray
+(1, 0) and follow each cone from its lower ray to its upper one.  The cones
+subdivide the quadrant exactly when the walk reaches (0, 1) after
+len(cones) steps and there are len(rays) - 1 cones.  Every step turns
+counterclockwise, so the walk meets the rays in strictly increasing angle;
+when it takes every cone and meets every ray on its way from (1, 0) to
+(0, 1), the cones tile the quadrant with disjoint interiors.  Higher
 dimensions keep a cone table that finds the cones containing a new ray
-through the face it lies on.
+through the face it lies on, and the facet and volume test.
 
 Dimensions are capped at 6: cone and parallelepiped enumeration costs grow
 quickly and nothing in this toolkit needs more.
@@ -226,6 +235,33 @@ class BarycentricResult(namedtuple("BarycentricResult", "cone ray_indices nums")
     __slots__ = ()
 
 
+def _arc_cone(g, h) -> Cone:
+    """The 2-D cone spanned by g and h, distinct primitive vectors of the
+    quadrant, built unchecked with their cross product as its determinant.
+
+    Two such vectors are never parallel, so the determinant is never 0.
+    """
+    return trusted(Cone, gens=(g, h), det=g[0] * h[1] - g[1] * h[0])
+
+
+def _upper_rays(rays, cones) -> dict:
+    """lo -> hi for each 2-D cone (i, j): lo is the ray of smaller angle.
+
+    lo is i exactly when the cross product of rays i and j is positive.  A
+    second cone with the same lo overwrites the first, so the map holds
+    fewer entries than there are cones exactly when two cones start at one
+    ray.
+    """
+    after = {}
+    for i, j in cones:
+        (a, b), (c, d) = rays[i], rays[j]
+        if a * d > b * c:
+            after[i] = j
+        else:
+            after[j] = i
+    return after
+
+
 @record
 class Fan:
     """Simplicial subdivision of the positive orthant of dimension n."""
@@ -268,7 +304,18 @@ class Fan:
 
     @cached_property
     def max_cones(self) -> tuple:
-        return tuple(Cone(tuple(self.rays[i] for i in c)) for c in self.cones)
+        """The cones as ``Cone`` objects, in the order of their keys.
+
+        A 2-D fan builds them here, on demand, each with ``trusted`` from its
+        two rays and their cross product (``_arc_cone``): its rays are
+        distinct primitive vectors of the quadrant and each cone a pair of
+        distinct rays, so no cone is degenerate.  In other dimensions each
+        cone is validated, which refuses dependent generators.
+        """
+        rays = self.rays
+        if self.n == 2:
+            return tuple(_arc_cone(rays[i], rays[j]) for i, j in self.cones)
+        return tuple(Cone(tuple(rays[i] for i in c)) for c in self.cones)
 
     @cached_property
     def _arcs(self) -> tuple:
@@ -283,10 +330,7 @@ class Fan:
         leave an arc off every chain or make two chains interleave.
         """
         rays = self.rays
-        after = {}  # lo -> hi
-        for (i, j), cone in zip(self.cones, self.max_cones):
-            lo, hi = (i, j) if cone.det > 0 else (j, i)
-            after[lo] = hi
+        after = _upper_rays(rays, self.cones)
         starts = set(after).difference(after.values())
         arcs = []
         for lo in sorted(starts, key=lambda i: Fraction(rays[i][1], sum(rays[i]))):
@@ -348,6 +392,42 @@ class Fan:
     @cached_property
     def subdivision_defect(self) -> str | None:
         """Why the cones fail to subdivide the orthant, or None if they do.
+
+        A 2-D fan is decided by one walk (``_walks_the_quadrant``).  Orient
+        each cone by the sign of its rays' cross product, start at the ray
+        (1, 0) and follow each cone from its lower ray to its upper one.  The
+        cones subdivide the quadrant exactly when the walk reaches (0, 1)
+        after len(cones) steps and len(cones) == len(rays) - 1.  Every step
+        turns counterclockwise inside the quadrant, so the walk meets the
+        rays in strictly increasing angle and never returns to one.  Having
+        taken len(cones) steps from distinct rays, each the lower ray of one
+        cone only, it used every cone once and met all len(cones) + 1 =
+        len(rays) rays; going from (1, 0) to (0, 1), its cones tile the
+        quadrant with disjoint interiors, and every ray spans one.
+        Conversely, where the cones subdivide the quadrant and every ray
+        spans a cone, no ray lies inside another cone, so the cones are the
+        arcs between rays adjacent in angle, and the walk takes each.
+
+        A fan the walk refuses, and a fan of any other dimension, goes to the
+        facet and volume test (``_facet_volume_defect``), which words the
+        message.
+        """
+        if self.n == 2 and self._walks_the_quadrant():
+            return None
+        return self._facet_volume_defect()
+
+    def _walks_the_quadrant(self) -> bool:
+        """The walk of ``subdivision_defect`` along a 2-D fan's cones: True
+        when it goes from (1, 0) to (0, 1) through every cone and ray."""
+        rays = self.rays
+        after = _upper_rays(rays, self.cones)
+        at, steps = self.ray_index.get((1, 0)), 0
+        while at in after:
+            at, steps = after[at], steps + 1
+        return 0 < steps == len(self.cones) == len(rays) - 1 and rays[at] == (0, 1)
+
+    def _facet_volume_defect(self) -> str | None:
+        """The facet and volume test of ``subdivision_defect``, any dimension.
 
         The cones subdivide the orthant when every ray spans a cone and
         (1) every facet either lies in a coordinate hyperplane and bounds
@@ -531,13 +611,12 @@ def _subdivide_surface(fan: Fan, pending) -> Fan:
     the sign of the cross product of v with each arc's lo ray finds the last
     arc starting before v; v splits it when it also ends after v, into the
     cones (lo, v) and (v, hi).  A vector in a gap becomes a ray of no cone,
-    as the one-ray chain makes it.  Only the cones left at the end are
-    built, each from its two rays and its determinant, with its adjugate
-    left to be computed where it is used.
+    as the one-ray chain makes it.  The fan is built from its rays and arcs
+    alone, its cone keys read off the arcs: no ``Cone`` is built here, and
+    ``Fan.max_cones`` builds them when something asks.
     """
     rays = list(fan.rays)
     arcs = list(fan._arcs)
-    cones = dict(zip(fan.cones, fan.max_cones))
     for v in pending:
         r = len(rays)
         rays.append(v)
@@ -557,24 +636,9 @@ def _subdivide_surface(fan: Fan, pending) -> Fan:
         p, q = rays[hi]
         if x * q > y * p:  # v lies before hi, inside the arc
             arcs[a - 1 : a] = (lo, r), (r, hi)
-            del cones[(lo, hi) if lo < hi else (hi, lo)]
-            cones[lo, r] = cones[hi, r] = None
-    keys = tuple(sorted(cones))
-    max_cones = []
-    for key in keys:
-        cone = cones[key]
-        if cone is None:
-            g, h = rays[key[0]], rays[key[1]]
-            cone = trusted(Cone, gens=(g, h), det=g[0] * h[1] - g[1] * h[0])
-        max_cones.append(cone)
-    return trusted(
-        Fan,
-        n=2,
-        rays=tuple(rays),
-        cones=keys,
-        max_cones=tuple(max_cones),
-        _arcs=tuple(arcs),
-    )
+    # every arc is a cone, and a new ray's index is the largest of its key
+    keys = sorted([(lo, hi) if lo < hi else (hi, lo) for lo, hi in arcs])
+    return trusted(Fan, n=2, rays=tuple(rays), cones=tuple(keys), _arcs=tuple(arcs))
 
 
 def star_subdivide(fan: Fan, r) -> Fan:
@@ -583,10 +647,11 @@ def star_subdivide(fan: Fan, r) -> Fan:
     Every maximal cone containing r is replaced by the cones spanned by r
     together with each facet not containing r; cones not containing r are
     kept.  Subdividing at an existing ray returns an equal fan.  This is
-    the one-ray case of the batched insertion behind ``insert_rays``: the
-    kept cones enter the new fan as the parent's own ``Cone`` objects, and
-    the cones containing r are read off the face of the first cone found to
-    contain it, not tested one by one.
+    the one-ray case of the batched insertion behind ``insert_rays``: in
+    dimension 3 and up the kept cones enter the new fan as the parent's own
+    ``Cone`` objects, and the cones containing r are read off the face of
+    the first cone found to contain it, not tested one by one; a 2-D fan
+    splits the one arc r falls in and builds no ``Cone``.
     """
     return _subdivide_all(fan, [_subdivision_ray(fan, r)])
 
@@ -594,6 +659,22 @@ def star_subdivide(fan: Fan, r) -> Fan:
 def is_smooth(fan: Fan) -> bool:
     """True iff every maximal cone has determinant +-1."""
     return all(c.is_smooth() for c in fan.max_cones)
+
+
+def _first_singular_cone(fan: Fan):
+    """The first non-smooth cone of the fan in key order, or None.
+
+    A 2-D fan reads each key's determinant off the cross product of its two
+    rays and builds a ``Cone`` only for the cone it returns.
+    """
+    if fan.n != 2:
+        return next((cone for cone in fan.max_cones if not cone.is_smooth()), None)
+    rays = fan.rays
+    for i, j in fan.cones:
+        (a, b), (c, d) = rays[i], rays[j]
+        if abs(a * d - b * c) != 1:
+            return _arc_cone(rays[i], rays[j])
+    return None
 
 
 def resolve(fan: Fan) -> Fan:
@@ -605,16 +686,19 @@ def resolve(fan: Fan) -> Fan:
     nonzero parallelepiped point p = k q with q primitive, and q = p / k
     lies in the parallelepiped too.  Each step strictly decreases the
     affected cones' determinants, so the loop terminates.
+
+    On a 2-D fan the only ``Cone`` built is each step's pivot cone
+    (``_first_singular_cone``): the scan reads determinants off cross
+    products, and the star subdivision splits one arc and builds no cone, so
+    resolving a fan that is already smooth builds none.  Higher dimensions
+    scan and split the fan's validated cones.
     """
     current = fan
     for _ in range(_RESOLVE_STEP_CAP):
-        pivot = None
-        for cone in current.max_cones:
-            if not cone.is_smooth():
-                pivot = next(p for p in cone.parallelepiped_points() if is_primitive(p))
-                break
-        if pivot is None:
+        cone = _first_singular_cone(current)
+        if cone is None:
             return current
+        pivot = next(p for p in cone.parallelepiped_points() if is_primitive(p))
         refined = star_subdivide(current, pivot)
         if len(refined.rays) == len(current.rays):
             raise InvariantViolation("resolution failed to make progress")

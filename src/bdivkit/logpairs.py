@@ -180,12 +180,12 @@ class BDivisor:
         i = unit_index(v)
         return _ONE if i is None else self.pair_coeffs[i]
 
-    def to_json(self) -> dict:
+    def to_json(self, fmt=format_rat) -> dict:
         return {
             "pair": format_rat_list(self.pair_coeffs),
             # the writer renders a tuple as it renders a list
             "deviations": [
-                {"v": k, "value": format_rat(val)}
+                {"v": k, "value": fmt(val)}
                 for k, val in sorted(self.deviations.items())
             ],
         }

@@ -317,11 +317,11 @@ class ReductionState:
         """
         return state_witnesses(self)
 
-    def to_json(self) -> dict:
+    def to_json(self, fmt=format_rat) -> dict:
         return {
             "fan": self.fan.to_json(),
-            "phi": [format_rat(c) for c in self.phi.ray_coeffs],
-            "B": self.bdiv.to_json(),
+            "phi": [fmt(c) for c in self.phi.ray_coeffs],
+            "B": self.bdiv.to_json(fmt),
         }
 
     @classmethod
@@ -384,13 +384,13 @@ class CutStep:
     rays_added: tuple
     theta: tuple  # (ray, value) pairs on the new fan
 
-    def to_json(self) -> dict:
+    def to_json(self, fmt=format_rat) -> dict:
         # the writer renders a tuple as it renders a list
         return {
             "weight_before": self.weight_before,
             "sigmas": self.sigmas,
             "rays_added": self.rays_added,
-            "theta": [{"ray": r, "value": format_rat(v)} for r, v in self.theta],
+            "theta": [{"ray": r, "value": fmt(v)} for r, v in self.theta],
         }
 
 
@@ -722,10 +722,23 @@ class ReductionTrace:
     terminated_weight: int
 
     def to_json(self) -> dict:
+        """The trace as JSON, each value of the final trace formatted once.
+
+        The last step's theta, the final phi and the final B's values at the
+        rays are mostly the same ``Fraction`` objects (``_cut_state``), so
+        phi's texts are looked up by object identity, sound while this trace
+        holds every object asked about; other values are formatted anew.
+        """
+        phi = self.final_state.phi.ray_coeffs
+        texts = dict(zip(map(id, phi), map(format_rat, phi)))
+
+        def fmt(x):
+            return texts.get(id(x)) or format_rat(x)
+
         return {
             "initial_weight": self.initial_weight,
-            "steps": [s.to_json() for s in self.steps],
-            "final": self.final_state.to_json(),
+            "steps": [s.to_json(fmt) for s in self.steps],
+            "final": self.final_state.to_json(fmt),
             "terminated_weight": self.terminated_weight,
         }
 
@@ -855,10 +868,11 @@ def verify_reduction(state: ReductionState, box: int) -> VerifyReport:
 
     Only fan rays and listed deviations can violate the bound, so only they
     are evaluated.  Proof: the fan is first checked to subdivide the orthant
-    (``Fan.subdivision_defect``), so every unit vector is a ray.  Any other
-    valuation v that is not a listed deviation has B(v) = 1, while
-    pullback(v) = max(0, 1 - sum lam_j (1 - g_j)) <= 1 since lam_j >= 0 and
-    every trace coefficient g_j <= 1.
+    (``Fan.subdivision_defect``: on a surface one walk along the cones from
+    (1, 0) to (0, 1), elsewhere the facet and volume test), so every unit
+    vector is a ray.  Any other valuation v that is not a listed deviation
+    has B(v) = 1, while pullback(v) = max(0, 1 - sum lam_j (1 - g_j)) <= 1
+    since lam_j >= 0 and every trace coefficient g_j <= 1.
 
     The report matches a lexicographic scan of the fan rays, the listed
     deviations and the primitive vectors with entries <= box, stopped at the

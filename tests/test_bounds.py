@@ -310,6 +310,22 @@ def test_fermat_examples():
         fermat_report(5, 7)  # m <= n+2
 
 
+def test_fermat_refuses_past_the_digit_limit_before_any_factorial(monkeypatch):
+    import bdivkit.bounds as bounds_mod
+    from bdivkit.exact import format_int
+
+    def factorial_ran(k):
+        raise AssertionError("the factorial ran before the power was bounded")
+
+    monkeypatch.setattr(bounds_mod, "factorial", factorial_ran)
+    with pytest.raises(PreconditionError) as refused:
+        fermat_report(100000, 100003)
+    # the message of the refusal printing the product would have met
+    with pytest.raises(PreconditionError) as printed:
+        format_int(100003 ** 1000)
+    assert str(refused.value) == str(printed.value)
+
+
 def test_fermat_threshold_scan():
     rows = fermat_threshold_scan(10)
     exceeding = [r["n"] for r in rows if r["exceeds"]]

@@ -558,6 +558,9 @@ BAD_INPUTS = [
             "cones": [[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5],
                       [0, 6, 8], [6, 1, 7], [8, 7, 2], [6, 7, 8]]})),
     ]),
+    # a count past the digit limit that only printing it can find; "--n=" keeps
+    # the first two tokens, which name the full-parser case, new
+    pytest.param(["product", "--n=2000", "--g", "1000000"], id="product past the digit limit"),
 ]
 
 

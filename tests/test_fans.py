@@ -501,6 +501,89 @@ def test_subdivision_check_examples():
     assert double.subdivision_defect == "the cones fill 2 of the orthant, not all of it"
 
 
+# ---------------------------------------------------------------------------
+# the walk that decides 2-D fans, against the facet and volume test
+
+quadrant_vectors = st.tuples(st.integers(0, 9), st.integers(0, 9)).filter(any).map(primitive_part)
+
+
+def relabel(fan, order):
+    """The fan with ray i moved to position order[i], dropping the rays
+    order maps to None and every cone that spans one."""
+    kept = [i for i in range(len(fan.rays)) if order[i] is not None]
+    rays = [None] * len(kept)
+    for i in kept:
+        rays[order[i]] = fan.rays[i]
+    cones = tuple(
+        tuple(order[i] for i in c) for c in fan.cones if None not in map(order.__getitem__, c)
+    )
+    return Fan(2, tuple(rays), cones)
+
+
+@st.composite
+def quadrant_fans(draw):
+    """(kind, fan): an ``insert_rays`` chain on the quadrant, its rays put
+    in a drawn order, and either kept whole or broken one way."""
+    fan = orthant_fan(2)
+    for _ in range(draw(st.integers(0, 3))):
+        fan = insert_rays(fan, draw(st.lists(quadrant_vectors, min_size=1, max_size=4)))
+    fan = relabel(fan, draw(st.permutations(range(len(fan.rays)))))
+    rays, cones = fan.rays, fan.cones
+    kind = draw(st.sampled_from(["whole", "dropped", "chord", "re-paired", "unused", "no top"]))
+    if kind == "dropped":
+        drop = draw(st.sampled_from(cones))
+        return kind, Fan(2, rays, tuple(c for c in cones if c != drop))
+    if kind == "chord":  # a cone between rays that no cone joins
+        i, j = draw(st.lists(st.sampled_from(range(len(rays))), min_size=2, max_size=2, unique=True))
+        return kind, Fan(2, rays, cones + ((i, j),))
+    if kind == "re-paired" and len(cones) > 1:
+        pair = st.lists(st.sampled_from(cones), min_size=2, max_size=2, unique=True)
+        (a, b), (c, d) = draw(pair)
+        if a != d and c != b:
+            kept = tuple(k for k in cones if k not in ((a, b), (c, d)))
+            return kind, Fan(2, rays, kept + ((a, d), (c, b)))
+    if kind == "unused":
+        extra = draw(quadrant_vectors.filter(lambda v: v not in fan.ray_set))
+        return kind, Fan(2, rays + (extra,), cones)
+    if kind == "no top":  # (0, 1) and its cone taken away
+        top = fan.ray_index[(0, 1)]
+        return kind, relabel(fan, [None if i == top else i - (i > top) for i in range(len(rays))])
+    return "whole", fan
+
+
+@settings(max_examples=400, deadline=None)
+@given(quadrant_fans())
+def test_the_walk_accepts_exactly_the_fans_the_facet_test_accepts(kind_fan):
+    kind, fan = kind_fan
+    defect = fan._facet_volume_defect()
+    assert fan._walks_the_quadrant() == (defect is None)
+    # a refused fan keeps the facet test's message
+    assert fan.subdivision_defect == defect
+    if kind == "whole":
+        assert defect is None
+    elif kind in ("dropped", "unused", "no top"):
+        assert defect is not None
+
+
+def test_the_walk_refuses_each_way_a_fan_fails():
+    rays = ((1, 0), (0, 1), (1, 1))
+    # the ray order is not the angular order: the cone runs from ray 1 to 0
+    assert Fan(2, ((0, 1), (1, 0)), ((0, 1),))._walks_the_quadrant()
+    assert Fan(2, rays[::-1], ((0, 1), (0, 2)))._walks_the_quadrant()
+    # the walk takes (0, 2) and (2, 1) to the top and leaves a cone behind
+    chord = Fan(2, rays, ((0, 1), (0, 2), (1, 2)))
+    assert chord.subdivision_defect == "boundary facet [(0, 1)] bounds 2 cones"
+    # one step covers the quadrant, and a ray is left over
+    assert Fan(2, rays, ((0, 1),)).subdivision_defect == "ray (1, 1) spans no cone"
+    # every cone and ray is walked, and the walk stops short of (0, 1)
+    short = Fan(2, ((1, 0), (1, 1)), ((0, 1),))
+    assert short.subdivision_defect == "interior facet [(1, 1)] bounds 1 cones, not 2"
+    # no walk: (1, 0) is no ray, or the fan has no cone
+    assert Fan(2, ((1, 1), (0, 1)), ((0, 1),)).subdivision_defect is not None
+    assert Fan(2, (), ()).subdivision_defect == "the cones fill 0 of the orthant, not all of it"
+    assert Fan(2, ((1, 1),), ()).subdivision_defect == "ray (1, 1) spans no cone"
+
+
 def test_full_dimensional_cone_seeds_its_determinant():
     cone = Cone(((1, 0), (2, 5)))
     assert cone.__dict__["det"] == 5 == cone.det

@@ -919,3 +919,44 @@ def test_reduce_with_two_unit_coefficient_components_exits_0():
         '{"deviations":[{"v":[1,0,1],"value":"1/7"},{"v":[4,2,1],"value":"1/3"},'
         '{"v":[1,6,0],"value":"0"}]}'])
     assert code == 0
+
+
+def test_a_klt_surface_cut_builds_no_cone_after_its_cut(monkeypatch):
+    # every arc of a klt surface cut has determinant 1: resolve splits none,
+    # and the verifier's walk reads cross products of the fan's rays
+    import bdivkit.fans as fans_mod
+
+    seen = []
+    real_resolve = fans_mod.resolve
+
+    def resolve(fan):
+        seen.append(fan)
+        return real_resolve(fan)
+
+    monkeypatch.setattr(fans_mod, "resolve", resolve)
+    pair = LocalPair((F(4, 5), F(5, 6)))
+    trace = run_reduction(LocalModel(pair), BDivisor(pair.coeffs, {(2, 3): F(0)}))
+    final = trace.final_state.fan
+    assert len(trace.steps) == 1 and len(final.rays) > 10
+    assert verify_reduction(trace.final_state, 12).ok
+    trace.to_json()
+    assert any(fan is final for fan in seen)
+    for fan in seen:
+        assert "max_cones" not in fan.__dict__
+
+
+def test_a_reduction_formats_each_final_trace_value_once(monkeypatch):
+    pair = LocalPair((F(4, 5), F(5, 6)))
+    trace = run_reduction(LocalModel(pair), BDivisor(pair.coeffs, {(2, 3): F(0)}))
+    plain = {
+        "initial_weight": trace.initial_weight,
+        "steps": [s.to_json() for s in trace.steps],
+        "final": trace.final_state.to_json(),
+        "terminated_weight": trace.terminated_weight,
+    }
+    calls = []
+    real = reduction_mod.format_rat
+    monkeypatch.setattr(reduction_mod, "format_rat", lambda x: calls.append(x) or real(x))
+    assert trace.to_json() == plain
+    # here the last theta and B hold only the final trace's own objects
+    assert len(calls) == len(trace.final_state.fan.rays)
