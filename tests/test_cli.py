@@ -34,6 +34,14 @@ CASES = {
                '{"deviations":[{"v":[1,2],"value":"0"}]}'],
     "reduce": ["reduce", "--model", '{"n":2,"coeffs":["1/2","1"]}', "--B",
                '{"deviations":[{"v":[1,2],"value":"0"}]}', "--box", "8"],
+    # cuts that resolve: five pivots on a surface, taken out of angular
+    # order, and eight on a threefold, whose new rays include one of
+    # pullback 0 with a witness of lower weight left in a cone
+    "reduce-resolve2d": ["reduce", "--model", '{"n":2,"coeffs":["3/4","1"]}', "--B",
+                         '{"deviations":[{"v":[2,9],"value":"0"}]}'],
+    "reduce-resolve3d": ["reduce", "--model", '{"n":3,"coeffs":["2/5","1","1"]}', "--B",
+                         '{"deviations":[{"v":[3,2,2],"value":"1/7"},{"v":[0,5,1],"value":"0"},'
+                         '{"v":[0,1,3],"value":"1/2"}]}'],
     "verify": ["verify", "--state",
                '{"fan":{"n":2,"rays":[[1,0],[0,1]],"cones":[[0,1]]},'
                '"phi":["1/2","2/3"],"B":{"pair":["1/2","2/3"],"deviations":[]}}',

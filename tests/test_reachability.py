@@ -80,11 +80,6 @@ EXTRA = [
         "fan": {"n": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]]},
         "phi": ["1/2", "2/3"],
         "B": {"pair": ["1/2", "2/3"], "deviations": [{"v": [1, 1], "value": "0"}]}})],
-    # a cut whose new rays include one of pullback 0, with a witness of lower
-    # weight left in a cone
-    ["reduce", "--model", '{"n":3,"coeffs":["2/5","1","1"]}', "--B",
-     '{"deviations":[{"v":[3,2,2],"value":"1/7"},{"v":[0,5,1],"value":"0"},'
-     '{"v":[0,1,3],"value":"1/2"}]}'],
     # piece splits at points that are not primitive, (2, 2, 0) and (2, 2, 2)
     ["reduce", "--model", '{"n":3,"coeffs":["1","1","2/3"]}', "--B",
      '{"deviations":[{"v":[3,2,2],"value":"1/4"},{"v":[2,3,2],"value":"0"},'
