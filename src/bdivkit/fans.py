@@ -3,11 +3,14 @@
 A fan here is a simplicial subdivision of the closed positive orthant of
 ``R^n``: a list of primitive integer rays together with full-dimensional
 cones (given as sorted tuples of ray indices) whose union covers the orthant.
-Star subdivision at a primitive vector models a weighted blow-up; repeated
-star subdivision at fundamental-parallelepiped points resolves the fan to a
-smooth one.  All linear algebra is exact over the integers and rationals, and
-comes from the kernel in ``exact`` (determinants, adjugates and cofactor
-normals); this module carries none of its own.
+Star subdivision at a primitive vector models a weighted blow-up.  Rays
+enter a fan only through ``insert_rays``, which star-subdivides at the given
+vectors and then resolves the fan to a smooth one in the same pass: it
+inserts the least fundamental-parallelepiped point of the first non-smooth
+cone, as it inserts a given vector, until every cone is smooth.  All linear
+algebra is exact over the integers and rationals, and comes from the kernel
+in ``exact`` (determinants, adjugates and cofactor normals); this module
+carries none of its own.
 
 The coordinates of a lattice vector v in a full-dimensional cone are kept as
 integers: ``Cone.coords`` returns numerators over the cone's |det| (the rows
@@ -18,26 +21,28 @@ with those field names, holding the numerators over |det| of the cone found,
 whether v is a fan ray read from the ray table or found by a scan.  On a
 smooth cone |det| = 1 and the numerators are the coordinates themselves.
 No coordinate is a ``Fraction``: only ``Cone.barycentric`` returns them, and
-the other ``Fraction``s here are the residues of ``parallelepiped_points``,
-the angle key ``Fan._arcs`` sorts chain starts by and the share of the
-orthant that ``subdivision_defect`` reports unfilled.
+the other ``Fraction``s here are the angle key ``Fan._arcs`` sorts chain
+starts by and the share of the orthant that ``subdivision_defect`` reports
+unfilled.  The parallelepiped points are integer residues mod |det| too.
 
 A 2-D fan is subdivided in angular order: its cones are arcs between
 consecutive rays of the quadrant, sorted by angle and kept with the fan, and
 a new ray finds the arc it splits by bisection on integer cross products.
-Every surface cut inserts its valuations this way, with no search over the
-cones, and builds no ``Cone``: a 2-D fan carries its rays, its cone keys and
-its arcs, and builds its ``Cone`` objects only when something asks for
-them.  It is checked by one walk along its arcs (``Fan.subdivision_defect``):
-orient each cone by the sign of its rays' cross product, start at the ray
-(1, 0) and follow each cone from its lower ray to its upper one.  The cones
-subdivide the quadrant exactly when the walk reaches (0, 1) after
-len(cones) steps and there are len(rays) - 1 cones.  Every step turns
-counterclockwise, so the walk meets the rays in strictly increasing angle;
-when it takes every cone and meets every ray on its way from (1, 0) to
-(0, 1), the cones tile the quadrant with disjoint interiors.  Higher
-dimensions keep a cone table that finds the cones containing a new ray
-through the face it lies on, and the facet and volume test.
+Every surface cut inserts its valuations and its resolution pivots this way,
+with no search over the cones, and builds no ``Cone``: each pivot comes from
+a closed form in the two rays of its arc.  A 2-D fan carries its rays, its
+cone keys and its arcs, and builds its ``Cone`` objects only when something
+asks for them.  It is checked by one walk along its arcs
+(``Fan.subdivision_defect``): orient each cone by the sign of its rays'
+cross product, start at the ray (1, 0) and follow each cone from its lower
+ray to its upper one.  The cones subdivide the quadrant exactly when the
+walk reaches (0, 1) after len(cones) steps and there are len(rays) - 1
+cones.  Every step turns counterclockwise, so the walk meets the rays in
+strictly increasing angle; when it takes every cone and meets every ray on
+its way from (1, 0) to (0, 1), the cones tile the quadrant with disjoint
+interiors.  Higher dimensions keep a cone table that finds the cones
+containing a new ray through the face it lies on, and the facet and volume
+test.
 
 Dimensions are capped at 6: cone and parallelepiped enumeration costs grow
 quickly and nothing in this toolkit needs more.
@@ -48,6 +53,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -61,14 +67,11 @@ from .exact import (
     is_primitive,
     lattice_vec,
     parse_int,
-    primitive_part,
     record,
     trusted,
 )
 
 MAX_DIM = 6
-
-_RESOLVE_STEP_CAP = 100_000
 
 
 def _check_dim(n: int) -> None:
@@ -182,42 +185,29 @@ class Cone:
     def parallelepiped_points(self) -> list:
         """Nonzero lattice points of {sum t_j gens[j] : 0 <= t_j < 1}, sorted.
 
-        The points are the nontrivial residues of Z^n modulo the sublattice
-        spanned by the generators; there are |det|-1 of them.  They are found
-        by closing the subgroup of (Q/Z)^n generated by the columns of the
-        inverse generator matrix, which keeps the cost proportional to |det|
-        instead of the volume of a bounding box.  The subgroup is G^-1 Z^n / Z^n,
-        G the matrix with columns gens, of order |det|, and each residue t
-        gives the integer point G t.
+        They are the |det| - 1 nontrivial residues of Z^n modulo the
+        generators' sublattice.  Their coordinates are numerators t over
+        d = |det| (``coords``), so they form the subgroup of (Z/d)^n that the
+        columns of the inward adjugate generate, closed here in integers at
+        a cost proportional to d; each t gives the point sum t_j gens[j] / d.
         """
         d = abs(self.det)
-        n = len(self.gens)
-        adj = self._inward_adjugate
-        # columns of G^{-1} reduced mod 1
-        gens_frac = []
-        for j in range(n):
-            col = tuple(Fraction(adj[i][j], d) % 1 for i in range(n))
-            gens_frac.append(col)
-        group = {(Fraction(0),) * n}
-        frontier = list(group)
+        steps = [tuple(x % d for x in col) for col in zip(*self._inward_adjugate)]
+        zero = (0,) * len(steps)
+        group = {zero}
+        frontier = [zero]
         while frontier:
             nxt = []
             for t in frontier:
-                for g in gens_frac:
-                    u = tuple((a + b) % 1 for a, b in zip(t, g))
+                for step in steps:
+                    u = tuple((a + b) % d for a, b in zip(t, step))
                     if u not in group:
                         group.add(u)
                         nxt.append(u)
             frontier = nxt
-        points = []
-        for t in group:
-            if all(x == 0 for x in t):
-                continue
-            points.append(tuple(
-                int(sum(self.gens[j][i] * t[j] for j in range(n))) for i in range(n)
-            ))
-        points.sort()
-        return points
+        group.remove(zero)
+        rows = tuple(zip(*self.gens))
+        return sorted(tuple(sum(map(mul, row, t)) // d for row in rows) for t in group)
 
 
 # ---------------------------------------------------------------------------
@@ -500,39 +490,38 @@ def orthant_fan(n: int) -> Fan:
     return Fan(n=n, rays=rays, cones=(tuple(range(n)),))
 
 
-def _subdivision_ray(fan: Fan, r) -> tuple:
-    """The primitive vector of a star subdivision of the fan at r."""
-    vec = lattice_vec(r)
-    if len(vec) != fan.n:
-        raise PreconditionError("subdivision ray dimension mismatch")
-    if all(e == 0 for e in vec):
-        raise PreconditionError("cannot subdivide at the zero vector")
-    if any(e < 0 for e in vec):
-        raise PreconditionError(f"{vec} is outside the positive orthant")
-    return primitive_part(vec)
+def insert_rays(fan: Fan, vecs) -> Fan:
+    """Star-subdivide at each v in order (skipping existing rays), then
+    resolve, building one fan; ``insert_rays(fan, ())`` only resolves.
 
+    The vecs must be primitive vectors of the orthant of the fan's
+    dimension, such as a reduction's cut valuations; they are not checked
+    again.  The result equals the chain of one-ray star subdivisions at the
+    vecs, then at one pivot after another while a cone is not smooth: the
+    least point of the fundamental parallelepiped of the first non-smooth
+    cone in key order.  That point is primitive (were it m q, m > 1, q would
+    be a smaller one), and its coordinates t_j are below 1, so the piece
+    replacing a generator g_j, t_j > 0, has |det| t_j times the cone's.  A
+    cone sharing the pivot's face gives it the same coordinates, so every
+    pivot lowers |det| on each piece it makes, and resolution ends.  Pivots
+    go in as the vecs do, and a heap of non-smooth cone keys stands for the
+    scan: a split cone's key never returns (each new key holds the new
+    ray's index), so the least key on the heap still in the fan names the
+    first non-smooth cone, and the rays come in the chain's order.
 
-def _subdivide_all(fan: Fan, vecs) -> Fan:
-    """Star-subdivide at each primitive vector in order, building one fan.
-
-    The result equals the chain of one-ray star subdivisions.  A mutable cone
-    table carries the chain, with the set of cones each ray spans and, for
-    every pending vector, a home: a current cone containing it, with its
-    coordinates there.  The cones containing the next vector v are those
-    spanned by every ray of its support in its home (the generators with
-    positive coordinate): v lies in the relative interior of that face, and
-    cones of a fan meet in common faces.  Each such cone C is replaced by one
-    piece per support ray s, spanned by v and the facet of C opposite s and
-    built from C's determinant and adjugate (``Cone._star_piece``); the
-    pending vectors homed in C are then re-homed among those pieces only.
-    The initial homes are found by one scan of the fan, first cone first, and
-    a vector in no cone becomes a ray of no cone, as the chain makes it.
-
-    A 2-D fan is subdivided in angular order instead (``_subdivide_surface``):
-    there a fan is its arcs sorted by angle, one bisection places each vector
-    and one split replaces one arc by two, where the table would keep its
-    span sets, build each piece's adjugate and re-home the split cone's
-    pending vectors.
+    A mutable cone table carries the insertion, with the set of cones each
+    ray spans and, for every pending vector, a home: a current cone
+    containing it, with its coordinates there.  The cones containing the
+    next vector v are those spanned by every ray of its support in its home
+    (the generators with positive coordinate): v lies in the relative
+    interior of that face, and cones of a fan meet in common faces.  Each
+    such cone C is replaced by one piece per support ray s, spanned by v and
+    the facet of C opposite s and built from C's determinant and adjugate
+    (``Cone._star_piece``); the pending vectors homed in C are then
+    re-homed among those pieces only.  The initial homes are found by one
+    scan of the fan, first cone first, and a vector in no cone becomes a
+    ray of no cone, as the chain makes it.  A pivot's home is its cone.  A
+    2-D fan is its arcs in angular order instead (``_subdivide_surface``).
     """
     known = set(fan.ray_set)
     pending = []
@@ -541,7 +530,7 @@ def _subdivide_all(fan: Fan, vecs) -> Fan:
             known.add(v)
             pending.append(v)
     if fan.n == 2:
-        return _subdivide_surface(fan, pending)
+        return _subdivide_surface(fan, pending, known)
     rays = list(fan.rays)
     cones = dict(zip(fan.cones, fan.max_cones))
     spans = [set() for _ in rays]  # ray index -> keys of the cones it spans
@@ -557,13 +546,12 @@ def _subdivide_all(fan: Fan, vecs) -> Fan:
                 home[pos] = (idx, nums)
                 homed.setdefault(idx, []).append(pos)
                 break
-    for pos, v in enumerate(pending):
+    for v, (idx, at_home) in _vectors_then_pivots(pending, home, cones, spans, known):
         r_idx = len(rays)
         rays.append(v)
         spans.append(set())
-        if pos not in home:
+        if idx is None:
             continue
-        idx, at_home = home.pop(pos)
         support = [i for i, x in zip(idx, at_home) if x > 0]
         for old in set.intersection(*(spans[i] for i in support)):
             cone = cones.pop(old)
@@ -602,120 +590,125 @@ def _subdivide_all(fan: Fan, vecs) -> Fan:
     )
 
 
-def _subdivide_surface(fan: Fan, pending) -> Fan:
-    """``_subdivide_all`` in dimension 2: the arcs in angular order.
+def _vectors_then_pivots(pending, home, cones, spans, known):
+    """The pending vectors, then one pivot at a time, each with its home
+    (cone key, coordinate numerators) or (None, None), for ``insert_rays``.
 
-    A 2-D fan is its cones as arcs (lo, hi) sorted by angle (``Fan._arcs``).
-    A new primitive vector v is no existing ray, so it is parallel to none
-    and lies strictly inside one arc or in a gap between arcs.  Bisecting on
-    the sign of the cross product of v with each arc's lo ray finds the last
-    arc starting before v; v splits it when it also ends after v, into the
-    cones (lo, v) and (v, hi).  A vector in a gap becomes a ray of no cone,
-    as the one-ray chain makes it.  The fan is built from its rays and arcs
-    alone, its cone keys read off the arcs: no ``Cone`` is built here, and
-    ``Fan.max_cones`` builds them when something asks.
+    Once the vectors are in, a heap holds the keys of the non-smooth cones,
+    and of cones split since; the least key still in ``cones`` is resolved
+    next, and the non-smooth pieces around its pivot, ``spans[-1]`` once
+    the table has inserted it, go onto the heap.
+    """
+    for pos, v in enumerate(pending):
+        yield v, home.pop(pos, (None, None))
+    singular = [idx for idx, cone in cones.items() if not cone.is_smooth()]
+    heapify(singular)
+    while singular:
+        idx = heappop(singular)
+        cone = cones.get(idx)
+        if cone is not None:
+            pivot = _new_pivot(known, cone.parallelepiped_points()[0])
+            yield pivot, (idx, cone.coords(pivot))
+            for piece in spans[-1]:
+                if not cones[piece].is_smooth():
+                    heappush(singular, piece)
+
+
+def _new_pivot(known: set, pivot) -> tuple:
+    """Add a pivot to the known rays.  Where cones meet in common faces a
+    pivot is no ray; a hand-built fan whose cones overlap, or with a ray of
+    no cone inside a cone, could present one, which would be added twice.
+    """
+    if pivot in known:
+        raise InvariantViolation(f"resolution pivot {pivot} is already a ray of the fan")
+    known.add(pivot)
+    return pivot
+
+
+def _subdivide_surface(fan: Fan, pending, known) -> Fan:
+    """``insert_rays`` in dimension 2: the arcs in angular order.
+
+    A 2-D fan is its cones as arcs (lo, hi) sorted by angle (``Fan._arcs``),
+    and each vector goes in by ``_split_arc``.  Resolution then pops the
+    least non-smooth cone key from a heap and inserts its arc's pivot
+    (``_arc_pivot``) the same way; the pivot splits that arc alone, so every
+    key on the heap is a cone until it is popped.  The fan is built from its
+    rays and arcs, with no ``Cone``: ``Fan.max_cones`` builds them on demand.
     """
     rays = list(fan.rays)
     arcs = list(fan._arcs)
     for v in pending:
-        r = len(rays)
-        rays.append(v)
-        x, y = v
-        # first arc whose lo ray lies after v: cross(v, lo) > 0
-        a, b = 0, len(arcs)
-        while a < b:
-            mid = (a + b) // 2
-            p, q = rays[arcs[mid][0]]
-            if x * q > y * p:
-                b = mid
-            else:
-                a = mid + 1
-        if not a:
-            continue
-        lo, hi = arcs[a - 1]
-        p, q = rays[hi]
-        if x * q > y * p:  # v lies before hi, inside the arc
-            arcs[a - 1 : a] = (lo, r), (r, hi)
+        _split_arc(rays, arcs, v)
+    singular = [(tuple(sorted(arc)), arc) for arc in arcs if _arc_det(rays, arc) > 1]
+    heapify(singular)
+    while singular:
+        lo, hi = heappop(singular)[1]
+        pivot = _new_pivot(known, _arc_pivot(rays[lo], rays[hi]))
+        for arc in _split_arc(rays, arcs, pivot):
+            if _arc_det(rays, arc) > 1:
+                heappush(singular, (tuple(sorted(arc)), arc))
     # every arc is a cone, and a new ray's index is the largest of its key
-    keys = sorted([(lo, hi) if lo < hi else (hi, lo) for lo, hi in arcs])
+    keys = sorted(tuple(sorted(arc)) for arc in arcs)
     return trusted(Fan, n=2, rays=tuple(rays), cones=tuple(keys), _arcs=tuple(arcs))
 
 
-def star_subdivide(fan: Fan, r) -> Fan:
-    """Star subdivision at a ray through r (r is made primitive internally).
+def _split_arc(rays: list, arcs: list, v) -> tuple:
+    """Add the ray v and split the arc it lies inside; return the halves.
 
-    Every maximal cone containing r is replaced by the cones spanned by r
-    together with each facet not containing r; cones not containing r are
-    kept.  Subdividing at an existing ray returns an equal fan.  This is
-    the one-ray case of the batched insertion behind ``insert_rays``: in
-    dimension 3 and up the kept cones enter the new fan as the parent's own
-    ``Cone`` objects, and the cones containing r are read off the face of
-    the first cone found to contain it, not tested one by one; a 2-D fan
-    splits the one arc r falls in and builds no ``Cone``.
+    v is parallel to no ray, so it lies strictly inside one arc or in a gap.
+    Bisecting on the sign of the cross product of v with each arc's lo ray
+    finds the last arc starting before v; v splits it into (lo, v) and
+    (v, hi) when it also ends after v.  In a gap v is a ray of no cone.
     """
-    return _subdivide_all(fan, [_subdivision_ray(fan, r)])
+    r = len(rays)
+    rays.append(v)
+    x, y = v
+    # first arc whose lo ray lies after v: cross(v, lo) > 0
+    a, b = 0, len(arcs)
+    while a < b:
+        mid = (a + b) // 2
+        p, q = rays[arcs[mid][0]]
+        if x * q > y * p:
+            b = mid
+        else:
+            a = mid + 1
+    if not a:
+        return ()
+    lo, hi = arcs[a - 1]
+    p, q = rays[hi]
+    halves = ()
+    if x * q > y * p:  # v lies before hi, inside the arc
+        arcs[a - 1 : a] = halves = (lo, r), (r, hi)
+    return halves
+
+
+def _arc_det(rays, arc) -> int:
+    """det(lo, hi) of an arc, positive: lo comes first in angle."""
+    (a, b), (c, d) = rays[arc[0]], rays[arc[1]]
+    return a * d - b * c
+
+
+def _arc_pivot(g, h) -> tuple:
+    """The least nonzero point of the parallelepiped of an arc (g, h).
+
+    Let d = det(g, h) > 1 and u . g = 1 (g is primitive, and g_0 > 0 as g
+    comes first in angle).  Then a = -u . h mod d makes h + a g = 0 mod d,
+    w = (h + a g) / d is an integer vector, and the nonzero lattice points
+    s g + t h, 0 <= s, t < 1, are x_k = k w - floor(k a / d) g for k = 1,
+    ..., d - 1, at t = k / d (Fulton, Toric Varieties, 2.6).
+    """
+    (g0, g1), (h0, h1) = g, h
+    d = g0 * h1 - g1 * h0
+    u1 = pow(g1, -1, g0)
+    u0 = (1 - u1 * g1) // g0
+    a = -(u0 * h0 + u1 * h1) % d
+    w0, w1 = (h0 + a * g0) // d, (h1 + a * g1) // d
+    return min((k * w0 - k * a // d * g0, k * w1 - k * a // d * g1) for k in range(1, d))
 
 
 def is_smooth(fan: Fan) -> bool:
     """True iff every maximal cone has determinant +-1."""
     return all(c.is_smooth() for c in fan.max_cones)
-
-
-def _first_singular_cone(fan: Fan):
-    """The first non-smooth cone of the fan in key order, or None.
-
-    A 2-D fan reads each key's determinant off the cross product of its two
-    rays and builds a ``Cone`` only for the cone it returns.
-    """
-    if fan.n != 2:
-        return next((cone for cone in fan.max_cones if not cone.is_smooth()), None)
-    rays = fan.rays
-    for i, j in fan.cones:
-        (a, b), (c, d) = rays[i], rays[j]
-        if abs(a * d - b * c) != 1:
-            return _arc_cone(rays[i], rays[j])
-    return None
-
-
-def resolve(fan: Fan) -> Fan:
-    """Refine to a smooth fan.
-
-    Repeatedly star-subdivides the first non-smooth cone (in the canonical
-    cone order) at the lexicographically smallest primitive lattice point of
-    its fundamental parallelepiped.  A non-smooth cone has one: it has a
-    nonzero parallelepiped point p = k q with q primitive, and q = p / k
-    lies in the parallelepiped too.  Each step strictly decreases the
-    affected cones' determinants, so the loop terminates.
-
-    On a 2-D fan the only ``Cone`` built is each step's pivot cone
-    (``_first_singular_cone``): the scan reads determinants off cross
-    products, and the star subdivision splits one arc and builds no cone, so
-    resolving a fan that is already smooth builds none.  Higher dimensions
-    scan and split the fan's validated cones.
-    """
-    current = fan
-    for _ in range(_RESOLVE_STEP_CAP):
-        cone = _first_singular_cone(current)
-        if cone is None:
-            return current
-        pivot = next(p for p in cone.parallelepiped_points() if is_primitive(p))
-        refined = star_subdivide(current, pivot)
-        if len(refined.rays) == len(current.rays):
-            raise InvariantViolation("resolution failed to make progress")
-        current = refined
-    raise InvariantViolation("resolution exceeded the step cap")
-
-
-def insert_rays(fan: Fan, vecs) -> Fan:
-    """Star-subdivide at each v in order (skipping existing rays), then resolve.
-
-    The vecs must be primitive vectors of the orthant of the fan's
-    dimension, such as a reduction's cut valuations; they are not checked
-    again.  All of them go into the fan in one batched insertion, which
-    builds one ``Fan`` holding every one of them as a ray; resolution then
-    runs one star subdivision per step and removes no ray.
-    """
-    return resolve(_subdivide_all(fan, vecs))
 
 
 def hirzebruch_jung_rays(a: int, b: int) -> list:

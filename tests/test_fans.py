@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from bdivkit.exact import InvariantViolation, PreconditionError, primitive_part
+from bdivkit.exact import InvariantViolation, PreconditionError, is_primitive, primitive_part
 from bdivkit.fans import (
     Cone,
     Fan,
@@ -12,8 +12,6 @@ from bdivkit.fans import (
     insert_rays,
     is_smooth,
     orthant_fan,
-    resolve,
-    star_subdivide,
 )
 
 
@@ -51,7 +49,7 @@ def test_orthant_fan_rejects_bad_dims():
 
 
 def test_star_subdivide_origin_blowup():
-    f = star_subdivide(orthant_fan(2), (1, 1))
+    f = insert_rays(orthant_fan(2), [(1, 1)])
     assert (1, 1) in f.rays
     gens = {frozenset(f.rays[i] for i in c) for c in f.cones}
     assert gens == {
@@ -62,17 +60,12 @@ def test_star_subdivide_origin_blowup():
 
 def test_star_subdivide_existing_ray_is_identity():
     f = orthant_fan(2)
-    assert star_subdivide(f, (1, 0)) == f
-
-
-def test_star_subdivide_scales_to_primitive():
-    f = star_subdivide(orthant_fan(2), (2, 2))
-    assert (1, 1) in f.rays and (2, 2) not in f.rays
+    assert insert_rays(f, [(1, 0)]) == f
 
 
 def test_star_subdivide_face_ray_3d():
     # (1,1,0) has two nonzero barycentric coordinates, hence two subcones
-    f = star_subdivide(orthant_fan(3), (1, 1, 0))
+    f = insert_rays(orthant_fan(3), [(1, 1, 0)])
     gens = {frozenset(f.rays[i] for i in c) for c in f.cones}
     assert gens == {
         frozenset({(1, 1, 0), (0, 1, 0), (0, 0, 1)}),
@@ -80,15 +73,8 @@ def test_star_subdivide_face_ray_3d():
     }
 
 
-def test_star_subdivide_rejects_bad_rays():
-    with pytest.raises(PreconditionError):
-        star_subdivide(orthant_fan(2), (0, 0))
-    with pytest.raises(PreconditionError):
-        star_subdivide(orthant_fan(2), (1, -1))
-
-
 def test_locate_blowup_fan():
-    f = star_subdivide(orthant_fan(2), (1, 1))
+    f = insert_rays(orthant_fan(2), [(1, 1)])
     loc = f.locate((2, 3))
     coords = dict(zip(loc.cone.gens, lambdas(loc)))
     assert coords == {(1, 1): 2, (0, 1): 1}
@@ -100,7 +86,7 @@ def test_locate_blowup_fan():
 
 
 def test_locate_on_ray_and_standard_cone():
-    f = star_subdivide(orthant_fan(2), (1, 1))
+    f = insert_rays(orthant_fan(2), [(1, 1)])
     loc = f.locate((1, 1))
     coords = dict(zip(loc.cone.gens, lambdas(loc)))
     assert coords[(1, 1)] == 1 and sum(coords.values()) == 1
@@ -121,17 +107,17 @@ def test_locate_errors():
 def test_is_smooth():
     assert is_smooth(orthant_fan(4))
     assert not is_smooth(cone_fan((1, 0), (1, 2)))
-    assert is_smooth(star_subdivide(orthant_fan(2), (1, 1)))
+    assert is_smooth(insert_rays(orthant_fan(2), [(1, 1)]))
 
 
 def test_resolve_examples():
     f = orthant_fan(3)
-    assert resolve(f) == f
+    assert insert_rays(f, ()) == f
 
-    r = resolve(cone_fan((1, 0), (1, 2)))
+    r = insert_rays(cone_fan((1, 0), (1, 2)), ())
     assert (1, 1) in r.rays and is_smooth(r)
 
-    r = resolve(cone_fan((1, 0), (2, 5)))
+    r = insert_rays(cone_fan((1, 0), (2, 5)), ())
     assert set(r.rays) == {(1, 0), (2, 5), (1, 1), (1, 2)}
     assert is_smooth(r)
 
@@ -142,7 +128,7 @@ def test_resolve_matches_continued_fraction_oracle():
             if gcd(a, b) != 1:
                 continue
             base = cone_fan((1, 0), (a, b))
-            r = resolve(base)
+            r = insert_rays(base, ())
             assert is_smooth(r)
             added = sorted(set(r.rays) - set(base.rays))
             assert added == sorted(hirzebruch_jung_rays(a, b)), (a, b)
@@ -155,10 +141,8 @@ def test_random_subdivisions_locate_reconstructs():
         v = tuple(rng.randint(0, 4) for _ in range(3))
         if all(e == 0 for e in v):
             continue
-        fan = star_subdivide(fan, primitive_part(v))
+        fan = insert_rays(fan, [primitive_part(v)])
         assert_cones_match_rebuild(fan)
-    fan = resolve(fan)
-    assert_cones_match_rebuild(fan)
     assert is_smooth(fan)
     for _ in range(1000):
         v = tuple(rng.randint(0, 50) for _ in range(3))
@@ -177,7 +161,7 @@ def test_interior_points_lie_in_a_unique_cone():
     rng = random.Random(404)
     fan = orthant_fan(3)
     for v in [(1, 1, 1), (2, 1, 1), (1, 3, 2)]:
-        fan = star_subdivide(fan, v)
+        fan = insert_rays(fan, [v])
         assert_cones_match_rebuild(fan)
     for _ in range(300):
         v = tuple(rng.randint(0, 20) for _ in range(3))
@@ -194,7 +178,7 @@ def test_interior_points_lie_in_a_unique_cone():
 def test_subdivision_preserves_support():
     rng = random.Random(99)
     before = orthant_fan(2)
-    after = star_subdivide(before, (3, 4))
+    after = insert_rays(before, [(3, 4)])
     for _ in range(200):
         v = tuple(rng.randint(0, 30) for _ in range(2))
         if all(e == 0 for e in v):
@@ -211,7 +195,7 @@ def test_resolve_3d_stress():
         fan = cone_fan((1, 0, 0), (0, 1, 0), v)
         if fan.max_cones[0].det == 0:
             continue
-        res = resolve(fan)
+        res = insert_rays(fan, ())
         assert is_smooth(res)
         # refinement: every original-cone sample still locates and rebuilds
         for _ in range(20):
@@ -240,7 +224,7 @@ def test_cone_validation():
 
 
 def test_fan_json_roundtrip():
-    f = star_subdivide(orthant_fan(2), (1, 1))
+    f = insert_rays(orthant_fan(2), [(1, 1)])
     data = f.to_json()
     assert data["n"] == 2
     assert Fan.from_json(data) == f
@@ -251,13 +235,13 @@ def test_parallelepiped_points():
     pts = c.parallelepiped_points()
     assert pts == [(1, 1), (1, 2), (2, 3), (2, 4)]
     assert Cone(((1, 0), (0, 1))).parallelepiped_points() == []
+    c = Cone(((1, 0, 0), (0, 1, 0), (1, 1, 2)))
+    assert c.parallelepiped_points() == [(1, 1, 1)]
 
 
 # ---------------------------------------------------------------------------
 # batched insertion, ray location and the subdivision check against the
 # one-ray-at-a-time algorithms they replace
-
-from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -286,6 +270,44 @@ def reference_star_subdivide(fan, r):
     return Fan(n=fan.n, rays=new_rays, cones=tuple(cones))
 
 
+def reference_parallelepiped_points(cone):
+    """The nonzero parallelepiped points, sorted, by closing the residue
+    group G^-1 Z^n / Z^n in Fractions: the unit vectors' coordinates mod 1."""
+    n = len(cone.gens)
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    steps = [tuple(x % 1 for x in reference_coordinates(cone.gens, e)) for e in units]
+    group = {(Fraction(0),) * n}
+    frontier = list(group)
+    while frontier:
+        nxt = []
+        for t in frontier:
+            for step in steps:
+                u = tuple((a + b) % 1 for a, b in zip(t, step))
+                if u not in group:
+                    group.add(u)
+                    nxt.append(u)
+        frontier = nxt
+    return sorted(
+        tuple(int(sum(g[i] * x for g, x in zip(cone.gens, t))) for i in range(n))
+        for t in group if any(t)
+    )
+
+
+def reference_resolve(fan):
+    """Resolution one star subdivision at a time: while a cone is not smooth,
+    subdivide at the lexicographically least primitive point of the
+    parallelepiped of the first non-smooth cone in key order."""
+    while True:
+        cone = next((c for c in fan.max_cones if abs(c.det) != 1), None)
+        if cone is None:
+            return fan
+        pivot = next(p for p in reference_parallelepiped_points(cone) if is_primitive(p))
+        refined = reference_star_subdivide(fan, pivot)
+        if len(refined.rays) == len(fan.rays):
+            raise InvariantViolation("resolution failed to make progress")
+        fan = refined
+
+
 def reference_locate(fan, v):
     """The first cone in canonical order that contains v, by a full scan."""
     for idx, cone in zip(fan.cones, fan.max_cones):
@@ -297,7 +319,7 @@ def reference_locate(fan, v):
 
 
 def test_location_is_a_tuple_with_named_fields():
-    fan = star_subdivide(orthant_fan(2), (1, 1))
+    fan = insert_rays(orthant_fan(2), [(1, 1)])
     loc = fan.locate((1, 2))
     cone, idx, nums = loc
     assert type(loc) is BarycentricResult and isinstance(loc, tuple)
@@ -356,25 +378,16 @@ def subdivision_vectors(fan):
 @given(st.data())
 def test_batched_insertion_equals_one_ray_chain(data):
     fan = data.draw(refined_fans())
-    vecs = data.draw(st.lists(subdivision_vectors(fan), min_size=1, max_size=6))
+    vecs = data.draw(st.lists(subdivision_vectors(fan), min_size=0, max_size=6))
     # duplicates: repeat a drawn vector, possibly scaled
-    if data.draw(st.booleans()):
+    if vecs and data.draw(st.booleans()):
         k = data.draw(st.integers(1, 3))
         vecs.append(tuple(k * e for e in data.draw(st.sampled_from(vecs))))
     expected = fan
     for v in vecs:
         expected = reference_star_subdivide(expected, v)
-    got = fans_mod._subdivide_all(fan, [primitive_part(v) for v in vecs])
-    assert same_fan(got, expected)
-    one_by_one = fan
-    for v in vecs:
-        one_by_one = star_subdivide(one_by_one, v)
-    assert same_fan(one_by_one, expected)
-    if fan.n <= 3:
-        # in dimension 4 resolving by the reference can take seconds
-        with mock.patch.object(fans_mod, "star_subdivide", reference_star_subdivide):
-            resolved = resolve(expected)
-        assert same_fan(insert_rays(fan, [primitive_part(v) for v in vecs]), resolved)
+    got = insert_rays(fan, [primitive_part(v) for v in vecs])
+    assert same_fan(got, reference_resolve(expected))
 
 
 @st.composite
@@ -406,32 +419,29 @@ def test_surface_insertion_in_angular_order_equals_one_ray_chain(fan_vecs):
     expected = fan
     for v in vecs:
         expected = reference_star_subdivide(expected, v)
-    got = fans_mod._subdivide_all(fan, vecs)
-    one_by_one = fan
-    for v in vecs:
-        one_by_one = star_subdivide(one_by_one, v)
-    for out in (got, one_by_one):
-        assert same_fan(out, expected)
-        assert [c.det for c in out.max_cones] == [c.det for c in expected.max_cones]
-        # the angular order handed to the next subdivision is the fan's own
-        assert out._arcs == Fan(2, out.rays, out.cones)._arcs
+    expected = reference_resolve(expected)
+    got = insert_rays(fan, vecs)
+    assert same_fan(got, expected)
+    assert [c.det for c in got.max_cones] == [c.det for c in expected.max_cones]
+    # the angular order handed to the next subdivision is the fan's own
+    assert got._arcs == Fan(2, got.rays, got.cones)._arcs
 
 
 def test_surface_insertion_refuses_overlapping_cones():
     rays = ((1, 0), (0, 1), (1, 1))
     for cones in [((0, 1), (0, 2)), ((0, 1), (1, 2)), ((0, 2), (0, 2))]:
         with pytest.raises(PreconditionError, match="overlap"):
-            star_subdivide(Fan(2, rays, cones), (2, 1))
+            insert_rays(Fan(2, rays, cones), [(2, 1)])
     # a partial fan with a gap is no overlap: (3, 2) lies in the gap
     partial = Fan(2, ((1, 0), (2, 1), (1, 1), (0, 1)), ((0, 1), (2, 3)))
-    out = star_subdivide(partial, (3, 2))
+    out = insert_rays(partial, [(3, 2)])
     assert out.cones == partial.cones and out.rays[-1] == (3, 2)
 
 
 @settings(max_examples=100, deadline=None)
 @given(refined_fans(max_rays=6))
 def test_locate_on_rays_equals_the_scan(fan):
-    fan = resolve(fan)
+    fan = insert_rays(fan, ())
     for ray in fan.rays:
         assert fan.locate(ray) == reference_locate(fan, ray)
 
@@ -447,7 +457,7 @@ def test_locate_falls_back_to_the_scan_for_rays_outside_every_cone():
 @given(refined_fans(max_rays=6), st.booleans())
 def test_subdivision_check_accepts_star_subdivision_chains(fan, smooth):
     if smooth:
-        fan = resolve(fan)
+        fan = insert_rays(fan, ())
     assert fan.subdivision_defect is None
     assert Fan.from_json(fan.to_json()) == fan
 
@@ -714,18 +724,52 @@ def test_subdivision_refuses_a_vector_that_leaves_its_cone(monkeypatch):
 
     monkeypatch.setattr(Cone, "_star_piece", hollow)
     with pytest.raises(InvariantViolation, match="left its cone"):
-        fans_mod._subdivide_all(orthant_fan(3), [(1, 1, 1), (1, 2, 3)])
-
-
-def test_resolve_stops_at_its_step_cap(monkeypatch):
-    monkeypatch.setattr(fans_mod, "_RESOLVE_STEP_CAP", 1)
-    with pytest.raises(InvariantViolation, match="step cap"):
-        resolve(cone_fan((1, 0), (1, 3)))  # two steps: (1, 1) and (2, 1)
+        insert_rays(orthant_fan(3), [(1, 1, 1), (1, 2, 3)])
 
 
 def test_resolve_refuses_a_pivot_that_is_already_a_ray():
     # the cones overlap: (1, 1, 0), the one parallelepiped point of the first
-    # cone, is a ray of the second, so the step adds no ray
+    # cone, is a ray of the second, so the step would add it twice
     fan = Fan(3, ((1, 0, 0), (1, 2, 0), (0, 0, 1), (1, 1, 0)), ((0, 1, 2), (0, 2, 3)))
+    with pytest.raises(InvariantViolation, match=r"pivot \(1, 1, 0\) is already a ray"):
+        insert_rays(fan, ())
+    # on a surface: (1, 1) lies inside the one cone and spans none
+    fan = Fan(2, ((1, 0), (1, 2), (1, 1)), ((0, 1),))
+    with pytest.raises(InvariantViolation, match=r"pivot \(1, 1\) is already a ray"):
+        insert_rays(fan, ())
     with pytest.raises(InvariantViolation, match="failed to make progress"):
-        resolve(fan)
+        reference_resolve(fan)
+
+
+# ---------------------------------------------------------------------------
+# resolution inside the insertion: integer residues, one fan per call
+
+
+@settings(max_examples=200, deadline=None)
+@given(cones_and_vectors())
+def test_integer_residues_equal_the_fraction_closure(cone_v):
+    cone, _ = cone_v
+    points = cone.parallelepiped_points()
+    assert points == reference_parallelepiped_points(cone)
+    assert len(points) == abs(cone.det) - 1
+    if len(cone.gens) == 2 and points:
+        arc = cone.gens if cone.det > 0 else cone.gens[::-1]
+        assert fans_mod._arc_pivot(*arc) == points[0]
+
+
+def test_resolving_a_long_arc_builds_one_fan(monkeypatch):
+    # {(1, 0), (1, 200)} resolves in 199 pivots, (1, 1) to (1, 199), and
+    # the insertion builds one Fan for all of them
+    fan = cone_fan((1, 0), (1, 200))
+    built = []
+    real = fans_mod.trusted
+
+    def trusted(cls, **fields):
+        built.append(cls)
+        return real(cls, **fields)
+
+    monkeypatch.setattr(fans_mod, "trusted", trusted)
+    out = insert_rays(fan, ())
+    assert built.count(Fan) == 1
+    assert out.rays == fan.rays + tuple((1, k) for k in range(1, 200))
+    assert sorted(out.rays[2:]) == sorted(hirzebruch_jung_rays(1, 200))

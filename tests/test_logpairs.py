@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bdivkit.exact import PreconditionError
-from bdivkit.fans import orthant_fan, star_subdivide
+from bdivkit.fans import orthant_fan
 from bdivkit.logpairs import (
     BDivisor,
     LocalPair,
@@ -22,6 +22,7 @@ from bdivkit.logpairs import (
     rounding_comparison,
     valuation,
 )
+from test_fans import reference_star_subdivide
 
 unit_fracs = st.fractions(min_value=F(0), max_value=F(1), max_denominator=12)
 
@@ -105,11 +106,11 @@ def test_pullback_trace_examples():
     f = orthant_fan(2)
     md = pullback_trace(p, f)
     assert dict(zip(md.fan.rays, md.ray_coeffs)) == {(1, 0): F(3, 4), (0, 1): F(5, 6)}
-    blow = star_subdivide(f, (1, 1))
+    blow = reference_star_subdivide(f, (1, 1))
     md2 = pullback_trace(p, blow)
     assert coeff(md2, (1, 1)) == F(3, 4) + F(5, 6) - 1
     q = LocalPair((F(1, 2), F(2, 3)))
-    blow12 = star_subdivide(f, (1, 2))
+    blow12 = reference_star_subdivide(f, (1, 2))
     assert coeff(pullback_trace(q, blow12), (1, 2)) == 0  # 1 - (1/2 + 2/3) clamps
 
 
@@ -121,7 +122,7 @@ def test_relative_pullback_coeff_examples():
         assert relative_pullback_coeff(md, v) == pullback_coeff(p, v)
 
     # blow-up of (C^2, (1/2, 1)) at (1,1) carrying coefficient 1/2
-    fan = star_subdivide(orthant_fan(2), (1, 1))
+    fan = reference_star_subdivide(orthant_fan(2), (1, 1))
     coeffs = []
     for r in fan.rays:
         coeffs.append({(1, 0): F(1, 2), (0, 1): F(1), (1, 1): F(1, 2)}[r])
@@ -135,7 +136,7 @@ def test_relative_pullback_well_defined_on_shared_faces():
     rng = random.Random(11)
     fan = orthant_fan(3)
     for v in [(1, 1, 1), (1, 2, 1), (2, 1, 3)]:
-        fan = star_subdivide(fan, v)
+        fan = reference_star_subdivide(fan, v)
     coeffs = tuple(F(rng.randint(0, 4), 4) for _ in fan.rays)
     md = ModelDivisor(fan, coeffs)
     # evaluate face points through every cone containing them
@@ -330,7 +331,7 @@ def test_integer_pullback_equals_the_fraction_formula_in_every_cone(data):
     vec = st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any).map(tuple)
     fan = orthant_fan(n)
     for _ in range(data.draw(st.integers(0, 4))):
-        fan = star_subdivide(fan, data.draw(vec))
+        fan = reference_star_subdivide(fan, data.draw(vec))
     md = ModelDivisor(fan, tuple(data.draw(unit_fracs) for _ in fan.rays))
     cone = data.draw(st.sampled_from(fan.max_cones))
     weights = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))

@@ -70,7 +70,7 @@ EXTRA = [
      '{"n":2,"normals":[[1,0],[-1,0],[0,1],[0,-1]],"offsets":["0","0","0","1"]}', "--verify"],
     ["polyvol", "--polytope", '{"n":3,"normals":[[0,0,1],[0,0,-1],[1,0,0],[-1,0,0],[0,1,0],'
                               '[0,-1,0]],"offsets":["0","0","0","1","0","1"]}'],
-    # reductions: a klt chart, a chart that needs resolve, and a state the
+    # reductions: a klt chart, a chart that needs resolution, and a state the
     # verifier refutes
     ["reduce", "--model", '{"n":2,"coeffs":["1/2","2/3"]}', "--B",
      '{"deviations":[{"v":[1,1],"value":"0"}]}'],
@@ -79,6 +79,11 @@ EXTRA = [
     ["verify", "--state", json.dumps({
         "fan": {"n": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]]},
         "phi": ["1/2", "2/3"],
+        "B": {"pair": ["1/2", "2/3"], "deviations": [{"v": [1, 1], "value": "0"}]}})],
+    # the same state with its rays in the other order, so its cone has det -1
+    ["verify", "--state", json.dumps({
+        "fan": {"n": 2, "rays": [[0, 1], [1, 0]], "cones": [[0, 1]]},
+        "phi": ["2/3", "1/2"],
         "B": {"pair": ["1/2", "2/3"], "deviations": [{"v": [1, 1], "value": "0"}]}})],
     # piece splits at points that are not primitive, (2, 2, 0) and (2, 2, 2)
     ["reduce", "--model", '{"n":3,"coeffs":["1","1","2/3"]}', "--B",
@@ -132,8 +137,9 @@ ALLOWED = {
         "pinned by the tracer: bench/tracing.py wraps it by name in METHODS",
     ("logpairs:mld_origin", None):
         "needed by an acceptance test: tests/test_acceptance.py calls it",
-    ("fans:hirzebruch_jung_rays", None): "test oracle: the resolve tests check against it",
-    ("fans:is_smooth", None): "test oracle: the resolve tests check their fans with it",
+    ("fans:hirzebruch_jung_rays", None):
+        "test oracle: the resolution tests check insert_rays against it",
+    ("fans:is_smooth", None): "test oracle: the resolution tests check insert_rays' fans with it",
     ("dcc:FiniteSet.to_json", None): "test oracle: the round trip of desc_from_json",
     ("dcc:StandardSet.to_json", None): "test oracle: the round trip of desc_from_json",
     ("dcc:UnionSet.to_json", None): "test oracle: the round trip of desc_from_json",
@@ -156,12 +162,11 @@ ALLOWED = {
         BREACH + "a result with a key outside JSON",
     ("cli:run_batch", "exit_code = 3"): BREACH + "a batch entry exits 3",
     ("fans:Fan.locate", "raise InvariantViolation("): BREACH + "a fan that misses a vector",
-    ("fans:_subdivide_all", "raise InvariantViolation("):
+    ("fans:insert_rays", "raise InvariantViolation("):
         BREACH + "a piece of a subdivision that loses a pending vector",
-    ("fans:resolve", 'raise InvariantViolation("resolution failed to make progress")'):
+    ("fans:_new_pivot",
+     'raise InvariantViolation(f"resolution pivot {pivot} is already a ray of the fan")'):
         BREACH + "a parallelepiped point that is a ray of another cone",
-    ("fans:resolve", 'raise InvariantViolation("resolution exceeded the step cap")'):
-        BREACH + "a resolution past its step cap",
     ("reduction:_chart_model", "basis = tuple(cone.gens[j] for j in order)"):
         BREACH + "a chart cone that is not smooth",
     ("reduction:_chart_model", 'raise InvariantViolation(f"chart cone {basis} is not smooth")'):
@@ -216,16 +221,10 @@ ALLOWED = {
         LIBRARY + "commands locate validated valuations of the fan's dimension",
     ("fans:Fan.locate", 'raise PreconditionError(f"{vec} is outside the positive orthant")'):
         LIBRARY + "commands locate validated valuations of the fan's dimension",
-    ("fans:_subdivide_all", "continue"):
+    ("fans:insert_rays", "continue"):
         LIBRARY + "a vector in no cone, as only a hand-built partial fan has",
-    ("fans:_subdivide_surface", "continue"):
+    ("fans:_split_arc", "return ()"):
         LIBRARY + "a vector in no cone, as only a hand-built partial fan has",
-    ("fans:_subdivision_ray", 'raise PreconditionError("subdivision ray dimension mismatch")'):
-        LIBRARY + "resolve subdivides at parallelepiped points",
-    ("fans:_subdivision_ray", 'raise PreconditionError("cannot subdivide at the zero vector")'):
-        LIBRARY + "resolve subdivides at parallelepiped points",
-    ("fans:_subdivision_ray", 'raise PreconditionError(f"{vec} is outside the positive orthant")'):
-        LIBRARY + "resolve subdivides at parallelepiped points",
     ("logpairs:blowup_chain_coeff",
      'raise PreconditionError("the blow-up chain oracle works in dimension 2")'):
         LIBRARY + "the oracles call it for surfaces only",

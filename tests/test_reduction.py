@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from bdivkit.exact import PreconditionError, primitive_part
-from bdivkit.fans import orthant_fan, star_subdivide
+from bdivkit.fans import orthant_fan
 from bdivkit.logpairs import (
     BDivisor,
     LocalPair,
@@ -27,6 +27,7 @@ from bdivkit.reduction import (
     stratum_weight,
     verify_reduction,
 )
+from test_fans import reference_star_subdivide
 
 
 def coeff(md, ray):
@@ -287,7 +288,7 @@ def test_descent_chain_instrumented():
     b = BDivisor(pair.coeffs, {(1, 2): F(0)})
     state = initial_state(LocalModel(pair), b)
     sigma = (1, 2)
-    y_fan = star_subdivide(state.fan, sigma)
+    y_fan = reference_star_subdivide(state.fan, sigma)
     gamma = ModelDivisor(
         y_fan,
         tuple(
@@ -317,7 +318,7 @@ def test_theta_matches_naive_computation():
     def naive_theta(state, sigmas, rays):
         gammas = []
         for s in sigmas:
-            y_fan = star_subdivide(state.fan, s)
+            y_fan = reference_star_subdivide(state.fan, s)
             gammas.append(
                 ModelDivisor(
                     y_fan,
@@ -363,7 +364,7 @@ def test_theta_matches_naive_computation():
             # the rays
             fan = state.fan
             for _ in range(rng.randint(1, 2)):
-                fan = star_subdivide(fan, random_valuation(n, 4))
+                fan = reference_star_subdivide(fan, random_valuation(n, 4))
             phi = pullback_trace(pair, fan)
             on_rays = {
                 r: c for r, c in zip(fan.rays, phi.ray_coeffs) if unit_index(r) is None
@@ -479,7 +480,7 @@ def test_randomized_reductions_small():
 
 
 def test_verify_reports_planted_violation():
-    fan = star_subdivide(orthant_fan(2), (1, 1))
+    fan = reference_star_subdivide(orthant_fan(2), (1, 1))
     coeffs = []
     for r in fan.rays:
         coeffs.append({(1, 0): F(1, 2), (0, 1): F(1, 2), (1, 1): F(1)}[r])
@@ -625,7 +626,7 @@ def test_verify_matches_the_box_scan(state, box):
 
 
 def test_verify_counts_past_a_violation_outside_the_box():
-    fan = star_subdivide(orthant_fan(2), (1, 1))
+    fan = reference_star_subdivide(orthant_fan(2), (1, 1))
     phi = ModelDivisor(fan, (F(1, 2), F(1, 2), F(1)))
     b = BDivisor((F(1, 2), F(1, 2)), {(9, 10): F(0), (3, 4): F(0), (3, 1): F(0)})
     state = ReductionState(fan, phi, b)
@@ -922,18 +923,16 @@ def test_reduce_with_two_unit_coefficient_components_exits_0():
 
 
 def test_a_klt_surface_cut_builds_no_cone_after_its_cut(monkeypatch):
-    # every arc of a klt surface cut has determinant 1: resolve splits none,
-    # and the verifier's walk reads cross products of the fan's rays
-    import bdivkit.fans as fans_mod
-
+    # every arc of a klt surface cut has determinant 1: resolution splits
+    # none, and the verifier's walk reads cross products of the fan's rays
     seen = []
-    real_resolve = fans_mod.resolve
+    real_insert_rays = reduction_mod.insert_rays
 
-    def resolve(fan):
-        seen.append(fan)
-        return real_resolve(fan)
+    def insert_rays(fan, vecs):
+        seen.append(real_insert_rays(fan, vecs))
+        return seen[-1]
 
-    monkeypatch.setattr(fans_mod, "resolve", resolve)
+    monkeypatch.setattr(reduction_mod, "insert_rays", insert_rays)
     pair = LocalPair((F(4, 5), F(5, 6)))
     trace = run_reduction(LocalModel(pair), BDivisor(pair.coeffs, {(2, 3): F(0)}))
     final = trace.final_state.fan

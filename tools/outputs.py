@@ -1,0 +1,130 @@
+"""Hash what bdivkit prints for a fixed set of inputs, in one process.
+
+Usage: python3 tools/outputs.py TARGET...
+
+Each TARGET is one of
+  WORKLOAD:SEED  every op that the benchmark's ``workloads.generate`` makes
+                 for that workload and seed (reduce_cut, batch_small);
+  surface        ``reduce`` on every model (c, 1), c in 1/2, 2/3, 3/4, with
+                 B = 0 at one primitive (a, b) in [1, 12]^2: 273 inputs;
+  threefold      ``reduce`` on every model (c, 1, 1), c as above, with two
+                 deviations: a pair of the 16 primitive vectors of [0, 2]^3
+                 with at least two nonzero entries, each with a value in
+                 0, 1/3, 1/2: 3,240 inputs.
+
+Every input runs through ``bdivkit.cli.main`` in this process, with the
+package imported from PYTHONPATH.  The tool prints one sha256 over the argv,
+exit code, stdout and stderr of every input in order, the count per exit
+code with the first few argv of each nonzero code, and the wall time.  Two
+builds print equal digests exactly when they answer every input alike, so
+a change that must not alter any output quotes the digest at both.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+import time
+from itertools import combinations, product
+from math import gcd
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+from workloads import WORKLOADS, generate  # noqa: E402
+
+from bdivkit.cli import main  # noqa: E402
+
+COEFFS = ("1/2", "2/3", "3/4")
+SHOWN = 5  # argv listed per nonzero exit code
+
+
+def _reduce(coeffs, deviations) -> list:
+    return [
+        "reduce",
+        "--model", json.dumps({"n": len(coeffs), "coeffs": list(coeffs)}),
+        "--B", json.dumps({"deviations": [{"v": list(v), "value": x} for v, x in deviations]}),
+    ]
+
+
+def surface_census() -> list:
+    """The 273 argv of the surface census, in a fixed order."""
+    points = [(a, b) for a in range(1, 13) for b in range(1, 13) if gcd(a, b) == 1]
+    return [_reduce((c, "1"), [(v, "0")]) for c in COEFFS for v in points]
+
+
+def threefold_census() -> list:
+    """The 3,240 argv of the threefold census, in a fixed order."""
+    vecs = [
+        v for v in product(range(3), repeat=3)
+        if sum(map(bool, v)) >= 2 and gcd(*v) == 1
+    ]
+    values = ("0", "1/3", "1/2")
+    return [
+        _reduce((c, "1", "1"), [(v, x), (w, y)])
+        for c in COEFFS
+        for v, w in combinations(vecs, 2)
+        for x, y in product(values, repeat=2)
+    ]
+
+
+def run(argv) -> tuple:
+    """(exit code, stdout, stderr) of one command line; a traceback is 1."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        code = exc.code if isinstance(exc.code, int) else 1
+    except Exception as exc:
+        code = 1
+        err.write(repr(exc))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _inputs(target: str):
+    """(argv list, files the argv read) for one target."""
+    if target == "surface":
+        return surface_census(), {}
+    if target == "threefold":
+        return threefold_census(), {}
+    workload, _, seed = target.partition(":")
+    if workload not in WORKLOADS or not seed.isdigit():
+        raise SystemExit(f"unknown target {target!r}: WORKLOAD:SEED, surface or threefold")
+    ops = generate(workload, int(seed))
+    return [op["argv"] for ops_round in ops["rounds"] for op in ops_round], ops["files"]
+
+
+def main_outputs(targets) -> int:
+    digest = hashlib.sha256()
+    codes = {}
+    start = time.perf_counter()
+    for target in targets:
+        argvs, files = _inputs(target)
+        with tempfile.TemporaryDirectory() as work, contextlib.chdir(work):
+            for name, text in files.items():
+                Path(name).write_text(text)
+            for argv in argvs:
+                code, out, err = run(argv)
+                record = json.dumps([argv, code, out, err])
+                digest.update(record.encode())
+                digest.update(b"\n")
+                codes.setdefault(code, []).append(argv)
+    print(f"sha256 {digest.hexdigest()}")
+    for code in sorted(codes):
+        print(f"exit {code}: {len(codes[code])}")
+        if code:
+            for argv in codes[code][:SHOWN]:
+                print("  " + " ".join(argv))
+    print(f"wall {time.perf_counter() - start:.2f} s")
+    return 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) < 2:
+        raise SystemExit(__doc__)
+    sys.exit(main_outputs(sys.argv[1:]))
