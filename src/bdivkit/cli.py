@@ -6,8 +6,10 @@ newline, written in one pass by ``_dump``; scan commands emit CSV.  Errors
 are machine-readable JSON on stderr with exit code 2 for precondition
 violations and 3 for internal invariant breaches.  ``--verify`` re-runs an
 oracle next to the fast path and fails loudly (exit 3) on any mismatch; for
-hurwitz, product, minvol, sylvester, polyvol, lcoeff with n != 2, weight
-and reduce the oracle shares code or values with the fast path.
+hurwitz, product, minvol, sylvester, polyvol, lcoeff with n != 2 and weight
+the oracle shares code or values with the fast path.  ``reduce`` has no
+oracle of its own: it always runs ``verify_reduction`` on its output and
+prints ``verify_ok``, and with ``--verify`` it says "oracle-skipped".
 
 The command line is ``bdivkit COMMAND [OPTION ...]``, read by ``Parser``
 straight from the table ``_COMMANDS``; an error in argv itself exits 2 with
@@ -79,7 +81,6 @@ from .logpairs import (
 from .reduction import (
     LocalModel,
     ReductionState,
-    check_box,
     pair_weight_witness,
     positive_pullback_prefixes,
     run_reduction,
@@ -271,11 +272,14 @@ def _cmd_weight(p):
         raise PreconditionError(
             f"stratum must be a list of 1-based component indices, got {stratum!r}"
         )
-    if stratum:
+    if stratum is not None:
         raw = [parse_int(i, "stratum") for i in stratum]
         for i in raw:
             if not 1 <= i <= model.n:
                 raise PreconditionError(f"stratum index {i} is outside 1..{model.n}")
+        if len(set(raw)) < len(raw):
+            raise PreconditionError(f"stratum {raw} lists an index twice")
+        # stratum_weight refuses an empty stratum
         inverse = {orig: new for new, orig in enumerate(perm)}
         mapped = tuple(sorted(inverse[i - 1] for i in raw))
         w, witness = stratum_weight(model, bdiv, mapped)
@@ -295,13 +299,8 @@ def _cmd_weight(p):
 
 def _cmd_reduce(p):
     model, bdiv, perm = _arranged_model(p)
-    # a bad box is refused before the reduction does its work
-    box = parse_int(_arg(p, "box", 12), "box")
-    if p.get("verify"):
-        box *= 2
-    check_box(box)
     trace = run_reduction(model, bdiv)
-    report = verify_reduction(trace.final_state, box)
+    report = verify_reduction(trace.final_state)
     if not report.ok:
         raise InvariantViolation(
             f"reduction output violates the bound at {report.violation[0]}"
@@ -309,15 +308,14 @@ def _cmd_reduce(p):
     out = trace.to_json()
     out["model"] = model.pair.to_json()
     out["permutation"] = list(perm)
-    out["verified_box"] = box
     out["verify_ok"] = True
+    if p.get("verify"):
+        out["verified"] = "oracle-skipped"
     return out
 
 
 def _cmd_verify(p):
-    state = ReductionState.from_json(p["state"])
-    box = parse_int(_arg(p, "box", 12), "box")
-    return verify_reduction(state, box).to_json()
+    return verify_reduction(ReductionState.from_json(p["state"])).to_json()
 
 
 def _cmd_closure(p):
@@ -756,12 +754,10 @@ _COMMANDS = {
                (("--model", _JSON), ("--B", _JSON),
                 ("--stratum", _JSON, "1-based component indices")),
                _cmd_weight),
-    "reduce": ("run the weight-descent reduction",
-               (("--model", _JSON), ("--B", _JSON),
-                ("--box", int, "box of the checked count (default 12)")),
+    "reduce": ("run the weight-descent reduction", (("--model", _JSON), ("--B", _JSON)),
                _cmd_reduce),
-    "verify": ("check pullback <= B at every valuation of a state",
-               (("--state", _JSON), ("--box", int)), _cmd_verify),
+    "verify": ("check pullback <= B at every valuation of a state", (("--state", _JSON),),
+               _cmd_verify),
     "closure": ("closure of a base under b1+b2-1",
                 (("--base", _JSON), ("--denom-bound", int), ("--include-one", _FLAG)),
                 _cmd_closure),

@@ -65,10 +65,6 @@ from .logpairs import (
     unit_index,
 )
 
-# the verifier's box count costs O(box); larger boxes are refused
-MAX_BOX = 1_000_000
-
-
 @record
 class LocalModel:
     """A local pair with its coefficient-one components listed last."""
@@ -565,28 +561,31 @@ def _straddle_points(fan: Fan, idx, nums, b, supp) -> list:
 def _cut_state(state: ReductionState, located: dict, gaps: dict, new_fan: Fan) -> tuple:
     """The state on new_fan with trace min(theta, B), and theta itself.
 
-    The minimum is taken only at the rays B lists as deviations and at the
-    unit rays.  At every other ray B is 1, and theta is at most gap / scale
-    <= 1, so the trace there is theta itself, the value ``min`` returns.
+    The minimum is taken only at the rays B lists as deviations.  At every
+    other ray that is not a unit vector B is 1, and theta is at most
+    gap / scale <= 1, so the trace there is theta itself, the value ``min``
+    returns.  A unit ray is a ray of the old fan, and at a ray r of the old
+    fan theta(r) is r's old trace coefficient: in a cone holding r and
+    sigma, r has coordinates e_r, so mu_sigma(r) > 0 (see ``_theta_coeffs``)
+    would need sigma's support to be r alone, making sigma the ray r, which
+    ``build_cut`` refuses.  The old trace agrees with B on its rays, so at a
+    unit ray theta is B's value there, the pair's coefficient.
+    ``trace_consistent`` checks the outcome.
     """
     rays = new_fan.rays
     theta = _theta_coeffs(state, located, gaps, rays)
     listed = state.bdiv.deviations
-    coeffs = [min(t, listed[r]) if r in listed else t for t, r in zip(theta, rays)]
-    n = new_fan.n
-    units = [tuple([int(j == i) for j in range(n)]) for i in range(n)]
-    for u, c in zip(units, state.bdiv.pair_coeffs):
-        if u in new_fan.ray_set:
-            i = rays.index(u)
-            coeffs[i] = min(coeffs[i], c)
-    new_phi_coeffs = tuple(coeffs)
+    new_phi_coeffs = tuple(
+        min(t, listed[r]) if r in listed else t for t, r in zip(theta, rays)
+    )
     # fan rays are valuations and every coefficient lies in [0, 1]: theta
     # is clipped to [0, pb] and B's values are in [0, 1].  Every ray but
     # the unit vectors becomes a deviation; no deviation is a unit vector.
     devs = dict(listed)
     devs.update(zip(rays, new_phi_coeffs))
-    for u in units:
-        devs.pop(u, None)
+    n = new_fan.n
+    for i in range(n):
+        devs.pop(tuple([int(j == i) for j in range(n)]), None)
     new_bdiv = trusted(BDivisor, pair_coeffs=state.bdiv.pair_coeffs, deviations=devs)
     new_phi = trusted(ModelDivisor, fan=new_fan, ray_coeffs=new_phi_coeffs)
     new_state = ReductionState(new_fan, new_phi, new_bdiv)
@@ -797,12 +796,11 @@ def run_reduction(model: LocalModel, bdiv: BDivisor) -> ReductionTrace:
 @record
 class VerifyReport:
     ok: bool
-    box: int
     checked: int
     violation: tuple | None  # (vector, pullback, b_value)
 
     def to_json(self) -> dict:
-        out = {"ok": self.ok, "box": self.box, "checked": self.checked}
+        out = {"ok": self.ok, "checked": self.checked}
         if self.violation is not None:
             vec, pb, bv = self.violation
             out["violation"] = {
@@ -813,58 +811,8 @@ class VerifyReport:
         return out
 
 
-def _mobius(m: int) -> list:
-    """mu(0..m) by a sieve (mu(0) is unused)."""
-    mu = [1] * (m + 1)
-    composite = bytearray(m + 1)
-    for p in range(2, m + 1):
-        if composite[p]:
-            continue
-        for k in range(p, m + 1, p):
-            composite[k] = 1
-            mu[k] = -mu[k]
-        for k in range(p * p, m + 1, p * p):
-            mu[k] = 0
-    return mu
-
-
-def primitive_box_count(n: int, box: int, upto=None) -> int:
-    """Primitive nonzero vectors u of [0, box]^n, only u <=_lex upto if given.
-
-    Mobius inversion over the gcd: sum over d of mu(d) times the number of
-    nonzero such u with every entry a multiple of d.  Those are counted by
-    the first position k where u leaves upto (u_k < upto_k, any tail), plus
-    u = upto itself.
-    """
-    upto = upto or (box,) * n
-    mu = _mobius(box)
-    total = 0
-    for d in range(1, box + 1):
-        if mu[d] == 0:
-            continue
-        side = box // d + 1  # multiples of d in [0, box]
-        count = 0
-        for k, b in enumerate(upto):
-            if b > 0:
-                count += (min(b - 1, box) // d + 1) * side ** (n - k - 1)
-            if b > box or b % d:
-                break
-        else:
-            count += 1
-        total += mu[d] * (count - 1)  # the zero vector is a multiple of every d
-    return total
-
-
-def check_box(box: int) -> None:
-    """Refuse a box outside 1..MAX_BOX, the range the verifier counts."""
-    if box < 1:
-        raise PreconditionError("box must be >= 1")
-    if box > MAX_BOX:
-        raise PreconditionError(f"box {box} exceeds the cap MAX_BOX = {MAX_BOX}")
-
-
-def verify_reduction(state: ReductionState, box: int) -> VerifyReport:
-    """Check pullback(phi) <= B on every valuation, reporting a box count.
+def verify_reduction(state: ReductionState) -> VerifyReport:
+    """Check pullback(phi) <= B on every valuation, reporting what it evaluated.
 
     Only fan rays and listed deviations can violate the bound, so only they
     are evaluated.  Proof: the fan is first checked to subdivide the orthant
@@ -874,10 +822,9 @@ def verify_reduction(state: ReductionState, box: int) -> VerifyReport:
     has B(v) = 1, while pullback(v) = max(0, 1 - sum lam_j (1 - g_j)) <= 1
     since lam_j >= 0 and every trace coefficient g_j <= 1.
 
-    The report matches a lexicographic scan of the fan rays, the listed
-    deviations and the primitive vectors with entries <= box, stopped at the
-    first violation: ``checked`` counts those candidates up to and including
-    it (all of them when none fails), the box part by Mobius inversion.
+    The fan rays and listed deviations are evaluated in lexicographic order,
+    stopping at the first violation: ``checked`` counts the vectors
+    evaluated, up to and including it (all of them when none fails).
 
     At a fan ray r_i the pullback is its own trace coefficient g_i.  The
     subdivision check has found that every ray spans a cone, and in such a
@@ -889,7 +836,6 @@ def verify_reduction(state: ReductionState, box: int) -> VerifyReport:
     from ``pullback_gap``, the bound fails exactly when gap * q > p * scale.
     Fractions are built only for a violation.
     """
-    check_box(box)
     defect = state.fan.subdivision_defect
     if defect is not None:
         raise InvariantViolation(f"the fan does not subdivide the orthant: {defect}")
@@ -897,8 +843,7 @@ def verify_reduction(state: ReductionState, box: int) -> VerifyReport:
     ray_index = fan.ray_index
     coeffs = state.phi.ray_coeffs
     listed = sorted(set(fan.rays).union(state.bdiv.deviations))
-    outside = [vec for vec in listed if max(vec) > box]
-    for vec in listed:
+    for checked, vec in enumerate(listed, 1):
         bv = state.value(vec)
         i = ray_index.get(vec)
         if i is not None:
@@ -910,9 +855,5 @@ def verify_reduction(state: ReductionState, box: int) -> VerifyReport:
             if gap * bv.denominator <= bv.numerator * scale:
                 continue
             pb = Fraction(gap, scale)
-        checked = primitive_box_count(fan.n, box, vec) + sum(
-            1 for u in outside if u <= vec
-        )
-        return VerifyReport(ok=False, box=box, checked=checked, violation=(vec, pb, bv))
-    checked = primitive_box_count(fan.n, box) + len(outside)
-    return VerifyReport(ok=True, box=box, checked=checked, violation=None)
+        return VerifyReport(ok=False, checked=checked, violation=(vec, pb, bv))
+    return VerifyReport(ok=True, checked=len(listed), violation=None)

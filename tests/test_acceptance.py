@@ -172,7 +172,7 @@ def test_criterion_7_reduction_suite():
             assert all(a > b for a, b in zip(weights, weights[1:]))
             assert trace.terminated_weight == -1
             assert len(trace.steps) <= max(trace.initial_weight, 0) + 1
-            report = verify_reduction(trace.final_state, 12)
+            report = verify_reduction(trace.final_state)
             assert report.ok, report.violation
             ran += 1
         assert ran == 200

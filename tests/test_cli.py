@@ -33,7 +33,7 @@ CASES = {
     "weight": ["weight", "--model", '{"n":2,"coeffs":["1/2","1"]}', "--B",
                '{"deviations":[{"v":[1,2],"value":"0"}]}'],
     "reduce": ["reduce", "--model", '{"n":2,"coeffs":["1/2","1"]}', "--B",
-               '{"deviations":[{"v":[1,2],"value":"0"}]}', "--box", "8"],
+               '{"deviations":[{"v":[1,2],"value":"0"}]}'],
     # cuts that resolve: five pivots on a surface, taken out of angular
     # order, and eight on a threefold, whose new rays include one of
     # pullback 0 with a witness of lower weight left in a cone
@@ -44,8 +44,7 @@ CASES = {
                          '{"v":[0,1,3],"value":"1/2"}]}'],
     "verify": ["verify", "--state",
                '{"fan":{"n":2,"rays":[[1,0],[0,1]],"cones":[[0,1]]},'
-               '"phi":["1/2","2/3"],"B":{"pair":["1/2","2/3"],"deviations":[]}}',
-               "--box", "6"],
+               '"phi":["1/2","2/3"],"B":{"pair":["1/2","2/3"],"deviations":[]}}'],
     "closure": ["closure", "--base", '["1/2","2/3"]', "--denom-bound", "6", "--verify"],
     "chain": ["chain", "--set",
               json.dumps({
@@ -153,7 +152,7 @@ def test_verify_subcommand_reports_planted_violation():
             "deviations": [{"v": [1, 1], "value": "0"}],
         },
     }
-    code, out, _ = run_cli(["verify", "--state", json.dumps(state), "--box", "5"])
+    code, out, _ = run_cli(["verify", "--state", json.dumps(state)])
     assert code == 0
     data = json.loads(out)
     assert data["ok"] is False
@@ -177,7 +176,7 @@ def test_file_flag_supplies_inputs(tmp_path):
             }
         )
     )
-    code, out, _ = run_cli(["reduce", "--file", str(payload), "--box", "6"])
+    code, out, _ = run_cli(["reduce", "--file", str(payload)])
     assert code == 0
     assert json.loads(out)["terminated_weight"] == -1
 
@@ -274,7 +273,7 @@ def test_verify_accepts_reduce_output():
     code, out, _ = run_cli(CASES["reduce"])
     assert code == 0
     final = json.loads(out)["final"]
-    code2, out2, _ = run_cli(["verify", "--state", json.dumps(final), "--box", "12"])
+    code2, out2, _ = run_cli(["verify", "--state", json.dumps(final)])
     assert code2 == 0
     assert json.loads(out2)["ok"] is True
 
@@ -400,8 +399,6 @@ BAD_INPUTS = [
     pytest.param(["fermat", "--scan", "--n-max", "3000"], id="fermat scan n_max past the cap"),
     pytest.param(["charp", "--q-max", "100000"], id="charp q_max past the cap"),
     # an explicit zero or negative value is not the default
-    pytest.param(CASES["reduce"][:-1] + ["0"], id="reduce box 0"),
-    pytest.param(CASES["verify"][:-1] + ["0"], id="verify box 0"),
     pytest.param(["fermat", "--scan", "--n-max", "0"], id="fermat scan n_max 0"),
     pytest.param(["dcc", "--set", '{"kind":"standard"}', "--rounds", "-1", "--max-size", "-5"],
                  id="dcc negative rounds and max_size"),
@@ -427,10 +424,6 @@ BAD_INPUTS = [
     # a closure past its size cap
     pytest.param(_CLOSURE_PAST_THE_CAP, id="closure past the size cap"),
     pytest.param(_POLYTOPE_PAST_THE_CAP, id="polyvol past the subset cap"),
-    # the box of `reduce` is checked before the reduction runs
-    pytest.param(_SLOW_REDUCE + ["--box", "0"], id="reduce box 0 before the cut"),
-    pytest.param(_SLOW_REDUCE + ["--box", "600000", "--verify"],
-                 id="reduce box past the cap after doubling"),
     # every refusal a command line can reach; the argv orders keep the first
     # two tokens of each existing command line unique where they were
     pytest.param(["polyvol", "--polytope", '{"n":5,"normals":[[1,0,0,0,0]],"offsets":["0"]}'],
@@ -569,6 +562,16 @@ BAD_INPUTS = [
     # a count past the digit limit that only printing it can find; "--n=" keeps
     # the first two tokens, which name the full-parser case, new
     pytest.param(["product", "--n=2000", "--g", "1000000"], id="product past the digit limit"),
+    # the verifier evaluates only fan rays and listed deviations, so neither
+    # command has a box option; the parser refuses it before any reduction
+    pytest.param(CASES["reduce"] + ["--box", "8"], id="reduce --box"),
+    pytest.param(CASES["reduce"] + ["--verify", "--box=16"], id="reduce --box with --verify"),
+    pytest.param(_SLOW_REDUCE + ["--box", "0"], id="reduce --box before the cut"),
+    pytest.param(CASES["verify"] + ["--box", "6"], id="verify --box"),
+    # a stratum is a set of components: no index twice, and not empty
+    pytest.param(CASES["weight"] + ["--stratum", "[2,2,1]"],
+                 id="weight stratum listing an index twice"),
+    pytest.param(CASES["weight"] + ["--stratum", "[]"], id="weight empty stratum"),
 ]
 
 
@@ -593,8 +596,8 @@ _DIGIT_LIMIT = f"{sys.get_int_max_str_digits()} digits"
     (["constants", "--n", "2000", "--eps", "1", "--gamma0", "1", "--delta", "1/2"], _DIGIT_LIMIT),
     (["fermat", "--scan", "--n-max", "799"], "FERMAT_SCAN_N_CAP = 798"),
     (["charp", "--q-max", "10001"], "CHARP_Q_CAP = 10000"),
-    (CASES["reduce"][:-1] + ["0"], "box must be >= 1"),
-    (CASES["verify"][:-1] + ["0"], "box must be >= 1"),
+    (CASES["reduce"] + ["--box", "8"], "unrecognized arguments: --box 8"),
+    (CASES["verify"] + ["--box", "6"], "unrecognized arguments: --box 6"),
     (["fermat", "--scan", "--n-max", "0"], "need n_max >= 1"),
     (["dcc", "--set", '{"kind":"standard"}', "--rounds", "-1", "--max-size", "-5"],
      "rounds must be >= 1, got -1"),
@@ -611,23 +614,11 @@ _DIGIT_LIMIT = f"{sys.get_int_max_str_digits()} digits"
       '{"n":2,"rays":[[1.0,0],[0,1]],"cones":[[0,1]]}'],
      "argument 'rays' must be an integer, got 1.0"),
     (_POLYTOPE_PAST_THE_CAP, "POLYTOPE_SUBSET_CAP = 6000"),
+    (CASES["weight"] + ["--stratum", "[2,2,1]"], "stratum [2, 2, 1] lists an index twice"),
+    (CASES["weight"] + ["--stratum", "[]"], "stratum must be a nonempty index set"),
 ])
 def test_errors_name_their_cause(argv, cause):
-    code, _, err = run_cli(argv)
-    assert code == 2
-    assert cause in json.loads(err)["error"]
-
-
-@pytest.mark.parametrize("argv, cause", [
-    (_SLOW_REDUCE + ["--box", "0"], "box must be >= 1"),
-    (_SLOW_REDUCE + ["--box", "600000", "--verify"], "box 1200000 exceeds the cap"),
-])
-def test_reduce_refuses_a_bad_box_before_it_reduces(monkeypatch, argv, cause):
-    def reduction_ran(*args):
-        raise AssertionError("run_reduction ran before the box was checked")
-
-    monkeypatch.setattr(cli_mod, "run_reduction", reduction_ran)
-    code, _, err = run_cli(argv)
+    code, _, err = _run_catching_exit(main, argv)  # an error in argv exits from the parser
     assert code == 2
     assert cause in json.loads(err)["error"]
 
@@ -640,6 +631,16 @@ def test_ltrace_verify_outside_dimension_2_says_its_oracle_was_skipped():
         "--verify"])
     assert code == 0
     assert json.loads(out)["verified"] == "oracle-skipped"
+
+
+def test_reduce_verify_says_its_oracle_was_skipped():
+    # verify_reduction runs on every output, --verify or not, and shares the
+    # cut's pullback_gap and Fan.locate, so --verify adds only the label
+    code, out, _ = run_cli(CASES["reduce"] + ["--verify"])
+    assert code == 0
+    data = json.loads(out)
+    assert data.pop("verified") == "oracle-skipped"
+    assert data == json.loads((GOLDEN / "reduce.out").read_text())
 
 
 def test_mld_verify_says_its_oracle_was_skipped_past_the_box_cap():
@@ -868,8 +869,7 @@ _PAIR = {"n": 2, "coeffs": ["1/2", "2/3"]}
 _TEMPLATES = {
     "ltrace": {"pair": _PAIR, "fan": _FAN},
     "verify": {"state": {"fan": _FAN, "phi": ["1/2", "2/3", "1/6"],
-                         "B": {"pair": ["1/2", "2/3"], "deviations": []}},
-               "box": 4},
+                         "B": {"pair": ["1/2", "2/3"], "deviations": []}}},
     "polyvol": {"polytope": {"n": 2, "normals": [[1, 0], [0, 1], [-1, -1]],
                              "offsets": ["0", "0", "1"]}},
     "ldisc": {"pair": _PAIR, "v": [1, 2]},
@@ -886,7 +886,7 @@ _TEMPLATES = {
     "pnvol": {"n": 1, "coeffs": ["1/2", "2/3", "6/7"], "sylvester": False, "verify": True},
     "fermat": {"n": 5, "m": 8, "verify": True},
     "reduce": {"model": {"n": 2, "coeffs": ["1/2", "1"]},
-               "B": {"deviations": [{"v": [1, 2], "value": "0"}]}, "box": 4, "verify": True},
+               "B": {"deviations": [{"v": [1, 2], "value": "0"}]}, "verify": True},
     "lcoeff": {"pair": _PAIR, "v": [2, 1], "verify": True},
     "mld": {"pair": _PAIR, "verify": True},
     "fset": {"model": _PAIR, "verify": True},
@@ -991,8 +991,8 @@ _REFERENCE_OPTIONS = {
     "round-check": (("--coeffs", _RJ), ("--m", _RI)),
     "fset": (("--model", _RJ),),
     "weight": (("--model", _RJ), ("--B", _RJ), ("--stratum", _RJ)),
-    "reduce": (("--model", _RJ), ("--B", _RJ), ("--box", _RI)),
-    "verify": (("--state", _RJ), ("--box", _RI)),
+    "reduce": (("--model", _RJ), ("--B", _RJ)),
+    "verify": (("--state", _RJ),),
     "closure": (("--base", _RJ), ("--denom-bound", _RI), ("--include-one", _RF)),
     "chain": (("--set", _RJ), ("--length", _RI), ("--denom-bound", _RI)),
     "dcc": (("--set", _RJ), ("--threshold", _RI), ("--denom-bound", _RI), ("--rounds", _RI),
@@ -1304,9 +1304,8 @@ def test_chain_verify_rejects_a_chain_outside_its_set(monkeypatch):
 def test_reduce_refuses_an_output_the_verifier_refutes(monkeypatch):
     from bdivkit.reduction import VerifyReport
 
-    def refuted(state, box):
-        return VerifyReport(ok=False, box=box, checked=1,
-                            violation=((1, 1), Fraction(1), Fraction(0)))
+    def refuted(state):
+        return VerifyReport(ok=False, checked=1, violation=((1, 1), Fraction(1), Fraction(0)))
 
     monkeypatch.setattr(cli_mod, "verify_reduction", refuted)
     code, out, err = run_cli(CASES["reduce"])

@@ -214,7 +214,7 @@ def test_worked_example_reduction():
     assert all(a > b2 for a, b2 in zip(weights, weights[1:]))
     assert (1, 2) in trace.final_state.fan.ray_set
     assert coeff(trace.final_state.phi, (1, 2)) == 0
-    assert verify_reduction(trace.final_state, 12).ok
+    assert verify_reduction(trace.final_state).ok
 
 
 def test_reduction_trivial_case():
@@ -231,7 +231,7 @@ def test_reduction_3d_example():
     assert weights[0] <= 1
     assert all(a > b2 for a, b2 in zip(weights, weights[1:]))
     assert trace.terminated_weight == -1
-    assert verify_reduction(trace.final_state, 8).ok
+    assert verify_reduction(trace.final_state).ok
 
 
 def test_weight_never_increases_under_any_cut():
@@ -425,7 +425,7 @@ def test_multi_cut_regression():
     assert trace.terminated_weight == -1
     assert (3, 2) in trace.final_state.fan.ray_set
     assert (4, 1) in trace.final_state.fan.ray_set
-    assert verify_reduction(trace.final_state, 12).ok
+    assert verify_reduction(trace.final_state).ok
 
 
 @pytest.mark.parametrize(
@@ -445,7 +445,7 @@ def test_cut_splits_a_witness_cone_across_a_piece(coeffs, devs):
     assert [s.weight_before for s in trace.steps] == [1]
     assert trace.terminated_weight == -1
     assert (1, 1, 2) in trace.steps[0].rays_added
-    assert verify_reduction(trace.final_state, 12).ok
+    assert verify_reduction(trace.final_state).ok
 
 
 def test_randomized_reductions_small():
@@ -476,7 +476,7 @@ def test_randomized_reductions_small():
         ]
         assert all(a > b2 for a, b2 in zip(weights, weights[1:]))
         assert trace.terminated_weight == -1
-        assert verify_reduction(trace.final_state, 10).ok
+        assert verify_reduction(trace.final_state).ok
 
 
 def test_verify_reports_planted_violation():
@@ -487,7 +487,7 @@ def test_verify_reports_planted_violation():
     phi = ModelDivisor(fan, tuple(coeffs))
     b = BDivisor((F(1, 2), F(1, 2)), {(1, 1): F(0)})
     state = ReductionState(fan, phi, b)
-    report = verify_reduction(state, 6)
+    report = verify_reduction(state)
     assert not report.ok
     assert report.violation[0] == (1, 1)
     assert report.violation[1] == 1 and report.violation[2] == 0
@@ -496,7 +496,7 @@ def test_verify_reports_planted_violation():
 def test_verify_trivial_state():
     pair = LocalPair((F(1, 2), F(2, 3)))
     state = initial_state(LocalModel(pair), BDivisor(pair.coeffs, {}))
-    report = verify_reduction(state, 8)
+    report = verify_reduction(state)
     assert report.ok and report.violation is None
 
 
@@ -523,11 +523,11 @@ from hypothesis import strategies as st
 from bdivkit.exact import InvariantViolation
 from bdivkit.fans import Fan
 from bdivkit.logpairs import unit_index
-from bdivkit.reduction import MAX_BOX, VerifyReport, primitive_box_count
 
 
 def reference_verify(state, box):
-    """Scan rays, deviations and every primitive box vector in lex order."""
+    """(ok, violation) of a lex scan of the rays, the deviations and every
+    primitive vector with entries <= box."""
     candidates = set(state.fan.rays)
     candidates.update(state.bdiv.deviations)
     for vec in product(range(box + 1), repeat=state.fan.n):
@@ -536,29 +536,21 @@ def reference_verify(state, box):
             g = gcd(g, e)
         if g == 1:
             candidates.add(vec)
-    checked = 0
     for vec in sorted(candidates):
         pb = relative_pullback_coeff(state.phi, vec)
         bv = state.value(vec)
-        checked += 1
         if pb > bv:
-            return VerifyReport(ok=False, box=box, checked=checked, violation=(vec, pb, bv))
-    return VerifyReport(ok=True, box=box, checked=checked, violation=None)
+            return False, (vec, pb, bv)
+    return True, None
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(1, 4),
-    st.integers(1, 9),
-    st.lists(st.integers(0, 11), min_size=4, max_size=4),
-)
-def test_primitive_box_count_matches_enumeration(n, box, bound):
-    upto = tuple(bound[:n]) if any(bound[:n]) else None
-    points = [
-        v for v in product(range(box + 1), repeat=n)
-        if any(v) and gcd(*v) == 1 and (upto is None or v <= upto)
-    ]
-    assert primitive_box_count(n, box, upto) == len(points)
+def listed_up_to(state, report) -> int:
+    """How many fan rays and listed deviations are <=_lex the violation (all
+    of them when there is none)."""
+    listed = set(state.fan.rays).union(state.bdiv.deviations)
+    if report.violation is None:
+        return len(listed)
+    return sum(1 for vec in listed if vec <= report.violation[0])
 
 
 @st.composite
@@ -619,8 +611,9 @@ def reduced_states(draw):
 @settings(max_examples=200, deadline=None)
 @given(reduced_states(), st.integers(1, 8))
 def test_verify_matches_the_box_scan(state, box):
-    report = verify_reduction(state, box)
-    assert report == reference_verify(state, box)
+    report = verify_reduction(state)
+    assert (report.ok, report.violation) == reference_verify(state, box)
+    assert report.checked == listed_up_to(state, report)
     if report.violation:
         assert all(type(x) is F for x in report.violation[1:])
 
@@ -630,11 +623,11 @@ def test_verify_counts_past_a_violation_outside_the_box():
     phi = ModelDivisor(fan, (F(1, 2), F(1, 2), F(1)))
     b = BDivisor((F(1, 2), F(1, 2)), {(9, 10): F(0), (3, 4): F(0), (3, 1): F(0)})
     state = ReductionState(fan, phi, b)
-    report = verify_reduction(state, 2)
-    assert report == reference_verify(state, 2)
+    report = verify_reduction(state)
+    assert (report.ok, report.violation) == reference_verify(state, 2)
     assert report.violation == ((3, 4), F(1, 2), F(0))
-    # the primitive vectors of [0, 2]^2, then (3, 1) and (3, 4)
-    assert report.checked == 5 + 2
+    # the rays (0, 1), (1, 0) and (1, 1), then the deviations (3, 1) and (3, 4)
+    assert report.checked == 5 == listed_up_to(state, report)
 
 
 def test_verify_rejects_a_fan_that_is_no_subdivision():
@@ -642,15 +635,7 @@ def test_verify_rejects_a_fan_that_is_no_subdivision():
     phi = ModelDivisor(fan, (F(1, 2), F(1, 2), F(1)))
     state = ReductionState(fan, phi, BDivisor((F(1, 2), F(1, 2)), {}))
     with pytest.raises(InvariantViolation):
-        verify_reduction(state, 4)
-
-
-def test_verify_box_cap():
-    pair = LocalPair((F(1, 2), F(2, 3)))
-    state = initial_state(LocalModel(pair), BDivisor(pair.coeffs, {}))
-    with pytest.raises(PreconditionError, match="MAX_BOX"):
-        verify_reduction(state, MAX_BOX + 1)
-    assert verify_reduction(state, 10_000).checked == primitive_box_count(2, 10_000)
+        verify_reduction(state)
 
 
 # ---------------------------------------------------------------------------
@@ -785,6 +770,12 @@ def test_theta_reads_handed_in_locations_as_it_would_find_them(inputs):
                 assert loc == found[vec]
         handed = theta_coeffs(state, located, gaps, rays)
         assert handed == theta_coeffs(state, found, gaps_at(state, found), rays)
+        # at a ray of the old fan theta is its trace coefficient, so at a
+        # unit ray it is B's value there (the argument of _cut_state)
+        index = state.fan.ray_index
+        for ray, t in zip(rays, handed):
+            if ray in index:
+                assert t == state.phi.ray_coeffs[index[ray]]
         calls.append((state, list(located)))
         return handed
 
@@ -831,8 +822,8 @@ def test_chart_locations_off_the_tie_rule_give_the_same_theta():
 
 
 # ---------------------------------------------------------------------------
-# _cut_state takes min(theta, B) only at listed and unit rays; the trace must
-# still be that minimum at every ray
+# _cut_state takes min(theta, B) only at listed rays; the trace must still be
+# that minimum at every ray
 
 
 def cut_state_and_theta(state, sigmas):
@@ -862,16 +853,16 @@ def test_cut_state_meets_theta_with_a_listed_deviation_on_a_new_ray():
     assert_trace_is_min_of_theta_and_b(state, new_state, theta)
 
 
-def test_cut_state_meets_theta_with_a_unit_coefficient_below_it():
+def test_cut_of_a_state_whose_trace_is_above_b_at_a_unit_ray_is_a_breach():
     # a hand-built state whose B is below the trace at e_1: the unit ray's
-    # theta is its trace coefficient 2/3, and its new coefficient is B's 1/3
+    # theta is its trace coefficient 2/3, which a cut keeps, so the new
+    # trace leaves B's 1/3 there and the cut is refused
     fan = orthant_fan(2)
     phi = ModelDivisor(fan, (F(2, 3), F(5, 6)))
     b = BDivisor((F(1, 3), F(5, 6)))
     state = ReductionState(fan, phi, b)
-    new_state, theta = cut_state_and_theta(state, [(1, 1)])
-    assert theta[0] == F(2, 3) and new_state.phi.ray_coeffs[0] == F(1, 3)
-    assert_trace_is_min_of_theta_and_b(state, new_state, theta)
+    with pytest.raises(InvariantViolation, match="inconsistent trace"):
+        cut_state_and_theta(state, [(1, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -937,7 +928,7 @@ def test_a_klt_surface_cut_builds_no_cone_after_its_cut(monkeypatch):
     trace = run_reduction(LocalModel(pair), BDivisor(pair.coeffs, {(2, 3): F(0)}))
     final = trace.final_state.fan
     assert len(trace.steps) == 1 and len(final.rays) > 10
-    assert verify_reduction(trace.final_state, 12).ok
+    assert verify_reduction(trace.final_state).ok
     trace.to_json()
     assert any(fan is final for fan in seen)
     for fan in seen:
