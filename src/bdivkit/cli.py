@@ -2,14 +2,15 @@
 
 Output is deterministic JSON (sorted keys, rationals as "p/q" strings) on
 stdout, byte for byte ``json.dumps(result, sort_keys=True, indent=2)`` plus a
-newline, written in one pass by ``_dump``; scan commands emit CSV.  Errors
-are machine-readable JSON on stderr with exit code 2 for precondition
-violations and 3 for internal invariant breaches.  ``--verify`` re-runs an
-oracle next to the fast path and fails loudly (exit 3) on any mismatch; for
-hurwitz, product, minvol, sylvester, polyvol, lcoeff with n != 2 and weight
-the oracle shares code or values with the fast path.  ``reduce`` has no
-oracle of its own: it always runs ``verify_reduction`` on its output and
-prints ``verify_ok``, and with ``--verify`` it says "oracle-skipped".
+newline, which ``_dump`` writes into one buffer, one format call or join per
+list of like rows; scan commands emit CSV.  Errors are machine-readable JSON on
+stderr with exit code 2 for precondition violations (a params key the
+command does not read is one) and 3 for internal invariant breaches.
+``--verify`` re-runs an oracle next to the fast path and fails loudly (exit
+3) on any mismatch; for hurwitz, product, minvol, sylvester, polyvol, lcoeff
+with n != 2 and weight the oracle shares code or values with the fast path.
+``reduce`` has no oracle of its own: it always runs ``verify_reduction`` on
+its output and prints ``verify_ok``, and with ``--verify`` "oracle-skipped".
 
 The command line is ``bdivkit COMMAND [OPTION ...]``, read by ``Parser``
 straight from the table ``_COMMANDS``; an error in argv itself exits 2 with
@@ -25,7 +26,7 @@ import sys
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import chain, product as iter_product
+from itertools import chain, product as iter_product, repeat
 from json.encoder import encode_basestring_ascii as _escape
 from math import comb, factorial, gcd, lcm, prod
 from operator import itemgetter, mul
@@ -649,12 +650,15 @@ def _cmd_constants(p):
 
 
 def run_command(name: str, params: dict) -> dict:
-    """Execute one command from a params dict; raises on bad input."""
+    """Execute one command from a params dict; raises on bad input or a stray key."""
     handler = _COMMANDS[name][2] if isinstance(name, str) and name in _COMMANDS else None
     if handler is None:
         raise PreconditionError(f"unknown command {name!r}")
     if not isinstance(params, dict):
         raise PreconditionError(f"the arguments of {name!r} must be a JSON object")
+    stray = params.keys() - _PARAMS[name]
+    if stray:
+        raise PreconditionError(f"{name} takes no argument {', '.join(sorted(map(repr, stray)))}")
     return handler(params)
 
 
@@ -762,7 +766,8 @@ _COMMANDS = {
                 (("--base", _JSON), ("--denom-bound", int), ("--include-one", _FLAG)),
                 _cmd_closure),
     "chain": ("find a strictly decreasing chain in a set",
-              (("--set", _JSON), ("--length", int), ("--denom-bound", int)), _cmd_chain),
+              (("--set", _JSON), ("--length", int), ("--denom-bound", int),
+               ("--threshold", int), ("--rounds", int), ("--max-size", int)), _cmd_chain),
     "dcc": ("three-valued descending-chain verdict",
             (("--set", _JSON), ("--threshold", int), ("--denom-bound", int),
              ("--rounds", int), ("--max-size", int)), _cmd_dcc),
@@ -796,6 +801,10 @@ _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 def _key(flag: str) -> str:
     return flag[2:].replace("-", "_")
+
+
+# command -> the params keys its handler reads: its own options, and verify
+_PARAMS = {name: {"verify", *(_key(o[0]) for o in e[1])} for name, e in _COMMANDS.items()}
 
 
 def _options(command=None) -> dict:
@@ -963,85 +972,93 @@ def _params(options: dict) -> dict:
     return params
 
 
-def _dump(value, indent: str = "\n") -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)``, in one pass.
+def _dump(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` plus a newline, in one pass.
 
     Python's C encoder ignores ``indent``, so ``json.dumps`` would run its
-    pure-Python encoder on every result.  Here each container returns its own
-    text, joined once, and the items of a list come from ``_items``, which
-    renders like siblings together.  A string is written by the dict or
-    list that holds it, without a call, so ``value`` is never one: a result
-    is a dict.  Types are matched exactly, so a bool is never an int.
+    pure-Python encoder on every result.  Here every container appends its
+    pieces to one list, joined once, the newline last.  A str or int is
+    written by the dict or list holding it, so ``value`` is never one: a
+    result is a dict.  Types are matched exactly, so a bool is never an int.
     Keys, all str or all int, are sorted before int keys are quoted, as in
     ``json``.  Any other type, floats included (the package has none),
-    raises ``TypeError``.
+    raises ``TypeError``; an int past the digit limit raises ``ValueError``.
     """
+    out = []
+    _write(value, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, indent: str, out: list) -> None:
+    """Append value, written at indent, to out: two or more like rows
+    (``_like``) as one ``%`` on the row template repeated, or one join of
+    scalar rows; anything else item by item."""
     kind = type(value)
-    if kind is dict:
-        if not value:
-            return "{}"
+    if kind is not dict and kind is not list and kind is not tuple:
+        if value is not None and kind is not bool:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        out.append("null" if value is None else "true" if value else "false")
+    elif not value:
+        out.append("{}" if kind is dict else "[]")
+    else:
         inner = indent + "  "
-        return "{" + inner + ("," + inner).join([
-            _label(k) + ": " + (_escape(v) if type(v) is str else _dump(v, inner))
-            for k, v in sorted(value.items())
-        ]) + indent + "}"
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        return "[" + inner + ("," + inner).join(_items(value, inner)) + indent + "]"
-    if kind is int:
-        return int.__repr__(value)
-    if value is None:
-        return "null"
-    if kind is bool:
-        return "true" if value else "false"
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        if kind is dict:
+            sep, close = "{" + inner, indent + "}"
+            items = [(_label(k) + ": ", v) for k, v in sorted(value.items())]
+        elif len(value) > 1 and (like := _like(value, inner)):
+            rows = like[1] if like[0] == "%s" else [like[0]] * len(value)
+            text = "[" + inner + ("," + inner).join(rows) + indent + "]"
+            out.append(text if like[0] == "%s" else text % tuple(like[1]))
+            return
+        else:
+            sep, close = "[" + inner, indent + "]"
+            items = zip(repeat(""), value)
+        for label, v in items:
+            t = type(v)
+            if t is str or t is int:
+                out.append(sep + label + (_escape(v) if t is str else int.__repr__(v)))
+            else:
+                out.append(sep + label)
+                _write(v, inner, out)
+            sep = "," + inner
+        out.append(close)
 
 
-def _items(items, indent: str):
-    """The texts of the items of a list, each written at indent.
-
-    A list of two or more like siblings is written column by column, with
-    one C-level pass per column instead of one ``_dump`` call per item:
-    strings through the escaper, ints through ``int.__repr__``, rows of
-    exact ints all of one length through one ``%d`` template, and dicts that
-    all have the same keys one key at a time, each key's column by this
-    same rule, the columns then zipped into one ``%s`` template per dict.
-    Anything else, and a single item, is written item by item.  A lone dict
-    stays on that path: setting up its columns costs more than it saves.
-    """
-    if len(items) > 1:
-        kinds = set(map(type, items))
-        if kinds == {str}:
-            return map(_escape, items)
-        if kinds == {int}:
-            return map(int.__repr__, items)
-        if kinds <= {list, tuple}:
-            sizes = set(map(len, items))
-            if len(sizes) == 1 and set(map(type, chain.from_iterable(items))) <= {int}:
-                inner = indent + "  "
-                size = sizes.pop()
-                template = (
-                    "[" + inner + ("," + inner).join(["%d"] * size) + indent + "]"
-                    if size else "[]"
-                )
-                return map(template.__mod__, map(tuple, items))
-        elif kinds == {dict}:
-            keys = items[0].keys()
-            if keys and all(map(keys.__eq__, map(dict.keys, items))):
-                inner = indent + "  "
-                names = sorted(keys)
-                template = "{" + inner + ("," + inner).join([
-                    _label(k).replace("%", "%%") + ": %s" for k in names
-                ]) + indent + "}"
-                columns = [_items(list(map(itemgetter(k), items)), inner) for k in names]
-                return map(template.__mod__, zip(*columns))
-    return [
-        int.__repr__(v) if (t := type(v)) is int
-        else _escape(v) if t is str else _dump(v, indent)
-        for v in items
-    ]
+def _like(items, indent: str):
+    """(template, args, width) when items are like rows, else None: the
+    template writes one item at indent from ``width`` of the flat ``args``.
+    Like rows are all str, all exact int or all bool (their texts, ``%s``),
+    rows of exact ints of one length, and dicts with the same keys whose
+    columns are like rows, their args interleaved."""
+    kinds = set(map(type, items))
+    if len(kinds) == 1 and kinds <= {str, int, bool}:
+        text = {str: _escape, int: int.__repr__, bool: ("false", "true").__getitem__}[kinds.pop()]
+        return "%s", list(map(text, items)), 1
+    inner = indent + "  "
+    sizes = set(map(len, items)) if kinds <= {list, tuple, dict} else ()
+    if kinds <= {list, tuple} and len(sizes) == 1:
+        flat = list(chain.from_iterable(items))
+        if set(map(type, flat)) <= {int}:
+            width = len(items[0])
+            row = "[" + inner + ("," + inner).join(["%d"] * width) + indent + "]"
+            return (row if width else "[]"), flat, width
+    # every row has as many keys as all the rows together: the same keys
+    elif kinds == {dict} and items[0] and sizes == {len(set().union(*items))}:
+        names = sorted(items[0])
+        columns = [_like(list(map(itemgetter(k), items)), inner) for k in names]
+        if None in columns:
+            return None
+        width = sum(c[2] for c in columns)
+        args, at = [None] * (width * len(items)), 0
+        for _, values, w in columns:
+            for j in range(w):
+                args[at + j::width] = values[j::w]
+            at += w
+        row = ("," + inner).join([
+            _label(k).replace("%", "%%") + ": " + c[0] for k, c in zip(names, columns)])
+        return "{" + inner + row + indent + "}", args, width
+    return None
 
 
 def _label(key) -> str:
@@ -1076,7 +1093,7 @@ def main(argv=None) -> int:
             if not isinstance(entries, list):
                 raise PreconditionError("batch file needs an 'entries' list")
             result, code = run_batch(entries, options.get("parallel", 1))
-            _emit(_dump(result) + "\n", out)
+            _emit(_dump(result), out)
             return code
         params = _params(options)
         result = run_command(command, params)
@@ -1086,7 +1103,7 @@ def main(argv=None) -> int:
         if wants_csv:
             _emit(result["csv"], out)
         else:
-            _emit(_dump(result) + "\n", out)
+            _emit(_dump(result), out)
         return 0
     except _HANDLED_ERRORS as exc:
         record = _error_record(exc)

@@ -87,7 +87,7 @@ class LocalModel:
     def n(self) -> int:
         return self.pair.n
 
-    @property
+    @cached_property
     def s(self) -> int:
         return sum(1 for c in self.pair.coeffs if c < 1)
 
@@ -255,14 +255,11 @@ def pick_fiber_minimizer(model: LocalModel, bdiv: BDivisor, prefix) -> LatticeVe
         or sum(map(mul, f, w)) >= den
     ):
         raise PreconditionError(f"prefix {f} has no positive pullback coefficient")
-    best = None
-    for vec, val in sorted(bdiv.deviations.items()):
-        if vec[: model.s] == f and val < 1:
-            key = (val, vec[model.s :])
-            if best is None or key < best[0]:
-                best = (key, vec)
+    s = model.s  # (value, tail) is unique in a fibre, so vec is never compared
+    best = min(((val, vec[s:], vec) for vec, val in bdiv.deviations.items()
+                if vec[:s] == f and val < 1), default=None)
     if best is not None:
-        return best[1]
+        return best[2]
     rep = f + (1,) * model.w
     if all(e == 0 for e in rep) or not is_primitive(rep):
         # with w = 0 the fibre is the single lattice point f itself, which is

@@ -572,6 +572,13 @@ BAD_INPUTS = [
     pytest.param(CASES["weight"] + ["--stratum", "[2,2,1]"],
                  id="weight stratum listing an index twice"),
     pytest.param(CASES["weight"] + ["--stratum", "[]"], id="weight empty stratum"),
+    # a params key the command does not read, from --json or --file
+    pytest.param(["reduce", "--json", json.dumps({
+        "model": {"n": 2, "coeffs": ["1/2", "1"]},
+        "B": {"deviations": [{"v": [1, 2], "value": "0"}]}, "box": 8, "frobnicate": 1})],
+        id="reduce box and a stray key in --json"),
+    pytest.param(["minvol", "--n=1", "--file", str(GOLDEN / "minvol.out")],
+                 id="minvol output keys in --file"),
 ]
 
 
@@ -616,11 +623,34 @@ _DIGIT_LIMIT = f"{sys.get_int_max_str_digits()} digits"
     (_POLYTOPE_PAST_THE_CAP, "POLYTOPE_SUBSET_CAP = 6000"),
     (CASES["weight"] + ["--stratum", "[2,2,1]"], "stratum [2, 2, 1] lists an index twice"),
     (CASES["weight"] + ["--stratum", "[]"], "stratum must be a nonempty index set"),
+    (["reduce", "--json", '{"box": 8, "frobnicate": 1}'],
+     "reduce takes no argument 'box', 'frobnicate'"),
+    (["minvol", "--n=1", "--file", str(GOLDEN / "minvol.out")],
+     "minvol takes no argument 'verified', 'volume'"),
 ])
 def test_errors_name_their_cause(argv, cause):
     code, _, err = _run_catching_exit(main, argv)  # an error in argv exits from the parser
     assert code == 2
     assert cause in json.loads(err)["error"]
+
+
+def test_batch_refuses_an_entry_with_a_stray_key():
+    result, code = run_batch([
+        {"id": "a", "command": "minvol", "args": {"n": 1, "verify": True}},
+        {"id": "b", "command": "minvol", "args": {"n": 1, "box": 8}},
+    ])
+    assert code == 2 and result["first_error"] == "b"
+    assert result["results"]["b"] == {
+        "status": "error", "exit_code": 2, "error": "minvol takes no argument 'box'"}
+
+
+def test_chain_takes_the_search_limits_dcc_takes():
+    # _budget_from reads them for both commands, from options or from JSON
+    limits = ["--threshold", "5", "--rounds", "3", "--max-size", "4000"]
+    code, out, err = run_cli(CASES["chain"] + limits)
+    assert (code, err) == (0, "")
+    keys = {"threshold": 5, "rounds": 3, "max_size": 4000}
+    assert run_cli(CASES["chain"] + ["--json", json.dumps(keys)]) == (0, out, "")
 
 
 def test_ltrace_verify_outside_dimension_2_says_its_oracle_was_skipped():
@@ -994,7 +1024,8 @@ _REFERENCE_OPTIONS = {
     "reduce": (("--model", _RJ), ("--B", _RJ)),
     "verify": (("--state", _RJ),),
     "closure": (("--base", _RJ), ("--denom-bound", _RI), ("--include-one", _RF)),
-    "chain": (("--set", _RJ), ("--length", _RI), ("--denom-bound", _RI)),
+    "chain": (("--set", _RJ), ("--length", _RI), ("--denom-bound", _RI), ("--threshold", _RI),
+              ("--rounds", _RI), ("--max-size", _RI)),
     "dcc": (("--set", _RJ), ("--threshold", _RI), ("--denom-bound", _RI), ("--rounds", _RI),
             ("--max-size", _RI)),
     "sylvester": (("--k", _RI),),
@@ -1243,13 +1274,24 @@ def _dict_rows(keys, values):
         st.fixed_dictionaries({k: values for k in names}), min_size=2, max_size=5))
 
 
+def _drop_a_key(rows):
+    """The rows with one key taken out of one row."""
+    i = len(rows) - 1
+    return rows[:i] + [dict(list(rows[i].items())[1:])]
+
+
 def _siblings(kids):
-    """Lists of like items, which the writer renders column by column."""
+    """Lists of like items, which the writer renders as one row template
+    repeated, and lists that differ from them in one place."""
     return st.one_of(
+        # rows of one length, lists and tuples mixed
         _rows(_INTS),
         _rows(st.one_of(st.booleans(), _INTS)),
         _dict_rows(_KEYS, kids),
         _dict_rows(st.integers(-20, 20), kids),
+        # a column of int rows of unequal length, and a row missing a key
+        _dict_rows(_KEYS, st.lists(_INTS, max_size=3)),
+        _dict_rows(_KEYS, _INTS).filter(lambda rows: rows[0]).map(_drop_a_key),
         # dicts of dicts, the inner ones again all with the same keys
         st.sets(_KEYS, max_size=3).flatmap(lambda inner: _dict_rows(
             _KEYS, st.fixed_dictionaries({k: _LEAVES for k in inner}))),
@@ -1277,10 +1319,26 @@ _JSON_VALUES = st.recursive(
 @example([{"%d": 1, "a%s": [2]}, {"%d": 3, "a%s": [4]}])
 @example([{2: "a", 10: "b", -3: "c"}, {2: "d", 10: "e", -3: "f"}])
 @example([{"r": {"x": [1, 2], "y": "p"}}, {"r": {"x": [3, 4], "y": "q"}}])
+@example([[], []])
+@example([[7], (8,)])
+@example([{"r": [1, 2]}, {"r": [3]}])
+@example([{"a": 1, "b": 2}, {"a": 3, "c": 4}])
+@example([{"ok": True, "q": "1/2"}, {"ok": False, "q": "%s"}])
+@example([False, True, True])
 def test_writer_equals_json_dumps(value):
     # a result is a dict, and a string is written by the container holding it
     result = {"value": value}
-    assert cli_mod._dump(result) == json.dumps(result, sort_keys=True, indent=2)
+    assert cli_mod._dump(result) == json.dumps(result, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("place", [
+    lambda big: big, lambda big: [big, 1], lambda big: [[1, big], [2, 3]],
+    lambda big: [{"x": 1}, {"x": -big}],
+], ids=["single", "int row", "row of int rows", "dict rows"])
+def test_writer_raises_past_the_digit_limit(place):
+    big = 10 ** sys.get_int_max_str_digits()  # one digit past the limit
+    with pytest.raises(ValueError, match="limit"):
+        cli_mod._dump({"value": place(big)})
 
 
 @pytest.mark.parametrize("bad", [0.5, Fraction(1, 2), {1}], ids=["float", "Fraction", "set"])

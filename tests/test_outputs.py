@@ -1,6 +1,8 @@
-"""The censuses of ``tools/outputs.py``: every input reduces or, on the
-threefold census, exits 3 at the known descent gap, and every final state
-that is printed passes the verifier again after a round trip."""
+"""The inputs of ``tools/outputs.py``: the first rounds of both benchmark
+workloads print what they printed when the digest below was pinned, and
+write each result as ``json.dumps`` would; every census input reduces or,
+on the threefold census, exits 3 at the known descent gap, and every final
+state that is printed passes the verifier again after a round trip."""
 
 import functools
 import importlib.util
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import bdivkit.cli as cli_mod
 import bdivkit.fans as fans_mod
 from bdivkit.reduction import ReductionState, verify_reduction
 
@@ -17,6 +20,34 @@ _spec = importlib.util.spec_from_file_location(
 )
 outputs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(outputs)
+
+
+# the digest of every argv, exit code, stdout and stderr of the first three
+# rounds of both workloads at seed 1; a change that means to alter an output
+# pins the new digest and says so
+FIRST_ROUNDS = ["reduce_cut:1:3", "batch_small:1:3"]
+FIRST_ROUNDS_SHA256 = "594d54197587824802e76185b74969fce55650ede90b941987156d27c7491eeb"
+
+
+def test_first_rounds_print_the_pinned_outputs():
+    digest, codes = outputs.digest_outputs(FIRST_ROUNDS)
+    assert {code: len(argvs) for code, argvs in codes.items()} == {0: 36, 2: 3}
+    assert digest == FIRST_ROUNDS_SHA256
+
+
+def test_each_result_is_written_as_json_dumps_writes_it(monkeypatch):
+    written = []
+    real = cli_mod._dump
+
+    def spy(value):
+        written.append((value, real(value)))
+        return written[-1][1]
+
+    monkeypatch.setattr(cli_mod, "_dump", spy)
+    outputs.digest_outputs(["reduce_cut:1:2", "batch_small:1:2"])
+    assert len(written) == 26
+    for value, text in written:
+        assert text == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
 def _verifies_again(out: str) -> bool:

@@ -156,7 +156,7 @@ ALLOWED = {
     ("cli:_cmd_constants", '_mismatch("constants M_min (an int)", repr(fast), m_min)'):
         BREACH + "a wrong M_min",
     ("cli:_cmd_reduce", "raise InvariantViolation("): BREACH + "the verifier refutes a reduction",
-    ("cli:_dump", 'raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")'):
+    ("cli:_write", 'raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")'):
         BREACH + "a result holding a value outside JSON",
     ("cli:_label", 'raise TypeError(f"keys must be str or int, not {type(key).__name__}")'):
         BREACH + "a result with a key outside JSON",

@@ -5,6 +5,7 @@ Usage: python3 tools/outputs.py TARGET...
 Each TARGET is one of
   WORKLOAD:SEED  every op that the benchmark's ``workloads.generate`` makes
                  for that workload and seed (reduce_cut, batch_small);
+  WORKLOAD:SEED:ROUNDS  the ops of its first ROUNDS rounds only;
   surface        ``reduce`` on every model (c, 1), c in 1/2, 2/3, 3/4, with
                  B = 0 at one primitive (a, b) in [1, 12]^2: 273 inputs;
   threefold      ``reduce`` on every model (c, 1, 1), c as above, with two
@@ -92,17 +93,21 @@ def _inputs(target: str):
         return surface_census(), {}
     if target == "threefold":
         return threefold_census(), {}
-    workload, _, seed = target.partition(":")
-    if workload not in WORKLOADS or not seed.isdigit():
-        raise SystemExit(f"unknown target {target!r}: WORKLOAD:SEED, surface or threefold")
-    ops = generate(workload, int(seed))
+    workload, *numbers = target.split(":")
+    if workload not in WORKLOADS or not 1 <= len(numbers) <= 2 or not all(
+        map(str.isdigit, numbers)
+    ):
+        raise SystemExit(
+            f"unknown target {target!r}: WORKLOAD:SEED[:ROUNDS], surface or threefold"
+        )
+    ops = generate(workload, *map(int, numbers))
     return [op["argv"] for ops_round in ops["rounds"] for op in ops_round], ops["files"]
 
 
-def main_outputs(targets) -> int:
+def digest_outputs(targets) -> tuple:
+    """(sha256 hex digest, {exit code: argv list}) over every input of targets."""
     digest = hashlib.sha256()
     codes = {}
-    start = time.perf_counter()
     for target in targets:
         argvs, files = _inputs(target)
         with tempfile.TemporaryDirectory() as work, contextlib.chdir(work):
@@ -114,7 +119,13 @@ def main_outputs(targets) -> int:
                 digest.update(record.encode())
                 digest.update(b"\n")
                 codes.setdefault(code, []).append(argv)
-    print(f"sha256 {digest.hexdigest()}")
+    return digest.hexdigest(), codes
+
+
+def main_outputs(targets) -> int:
+    start = time.perf_counter()
+    digest, codes = digest_outputs(targets)
+    print(f"sha256 {digest}")
     for code in sorted(codes):
         print(f"exit {code}: {len(codes[code])}")
         if code:
