@@ -82,10 +82,9 @@ from .logpairs import (
 from .reduction import (
     LocalModel,
     ReductionState,
-    pair_weight_witness,
+    initial_state,
     positive_pullback_prefixes,
     run_reduction,
-    stratum_weight,
     verify_reduction,
 )
 
@@ -280,21 +279,28 @@ def _cmd_weight(p):
                 raise PreconditionError(f"stratum index {i} is outside 1..{model.n}")
         if len(set(raw)) < len(raw):
             raise PreconditionError(f"stratum {raw} lists an index twice")
-        # stratum_weight refuses an empty stratum
+        if not raw:
+            raise PreconditionError("stratum must be a nonempty index set")
         inverse = {orig: new for new, orig in enumerate(perm)}
         mapped = tuple(sorted(inverse[i - 1] for i in raw))
-        w, witness = stratum_weight(model, bdiv, mapped)
         out["stratum"] = sorted(raw)
-    else:
-        w, witness = pair_weight_witness(model, bdiv)
-    out["weight"] = w
+    witnesses = initial_state(model, bdiv).witnesses
+    if stratum is not None:
+        witnesses = [wit for wit in witnesses if wit.stratum == mapped]
+    # of the greatest weight, the first stratum in subset order; witnesses
+    # come in lexicographic order, so the least vector there
+    witness = min(
+        witnesses,
+        key=lambda wit: (-wit.weight, sum(1 << i for i in wit.stratum)),
+        default=None,
+    )
+    out["weight"] = -1
     if witness is not None:
+        out["weight"] = witness.weight
         out["witness"] = witness.to_json()
-    if p.get("verify") and witness is not None:
-        _ensure_match(
-            "weight witness", True, witness.b_value < witness.pullback
-        )
-        out["verified"] = True
+        if p.get("verify"):
+            _ensure_match("weight witness", True, witness.b_value < witness.pullback)
+            out["verified"] = True
     return out
 
 

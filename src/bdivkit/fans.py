@@ -285,10 +285,6 @@ class Fan:
         object.__setattr__(self, "cones", cones)
 
     @cached_property
-    def ray_set(self) -> frozenset:
-        return frozenset(self.rays)
-
-    @cached_property
     def ray_index(self) -> dict:
         return {r: i for i, r in enumerate(self.rays)}
 
@@ -523,7 +519,7 @@ def insert_rays(fan: Fan, vecs) -> Fan:
     ray of no cone, as the chain makes it.  A pivot's home is its cone.  A
     2-D fan is its arcs in angular order instead (``_subdivide_surface``).
     """
-    known = set(fan.ray_set)
+    known = set(fan.ray_index)
     pending = []
     for v in vecs:
         if v not in known:

@@ -31,7 +31,10 @@ listed deviations, the only valuations where it can fail.
 
 With the default-one representation the witness search is exact: an
 unlisted, non-divisorial valuation has B-value 1, which no pullback
-coefficient exceeds, so only listed deviations can witness.
+coefficient exceeds, so only listed deviations can witness.  The weight is
+computed in one place, ``state_witnesses``: the ``weight`` command reads the
+witnesses of the initial state, as ``run_reduction`` does for its initial
+weight.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ from .logpairs import (
     LocalPair,
     ModelDivisor,
     pullback_at,
-    pullback_coeff,
     pullback_gap,
     relative_pullback_coeff,
     unit_index,
@@ -187,57 +189,6 @@ class Witness:
         }
 
 
-def stratum_weight(model: LocalModel, bdiv: BDivisor, stratum) -> tuple:
-    """Weight of one stratum of the initial model, with a witness if any.
-
-    The stratum is a nonempty 0-based index set; witnesses centred there are
-    valuations supported exactly on it.  Returns (-1, None) without a
-    witness, else (count of coefficient-one components through the stratum,
-    lex-least witness).
-    """
-    strat = tuple(sorted(set(stratum)))
-    if not strat:
-        raise PreconditionError("stratum must be a nonempty index set")
-    for i in strat:
-        if not 0 <= i < model.n:
-            raise PreconditionError(f"stratum index {i} out of range")
-    if bdiv.n != model.n:
-        raise PreconditionError("b-divisor dimension mismatch")
-
-    candidates = []
-    if len(strat) == 1:
-        i = strat[0]
-        e_i = tuple(1 if j == i else 0 for j in range(model.n))
-        candidates.append((e_i, bdiv.pair_coeffs[i]))
-    for vec, val in sorted(bdiv.deviations.items()):
-        if tuple(i for i, e in enumerate(vec) if e > 0) == strat:
-            candidates.append((vec, val))
-
-    w = sum(1 for i in strat if model.pair.coeffs[i] == 1)
-    for vec, val in candidates:
-        pb = pullback_coeff(model.pair, vec)
-        if val < pb:
-            return w, Witness(vec, val, pb, strat, w)
-    return -1, None
-
-
-def pair_weight_witness(model: LocalModel, bdiv: BDivisor) -> tuple:
-    """(max stratum weight, a witness realizing it), or (-1, None)."""
-    support = [i for i, c in enumerate(model.pair.coeffs) if c > 0]
-    best = -1
-    best_witness = None
-    # strata are intersections of boundary components; witnesses force their
-    # support inside the positive-coefficient components, so other subsets
-    # cannot contribute
-    for mask in range(1, 1 << len(support)):
-        strat = tuple(support[i] for i in range(len(support)) if mask >> i & 1)
-        w, witness = stratum_weight(model, bdiv, strat)
-        if witness is not None and w > best:
-            best = w
-            best_witness = witness
-    return best, best_witness
-
-
 def pick_fiber_minimizer(model: LocalModel, bdiv: BDivisor, prefix) -> LatticeVec:
     """A valuation minimising B over the fibre of a prefix f.
 
@@ -298,9 +249,6 @@ class ReductionState:
         """
         return tuple(map(self.bdiv.value, self.fan.rays)) == self.phi.ray_coeffs
 
-    def value(self, v) -> Fraction:
-        return self.bdiv.value(v)
-
     @cached_property
     def witnesses(self) -> list:
         """``state_witnesses(self)``, found once per state.
@@ -351,7 +299,7 @@ def state_witnesses(state: ReductionState) -> list:
     """
     devs = state.bdiv.deviations
     out = []
-    for vec in sorted(devs.keys() - state.fan.ray_set):
+    for vec in sorted(devs.keys() - state.fan.ray_index.keys()):
         val = devs[vec]
         loc = state.fan.locate(vec)
         pb = pullback_at(state.phi, loc)
@@ -438,7 +386,7 @@ def _theta_coeffs(state: ReductionState, located: dict, gaps: dict, rays) -> tup
             continue
         # gaps[vec] holds the same pullback; this call stays only because
         # bench/test_bench.py requires its span on reduce_cut
-        e = relative_pullback_coeff(state.phi, vec) - state.value(vec)
+        e = relative_pullback_coeff(state.phi, vec) - state.bdiv.value(vec)
         if e > 0:
             excess.append((vec, e))
     in_cone = {}  # cone C -> (b, e numerator, e denominator) per sigma in C
@@ -636,11 +584,11 @@ def build_cut(state: ReductionState, located: dict) -> tuple:
         new_fan = insert_rays(new_fan, splits)
     else:
         raise InvariantViolation("a witness still straddles a piece of the cut")
-    rays_added = tuple(r for r in new_fan.rays if r not in state.fan.ray_set)
     step = CutStep(
         weight_before=0,  # the driver records the measured weight
         sigmas=tuple(sig),
-        rays_added=rays_added,
+        # insert_rays appends every new ray after the old ones
+        rays_added=new_fan.rays[len(state.fan.rays):],
         theta=tuple(zip(new_fan.rays, theta)),
     )
     return new_state, step
@@ -667,7 +615,7 @@ def _chart_model(state: ReductionState, loc) -> tuple:
     chart_pair = trusted(LocalPair, coeffs=tuple(coeffs[j] for j in order))
     devs = {}
     deviations = state.bdiv.deviations
-    for vec in deviations.keys() - state.fan.ray_set:
+    for vec in deviations.keys() - state.fan.ray_index.keys():
         nums = cone.coords(vec)
         if nums is not None:
             devs[tuple([nums[j] for j in order])] = deviations[vec]
@@ -841,7 +789,7 @@ def verify_reduction(state: ReductionState) -> VerifyReport:
     coeffs = state.phi.ray_coeffs
     listed = sorted(set(fan.rays).union(state.bdiv.deviations))
     for checked, vec in enumerate(listed, 1):
-        bv = state.value(vec)
+        bv = state.bdiv.value(vec)
         i = ray_index.get(vec)
         if i is not None:
             pb = coeffs[i]

@@ -579,6 +579,10 @@ BAD_INPUTS = [
         id="reduce box and a stray key in --json"),
     pytest.param(["minvol", "--n=1", "--file", str(GOLDEN / "minvol.out")],
                  id="minvol output keys in --file"),
+    # B's trace on the model must be the model, for weight as for reduce
+    pytest.param(["weight", "--model", '{"n":2,"coeffs":["1/2","1"]}', "--B",
+                  '{"pair":["1/4","1"],"deviations":[]}'],
+                 id="weight B pair disagrees with the model"),
 ]
 
 

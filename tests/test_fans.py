@@ -253,7 +253,7 @@ from bdivkit.fans import BarycentricResult
 def reference_star_subdivide(fan, r):
     """One star subdivision by testing every cone, rebuilding the whole fan."""
     vec = primitive_part(r)
-    if vec in fan.ray_set:
+    if vec in fan.ray_index:
         return fan
     new_rays = fan.rays + (vec,)
     r_idx = len(fan.rays)
@@ -553,7 +553,7 @@ def quadrant_fans(draw):
             kept = tuple(k for k in cones if k not in ((a, b), (c, d)))
             return kind, Fan(2, rays, kept + ((a, d), (c, b)))
     if kind == "unused":
-        extra = draw(quadrant_vectors.filter(lambda v: v not in fan.ray_set))
+        extra = draw(quadrant_vectors.filter(lambda v: v not in fan.ray_index))
         return kind, Fan(2, rays + (extra,), cones)
     if kind == "no top":  # (0, 1) and its cone taken away
         top = fan.ray_index[(0, 1)]

@@ -1,8 +1,9 @@
 """The inputs of ``tools/outputs.py``: the first rounds of both benchmark
-workloads print what they printed when the digest below was pinned, and
-write each result as ``json.dumps`` would; every census input reduces or,
-on the threefold census, exits 3 at the known descent gap, and every final
-state that is printed passes the verifier again after a round trip."""
+workloads and the weights census print what they printed when the digests
+below were pinned, and write each result as ``json.dumps`` would; every
+input of the surface and threefold censuses reduces or, on the threefold
+census, exits 3 at the known descent gap, and every final state that is
+printed passes the verifier again after a round trip."""
 
 import functools
 import importlib.util
@@ -33,6 +34,17 @@ def test_first_rounds_print_the_pinned_outputs():
     digest, codes = outputs.digest_outputs(FIRST_ROUNDS)
     assert {code: len(argvs) for code, argvs in codes.items()} == {0: 36, 2: 3}
     assert digest == FIRST_ROUNDS_SHA256
+
+
+# the digest of the weights census, pinned before ``weight`` read its witnesses
+# off the reduction's initial state: both ways print the same bytes
+WEIGHTS_SHA256 = "f10bd8d30bb00f1e12fcee68b405feeb91e12a83458c0c763f8065de4a7b7806"
+
+
+def test_weights_census_prints_the_pinned_outputs():
+    digest, codes = outputs.digest_outputs(["weights"])
+    assert {code: len(argvs) for code, argvs in codes.items()} == {0: 3200}
+    assert digest == WEIGHTS_SHA256
 
 
 def test_each_result_is_written_as_json_dumps_writes_it(monkeypatch):

@@ -247,10 +247,6 @@ ALLOWED = {
     ("reduction:pick_fiber_minimizer",
      'raise PreconditionError(f"the fibre over {f} holds no valuation")'):
         LIBRARY + "run_reduction asks only charts with a coefficient-one component",
-    ("reduction:stratum_weight", 'raise PreconditionError(f"stratum index {i} out of range")'):
-        LIBRARY + "weight checks the stratum first",
-    ("reduction:stratum_weight", 'raise PreconditionError("b-divisor dimension mismatch")'):
-        LIBRARY + "LocalModel.arrange checks the dimension first",
 }
 
 

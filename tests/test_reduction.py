@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -19,12 +20,10 @@ from bdivkit.reduction import (
     ReductionState,
     build_cut,
     initial_state,
-    pair_weight_witness,
     pick_fiber_minimizer,
     positive_pullback_prefixes,
     run_reduction,
     state_weight,
-    stratum_weight,
     verify_reduction,
 )
 from test_fans import reference_star_subdivide
@@ -103,30 +102,21 @@ def test_prefixes_reject_coefficient_one():
     assert positive_pullback_prefixes(model) == [(0,), (1,)]
 
 
-def test_stratum_weight_examples():
+def test_initial_witnesses_examples():
     # no deviations, trace values: no strict witness anywhere
     m = make_model(F(1, 2), F(1))
-    b0 = BDivisor(m.pair.coeffs, {})
-    assert pair_weight_witness(m, b0) == (-1, None)
+    assert initial_state(m, BDivisor(m.pair.coeffs, {})).witnesses == []
 
     b = BDivisor(m.pair.coeffs, {(1, 2): F(0)})
-    w, witness = stratum_weight(m, b, (0, 1))
-    assert w == 1 and witness.vec == (1, 2)
+    [witness] = initial_state(m, b).witnesses
+    assert (witness.vec, witness.stratum, witness.weight) == ((1, 2), (0, 1), 1)
     assert witness.pullback == F(1, 2)
 
     m2 = make_model(F(1, 2), F(2, 3))
-    b2 = BDivisor(m2.pair.coeffs, {(1, 1): F(0)})
-    w2, witness2 = stratum_weight(m2, b2, (0, 1))
-    assert w2 == 0 and witness2.pullback == F(1, 6)
-    assert pair_weight_witness(m2, b2)[0] == 0
-
-
-def test_stratum_weight_divisorial_witness():
-    # a pair value below the model coefficient witnesses on the divisor
-    m = make_model(F(1, 2), F(1))
-    b = BDivisor((F(1, 4), F(1)), {})
-    w, witness = stratum_weight(m, b, (0,))
-    assert w == 0 and witness.vec == (1, 0)
+    state2 = initial_state(m2, BDivisor(m2.pair.coeffs, {(1, 1): F(0)}))
+    [witness2] = state2.witnesses
+    assert witness2.weight == 0 and witness2.pullback == F(1, 6)
+    assert state_weight(state2) == 0
 
 
 def test_pick_fiber_minimizer_examples():
@@ -212,7 +202,7 @@ def test_worked_example_reduction():
     assert trace.terminated_weight == -1
     weights = [s.weight_before for s in trace.steps] + [trace.terminated_weight]
     assert all(a > b2 for a, b2 in zip(weights, weights[1:]))
-    assert (1, 2) in trace.final_state.fan.ray_set
+    assert (1, 2) in trace.final_state.fan.ray_index
     assert coeff(trace.final_state.phi, (1, 2)) == 0
     assert verify_reduction(trace.final_state).ok
 
@@ -277,9 +267,9 @@ def test_unlisted_valuations_never_witness():
             continue
         g = gcd(v[0], v[1])
         v = (v[0] // g, v[1] // g)
-        if v in state.bdiv.deviations or v in state.fan.ray_set:
+        if v in state.bdiv.deviations or v in state.fan.ray_index:
             continue
-        assert relative_pullback_coeff(state.phi, v) <= 1 == state.value(v)
+        assert relative_pullback_coeff(state.phi, v) <= 1 == state.bdiv.value(v)
 
 
 def test_descent_chain_instrumented():
@@ -292,7 +282,7 @@ def test_descent_chain_instrumented():
     gamma = ModelDivisor(
         y_fan,
         tuple(
-            min(relative_pullback_coeff(state.phi, r), state.value(r))
+            min(relative_pullback_coeff(state.phi, r), state.bdiv.value(r))
             for r in y_fan.rays
         ),
     )
@@ -303,7 +293,7 @@ def test_descent_chain_instrumented():
         l_gamma_nu = relative_pullback_coeff(gamma, nu)
         l_gamma_sigma = relative_pullback_coeff(gamma, sigma)
         assert l_phi2 <= l_gamma_nu <= l_gamma_sigma
-        assert l_gamma_sigma <= state.value(sigma) <= state.value(nu)
+        assert l_gamma_sigma <= state.bdiv.value(sigma) <= state.bdiv.value(nu)
 
 
 def test_theta_matches_naive_computation():
@@ -323,7 +313,7 @@ def test_theta_matches_naive_computation():
                 ModelDivisor(
                     y_fan,
                     tuple(
-                        min(relative_pullback_coeff(state.phi, r), state.value(r))
+                        min(relative_pullback_coeff(state.phi, r), state.bdiv.value(r))
                         for r in y_fan.rays
                     ),
                 )
@@ -388,7 +378,7 @@ def test_theta_matches_naive_computation():
                 a, b = rng.sample(rng.choice(state.fan.cones), 2)
                 ra, rb = state.fan.rays[a], state.fan.rays[b]
                 v = primitive_part(tuple(x + y for x, y in zip(ra, rb)))
-            if v in state.fan.ray_set or v in sigmas:
+            if v in state.fan.ray_index or v in sigmas:
                 continue
             if relative_pullback_coeff(state.phi, v) == 0:
                 continue
@@ -408,7 +398,7 @@ def test_theta_matches_naive_computation():
         seen["refined"] += len(state.fan.cones) > 1
         seen["non_smooth"] += not is_smooth(state.fan)
         for s in sigmas:
-            below = state.value(s) < relative_pullback_coeff(state.phi, s)
+            below = state.bdiv.value(s) < relative_pullback_coeff(state.phi, s)
             seen["below" if below else "not_below"] += 1
             holders = [c for c in state.fan.max_cones if c.coords(s) is not None]
             seen["shared_face"] += len(holders) > 1
@@ -423,8 +413,8 @@ def test_multi_cut_regression():
     trace = run_reduction(LocalModel(pair), b)
     assert [s.weight_before for s in trace.steps] == [2, 1]
     assert trace.terminated_weight == -1
-    assert (3, 2) in trace.final_state.fan.ray_set
-    assert (4, 1) in trace.final_state.fan.ray_set
+    assert (3, 2) in trace.final_state.fan.ray_index
+    assert (4, 1) in trace.final_state.fan.ray_index
     assert verify_reduction(trace.final_state).ok
 
 
@@ -517,7 +507,7 @@ def test_state_json_roundtrip():
 # ---------------------------------------------------------------------------
 # the verifier against the exhaustive box scan it replaces
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from bdivkit.exact import InvariantViolation
@@ -538,7 +528,7 @@ def reference_verify(state, box):
             candidates.add(vec)
     for vec in sorted(candidates):
         pb = relative_pullback_coeff(state.phi, vec)
-        bv = state.value(vec)
+        bv = state.bdiv.value(vec)
         if pb > bv:
             return False, (vec, pb, bv)
     return True, None
@@ -567,13 +557,20 @@ def reduced_states(draw):
     for v in draw(st.lists(vec, max_size=3)):
         if sum(1 for e in v if e) > 1:
             devs[v] = draw(st.sampled_from([F(0), F(1, 7), F(1, 2)]))
-    state = run_reduction(LocalModel(pair), BDivisor(pair.coeffs, devs)).final_state
+    try:
+        state = run_reduction(LocalModel(pair), BDivisor(pair.coeffs, devs)).final_state
+    except InvariantViolation as exc:
+        # the descent gap of ROADMAP item 4, kept in view by
+        # test_reduce_with_two_unit_coefficient_components_exits_0
+        assert coeffs.count(F(1)) >= 2, exc
+        assert str(exc).startswith("cut failed to decrease the weight ("), exc
+        reject()
     plant = draw(st.sampled_from(
         ["none", "ray", "deviation", "off_box", "lowered", "boundary"]))
     if plant == "ray":
         # raise the trace at a ray above its B-value
         i = draw(st.integers(0, len(state.fan.rays) - 1))
-        bv = state.value(state.fan.rays[i])
+        bv = state.bdiv.value(state.fan.rays[i])
         if bv < 1:
             coeffs = list(state.phi.ray_coeffs)
             coeffs[i] = draw(st.sampled_from([c for c in (bv + (1 - bv) / 2, F(1))]))
@@ -586,7 +583,7 @@ def reduced_states(draw):
             v = primitive_part(tuple(v))
             if (
                 sum(1 for e in v if e) > 1
-                and v not in state.fan.ray_set
+                and v not in state.fan.ray_index
                 and relative_pullback_coeff(state.phi, v) > 0
             ):
                 bdiv = BDivisor(state.bdiv.pair_coeffs, {**state.bdiv.deviations, v: F(0)})
@@ -903,14 +900,43 @@ def test_witness_whose_chart_gives_no_cut_valuation_is_a_breach(monkeypatch):
         run_reduction(LocalModel(pair), BDivisor(pair.coeffs, {(1, 2): F(0)}))
 
 
+def test_weight_takes_the_first_stratum_of_greatest_weight(capsys):
+    # (0, 1, 1) and (1, 0, 1) witness at weight 1, on the strata {1, 2} and
+    # {0, 2}; (1, 1, 0) at weight 0 on {0, 1}.  Weight comes first, then
+    # subset order, not the lexicographic order of the vectors
+    argv = ["weight", "--model", '{"n":3,"coeffs":["1/2","2/3","1"]}', "--B",
+            '{"deviations":[{"v":[0,1,1],"value":"0"},{"v":[1,0,1],"value":"0"},'
+            '{"v":[1,1,0],"value":"0"}]}']
+    for stratum, vec in ([], [1, 0, 1]), (["--stratum", "[2,3]"], [0, 1, 1]):
+        assert cli_mod.main(argv + stratum) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["weight"], out["witness"]["v"]) == (1, vec)
+
+
+def test_weight_refuses_a_pair_that_differs_from_the_model(capsys):
+    # a pair value below the model coefficient would witness on the divisor
+    # itself, outside the descent, whose trace is the model: weight refuses
+    # such a B as reduce does
+    for command in ("weight", "reduce"):
+        assert cli_mod.main([command, "--model", '{"n":2,"coeffs":["1/2","1"]}', "--B",
+                             '{"pair":["1/4","1"],"deviations":[]}']) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == (
+            "the b-divisor trace must agree with the model coefficients")
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the descent with two "
                    "coefficient-one components through a witness's centre")
-def test_reduce_with_two_unit_coefficient_components_exits_0():
-    code = cli_mod.main([
-        "reduce", "--model", '{"n":3,"coeffs":["3/4","1","1"]}', "--B",
-        '{"deviations":[{"v":[1,0,1],"value":"1/7"},{"v":[4,2,1],"value":"1/3"},'
-        '{"v":[1,6,0],"value":"0"}]}'])
-    assert code == 0
+@pytest.mark.parametrize("model, bdiv", [
+    pytest.param('{"n":3,"coeffs":["3/4","1","1"]}',
+                 '{"deviations":[{"v":[1,0,1],"value":"1/7"},{"v":[4,2,1],"value":"1/3"},'
+                 '{"v":[1,6,0],"value":"0"}]}', id="one sub-one component"),
+    # the threefold census holds (c, 1, 1) with c < 1 only
+    pytest.param('{"n":3,"coeffs":["1","1","1"]}',
+                 '{"deviations":[{"v":[0,1,1],"value":"0"},{"v":[1,0,1],"value":"0"}]}',
+                 id="all three coefficient one"),
+])
+def test_reduce_with_two_unit_coefficient_components_exits_0(model, bdiv):
+    assert cli_mod.main(["reduce", "--model", model, "--B", bdiv]) == 0
 
 
 def test_a_klt_surface_cut_builds_no_cone_after_its_cut(monkeypatch):

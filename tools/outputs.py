@@ -11,7 +11,14 @@ Each TARGET is one of
   threefold      ``reduce`` on every model (c, 1, 1), c as above, with two
                  deviations: a pair of the 16 primitive vectors of [0, 2]^3
                  with at least two nonzero entries, each with a value in
-                 0, 1/3, 1/2: 3,240 inputs.
+                 0, 1/3, 1/2: 3,240 inputs;
+  weights        ``weight --verify`` on every model of n = 2 with
+                 coefficients in 0, 1/2, 2/3, 1 and one or two deviations,
+                 and of n = 3 with coefficients in 1/2, 1 (in every order)
+                 and one deviation; deviations are primitive vectors of
+                 [0, 2]^n with at least two nonzero entries, valued 0 or
+                 1/2; each input once without --stratum and once per
+                 nonempty stratum: 3,200 inputs.
 
 Every input runs through ``bdivkit.cli.main`` in this process, with the
 package imported from PYTHONPATH.  The tool prints one sha256 over the argv,
@@ -44,33 +51,65 @@ COEFFS = ("1/2", "2/3", "3/4")
 SHOWN = 5  # argv listed per nonzero exit code
 
 
-def _reduce(coeffs, deviations) -> list:
+def _argv(command, coeffs, deviations) -> list:
     return [
-        "reduce",
+        command,
         "--model", json.dumps({"n": len(coeffs), "coeffs": list(coeffs)}),
         "--B", json.dumps({"deviations": [{"v": list(v), "value": x} for v, x in deviations]}),
+    ]
+
+
+def _primitive_vectors(n) -> list:
+    """The primitive vectors of [0, 2]^n with at least two nonzero entries."""
+    return [
+        v for v in product(range(3), repeat=n)
+        if sum(map(bool, v)) >= 2 and gcd(*v) == 1
     ]
 
 
 def surface_census() -> list:
     """The 273 argv of the surface census, in a fixed order."""
     points = [(a, b) for a in range(1, 13) for b in range(1, 13) if gcd(a, b) == 1]
-    return [_reduce((c, "1"), [(v, "0")]) for c in COEFFS for v in points]
+    return [_argv("reduce", (c, "1"), [(v, "0")]) for c in COEFFS for v in points]
 
 
 def threefold_census() -> list:
     """The 3,240 argv of the threefold census, in a fixed order."""
-    vecs = [
-        v for v in product(range(3), repeat=3)
-        if sum(map(bool, v)) >= 2 and gcd(*v) == 1
-    ]
+    vecs = _primitive_vectors(3)
     values = ("0", "1/3", "1/2")
     return [
-        _reduce((c, "1", "1"), [(v, x), (w, y)])
+        _argv("reduce", (c, "1", "1"), [(v, x), (w, y)])
         for c in COEFFS
         for v, w in combinations(vecs, 2)
         for x, y in product(values, repeat=2)
     ]
+
+
+def weights_census() -> list:
+    """The 3,200 argv of the weights census, in a fixed order."""
+    values = ("0", "1/2")
+    inputs = []
+    vecs = _primitive_vectors(2)
+    for coeffs in product(("0", "1/2", "2/3", "1"), repeat=2):
+        for k in (1, 2):
+            for chosen in combinations(vecs, k):
+                for xs in product(values, repeat=k):
+                    inputs.append((coeffs, list(zip(chosen, xs))))
+    vecs = _primitive_vectors(3)
+    for coeffs in product(("1/2", "1"), repeat=3):
+        for v in vecs:
+            for x in values:
+                inputs.append((coeffs, [(v, x)]))
+    argvs = []
+    for coeffs, deviations in inputs:
+        argv = _argv("weight", coeffs, deviations) + ["--verify"]
+        n = len(coeffs)
+        argvs.append(argv)
+        argvs.extend(
+            argv + ["--stratum", json.dumps([i + 1 for i in range(n) if mask >> i & 1])]
+            for mask in range(1, 1 << n)
+        )
+    return argvs
 
 
 def run(argv) -> tuple:
@@ -93,12 +132,15 @@ def _inputs(target: str):
         return surface_census(), {}
     if target == "threefold":
         return threefold_census(), {}
+    if target == "weights":
+        return weights_census(), {}
     workload, *numbers = target.split(":")
     if workload not in WORKLOADS or not 1 <= len(numbers) <= 2 or not all(
         map(str.isdigit, numbers)
     ):
         raise SystemExit(
-            f"unknown target {target!r}: WORKLOAD:SEED[:ROUNDS], surface or threefold"
+            f"unknown target {target!r}: "
+            "WORKLOAD:SEED[:ROUNDS], surface, threefold or weights"
         )
     ops = generate(workload, *map(int, numbers))
     return [op["argv"] for ops_round in ops["rounds"] for op in ops_round], ops["files"]
