@@ -289,11 +289,8 @@ def _cmd_weight(p):
         witnesses = [wit for wit in witnesses if wit.stratum == mapped]
     # of the greatest weight, the first stratum in subset order; witnesses
     # come in lexicographic order, so the least vector there
-    witness = min(
-        witnesses,
-        key=lambda wit: (-wit.weight, sum(1 << i for i in wit.stratum)),
-        default=None,
-    )
+    witness = min(witnesses, default=None,
+                  key=lambda wit: (-wit.weight, sum(1 << i for i in wit.stratum)))
     out["weight"] = -1
     if witness is not None:
         out["weight"] = witness.weight

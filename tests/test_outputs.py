@@ -36,8 +36,8 @@ def test_first_rounds_print_the_pinned_outputs():
     assert digest == FIRST_ROUNDS_SHA256
 
 
-# the digest of the weights census, pinned before ``weight`` read its witnesses
-# off the reduction's initial state: both ways print the same bytes
+# the same for the weights census: ``weight --verify`` bare and on every
+# stratum, so that the witness each one picks is pinned
 WEIGHTS_SHA256 = "f10bd8d30bb00f1e12fcee68b405feeb91e12a83458c0c763f8065de4a7b7806"
 
 
