@@ -227,25 +227,22 @@ def _cmd_round_check(p):
     return out
 
 
-def _arranged_model(p):
+def _model_and_bdiv(p):
     pair = LocalPair.from_json(p["model"])
-    raw = _arg(p, "B", {"deviations": []})
-    bdiv = BDivisor.from_json(raw, default_pair=pair)
-    model, arranged, perm = LocalModel.arrange(pair, bdiv)
-    return model, arranged, perm
+    bdiv = BDivisor.from_json(_arg(p, "B", {"deviations": []}), default_pair=pair)
+    return LocalModel(pair), bdiv
 
 
 def _cmd_fset(p):
-    model, _, perm = _arranged_model({"model": p["model"], "B": None})
+    model = LocalModel(LocalPair.from_json(p["model"]))
     prefixes = positive_pullback_prefixes(model)
     out = {
         "s": model.s,
         "w": model.w,
-        "permutation": list(perm),
         "prefixes": [list(f) for f in prefixes],
     }
     if p.get("verify"):
-        cs = model.pair.coeffs[: model.s]
+        cs = [model.pair.coeffs[i] for i in model.sub_one]
         bound = 0
         for c in cs:
             bound = max(bound, int(Fraction(2) / (1 - c)) + 2)
@@ -265,8 +262,8 @@ def _cmd_fset(p):
 
 
 def _cmd_weight(p):
-    model, bdiv, perm = _arranged_model(p)
-    out = {"permutation": list(perm)}
+    model, bdiv = _model_and_bdiv(p)
+    out = {}
     stratum = p.get("stratum")
     if stratum is not None and not isinstance(stratum, list):
         raise PreconditionError(
@@ -281,8 +278,7 @@ def _cmd_weight(p):
             raise PreconditionError(f"stratum {raw} lists an index twice")
         if not raw:
             raise PreconditionError("stratum must be a nonempty index set")
-        inverse = {orig: new for new, orig in enumerate(perm)}
-        mapped = tuple(sorted(inverse[i - 1] for i in raw))
+        mapped = tuple(sorted(i - 1 for i in raw))
         out["stratum"] = sorted(raw)
     witnesses = initial_state(model, bdiv).witnesses
     if stratum is not None:
@@ -302,7 +298,7 @@ def _cmd_weight(p):
 
 
 def _cmd_reduce(p):
-    model, bdiv, perm = _arranged_model(p)
+    model, bdiv = _model_and_bdiv(p)
     trace = run_reduction(model, bdiv)
     report = verify_reduction(trace.final_state)
     if not report.ok:
@@ -311,7 +307,6 @@ def _cmd_reduce(p):
         )
     out = trace.to_json()
     out["model"] = model.pair.to_json()
-    out["permutation"] = list(perm)
     out["verify_ok"] = True
     if p.get("verify"):
         out["verified"] = "oracle-skipped"
@@ -770,7 +765,7 @@ _COMMANDS = {
                 _cmd_closure),
     "chain": ("find a strictly decreasing chain in a set",
               (("--set", _JSON), ("--length", int), ("--denom-bound", int),
-               ("--threshold", int), ("--rounds", int), ("--max-size", int)), _cmd_chain),
+               ("--rounds", int), ("--max-size", int)), _cmd_chain),
     "dcc": ("three-valued descending-chain verdict",
             (("--set", _JSON), ("--threshold", int), ("--denom-bound", int),
              ("--rounds", int), ("--max-size", int)), _cmd_dcc),

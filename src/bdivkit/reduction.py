@@ -69,82 +69,57 @@ from .logpairs import (
 
 @record
 class LocalModel:
-    """A local pair with its coefficient-one components listed last."""
+    """A local pair, its coordinates split by whether the coefficient is 1.
+
+    The reduction does not depend on how the components are numbered, so
+    they keep the input's order; ``sub_one`` and ``ones`` list the
+    coordinates with coefficient below 1 and equal to 1, each increasing.
+    """
 
     pair: LocalPair
-
-    def __post_init__(self):
-        cs = self.pair.coeffs
-        seen_one = False
-        for c in cs:
-            if c == 1:
-                seen_one = True
-            elif seen_one:
-                raise PreconditionError(
-                    "coefficient-one components must come last; "
-                    "use LocalModel.arrange to permute"
-                )
 
     @property
     def n(self) -> int:
         return self.pair.n
 
     @cached_property
+    def sub_one(self) -> tuple:
+        return tuple(i for i, c in enumerate(self.pair.coeffs) if c < 1)
+
+    @cached_property
+    def ones(self) -> tuple:
+        return tuple(i for i, c in enumerate(self.pair.coeffs) if c == 1)
+
+    @property
     def s(self) -> int:
-        return sum(1 for c in self.pair.coeffs if c < 1)
+        return len(self.sub_one)
 
     @property
     def w(self) -> int:
-        return self.n - self.s
+        return len(self.ones)
 
-    @classmethod
-    def arrange(cls, pair: LocalPair, bdiv: BDivisor | None = None):
-        """Sort coefficient-one components last; permute a b-divisor along.
+    @cached_property
+    def prefix_weights(self) -> tuple:
+        """(w, den): the weights 1 - c_i of the sub-one coordinates over den.
 
-        Returns (model, permuted b-divisor, permutation), where permutation
-        maps new positions to original ones.  The pair and b-divisor were
-        validated where they were built, and permuting coordinates keeps them
-        valid, so the copies are not checked again; under the identity
-        permutation they are returned unchanged.
+        Every w_i is positive, since each c_i is below 1.
         """
-        perm = tuple(sorted(range(pair.n), key=lambda i: (pair.coeffs[i] == 1, i)))
-        if bdiv is not None and bdiv.n != pair.n:
-            raise PreconditionError("b-divisor dimension mismatch")
-        if perm != tuple(range(pair.n)):
-            pair = trusted(LocalPair, coeffs=tuple(pair.coeffs[i] for i in perm))
-            if bdiv is not None:
-                bdiv = trusted(
-                    BDivisor,
-                    pair_coeffs=tuple(bdiv.pair_coeffs[i] for i in perm),
-                    deviations={
-                        tuple(vec[i] for i in perm): val
-                        for vec, val in bdiv.deviations.items()
-                    },
-                )
-        return cls(pair), bdiv, perm
-
-
-def _prefix_weights(model: LocalModel) -> tuple:
-    """(w, den): the weights 1 - c_i of the sub-one coordinates over den.
-
-    The first s coefficients are the ones below 1, since ``LocalModel`` puts
-    every coefficient-one component last, so every w_i is positive.
-    """
-    return complement_weights(model.pair.coeffs[: model.s])
+        return complement_weights([self.pair.coeffs[i] for i in self.sub_one])
 
 
 def positive_pullback_prefixes(model: LocalModel) -> list:
     """All v in N^s with sum v_i (1 - c_i) < 1, sorted lexicographically.
 
-    These are exactly the sub-one coordinate prefixes of valuations with
-    positive pullback coefficient; the zero vector is included.  With the
+    The i ranges over ``model.sub_one``, in order.  These are exactly the
+    sub-one coordinate prefixes of valuations with positive pullback
+    coefficient; the zero vector is included.  With the
     weights as integers w_i > 0 over one denominator D, a depth-first walk
     extends each prefix by every entry e with e * w_i below the budget D
     minus the prefix's weight, in increasing order, so the output comes
     sorted.  The entries of the last coordinate are the e < budget / w_i,
     the first ceil(budget / w_i) naturals, added in one step.
     """
-    w, den = _prefix_weights(model)
+    w, den = model.prefix_weights
     if not w:
         return [()]
     last = len(w) - 1
@@ -192,26 +167,30 @@ class Witness:
 def pick_fiber_minimizer(model: LocalModel, bdiv: BDivisor, prefix) -> LatticeVec:
     """A valuation minimising B over the fibre of a prefix f.
 
-    Among listed deviations whose first s coordinates equal f, the one of
-    least value wins (ties to the lexicographically smallest tail).  When no
-    listed deviation in the fibre is below the default, the representative
-    (f, 1, ..., 1) realises the infimum 1.  For f = 0 with w = 0 the fibre
-    holds no valuation at all.
+    The fibre holds the valuations whose sub-one coordinates, in the order
+    of ``model.sub_one``, are f.  Among listed deviations there, the one of
+    least value wins (ties to the lexicographically smallest tail, the
+    coordinates in ``model.ones``).  When no listed deviation in the fibre
+    is below the default, the representative with f at the sub-one
+    coordinates and 1 elsewhere realises the infimum 1.  For f = 0 with
+    w = 0 the fibre holds no valuation at all.
     """
     f = tuple(prefix)
-    w, den = _prefix_weights(model)
+    w, den = model.prefix_weights
     if (
         len(f) != len(w)
         or any(not isinstance(e, int) or e < 0 for e in f)
         or sum(map(mul, f, w)) >= den
     ):
         raise PreconditionError(f"prefix {f} has no positive pullback coefficient")
-    s = model.s  # (value, tail) is unique in a fibre, so vec is never compared
-    best = min(((val, vec[s:], vec) for vec, val in bdiv.deviations.items()
-                if vec[:s] == f and val < 1), default=None)
+    sub, ones = model.sub_one, model.ones
+    # (value, tail) is unique in a fibre, so vec is never compared
+    best = min(((val, [vec[i] for i in ones], vec) for vec, val in bdiv.deviations.items()
+                if val < 1 and tuple([vec[i] for i in sub]) == f), default=None)
     if best is not None:
         return best[2]
-    rep = f + (1,) * model.w
+    at = dict(zip(sub, f))
+    rep = tuple([at.get(i, 1) for i in range(model.n)])
     if all(e == 0 for e in rep) or not is_primitive(rep):
         # with w = 0 the fibre is the single lattice point f itself, which is
         # a valuation only when f is nonzero and primitive
@@ -277,18 +256,19 @@ class ReductionState:
 
 
 def initial_state(model: LocalModel, bdiv: BDivisor) -> ReductionState:
-    """The state on the undivided orthant; the trace is the pair itself."""
-    if bdiv.n != model.n:
-        raise PreconditionError("b-divisor dimension mismatch")
+    """The state on the undivided orthant; the trace is the pair itself.
+
+    ``ReductionState`` checks B's dimension, before B's pair is compared.
+    """
+    fan = orthant_fan(model.n)
+    state = ReductionState(fan, ModelDivisor(fan, model.pair.coeffs), bdiv)
     if bdiv.pair_coeffs != model.pair.coeffs:
         raise PreconditionError(
             "the b-divisor trace must agree with the model coefficients"
         )
-    fan = orthant_fan(model.n)
-    phi = ModelDivisor(fan, model.pair.coeffs)
     # the trace agrees with B on every ray: the rays are the units, never
     # deviation keys, where B takes the pair coefficients checked above
-    return ReductionState(fan, phi, bdiv)
+    return state
 
 
 def state_witnesses(state: ReductionState) -> list:
@@ -595,47 +575,44 @@ def build_cut(state: ReductionState, located: dict) -> tuple:
 
 
 def _chart_model(state: ReductionState, loc) -> tuple:
-    """Unimodular chart at a maximal cone: local model, b-divisor, order.
+    """Unimodular chart at a maximal cone: local model and b-divisor.
 
     ``loc`` is a location in the cone.  The chart coordinates are the
-    cone's generators (a lattice basis since the fan is smooth), permuted so
-    coefficient-one components come last: chart coordinate j is the
-    generator at position order[j] of the cone's key.  Deviations inside the
-    cone map to their coordinates, integers since |det| = 1.  Nothing is
-    validated again: the coefficients are trace values, and a deviation that
-    is not a ray has primitive coordinates, nonnegative in the cone and not a
-    unit vector, since a unit vector there is a generator.
+    cone's generators in the order of the cone's key, a lattice basis since
+    the fan is smooth.  Deviations inside the cone map to their coordinates,
+    integers since |det| = 1; they are read only on a chart with a
+    coefficient-one component, and the b-divisor is None on the others.
+    Nothing is validated again: the coefficients are trace values, and a
+    deviation that is not a ray has primitive coordinates, nonnegative in
+    the cone and not a unit vector, since a unit vector there is a generator.
     """
     cone, idx = loc.cone, loc.ray_indices
-    coeffs = tuple(state.phi.ray_coeffs[i] for i in idx)
-    order = sorted(range(len(idx)), key=lambda j: (coeffs[j] == 1, j))
     if abs(cone.det) != 1:
-        basis = tuple(cone.gens[j] for j in order)
-        raise InvariantViolation(f"chart cone {basis} is not smooth")
-    chart_pair = trusted(LocalPair, coeffs=tuple(coeffs[j] for j in order))
+        raise InvariantViolation(f"chart cone {cone.gens} is not smooth")
+    coeffs = tuple(state.phi.ray_coeffs[i] for i in idx)
+    model = LocalModel(trusted(LocalPair, coeffs=coeffs))
+    if not model.ones:
+        return model, None
     devs = {}
     deviations = state.bdiv.deviations
     for vec in deviations.keys() - state.fan.ray_index.keys():
         nums = cone.coords(vec)
         if nums is not None:
-            devs[tuple([nums[j] for j in order])] = deviations[vec]
-    model = trusted(LocalModel, pair=chart_pair)
-    chart_bdiv = trusted(BDivisor, pair_coeffs=chart_pair.coeffs, deviations=devs)
-    return model, chart_bdiv, order
+            devs[nums] = deviations[vec]
+    return model, trusted(BDivisor, pair_coeffs=coeffs, deviations=devs)
 
 
 def _chart_sigmas(state: ReductionState, loc) -> dict:
     """Cut valuations for the chart at loc's cone, each mapped to its location.
 
     Each valuation is mapped back to ambient coordinates.  The cone is
-    unimodular, so its chart coordinates, put back in the order of the
-    cone's key, are its ``Fan.locate`` numerators in that cone (over
-    |det| = 1); they become its location there, in the form ``build_cut``
-    takes from the driver.
+    unimodular, so its chart coordinates are its ``Fan.locate`` numerators
+    in that cone (over |det| = 1); they become its location there, in the
+    form ``build_cut`` takes from the driver.
     """
-    model, chart_bdiv, order = _chart_model(state, loc)
+    model, chart_bdiv = _chart_model(state, loc)
     prefixes = positive_pullback_prefixes(model)
-    if model.w == 0:
+    if chart_bdiv is None:
         # the valuations with positive pullback coefficient are the primitive
         # prefixes other than 0 and the units (sum > 1); multiples reduce to
         # them and units are divisors
@@ -648,11 +625,9 @@ def _chart_sigmas(state: ReductionState, loc) -> dict:
                 continue
             chart_sigmas.append(sigma)
     cone, idx = loc.cone, loc.ray_indices
-    position = [order.index(k) for k in range(len(order))]
     columns = tuple(zip(*cone.gens))
     out = {}
-    for sigma in chart_sigmas:
-        nums = tuple(map(sigma.__getitem__, position))
+    for nums in chart_sigmas:
         ambient = tuple([sum(map(mul, col, nums)) for col in columns])
         out[ambient] = BarycentricResult(cone, idx, nums)
     return out

@@ -583,6 +583,8 @@ BAD_INPUTS = [
     pytest.param(["weight", "--model", '{"n":2,"coeffs":["1/2","1"]}', "--B",
                   '{"pair":["1/4","1"],"deviations":[]}'],
                  id="weight B pair disagrees with the model"),
+    # chain has no chain length to set: --threshold is dcc's alone
+    pytest.param(["chain", "--threshold", "5"] + CASES["chain"][1:], id="chain --threshold"),
 ]
 
 
@@ -631,6 +633,7 @@ _DIGIT_LIMIT = f"{sys.get_int_max_str_digits()} digits"
      "reduce takes no argument 'box', 'frobnicate'"),
     (["minvol", "--n=1", "--file", str(GOLDEN / "minvol.out")],
      "minvol takes no argument 'verified', 'volume'"),
+    (["chain", "--threshold", "5"] + CASES["chain"][1:], "unrecognized arguments: --threshold 5"),
 ])
 def test_errors_name_their_cause(argv, cause):
     code, _, err = _run_catching_exit(main, argv)  # an error in argv exits from the parser
@@ -650,10 +653,10 @@ def test_batch_refuses_an_entry_with_a_stray_key():
 
 def test_chain_takes_the_search_limits_dcc_takes():
     # _budget_from reads them for both commands, from options or from JSON
-    limits = ["--threshold", "5", "--rounds", "3", "--max-size", "4000"]
+    limits = ["--rounds", "3", "--max-size", "4000"]
     code, out, err = run_cli(CASES["chain"] + limits)
     assert (code, err) == (0, "")
-    keys = {"threshold": 5, "rounds": 3, "max_size": 4000}
+    keys = {"rounds": 3, "max_size": 4000}
     assert run_cli(CASES["chain"] + ["--json", json.dumps(keys)]) == (0, out, "")
 
 
@@ -1028,8 +1031,8 @@ _REFERENCE_OPTIONS = {
     "reduce": (("--model", _RJ), ("--B", _RJ)),
     "verify": (("--state", _RJ),),
     "closure": (("--base", _RJ), ("--denom-bound", _RI), ("--include-one", _RF)),
-    "chain": (("--set", _RJ), ("--length", _RI), ("--denom-bound", _RI), ("--threshold", _RI),
-              ("--rounds", _RI), ("--max-size", _RI)),
+    "chain": (("--set", _RJ), ("--length", _RI), ("--denom-bound", _RI), ("--rounds", _RI),
+              ("--max-size", _RI)),
     "dcc": (("--set", _RJ), ("--threshold", _RI), ("--denom-bound", _RI), ("--rounds", _RI),
             ("--max-size", _RI)),
     "sylvester": (("--k", _RI),),

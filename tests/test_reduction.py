@@ -48,17 +48,10 @@ def make_model(*coeffs):
     return LocalModel(LocalPair(tuple(coeffs)))
 
 
-def test_local_model_ordering():
-    with pytest.raises(PreconditionError):
-        make_model(F(1), F(1, 2))
-    m = make_model(F(1, 2), F(1))
-    assert m.s == 1 and m.w == 1
-    model, bdiv, perm = LocalModel.arrange(
-        LocalPair((F(1), F(1, 2))), BDivisor((F(1), F(1, 2)), {(2, 1): F(0)})
-    )
-    assert model.pair.coeffs == (F(1, 2), F(1))
-    assert perm == (1, 0)
-    assert bdiv.deviations == {(1, 2): F(0)}
+def test_local_model_names_its_coordinates_in_input_order():
+    m = make_model(F(1), F(1, 2), F(1), F(0))
+    assert (m.sub_one, m.ones, m.s, m.w) == ((1, 3), (0, 2), 2, 2)
+    assert m.prefix_weights == ((1, 2), 2)
 
 
 def test_prefixes_examples():
@@ -97,9 +90,10 @@ def test_prefixes_downward_closed():
 
 
 def test_prefixes_reject_coefficient_one():
-    model = make_model(F(1, 2), F(1))
-    # model.s == 1, so only the first coefficient feeds the prefix box
-    assert positive_pullback_prefixes(model) == [(0,), (1,)]
+    # model.s == 1, so only the coefficient below one feeds the prefix box,
+    # wherever it sits
+    for model in make_model(F(1, 2), F(1)), make_model(F(1), F(1, 2)):
+        assert positive_pullback_prefixes(model) == [(0,), (1,)]
 
 
 def test_initial_witnesses_examples():
@@ -643,7 +637,7 @@ from math import floor, prod
 
 def reference_prefixes(model):
     """The box scan: every v with v_i <= floor(1/(1-c_i)), summed in Fractions."""
-    cs = model.pair.coeffs[: model.s]
+    cs = [model.pair.coeffs[i] for i in model.sub_one]
     bounds = [floor(F(1) / (1 - c)) for c in cs]
     return sorted(
         v for v in product(*(range(b + 1) for b in bounds))
@@ -663,7 +657,7 @@ def test_prefixes_equal_the_box_scan(cs, w, data):
     box = prod(floor(F(1) / (1 - c)) + 1 for c in cs)
     assume(cs or w)
     assume(box <= 20_000)
-    model = make_model(*cs, *[F(1)] * w)
+    model = make_model(*data.draw(st.permutations([*cs, *[F(1)] * w])))
     expected = reference_prefixes(model)
     assert positive_pullback_prefixes(model) == expected
     # pick_fiber_minimizer accepts exactly these prefixes
@@ -694,7 +688,7 @@ def reduction_inputs(draw):
     pool = [F(1, 2), F(2, 3)] + ([F(6, 7)] if n == 2 else [])
     coeffs = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
     if not klt:
-        coeffs[-1] = F(1)
+        coeffs[draw(st.integers(0, n - 1))] = F(1)
     pair = LocalPair(tuple(coeffs))
     vec = st.lists(st.integers(0, 6), min_size=n, max_size=n).filter(
         lambda v: sum(1 for e in v if e) > 1
@@ -976,3 +970,85 @@ def test_a_reduction_formats_each_final_trace_value_once(monkeypatch):
     assert trace.to_json() == plain
     # here the last theta and B hold only the final trace's own objects
     assert len(calls) == len(trace.final_state.fan.rays)
+
+
+# ---------------------------------------------------------------------------
+# the commands answer in the input's coordinates, however the components are
+# numbered
+
+import contextlib
+import io
+
+
+def _answer(command, coeffs, deviations) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_mod.main([
+            command, "--model", json.dumps({"n": len(coeffs), "coeffs": list(map(str, coeffs))}),
+            "--B", json.dumps({"deviations": [{"v": list(v), "value": str(x)}
+                                              for v, x in deviations]})]) == 0
+    return json.loads(out.getvalue())
+
+
+def test_weight_prints_its_witness_in_the_input_coordinates():
+    [witness] = initial_state(make_model(F(1), F(1, 2)), BDivisor(
+        (F(1), F(1, 2)), {(2, 1): F(0)})).witnesses
+    out = _answer("weight", ["1", "1/2"], [((2, 1), 0)])
+    assert out["witness"] == witness.to_json()
+    assert (out["witness"]["v"], out["witness"]["stratum"]) == ([2, 1], [0, 1])
+    assert "permutation" not in out
+
+
+@st.composite
+def one_coefficient_one_anywhere(draw):
+    """(coeffs, v, value) as the n = 3 reduce_cut ops draw them: two
+    coefficients (r - 1) / r, r in 4..6, and a 1 at a random position; B is
+    half the pullback at one primitive non-unit v, positive at the 1."""
+    coeffs = [F(r - 1, r) for r in draw(st.lists(st.integers(4, 6), min_size=2, max_size=2))]
+    one = draw(st.integers(0, 2))
+    coeffs.insert(one, F(1))
+    entries = [st.integers(0, 3)] * 3
+    entries[one] = st.integers(1, 2)
+    v = draw(st.tuples(*entries).filter(lambda v: gcd(*v) == 1 and v.count(0) < 2))
+    pb = relative_pullback_coeff(ModelDivisor(orthant_fan(3), tuple(coeffs)), v)
+    assume(pb > 0)
+    return coeffs, v, pb / 2
+
+
+def _in_input_coordinates(out, back) -> tuple:
+    """A reduce answer's final fan (cones as sets of vectors), trace, B and
+    per-step sigma and ray sets, each vector read through back."""
+    final = out["final"]
+    rays = [back(r) for r in final["fan"]["rays"]]
+    return (
+        {frozenset(rays[i] for i in cone) for cone in final["fan"]["cones"]},
+        dict(zip(rays, final["phi"])),
+        back(final["B"]["pair"]),
+        {back(d["v"]): d["value"] for d in final["B"]["deviations"]},
+        [(step["weight_before"], {back(s) for s in step["sigmas"]},
+          {back(r) for r in step["rays_added"]}) for step in out["steps"]],
+        (out["initial_weight"], out["terminated_weight"], out["model"]),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(one_coefficient_one_anywhere())
+def test_reduce_and_weight_answer_as_on_the_sorted_model(inputs):
+    # the run on the model with its 1 last, mapped back, is the run on the
+    # input: coordinate j of the sorted model is coordinate order[j]
+    coeffs, v, value = inputs
+    order = sorted(range(3), key=lambda i: (coeffs[i] == 1, i))
+
+    def back(vec):
+        return tuple(vec[order.index(i)] for i in range(3))
+
+    sorted_inputs = ([coeffs[i] for i in order], [((tuple(v[i] for i in order)), value)])
+    answers = [_answer("reduce", coeffs, [(v, value)]), _answer("reduce", *sorted_inputs)]
+    answers[1]["model"]["coeffs"] = list(back(answers[1]["model"]["coeffs"]))
+    assert _in_input_coordinates(answers[0], tuple) == _in_input_coordinates(answers[1], back)
+
+    out, sorted_out = _answer("weight", coeffs, [(v, value)]), _answer("weight", *sorted_inputs)
+    assert out["weight"] == sorted_out["weight"] >= 0
+    # B lists only v, so v is the witness, on the cone its support spans
+    assert out["witness"]["v"] == list(v)
+    assert out["witness"]["stratum"] == sorted(order[j] for j in sorted_out["witness"]["stratum"])

@@ -22,10 +22,12 @@ Each TARGET is one of
 
 Every input runs through ``bdivkit.cli.main`` in this process, with the
 package imported from PYTHONPATH.  The tool prints one sha256 over the argv,
-exit code, stdout and stderr of every input in order, the count per exit
-code with the first few argv of each nonzero code, and the wall time.  Two
-builds print equal digests exactly when they answer every input alike, so
-a change that must not alter any output quotes the digest at both.
+exit code, stdout and stderr of every input in order, then one such sha256
+per target, the count per exit code with the first few argv of each nonzero
+code, and the wall time.  Two builds print equal digests exactly when they
+answer every input alike, so a change that must not alter any output quotes
+the digest at both, and a change meant to alter one target shows by the
+per-target digests that the others are unchanged.
 """
 
 from __future__ import annotations
@@ -147,27 +149,33 @@ def _inputs(target: str):
 
 
 def digest_outputs(targets) -> tuple:
-    """(sha256 hex digest, {exit code: argv list}) over every input of targets."""
+    """(sha256 hex digest over every input of targets, {exit code: argv
+    list}, {target: the sha256 hex digest over its inputs alone})."""
     digest = hashlib.sha256()
+    per_target = {}
     codes = {}
     for target in targets:
         argvs, files = _inputs(target)
+        own = hashlib.sha256()
         with tempfile.TemporaryDirectory() as work, contextlib.chdir(work):
             for name, text in files.items():
                 Path(name).write_text(text)
             for argv in argvs:
                 code, out, err = run(argv)
-                record = json.dumps([argv, code, out, err])
-                digest.update(record.encode())
-                digest.update(b"\n")
+                record = json.dumps([argv, code, out, err]).encode() + b"\n"
+                digest.update(record)
+                own.update(record)
                 codes.setdefault(code, []).append(argv)
-    return digest.hexdigest(), codes
+        per_target[target] = own.hexdigest()
+    return digest.hexdigest(), codes, per_target
 
 
 def main_outputs(targets) -> int:
     start = time.perf_counter()
-    digest, codes = digest_outputs(targets)
+    digest, codes, per_target = digest_outputs(targets)
     print(f"sha256 {digest}")
+    for target, own in per_target.items():
+        print(f"sha256 {own} {target}")
     for code in sorted(codes):
         print(f"exit {code}: {len(codes[code])}")
         if code:
