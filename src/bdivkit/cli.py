@@ -1045,17 +1045,16 @@ def _like(items, indent: str):
     elif kinds == {dict} and items[0] and sizes == {len(set().union(*items))}:
         names = sorted(items[0])
         columns = [_like(list(map(itemgetter(k), items)), inner) for k in names]
-        if None in columns:
-            return None
-        width = sum(c[2] for c in columns)
-        args, at = [None] * (width * len(items)), 0
-        for _, values, w in columns:
-            for j in range(w):
-                args[at + j::width] = values[j::w]
-            at += w
-        row = ("," + inner).join([
-            _label(k).replace("%", "%%") + ": " + c[0] for k, c in zip(names, columns)])
-        return "{" + inner + row + indent + "}", args, width
+        if None not in columns:
+            width = sum(c[2] for c in columns)
+            args, at = [None] * (width * len(items)), 0
+            for _, values, w in columns:
+                for j in range(w):
+                    args[at + j::width] = values[j::w]
+                at += w
+            row = ("," + inner).join([
+                _label(k).replace("%", "%%") + ": " + c[0] for k, c in zip(names, columns)])
+            return "{" + inner + row + indent + "}", args, width
     return None
 
 

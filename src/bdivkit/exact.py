@@ -238,19 +238,6 @@ def lattice_vec(entries) -> LatticeVec:
     return vec
 
 
-def primitive_part(v) -> LatticeVec:
-    """Divide a nonzero integer vector by the gcd of its entries."""
-    vec = lattice_vec(v)
-    g = 0
-    for e in vec:
-        g = gcd(g, abs(e))
-    if g == 0:
-        raise PreconditionError("zero vector has no primitive part")
-    if g == 1:
-        return vec
-    return tuple(e // g for e in vec)
-
-
 def is_primitive(v) -> bool:
     vec = tuple(v)
     g = 0

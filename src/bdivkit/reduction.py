@@ -9,25 +9,45 @@ components through the centre of a witness.
 A *cut* replaces the model by a smooth refinement extracting a chosen set of
 valuations (all with positive pullback coefficient), re-traces the pullback
 through each one-ray extraction, takes the ray-wise minimum of those traces,
-and meets the result with B.  Where a witness of the old weight or more would
-be left in a cone that straddles two pieces of some one-ray extraction, that
-cone is first split along a hyperplane between the pieces.  The driver picks
-the cut valuations chart by chart:
+and meets the result with B.  The driver picks the cut valuations in the
+chart (maximal cone) of each witness:
 
 * in a chart with no coefficient-one components, every lattice vector with
   positive pullback coefficient (other than the chart's own rays) is
   extracted;
 * otherwise, for every prefix f over the sub-one coordinates with positive
-  pullback coefficient, one valuation minimising B over the fibre
-  {(f, anything)} is extracted.
+  pullback coefficient, every listed deviation of the fibre {(f, anything)}
+  with value below 1 is extracted, or a default representative of the fibre
+  when it lists none.
 
-With at most one coefficient-one component per chart each such cut strictly
-decreases the weight (with two or more a witness can still keep it, and the
-driver then stops with an invariant breach), so the loop ends at weight -1,
-where the pullback of the final trace is bounded by B everywhere; the
-``verify_reduction`` checker confirms that bound at every valuation, by
-checking that the fan subdivides the orthant and evaluating the fan rays and
-listed deviations, the only valuations where it can fail.
+Either way every witness is extracted in the chart it was found in.  A
+witness is a listed deviation and no ray, of positive pullback; so a klt
+chart extracts it, and otherwise its prefix is one of those walked and its
+B-value, below its pullback, is below 1.  One cut then ends the descent at
+weight -1, where the pullback of the final trace is bounded by B
+everywhere.  Proof, with the log discrepancy a = 1 - trace, which is linear
+on each cone of the old fan:
+
+* at a ray r of the cut fan theta(r) is at most the old pullback pb(r)
+  (``_theta_coeffs``); so where theta(r) > 0 the new a(r) = 1 -
+  min(theta(r), B(r)) is at least 1 - pb(r), the old a(r), and where theta
+  is clipped to 0 the new a(r) is 1;
+* the cut fan is smooth and refines the old one, so a listed deviation v is
+  sum mu_r r with integers mu_r >= 0 over the rays of a new cone, which
+  lies in one old cone, where the old a is linear;
+* if mu_r >= 1 at a clipped ray, the new pullback at v is
+  max(0, 1 - sum mu_r a(r)) = 0; otherwise sum mu_r a(r) is at least the
+  old a(v), and the new pullback at v is at most the old one;
+* B keeps its value at a v that is no ray of the cut fan, so a deviation
+  that was not a witness does not become one; every witness becomes a ray,
+  whose trace min(theta, B) is at most B; and an unlisted valuation has
+  B-value 1, which no pullback exceeds.
+
+The driver still checks that the cut leaves no witness, an invariant
+breach if one is left, and the ``verify_reduction`` checker confirms the
+bound at every valuation, by checking that the fan subdivides the orthant
+and evaluating the fan rays and listed deviations, the only valuations
+where it can fail.
 
 With the default-one representation the witness search is exact: an
 unlisted, non-divisorial valuation has B-value 1, which no pullback
@@ -41,18 +61,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from math import gcd
 from operator import mul
 
 from .exact import (
     InvariantViolation,
-    LatticeVec,
     PreconditionError,
     complement_weights,
     format_rat,
-    is_primitive,
-    primitive_part,
     record,
     trusted,
 )
@@ -164,38 +180,33 @@ class Witness:
         }
 
 
-def pick_fiber_minimizer(model: LocalModel, bdiv: BDivisor, prefix) -> LatticeVec:
-    """A valuation minimising B over the fibre of a prefix f.
+def _fiber_valuations(model: LocalModel, devs: dict) -> list:
+    """The valuations a chart with a coefficient-one component extracts.
 
-    The fibre holds the valuations whose sub-one coordinates, in the order
-    of ``model.sub_one``, are f.  Among listed deviations there, the one of
-    least value wins (ties to the lexicographically smallest tail, the
-    coordinates in ``model.ones``).  When no listed deviation in the fibre
-    is below the default, the representative with f at the sub-one
-    coordinates and 1 elsewhere realises the infimum 1.  For f = 0 with
-    w = 0 the fibre holds no valuation at all.
+    ``devs`` maps the chart's listed deviations, none of them a unit vector,
+    to their values.  The fibre of a prefix f holds the valuations whose
+    sub-one coordinates, in the order of ``model.sub_one``, are f.  For each
+    f of ``positive_pullback_prefixes(model)``, in order, the fibre's listed
+    deviations with value below 1 come in lexicographic order.  A fibre that
+    lists none gives its representative with f at the sub-one coordinates
+    and 1 elsewhere, where B takes its infimum 1 over the fibre; with a
+    coefficient one that representative is primitive, and it is left out
+    when it is a unit vector, a divisor of the chart already.
     """
-    f = tuple(prefix)
-    w, den = model.prefix_weights
-    if (
-        len(f) != len(w)
-        or any(not isinstance(e, int) or e < 0 for e in f)
-        or sum(map(mul, f, w)) >= den
-    ):
-        raise PreconditionError(f"prefix {f} has no positive pullback coefficient")
-    sub, ones = model.sub_one, model.ones
-    # (value, tail) is unique in a fibre, so vec is never compared
-    best = min(((val, [vec[i] for i in ones], vec) for vec, val in bdiv.deviations.items()
-                if val < 1 and tuple([vec[i] for i in sub]) == f), default=None)
-    if best is not None:
-        return best[2]
-    at = dict(zip(sub, f))
-    rep = tuple([at.get(i, 1) for i in range(model.n)])
-    if all(e == 0 for e in rep) or not is_primitive(rep):
-        # with w = 0 the fibre is the single lattice point f itself, which is
-        # a valuation only when f is nonzero and primitive
-        raise PreconditionError(f"the fibre over {f} holds no valuation")
-    return rep
+    sub = model.sub_one
+    fibres = {f: [] for f in positive_pullback_prefixes(model)}
+    for vec in sorted(devs):
+        listed = fibres.get(tuple([vec[i] for i in sub]))
+        if listed is not None and devs[vec] < 1:
+            listed.append(vec)
+    out = []
+    for f, listed in fibres.items():
+        if not listed:
+            at = dict(zip(sub, f))
+            rep = tuple([at.get(i, 1) for i in range(model.n)])
+            listed = [rep] if unit_index(rep) is None else []
+        out.extend(listed)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +243,8 @@ class ReductionState:
     def witnesses(self) -> list:
         """``state_witnesses(self)``, found once per state.
 
-        A cut finds the witnesses of the state it makes, to decide its piece
-        splits, and the driver reads the same list for the next round.
+        The driver reads the initial state's list for its weight and again
+        for the charts it cuts in.
         """
         return state_witnesses(self)
 
@@ -400,89 +411,6 @@ def _theta_coeffs(state: ReductionState, located: dict, gaps: dict, rays) -> tup
     return tuple(out)
 
 
-# refinement rounds allowed in one cut; each round splits every cone holding
-# a witness that straddles a piece, by one of finitely many hyperplanes
-_SPLIT_ROUND_CAP = 64
-
-
-def _piece_splits(state: ReductionState, sig, cut: ReductionState) -> list:
-    """Points splitting the cones of the cut that hold a witness across a piece.
-
-    In an old cone C containing sigma, with sigma's coordinates b, the piece
-    of Y_sigma spanned by sigma and the facet opposite j is where j attains
-    min lam_j / b_j over the j with b_j > 0; the trace of Y_sigma is linear on
-    each piece.  A cone D of the cut's fan inside C lies in one piece when one
-    j attains that minimum at all of D's rays.  When D holds a witness of the
-    cut whose weight is not below the state's, and lies in no piece, its
-    edges are split where they cross a hyperplane separating its rays
-    (``_straddle_points``).
-
-    Once no such witness lies in such a cone, the pullback there is at most
-    the pullback relative to each Y_sigma, since the trace is at most theta,
-    the ray-wise minimum of those, and each is linear on the witness's cone;
-    so the witness either stops being one or moves to a centre of lower
-    weight.  Cuts that already lower the weight get no split, so their fans
-    cross the walls of Y_sigma only away from the witnesses that matter.
-    """
-    witnesses = cut.witnesses
-    if not witnesses:
-        return []
-    top = state_weight(state)
-    homes = []  # (old cone, sigma's numerators, their support)
-    for vec in sig:
-        for cone in state.fan.max_cones:
-            b = cone.coords(vec)
-            if b is not None:
-                homes.append((cone, b, [j for j, x in enumerate(b) if x]))
-    fan = cut.fan
-    points = set()
-    for wit in witnesses:
-        if wit.weight < top:
-            continue
-        idx = wit.loc.ray_indices
-        for cone, b, supp in homes:
-            nums = [cone.coords(fan.rays[i]) for i in idx]
-            if None not in nums:
-                points.update(_straddle_points(fan, idx, nums, b, supp))
-    return sorted(points)
-
-
-def _straddle_points(fan: Fan, idx, nums, b, supp) -> list:
-    """Where the edges of cone idx cross a hyperplane between two pieces.
-
-    With the argmin sets of the rays' coordinates nums, the cone lies in one
-    piece when the sets meet.  Otherwise two indices j, k attaining the
-    minimum at some ray leave rays strictly on both sides of the hyperplane
-    lam_j b_k = lam_k b_j: were every such pair on one side, the pairs
-    would order the indices the same way at every ray, and the least of
-    them would attain the minimum at every ray.  The coordinates are
-    numerators over one positive |det|, so every comparison is on integers.
-    """
-    argmins = []
-    for a in nums:
-        best = supp[0]
-        for j in supp[1:]:
-            if a[j] * b[best] < a[best] * b[j]:
-                best = j
-        argmins.append({j for j in supp if a[j] * b[best] == a[best] * b[j]})
-    if set.intersection(*argmins):
-        return []
-    sides = (
-        [a[j] * b[k] - a[k] * b[j] for a in nums]
-        for j, k in combinations(sorted(set.union(*argmins)), 2)
-    )
-    h = next(h for h in sides if min(h) < 0 < max(h))
-    return [
-        primitive_part(tuple(
-            h[q] * x - h[p] * y
-            for x, y in zip(fan.rays[idx[p]], fan.rays[idx[q]])
-        ))
-        for p in range(len(idx))
-        for q in range(len(idx))
-        if h[p] < 0 < h[q]
-    ]
-
-
 def _cut_state(state: ReductionState, located: dict, gaps: dict, new_fan: Fan) -> tuple:
     """The state on new_fan with trace min(theta, B), and theta itself.
 
@@ -525,10 +453,8 @@ def build_cut(state: ReductionState, located: dict) -> tuple:
     For each sigma, the one-ray extraction Y_sigma carries the ray-wise
     minimum of the pullback trace and B; the new trace on the refined smooth
     fan is the minimum over sigma of the pullback coefficients relative to
-    those divisors, met with B.  The fan is split further at cones that hold
-    a witness of the state's weight or more across two pieces of some Y_sigma
-    (``_piece_splits``).  Every sigma must have positive pullback coefficient
-    and must not already be a divisor of the model.
+    those divisors, met with B.  Every sigma must have positive pullback
+    coefficient and must not already be a divisor of the model.
 
     ``located`` maps each sigma, a primitive vector of the orthant, to its
     location in a maximal cone of the current fan that contains it (a
@@ -538,8 +464,7 @@ def build_cut(state: ReductionState, located: dict) -> tuple:
     located again.  The two refusals are integer checks on the location: a
     primitive vector with one nonzero coordinate is that generator, a ray,
     and the pullback gap must be positive.  ``_theta_coeffs`` reads each
-    sigma's location and gap for its new ray in every split round instead
-    of finding them again.
+    sigma's location and gap for its new ray instead of finding them again.
     """
     gaps = {}
     for vec, loc in located.items():
@@ -554,16 +479,8 @@ def build_cut(state: ReductionState, located: dict) -> tuple:
     if not sig:
         raise PreconditionError("a cut needs at least one valuation")
 
-    # the cut valuations are primitive, and so are the split points
     new_fan = insert_rays(state.fan, sig)
-    for _ in range(_SPLIT_ROUND_CAP):
-        new_state, theta = _cut_state(state, located, gaps, new_fan)
-        splits = _piece_splits(state, sig, new_state)
-        if not splits:
-            break
-        new_fan = insert_rays(new_fan, splits)
-    else:
-        raise InvariantViolation("a witness still straddles a piece of the cut")
+    new_state, theta = _cut_state(state, located, gaps, new_fan)
     step = CutStep(
         weight_before=0,  # the driver records the measured weight
         sigmas=tuple(sig),
@@ -580,11 +497,12 @@ def _chart_model(state: ReductionState, loc) -> tuple:
     ``loc`` is a location in the cone.  The chart coordinates are the
     cone's generators in the order of the cone's key, a lattice basis since
     the fan is smooth.  Deviations inside the cone map to their coordinates,
-    integers since |det| = 1; they are read only on a chart with a
-    coefficient-one component, and the b-divisor is None on the others.
-    Nothing is validated again: the coefficients are trace values, and a
-    deviation that is not a ray has primitive coordinates, nonnegative in
-    the cone and not a unit vector, since a unit vector there is a generator.
+    integers since |det| = 1, and to their values; they are read only on a
+    chart with a coefficient-one component, and the map is None on the
+    others.  Nothing is validated again: the coefficients are trace values,
+    and a deviation that is not a ray has primitive coordinates, nonnegative
+    in the cone and not a unit vector, since a unit vector there is a
+    generator.
     """
     cone, idx = loc.cone, loc.ray_indices
     if abs(cone.det) != 1:
@@ -599,7 +517,7 @@ def _chart_model(state: ReductionState, loc) -> tuple:
         nums = cone.coords(vec)
         if nums is not None:
             devs[nums] = deviations[vec]
-    return model, trusted(BDivisor, pair_coeffs=coeffs, deviations=devs)
+    return model, devs
 
 
 def _chart_sigmas(state: ReductionState, loc) -> dict:
@@ -610,20 +528,15 @@ def _chart_sigmas(state: ReductionState, loc) -> dict:
     in that cone (over |det| = 1); they become its location there, in the
     form ``build_cut`` takes from the driver.
     """
-    model, chart_bdiv = _chart_model(state, loc)
-    prefixes = positive_pullback_prefixes(model)
-    if chart_bdiv is None:
+    model, devs = _chart_model(state, loc)
+    if devs is None:
         # the valuations with positive pullback coefficient are the primitive
         # prefixes other than 0 and the units (sum > 1); multiples reduce to
         # them and units are divisors
-        chart_sigmas = [f for f in prefixes if sum(f) > 1 and gcd(*f) == 1]
+        chart_sigmas = [f for f in positive_pullback_prefixes(model)
+                        if sum(f) > 1 and gcd(*f) == 1]
     else:
-        chart_sigmas = []
-        for f in prefixes:
-            sigma = pick_fiber_minimizer(model, chart_bdiv, f)
-            if unit_index(sigma) is not None:
-                continue
-            chart_sigmas.append(sigma)
+        chart_sigmas = _fiber_valuations(model, devs)
     cone, idx = loc.cone, loc.ray_indices
     columns = tuple(zip(*cone.gens))
     out = {}
@@ -663,26 +576,23 @@ class ReductionTrace:
 
 
 def run_reduction(model: LocalModel, bdiv: BDivisor) -> ReductionTrace:
-    """Iterate cuts until no witness remains (weight -1).
+    """Cut once, if there is a witness, and end at weight -1.
 
-    Each round gathers the charts (maximal cones) containing a witness,
-    merges their cut valuations, and applies one cut.  The weight must
-    strictly decrease every round; a failure to do so is an internal
-    invariant breach, never silently ignored.  It starts at no more than
-    n, so the loop runs at most n + 1 rounds.
+    The cut merges the valuations of the charts (maximal cones) holding a
+    witness, each chart named by the location its witness was found at
+    (``ReductionState.witnesses``).  Every witness becomes a ray and no
+    other valuation becomes one, so the cut leaves none (module docstring);
+    a cut state with a witness is an internal invariant breach, never
+    silently ignored.
 
     The model and b-divisor are validated where they were built; the cut
     valuations are handed to ``build_cut`` with their chart locations, so
-    the cut checks them without validating or locating them again.  The
-    witnesses of each new state are the ones the cut found for its piece
-    splits (``ReductionState.witnesses``), and each names its chart by the
-    location it was found at.
+    the cut checks them without validating or locating them again.
     """
     state = initial_state(model, bdiv)
     weight = state_weight(state)
-    initial = weight
-    steps = []
-    while weight >= 0:
+    steps = ()
+    if weight >= 0:
         located = {}
         seen_charts = set()
         for wit in state.witnesses:
@@ -694,18 +604,16 @@ def run_reduction(model: LocalModel, bdiv: BDivisor) -> ReductionTrace:
         if not located:
             raise InvariantViolation("witnesses present but no cut valuation found")
         state, step = build_cut(state, located)
-        steps.append(CutStep(weight, step.sigmas, step.rays_added, step.theta))
-        new_weight = state_weight(state)
-        if new_weight >= weight:
+        steps = (CutStep(weight, step.sigmas, step.rays_added, step.theta),)
+        if state.witnesses:
             raise InvariantViolation(
-                f"cut failed to decrease the weight ({weight} -> {new_weight})"
+                f"the cut left a witness at {state.witnesses[0].vec}"
             )
-        weight = new_weight
     return ReductionTrace(
-        initial_weight=initial,
-        steps=tuple(steps),
+        initial_weight=weight,
+        steps=steps,
         final_state=state,
-        terminated_weight=weight,
+        terminated_weight=-1,
     )
 
 

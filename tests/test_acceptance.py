@@ -32,7 +32,6 @@ from bdivkit.dcc import (
     materialize,
     standard_coeff,
 )
-from bdivkit.exact import primitive_part
 from bdivkit.logpairs import (
     BDivisor,
     LocalPair,
@@ -47,6 +46,7 @@ from bdivkit.reduction import (
     run_reduction,
     verify_reduction,
 )
+from test_exact import primitive_part
 
 
 @contextmanager

@@ -35,8 +35,8 @@ CASES = {
     "reduce": ["reduce", "--model", '{"n":2,"coeffs":["1/2","1"]}', "--B",
                '{"deviations":[{"v":[1,2],"value":"0"}]}'],
     # cuts that resolve: five pivots on a surface, taken out of angular
-    # order, and eight on a threefold, whose new rays include one of
-    # pullback 0 with a witness of lower weight left in a cone
+    # order, and nine on a threefold, in one cut at both deviations of the
+    # fibre over 0 and at (1, 1, 1), with theta clipped to 0 at three pivots
     "reduce-resolve2d": ["reduce", "--model", '{"n":2,"coeffs":["3/4","1"]}', "--B",
                          '{"deviations":[{"v":[2,9],"value":"0"}]}'],
     "reduce-resolve3d": ["reduce", "--model", '{"n":3,"coeffs":["2/5","1","1"]}', "--B",

@@ -2,7 +2,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +15,6 @@ from bdivkit.exact import (
     determinant,
     format_rat,
     parse_rat,
-    primitive_part,
     rank,
     record,
     trusted,
@@ -53,6 +52,19 @@ def test_field_roundtrips(a, b):
     assert (a + b) - b == a
     if b != 0:
         assert (a * b) / b == a
+
+
+def primitive_part(v) -> tuple:
+    """A nonzero integer vector divided by the gcd of its entries.
+
+    The tests build valuations with it; the package never reduces a vector,
+    since every vector it makes is primitive already.
+    """
+    vec = tuple(v)
+    g = gcd(*vec)
+    if g == 0:
+        raise PreconditionError("zero vector has no primitive part")
+    return tuple(e // g for e in vec)
 
 
 def test_primitive_part_examples():

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from bdivkit.exact import InvariantViolation, PreconditionError, is_primitive, primitive_part
+from bdivkit.exact import InvariantViolation, PreconditionError, is_primitive
 from bdivkit.fans import (
     Cone,
     Fan,
@@ -13,6 +13,7 @@ from bdivkit.fans import (
     is_smooth,
     orthant_fan,
 )
+from test_exact import primitive_part
 
 
 def cone_fan(*gens):

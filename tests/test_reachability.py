@@ -27,9 +27,10 @@ SRC = Path(cli_mod.__file__).resolve().parent
 EXTRA = [
     ["-h"],
     ["batch", "--file", str(GOLDEN / "batch_input.json")],
-    # a witness straddles two pieces of an extraction, so the cut is split
-    ["reduce", "--model", '{"n":3,"coeffs":["1/2","2/3","1"]}', "--B",
-     '{"deviations":[{"v":[1,1,3],"value":"0"},{"v":[1,1,0],"value":"0"}]}'],
+    # a klt cut at valuations B does not list, whose fan keeps the ray
+    # (1, 0, 0) of coefficient 0, where the pullback gap is 0
+    ["reduce", "--model", '{"n":3,"coeffs":["0","2/3","2/3"]}', "--B",
+     '{"deviations":[{"v":[0,1,1],"value":"0"}]}'],
     ["dcc", "--set", json.dumps({"kind": "union", "members": [
         {"kind": "finite", "values": ["1/2", "2/3"]},
         {"kind": "closure", "base": {"kind": "finite", "values": ["6/7"]}, "denom_bound": 7},
@@ -85,15 +86,6 @@ EXTRA = [
         "fan": {"n": 2, "rays": [[0, 1], [1, 0]], "cones": [[0, 1]]},
         "phi": ["2/3", "1/2"],
         "B": {"pair": ["1/2", "2/3"], "deviations": [{"v": [1, 1], "value": "0"}]}})],
-    # piece splits at points that are not primitive, (2, 2, 0) and (2, 2, 2)
-    ["reduce", "--model", '{"n":3,"coeffs":["1","1","2/3"]}', "--B",
-     '{"deviations":[{"v":[3,2,2],"value":"1/4"},{"v":[2,3,2],"value":"0"},'
-     '{"v":[1,4,1],"value":"7/8"}]}'],
-    # two coefficient-one components through a witness's centre: the cut does
-    # not lower the weight, and reduce exits 3 (ROADMAP item 4)
-    ["reduce", "--model", '{"n":3,"coeffs":["3/4","1","1"]}', "--B",
-     '{"deviations":[{"v":[1,0,1],"value":"1/7"},{"v":[4,2,1],"value":"1/3"},'
-     '{"v":[1,6,0],"value":"0"}]}'],
     # coefficient sets: verdicts of unions and closures, chains in finite
     # sets, unions and closures
     ["dcc", "--set", json.dumps({"kind": "union", "members": [
@@ -171,12 +163,13 @@ ALLOWED = {
         BREACH + "a chart cone that is not smooth",
     ("reduction:_cut_state", 'raise InvariantViolation("cut produced an inconsistent trace")'):
         BREACH + "a cut trace that leaves B at a ray",
-    ("reduction:build_cut",
-     'raise InvariantViolation("a witness still straddles a piece of the cut")'):
-        BREACH + "piece splits that never end",
     ("reduction:run_reduction",
      'raise InvariantViolation("witnesses present but no cut valuation found")'):
         BREACH + "a chart of a witness with no cut valuation",
+    ("reduction:run_reduction", "raise InvariantViolation("):
+        BREACH + "a cut that leaves a witness",
+    ("cli:_error_record", 'return {"error": str(exc), "exit_code": 3}'):
+        BREACH + "an invariant breach outside a batch",
     ("reduction:verify_reduction",
      'raise InvariantViolation(f"the fan does not subdivide the orthant: {defect}")'):
         BREACH + "a cut fan that is no subdivision",
@@ -196,8 +189,6 @@ ALLOWED = {
         LIBRARY + "desc_from_json builds only the four kinds",
     ("dcc:standard_coeff", 'raise PreconditionError("standard coefficients need r >= 1")'):
         LIBRARY + "chain checks its denominator bound first",
-    ("exact:primitive_part", 'raise PreconditionError("zero vector has no primitive part")'):
-        LIBRARY + "its callers refuse or never make the zero vector",
     ("fans:Cone.__post_init__",
      'raise PreconditionError(f"a cone needs {n} generators of length {n}, got {g}")'):
         LIBRARY + "a fan checks its rays and cones before it builds a Cone",
@@ -223,6 +214,9 @@ ALLOWED = {
         LIBRARY + "a vector in no cone, as only a hand-built partial fan has",
     ("fans:_split_arc", "return ()"):
         LIBRARY + "a vector in no cone, as only a hand-built partial fan has",
+    ("cli:_like", "return None"):
+        LIBRARY + "every list a command prints has like rows; "
+        "test_writer_equals_json_dumps writes unlike ones",
     ("logpairs:blowup_chain_coeff",
      'raise PreconditionError("the blow-up chain oracle works in dimension 2")'):
         LIBRARY + "the oracles call it for surfaces only",
@@ -235,12 +229,6 @@ ALLOWED = {
         LIBRARY + "run_reduction cuts at chart valuations that are valid",
     ("reduction:build_cut", 'raise PreconditionError("a cut needs at least one valuation")'):
         LIBRARY + "run_reduction cuts at chart valuations that are valid",
-    ("reduction:pick_fiber_minimizer",
-     'raise PreconditionError(f"prefix {f} has no positive pullback coefficient")'):
-        LIBRARY + "run_reduction passes prefixes of positive pullback",
-    ("reduction:pick_fiber_minimizer",
-     'raise PreconditionError(f"the fibre over {f} holds no valuation")'):
-        LIBRARY + "run_reduction asks only charts with a coefficient-one component",
 }
 
 

@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from bdivkit.exact import PreconditionError, primitive_part
+from bdivkit.exact import PreconditionError
 from bdivkit.fans import orthant_fan
 from bdivkit.logpairs import (
     BDivisor,
@@ -20,12 +20,12 @@ from bdivkit.reduction import (
     ReductionState,
     build_cut,
     initial_state,
-    pick_fiber_minimizer,
     positive_pullback_prefixes,
     run_reduction,
     state_weight,
     verify_reduction,
 )
+from test_exact import primitive_part
 from test_fans import reference_star_subdivide
 
 
@@ -113,27 +113,22 @@ def test_initial_witnesses_examples():
     assert state_weight(state2) == 0
 
 
-def test_pick_fiber_minimizer_examples():
+def test_fiber_valuations_examples():
+    fiber_valuations = reduction_mod._fiber_valuations
     m = make_model(F(1, 2), F(1))
-    b = BDivisor(m.pair.coeffs, {(1, 2): F(0), (1, 1): F(1, 3)})
-    assert pick_fiber_minimizer(m, b, (1,)) == (1, 2)
-
-    b0 = BDivisor(m.pair.coeffs, {})
-    assert pick_fiber_minimizer(m, b0, (1,)) == (1, 1)
-
-    # unique candidate below the default wins its fibre
-    b1 = BDivisor(m.pair.coeffs, {(1, 3): F(1, 2)})
-    assert pick_fiber_minimizer(m, b1, (1,)) == (1, 3)
-
-    with pytest.raises(PreconditionError):
-        pick_fiber_minimizer(m, b0, (5,))
-
-
-def test_pick_fiber_minimizer_empty_fibre():
-    m = make_model(F(1, 2))  # w = 0
-    b = BDivisor(m.pair.coeffs, {})
-    with pytest.raises(PreconditionError):
-        pick_fiber_minimizer(m, b, (0,))
+    # prefix (0) gives the unit (0, 1), a divisor already; prefix (1) lists
+    # every deviation of its fibre below 1, in lexicographic order
+    assert fiber_valuations(m, {(1, 2): F(0), (1, 1): F(1, 3)}) == [(1, 1), (1, 2)]
+    # a fibre listing none gives its representative
+    assert fiber_valuations(m, {}) == [(1, 1)]
+    assert fiber_valuations(m, {(1, 3): F(1, 2)}) == [(1, 3)]
+    # value 1 is the default, and prefix (2) has pullback 0
+    assert fiber_valuations(m, {(1, 3): F(1), (2, 1): F(0)}) == [(1, 1)]
+    # with two coefficient-one components the representative of prefix (0)
+    # is no unit; model (1, 2/3, 1) keeps its sub-one coordinate in the middle
+    m2 = make_model(F(1), F(2, 3), F(1))
+    assert fiber_valuations(m2, {(1, 0, 2): F(1, 2), (2, 1, 1): F(0)}) == [
+        (1, 0, 2), (2, 1, 1), (1, 2, 1)]
 
 
 def test_build_cut_single_sigma():
@@ -400,12 +395,13 @@ def test_theta_matches_naive_computation():
 
 
 def test_multi_cut_regression():
-    # two deviations in the same fibre: the minimiser is extracted first and
-    # the survivor needs a second round in a chart of the refined model
+    # two deviations in the same fibre: both are extracted, and one cut ends
+    # the descent
     pair = LocalPair((F(1), F(1)))
     b = BDivisor(pair.coeffs, {(3, 2): F(1, 3), (4, 1): F(1, 2)})
     trace = run_reduction(LocalModel(pair), b)
-    assert [s.weight_before for s in trace.steps] == [2, 1]
+    assert [s.weight_before for s in trace.steps] == [2]
+    assert trace.steps[0].sigmas == ((3, 2), (4, 1))
     assert trace.terminated_weight == -1
     assert (3, 2) in trace.final_state.fan.ray_index
     assert (4, 1) in trace.final_state.fan.ray_index
@@ -419,16 +415,16 @@ def test_multi_cut_regression():
         ((F(2, 3), F(2, 3), F(1)), {(1, 1, 5): F(0), (1, 1, 1): F(0)}),
     ],
 )
-def test_cut_splits_a_witness_cone_across_a_piece(coeffs, devs):
-    # the fibre minimiser of prefix (1, 1) is extracted with (0,1,1) and
-    # (1,0,1), whose cone with (0,0,1) holds the other deviation across the
-    # wall x = y of that extraction; without the split at (1,1,2) the
-    # deviation keeps its weight-one centre and pullback 1/6 or 1/3
+def test_one_cut_extracts_both_deviations_of_a_fibre(coeffs, devs):
+    # both deviations lie in the fibre of prefix (1, 1); extracted alone,
+    # the one of least tail would leave the other a witness of weight one,
+    # across the wall x = y of its extraction
     pair = LocalPair(coeffs)
     trace = run_reduction(LocalModel(pair), BDivisor(pair.coeffs, devs))
     assert [s.weight_before for s in trace.steps] == [1]
     assert trace.terminated_weight == -1
-    assert (1, 1, 2) in trace.steps[0].rays_added
+    assert set(devs) <= set(trace.steps[0].sigmas)
+    assert (1, 1, 2) not in trace.final_state.fan.ray_index
     assert verify_reduction(trace.final_state).ok
 
 
@@ -501,7 +497,7 @@ def test_state_json_roundtrip():
 # ---------------------------------------------------------------------------
 # the verifier against the exhaustive box scan it replaces
 
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bdivkit.exact import InvariantViolation
@@ -551,14 +547,7 @@ def reduced_states(draw):
     for v in draw(st.lists(vec, max_size=3)):
         if sum(1 for e in v if e) > 1:
             devs[v] = draw(st.sampled_from([F(0), F(1, 7), F(1, 2)]))
-    try:
-        state = run_reduction(LocalModel(pair), BDivisor(pair.coeffs, devs)).final_state
-    except InvariantViolation as exc:
-        # the descent gap of ROADMAP item 4, kept in view by
-        # test_reduce_with_two_unit_coefficient_components_exits_0
-        assert coeffs.count(F(1)) >= 2, exc
-        assert str(exc).startswith("cut failed to decrease the weight ("), exc
-        reject()
+    state = run_reduction(LocalModel(pair), BDivisor(pair.coeffs, devs)).final_state
     plant = draw(st.sampled_from(
         ["none", "ray", "deviation", "off_box", "lowered", "boundary"]))
     if plant == "ray":
@@ -660,15 +649,15 @@ def test_prefixes_equal_the_box_scan(cs, w, data):
     model = make_model(*data.draw(st.permutations([*cs, *[F(1)] * w])))
     expected = reference_prefixes(model)
     assert positive_pullback_prefixes(model) == expected
-    # pick_fiber_minimizer accepts exactly these prefixes
-    bdiv = BDivisor(model.pair.coeffs, {})
-    f = tuple(data.draw(st.lists(st.integers(0, 3), min_size=len(cs), max_size=len(cs))))
-    try:
-        pick_fiber_minimizer(model, bdiv, f)
-        accepted = True
-    except PreconditionError as exc:
-        accepted = "no positive pullback coefficient" not in str(exc)
-    assert accepted == (f in set(expected))
+    # with a coefficient one, a chart with no deviations extracts the
+    # representative of each of these prefixes that is no unit vector
+    if w:
+        reps = []
+        for f in expected:
+            at = dict(zip(model.sub_one, f))
+            rep = tuple(at.get(i, 1) for i in range(model.n))
+            reps += [rep] if unit_index(rep) is None else []
+        assert reduction_mod._fiber_valuations(model, {}) == reps
 
 
 # ---------------------------------------------------------------------------
@@ -878,13 +867,17 @@ def test_cut_whose_trace_leaves_b_at_a_ray_is_a_breach(monkeypatch):
         build_cut(state, locations(state, [(1, 2)]))
 
 
-def test_cut_whose_piece_splits_never_end_is_a_breach(monkeypatch):
-    monkeypatch.setattr(reduction_mod, "_SPLIT_ROUND_CAP", 2)
-    monkeypatch.setattr(reduction_mod, "_piece_splits", lambda state, sig, cut: [(1, 0)])
-    pair = LocalPair((F(1, 2), F(1)))
-    state = initial_state(LocalModel(pair), BDivisor(pair.coeffs, {(1, 2): F(0)}))
-    with pytest.raises(InvariantViolation, match="still straddles"):
-        build_cut(state, locations(state, [(1, 2)]))
+def test_cut_that_leaves_a_witness_is_a_breach(monkeypatch, capsys):
+    # the chart planted to drop (4, 1): the cut at (3, 2) alone resolves
+    # through (2, 1), where (4, 1) keeps pullback 2/3 above its B-value 1/2
+    chart_sigmas = reduction_mod._chart_sigmas
+    monkeypatch.setattr(reduction_mod, "_chart_sigmas", lambda state, loc: {
+        v: at for v, at in chart_sigmas(state, loc).items() if v != (4, 1)})
+    argv = ["reduce", "--model", '{"n":2,"coeffs":["1","1"]}', "--B",
+            '{"deviations":[{"v":[3,2],"value":"1/3"},{"v":[4,1],"value":"1/2"}]}']
+    assert cli_mod.main(argv) == 3
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "the cut left a witness at (4, 1)", "exit_code": 3}
 
 
 def test_witness_whose_chart_gives_no_cut_valuation_is_a_breach(monkeypatch):
@@ -918,8 +911,6 @@ def test_weight_refuses_a_pair_that_differs_from_the_model(capsys):
             "the b-divisor trace must agree with the model coefficients")
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the descent with two "
-                   "coefficient-one components through a witness's centre")
 @pytest.mark.parametrize("model, bdiv", [
     pytest.param('{"n":3,"coeffs":["3/4","1","1"]}',
                  '{"deviations":[{"v":[1,0,1],"value":"1/7"},{"v":[4,2,1],"value":"1/3"},'

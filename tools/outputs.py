@@ -12,6 +12,13 @@ Each TARGET is one of
                  deviations: a pair of the 16 primitive vectors of [0, 2]^3
                  with at least two nonzero entries, each with a value in
                  0, 1/3, 1/2: 3,240 inputs;
+  wide           ``reduce`` on the models (c, 1, 1) for c in 0, 5/6, 1,
+                 (1, 1/2, 1) and (1/2, 1, 1/2) with every pair of those 16
+                 vectors, valued 0 or 1/2 (2,400 inputs); 1,000 seeded
+                 random threefolds with up to three coefficient-one
+                 components and three deviations; and 600 seeded random
+                 fourfolds with two or three coefficient-one components
+                 and two or three deviations: 4,000 inputs;
   weights        ``weight --verify`` on every model of n = 2 with
                  coefficients in 0, 1/2, 2/3, 1 and one or two deviations,
                  and of n = 3 with coefficients in 1/2, 1 (in every order)
@@ -36,6 +43,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 import tempfile
 import time
@@ -114,6 +122,40 @@ def weights_census() -> list:
     return argvs
 
 
+def _random_reduce(rng, n, ones, count) -> list:
+    """``reduce`` on a model of n components, ``ones`` of them with
+    coefficient 1 placed at random, and ``count`` random deviations: primitive
+    vectors with at least two nonzero entries, each entry in [0, 3] where the
+    coefficient is 1 and in [0, 1] elsewhere, so that most have positive
+    pullback."""
+    coeffs = [rng.choice(("0", "1/2", "2/3", "5/6")) for _ in range(n - ones)]
+    for _ in range(ones):
+        coeffs.insert(rng.randrange(len(coeffs) + 1), "1")
+    deviations = {}
+    while len(deviations) < count:
+        v = tuple(rng.randrange(4 if c == "1" else 2) for c in coeffs)
+        if sum(map(bool, v)) >= 2 and gcd(*v) == 1:
+            deviations[v] = rng.choice(("0", "1/3", "1/2", "5/6"))
+    return _argv("reduce", coeffs, sorted(deviations.items()))
+
+
+def wide_census() -> list:
+    """The 4,000 argv of the wide census, in a fixed order."""
+    vecs = _primitive_vectors(3)
+    models = [(c, "1", "1") for c in ("0", "5/6", "1")] + [("1", "1/2", "1"), ("1/2", "1", "1/2")]
+    argvs = [
+        _argv("reduce", coeffs, [(v, x), (w, y)])
+        for coeffs in models
+        for v, w in combinations(vecs, 2)
+        for x, y in product(("0", "1/2"), repeat=2)
+    ]
+    rng = random.Random(31)
+    argvs += [_random_reduce(rng, 3, rng.randrange(4), 3) for _ in range(1000)]
+    argvs += [_random_reduce(rng, 4, rng.choice((2, 3)), rng.choice((2, 3)))
+              for _ in range(600)]
+    return argvs
+
+
 def run(argv) -> tuple:
     """(exit code, stdout, stderr) of one command line; a traceback is 1."""
     out, err = io.StringIO(), io.StringIO()
@@ -136,13 +178,15 @@ def _inputs(target: str):
         return threefold_census(), {}
     if target == "weights":
         return weights_census(), {}
+    if target == "wide":
+        return wide_census(), {}
     workload, *numbers = target.split(":")
     if workload not in WORKLOADS or not 1 <= len(numbers) <= 2 or not all(
         map(str.isdigit, numbers)
     ):
         raise SystemExit(
             f"unknown target {target!r}: "
-            "WORKLOAD:SEED[:ROUNDS], surface, threefold or weights"
+            "WORKLOAD:SEED[:ROUNDS], surface, threefold, wide or weights"
         )
     ops = generate(workload, *map(int, numbers))
     return [op["argv"] for ops_round in ops["rounds"] for op in ops_round], ops["files"]
