@@ -17,9 +17,8 @@ integers: ``Cone.coords`` returns numerators over the cone's |det| (the rows
 of the adjugate, with the sign of det folded in, applied to v), so v is in
 the cone exactly when every numerator is >= 0.  ``Fan.locate`` returns a
 location, a ``BarycentricResult``: a plain tuple (cone, ray_indices, nums)
-with those field names, holding the numerators over |det| of the cone found,
-whether v is a fan ray read from the ray table or found by a scan.  On a
-smooth cone |det| = 1 and the numerators are the coordinates themselves.
+with those field names, holding the numerators over |det| of the first cone
+that a scan finds to contain v.  On a smooth cone |det| = 1 and the numerators are the coordinates themselves.
 No coordinate is a ``Fraction``: only ``Cone.barycentric`` returns them, and
 the other ``Fraction``s here are the angle key ``Fan._arcs`` sorts chain
 starts by and the share of the orthant that ``subdivision_defect`` reports
@@ -331,35 +330,13 @@ class Fan:
             raise PreconditionError("the cones of the fan overlap")
         return tuple(arcs)
 
-    @cached_property
-    def _first_cone_of_ray(self) -> dict:
-        """Ray index -> position of the first cone (canonical order) it spans."""
-        first = {}
-        for pos, idx in enumerate(self.cones):
-            for i in idx:
-                first.setdefault(i, pos)
-        return first
-
     def locate(self, v) -> BarycentricResult:
         """Find a maximal cone containing v with exact coordinates.
 
-        Ties on shared faces go to the lexicographically-first cone by sorted
-        ray indices (the cones are stored in that order).  A ray of the fan is
-        answered from a table: where cones meet in common faces, as in every
-        fan built by star subdivision or accepted by ``from_json``, the cones
-        containing a ray are exactly those it spans, and its coordinates there
-        are a unit vector, numerators |det| and 0.  Any other vector, and a
-        ray that spans no cone, is found by scanning the cones in order; only
-        such a vector is validated, since a ray of the fan already was.
+        v is validated, then the cones are scanned in order, so ties on shared
+        faces go to the lexicographically-first cone by sorted ray indices
+        (the cones are stored in that order).
         """
-        i = self.ray_index.get(v) if isinstance(v, tuple) else None
-        pos = self._first_cone_of_ray.get(i)
-        if pos is not None:
-            idx = self.cones[pos]
-            cone = self.max_cones[pos]
-            d = abs(cone.det)
-            nums = tuple(d if k == i else 0 for k in idx)
-            return BarycentricResult(cone, idx, nums)
         vec = lattice_vec(v)
         if len(vec) != self.n:
             raise PreconditionError("query dimension mismatch")

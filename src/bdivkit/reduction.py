@@ -9,24 +9,23 @@ components through the centre of a witness.
 A *cut* replaces the model by a smooth refinement extracting a chosen set of
 valuations (all with positive pullback coefficient), re-traces the pullback
 through each one-ray extraction, takes the ray-wise minimum of those traces,
-and meets the result with B.  The driver picks the cut valuations in the
-chart (maximal cone) of each witness:
+and meets the result with B.  The driver cuts the undivided orthant, where
+the initial state lives, at valuations it chooses from the model and B's
+deviations (``_cut_valuations``):
 
-* in a chart with no coefficient-one components, every lattice vector with
-  positive pullback coefficient (other than the chart's own rays) is
-  extracted;
+* when no coefficient is 1, every lattice vector with positive pullback
+  coefficient (other than the rays) is extracted;
 * otherwise, for every prefix f over the sub-one coordinates with positive
   pullback coefficient, every listed deviation of the fibre {(f, anything)}
   with value below 1 is extracted, or a default representative of the fibre
   when it lists none.
 
-Either way every witness is extracted in the chart it was found in.  A
-witness is a listed deviation and no ray, of positive pullback; so a klt
-chart extracts it, and otherwise its prefix is one of those walked and its
-B-value, below its pullback, is below 1.  One cut then ends the descent at
-weight -1, where the pullback of the final trace is bounded by B
-everywhere.  Proof, with the log discrepancy a = 1 - trace, which is linear
-on each cone of the old fan:
+Either way every witness is extracted.  A witness is a listed deviation and
+no ray, of positive pullback; so a klt model extracts it, and otherwise its
+prefix is one of those walked and its B-value, below its pullback, is below
+1.  One cut then ends the descent at weight -1, where the pullback of the
+final trace is bounded by B everywhere.  Proof, with the log discrepancy
+a = 1 - trace, which is linear on the orthant:
 
 * at a ray r of the cut fan theta(r) is at most the old pullback pb(r)
   (``_theta_coeffs``); so where theta(r) > 0 the new a(r) = 1 -
@@ -34,7 +33,7 @@ on each cone of the old fan:
   is clipped to 0 the new a(r) is 1;
 * the cut fan is smooth and refines the old one, so a listed deviation v is
   sum mu_r r with integers mu_r >= 0 over the rays of a new cone, which
-  lies in one old cone, where the old a is linear;
+  lies in the orthant, where the old a is linear;
 * if mu_r >= 1 at a clipped ray, the new pullback at v is
   max(0, 1 - sum mu_r a(r)) = 0; otherwise sum mu_r a(r) is at least the
   old a(v), and the new pullback at v is at most the old one;
@@ -72,7 +71,7 @@ from .exact import (
     record,
     trusted,
 )
-from .fans import BarycentricResult, Fan, insert_rays, orthant_fan
+from .fans import Fan, insert_rays, orthant_fan
 from .logpairs import (
     BDivisor,
     LocalPair,
@@ -157,18 +156,13 @@ def positive_pullback_prefixes(model: LocalModel) -> list:
 
 @record
 class Witness:
-    """A valuation whose B-value lies strictly below its pullback coefficient.
-
-    ``loc`` is where ``state_witnesses`` located vec in the state's fan; it
-    is not written out.
-    """
+    """A valuation whose B-value lies strictly below its pullback coefficient."""
 
     vec: tuple
     b_value: Fraction
     pullback: Fraction
     stratum: tuple
     weight: int
-    loc: BarycentricResult | None = None
 
     def to_json(self) -> dict:
         return {
@@ -181,17 +175,17 @@ class Witness:
 
 
 def _fiber_valuations(model: LocalModel, devs: dict) -> list:
-    """The valuations a chart with a coefficient-one component extracts.
+    """The cut valuations of a model with a coefficient-one component.
 
-    ``devs`` maps the chart's listed deviations, none of them a unit vector,
-    to their values.  The fibre of a prefix f holds the valuations whose
+    ``devs`` maps B's listed deviations, none of them a unit vector, to
+    their values.  The fibre of a prefix f holds the valuations whose
     sub-one coordinates, in the order of ``model.sub_one``, are f.  For each
     f of ``positive_pullback_prefixes(model)``, in order, the fibre's listed
     deviations with value below 1 come in lexicographic order.  A fibre that
     lists none gives its representative with f at the sub-one coordinates
     and 1 elsewhere, where B takes its infimum 1 over the fibre; with a
     coefficient one that representative is primitive, and it is left out
-    when it is a unit vector, a divisor of the chart already.
+    when it is a unit vector, a divisor of the model already.
     """
     sub = model.sub_one
     fibres = {f: [] for f in positive_pullback_prefixes(model)}
@@ -207,6 +201,17 @@ def _fiber_valuations(model: LocalModel, devs: dict) -> list:
             listed = [rep] if unit_index(rep) is None else []
         out.extend(listed)
     return out
+
+
+def _cut_valuations(model: LocalModel, bdiv: BDivisor) -> list:
+    """The valuations the driver cuts the orthant at (module docstring).
+
+    On a klt model they are the primitive prefixes other than 0 and the
+    units (sum > 1): multiples reduce to them and units are divisors.
+    """
+    if not model.ones:
+        return [f for f in positive_pullback_prefixes(model) if sum(f) > 1 and gcd(*f) == 1]
+    return _fiber_valuations(model, bdiv.deviations)
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +248,9 @@ class ReductionState:
     def witnesses(self) -> list:
         """``state_witnesses(self)``, found once per state.
 
-        The driver reads the initial state's list for its weight and again
-        for the charts it cuts in.
+        The driver reads the initial state's list for its weight, which
+        ``build_cut`` records in its step, and the cut state's to check that
+        none is left.
         """
         return state_witnesses(self)
 
@@ -297,7 +303,7 @@ def state_witnesses(state: ReductionState) -> list:
         if val < pb:
             support = tuple(idx for idx, x in zip(loc.ray_indices, loc.nums) if x > 0)
             w = sum(1 for idx in support if state.phi.ray_coeffs[idx] == 1)
-            out.append(Witness(vec, val, pb, support, w, loc))
+            out.append(Witness(vec, val, pb, support, w))
     return out
 
 
@@ -326,107 +332,81 @@ class CutStep:
         }
 
 
-def _theta_coeffs(state: ReductionState, located: dict, gaps: dict, rays) -> tuple:
+def _theta_coeffs(state: ReductionState, sigmas, rays) -> tuple:
     """min over sigma of the pullback coefficient relative to Y_sigma.
 
-    Y_sigma is the star subdivision of the current fan at sigma.  It carries
-    the current trace on the old rays and min(pb(sigma), B(sigma)) on sigma,
+    Y_sigma is the star subdivision of the orthant at sigma.  It carries the
+    current trace on the unit rays and min(pb(sigma), B(sigma)) on sigma,
     where pb is the pullback coefficient relative to the current trace.  So
     it differs from the current trace only when B(sigma) < pb(sigma), and
     only by the excess e_sigma = pb(sigma) - B(sigma).
 
-    Let C be an old cone containing sigma, with exact coordinates lam.  A ray
-    r of C lies in the piece of Y_sigma spanned by sigma and the facet of C
-    opposite the generator j that minimises lam_j(r) / lam_j(sigma) over the
-    j with lam_j(sigma) > 0; that minimum mu_sigma(r) is the weight of the
-    new ray in r.  Interpolating on the piece lowers the unclipped pullback
-    coefficient at r by mu_sigma(r) * e_sigma, hence
+    On the orthant every vector is its own coordinates.  With the weights
+    1 - g_j = w_j / D of ``state.phi.weights``, pb(r) = max(0, (D - sum r_j
+    w_j) / D).  A ray r lies in the piece of Y_sigma spanned by sigma and the
+    facet opposite the e_j that minimises r_j / sigma_j over the j with
+    sigma_j > 0; that minimum mu_sigma(r) is the weight of the new ray in r.
+    Interpolating on the piece lowers the unclipped pullback coefficient at
+    r by mu_sigma(r) * e_sigma, hence
 
         theta(r) = max(0, pb(r) - max over sigma of mu_sigma(r) * e_sigma).
 
-    mu_sigma(r) is 0 when r lies in no cone containing sigma, and it does not
-    depend on which containing cone is used: on a face shared with a cone
-    that misses sigma, some lam_j(r) is 0 where lam_j(sigma) > 0.  No fan is
-    built here.
-
-    The arithmetic is on integers: in a cone C, r's and sigma's coordinates
-    are numerators a_j and b_j over the same |det C|, sigma's computed once
-    per cone, so mu_sigma(r) = min a_j / b_j is found by cross-multiplication.
-    The drops are compared the same way, and theta(r) is the one Fraction
-    built per ray.
+    No fan is built here.  The arithmetic is on integers: mu_sigma(r) =
+    min r_j / sigma_j is found by cross-multiplication, the drops are
+    compared the same way, and theta(r) is the one Fraction built per ray.
 
     Only a sigma listed among B's deviations can have an excess.  Any other
     sigma is not a unit vector, since units are rays of every subdivision of
     the orthant and ``build_cut`` refuses rays, so B(sigma) = 1.  And
     pb(sigma) <= 1, as every trace coefficient is at most 1.  The excess of
     an unlisted sigma is therefore never positive, and it is not computed.
-
-    ``located`` maps each sigma, in order, to a location in a maximal cone
-    of the current fan that contains it, as ``build_cut`` checked it: its
-    chart cone when the driver handed it over, else its ``Fan.locate``
-    result.  ``gaps`` maps each sigma to its ``pullback_gap`` at that
-    location, which ``build_cut`` computed for its refusal.  A ray of
-    ``rays`` that is a sigma reads its location and gap there; every other
-    ray is located here.  Where a sigma lies on a face of
-    several cones, theta does not depend on which of them holds its
-    location: pb(sigma) is the same in each, and so is mu_sigma(r) above.
     """
     excess = []
-    for vec in located:
+    for vec in sigmas:
         if vec not in state.bdiv.deviations:
             continue
-        # gaps[vec] holds the same pullback; this call stays only because
-        # bench/test_bench.py requires its span on reduce_cut
+        # build_cut checked this pullback in integers; the call stays only
+        # because bench/test_bench.py requires its span on reduce_cut
         e = relative_pullback_coeff(state.phi, vec) - state.bdiv.value(vec)
         if e > 0:
-            excess.append((vec, e))
-    in_cone = {}  # cone C -> (b, e numerator, e denominator) per sigma in C
+            excess.append((vec, e.numerator, e.denominator))
+    w, den = state.phi.weights
     out = []
     for r in rays:
-        loc = located.get(r) or state.fan.locate(r)
-        gap, scale = gaps.get(r) or pullback_gap(state.phi, loc)
+        gap = den - sum(map(mul, r, w))
         if gap <= 0:
             out.append(Fraction(0))
             continue
-        drops = in_cone.get(loc.ray_indices)
-        if drops is None:
-            drops = in_cone[loc.ray_indices] = []
-            for vec, e in excess:
-                b = loc.cone.coords(vec)
-                if b is not None:
-                    drops.append((b, e.numerator, e.denominator))
         # the largest drop mu * e as top / bottom (0 / 1 when nothing drops)
         top, bottom = 0, 1
-        for b, e_num, e_den in drops:
+        for b, e_num, e_den in excess:
             a_min, b_min = None, None
-            for a_j, b_j in zip(loc.nums, b):
+            for a_j, b_j in zip(r, b):
                 if b_j and (a_min is None or a_j * b_min < a_min * b_j):
                     a_min, b_min = a_j, b_j
             t, u = a_min * e_num, b_min * e_den
             if t * bottom > top * u:
                 top, bottom = t, u
-        # theta = gap / scale - top / bottom, clipped at 0
-        num = gap * bottom - top * scale
-        out.append(Fraction(num, scale * bottom) if num > 0 else Fraction(0))
+        # theta = gap / den - top / bottom, clipped at 0
+        num = gap * bottom - top * den
+        out.append(Fraction(num, den * bottom) if num > 0 else Fraction(0))
     return tuple(out)
 
 
-def _cut_state(state: ReductionState, located: dict, gaps: dict, new_fan: Fan) -> tuple:
+def _cut_state(state: ReductionState, sigmas, new_fan: Fan) -> tuple:
     """The state on new_fan with trace min(theta, B), and theta itself.
 
     The minimum is taken only at the rays B lists as deviations.  At every
     other ray that is not a unit vector B is 1, and theta is at most
-    gap / scale <= 1, so the trace there is theta itself, the value ``min``
-    returns.  A unit ray is a ray of the old fan, and at a ray r of the old
-    fan theta(r) is r's old trace coefficient: in a cone holding r and
-    sigma, r has coordinates e_r, so mu_sigma(r) > 0 (see ``_theta_coeffs``)
-    would need sigma's support to be r alone, making sigma the ray r, which
-    ``build_cut`` refuses.  The old trace agrees with B on its rays, so at a
-    unit ray theta is B's value there, the pair's coefficient.
-    ``trace_consistent`` checks the outcome.
+    pb <= 1, so the trace there is theta itself, the value ``min`` returns.
+    At a unit ray e_i theta is its old trace coefficient: mu_sigma(e_i) (see
+    ``_theta_coeffs``) is positive only when sigma's support is {i}, making
+    sigma the ray e_i, which ``build_cut`` refuses.  The old trace agrees
+    with B on its rays, so at a unit ray theta is B's value there, the
+    pair's coefficient.  ``trace_consistent`` checks the outcome.
     """
     rays = new_fan.rays
-    theta = _theta_coeffs(state, located, gaps, rays)
+    theta = _theta_coeffs(state, sigmas, rays)
     listed = state.bdiv.deviations
     new_phi_coeffs = tuple(
         min(t, listed[r]) if r in listed else t for t, r in zip(theta, rays)
@@ -447,8 +427,8 @@ def _cut_state(state: ReductionState, located: dict, gaps: dict, new_fan: Fan) -
     return new_state, theta
 
 
-def build_cut(state: ReductionState, located: dict) -> tuple:
-    """One cut: extract the given valuations and meet the traces.
+def build_cut(state: ReductionState, sigmas) -> tuple:
+    """One cut of the orthant: extract the given valuations and meet the traces.
 
     For each sigma, the one-ray extraction Y_sigma carries the ray-wise
     minimum of the pullback trace and B; the new trace on the refined smooth
@@ -456,94 +436,41 @@ def build_cut(state: ReductionState, located: dict) -> tuple:
     those divisors, met with B.  Every sigma must have positive pullback
     coefficient and must not already be a divisor of the model.
 
-    ``located`` maps each sigma, a primitive vector of the orthant, to its
-    location in a maximal cone of the current fan that contains it (a
-    ``BarycentricResult`` whose numerators are its coordinates there), as
-    ``run_reduction`` builds them from chart coordinates; a library caller
-    passes ``{v: state.fan.locate(v)}``.  The sigmas are not validated or
-    located again.  The two refusals are integer checks on the location: a
-    primitive vector with one nonzero coordinate is that generator, a ray,
-    and the pullback gap must be positive.  ``_theta_coeffs`` reads each
-    sigma's location and gap for its new ray instead of finding them again.
+    The state must lie on the undivided orthant, as ``initial_state``
+    builds it: ``_theta_coeffs`` reads each vector as its own coordinates,
+    which on a refined fan would give false coefficients, so a state on any
+    other fan is refused.  The sigmas are primitive vectors of the orthant,
+    tuples, and are not validated again.  The two refusals are integer
+    checks on the vector: one with a single nonzero coordinate is a unit
+    vector, a ray, and the pullback gap D - sum sigma_j w_j must be
+    positive.  The step records the state's weight, read from its witnesses,
+    which the driver has found already.
     """
-    gaps = {}
-    for vec, loc in located.items():
-        if loc.nums.count(0) == len(loc.nums) - 1:
+    n = state.fan.n
+    if state.fan != orthant_fan(n):
+        raise PreconditionError("a cut needs a state on the undivided orthant")
+    w, den = state.phi.weights
+    sig = tuple(sigmas)
+    for vec in sig:
+        if vec.count(0) == n - 1:
             raise PreconditionError(f"{vec} is already a divisor on the model")
-        gaps[vec] = pullback_gap(state.phi, loc)
-        if gaps[vec][0] <= 0:
+        if sum(map(mul, vec, w)) >= den:
             raise PreconditionError(
                 f"cut valuation {vec} has zero pullback coefficient"
             )
-    sig = list(located)
     if not sig:
         raise PreconditionError("a cut needs at least one valuation")
 
     new_fan = insert_rays(state.fan, sig)
-    new_state, theta = _cut_state(state, located, gaps, new_fan)
+    new_state, theta = _cut_state(state, sig, new_fan)
     step = CutStep(
-        weight_before=0,  # the driver records the measured weight
-        sigmas=tuple(sig),
+        weight_before=state_weight(state),
+        sigmas=sig,
         # insert_rays appends every new ray after the old ones
-        rays_added=new_fan.rays[len(state.fan.rays):],
+        rays_added=new_fan.rays[n:],
         theta=tuple(zip(new_fan.rays, theta)),
     )
     return new_state, step
-
-
-def _chart_model(state: ReductionState, loc) -> tuple:
-    """Unimodular chart at a maximal cone: local model and b-divisor.
-
-    ``loc`` is a location in the cone.  The chart coordinates are the
-    cone's generators in the order of the cone's key, a lattice basis since
-    the fan is smooth.  Deviations inside the cone map to their coordinates,
-    integers since |det| = 1, and to their values; they are read only on a
-    chart with a coefficient-one component, and the map is None on the
-    others.  Nothing is validated again: the coefficients are trace values,
-    and a deviation that is not a ray has primitive coordinates, nonnegative
-    in the cone and not a unit vector, since a unit vector there is a
-    generator.
-    """
-    cone, idx = loc.cone, loc.ray_indices
-    if abs(cone.det) != 1:
-        raise InvariantViolation(f"chart cone {cone.gens} is not smooth")
-    coeffs = tuple(state.phi.ray_coeffs[i] for i in idx)
-    model = LocalModel(trusted(LocalPair, coeffs=coeffs))
-    if not model.ones:
-        return model, None
-    devs = {}
-    deviations = state.bdiv.deviations
-    for vec in deviations.keys() - state.fan.ray_index.keys():
-        nums = cone.coords(vec)
-        if nums is not None:
-            devs[nums] = deviations[vec]
-    return model, devs
-
-
-def _chart_sigmas(state: ReductionState, loc) -> dict:
-    """Cut valuations for the chart at loc's cone, each mapped to its location.
-
-    Each valuation is mapped back to ambient coordinates.  The cone is
-    unimodular, so its chart coordinates are its ``Fan.locate`` numerators
-    in that cone (over |det| = 1); they become its location there, in the
-    form ``build_cut`` takes from the driver.
-    """
-    model, devs = _chart_model(state, loc)
-    if devs is None:
-        # the valuations with positive pullback coefficient are the primitive
-        # prefixes other than 0 and the units (sum > 1); multiples reduce to
-        # them and units are divisors
-        chart_sigmas = [f for f in positive_pullback_prefixes(model)
-                        if sum(f) > 1 and gcd(*f) == 1]
-    else:
-        chart_sigmas = _fiber_valuations(model, devs)
-    cone, idx = loc.cone, loc.ray_indices
-    columns = tuple(zip(*cone.gens))
-    out = {}
-    for nums in chart_sigmas:
-        ambient = tuple([sum(map(mul, col, nums)) for col in columns])
-        out[ambient] = BarycentricResult(cone, idx, nums)
-    return out
 
 
 @record
@@ -576,35 +503,23 @@ class ReductionTrace:
 
 
 def run_reduction(model: LocalModel, bdiv: BDivisor) -> ReductionTrace:
-    """Cut once, if there is a witness, and end at weight -1.
+    """Cut the orthant once, if there is a witness, and end at weight -1.
 
-    The cut merges the valuations of the charts (maximal cones) holding a
-    witness, each chart named by the location its witness was found at
-    (``ReductionState.witnesses``).  Every witness becomes a ray and no
-    other valuation becomes one, so the cut leaves none (module docstring);
-    a cut state with a witness is an internal invariant breach, never
-    silently ignored.
-
-    The model and b-divisor are validated where they were built; the cut
-    valuations are handed to ``build_cut`` with their chart locations, so
-    the cut checks them without validating or locating them again.
+    The cut valuations come from the model and B's deviations
+    (``_cut_valuations``) and are not validated again.  Every witness
+    becomes a ray and no other valuation becomes one, so the cut leaves none
+    (module docstring); a cut state with a witness is an internal invariant
+    breach, never silently ignored.
     """
     state = initial_state(model, bdiv)
     weight = state_weight(state)
     steps = ()
     if weight >= 0:
-        located = {}
-        seen_charts = set()
-        for wit in state.witnesses:
-            if wit.loc.ray_indices in seen_charts:
-                continue
-            seen_charts.add(wit.loc.ray_indices)
-            for sigma, at in _chart_sigmas(state, wit.loc).items():
-                located.setdefault(sigma, at)
-        if not located:
+        sigmas = _cut_valuations(model, bdiv)
+        if not sigmas:
             raise InvariantViolation("witnesses present but no cut valuation found")
-        state, step = build_cut(state, located)
-        steps = (CutStep(weight, step.sigmas, step.rays_added, step.theta),)
+        state, step = build_cut(state, sigmas)
+        steps = (step,)
         if state.witnesses:
             raise InvariantViolation(
                 f"the cut left a witness at {state.witnesses[0].vec}"
@@ -657,12 +572,11 @@ def verify_reduction(state: ReductionState) -> VerifyReport:
     At a fan ray r_i the pullback is its own trace coefficient g_i.  The
     subdivision check has found that every ray spans a cone, and in such a
     cone r_i has coordinates e_i, so the pullback is max(0, 1 - (1 - g_i)) =
-    g_i, which is >= 0; this is the location ``Fan.locate`` reads from its
-    ray table.  So a ray is checked by comparing g_i = a / b with B(r_i) =
-    p / q as integers, a * q > p * b, and only the listed deviations that
-    are not rays are located.  There, with the pullback max(0, gap / scale)
-    from ``pullback_gap``, the bound fails exactly when gap * q > p * scale.
-    Fractions are built only for a violation.
+    g_i, which is >= 0.  So a ray is checked by comparing g_i = a / b with
+    B(r_i) = p / q as integers, a * q > p * b, and only the listed
+    deviations that are not rays are located.  There, with the pullback
+    max(0, gap / scale) from ``pullback_gap``, the bound fails exactly when
+    gap * q > p * scale.  Fractions are built only for a violation.
     """
     defect = state.fan.subdivision_defect
     if defect is not None:

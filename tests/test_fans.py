@@ -329,14 +329,6 @@ def test_location_is_a_tuple_with_named_fields():
     again = BarycentricResult(cone, idx, nums)
     assert again == loc and hash(again) == hash(loc)
     assert BarycentricResult(cone, idx, tuple(x + 1 for x in nums)) != loc
-    # a witness is compared and hashed with its location
-    from bdivkit.reduction import Witness
-
-    def witness(at):
-        return Witness((1, 2), Fraction(0), Fraction(1, 2), idx, 0, at)
-
-    assert witness(again) == witness(loc) and hash(witness(again)) == hash(witness(loc))
-    assert witness(fan.locate((2, 1))) != witness(loc)
 
 
 def same_fan(a, b):

@@ -3,9 +3,11 @@ workloads and the weights census print what they printed when the digests
 below were pinned, and write each result as ``json.dumps`` would; every
 input of the surface and threefold censuses, and a slice of the wide
 census, reduces in at most one cut, and every final state that is printed
-passes the verifier again after a round trip."""
+passes the verifier again after a round trip; the surface and threefold
+censuses print what they printed when their digests were pinned."""
 
 import functools
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -68,6 +70,12 @@ def _verifies_again(out: str) -> bool:
     return len(data["steps"]) <= 1 and data["verify_ok"] is True and verify_reduction(state).ok
 
 
+# the per-target digests of ``tools/outputs.py surface`` and ``threefold``,
+# hashed in the loops below that run those censuses anyway
+SURFACE_SHA256 = "c140b4df057a6cf6ac0fc47e28cf0e3bbecc38eb900698d67d78e53a1ecc6e3f"
+THREEFOLD_SHA256 = "3fe6b953e27f152d6c21f183dec2578e01d2c2e3ace3baef78c2acde22c39ae2"
+
+
 def test_surface_census_reduces_and_verifies_every_input(monkeypatch):
     pivots = []
     real = fans_mod._new_pivot
@@ -76,41 +84,50 @@ def test_surface_census_reduces_and_verifies_every_input(monkeypatch):
     argvs = outputs.surface_census()
     assert len(argvs) == 273
     resolving = 0
+    digest = hashlib.sha256()
     for argv in argvs:
         before = len(pivots)
         code, out, err = outputs.run(argv)
+        digest.update(outputs.output_record(argv, code, out, err))
         assert code == 0, (argv, err)
         assert _verifies_again(out), argv
         resolving += len(pivots) > before
     # the census takes the resolution path: 49 cuts resolve, in 251 pivots
     assert (resolving, len(pivots)) == (49, 251)
+    assert digest.hexdigest() == SURFACE_SHA256
 
 
 @functools.cache
-def _threefold_codes() -> dict:
-    """exit code -> argv of the threefold census that exit with it; an exit
-    0 counts only if it made at most one cut and its printed final state
-    verifies again."""
+def _threefold_run() -> tuple:
+    """(exit code -> argv of the threefold census that exit with it, the
+    census's digest); an exit 0 counts only if it made at most one cut and
+    its printed final state verifies again."""
     argvs = outputs.threefold_census()
     assert len(argvs) == 3240
     codes = {}
+    digest = hashlib.sha256()
     for argv in argvs:
-        code, out, _ = outputs.run(argv)
+        code, out, err = outputs.run(argv)
+        digest.update(outputs.output_record(argv, code, out, err))
         if code == 0 and not _verifies_again(out):
             code = "unverified"
         codes.setdefault(code, []).append(argv)
-    return codes
+    return codes, digest.hexdigest()
 
 
 def test_threefold_census_reduces_and_verifies_or_exits_3():
-    # every chart extracts every witness it holds, so every input reduces
-    codes = _threefold_codes()
+    # the cut extracts every witness, so every input reduces
+    codes, _ = _threefold_run()
     assert {code: len(argvs) for code, argvs in codes.items()} == {0: 3240}, {
         code: argvs[:3] for code, argvs in codes.items()}
 
 
 def test_threefold_census_exits_3_nowhere():
-    assert 3 not in _threefold_codes()
+    assert 3 not in _threefold_run()[0]
+
+
+def test_threefold_census_prints_the_pinned_outputs():
+    assert _threefold_run()[1] == THREEFOLD_SHA256
 
 
 def test_wide_census_slice_reduces_in_one_cut_and_verifies():

@@ -71,8 +71,8 @@ EXTRA = [
      '{"n":2,"normals":[[1,0],[-1,0],[0,1],[0,-1]],"offsets":["0","0","0","1"]}', "--verify"],
     ["polyvol", "--polytope", '{"n":3,"normals":[[0,0,1],[0,0,-1],[1,0,0],[-1,0,0],[0,1,0],'
                               '[0,-1,0]],"offsets":["0","0","0","1","0","1"]}'],
-    # reductions: a klt chart (with --verify, which has no oracle to run), a
-    # chart that needs resolution, and a state the verifier refutes
+    # reductions: a klt model (with --verify, which has no oracle to run), a
+    # cut that needs resolution, and a state the verifier refutes
     ["reduce", "--model", '{"n":2,"coeffs":["1/2","2/3"]}', "--B",
      '{"deviations":[{"v":[1,1],"value":"0"}]}', "--verify"],
     ["reduce", "--model", '{"n":2,"coeffs":["3/4","1"]}', "--B",
@@ -159,13 +159,11 @@ ALLOWED = {
     ("fans:_new_pivot",
      'raise InvariantViolation(f"resolution pivot {pivot} is already a ray of the fan")'):
         BREACH + "a parallelepiped point that is a ray of another cone",
-    ("reduction:_chart_model", 'raise InvariantViolation(f"chart cone {cone.gens} is not smooth")'):
-        BREACH + "a chart cone that is not smooth",
     ("reduction:_cut_state", 'raise InvariantViolation("cut produced an inconsistent trace")'):
         BREACH + "a cut trace that leaves B at a ray",
     ("reduction:run_reduction",
      'raise InvariantViolation("witnesses present but no cut valuation found")'):
-        BREACH + "a chart of a witness with no cut valuation",
+        BREACH + "witnesses with no cut valuation",
     ("reduction:run_reduction", "raise InvariantViolation("):
         BREACH + "a cut that leaves a witness",
     ("cli:_error_record", 'return {"error": str(exc), "exit_code": 3}'):
@@ -223,12 +221,15 @@ ALLOWED = {
     ("reduction:ReductionState.__post_init__",
      'raise PreconditionError("trace lives on a different fan")'):
         LIBRARY + "states are built with the trace on their own fan",
+    ("reduction:build_cut",
+     'raise PreconditionError("a cut needs a state on the undivided orthant")'):
+        LIBRARY + "run_reduction cuts only its initial state, on the orthant",
     ("reduction:build_cut", 'raise PreconditionError(f"{vec} is already a divisor on the model")'):
-        LIBRARY + "run_reduction cuts at chart valuations that are valid",
+        LIBRARY + "run_reduction cuts the orthant at valid valuations",
     ("reduction:build_cut", "raise PreconditionError("):
-        LIBRARY + "run_reduction cuts at chart valuations that are valid",
+        LIBRARY + "run_reduction cuts the orthant at valid valuations",
     ("reduction:build_cut", 'raise PreconditionError("a cut needs at least one valuation")'):
-        LIBRARY + "run_reduction cuts at chart valuations that are valid",
+        LIBRARY + "run_reduction cuts the orthant at valid valuations",
 }
 
 

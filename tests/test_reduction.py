@@ -12,7 +12,6 @@ from bdivkit.logpairs import (
     BDivisor,
     LocalPair,
     ModelDivisor,
-    pullback_gap,
     relative_pullback_coeff,
 )
 from bdivkit.reduction import (
@@ -32,16 +31,6 @@ from test_fans import reference_star_subdivide
 def coeff(md, ray):
     """The coefficient of a model divisor at one of its fan's rays."""
     return md.ray_coeffs[md.fan.ray_index[ray]]
-
-
-def gaps_at(state, located):
-    """The pullback gap of the state's trace at each located sigma."""
-    return {vec: pullback_gap(state.phi, loc) for vec, loc in located.items()}
-
-
-def locations(state, vecs):
-    """The cut valuations vecs, each mapped to its location, as build_cut takes them."""
-    return {v: state.fan.locate(v) for v in vecs}
 
 
 def make_model(*coeffs):
@@ -136,7 +125,7 @@ def test_build_cut_single_sigma():
     pair = LocalPair((F(2, 3), F(2, 3)))
     b = BDivisor(pair.coeffs, {(1, 1): F(1, 6)})
     state = initial_state(LocalModel(pair), b)
-    new_state, step = build_cut(state, locations(state, [(1, 1)]))
+    new_state, step = build_cut(state, [(1, 1)])
     assert coeff(new_state.phi, (1, 1)) == min(F(1, 3), F(1, 6))
     assert coeff(new_state.phi, (1, 0)) == F(2, 3)
     assert coeff(new_state.phi, (0, 1)) == F(2, 3)
@@ -148,13 +137,29 @@ def test_build_cut_rejects_zero_pullback_and_rays():
     pair = LocalPair((F(1, 4), F(1, 4)))
     state = initial_state(LocalModel(pair), BDivisor(pair.coeffs, {}))
     with pytest.raises(PreconditionError):
-        build_cut(state, locations(state, [(1, 1)]))  # pullback coefficient 0
+        build_cut(state, [(1, 1)])  # pullback coefficient 0
     pair2 = LocalPair((F(2, 3), F(2, 3)))
     state2 = initial_state(LocalModel(pair2), BDivisor(pair2.coeffs, {}))
     with pytest.raises(PreconditionError):
-        build_cut(state2, locations(state2, [(1, 0)]))  # already a divisor
+        build_cut(state2, [(1, 0)])  # already a divisor
     with pytest.raises(PreconditionError):
-        build_cut(state2, locations(state2, []))
+        build_cut(state2, [])
+    # a zero-pullback valuation is refused after valid ones too
+    with pytest.raises(PreconditionError) as exc:
+        build_cut(state2, [(1, 1), (2, 3)])
+    assert cli_mod._error_record(exc.value) == {
+        "error": "cut valuation (2, 3) has zero pullback coefficient", "exit_code": 2,
+    }
+
+
+def test_build_cut_refuses_a_state_off_the_orthant():
+    # the cut reads every vector as its own coordinates, true only on the
+    # orthant: a cut state handed back would get false coefficients
+    pair = LocalPair((F(1, 2), F(1)))
+    state = initial_state(LocalModel(pair), BDivisor(pair.coeffs, {(1, 2): F(0), (1, 3): F(0)}))
+    cut, _ = build_cut(state, [(1, 2)])
+    with pytest.raises(PreconditionError, match="undivided orthant"):
+        build_cut(cut, [(1, 3)])
 
 
 def test_build_cut_klt_branch_reaches_weight_minus_one():
@@ -170,7 +175,7 @@ def test_build_cut_klt_branch_reaches_weight_minus_one():
         and sum(1 for e in f if e) > 1  # units are already divisors
         and gcd(*f) == 1
     ]
-    new_state, _ = build_cut(state, locations(state, sigmas))
+    new_state, _ = build_cut(state, sigmas)
     assert state_weight(new_state) == -1
 
 
@@ -178,7 +183,9 @@ def test_cut_keeps_trace_below_old_pullback():
     pair = LocalPair((F(1, 2), F(1)))
     b = BDivisor(pair.coeffs, {(1, 2): F(0)})
     state = initial_state(LocalModel(pair), b)
-    new_state, _ = build_cut(state, locations(state, [(1, 2)]))
+    new_state, step = build_cut(state, [(1, 2)])
+    # the step records the weight of the state it cut
+    assert step.weight_before == state_weight(state) == 1
     for ray, c in zip(new_state.fan.rays, new_state.phi.ray_coeffs):
         assert c <= relative_pullback_coeff(state.phi, ray)
 
@@ -242,7 +249,7 @@ def test_weight_never_increases_under_any_cut():
         ]
         if not candidates:
             continue
-        new_state, _ = build_cut(state, locations(state, candidates[:1]))
+        new_state, _ = build_cut(state, candidates[:1])
         assert state_weight(new_state) <= before
 
 
@@ -275,7 +282,7 @@ def test_descent_chain_instrumented():
             for r in y_fan.rays
         ),
     )
-    new_state, _ = build_cut(state, locations(state, [sigma]))
+    new_state, _ = build_cut(state, [sigma])
     for k in range(2, 7):
         nu = (1, k)  # same prefix, nu >= sigma
         l_phi2 = relative_pullback_coeff(new_state.phi, nu)
@@ -286,12 +293,11 @@ def test_descent_chain_instrumented():
 
 
 def test_theta_matches_naive_computation():
-    # the closed form must agree with interpolating the full divisor on every
-    # one-ray extraction Y_sigma, on the orthant, on fans refined by a first
-    # cut and on non-smooth fans, for sigma with B below and at or above its
-    # pullback
-    from bdivkit.fans import insert_rays, is_smooth
-    from bdivkit.logpairs import pullback_trace, unit_index
+    # the closed form on the orthant must agree with interpolating the full
+    # divisor on every one-ray extraction Y_sigma, for sigma with B below and
+    # at or above its pullback
+    from bdivkit.fans import insert_rays
+    from bdivkit.logpairs import unit_index
     from bdivkit.reduction import _theta_coeffs
 
     def naive_theta(state, sigmas, rays):
@@ -321,76 +327,35 @@ def test_theta_matches_naive_computation():
 
     pool = [F(0), F(1, 2), F(2, 3), F(3, 4), F(6, 7), F(1)]
     values = [F(0), F(1, 3), F(1, 2), F(5, 6)]
-    seen = dict.fromkeys(
-        ["n2", "n3", "refined", "non_smooth", "below", "not_below", "shared_face"], 0
-    )
-    for _ in range(600):
+    seen = dict.fromkeys(["n2", "n3", "below", "not_below"], 0)
+    for _ in range(200):
         n = rng.choice([2, 3])
         coeffs = sorted(
             (rng.choice(pool) for _ in range(n)), key=lambda c: c == 1
         )
         pair = LocalPair(tuple(coeffs))
-        devs = {
-            random_valuation(n, 3): rng.choice(values)
-            for _ in range(rng.randint(1, 3))
-        }
-        state = initial_state(LocalModel(pair), BDivisor(pair.coeffs, devs))
-        roll = rng.random()
-        if roll < 0.3:
-            # a non-smooth old fan: star subdivisions without resolve, so
-            # rays read from the ray table and sigmas found by a scan both
-            # sit over |det| > 1; the trace is the pullback, listed in B on
-            # the rays
-            fan = state.fan
-            for _ in range(rng.randint(1, 2)):
-                fan = reference_star_subdivide(fan, random_valuation(n, 4))
-            phi = pullback_trace(pair, fan)
-            on_rays = {
-                r: c for r, c in zip(fan.rays, phi.ray_coeffs) if unit_index(r) is None
-            }
-            state = ReductionState(fan, phi, BDivisor(pair.coeffs, {**devs, **on_rays}))
-        elif roll < 0.7:
-            first = [
-                v for v in devs if relative_pullback_coeff(state.phi, v) > 0
-            ]
-            if first:
-                state, _ = build_cut(state, locations(state, first))
+        phi = ModelDivisor(orthant_fan(n), pair.coeffs)
         # listed sigmas get a random B, unlisted ones keep the default 1
         sigmas = []
-        updates = {}
+        devs = {}
         for _ in range(rng.randint(1, 3)):
-            if rng.random() < 0.5:
-                v = random_valuation(n, 4)
-            else:
-                # the sum of two generators of a maximal cone lies on their
-                # common face, which a refined fan may share between cones
-                a, b = rng.sample(rng.choice(state.fan.cones), 2)
-                ra, rb = state.fan.rays[a], state.fan.rays[b]
-                v = primitive_part(tuple(x + y for x, y in zip(ra, rb)))
-            if v in state.fan.ray_index or v in sigmas:
-                continue
-            if relative_pullback_coeff(state.phi, v) == 0:
+            v = random_valuation(n, 4)
+            if v in sigmas or relative_pullback_coeff(phi, v) == 0:
                 continue
             if rng.random() < 0.6:
-                updates[v] = rng.choice(values)
+                devs[v] = rng.choice(values)
             sigmas.append(v)
         if not sigmas:
             continue
-        bdiv = BDivisor(state.bdiv.pair_coeffs, {**state.bdiv.deviations, **updates})
-        state = ReductionState(state.fan, state.phi, bdiv)
+        state = initial_state(LocalModel(pair), BDivisor(pair.coeffs, devs))
         new_fan = insert_rays(state.fan, sigmas)
-        located = {v: state.fan.locate(v) for v in sigmas}
-        fast = _theta_coeffs(state, located, gaps_at(state, located), new_fan.rays)
+        fast = _theta_coeffs(state, sigmas, new_fan.rays)
         assert fast == naive_theta(state, sigmas, new_fan.rays)
 
         seen[f"n{n}"] += 1
-        seen["refined"] += len(state.fan.cones) > 1
-        seen["non_smooth"] += not is_smooth(state.fan)
         for s in sigmas:
             below = state.bdiv.value(s) < relative_pullback_coeff(state.phi, s)
             seen["below" if below else "not_below"] += 1
-            holders = [c for c in state.fan.max_cones if c.coords(s) is not None]
-            seen["shared_face"] += len(holders) > 1
     assert all(count >= 10 for count in seen.values()), seen
 
 
@@ -649,7 +614,7 @@ def test_prefixes_equal_the_box_scan(cs, w, data):
     model = make_model(*data.draw(st.permutations([*cs, *[F(1)] * w])))
     expected = reference_prefixes(model)
     assert positive_pullback_prefixes(model) == expected
-    # with a coefficient one, a chart with no deviations extracts the
+    # with a coefficient one, a model with no deviations extracts the
     # representative of each of these prefixes that is no unit vector
     if w:
         reps = []
@@ -665,8 +630,9 @@ def test_prefixes_equal_the_box_scan(cs, w, data):
 
 from unittest import mock
 
+import bdivkit.cli as cli_mod
 import bdivkit.reduction as reduction_mod
-from bdivkit.fans import Cone
+from bdivkit.fans import Cone, insert_rays
 
 
 @st.composite
@@ -698,6 +664,9 @@ def test_cut_states_equal_their_validated_rebuilds(inputs):
     def recording(state, sigmas):
         new_state, step = build_cut_checked(state, sigmas)
         states.append(new_state)
+        # at a unit ray theta is its old trace coefficient (the argument of
+        # _cut_state)
+        assert step.theta[:state.fan.n] == tuple(zip(state.fan.rays, state.phi.ray_coeffs))
         return new_state, step
 
     with mock.patch.object(reduction_mod, "build_cut", recording):
@@ -707,7 +676,7 @@ def test_cut_states_equal_their_validated_rebuilds(inputs):
         fan = state.fan
         assert Fan(fan.n, fan.rays, fan.cones) == fan
         for key, cone in zip(fan.cones, fan.max_cones):
-            # the chart code reads a cone's generators in the order of its key
+            # a cone's generators come in the order of its key
             assert cone.gens == tuple(fan.rays[i] for i in key)
             fresh = Cone(cone.gens)
             assert (cone.det, cone._inward_adjugate) == (fresh.det, fresh._inward_adjugate)
@@ -719,97 +688,13 @@ def test_cut_states_equal_their_validated_rebuilds(inputs):
 
 
 # ---------------------------------------------------------------------------
-# the sigma locations the driver hands to build_cut, and build_cut to
-# _theta_coeffs
-
-import bdivkit.cli as cli_mod
-from bdivkit.fans import insert_rays
-
-
-def assert_valid_location(fan, vec, loc):
-    """loc locates vec in a maximal cone of fan: sum nums_j gen_j = |det| vec."""
-    pos = fan.cones.index(loc.ray_indices)
-    assert loc.cone == fan.max_cones[pos]
-    assert all(x >= 0 for x in loc.nums)
-    combo = tuple(sum(x * g[i] for x, g in zip(loc.nums, loc.cone.gens)) for i in range(fan.n))
-    assert combo == tuple(abs(loc.cone.det) * e for e in vec)
-
-
-@settings(max_examples=100, deadline=None)
-@given(reduction_inputs())
-def test_theta_reads_handed_in_locations_as_it_would_find_them(inputs):
-    calls = []
-    theta_coeffs = reduction_mod._theta_coeffs
-
-    def both(state, located, gaps, rays):
-        found = {vec: state.fan.locate(vec) for vec in located}
-        assert gaps == gaps_at(state, located)
-        for vec, loc in located.items():
-            assert_valid_location(state.fan, vec, loc)
-            if loc.ray_indices == found[vec].ray_indices:
-                assert loc == found[vec]
-        handed = theta_coeffs(state, located, gaps, rays)
-        assert handed == theta_coeffs(state, found, gaps_at(state, found), rays)
-        # at a ray of the old fan theta is its trace coefficient, so at a
-        # unit ray it is B's value there (the argument of _cut_state)
-        index = state.fan.ray_index
-        for ray, t in zip(rays, handed):
-            if ray in index:
-                assert t == state.phi.ray_coeffs[index[ray]]
-        calls.append((state, list(located)))
-        return handed
-
-    with mock.patch.object(reduction_mod, "_theta_coeffs", both):
-        run_reduction(*inputs)
-    assert calls
-    # a zero-pullback valuation is still refused, after valid ones too
-    state, sig = calls[-1]
-    v = primitive_part(tuple(range(9, 9 + state.fan.n)))
-    assert relative_pullback_coeff(state.phi, v) == 0
-    for sigmas in ([v], list(sig) + [v]):
-        with pytest.raises(PreconditionError) as exc:
-            build_cut(state, locations(state, sigmas))
-        assert cli_mod._error_record(exc.value) == {
-            "error": f"cut valuation {v} has zero pullback coefficient", "exit_code": 2,
-        }
-
-
-def test_chart_locations_off_the_tie_rule_give_the_same_theta():
-    # a chart's valuation on a face it shares with a cone of smaller key is
-    # located by Fan.locate in that other cone; its chart location must be
-    # valid and give the same theta
-    pair = LocalPair((F(1, 2), F(2, 3), F(1)))
-    b = BDivisor(pair.coeffs, {(1, 1, 3): F(0), (1, 1, 0): F(0)})
-    state = initial_state(LocalModel(pair), b)
-    state, _ = build_cut(state, locations(state, [(1, 1, 1)]))
-    ties = 0
-    for key, cone in zip(state.fan.cones, state.fan.max_cones):
-        chart = reduction_mod._chart_sigmas(state, state.fan.locate(
-            tuple(map(sum, zip(*cone.gens)))))
-        found = {vec: state.fan.locate(vec) for vec in chart}
-        for vec, loc in chart.items():
-            assert loc.ray_indices == key
-            assert_valid_location(state.fan, vec, loc)
-            ties += found[vec].ray_indices != key
-        rays = insert_rays(state.fan, list(chart)).rays
-        assert reduction_mod._theta_coeffs(state, chart, gaps_at(state, chart), rays) == (
-            reduction_mod._theta_coeffs(state, found, gaps_at(state, found), rays))
-    assert ties
-    # a handed location on a ray is refused as build_cut refuses the ray
-    ray = state.fan.rays[-1]
-    with pytest.raises(PreconditionError, match="already a divisor"):
-        build_cut(state, {ray: state.fan.locate(ray)})
-
-
-# ---------------------------------------------------------------------------
 # _cut_state takes min(theta, B) only at listed rays; the trace must still be
 # that minimum at every ray
 
 
 def cut_state_and_theta(state, sigmas):
-    located = {vec: state.fan.locate(vec) for vec in sigmas}
-    new_fan = insert_rays(state.fan, list(sigmas))
-    return reduction_mod._cut_state(state, located, gaps_at(state, located), new_fan)
+    new_fan = insert_rays(state.fan, sigmas)
+    return reduction_mod._cut_state(state, sigmas, new_fan)
 
 
 def assert_trace_is_min_of_theta_and_b(state, new_state, theta):
@@ -849,30 +734,23 @@ def test_cut_of_a_state_whose_trace_is_above_b_at_a_unit_ray_is_a_breach():
 # invariant breaches no command reaches, with the fault planted
 
 
-def test_chart_of_a_cone_that_is_not_smooth_is_a_breach():
-    fan = Fan(2, ((1, 0), (0, 1), (1, 2)), ((0, 2), (1, 2)))
-    phi = ModelDivisor(fan, (F(1, 2), F(1), F(1, 2)))
-    state = ReductionState(fan, phi, BDivisor((F(1, 2), F(1)), {(1, 2): F(1, 2)}))
-    with pytest.raises(InvariantViolation, match="not smooth"):
-        reduction_mod._chart_model(state, fan.locate((1, 1)))
-
-
 def test_cut_whose_trace_leaves_b_at_a_ray_is_a_breach(monkeypatch):
     # theta planted at 0 puts the unit rays below B's pair values there
     monkeypatch.setattr(reduction_mod, "_theta_coeffs",
-                        lambda state, located, gaps, rays: tuple(F(0) for _ in rays))
+                        lambda state, sigmas, rays: tuple(F(0) for _ in rays))
     pair = LocalPair((F(1, 2), F(1)))
     state = initial_state(LocalModel(pair), BDivisor(pair.coeffs, {(1, 2): F(0)}))
     with pytest.raises(InvariantViolation, match="inconsistent trace"):
-        build_cut(state, locations(state, [(1, 2)]))
+        build_cut(state, [(1, 2)])
 
 
 def test_cut_that_leaves_a_witness_is_a_breach(monkeypatch, capsys):
-    # the chart planted to drop (4, 1): the cut at (3, 2) alone resolves
-    # through (2, 1), where (4, 1) keeps pullback 2/3 above its B-value 1/2
-    chart_sigmas = reduction_mod._chart_sigmas
-    monkeypatch.setattr(reduction_mod, "_chart_sigmas", lambda state, loc: {
-        v: at for v, at in chart_sigmas(state, loc).items() if v != (4, 1)})
+    # the cut valuations planted to drop (4, 1): the cut at (3, 2) alone
+    # resolves through (2, 1), where (4, 1) keeps pullback 2/3 above its
+    # B-value 1/2
+    cut_valuations = reduction_mod._cut_valuations
+    monkeypatch.setattr(reduction_mod, "_cut_valuations", lambda model, bdiv: [
+        v for v in cut_valuations(model, bdiv) if v != (4, 1)])
     argv = ["reduce", "--model", '{"n":2,"coeffs":["1","1"]}', "--B",
             '{"deviations":[{"v":[3,2],"value":"1/3"},{"v":[4,1],"value":"1/2"}]}']
     assert cli_mod.main(argv) == 3
@@ -881,7 +759,7 @@ def test_cut_that_leaves_a_witness_is_a_breach(monkeypatch, capsys):
 
 
 def test_witness_whose_chart_gives_no_cut_valuation_is_a_breach(monkeypatch):
-    monkeypatch.setattr(reduction_mod, "_chart_sigmas", lambda state, loc: {})
+    monkeypatch.setattr(reduction_mod, "_cut_valuations", lambda model, bdiv: [])
     pair = LocalPair((F(1, 2), F(1)))
     with pytest.raises(InvariantViolation, match="no cut valuation"):
         run_reduction(LocalModel(pair), BDivisor(pair.coeffs, {(1, 2): F(0)}))

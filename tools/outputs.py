@@ -170,6 +170,11 @@ def run(argv) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
+def output_record(argv, code, out, err) -> bytes:
+    """The line a digest hashes for one input: argv, exit code, stdout, stderr."""
+    return json.dumps([argv, code, out, err]).encode() + b"\n"
+
+
 def _inputs(target: str):
     """(argv list, files the argv read) for one target."""
     if target == "surface":
@@ -206,7 +211,7 @@ def digest_outputs(targets) -> tuple:
                 Path(name).write_text(text)
             for argv in argvs:
                 code, out, err = run(argv)
-                record = json.dumps([argv, code, out, err]).encode() + b"\n"
+                record = output_record(argv, code, out, err)
                 digest.update(record)
                 own.update(record)
                 codes.setdefault(code, []).append(argv)
