@@ -116,16 +116,10 @@ class FiniteSet:
                 raise PreconditionError(f"{format_rat(v)} is outside [0, 1]")
         object.__setattr__(self, "values", vals)
 
-    def to_json(self) -> dict:
-        return {"kind": "finite", "values": [format_rat(v) for v in self.values]}
-
 
 @record
 class StandardSet:
     """The set {(r-1)/r : r in N}: increasing, accumulating only at 1."""
-
-    def to_json(self) -> dict:
-        return {"kind": "standard"}
 
 
 @record
@@ -136,9 +130,6 @@ class UnionSet:
         object.__setattr__(self, "members", tuple(self.members))
         if not self.members:
             raise PreconditionError("a union needs at least one member")
-
-    def to_json(self) -> dict:
-        return {"kind": "union", "members": [m.to_json() for m in self.members]}
 
 
 @record
@@ -152,14 +143,6 @@ class SumClosure:
     def __post_init__(self):
         if self.denom_bound < 1:
             raise PreconditionError("denominator bound must be >= 1")
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "closure",
-            "base": self.base.to_json(),
-            "denom_bound": self.denom_bound,
-            "include_one": self.include_one,
-        }
 
 
 CoeffSetDesc = object  # FiniteSet | StandardSet | UnionSet | SumClosure

@@ -4,10 +4,13 @@ A fan here is a simplicial subdivision of the closed positive orthant of
 ``R^n``: a list of primitive integer rays together with full-dimensional
 cones (given as sorted tuples of ray indices) whose union covers the orthant.
 Star subdivision at a primitive vector models a weighted blow-up.  Rays
-enter a fan only through ``insert_rays``, which star-subdivides at the given
-vectors and then resolves the fan to a smooth one in the same pass: it
-inserts the least fundamental-parallelepiped point of the first non-smooth
-cone, as it inserts a given vector, until every cone is smooth.  All linear
+enter a fan only through ``insert_rays(n, vecs)``, which subdivides the
+undivided orthant (``orthant_fan(n)``, the local model, affine n-space with
+its SNC boundary): it star-subdivides at the given vectors and then resolves
+the fan to a smooth one in the same pass, inserting the least
+fundamental-parallelepiped point of the first non-smooth cone, as it inserts
+a given vector, until every cone is smooth.  The orthant's one cone is the
+identity, so a vector's coordinates there are the vector itself.  All linear
 algebra is exact over the integers and rationals, and comes from the kernel
 in ``exact`` (determinants, adjugates and cofactor normals); this module
 carries none of its own.
@@ -20,28 +23,27 @@ location, a ``BarycentricResult``: a plain tuple (cone, ray_indices, nums)
 with those field names, holding the numerators over |det| of the first cone
 that a scan finds to contain v.  On a smooth cone |det| = 1 and the numerators are the coordinates themselves.
 No coordinate is a ``Fraction``: only ``Cone.barycentric`` returns them, and
-the other ``Fraction``s here are the angle key ``Fan._arcs`` sorts chain
-starts by and the share of the orthant that ``subdivision_defect`` reports
-unfilled.  The parallelepiped points are integer residues mod |det| too.
+the other ``Fraction`` here is the share of the orthant that
+``subdivision_defect`` reports unfilled.  The parallelepiped points are
+integer residues mod |det| too.
 
 A 2-D fan is subdivided in angular order: its cones are arcs between
-consecutive rays of the quadrant, sorted by angle and kept with the fan, and
-a new ray finds the arc it splits by bisection on integer cross products.
-Every surface cut inserts its valuations and its resolution pivots this way,
-with no search over the cones, and builds no ``Cone``: each pivot comes from
-a closed form in the two rays of its arc.  A 2-D fan carries its rays, its
-cone keys and its arcs, and builds its ``Cone`` objects only when something
-asks for them.  It is checked by one walk along its arcs
-(``Fan.subdivision_defect``): orient each cone by the sign of its rays'
-cross product, start at the ray (1, 0) and follow each cone from its lower
-ray to its upper one.  The cones subdivide the quadrant exactly when the
-walk reaches (0, 1) after len(cones) steps and there are len(rays) - 1
-cones.  Every step turns counterclockwise, so the walk meets the rays in
-strictly increasing angle; when it takes every cone and meets every ray on
-its way from (1, 0) to (0, 1), the cones tile the quadrant with disjoint
-interiors.  Higher dimensions keep a cone table that finds the cones
-containing a new ray through the face it lies on, and the facet and volume
-test.
+consecutive rays of the quadrant, sorted by angle, and a new ray finds the
+arc it splits by bisection on integer cross products.  Every surface cut
+inserts its valuations and its resolution pivots this way, with no search
+over the cones, and builds no ``Cone``: each pivot comes from a closed form
+in the two rays of its arc.  A 2-D fan carries its rays and its cone keys,
+and builds its ``Cone`` objects only when something asks for them.  It is
+checked by one walk along its cones (``Fan.subdivision_defect``): orient
+each cone by the sign of its rays' cross product, start at the ray (1, 0)
+and follow each cone from its lower ray to its upper one.  The cones
+subdivide the quadrant exactly when the walk reaches (0, 1) after
+len(cones) steps and there are len(rays) - 1 cones.  Every step turns
+counterclockwise, so the walk meets the rays in strictly increasing angle;
+when it takes every cone and meets every ray on its way from (1, 0) to
+(0, 1), the cones tile the quadrant with disjoint interiors.  Higher
+dimensions keep a cone table that finds the cones containing a new ray
+through the face it lies on, and the facet and volume test.
 
 Dimensions are capped at 6: cone and parallelepiped enumeration costs grow
 quickly and nothing in this toolkit needs more.
@@ -53,7 +55,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm, prod
+from math import lcm, prod
 from operator import mul
 
 from .exact import (
@@ -302,34 +304,6 @@ class Fan:
             return tuple(_arc_cone(rays[i], rays[j]) for i, j in self.cones)
         return tuple(Cone(tuple(rays[i] for i in c)) for c in self.cones)
 
-    @cached_property
-    def _arcs(self) -> tuple:
-        """The cones of a 2-D fan as arcs (lo, hi) of ray indices, by angle.
-
-        lo is the generator of smaller angle: the first of the cone's key
-        exactly when det > 0.  Going from each arc's hi to the arc with that
-        lo walks a chain of adjacent cones, each step turning
-        counterclockwise inside the quadrant, so a chain runs in angular
-        order.  The chains of a partial fan follow the angles y / (x + y) of
-        their first rays.  Overlapping cones are refused: they repeat a lo,
-        leave an arc off every chain or make two chains interleave.
-        """
-        rays = self.rays
-        after = _upper_rays(rays, self.cones)
-        starts = set(after).difference(after.values())
-        arcs = []
-        for lo in sorted(starts, key=lambda i: Fraction(rays[i][1], sum(rays[i]))):
-            if arcs:
-                (a, b), (c, d) = rays[arcs[-1][1]], rays[lo]
-                if a * d <= b * c:  # this chain starts before the last ended
-                    break
-            while lo in after:
-                arcs.append((lo, after[lo]))
-                lo = after[lo]
-        if len(arcs) != len(self.cones):
-            raise PreconditionError("the cones of the fan overlap")
-        return tuple(arcs)
-
     def locate(self, v) -> BarycentricResult:
         """Find a maximal cone containing v with exact coordinates.
 
@@ -463,24 +437,24 @@ def orthant_fan(n: int) -> Fan:
     return Fan(n=n, rays=rays, cones=(tuple(range(n)),))
 
 
-def insert_rays(fan: Fan, vecs) -> Fan:
-    """Star-subdivide at each v in order (skipping existing rays), then
-    resolve, building one fan; ``insert_rays(fan, ())`` only resolves.
+def insert_rays(n: int, vecs) -> Fan:
+    """Star-subdivide the orthant of dimension n at each v in order, passing
+    over a v that is a ray already, then resolve, building one fan.
 
-    The vecs must be primitive vectors of the orthant of the fan's
-    dimension, such as a reduction's cut valuations; they are not checked
-    again.  The result equals the chain of one-ray star subdivisions at the
-    vecs, then at one pivot after another while a cone is not smooth: the
-    least point of the fundamental parallelepiped of the first non-smooth
-    cone in key order.  That point is primitive (were it m q, m > 1, q would
-    be a smaller one), and its coordinates t_j are below 1, so the piece
-    replacing a generator g_j, t_j > 0, has |det| t_j times the cone's.  A
-    cone sharing the pivot's face gives it the same coordinates, so every
-    pivot lowers |det| on each piece it makes, and resolution ends.  Pivots
-    go in as the vecs do, and a heap of non-smooth cone keys stands for the
-    scan: a split cone's key never returns (each new key holds the new
-    ray's index), so the least key on the heap still in the fan names the
-    first non-smooth cone, and the rays come in the chain's order.
+    The vecs must be primitive vectors of the orthant of dimension n, such
+    as a reduction's cut valuations; they are not checked again.  The result
+    equals the chain of one-ray star subdivisions of ``orthant_fan(n)`` at
+    the vecs, then at one pivot after another while a cone is not smooth:
+    the least point of the fundamental parallelepiped of the first
+    non-smooth cone in key order.  That point is primitive (were it m q,
+    m > 1, q would be a smaller one), and its coordinates t_j are below 1,
+    so the piece replacing a generator g_j, t_j > 0, has |det| t_j times the
+    cone's.  A cone sharing the pivot's face gives it the same coordinates,
+    so every pivot lowers |det| on each piece it makes, and resolution ends.
+    Pivots go in as the vecs do, and a heap of non-smooth cone keys stands
+    for the scan: a split cone's key never returns (each new key holds the
+    new ray's index), so the least key on the heap still in the fan names
+    the first non-smooth cone, and the rays come in the chain's order.
 
     A mutable cone table carries the insertion, with the set of cones each
     ray spans and, for every pending vector, a home: a current cone
@@ -491,40 +465,30 @@ def insert_rays(fan: Fan, vecs) -> Fan:
     such cone C is replaced by one piece per support ray s, spanned by v and
     the facet of C opposite s and built from C's determinant and adjugate
     (``Cone._star_piece``); the pending vectors homed in C are then
-    re-homed among those pieces only.  The initial homes are found by one
-    scan of the fan, first cone first, and a vector in no cone becomes a
-    ray of no cone, as the chain makes it.  A pivot's home is its cone.  A
-    2-D fan is its arcs in angular order instead (``_subdivide_surface``).
+    re-homed among those pieces only.  Every vector starts at home in the
+    orthant's one cone, with itself as its coordinates.  A pivot's home is
+    its cone.  A 2-D fan is its arcs in angular order instead
+    (``_subdivide_surface``).
     """
+    fan = orthant_fan(n)
     known = set(fan.ray_index)
     pending = []
     for v in vecs:
         if v not in known:
             known.add(v)
             pending.append(v)
-    if fan.n == 2:
-        return _subdivide_surface(fan, pending, known)
+    if n == 2:
+        return _subdivide_surface(pending, known)
     rays = list(fan.rays)
-    cones = dict(zip(fan.cones, fan.max_cones))
-    spans = [set() for _ in rays]  # ray index -> keys of the cones it spans
-    for idx in fan.cones:
-        for i in idx:
-            spans[i].add(idx)
-    home = {}  # pending position -> (cone key, coordinate numerators there)
-    homed = {}  # cone key -> pending positions homed there
-    for pos, v in enumerate(pending):
-        for idx, cone in cones.items():
-            nums = cone.coords(v)
-            if nums is not None:
-                home[pos] = (idx, nums)
-                homed.setdefault(idx, []).append(pos)
-                break
+    [whole] = fan.cones
+    cones = {whole: fan.max_cones[0]}
+    spans = [{whole} for _ in rays]  # ray index -> keys of the cones it spans
+    home = {pos: (whole, v) for pos, v in enumerate(pending)}  # position -> (key, nums)
+    homed = {whole: list(home)}  # cone key -> pending positions homed there
     for v, (idx, at_home) in _vectors_then_pivots(pending, home, cones, spans, known):
         r_idx = len(rays)
         rays.append(v)
         spans.append(set())
-        if idx is None:
-            continue
         support = [i for i, x in zip(idx, at_home) if x > 0]
         for old in set.intersection(*(spans[i] for i in support)):
             cone = cones.pop(old)
@@ -556,7 +520,7 @@ def insert_rays(fan: Fan, vecs) -> Fan:
     keys = tuple(sorted(cones))
     return trusted(
         Fan,
-        n=fan.n,
+        n=n,
         rays=tuple(rays),
         cones=keys,
         max_cones=tuple(cones[c] for c in keys),
@@ -565,7 +529,7 @@ def insert_rays(fan: Fan, vecs) -> Fan:
 
 def _vectors_then_pivots(pending, home, cones, spans, known):
     """The pending vectors, then one pivot at a time, each with its home
-    (cone key, coordinate numerators) or (None, None), for ``insert_rays``.
+    (cone key, coordinate numerators), for ``insert_rays``.
 
     Once the vectors are in, a heap holds the keys of the non-smooth cones,
     and of cones split since; the least key still in ``cones`` is resolved
@@ -573,7 +537,7 @@ def _vectors_then_pivots(pending, home, cones, spans, known):
     the table has inserted it, go onto the heap.
     """
     for pos, v in enumerate(pending):
-        yield v, home.pop(pos, (None, None))
+        yield v, home.pop(pos)
     singular = [idx for idx, cone in cones.items() if not cone.is_smooth()]
     heapify(singular)
     while singular:
@@ -588,9 +552,12 @@ def _vectors_then_pivots(pending, home, cones, spans, known):
 
 
 def _new_pivot(known: set, pivot) -> tuple:
-    """Add a pivot to the known rays.  Where cones meet in common faces a
-    pivot is no ray; a hand-built fan whose cones overlap, or with a ray of
-    no cone inside a cone, could present one, which would be added twice.
+    """Add a pivot to the known rays.
+
+    A pivot is never a ray: it lies in the relative interior of a face of
+    its cone, and cones of a subdivision of the orthant meet in common
+    faces.  Finding it among the known rays is an invariant breach that no
+    input reaches; were it passed over, the ray would be added twice.
     """
     if pivot in known:
         raise InvariantViolation(f"resolution pivot {pivot} is already a ray of the fan")
@@ -598,18 +565,19 @@ def _new_pivot(known: set, pivot) -> tuple:
     return pivot
 
 
-def _subdivide_surface(fan: Fan, pending, known) -> Fan:
+def _subdivide_surface(pending, known) -> Fan:
     """``insert_rays`` in dimension 2: the arcs in angular order.
 
-    A 2-D fan is its cones as arcs (lo, hi) sorted by angle (``Fan._arcs``),
-    and each vector goes in by ``_split_arc``.  Resolution then pops the
-    least non-smooth cone key from a heap and inserts its arc's pivot
-    (``_arc_pivot``) the same way; the pivot splits that arc alone, so every
-    key on the heap is a cone until it is popped.  The fan is built from its
-    rays and arcs, with no ``Cone``: ``Fan.max_cones`` builds them on demand.
+    The quadrant is one arc (lo, hi) = ((1, 0), (0, 1)), and each vector
+    goes in by ``_split_arc``, which keeps the arcs sorted by angle.
+    Resolution then pops the least non-smooth cone key from a heap and
+    inserts its arc's pivot (``_arc_pivot``) the same way; the pivot splits
+    that arc alone, so every key on the heap is a cone until it is popped.
+    The fan is built from its rays and arcs, with no ``Cone``:
+    ``Fan.max_cones`` builds them on demand.
     """
-    rays = list(fan.rays)
-    arcs = list(fan._arcs)
+    rays = [(1, 0), (0, 1)]
+    arcs = [(0, 1)]
     for v in pending:
         _split_arc(rays, arcs, v)
     singular = [(tuple(sorted(arc)), arc) for arc in arcs if _arc_det(rays, arc) > 1]
@@ -622,16 +590,17 @@ def _subdivide_surface(fan: Fan, pending, known) -> Fan:
                 heappush(singular, (tuple(sorted(arc)), arc))
     # every arc is a cone, and a new ray's index is the largest of its key
     keys = sorted(tuple(sorted(arc)) for arc in arcs)
-    return trusted(Fan, n=2, rays=tuple(rays), cones=tuple(keys), _arcs=tuple(arcs))
+    return trusted(Fan, n=2, rays=tuple(rays), cones=tuple(keys))
 
 
 def _split_arc(rays: list, arcs: list, v) -> tuple:
     """Add the ray v and split the arc it lies inside; return the halves.
 
-    v is parallel to no ray, so it lies strictly inside one arc or in a gap.
-    Bisecting on the sign of the cross product of v with each arc's lo ray
-    finds the last arc starting before v; v splits it into (lo, v) and
-    (v, hi) when it also ends after v.  In a gap v is a ray of no cone.
+    The arcs tile the quadrant from (1, 0) to (0, 1), and v is a vector of
+    the quadrant parallel to no ray, so it lies strictly inside one arc: the
+    last one starting before v, found by bisecting on the sign of the cross
+    product of v with each arc's lo ray.  v splits it into (lo, v) and
+    (v, hi).
     """
     r = len(rays)
     rays.append(v)
@@ -645,13 +614,8 @@ def _split_arc(rays: list, arcs: list, v) -> tuple:
             b = mid
         else:
             a = mid + 1
-    if not a:
-        return ()
     lo, hi = arcs[a - 1]
-    p, q = rays[hi]
-    halves = ()
-    if x * q > y * p:  # v lies before hi, inside the arc
-        arcs[a - 1 : a] = halves = (lo, r), (r, hi)
+    arcs[a - 1 : a] = halves = (lo, r), (r, hi)
     return halves
 
 
@@ -677,41 +641,3 @@ def _arc_pivot(g, h) -> tuple:
     a = -(u0 * h0 + u1 * h1) % d
     w0, w1 = (h0 + a * g0) // d, (h1 + a * g1) // d
     return min((k * w0 - k * a // d * g0, k * w1 - k * a // d * g1) for k in range(1, d))
-
-
-def is_smooth(fan: Fan) -> bool:
-    """True iff every maximal cone has determinant +-1."""
-    return all(c.is_smooth() for c in fan.max_cones)
-
-
-def hirzebruch_jung_rays(a: int, b: int) -> list:
-    """Interior rays of the minimal resolution of the cone {(1,0),(a,b)}.
-
-    Independent continued-fraction oracle for the 2D resolution: under the
-    lattice isomorphism sending (1,0) to (0,1) and (a,b) to (b,-(b-a)), the
-    cone is the standard singularity model with d = b, k = b - a, whose
-    resolution rays are generated by u_{i+1} = c_i * u_i - u_{i-1} with
-    d/k = c_1 - 1/(c_2 - 1/(...)).
-    """
-    if not (1 <= a < b):
-        raise PreconditionError("need 1 <= a < b")
-    if gcd(a, b) != 1:
-        raise PreconditionError("need gcd(a, b) = 1")
-    d, k = b, b - a
-    # continued-fraction digits: d/k = c_1 - 1/(c_2 - ...)
-    digits = []
-    num, den = d, k
-    while den > 0:
-        c = -((-num) // den)  # ceil(num/den)
-        digits.append(c)
-        num, den = den, c * den - num
-    u_prev = (0, 1)
-    u_cur = (1, 0)
-    interior = []
-    for c in digits:
-        interior.append(u_cur)
-        u_prev, u_cur = u_cur, (c * u_cur[0] - u_prev[0], c * u_cur[1] - u_prev[1])
-    if u_cur != (d, -k):
-        raise InvariantViolation("continued-fraction recursion did not close up")
-    # map back: (x, y) -> (x + y, x)
-    return [(x + y, x) for x, y in interior]

@@ -42,11 +42,12 @@ a = 1 - trace, which is linear on the orthant:
   whose trace min(theta, B) is at most B; and an unlisted valuation has
   B-value 1, which no pullback exceeds.
 
-The driver still checks that the cut leaves no witness, an invariant
-breach if one is left, and the ``verify_reduction`` checker confirms the
-bound at every valuation, by checking that the fan subdivides the orthant
-and evaluating the fan rays and listed deviations, the only valuations
-where it can fail.
+The driver checks its output once, with the ``verify_reduction`` checker,
+an invariant breach if it fails: it confirms the bound at every valuation,
+by checking that the fan subdivides the orthant and evaluating the fan rays
+and listed deviations, the only valuations where it can fail.  A witness
+left by the cut would be a listed non-ray deviation whose pullback exceeds
+B, which is exactly what that evaluation refutes.
 
 With the default-one representation the witness search is exact: an
 unlisted, non-divisorial valuation has B-value 1, which no pullback
@@ -249,8 +250,8 @@ class ReductionState:
         """``state_witnesses(self)``, found once per state.
 
         The driver reads the initial state's list for its weight, which
-        ``build_cut`` records in its step, and the cut state's to check that
-        none is left.
+        ``build_cut`` records in its step; a cut state's list is not read,
+        since ``verify_reduction`` checks that state.
         """
         return state_witnesses(self)
 
@@ -461,7 +462,7 @@ def build_cut(state: ReductionState, sigmas) -> tuple:
     if not sig:
         raise PreconditionError("a cut needs at least one valuation")
 
-    new_fan = insert_rays(state.fan, sig)
+    new_fan = insert_rays(n, sig)
     new_state, theta = _cut_state(state, sig, new_fan)
     step = CutStep(
         weight_before=state_weight(state),
@@ -508,7 +509,8 @@ def run_reduction(model: LocalModel, bdiv: BDivisor) -> ReductionTrace:
     The cut valuations come from the model and B's deviations
     (``_cut_valuations``) and are not validated again.  Every witness
     becomes a ray and no other valuation becomes one, so the cut leaves none
-    (module docstring); a cut state with a witness is an internal invariant
+    (module docstring).  The final state, cut or not, is checked once by
+    ``verify_reduction``; an output it refutes is an internal invariant
     breach, never silently ignored.
     """
     state = initial_state(model, bdiv)
@@ -520,10 +522,11 @@ def run_reduction(model: LocalModel, bdiv: BDivisor) -> ReductionTrace:
             raise InvariantViolation("witnesses present but no cut valuation found")
         state, step = build_cut(state, sigmas)
         steps = (step,)
-        if state.witnesses:
-            raise InvariantViolation(
-                f"the cut left a witness at {state.witnesses[0].vec}"
-            )
+    report = verify_reduction(state)
+    if not report.ok:
+        raise InvariantViolation(
+            f"reduction output violates the bound at {report.violation[0]}"
+        )
     return ReductionTrace(
         initial_weight=weight,
         steps=steps,

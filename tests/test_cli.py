@@ -1367,12 +1367,13 @@ def test_chain_verify_rejects_a_chain_outside_its_set(monkeypatch):
 
 
 def test_reduce_refuses_an_output_the_verifier_refutes(monkeypatch):
-    from bdivkit.reduction import VerifyReport
+    # run_reduction checks its output once, with the verifier planted to refute it
+    import bdivkit.reduction as reduction_mod
 
     def refuted(state):
-        return VerifyReport(ok=False, checked=1, violation=((1, 1), Fraction(1), Fraction(0)))
+        return reduction_mod.VerifyReport(ok=False, checked=1, violation=((1, 1), Fraction(1), Fraction(0)))
 
-    monkeypatch.setattr(cli_mod, "verify_reduction", refuted)
+    monkeypatch.setattr(reduction_mod, "verify_reduction", refuted)
     code, out, err = run_cli(CASES["reduce"])
     assert code == 3 and out == ""
     assert "violates the bound at (1, 1)" in json.loads(err)["error"]

@@ -5,15 +5,47 @@ from math import gcd
 import pytest
 
 from bdivkit.exact import InvariantViolation, PreconditionError, is_primitive
-from bdivkit.fans import (
-    Cone,
-    Fan,
-    hirzebruch_jung_rays,
-    insert_rays,
-    is_smooth,
-    orthant_fan,
-)
+from bdivkit.fans import Cone, Fan, insert_rays, orthant_fan
 from test_exact import primitive_part
+
+
+def is_smooth(fan):
+    """True iff every maximal cone has determinant +-1."""
+    return all(c.is_smooth() for c in fan.max_cones)
+
+
+def hirzebruch_jung_rays(a, b):
+    """Interior rays of the minimal resolution of the cone {(1,0),(a,b)}.
+
+    Independent continued-fraction oracle for the 2D resolution: under the
+    lattice isomorphism sending (1,0) to (0,1) and (a,b) to (b,-(b-a)), the
+    cone is the standard singularity model with d = b, k = b - a, whose
+    resolution rays are generated by u_{i+1} = c_i * u_i - u_{i-1} with
+    d/k = c_1 - 1/(c_2 - 1/(...)).
+    """
+    assert 1 <= a < b and gcd(a, b) == 1
+    d, k = b, b - a
+    # continued-fraction digits: d/k = c_1 - 1/(c_2 - ...)
+    digits = []
+    num, den = d, k
+    while den > 0:
+        c = -((-num) // den)  # ceil(num/den)
+        digits.append(c)
+        num, den = den, c * den - num
+    u_prev = (0, 1)
+    u_cur = (1, 0)
+    interior = []
+    for c in digits:
+        interior.append(u_cur)
+        u_prev, u_cur = u_cur, (c * u_cur[0] - u_prev[0], c * u_cur[1] - u_prev[1])
+    assert u_cur == (d, -k), "continued-fraction recursion did not close up"
+    # map back: (x, y) -> (x + y, x)
+    return [(x + y, x) for x, y in interior]
+
+
+def between(fan, a, b):
+    """The rays of a 2-D fan strictly between (1, 0) and (a, b) in angle."""
+    return sorted(r for r in fan.rays if r[1] > 0 and r[0] * b > r[1] * a)
 
 
 def cone_fan(*gens):
@@ -50,7 +82,7 @@ def test_orthant_fan_rejects_bad_dims():
 
 
 def test_star_subdivide_origin_blowup():
-    f = insert_rays(orthant_fan(2), [(1, 1)])
+    f = insert_rays(2, [(1, 1)])
     assert (1, 1) in f.rays
     gens = {frozenset(f.rays[i] for i in c) for c in f.cones}
     assert gens == {
@@ -60,13 +92,12 @@ def test_star_subdivide_origin_blowup():
 
 
 def test_star_subdivide_existing_ray_is_identity():
-    f = orthant_fan(2)
-    assert insert_rays(f, [(1, 0)]) == f
+    assert insert_rays(2, [(1, 0)]) == orthant_fan(2)
 
 
 def test_star_subdivide_face_ray_3d():
     # (1,1,0) has two nonzero barycentric coordinates, hence two subcones
-    f = insert_rays(orthant_fan(3), [(1, 1, 0)])
+    f = insert_rays(3, [(1, 1, 0)])
     gens = {frozenset(f.rays[i] for i in c) for c in f.cones}
     assert gens == {
         frozenset({(1, 1, 0), (0, 1, 0), (0, 0, 1)}),
@@ -75,7 +106,7 @@ def test_star_subdivide_face_ray_3d():
 
 
 def test_locate_blowup_fan():
-    f = insert_rays(orthant_fan(2), [(1, 1)])
+    f = insert_rays(2, [(1, 1)])
     loc = f.locate((2, 3))
     coords = dict(zip(loc.cone.gens, lambdas(loc)))
     assert coords == {(1, 1): 2, (0, 1): 1}
@@ -87,7 +118,7 @@ def test_locate_blowup_fan():
 
 
 def test_locate_on_ray_and_standard_cone():
-    f = insert_rays(orthant_fan(2), [(1, 1)])
+    f = insert_rays(2, [(1, 1)])
     loc = f.locate((1, 1))
     coords = dict(zip(loc.cone.gens, lambdas(loc)))
     assert coords[(1, 1)] == 1 and sum(coords.values()) == 1
@@ -108,18 +139,19 @@ def test_locate_errors():
 def test_is_smooth():
     assert is_smooth(orthant_fan(4))
     assert not is_smooth(cone_fan((1, 0), (1, 2)))
-    assert is_smooth(insert_rays(orthant_fan(2), [(1, 1)]))
+    assert is_smooth(insert_rays(2, [(1, 1)]))
 
 
 def test_resolve_examples():
-    f = orthant_fan(3)
-    assert insert_rays(f, ()) == f
+    assert insert_rays(3, ()) == orthant_fan(3)
 
-    r = insert_rays(cone_fan((1, 0), (1, 2)), ())
-    assert (1, 1) in r.rays and is_smooth(r)
+    r = insert_rays(2, [(1, 2)])
+    assert set(r.rays) == {(1, 0), (0, 1), (1, 2), (1, 1)} and is_smooth(r)
 
-    r = insert_rays(cone_fan((1, 0), (2, 5)), ())
-    assert set(r.rays) == {(1, 0), (2, 5), (1, 1), (1, 2)}
+    # (2, 5) leaves the arcs {(1, 0), (2, 5)} of det 5 and {(2, 5), (0, 1)}
+    # of det 2 to resolve
+    r = insert_rays(2, [(2, 5)])
+    assert set(r.rays) == {(1, 0), (0, 1), (2, 5), (1, 1), (1, 2), (1, 3)}
     assert is_smooth(r)
 
 
@@ -128,21 +160,20 @@ def test_resolve_matches_continued_fraction_oracle():
         for a in range(1, b):
             if gcd(a, b) != 1:
                 continue
-            base = cone_fan((1, 0), (a, b))
-            r = insert_rays(base, ())
+            r = insert_rays(2, [(a, b)])
             assert is_smooth(r)
-            added = sorted(set(r.rays) - set(base.rays))
-            assert added == sorted(hirzebruch_jung_rays(a, b)), (a, b)
+            assert between(r, a, b) == sorted(hirzebruch_jung_rays(a, b)), (a, b)
 
 
 def test_random_subdivisions_locate_reconstructs():
     rng = random.Random(1234)
-    fan = orthant_fan(3)
+    vecs = []
     for _ in range(6):
         v = tuple(rng.randint(0, 4) for _ in range(3))
         if all(e == 0 for e in v):
             continue
-        fan = insert_rays(fan, [primitive_part(v)])
+        vecs.append(primitive_part(v))
+        fan = insert_rays(3, vecs)
         assert_cones_match_rebuild(fan)
     assert is_smooth(fan)
     for _ in range(1000):
@@ -160,9 +191,9 @@ def test_random_subdivisions_locate_reconstructs():
 
 def test_interior_points_lie_in_a_unique_cone():
     rng = random.Random(404)
-    fan = orthant_fan(3)
-    for v in [(1, 1, 1), (2, 1, 1), (1, 3, 2)]:
-        fan = insert_rays(fan, [v])
+    vecs = [(1, 1, 1), (2, 1, 1), (1, 3, 2)]
+    for k in range(1, len(vecs) + 1):
+        fan = insert_rays(3, vecs[:k])
         assert_cones_match_rebuild(fan)
     for _ in range(300):
         v = tuple(rng.randint(0, 20) for _ in range(3))
@@ -179,7 +210,7 @@ def test_interior_points_lie_in_a_unique_cone():
 def test_subdivision_preserves_support():
     rng = random.Random(99)
     before = orthant_fan(2)
-    after = insert_rays(before, [(3, 4)])
+    after = insert_rays(2, [(3, 4)])
     for _ in range(200):
         v = tuple(rng.randint(0, 30) for _ in range(2))
         if all(e == 0 for e in v):
@@ -193,18 +224,14 @@ def test_resolve_3d_stress():
     for _ in range(15):
         v = tuple(rng.randint(1, 7) for _ in range(3))
         v = primitive_part(v)
-        fan = cone_fan((1, 0, 0), (0, 1, 0), v)
-        if fan.max_cones[0].det == 0:
-            continue
-        res = insert_rays(fan, ())
+        res = insert_rays(3, [v])
         assert is_smooth(res)
-        # refinement: every original-cone sample still locates and rebuilds
+        # refinement: every sample of the cone {e_1, e_2, v}, of det v_3,
+        # still locates and rebuilds
+        gens = ((1, 0, 0), (0, 1, 0), v)
         for _ in range(20):
             weights = [rng.randint(0, 5) for _ in range(3)]
-            pt = tuple(
-                sum(g[i] * w for g, w in zip(fan.max_cones[0].gens, weights))
-                for i in range(3)
-            )
+            pt = tuple(sum(g[i] * w for g, w in zip(gens, weights)) for i in range(3))
             if all(e == 0 for e in pt):
                 continue
             loc = res.locate(pt)
@@ -225,7 +252,7 @@ def test_cone_validation():
 
 
 def test_fan_json_roundtrip():
-    f = insert_rays(orthant_fan(2), [(1, 1)])
+    f = insert_rays(2, [(1, 1)])
     data = f.to_json()
     assert data["n"] == 2
     assert Fan.from_json(data) == f
@@ -320,7 +347,7 @@ def reference_locate(fan, v):
 
 
 def test_location_is_a_tuple_with_named_fields():
-    fan = insert_rays(orthant_fan(2), [(1, 1)])
+    fan = insert_rays(2, [(1, 1)])
     loc = fan.locate((1, 2))
     cone, idx, nums = loc
     assert type(loc) is BarycentricResult and isinstance(loc, tuple)
@@ -340,16 +367,29 @@ def same_fan(a, b):
 
 
 @st.composite
-def refined_fans(draw, max_n=4, max_rays=4, n=None):
-    """A star-subdivision chain of the orthant, built by the reference.
+def star_chains(draw, max_n=4, max_rays=4, n=None):
+    """(vecs, fan): vectors drawn one at a time, each from the fan so far,
+    and the reference's chain of star subdivisions of the orthant at them.
 
     The dimension is drawn from 1..max_n unless n fixes it.
     """
     n = n or draw(st.integers(1, max_n))
-    fan = orthant_fan(n)
+    fan, vecs = orthant_fan(n), []
     for _ in range(draw(st.integers(0, max_rays))):
-        fan = reference_star_subdivide(fan, draw(subdivision_vectors(fan)))
-    return fan
+        vecs.append(draw(subdivision_vectors(fan)))
+        fan = reference_star_subdivide(fan, vecs[-1])
+    return vecs, fan
+
+
+def refined_fans(max_n=4, max_rays=4, n=None):
+    """A star-subdivision chain of the orthant, built by the reference."""
+    return star_chains(max_n, max_rays, n).map(lambda chain: chain[1])
+
+
+def resolved(chain):
+    """``insert_rays`` at the vectors of a ``star_chains`` draw."""
+    vecs, fan = chain
+    return insert_rays(fan.n, [primitive_part(v) for v in vecs])
 
 
 def subdivision_vectors(fan):
@@ -370,71 +410,56 @@ def subdivision_vectors(fan):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_batched_insertion_equals_one_ray_chain(data):
-    fan = data.draw(refined_fans())
-    vecs = data.draw(st.lists(subdivision_vectors(fan), min_size=0, max_size=6))
+    # vectors drawn from the fans the chain passes through, then from the last
+    vecs, fan = data.draw(star_chains())
+    vecs += data.draw(st.lists(subdivision_vectors(fan), min_size=0, max_size=6))
     # duplicates: repeat a drawn vector, possibly scaled
     if vecs and data.draw(st.booleans()):
         k = data.draw(st.integers(1, 3))
         vecs.append(tuple(k * e for e in data.draw(st.sampled_from(vecs))))
-    expected = fan
+    expected = orthant_fan(fan.n)
     for v in vecs:
         expected = reference_star_subdivide(expected, v)
-    got = insert_rays(fan, [primitive_part(v) for v in vecs])
+    got = insert_rays(fan.n, [primitive_part(v) for v in vecs])
     assert same_fan(got, reference_resolve(expected))
 
 
 @st.composite
 def surface_cuts(draw):
-    """A 2-D fan, perhaps with cones dropped, and 20-80 vectors to insert.
+    """20-90 primitive vectors of the quadrant to insert.
 
-    The vectors are a lexicographically ordered run of the primitive vectors
-    of a box, as a cut lists its valuations, with random vectors, vectors on
-    a face of a cone and existing rays put in at drawn positions.
+    A star chain's vectors come first, then a lexicographically ordered run
+    of the primitive vectors of a box, as a cut lists its valuations, with
+    random vectors, vectors on a face of a cone of the chain's fan and its
+    rays put in at drawn positions.
     """
-    fan = whole = draw(refined_fans(n=2, max_rays=6))
-    if draw(st.booleans()):  # a proper partial fan: some cones dropped
-        kept = draw(st.lists(st.sampled_from(fan.cones), unique=True, max_size=len(fan.cones) - 1))
-        fan = Fan(n=2, rays=fan.rays, cones=tuple(kept))
+    chain, fan = draw(star_chains(n=2, max_rays=6))
     a, b = draw(st.integers(6, 12)), draw(st.integers(6, 12))
     box = [(x, y) for x in range(1, a + 1) for y in range(1, b + 1) if gcd(x, y) == 1]
     start = draw(st.integers(0, len(box) - 20))
     vecs = box[start : start + draw(st.integers(20, 60))]
-    extras = draw(st.lists(subdivision_vectors(whole), max_size=20))
+    extras = draw(st.lists(subdivision_vectors(fan), max_size=20))
     for v in extras:
         vecs.insert(draw(st.integers(0, len(vecs))), primitive_part(v))
-    return fan, vecs
+    return [primitive_part(v) for v in chain] + vecs
 
 
 @settings(max_examples=60, deadline=None)
 @given(surface_cuts())
-def test_surface_insertion_in_angular_order_equals_one_ray_chain(fan_vecs):
-    fan, vecs = fan_vecs
-    expected = fan
+def test_surface_insertion_in_angular_order_equals_one_ray_chain(vecs):
+    expected = orthant_fan(2)
     for v in vecs:
         expected = reference_star_subdivide(expected, v)
     expected = reference_resolve(expected)
-    got = insert_rays(fan, vecs)
+    got = insert_rays(2, vecs)
     assert same_fan(got, expected)
     assert [c.det for c in got.max_cones] == [c.det for c in expected.max_cones]
-    # the angular order handed to the next subdivision is the fan's own
-    assert got._arcs == Fan(2, got.rays, got.cones)._arcs
-
-
-def test_surface_insertion_refuses_overlapping_cones():
-    rays = ((1, 0), (0, 1), (1, 1))
-    for cones in [((0, 1), (0, 2)), ((0, 1), (1, 2)), ((0, 2), (0, 2))]:
-        with pytest.raises(PreconditionError, match="overlap"):
-            insert_rays(Fan(2, rays, cones), [(2, 1)])
-    # a partial fan with a gap is no overlap: (3, 2) lies in the gap
-    partial = Fan(2, ((1, 0), (2, 1), (1, 1), (0, 1)), ((0, 1), (2, 3)))
-    out = insert_rays(partial, [(3, 2)])
-    assert out.cones == partial.cones and out.rays[-1] == (3, 2)
 
 
 @settings(max_examples=100, deadline=None)
-@given(refined_fans(max_rays=6))
-def test_locate_on_rays_equals_the_scan(fan):
-    fan = insert_rays(fan, ())
+@given(star_chains(max_rays=6))
+def test_locate_on_rays_equals_the_scan(chain):
+    fan = resolved(chain)
     for ray in fan.rays:
         assert fan.locate(ray) == reference_locate(fan, ray)
 
@@ -447,10 +472,9 @@ def test_locate_falls_back_to_the_scan_for_rays_outside_every_cone():
 
 
 @settings(max_examples=150, deadline=None)
-@given(refined_fans(max_rays=6), st.booleans())
-def test_subdivision_check_accepts_star_subdivision_chains(fan, smooth):
-    if smooth:
-        fan = insert_rays(fan, ())
+@given(star_chains(max_rays=6), st.booleans())
+def test_subdivision_check_accepts_star_subdivision_chains(chain, smooth):
+    fan = resolved(chain) if smooth else chain[1]
     assert fan.subdivision_defect is None
     assert Fan.from_json(fan.to_json()) == fan
 
@@ -525,11 +549,9 @@ def relabel(fan, order):
 
 @st.composite
 def quadrant_fans(draw):
-    """(kind, fan): an ``insert_rays`` chain on the quadrant, its rays put
-    in a drawn order, and either kept whole or broken one way."""
-    fan = orthant_fan(2)
-    for _ in range(draw(st.integers(0, 3))):
-        fan = insert_rays(fan, draw(st.lists(quadrant_vectors, min_size=1, max_size=4)))
+    """(kind, fan): an ``insert_rays`` subdivision of the quadrant, its rays
+    put in a drawn order, and either kept whole or broken one way."""
+    fan = insert_rays(2, draw(st.lists(quadrant_vectors, max_size=12)))
     fan = relabel(fan, draw(st.permutations(range(len(fan.rays)))))
     rays, cones = fan.rays, fan.cones
     kind = draw(st.sampled_from(["whole", "dropped", "chord", "re-paired", "unused", "no top"]))
@@ -717,21 +739,20 @@ def test_subdivision_refuses_a_vector_that_leaves_its_cone(monkeypatch):
 
     monkeypatch.setattr(Cone, "_star_piece", hollow)
     with pytest.raises(InvariantViolation, match="left its cone"):
-        insert_rays(orthant_fan(3), [(1, 1, 1), (1, 2, 3)])
+        insert_rays(3, [(1, 1, 1), (1, 2, 3)])
 
 
-def test_resolve_refuses_a_pivot_that_is_already_a_ray():
-    # the cones overlap: (1, 1, 0), the one parallelepiped point of the first
-    # cone, is a ray of the second, so the step would add it twice
-    fan = Fan(3, ((1, 0, 0), (1, 2, 0), (0, 0, 1), (1, 1, 0)), ((0, 1, 2), (0, 2, 3)))
-    with pytest.raises(InvariantViolation, match=r"pivot \(1, 1, 0\) is already a ray"):
-        insert_rays(fan, ())
-    # on a surface: (1, 1) lies inside the one cone and spans none
-    fan = Fan(2, ((1, 0), (1, 2), (1, 1)), ((0, 1),))
-    with pytest.raises(InvariantViolation, match=r"pivot \(1, 1\) is already a ray"):
-        insert_rays(fan, ())
-    with pytest.raises(InvariantViolation, match="failed to make progress"):
-        reference_resolve(fan)
+def test_resolve_refuses_a_pivot_that_is_already_a_ray(monkeypatch):
+    # pivots planted at a generator of their cone, which is a ray already
+    with monkeypatch.context() as patch:
+        # the arc {(1, 0), (1, 2)} has det 2; its pivot is planted at (1, 2)
+        patch.setattr(fans_mod, "_arc_pivot", lambda g, h: h)
+        with pytest.raises(InvariantViolation, match=r"pivot \(1, 2\) is already a ray"):
+            insert_rays(2, [(1, 2)])
+    # the piece {e_1, e_2, (1, 1, 2)} has det 2; its pivot is planted at e_1
+    monkeypatch.setattr(Cone, "parallelepiped_points", lambda cone: [cone.gens[0]])
+    with pytest.raises(InvariantViolation, match=r"pivot \(1, 0, 0\) is already a ray"):
+        insert_rays(3, [(1, 1, 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -751,9 +772,8 @@ def test_integer_residues_equal_the_fraction_closure(cone_v):
 
 
 def test_resolving_a_long_arc_builds_one_fan(monkeypatch):
-    # {(1, 0), (1, 200)} resolves in 199 pivots, (1, 1) to (1, 199), and
-    # the insertion builds one Fan for all of them
-    fan = cone_fan((1, 0), (1, 200))
+    # the arc {(1, 0), (1, 200)} resolves in 199 pivots, (1, 1) to
+    # (1, 199), and the insertion builds one Fan for all of them
     built = []
     real = fans_mod.trusted
 
@@ -762,7 +782,7 @@ def test_resolving_a_long_arc_builds_one_fan(monkeypatch):
         return real(cls, **fields)
 
     monkeypatch.setattr(fans_mod, "trusted", trusted)
-    out = insert_rays(fan, ())
+    out = insert_rays(2, [(1, 200)])
     assert built.count(Fan) == 1
-    assert out.rays == fan.rays + tuple((1, k) for k in range(1, 200))
-    assert sorted(out.rays[2:]) == sorted(hirzebruch_jung_rays(1, 200))
+    assert out.rays == ((1, 0), (0, 1), (1, 200)) + tuple((1, k) for k in range(1, 200))
+    assert between(out, 1, 200) == sorted(hirzebruch_jung_rays(1, 200))

@@ -82,3 +82,50 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     )
     assert run.stdout.strip() == "[]"
+
+
+def _record_classes():
+    """name -> (record fields, cached properties) of every ``record`` class."""
+    out = {}
+    for path in MODULES:
+        for node in _tree(path).body:
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(d, ast.Name) and d.id == "record" for d in node.decorator_list
+            ):
+                fields = {s.target.id for s in node.body if isinstance(s, ast.AnnAssign)}
+                cached = {
+                    s.name for s in node.body
+                    if isinstance(s, ast.FunctionDef)
+                    and any(isinstance(d, ast.Name) and d.id == "cached_property"
+                            for d in s.decorator_list)
+                }
+                out[node.name] = fields, cached
+    return out
+
+
+def test_trusted_seeds_every_field_and_only_cached_properties():
+    # trusted() checks nothing, so a seed that names no field or cached
+    # property, such as one a deletion left behind, would pass unnoticed
+    classes = _record_classes()
+    found, calls = [], 0
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "trusted"):
+                continue
+            calls += 1
+            where = f"{path.name} line {node.lineno}"
+            cls = node.args[0].id if node.args and isinstance(node.args[0], ast.Name) else None
+            if cls not in classes or len(node.args) != 1:
+                found.append(f"{where}: not trusted(RecordClass, **seeds)")
+                continue
+            fields, cached = classes[cls]
+            given = {k.arg for k in node.keywords}
+            if None in given:
+                found.append(f"{where}: a ** seed that cannot be read")
+            if fields - given:
+                found.append(f"{where}: {cls} fields not seeded: {sorted(fields - given)}")
+            if given - fields - cached - {None}:
+                found.append(f"{where}: {cls} has no field or cached property "
+                             f"{sorted(given - fields - cached - {None})}")
+    assert calls and found == []

@@ -112,7 +112,6 @@ REASONS = (
     "runs at import",
     "pinned by the tracer",
     "needed by an acceptance test",
-    "test oracle",
     "reached only on a breach",
     "a guard only library callers reach",
 )
@@ -129,13 +128,6 @@ ALLOWED = {
         "pinned by the tracer: bench/tracing.py wraps it by name in METHODS",
     ("logpairs:mld_origin", None):
         "needed by an acceptance test: tests/test_acceptance.py calls it",
-    ("fans:hirzebruch_jung_rays", None):
-        "test oracle: the resolution tests check insert_rays against it",
-    ("fans:is_smooth", None): "test oracle: the resolution tests check insert_rays' fans with it",
-    ("dcc:FiniteSet.to_json", None): "test oracle: the round trip of desc_from_json",
-    ("dcc:StandardSet.to_json", None): "test oracle: the round trip of desc_from_json",
-    ("dcc:UnionSet.to_json", None): "test oracle: the round trip of desc_from_json",
-    ("dcc:SumClosure.to_json", None): "test oracle: the round trip of desc_from_json",
     # --verify oracles that disagree with the fast path, and invariants
     ("cli:_mismatch", None): BREACH + "a --verify oracle disagrees",
     ("cli:_ensure_match", "_mismatch(what, fast, oracle)"): BREACH + "a --verify oracle disagrees",
@@ -147,7 +139,6 @@ ALLOWED = {
         BREACH + "a closure missing a base value",
     ("cli:_cmd_constants", '_mismatch("constants M_min (an int)", repr(fast), m_min)'):
         BREACH + "a wrong M_min",
-    ("cli:_cmd_reduce", "raise InvariantViolation("): BREACH + "the verifier refutes a reduction",
     ("cli:_write", 'raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")'):
         BREACH + "a result holding a value outside JSON",
     ("cli:_label", 'raise TypeError(f"keys must be str or int, not {type(key).__name__}")'):
@@ -165,7 +156,7 @@ ALLOWED = {
      'raise InvariantViolation("witnesses present but no cut valuation found")'):
         BREACH + "witnesses with no cut valuation",
     ("reduction:run_reduction", "raise InvariantViolation("):
-        BREACH + "a cut that leaves a witness",
+        BREACH + "the verifier refutes a reduction",
     ("cli:_error_record", 'return {"error": str(exc), "exit_code": 3}'):
         BREACH + "an invariant breach outside a batch",
     ("reduction:verify_reduction",
@@ -195,23 +186,12 @@ ALLOWED = {
         LIBRARY + "a fan checks its rays and cones before it builds a Cone",
     ("fans:Cone.__post_init__", 'raise PreconditionError(f"generator {g} is not primitive")'):
         LIBRARY + "a fan checks its rays and cones before it builds a Cone",
-    ("fans:Fan._arcs", "(a, b), (c, d) = rays[arcs[-1][1]], rays[lo]"):
-        LIBRARY + "commands find arcs only of the undivided quadrant",
-    ("fans:Fan._arcs", "if a * d <= b * c:  # this chain starts before the last ended"):
-        LIBRARY + "commands find arcs only of the undivided quadrant",
-    ("fans:Fan._arcs", "break"): LIBRARY + "commands find arcs only of the undivided quadrant",
-    ("fans:Fan._arcs", 'raise PreconditionError("the cones of the fan overlap")'):
-        LIBRARY + "commands find arcs only of the undivided quadrant",
     ("fans:Fan.locate", 'raise PreconditionError("query dimension mismatch")'):
         LIBRARY + "commands locate validated valuations of the fan's dimension",
     ("fans:Fan.locate", 'raise PreconditionError("cannot locate the zero vector")'):
         LIBRARY + "commands locate validated valuations of the fan's dimension",
     ("fans:Fan.locate", 'raise PreconditionError(f"{vec} is outside the positive orthant")'):
         LIBRARY + "commands locate validated valuations of the fan's dimension",
-    ("fans:insert_rays", "continue"):
-        LIBRARY + "a vector in no cone, as only a hand-built partial fan has",
-    ("fans:_split_arc", "return ()"):
-        LIBRARY + "a vector in no cone, as only a hand-built partial fan has",
     ("cli:_like", "return None"):
         LIBRARY + "every list a command prints has like rows; "
         "test_writer_equals_json_dumps writes unlike ones",

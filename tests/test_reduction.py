@@ -348,7 +348,7 @@ def test_theta_matches_naive_computation():
         if not sigmas:
             continue
         state = initial_state(LocalModel(pair), BDivisor(pair.coeffs, devs))
-        new_fan = insert_rays(state.fan, sigmas)
+        new_fan = insert_rays(n, sigmas)
         fast = _theta_coeffs(state, sigmas, new_fan.rays)
         assert fast == naive_theta(state, sigmas, new_fan.rays)
 
@@ -693,7 +693,7 @@ def test_cut_states_equal_their_validated_rebuilds(inputs):
 
 
 def cut_state_and_theta(state, sigmas):
-    new_fan = insert_rays(state.fan, sigmas)
+    new_fan = insert_rays(state.fan.n, sigmas)
     return reduction_mod._cut_state(state, sigmas, new_fan)
 
 
@@ -747,7 +747,7 @@ def test_cut_whose_trace_leaves_b_at_a_ray_is_a_breach(monkeypatch):
 def test_cut_that_leaves_a_witness_is_a_breach(monkeypatch, capsys):
     # the cut valuations planted to drop (4, 1): the cut at (3, 2) alone
     # resolves through (2, 1), where (4, 1) keeps pullback 2/3 above its
-    # B-value 1/2
+    # B-value 1/2, which the verifier inside run_reduction refutes
     cut_valuations = reduction_mod._cut_valuations
     monkeypatch.setattr(reduction_mod, "_cut_valuations", lambda model, bdiv: [
         v for v in cut_valuations(model, bdiv) if v != (4, 1)])
@@ -755,7 +755,7 @@ def test_cut_that_leaves_a_witness_is_a_breach(monkeypatch, capsys):
             '{"deviations":[{"v":[3,2],"value":"1/3"},{"v":[4,1],"value":"1/2"}]}']
     assert cli_mod.main(argv) == 3
     assert json.loads(capsys.readouterr().err) == {
-        "error": "the cut left a witness at (4, 1)", "exit_code": 3}
+        "error": "reduction output violates the bound at (4, 1)", "exit_code": 3}
 
 
 def test_witness_whose_chart_gives_no_cut_valuation_is_a_breach(monkeypatch):
@@ -808,8 +808,8 @@ def test_a_klt_surface_cut_builds_no_cone_after_its_cut(monkeypatch):
     seen = []
     real_insert_rays = reduction_mod.insert_rays
 
-    def insert_rays(fan, vecs):
-        seen.append(real_insert_rays(fan, vecs))
+    def insert_rays(n, vecs):
+        seen.append(real_insert_rays(n, vecs))
         return seen[-1]
 
     monkeypatch.setattr(reduction_mod, "insert_rays", insert_rays)
