@@ -9,12 +9,14 @@ lattice-polytope volumes backing the toric volume computations, and the
 constant propagation m = 2 g0 (1 + gamma)^(n-1) used by the effectivity
 bookkeeping.
 
-Polytope vertices are integer numerators over one positive denominator:
-the offsets are scaled to integers, each n-subset of rows meets in
-adj(A_S) (-B_S) / det(A_S) from the ``exact`` kernel, feasibility and
-active rows are integer comparisons, and the feasible vertices share the
-lcm of their |det|.  Volumes sum integer simplex determinants, and the one
-``Fraction`` built is the volume returned.
+``sylvester`` returns the sequence as a plain tuple of its terms.
+
+Polytope vertices (``Polytope.vertices``, enumerated once per polytope) are
+integer numerators over one positive denominator: the offsets are scaled to
+integers, each n-subset of rows meets in adj(A_S) (-B_S) / det(A_S) from
+the ``exact`` kernel, feasibility and active rows are integer comparisons,
+and the feasible vertices share the lcm of their |det|.  Volumes sum integer
+simplex determinants, and the one ``Fraction`` built is the volume returned.
 
 Polynomials here have integer coefficients and are plain tuples of ints,
 constant term first: ``poly_times`` multiplies one by x^i - s and
@@ -38,6 +40,8 @@ from .exact import (
     format_int,
     format_rat,
     parse_int,
+    parse_int_list,
+    parse_list,
     parse_rat,
     parse_rat_list,
     rank,
@@ -64,22 +68,6 @@ class BoundReport:
 
 # ---------------------------------------------------------------------------
 # the doubly-exponential sequence and minimal-volume candidates
-
-
-@record
-class SylvesterSeq:
-    """Terms r_0..r_k with r_0 = 1 and r_{k+1} = r_k (r_k + 1)."""
-
-    terms: tuple
-
-    def __post_init__(self):
-        ts = tuple(int(t) for t in self.terms)
-        if not ts or ts[0] != 1:
-            raise PreconditionError("the sequence starts at r_0 = 1")
-        for i in range(1, len(ts)):
-            if ts[i] != ts[i - 1] * (ts[i - 1] + 1):
-                raise PreconditionError("recursion r_{k+1} = r_k (r_k + 1) violated")
-        object.__setattr__(self, "terms", ts)
 
 
 # r_15 has 6 671 digits, past the 4 300 that Python converts to decimal by
@@ -113,8 +101,8 @@ UNITARY_N_CAP = 32
 POLYTOPE_SUBSET_CAP = 6000
 
 
-def sylvester(k: int) -> SylvesterSeq:
-    """First k+1 terms of the sequence, exactly."""
+def sylvester(k: int) -> tuple:
+    """The terms r_0..r_k of the sequence, exactly."""
     if k < 1:
         raise PreconditionError("need k >= 1")
     if k > SYLVESTER_K_CAP:
@@ -122,7 +110,7 @@ def sylvester(k: int) -> SylvesterSeq:
     terms = [1]
     for _ in range(k):
         terms.append(terms[-1] * (terms[-1] + 1))
-    return SylvesterSeq(tuple(terms))
+    return tuple(terms)
 
 
 def min_volume_candidate(n: int) -> Fraction:
@@ -131,7 +119,7 @@ def min_volume_candidate(n: int) -> Fraction:
         raise PreconditionError("need n >= 1")
     if n > MINVOL_N_CAP:
         raise PreconditionError(f"n = {n} exceeds the cap MINVOL_N_CAP = {MINVOL_N_CAP}")
-    r = sylvester(n + 2).terms[n + 2]
+    r = sylvester(n + 2)[n + 2]
     return Fraction(1, r**n)
 
 
@@ -139,8 +127,7 @@ def sylvester_coeffs(n: int) -> tuple:
     """The n+2 coefficients r_i/(r_i + 1), i = 0..n+1."""
     if n < 1:
         raise PreconditionError("need n >= 1")
-    terms = sylvester(n + 1).terms
-    return tuple(Fraction(r, r + 1) for r in terms[: n + 2])
+    return tuple(Fraction(r, r + 1) for r in sylvester(n + 1))
 
 
 def projective_space_log_volume(n: int, coeffs) -> Fraction:
@@ -179,8 +166,10 @@ class Polytope:
     def __post_init__(self):
         if not 1 <= self.n <= 4:
             raise PreconditionError("polytope dimension must be between 1 and 4")
-        normals = tuple(tuple(parse_int(x, "normals") for x in row) for row in self.normals)
-        offsets = tuple(parse_rat(b) for b in self.offsets)
+        normals = tuple(
+            parse_int_list(row, "normals") for row in parse_list(self.normals, "normals")
+        )
+        offsets = parse_rat_list(self.offsets)
         if len(normals) != len(offsets):
             raise PreconditionError("one offset per normal is required")
         if len(normals) < self.n + 1:
@@ -201,16 +190,65 @@ class Polytope:
 
     @cached_property
     def vertices(self) -> tuple:
-        """``polytope_vertices(self)``, enumerated on first use."""
-        return _vertices(self)
+        """All vertices with their active-constraint sets; errors when unbounded.
+
+        The pair (den, verts): den is a positive integer, and verts the
+        sorted tuple of (numerators, frozenset of active row indices) pairs,
+        each vertex being its integer numerators over den.  They are
+        enumerated on first use, once per polytope.
+        """
+        # recession ray check: a nonzero direction with <normal, d> >= 0 for all
+        # rows makes the polyhedron unbounded; extreme rays lie on n-1 active
+        # constraints of rank n-1, whose null space the cofactor normal spans
+        # (it is zero when the rank is lower), so scanning those is exhaustive
+        n = self.n
+        rows = self.normals
+        for subset in combinations(range(len(rows)), n - 1):
+            direction = cofactor_normal([rows[i] for i in subset])
+            if not any(direction):
+                continue
+            for cand in (direction, tuple(-x for x in direction)):
+                if all(sum(map(mul, row, cand)) >= 0 for row in rows):
+                    raise PreconditionError("polytope is unbounded")
+
+        # y = D x, with D the lcm of the offsets' denominators, keeps the rows
+        # <a_i, y> >= -B_i on integers; an n-subset S of rows with det(A_S) != 0
+        # meets in y = u / |det|, u = sign(det) adj(A_S) (-B_S)
+        d = lcm(*(b.denominator for b in self.offsets))
+        offs = [b.numerator * (d // b.denominator) for b in self.offsets]
+        found = set()
+        for subset in combinations(range(len(rows)), n):
+            mat = [rows[i] for i in subset]
+            adj = adjugate(mat)
+            det = sum(map(mul, adj[0], (row[0] for row in mat)))
+            if det == 0:
+                continue
+            rhs = [offs[i] if det > 0 else -offs[i] for i in subset]
+            u = tuple(-sum(map(mul, row, rhs)) for row in adj)
+            q = abs(det)
+            if all(sum(map(mul, row, u)) >= -b * q for row, b in zip(rows, offs)):
+                found.add((u, q))
+        # over M = lcm of the |det| every vertex has one integer tuple, and
+        # tuples over one positive denominator sort as the points do
+        m = lcm(*(q for _, q in found))
+        points = sorted({tuple(x * (m // q) for x in u) for u, q in found})
+        out = []
+        for pt in points:
+            active = frozenset(
+                i
+                for i, (row, b) in enumerate(zip(rows, offs))
+                if sum(map(mul, row, pt)) == -b * m
+            )
+            out.append((pt, active))
+        return m * d, tuple(out)
 
     @classmethod
     def from_json(cls, data: dict) -> "Polytope":
         try:
             return cls(
                 n=parse_int(data["n"], "n"),
-                normals=tuple(tuple(r) for r in data["normals"]),
-                offsets=tuple(data["offsets"]),
+                normals=data["normals"],
+                offsets=data["offsets"],
             )
         except TypeError as exc:
             raise PreconditionError(f"malformed polytope JSON: {exc}") from exc
@@ -229,64 +267,6 @@ def _affine_dim(points) -> int:
     base = points[0]
     rows = [[x - y for x, y in zip(p, base)] for p in points[1:]]
     return rank(rows)
-
-
-def polytope_vertices(poly: Polytope):
-    """All vertices with their active-constraint sets; errors when unbounded.
-
-    Returns (den, verts): den is a positive integer, and verts the sorted
-    tuple of (numerators, frozenset of active row indices) pairs, each vertex
-    being its integer numerators over den.  They are enumerated once per
-    polytope, as its ``vertices``.
-    """
-    return poly.vertices
-
-
-def _vertices(poly: Polytope) -> tuple:
-    # recession ray check: a nonzero direction with <normal, d> >= 0 for all
-    # rows makes the polyhedron unbounded; extreme rays lie on n-1 active
-    # constraints of rank n-1, whose null space the cofactor normal spans
-    # (it is zero when the rank is lower), so scanning those is exhaustive
-    n = poly.n
-    rows = poly.normals
-    for subset in combinations(range(len(rows)), n - 1):
-        direction = cofactor_normal([rows[i] for i in subset])
-        if not any(direction):
-            continue
-        for cand in (direction, tuple(-x for x in direction)):
-            if all(sum(map(mul, row, cand)) >= 0 for row in rows):
-                raise PreconditionError("polytope is unbounded")
-
-    # y = D x, with D the lcm of the offsets' denominators, keeps the rows
-    # <a_i, y> >= -B_i on integers; an n-subset S of rows with det(A_S) != 0
-    # meets in y = u / |det|, u = sign(det) adj(A_S) (-B_S)
-    d = lcm(*(b.denominator for b in poly.offsets))
-    offs = [b.numerator * (d // b.denominator) for b in poly.offsets]
-    found = set()
-    for subset in combinations(range(len(rows)), n):
-        mat = [rows[i] for i in subset]
-        adj = adjugate(mat)
-        det = sum(map(mul, adj[0], (row[0] for row in mat)))
-        if det == 0:
-            continue
-        rhs = [offs[i] if det > 0 else -offs[i] for i in subset]
-        u = tuple(-sum(map(mul, row, rhs)) for row in adj)
-        q = abs(det)
-        if all(sum(map(mul, row, u)) >= -b * q for row, b in zip(rows, offs)):
-            found.add((u, q))
-    # over M = lcm of the |det| every vertex has one integer tuple, and
-    # tuples over one positive denominator sort as the points do
-    m = lcm(*(q for _, q in found))
-    points = sorted({tuple(x * (m // q) for x in u) for u, q in found})
-    out = []
-    for pt in points:
-        active = frozenset(
-            i
-            for i, (row, b) in enumerate(zip(rows, offs))
-            if sum(map(mul, row, pt)) == -b * m
-        )
-        out.append((pt, active))
-    return m * d, tuple(out)
 
 
 def _triangulate(verts_active, dim: int):
@@ -324,7 +304,7 @@ def polytope_volume(poly: Polytope) -> Fraction:
 
     Returns 0 for empty or lower-dimensional input; raises on unbounded.
     """
-    den, verts = polytope_vertices(poly)
+    den, verts = poly.vertices
     if len(verts) < poly.n + 1:
         return Fraction(0)
     if _affine_dim([p for p, _ in verts]) < poly.n:

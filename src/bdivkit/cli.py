@@ -43,7 +43,6 @@ from .bounds import (
     min_volume_candidate,
     poly_eval,
     poly_times,
-    polytope_vertices,
     polytope_volume,
     projective_space_log_volume,
     sylvester,
@@ -81,7 +80,6 @@ from .logpairs import (
     valuation,
 )
 from .reduction import (
-    LocalModel,
     ReductionState,
     initial_state,
     positive_pullback_prefixes,
@@ -231,19 +229,19 @@ def _cmd_round_check(p):
 def _model_and_bdiv(p):
     pair = LocalPair.from_json(p["model"])
     bdiv = BDivisor.from_json(_arg(p, "B", {"deviations": []}), default_pair=pair)
-    return LocalModel(pair), bdiv
+    return pair, bdiv
 
 
 def _cmd_fset(p):
-    model = LocalModel(LocalPair.from_json(p["model"]))
-    prefixes = positive_pullback_prefixes(model)
+    pair = LocalPair.from_json(p["model"])
+    prefixes = positive_pullback_prefixes(pair)
+    cs = [c for c in pair.coeffs if c < 1]
     out = {
-        "s": model.s,
-        "w": model.w,
+        "s": len(cs),
+        "w": pair.n - len(cs),
         "prefixes": [list(f) for f in prefixes],
     }
     if p.get("verify"):
-        cs = [model.pair.coeffs[i] for i in model.sub_one]
         bound = 0
         for c in cs:
             bound = max(bound, int(Fraction(2) / (1 - c)) + 2)
@@ -251,10 +249,10 @@ def _cmd_fset(p):
         scale = lcm(*((1 - c).denominator for c in cs))
         weights = [int((1 - c) * scale) for c in cs]
         naive = []
-        if model.s == 0:
+        if not cs:
             naive = [()]
         else:
-            for v in iter_product(range(bound + 1), repeat=model.s):
+            for v in iter_product(range(bound + 1), repeat=len(cs)):
                 if sum(map(mul, v, weights)) < scale:
                     naive.append(v)
         _ensure_match("fset", sorted(prefixes), sorted(naive))
@@ -263,7 +261,7 @@ def _cmd_fset(p):
 
 
 def _cmd_weight(p):
-    model, bdiv = _model_and_bdiv(p)
+    pair, bdiv = _model_and_bdiv(p)
     out = {}
     stratum = p.get("stratum")
     if stratum is not None and not isinstance(stratum, list):
@@ -273,15 +271,15 @@ def _cmd_weight(p):
     if stratum is not None:
         raw = [parse_int(i, "stratum") for i in stratum]
         for i in raw:
-            if not 1 <= i <= model.n:
-                raise PreconditionError(f"stratum index {i} is outside 1..{model.n}")
+            if not 1 <= i <= pair.n:
+                raise PreconditionError(f"stratum index {i} is outside 1..{pair.n}")
         if len(set(raw)) < len(raw):
             raise PreconditionError(f"stratum {raw} lists an index twice")
         if not raw:
             raise PreconditionError("stratum must be a nonempty index set")
         mapped = tuple(sorted(i - 1 for i in raw))
         out["stratum"] = sorted(raw)
-    witnesses = initial_state(model, bdiv).witnesses
+    witnesses = initial_state(pair, bdiv).witnesses
     if stratum is not None:
         witnesses = [wit for wit in witnesses if wit.stratum == mapped]
     # of the greatest weight, the first stratum in subset order; witnesses
@@ -299,10 +297,10 @@ def _cmd_weight(p):
 
 
 def _cmd_reduce(p):
-    model, bdiv = _model_and_bdiv(p)
-    trace = run_reduction(model, bdiv)
+    pair, bdiv = _model_and_bdiv(p)
+    trace = run_reduction(pair, bdiv)
     out = trace.to_json()
-    out["model"] = model.pair.to_json()
+    out["model"] = pair.to_json()
     out["verify_ok"] = True
     if p.get("verify"):
         out["verified"] = "oracle-skipped"
@@ -382,17 +380,17 @@ def _cmd_dcc(p):
 
 def _cmd_sylvester(p):
     k = parse_int(p["k"], "k")
-    seq = sylvester(k)
-    out = {"terms": [format_int(t) for t in seq.terms]}
+    terms = sylvester(k)
+    out = {"terms": [format_int(t) for t in terms]}
     if p.get("verify"):
         prod = 1
-        for i in range(1, len(seq.terms)):
-            prod *= seq.terms[i - 1] + 1
-            _ensure_match("sylvester product identity", seq.terms[i], prod)
+        for i in range(1, len(terms)):
+            prod *= terms[i - 1] + 1
+            _ensure_match("sylvester product identity", terms[i], prod)
         # doubly-exponential growth, reported not asserted: floor(log2 log2 r_k)/k
         # creeps toward 1 (computed through bit lengths, no floats)
         growth = []
-        for i, r in enumerate(seq.terms):
+        for i, r in enumerate(terms):
             if i == 0 or r < 4:
                 continue
             b = r.bit_length() - 1
@@ -477,7 +475,7 @@ def _cmd_polyvol(p):
         )
         _ensure_match("polyvol translation invariance", vol, polytope_volume(shifted))
         if poly.n == 2:
-            den, verts = polytope_vertices(poly)
+            den, verts = poly.vertices
             _ensure_match("polyvol shoelace", vol, _polygon_area(den, [pt for pt, _ in verts]))
         out["verified"] = True
     return out

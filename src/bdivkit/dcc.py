@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .exact import PreconditionError, format_rat, parse_int, parse_rat_list, record
+from .exact import PreconditionError, format_rat, parse_int, parse_list, parse_rat_list, record
 
 
 def standard_coeff(r: int) -> Fraction:
@@ -160,21 +160,19 @@ def desc_from_json(data: dict, _depth: int = 0) -> CoeffSetDesc:
     if not isinstance(data, dict):
         raise PreconditionError(f"a set description must be an object, got {data!r}")
     kind = data.get("kind")
-    try:
-        if kind == "finite":
-            return FiniteSet(tuple(data["values"]))
-        if kind == "standard":
-            return StandardSet()
-        if kind == "union":
-            return UnionSet(tuple(desc_from_json(m, _depth + 1) for m in data["members"]))
-        if kind == "closure":
-            return SumClosure(
-                base=desc_from_json(data["base"], _depth + 1),
-                denom_bound=parse_int(data["denom_bound"], "denom_bound"),
-                include_one=bool(data.get("include_one", False)),
-            )
-    except TypeError as exc:
-        raise PreconditionError(f"malformed set description: {exc}") from exc
+    if kind == "finite":
+        return FiniteSet(data["values"])
+    if kind == "standard":
+        return StandardSet()
+    if kind == "union":
+        members = parse_list(data["members"], "set descriptions")
+        return UnionSet(tuple(desc_from_json(m, _depth + 1) for m in members))
+    if kind == "closure":
+        return SumClosure(
+            base=desc_from_json(data["base"], _depth + 1),
+            denom_bound=parse_int(data["denom_bound"], "denom_bound"),
+            include_one=bool(data.get("include_one", False)),
+        )
     raise PreconditionError(f"unknown set description kind: {kind!r}")
 
 

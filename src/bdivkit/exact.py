@@ -208,10 +208,23 @@ def complement_weights(values) -> tuple:
     return tuple((x.denominator - x.numerator) * (den // x.denominator) for x in values), den
 
 
-def parse_rat_list(values) -> tuple[Fraction, ...]:
+def parse_list(values, what: str):
+    """``values`` when it is a list (or a tuple); anything else is bad input.
+
+    A JSON string where a list belongs would otherwise be read one character
+    at a time, so every reader of a JSON list goes through this check.
+    """
     if not isinstance(values, (list, tuple)):
-        raise PreconditionError(f"expected a list of rationals, got {values!r}")
-    return tuple(parse_rat(v) for v in values)
+        raise PreconditionError(f"expected a list of {what}, got {values!r}")
+    return values
+
+
+def parse_rat_list(values) -> tuple[Fraction, ...]:
+    return tuple(parse_rat(v) for v in parse_list(values, "rationals"))
+
+
+def parse_int_list(values, key: str) -> tuple[int, ...]:
+    return tuple(parse_int(v, key) for v in parse_list(values, f"integers for {key!r}"))
 
 
 def format_rat_list(values) -> list[str]:

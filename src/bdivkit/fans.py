@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from heapq import heapify, heappop, heappush
 from math import lcm, prod
 from operator import mul
@@ -68,6 +68,8 @@ from .exact import (
     is_primitive,
     lattice_vec,
     parse_int,
+    parse_int_list,
+    parse_list,
     record,
     trusted,
 )
@@ -417,8 +419,10 @@ class Fan:
         try:
             fan = cls(
                 n=parse_int(data["n"], "n"),
-                rays=tuple(tuple(parse_int(x, "rays") for x in r) for r in data["rays"]),
-                cones=tuple(tuple(parse_int(i, "cones") for i in c) for c in data["cones"]),
+                rays=tuple(parse_int_list(r, "rays") for r in parse_list(data["rays"], "rays")),
+                cones=tuple(
+                    parse_int_list(c, "cones") for c in parse_list(data["cones"], "cones")
+                ),
             )
         except (KeyError, TypeError) as exc:
             raise PreconditionError(f"malformed fan JSON: {exc}") from exc
@@ -428,8 +432,13 @@ class Fan:
         return fan
 
 
+@cache
 def orthant_fan(n: int) -> Fan:
-    """The undivided orthant: rays e_1..e_n, one maximal cone."""
+    """The undivided orthant: rays e_1..e_n, one maximal cone.
+
+    Built once per n: a fan is an immutable value, and no caller mutates
+    its cached ``ray_index`` or ``max_cones``.
+    """
     _check_dim(n)
     rays = tuple(
         tuple(1 if j == i else 0 for j in range(n)) for i in range(n)

@@ -36,6 +36,8 @@ from .exact import (
     is_primitive,
     lattice_vec,
     parse_int,
+    parse_int_list,
+    parse_list,
     parse_rat,
     parse_rat_list,
     record,
@@ -202,8 +204,8 @@ class BDivisor:
             else:
                 raise PreconditionError("b-divisor JSON needs 'pair' values")
             devs = {}
-            for item in data.get("deviations", ()):
-                key = tuple(parse_int(x, "v") for x in item["v"])
+            for item in parse_list(data.get("deviations", ()), "deviations"):
+                key = parse_int_list(item["v"], "v")
                 if key in devs:
                     raise PreconditionError(f"duplicate deviation key {key}")
                 devs[key] = parse_rat(item["value"])

@@ -10,8 +10,8 @@ A *cut* replaces the model by a smooth refinement extracting a chosen set of
 valuations (all with positive pullback coefficient), re-traces the pullback
 through each one-ray extraction, takes the ray-wise minimum of those traces,
 and meets the result with B.  The driver cuts the undivided orthant, where
-the initial state lives, at valuations it chooses from the model and B's
-deviations (``_cut_valuations``):
+the initial state lives, at valuations it chooses from the pair's
+coefficients, in the input's order, and B's deviations (``_cut_valuations``):
 
 * when no coefficient is 1, every lattice vector with positive pullback
   coefficient (other than the rays) is extracted;
@@ -69,6 +69,7 @@ from .exact import (
     PreconditionError,
     complement_weights,
     format_rat,
+    parse_rat_list,
     record,
     trusted,
 )
@@ -83,59 +84,20 @@ from .logpairs import (
     unit_index,
 )
 
-@record
-class LocalModel:
-    """A local pair, its coordinates split by whether the coefficient is 1.
-
-    The reduction does not depend on how the components are numbered, so
-    they keep the input's order; ``sub_one`` and ``ones`` list the
-    coordinates with coefficient below 1 and equal to 1, each increasing.
-    """
-
-    pair: LocalPair
-
-    @property
-    def n(self) -> int:
-        return self.pair.n
-
-    @cached_property
-    def sub_one(self) -> tuple:
-        return tuple(i for i, c in enumerate(self.pair.coeffs) if c < 1)
-
-    @cached_property
-    def ones(self) -> tuple:
-        return tuple(i for i, c in enumerate(self.pair.coeffs) if c == 1)
-
-    @property
-    def s(self) -> int:
-        return len(self.sub_one)
-
-    @property
-    def w(self) -> int:
-        return len(self.ones)
-
-    @cached_property
-    def prefix_weights(self) -> tuple:
-        """(w, den): the weights 1 - c_i of the sub-one coordinates over den.
-
-        Every w_i is positive, since each c_i is below 1.
-        """
-        return complement_weights([self.pair.coeffs[i] for i in self.sub_one])
-
-
-def positive_pullback_prefixes(model: LocalModel) -> list:
+def positive_pullback_prefixes(pair: LocalPair) -> list:
     """All v in N^s with sum v_i (1 - c_i) < 1, sorted lexicographically.
 
-    The i ranges over ``model.sub_one``, in order.  These are exactly the
-    sub-one coordinate prefixes of valuations with positive pullback
-    coefficient; the zero vector is included.  With the
+    The c_i are the pair's s coefficients below 1, in the input's order: the
+    reduction does not depend on how the components are numbered.  These
+    are exactly the sub-one coordinate prefixes of valuations with positive
+    pullback coefficient; the zero vector is included.  With the
     weights as integers w_i > 0 over one denominator D, a depth-first walk
     extends each prefix by every entry e with e * w_i below the budget D
     minus the prefix's weight, in increasing order, so the output comes
     sorted.  The entries of the last coordinate are the e < budget / w_i,
     the first ceil(budget / w_i) naturals, added in one step.
     """
-    w, den = model.prefix_weights
+    w, den = complement_weights([c for c in pair.coeffs if c < 1])
     if not w:
         return [()]
     last = len(w) - 1
@@ -175,21 +137,21 @@ class Witness:
         }
 
 
-def _fiber_valuations(model: LocalModel, devs: dict) -> list:
+def _fiber_valuations(pair: LocalPair, devs: dict) -> list:
     """The cut valuations of a model with a coefficient-one component.
 
     ``devs`` maps B's listed deviations, none of them a unit vector, to
     their values.  The fibre of a prefix f holds the valuations whose
-    sub-one coordinates, in the order of ``model.sub_one``, are f.  For each
-    f of ``positive_pullback_prefixes(model)``, in order, the fibre's listed
+    sub-one coordinates, in increasing order, are f.  For each
+    f of ``positive_pullback_prefixes(pair)``, in order, the fibre's listed
     deviations with value below 1 come in lexicographic order.  A fibre that
     lists none gives its representative with f at the sub-one coordinates
     and 1 elsewhere, where B takes its infimum 1 over the fibre; with a
     coefficient one that representative is primitive, and it is left out
     when it is a unit vector, a divisor of the model already.
     """
-    sub = model.sub_one
-    fibres = {f: [] for f in positive_pullback_prefixes(model)}
+    sub = [i for i, c in enumerate(pair.coeffs) if c < 1]
+    fibres = {f: [] for f in positive_pullback_prefixes(pair)}
     for vec in sorted(devs):
         listed = fibres.get(tuple([vec[i] for i in sub]))
         if listed is not None and devs[vec] < 1:
@@ -198,21 +160,21 @@ def _fiber_valuations(model: LocalModel, devs: dict) -> list:
     for f, listed in fibres.items():
         if not listed:
             at = dict(zip(sub, f))
-            rep = tuple([at.get(i, 1) for i in range(model.n)])
+            rep = tuple([at.get(i, 1) for i in range(pair.n)])
             listed = [rep] if unit_index(rep) is None else []
         out.extend(listed)
     return out
 
 
-def _cut_valuations(model: LocalModel, bdiv: BDivisor) -> list:
+def _cut_valuations(pair: LocalPair, bdiv: BDivisor) -> list:
     """The valuations the driver cuts the orthant at (module docstring).
 
     On a klt model they are the primitive prefixes other than 0 and the
     units (sum > 1): multiples reduce to them and units are divisors.
     """
-    if not model.ones:
-        return [f for f in positive_pullback_prefixes(model) if sum(f) > 1 and gcd(*f) == 1]
-    return _fiber_valuations(model, bdiv.deviations)
+    if pair.is_klt:
+        return [f for f in positive_pullback_prefixes(pair) if sum(f) > 1 and gcd(*f) == 1]
+    return _fiber_valuations(pair, bdiv.deviations)
 
 
 # ---------------------------------------------------------------------------
@@ -221,21 +183,23 @@ def _cut_valuations(model: LocalModel, bdiv: BDivisor) -> list:
 
 @record
 class ReductionState:
-    """Current model, its boundary trace, and the b-divisor rebased to it.
+    """The boundary trace on the current model, and the b-divisor rebased to it.
 
-    Invariant: the b-divisor value at every fan ray equals the trace
-    coefficient there (unit rays via pair values, others via deviations).
+    The model is the trace's fan.  Invariant: the b-divisor value at every
+    fan ray equals the trace coefficient there (unit rays via pair values,
+    others via deviations).
     """
 
-    fan: Fan
     phi: ModelDivisor
     bdiv: BDivisor
 
     def __post_init__(self):
-        if self.phi.fan != self.fan:
-            raise PreconditionError("trace lives on a different fan")
-        if self.bdiv.n != self.fan.n:
+        if self.bdiv.n != self.phi.fan.n:
             raise PreconditionError("b-divisor dimension mismatch")
+
+    @property
+    def fan(self) -> Fan:
+        return self.phi.fan
 
     def trace_consistent(self) -> bool:
         """Whether the b-divisor agrees with the trace on every fan ray.
@@ -266,21 +230,20 @@ class ReductionState:
     def from_json(cls, data: dict) -> "ReductionState":
         try:
             fan = Fan.from_json(data["fan"])
-            phi = ModelDivisor(fan, tuple(data["phi"]))
+            phi = ModelDivisor(fan, parse_rat_list(data["phi"]))
             bdiv = BDivisor.from_json(data["B"])
         except TypeError as exc:
             raise PreconditionError(f"malformed state JSON: {exc}") from exc
-        return cls(fan, phi, bdiv)
+        return cls(phi, bdiv)
 
 
-def initial_state(model: LocalModel, bdiv: BDivisor) -> ReductionState:
+def initial_state(pair: LocalPair, bdiv: BDivisor) -> ReductionState:
     """The state on the undivided orthant; the trace is the pair itself.
 
     ``ReductionState`` checks B's dimension, before B's pair is compared.
     """
-    fan = orthant_fan(model.n)
-    state = ReductionState(fan, ModelDivisor(fan, model.pair.coeffs), bdiv)
-    if bdiv.pair_coeffs != model.pair.coeffs:
+    state = ReductionState(ModelDivisor(orthant_fan(pair.n), pair.coeffs), bdiv)
+    if bdiv.pair_coeffs != pair.coeffs:
         raise PreconditionError(
             "the b-divisor trace must agree with the model coefficients"
         )
@@ -422,7 +385,7 @@ def _cut_state(state: ReductionState, sigmas, new_fan: Fan) -> tuple:
         devs.pop(tuple([int(j == i) for j in range(n)]), None)
     new_bdiv = trusted(BDivisor, pair_coeffs=state.bdiv.pair_coeffs, deviations=devs)
     new_phi = trusted(ModelDivisor, fan=new_fan, ray_coeffs=new_phi_coeffs)
-    new_state = ReductionState(new_fan, new_phi, new_bdiv)
+    new_state = ReductionState(new_phi, new_bdiv)
     if not new_state.trace_consistent():
         raise InvariantViolation("cut produced an inconsistent trace")
     return new_state, theta
@@ -503,21 +466,21 @@ class ReductionTrace:
         }
 
 
-def run_reduction(model: LocalModel, bdiv: BDivisor) -> ReductionTrace:
+def run_reduction(pair: LocalPair, bdiv: BDivisor) -> ReductionTrace:
     """Cut the orthant once, if there is a witness, and end at weight -1.
 
-    The cut valuations come from the model and B's deviations
+    The cut valuations come from the pair and B's deviations
     (``_cut_valuations``) and are not validated again.  Every witness
     becomes a ray and no other valuation becomes one, so the cut leaves none
     (module docstring).  The final state, cut or not, is checked once by
     ``verify_reduction``; an output it refutes is an internal invariant
     breach, never silently ignored.
     """
-    state = initial_state(model, bdiv)
+    state = initial_state(pair, bdiv)
     weight = state_weight(state)
     steps = ()
     if weight >= 0:
-        sigmas = _cut_valuations(model, bdiv)
+        sigmas = _cut_valuations(pair, bdiv)
         if not sigmas:
             raise InvariantViolation("witnesses present but no cut valuation found")
         state, step = build_cut(state, sigmas)

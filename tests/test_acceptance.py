@@ -41,7 +41,6 @@ from bdivkit.logpairs import (
     rounding_comparison,
 )
 from bdivkit.reduction import (
-    LocalModel,
     positive_pullback_prefixes,
     run_reduction,
     verify_reduction,
@@ -69,13 +68,13 @@ def criterion(num, name, budget_seconds):
 
 def test_criterion_1_sylvester_suite():
     with criterion(1, "sylvester suite", 1.0):
-        seq = sylvester(8)
+        terms = sylvester(8)
         prod = 1
-        for i in range(1, len(seq.terms)):
-            assert seq.terms[i] == seq.terms[i - 1] * (seq.terms[i - 1] + 1)
-            prod *= seq.terms[i - 1] + 1
-            assert seq.terms[i] == prod
-        assert seq.terms[3] == 42
+        for i in range(1, len(terms)):
+            assert terms[i] == terms[i - 1] * (terms[i - 1] + 1)
+            prod *= terms[i - 1] + 1
+            assert terms[i] == prod
+        assert terms[3] == 42
         assert min_volume_candidate(1) == F(1, 42)
 
 
@@ -158,7 +157,7 @@ def _random_instances(count):
             if sum(1 for e in vec if e) == 1 and max(vec) == 1:
                 continue
             devs[vec] = rng.choice(values)
-        yield LocalModel(pair), BDivisor(pair.coeffs, devs)
+        yield pair, BDivisor(pair.coeffs, devs)
 
 
 def test_criterion_7_reduction_suite():
@@ -186,9 +185,8 @@ def test_criterion_8_prefixes_and_mld_bruteforce():
             n = rng.choice([1, 2, 3])
             coeffs = tuple(rng.choice(pool) for _ in range(n))
             pair = LocalPair(coeffs)
-            model = LocalModel(pair)
 
-            got = positive_pullback_prefixes(model)
+            got = positive_pullback_prefixes(pair)
             bound = max(
                 (int(F(2) / (1 - c)) + 2 for c in coeffs), default=2
             )

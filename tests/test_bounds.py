@@ -16,7 +16,6 @@ from bdivkit.bounds import (
     is_prime_power,
     min_volume_candidate,
     poly_eval,
-    polytope_vertices,
     polytope_volume,
     projective_space_log_volume,
     sylvester,
@@ -30,9 +29,8 @@ from test_exact import _null_direction, _rank, _solve_square, leibniz_det
 
 
 def test_sylvester_terms():
-    seq = sylvester(4)
-    assert seq.terms == (1, 2, 6, 42, 1806)
-    long = sylvester(8).terms
+    assert sylvester(4) == (1, 2, 6, 42, 1806)
+    long = sylvester(8)
     for i in range(1, len(long)):
         assert long[i] == long[i - 1] * (long[i - 1] + 1)
         prod = 1
@@ -44,7 +42,7 @@ def test_sylvester_terms():
 def test_sylvester_growth_is_doubly_exponential_in_spirit():
     # r_k eventually dwarfs 2^(2^k); reported as a sanity check, not asserted
     # as an asymptotic statement
-    terms = sylvester(6).terms
+    terms = sylvester(6)
     assert terms[4] > 2 ** (2**3)
     assert terms[6] > 2 ** (2**5)
 
@@ -70,7 +68,7 @@ def test_pn_log_volume_examples():
 def test_partial_fraction_identity():
     # sum 1/(r_i + 1) = 1 - 1/r_{k+1}, the mechanism behind the volumes
     for k in range(1, 6):
-        terms = sylvester(k + 1).terms
+        terms = sylvester(k + 1)
         total = sum((F(1, r + 1) for r in terms[: k + 1]), F(0))
         assert total == 1 - F(1, terms[k + 1])
 
@@ -256,11 +254,11 @@ def test_vertices_and_volume_match_the_fraction_path(poly):
         ref = _reference_vertices(poly)
     except PreconditionError:
         with pytest.raises(PreconditionError, match="unbounded"):
-            polytope_vertices(poly)
+            poly.vertices
         with pytest.raises(PreconditionError, match="unbounded"):
             polytope_volume(poly)
         return
-    den, verts = polytope_vertices(poly)
+    den, verts = poly.vertices
     assert den > 0
     assert [(tuple(F(x, den) for x in p), a) for p, a in verts] == ref
     assert polytope_volume(poly) == _reference_volume(poly)
@@ -270,7 +268,7 @@ def test_vertices_and_volume_match_the_fraction_path(poly):
 @given(h_polytopes(st.just(2)))
 def test_shoelace_area_equals_the_polygon_volume(poly):
     try:
-        den, verts = polytope_vertices(poly)
+        den, verts = poly.vertices
     except PreconditionError:
         return  # unbounded: no area to compare
     assert _polygon_area(den, [p for p, _ in verts]) == polytope_volume(poly)

@@ -585,6 +585,23 @@ BAD_INPUTS = [
                  id="weight B pair disagrees with the model"),
     # chain has no chain length to set: --threshold is dcc's alone
     pytest.param(["chain", "--threshold", "5"] + CASES["chain"][1:], id="chain --threshold"),
+    # a string where a list belongs, which a reader would take one character
+    # at a time, and the objects whose readers catch a wrong type
+    pytest.param(["dcc", "--set", '{"kind":"finite","values":"10"}'], id="dcc values a string"),
+    pytest.param(["polyvol", "--polytope",
+                  '{"n":2,"normals":["10","01",[-1,-1]],"offsets":["0","0","1"]}'],
+                 id="polyvol normals as strings"),
+    pytest.param(["ltrace", "--pair", '{"n":2,"coeffs":["1/2","1/2"]}', "--fan",
+                  '{"n":2,"rays":["10","01"],"cones":["01"]}'], id="ltrace fan rays as strings"),
+    pytest.param(["weight", "--model", '{"n":2,"coeffs":["1/2","1"]}', "--B",
+                  '{"deviations":[{"v":"12","value":"0"}]}'], id="weight deviation v a string"),
+    pytest.param(["verify", "--state", json.dumps({
+        "fan": {"n": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]]},
+        "phi": "11", "B": {"pair": ["1", "1"], "deviations": []}})], id="verify phi a string"),
+    pytest.param(["polyvol", "--polytope", "5"], id="polyvol polytope not an object"),
+    pytest.param(["verify", "--state", "[]"], id="verify state not an object"),
+    pytest.param(["weight", "--model", '{"n":2,"coeffs":["1/2","1"]}', "--B",
+                  '{"deviations":[5]}'], id="weight deviation not an object"),
 ]
 
 
@@ -634,6 +651,16 @@ _DIGIT_LIMIT = f"{sys.get_int_max_str_digits()} digits"
     (["minvol", "--n=1", "--file", str(GOLDEN / "minvol.out")],
      "minvol takes no argument 'verified', 'volume'"),
     (["chain", "--threshold", "5"] + CASES["chain"][1:], "unrecognized arguments: --threshold 5"),
+    # a string is no list, not even of its characters (more in BAD_INPUTS)
+    (["dcc", "--set", '{"kind":"union","members":"ab"}'],
+     "expected a list of set descriptions, got 'ab'"),
+    (["polyvol", "--polytope", '{"n":2,"normals":[[1,0],[0,1],[-1,-1]],"offsets":"001"}'],
+     "expected a list of rationals, got '001'"),
+    (["ltrace", "--pair", '{"n":2,"coeffs":["1/2","1/2"]}', "--fan",
+      '{"n":2,"rays":[[1,0],[0,1]],"cones":["01"]}'],
+     "expected a list of integers for 'cones', got '01'"),
+    (["weight", "--model", '{"n":2,"coeffs":["1/2","1"]}', "--B", '{"deviations":""}'],
+     "expected a list of deviations, got ''"),
 ])
 def test_errors_name_their_cause(argv, cause):
     code, _, err = _run_catching_exit(main, argv)  # an error in argv exits from the parser

@@ -15,7 +15,6 @@ from bdivkit.logpairs import (
     relative_pullback_coeff,
 )
 from bdivkit.reduction import (
-    LocalModel,
     ReductionState,
     build_cut,
     initial_state,
@@ -34,13 +33,17 @@ def coeff(md, ray):
 
 
 def make_model(*coeffs):
-    return LocalModel(LocalPair(tuple(coeffs)))
+    return LocalPair(tuple(coeffs))
 
 
-def test_local_model_names_its_coordinates_in_input_order():
+def test_prefixes_read_the_sub_one_coordinates_in_input_order():
+    # (1, 1/2, 1, 0): coordinates 1 and 3 are below one, with prefix weights
+    # 1 - 1/2 = 1/2 and 1 - 0 = 1, that is 1 and 2 over 2; so the prefixes
+    # are the v with v_1 + 2 v_3 < 2, and fset counts s = 2, w = 2
     m = make_model(F(1), F(1, 2), F(1), F(0))
-    assert (m.sub_one, m.ones, m.s, m.w) == ((1, 3), (0, 2), 2, 2)
-    assert m.prefix_weights == ((1, 2), 2)
+    assert positive_pullback_prefixes(m) == [(0, 0), (1, 0)]
+    args = {"model": {"n": 4, "coeffs": ["1", "1/2", "1", "0"]}}
+    assert cli_mod.run_command("fset", args) == {"s": 2, "w": 2, "prefixes": [[0, 0], [1, 0]]}
 
 
 def test_prefixes_examples():
@@ -88,15 +91,15 @@ def test_prefixes_reject_coefficient_one():
 def test_initial_witnesses_examples():
     # no deviations, trace values: no strict witness anywhere
     m = make_model(F(1, 2), F(1))
-    assert initial_state(m, BDivisor(m.pair.coeffs, {})).witnesses == []
+    assert initial_state(m, BDivisor(m.coeffs, {})).witnesses == []
 
-    b = BDivisor(m.pair.coeffs, {(1, 2): F(0)})
+    b = BDivisor(m.coeffs, {(1, 2): F(0)})
     [witness] = initial_state(m, b).witnesses
     assert (witness.vec, witness.stratum, witness.weight) == ((1, 2), (0, 1), 1)
     assert witness.pullback == F(1, 2)
 
     m2 = make_model(F(1, 2), F(2, 3))
-    state2 = initial_state(m2, BDivisor(m2.pair.coeffs, {(1, 1): F(0)}))
+    state2 = initial_state(m2, BDivisor(m2.coeffs, {(1, 1): F(0)}))
     [witness2] = state2.witnesses
     assert witness2.weight == 0 and witness2.pullback == F(1, 6)
     assert state_weight(state2) == 0
@@ -124,7 +127,7 @@ def test_build_cut_single_sigma():
     # one extraction at (1,1): the new ray carries min(b1+b2-1, B value)
     pair = LocalPair((F(2, 3), F(2, 3)))
     b = BDivisor(pair.coeffs, {(1, 1): F(1, 6)})
-    state = initial_state(LocalModel(pair), b)
+    state = initial_state(pair, b)
     new_state, step = build_cut(state, [(1, 1)])
     assert coeff(new_state.phi, (1, 1)) == min(F(1, 3), F(1, 6))
     assert coeff(new_state.phi, (1, 0)) == F(2, 3)
@@ -135,11 +138,11 @@ def test_build_cut_single_sigma():
 
 def test_build_cut_rejects_zero_pullback_and_rays():
     pair = LocalPair((F(1, 4), F(1, 4)))
-    state = initial_state(LocalModel(pair), BDivisor(pair.coeffs, {}))
+    state = initial_state(pair, BDivisor(pair.coeffs, {}))
     with pytest.raises(PreconditionError):
         build_cut(state, [(1, 1)])  # pullback coefficient 0
     pair2 = LocalPair((F(2, 3), F(2, 3)))
-    state2 = initial_state(LocalModel(pair2), BDivisor(pair2.coeffs, {}))
+    state2 = initial_state(pair2, BDivisor(pair2.coeffs, {}))
     with pytest.raises(PreconditionError):
         build_cut(state2, [(1, 0)])  # already a divisor
     with pytest.raises(PreconditionError):
@@ -156,7 +159,7 @@ def test_build_cut_refuses_a_state_off_the_orthant():
     # the cut reads every vector as its own coordinates, true only on the
     # orthant: a cut state handed back would get false coefficients
     pair = LocalPair((F(1, 2), F(1)))
-    state = initial_state(LocalModel(pair), BDivisor(pair.coeffs, {(1, 2): F(0), (1, 3): F(0)}))
+    state = initial_state(pair, BDivisor(pair.coeffs, {(1, 2): F(0), (1, 3): F(0)}))
     cut, _ = build_cut(state, [(1, 2)])
     with pytest.raises(PreconditionError, match="undivided orthant"):
         build_cut(cut, [(1, 3)])
@@ -166,8 +169,8 @@ def test_build_cut_klt_branch_reaches_weight_minus_one():
     # extracting every positive-pullback valuation leaves no witness at all
     pair = LocalPair((F(1, 2), F(2, 3)))
     b = BDivisor(pair.coeffs, {})
-    state = initial_state(LocalModel(pair), b)
-    prefixes = positive_pullback_prefixes(LocalModel(pair))
+    state = initial_state(pair, b)
+    prefixes = positive_pullback_prefixes(pair)
     sigmas = [
         f
         for f in prefixes
@@ -182,7 +185,7 @@ def test_build_cut_klt_branch_reaches_weight_minus_one():
 def test_cut_keeps_trace_below_old_pullback():
     pair = LocalPair((F(1, 2), F(1)))
     b = BDivisor(pair.coeffs, {(1, 2): F(0)})
-    state = initial_state(LocalModel(pair), b)
+    state = initial_state(pair, b)
     new_state, step = build_cut(state, [(1, 2)])
     # the step records the weight of the state it cut
     assert step.weight_before == state_weight(state) == 1
@@ -192,7 +195,7 @@ def test_cut_keeps_trace_below_old_pullback():
 
 def test_worked_example_reduction():
     model = make_model(F(1, 2), F(1))
-    b = BDivisor(model.pair.coeffs, {(1, 2): F(0)})
+    b = BDivisor(model.coeffs, {(1, 2): F(0)})
     trace = run_reduction(model, b)
     assert trace.initial_weight == 1
     assert trace.terminated_weight == -1
@@ -205,13 +208,13 @@ def test_worked_example_reduction():
 
 def test_reduction_trivial_case():
     model = make_model(F(1, 2), F(2, 3))
-    trace = run_reduction(model, BDivisor(model.pair.coeffs, {}))
+    trace = run_reduction(model, BDivisor(model.coeffs, {}))
     assert trace.steps == () and trace.terminated_weight == -1
 
 
 def test_reduction_3d_example():
     model = make_model(F(2, 3), F(2, 3), F(1))
-    b = BDivisor(model.pair.coeffs, {(1, 1, 2): F(0)})
+    b = BDivisor(model.coeffs, {(1, 1, 2): F(0)})
     trace = run_reduction(model, b)
     weights = [s.weight_before for s in trace.steps] + [trace.terminated_weight]
     assert weights[0] <= 1
@@ -239,7 +242,7 @@ def test_weight_never_increases_under_any_cut():
                 continue
             devs[v] = F(rng.randint(0, 2), 3)
         b = BDivisor(pair.coeffs, devs)
-        state = initial_state(LocalModel(pair), b)
+        state = initial_state(pair, b)
         before = state_weight(state)
         # an arbitrary legal cut (not the driver's choice)
         candidates = [
@@ -257,7 +260,7 @@ def test_unlisted_valuations_never_witness():
     # B defaults to 1 and no pullback coefficient exceeds 1
     pair = LocalPair((F(1, 2), F(1)))
     b = BDivisor(pair.coeffs, {(1, 2): F(0)})
-    state = initial_state(LocalModel(pair), b)
+    state = initial_state(pair, b)
     for v in product(range(5), repeat=2):
         if all(e == 0 for e in v):
             continue
@@ -272,7 +275,7 @@ def test_descent_chain_instrumented():
     # the inequality chain behind the weight drop, checked exactly
     pair = LocalPair((F(1, 2), F(1)))
     b = BDivisor(pair.coeffs, {(1, 2): F(0)})
-    state = initial_state(LocalModel(pair), b)
+    state = initial_state(pair, b)
     sigma = (1, 2)
     y_fan = reference_star_subdivide(state.fan, sigma)
     gamma = ModelDivisor(
@@ -347,7 +350,7 @@ def test_theta_matches_naive_computation():
             sigmas.append(v)
         if not sigmas:
             continue
-        state = initial_state(LocalModel(pair), BDivisor(pair.coeffs, devs))
+        state = initial_state(pair, BDivisor(pair.coeffs, devs))
         new_fan = insert_rays(n, sigmas)
         fast = _theta_coeffs(state, sigmas, new_fan.rays)
         assert fast == naive_theta(state, sigmas, new_fan.rays)
@@ -364,7 +367,7 @@ def test_multi_cut_regression():
     # the descent
     pair = LocalPair((F(1), F(1)))
     b = BDivisor(pair.coeffs, {(3, 2): F(1, 3), (4, 1): F(1, 2)})
-    trace = run_reduction(LocalModel(pair), b)
+    trace = run_reduction(pair, b)
     assert [s.weight_before for s in trace.steps] == [2]
     assert trace.steps[0].sigmas == ((3, 2), (4, 1))
     assert trace.terminated_weight == -1
@@ -385,7 +388,7 @@ def test_one_cut_extracts_both_deviations_of_a_fibre(coeffs, devs):
     # the one of least tail would leave the other a witness of weight one,
     # across the wall x = y of its extraction
     pair = LocalPair(coeffs)
-    trace = run_reduction(LocalModel(pair), BDivisor(pair.coeffs, devs))
+    trace = run_reduction(pair, BDivisor(pair.coeffs, devs))
     assert [s.weight_before for s in trace.steps] == [1]
     assert trace.terminated_weight == -1
     assert set(devs) <= set(trace.steps[0].sigmas)
@@ -415,7 +418,7 @@ def test_randomized_reductions_small():
                 continue
             devs[v] = rng.choice(values)
         b = BDivisor(pair.coeffs, devs)
-        trace = run_reduction(LocalModel(pair), b)
+        trace = run_reduction(pair, b)
         weights = [s.weight_before for s in trace.steps] + [
             trace.terminated_weight
         ]
@@ -431,7 +434,7 @@ def test_verify_reports_planted_violation():
         coeffs.append({(1, 0): F(1, 2), (0, 1): F(1, 2), (1, 1): F(1)}[r])
     phi = ModelDivisor(fan, tuple(coeffs))
     b = BDivisor((F(1, 2), F(1, 2)), {(1, 1): F(0)})
-    state = ReductionState(fan, phi, b)
+    state = ReductionState(phi, b)
     report = verify_reduction(state)
     assert not report.ok
     assert report.violation[0] == (1, 1)
@@ -440,7 +443,7 @@ def test_verify_reports_planted_violation():
 
 def test_verify_trivial_state():
     pair = LocalPair((F(1, 2), F(2, 3)))
-    state = initial_state(LocalModel(pair), BDivisor(pair.coeffs, {}))
+    state = initial_state(pair, BDivisor(pair.coeffs, {}))
     report = verify_reduction(state)
     assert report.ok and report.violation is None
 
@@ -448,12 +451,12 @@ def test_verify_trivial_state():
 def test_initial_state_requires_matching_trace():
     pair = LocalPair((F(1, 2), F(1)))
     with pytest.raises(PreconditionError):
-        initial_state(LocalModel(pair), BDivisor((F(1, 4), F(1)), {}))
+        initial_state(pair, BDivisor((F(1, 4), F(1)), {}))
 
 
 def test_state_json_roundtrip():
     model = make_model(F(1, 2), F(1))
-    b = BDivisor(model.pair.coeffs, {(1, 2): F(0)})
+    b = BDivisor(model.coeffs, {(1, 2): F(0)})
     trace = run_reduction(model, b)
     data = trace.final_state.to_json()
     assert ReductionState.from_json(data).to_json() == data
@@ -512,7 +515,7 @@ def reduced_states(draw):
     for v in draw(st.lists(vec, max_size=3)):
         if sum(1 for e in v if e) > 1:
             devs[v] = draw(st.sampled_from([F(0), F(1, 7), F(1, 2)]))
-    state = run_reduction(LocalModel(pair), BDivisor(pair.coeffs, devs)).final_state
+    state = run_reduction(pair, BDivisor(pair.coeffs, devs)).final_state
     plant = draw(st.sampled_from(
         ["none", "ray", "deviation", "off_box", "lowered", "boundary"]))
     if plant == "ray":
@@ -522,7 +525,7 @@ def reduced_states(draw):
         if bv < 1:
             coeffs = list(state.phi.ray_coeffs)
             coeffs[i] = draw(st.sampled_from([c for c in (bv + (1 - bv) / 2, F(1))]))
-            state = ReductionState(state.fan, ModelDivisor(state.fan, tuple(coeffs)), state.bdiv)
+            state = ReductionState(ModelDivisor(state.fan, tuple(coeffs)), state.bdiv)
     elif plant in ("deviation", "off_box"):
         # B = 0 violates wherever the pullback is positive
         top = 9 if plant == "deviation" else 30
@@ -535,7 +538,7 @@ def reduced_states(draw):
                 and relative_pullback_coeff(state.phi, v) > 0
             ):
                 bdiv = BDivisor(state.bdiv.pair_coeffs, {**state.bdiv.deviations, v: F(0)})
-                state = ReductionState(state.fan, state.phi, bdiv)
+                state = ReductionState(state.phi, bdiv)
                 break
     elif plant in ("lowered", "boundary"):
         # B at a listed valuation lowered below its pullback, or set equal to it
@@ -549,7 +552,7 @@ def reduced_states(draw):
             if plant == "lowered":
                 value *= draw(st.sampled_from([F(0), F(1, 3), F(1, 2), F(6, 7)]))
             bdiv = BDivisor(state.bdiv.pair_coeffs, {**state.bdiv.deviations, v: value})
-            state = ReductionState(state.fan, state.phi, bdiv)
+            state = ReductionState(state.phi, bdiv)
     return state
 
 
@@ -567,7 +570,7 @@ def test_verify_counts_past_a_violation_outside_the_box():
     fan = reference_star_subdivide(orthant_fan(2), (1, 1))
     phi = ModelDivisor(fan, (F(1, 2), F(1, 2), F(1)))
     b = BDivisor((F(1, 2), F(1, 2)), {(9, 10): F(0), (3, 4): F(0), (3, 1): F(0)})
-    state = ReductionState(fan, phi, b)
+    state = ReductionState(phi, b)
     report = verify_reduction(state)
     assert (report.ok, report.violation) == reference_verify(state, 2)
     assert report.violation == ((3, 4), F(1, 2), F(0))
@@ -578,7 +581,7 @@ def test_verify_counts_past_a_violation_outside_the_box():
 def test_verify_rejects_a_fan_that_is_no_subdivision():
     fan = Fan(2, ((1, 0), (0, 1), (1, 1)), ((0, 1), (0, 2)))
     phi = ModelDivisor(fan, (F(1, 2), F(1, 2), F(1)))
-    state = ReductionState(fan, phi, BDivisor((F(1, 2), F(1, 2)), {}))
+    state = ReductionState(phi, BDivisor((F(1, 2), F(1, 2)), {}))
     with pytest.raises(InvariantViolation):
         verify_reduction(state)
 
@@ -589,9 +592,9 @@ def test_verify_rejects_a_fan_that_is_no_subdivision():
 from math import floor, prod
 
 
-def reference_prefixes(model):
+def reference_prefixes(pair):
     """The box scan: every v with v_i <= floor(1/(1-c_i)), summed in Fractions."""
-    cs = [model.pair.coeffs[i] for i in model.sub_one]
+    cs = [c for c in pair.coeffs if c < 1]
     bounds = [floor(F(1) / (1 - c)) for c in cs]
     return sorted(
         v for v in product(*(range(b + 1) for b in bounds))
@@ -619,7 +622,7 @@ def test_prefixes_equal_the_box_scan(cs, w, data):
     if w:
         reps = []
         for f in expected:
-            at = dict(zip(model.sub_one, f))
+            at = dict(zip((i for i, c in enumerate(model.coeffs) if c < 1), f))
             rep = tuple(at.get(i, 1) for i in range(model.n))
             reps += [rep] if unit_index(rep) is None else []
         assert reduction_mod._fiber_valuations(model, {}) == reps
@@ -652,7 +655,7 @@ def reduction_inputs(draw):
     witness = vec.filter(lambda v: relative_pullback_coeff(ModelDivisor(
         orthant_fan(n), pair.coeffs), v) > 0)
     devs[draw(witness)] = F(0)
-    return LocalModel(pair), BDivisor(pair.coeffs, devs)
+    return pair, BDivisor(pair.coeffs, devs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -710,7 +713,7 @@ def test_cut_state_meets_theta_with_a_listed_deviation_on_a_new_ray():
     # a new ray that is no sigma; B lists it below its theta
     pair = LocalPair((F(2, 3), F(5, 6)))
     b = BDivisor(pair.coeffs, {(1, 1): F(1, 5)})
-    state = initial_state(LocalModel(pair), b)
+    state = initial_state(pair, b)
     new_state, theta = cut_state_and_theta(state, [(1, 2)])
     i = new_state.fan.rays.index((1, 1))
     assert (1, 1) not in state.fan.rays and theta[i] == F(1, 2)
@@ -725,7 +728,7 @@ def test_cut_of_a_state_whose_trace_is_above_b_at_a_unit_ray_is_a_breach():
     fan = orthant_fan(2)
     phi = ModelDivisor(fan, (F(2, 3), F(5, 6)))
     b = BDivisor((F(1, 3), F(5, 6)))
-    state = ReductionState(fan, phi, b)
+    state = ReductionState(phi, b)
     with pytest.raises(InvariantViolation, match="inconsistent trace"):
         cut_state_and_theta(state, [(1, 1)])
 
@@ -739,7 +742,7 @@ def test_cut_whose_trace_leaves_b_at_a_ray_is_a_breach(monkeypatch):
     monkeypatch.setattr(reduction_mod, "_theta_coeffs",
                         lambda state, sigmas, rays: tuple(F(0) for _ in rays))
     pair = LocalPair((F(1, 2), F(1)))
-    state = initial_state(LocalModel(pair), BDivisor(pair.coeffs, {(1, 2): F(0)}))
+    state = initial_state(pair, BDivisor(pair.coeffs, {(1, 2): F(0)}))
     with pytest.raises(InvariantViolation, match="inconsistent trace"):
         build_cut(state, [(1, 2)])
 
@@ -762,7 +765,7 @@ def test_witness_whose_chart_gives_no_cut_valuation_is_a_breach(monkeypatch):
     monkeypatch.setattr(reduction_mod, "_cut_valuations", lambda model, bdiv: [])
     pair = LocalPair((F(1, 2), F(1)))
     with pytest.raises(InvariantViolation, match="no cut valuation"):
-        run_reduction(LocalModel(pair), BDivisor(pair.coeffs, {(1, 2): F(0)}))
+        run_reduction(pair, BDivisor(pair.coeffs, {(1, 2): F(0)}))
 
 
 def test_weight_takes_the_first_stratum_of_greatest_weight(capsys):
@@ -814,7 +817,7 @@ def test_a_klt_surface_cut_builds_no_cone_after_its_cut(monkeypatch):
 
     monkeypatch.setattr(reduction_mod, "insert_rays", insert_rays)
     pair = LocalPair((F(4, 5), F(5, 6)))
-    trace = run_reduction(LocalModel(pair), BDivisor(pair.coeffs, {(2, 3): F(0)}))
+    trace = run_reduction(pair, BDivisor(pair.coeffs, {(2, 3): F(0)}))
     final = trace.final_state.fan
     assert len(trace.steps) == 1 and len(final.rays) > 10
     assert verify_reduction(trace.final_state).ok
@@ -826,7 +829,7 @@ def test_a_klt_surface_cut_builds_no_cone_after_its_cut(monkeypatch):
 
 def test_a_reduction_formats_each_final_trace_value_once(monkeypatch):
     pair = LocalPair((F(4, 5), F(5, 6)))
-    trace = run_reduction(LocalModel(pair), BDivisor(pair.coeffs, {(2, 3): F(0)}))
+    trace = run_reduction(pair, BDivisor(pair.coeffs, {(2, 3): F(0)}))
     plain = {
         "initial_weight": trace.initial_weight,
         "steps": [s.to_json() for s in trace.steps],
