@@ -250,7 +250,7 @@ class Polytope:
                 normals=data["normals"],
                 offsets=data["offsets"],
             )
-        except TypeError as exc:
+        except (KeyError, TypeError) as exc:
             raise PreconditionError(f"malformed polytope JSON: {exc}") from exc
 
     @classmethod

@@ -81,10 +81,10 @@ from .logpairs import (
 )
 from .reduction import (
     ReductionState,
-    initial_state,
     positive_pullback_prefixes,
     run_reduction,
     verify_reduction,
+    witnesses,
 )
 
 
@@ -279,12 +279,12 @@ def _cmd_weight(p):
             raise PreconditionError("stratum must be a nonempty index set")
         mapped = tuple(sorted(i - 1 for i in raw))
         out["stratum"] = sorted(raw)
-    witnesses = initial_state(pair, bdiv).witnesses
+    found = witnesses(pair, bdiv)
     if stratum is not None:
-        witnesses = [wit for wit in witnesses if wit.stratum == mapped]
+        found = [wit for wit in found if wit.stratum == mapped]
     # of the greatest weight, the first stratum in subset order; witnesses
     # come in lexicographic order, so the least vector there
-    witness = min(witnesses, default=None,
+    witness = min(found, default=None,
                   key=lambda wit: (-wit.weight, sum(1 << i for i in wit.stratum)))
     out["weight"] = -1
     if witness is not None:
@@ -520,9 +520,6 @@ def _scan_csv(rows, columns) -> str:
 
 def _cmd_fermat(p):
     if p.get("scan"):
-        rule = _arg(p, "m_rule", "n+3")
-        if rule != "n+3":
-            raise PreconditionError(f"unsupported m-rule {rule!r}; only 'n+3'")
         n_max = parse_int(_arg(p, "n_max", 10), "n_max")
         rows = fermat_threshold_scan(n_max)
         out_rows = [
@@ -772,8 +769,8 @@ _COMMANDS = {
     "product": ("n-fold product of a maximal-symmetry curve", (("--n", int), ("--g", int)),
                 _cmd_product),
     "fermat": ("Fermat hypersurface report or threshold scan",
-               (("--n", int), ("--m", int), ("--scan", _FLAG), ("--m-rule", str),
-                ("--n-max", int)), _cmd_fermat),
+               (("--n", int), ("--m", int), ("--scan", _FLAG), ("--n-max", int)),
+               _cmd_fermat),
     "unitary": ("unitary group order: polynomial part or value",
                 (("--n", int), ("--q", int)), _cmd_unitary),
     "charp": ("characteristic-p ratio check up to q_max",

@@ -160,19 +160,22 @@ def desc_from_json(data: dict, _depth: int = 0) -> CoeffSetDesc:
     if not isinstance(data, dict):
         raise PreconditionError(f"a set description must be an object, got {data!r}")
     kind = data.get("kind")
-    if kind == "finite":
-        return FiniteSet(data["values"])
-    if kind == "standard":
-        return StandardSet()
-    if kind == "union":
-        members = parse_list(data["members"], "set descriptions")
-        return UnionSet(tuple(desc_from_json(m, _depth + 1) for m in members))
-    if kind == "closure":
-        return SumClosure(
-            base=desc_from_json(data["base"], _depth + 1),
-            denom_bound=parse_int(data["denom_bound"], "denom_bound"),
-            include_one=bool(data.get("include_one", False)),
-        )
+    try:
+        if kind == "finite":
+            return FiniteSet(data["values"])
+        if kind == "standard":
+            return StandardSet()
+        if kind == "union":
+            members = parse_list(data["members"], "set descriptions")
+            return UnionSet(tuple(desc_from_json(m, _depth + 1) for m in members))
+        if kind == "closure":
+            return SumClosure(
+                base=desc_from_json(data["base"], _depth + 1),
+                denom_bound=parse_int(data["denom_bound"], "denom_bound"),
+                include_one=bool(data.get("include_one", False)),
+            )
+    except KeyError as exc:
+        raise PreconditionError(f"malformed {kind} set description: {exc}") from exc
     raise PreconditionError(f"unknown set description kind: {kind!r}")
 
 

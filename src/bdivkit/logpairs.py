@@ -105,7 +105,7 @@ class LocalPair:
         try:
             coeffs = parse_rat_list(data["coeffs"])
             n = parse_int(data["n"], "n") if "n" in data else len(coeffs)
-        except TypeError as exc:
+        except (KeyError, TypeError) as exc:
             raise PreconditionError(f"malformed pair JSON: {exc}") from exc
         if n != len(coeffs):
             raise PreconditionError("pair JSON: n does not match the coefficient count")
@@ -209,7 +209,7 @@ class BDivisor:
                 if key in devs:
                     raise PreconditionError(f"duplicate deviation key {key}")
                 devs[key] = parse_rat(item["value"])
-        except TypeError as exc:
+        except (KeyError, TypeError) as exc:
             raise PreconditionError(f"malformed b-divisor JSON: {exc}") from exc
         return cls(pcs, devs)
 
@@ -251,7 +251,8 @@ def relative_pullback_coeff(md: ModelDivisor, v) -> Fraction:
     ``pullback_coeff``; the value is independent of the cone chosen on a
     shared face because the interpolated ray values agree there.
     """
-    return pullback_at(md, md.fan.locate(v))
+    gap, scale = pullback_gap(md, md.fan.locate(v))
+    return Fraction(gap, scale) if gap > 0 else Fraction(0)
 
 
 def pullback_gap(md: ModelDivisor, loc) -> tuple:
@@ -267,12 +268,6 @@ def pullback_gap(md: ModelDivisor, loc) -> tuple:
             total += x * w[ray_idx]
     scale = abs(loc.cone.det) * wden
     return scale - total, scale
-
-
-def pullback_at(md: ModelDivisor, loc) -> Fraction:
-    """``relative_pullback_coeff`` at a vector already located in md's fan."""
-    gap, scale = pullback_gap(md, loc)
-    return Fraction(gap, scale) if gap > 0 else Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +344,10 @@ def blowup_chain_coeff(b1, b2, v) -> Fraction:
 
     Walks the Stern-Brocot path from the corner (e_1, e_2) to the ray v,
     propagating the exceptional coefficient e = x + y - 1 at every step and
-    clamping only at the end.  Used as an independent oracle for
+    clamping only at the end.  A run of k equal steps, each subtracting the
+    smaller entry from the larger and adding x - 1 (or y - 1) to the other
+    coefficient, is taken at once, so the walk makes as many passes as the
+    continued fraction of v has terms.  Used as an independent oracle for
     ``pullback_coeff`` in dimension 2.
     """
     vec = valuation(v)
@@ -362,15 +360,17 @@ def blowup_chain_coeff(b1, b2, v) -> Fraction:
         return max(Fraction(0), x)
     if alpha == 0:
         return max(Fraction(0), y)
-    while True:
-        if alpha == beta:
-            # primitive with alpha == beta forces (1, 1): the current corner
-            return max(Fraction(0), x + y - 1)
-        # subtracting the smaller entry keeps both positive and the gcd 1,
-        # so the walk ends at (1, 1) above
+    # subtracting the smaller entry keeps both positive and the gcd 1, so the
+    # walk ends at (1, 1), the corner whose exceptional coefficient is returned;
+    # a run stops once the larger entry is at most the smaller, after
+    # k = (larger - 1) // smaller steps
+    while alpha != beta:
         if alpha > beta:
-            alpha -= beta
-            y = x + y - 1
+            k = (alpha - 1) // beta
+            alpha -= k * beta
+            y += k * (x - 1)
         else:
-            beta -= alpha
-            x = x + y - 1
+            k = (beta - 1) // alpha
+            beta -= k * alpha
+            x += k * (y - 1)
+    return max(Fraction(0), x + y - 1)

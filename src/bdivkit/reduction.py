@@ -9,8 +9,8 @@ components through the centre of a witness.
 A *cut* replaces the model by a smooth refinement extracting a chosen set of
 valuations (all with positive pullback coefficient), re-traces the pullback
 through each one-ray extraction, takes the ray-wise minimum of those traces,
-and meets the result with B.  The driver cuts the undivided orthant, where
-the initial state lives, at valuations it chooses from the pair's
+and meets the result with B.  The driver cuts the undivided orthant, whose
+trace is the pair itself, at valuations it chooses from the pair's
 coefficients, in the input's order, and B's deviations (``_cut_valuations``):
 
 * when no coefficient is 1, every lattice vector with positive pullback
@@ -51,16 +51,18 @@ B, which is exactly what that evaluation refutes.
 
 With the default-one representation the witness search is exact: an
 unlisted, non-divisorial valuation has B-value 1, which no pullback
-coefficient exceeds, so only listed deviations can witness.  The weight is
-computed in one place, ``state_witnesses``: the ``weight`` command reads the
-witnesses of the initial state, as ``run_reduction`` does for its initial
-weight.
+coefficient exceeds, so only listed deviations can witness.  The reduction
+is a function of the pair and B alone, and so is everything it reads:
+``witnesses(pair, bdiv)`` finds the witnesses, on integers over the pair's
+weights, and is the one place that refuses a B that does not match the
+pair; the ``weight`` command reads it, as ``run_reduction`` does for its
+initial weight and ``build_cut`` for the weight its step records.  A
+``ReductionState`` is what ``reduce`` prints and ``verify`` reads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 from operator import mul
 
@@ -78,7 +80,6 @@ from .logpairs import (
     BDivisor,
     LocalPair,
     ModelDivisor,
-    pullback_at,
     pullback_gap,
     relative_pullback_coeff,
     unit_index,
@@ -169,12 +170,55 @@ def _fiber_valuations(pair: LocalPair, devs: dict) -> list:
 def _cut_valuations(pair: LocalPair, bdiv: BDivisor) -> list:
     """The valuations the driver cuts the orthant at (module docstring).
 
-    On a klt model they are the primitive prefixes other than 0 and the
-    units (sum > 1): multiples reduce to them and units are divisors.
+    Each is a primitive vector that is no unit vector and has positive
+    pullback coefficient, which is what a cut needs: a unit vector is a
+    divisor of the model already, and ``_theta_coeffs`` reads every sigma as
+    a vector of positive pullback that is no ray.  On a klt pair they are
+    the prefixes with sum > 1 and gcd 1: every prefix has positive
+    pullback, sum > 1 rules out 0 and the units, and multiples reduce to
+    their primitive part.  Otherwise they are B's keys, which ``BDivisor``
+    checked primitive and never unit vectors, and fibre representatives,
+    which have a coordinate equal to 1, so are primitive, and are dropped
+    when they are unit vectors.  Either kind shares its prefix's positive
+    pullback: its coefficient-one coordinates add 0 to sum v_j (1 - c_j).
     """
     if pair.is_klt:
         return [f for f in positive_pullback_prefixes(pair) if sum(f) > 1 and gcd(*f) == 1]
     return _fiber_valuations(pair, bdiv.deviations)
+
+
+def witnesses(pair: LocalPair, bdiv: BDivisor) -> list:
+    """All witnesses of the pair against B, in lexicographic order of their vectors.
+
+    B's dimension is checked first, then that B takes the pair's
+    coefficients on the unit vectors, where the trace is the pair itself.
+    Only listed deviations can witness: unlisted valuations default to 1,
+    and no deviation is a unit vector.  On the undivided orthant a vector is
+    its own coordinates, so with the weights 1 - c_j = w_j / D of
+    ``complement_weights`` the pullback of v is max(0, (D - sum v_j w_j) /
+    D), the stratum is v's support, and the weight is the number of
+    coefficient-one components in it.
+    """
+    if bdiv.n != pair.n:
+        raise PreconditionError("b-divisor dimension mismatch")
+    if bdiv.pair_coeffs != pair.coeffs:
+        raise PreconditionError(
+            "the b-divisor trace must agree with the model coefficients"
+        )
+    w, den = complement_weights(pair.coeffs)
+    out = []
+    for vec, val in sorted(bdiv.deviations.items()):
+        gap = den - sum(map(mul, vec, w))
+        # a pullback of 0 is never above a value in [0, 1]
+        if gap > 0 and val < (pb := Fraction(gap, den)):
+            support = tuple(i for i, e in enumerate(vec) if e)
+            weight = sum(1 for i in support if pair.coeffs[i] == 1)
+            out.append(Witness(vec, val, pb, support, weight))
+    return out
+
+
+def _weight(pair: LocalPair, bdiv: BDivisor) -> int:
+    return max((wit.weight for wit in witnesses(pair, bdiv)), default=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +227,9 @@ def _cut_valuations(pair: LocalPair, bdiv: BDivisor) -> list:
 
 @record
 class ReductionState:
-    """The boundary trace on the current model, and the b-divisor rebased to it.
+    """The boundary trace on a model, and the b-divisor rebased to it.
 
+    What ``reduce`` prints as its final state and ``verify`` reads back.
     The model is the trace's fan.  Invariant: the b-divisor value at every
     fan ray equals the trace coefficient there (unit rays via pair values,
     others via deviations).
@@ -204,20 +249,10 @@ class ReductionState:
     def trace_consistent(self) -> bool:
         """Whether the b-divisor agrees with the trace on every fan ray.
 
-        Holds for every state produced by ``initial_state`` and ``build_cut``;
-        hand-built states fed to the verifier may break it on purpose.
+        Holds for every state ``run_reduction`` produces; hand-built states
+        fed to the verifier may break it on purpose.
         """
         return tuple(map(self.bdiv.value, self.fan.rays)) == self.phi.ray_coeffs
-
-    @cached_property
-    def witnesses(self) -> list:
-        """``state_witnesses(self)``, found once per state.
-
-        The driver reads the initial state's list for its weight, which
-        ``build_cut`` records in its step; a cut state's list is not read,
-        since ``verify_reduction`` checks that state.
-        """
-        return state_witnesses(self)
 
     def to_json(self, fmt=format_rat) -> dict:
         return {
@@ -232,47 +267,16 @@ class ReductionState:
             fan = Fan.from_json(data["fan"])
             phi = ModelDivisor(fan, parse_rat_list(data["phi"]))
             bdiv = BDivisor.from_json(data["B"])
-        except TypeError as exc:
+        except (KeyError, TypeError) as exc:
             raise PreconditionError(f"malformed state JSON: {exc}") from exc
         return cls(phi, bdiv)
 
 
-def initial_state(pair: LocalPair, bdiv: BDivisor) -> ReductionState:
-    """The state on the undivided orthant; the trace is the pair itself.
-
-    ``ReductionState`` checks B's dimension, before B's pair is compared.
-    """
-    state = ReductionState(ModelDivisor(orthant_fan(pair.n), pair.coeffs), bdiv)
-    if bdiv.pair_coeffs != pair.coeffs:
-        raise PreconditionError(
-            "the b-divisor trace must agree with the model coefficients"
-        )
-    # the trace agrees with B on every ray: the rays are the units, never
-    # deviation keys, where B takes the pair coefficients checked above
-    return state
-
-
-def state_witnesses(state: ReductionState) -> list:
-    """All witnesses of the state, in lexicographic order of their vectors.
-
-    Only listed non-ray deviations can witness: unlisted valuations default
-    to 1 and rays carry the trace value itself.
-    """
-    devs = state.bdiv.deviations
-    out = []
-    for vec in sorted(devs.keys() - state.fan.ray_index.keys()):
-        val = devs[vec]
-        loc = state.fan.locate(vec)
-        pb = pullback_at(state.phi, loc)
-        if val < pb:
-            support = tuple(idx for idx, x in zip(loc.ray_indices, loc.nums) if x > 0)
-            w = sum(1 for idx in support if state.phi.ray_coeffs[idx] == 1)
-            out.append(Witness(vec, val, pb, support, w))
-    return out
-
-
-def state_weight(state: ReductionState) -> int:
-    return max((wit.weight for wit in state.witnesses), default=-1)
+def _orthant_state(pair: LocalPair, bdiv: BDivisor) -> ReductionState:
+    """The state on the undivided orthant, built unchecked: its trace is the
+    pair, which B takes on the unit rays once ``witnesses`` has matched them."""
+    phi = trusted(ModelDivisor, fan=orthant_fan(pair.n), ray_coeffs=pair.coeffs)
+    return trusted(ReductionState, phi=phi, bdiv=bdiv)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +325,7 @@ def _theta_coeffs(state: ReductionState, sigmas, rays) -> tuple:
 
     Only a sigma listed among B's deviations can have an excess.  Any other
     sigma is not a unit vector, since units are rays of every subdivision of
-    the orthant and ``build_cut`` refuses rays, so B(sigma) = 1.  And
+    the orthant and no cut valuation is a ray, so B(sigma) = 1.  And
     pb(sigma) <= 1, as every trace coefficient is at most 1.  The excess of
     an unlisted sigma is therefore never positive, and it is not computed.
     """
@@ -329,8 +333,8 @@ def _theta_coeffs(state: ReductionState, sigmas, rays) -> tuple:
     for vec in sigmas:
         if vec not in state.bdiv.deviations:
             continue
-        # build_cut checked this pullback in integers; the call stays only
-        # because bench/test_bench.py requires its span on reduce_cut
+        # _cut_valuations yields only positive pullbacks; the call stays
+        # only because bench/test_bench.py requires its span on reduce_cut
         e = relative_pullback_coeff(state.phi, vec) - state.bdiv.value(vec)
         if e > 0:
             excess.append((vec, e.numerator, e.denominator))
@@ -365,7 +369,7 @@ def _cut_state(state: ReductionState, sigmas, new_fan: Fan) -> tuple:
     pb <= 1, so the trace there is theta itself, the value ``min`` returns.
     At a unit ray e_i theta is its old trace coefficient: mu_sigma(e_i) (see
     ``_theta_coeffs``) is positive only when sigma's support is {i}, making
-    sigma the ray e_i, which ``build_cut`` refuses.  The old trace agrees
+    sigma the ray e_i, which no cut valuation is.  The old trace agrees
     with B on its rays, so at a unit ray theta is B's value there, the
     pair's coefficient.  ``trace_consistent`` checks the outcome.
     """
@@ -391,45 +395,26 @@ def _cut_state(state: ReductionState, sigmas, new_fan: Fan) -> tuple:
     return new_state, theta
 
 
-def build_cut(state: ReductionState, sigmas) -> tuple:
-    """One cut of the orthant: extract the given valuations and meet the traces.
+def build_cut(pair: LocalPair, bdiv: BDivisor) -> tuple:
+    """The one cut of the orthant: extract the cut valuations and meet the traces.
 
-    For each sigma, the one-ray extraction Y_sigma carries the ray-wise
-    minimum of the pullback trace and B; the new trace on the refined smooth
-    fan is the minimum over sigma of the pullback coefficients relative to
-    those divisors, met with B.  Every sigma must have positive pullback
-    coefficient and must not already be a divisor of the model.
-
-    The state must lie on the undivided orthant, as ``initial_state``
-    builds it: ``_theta_coeffs`` reads each vector as its own coordinates,
-    which on a refined fan would give false coefficients, so a state on any
-    other fan is refused.  The sigmas are primitive vectors of the orthant,
-    tuples, and are not validated again.  The two refusals are integer
-    checks on the vector: one with a single nonzero coordinate is a unit
-    vector, a ray, and the pullback gap D - sum sigma_j w_j must be
-    positive.  The step records the state's weight, read from its witnesses,
-    which the driver has found already.
+    The valuations are ``_cut_valuations(pair, bdiv)``, each primitive, no
+    ray and of positive pullback.  For each sigma, the one-ray extraction
+    Y_sigma carries the ray-wise minimum of the pullback trace and B; the new
+    trace on the refined smooth fan is the minimum over sigma of the
+    pullback coefficients relative to those divisors, met with B
+    (``_theta_coeffs``, which reads each vector as its own coordinates, as
+    it is on the orthant).  The step records the weight, read from
+    ``witnesses``, which also refuses a B that does not match the pair.
     """
-    n = state.fan.n
-    if state.fan != orthant_fan(n):
-        raise PreconditionError("a cut needs a state on the undivided orthant")
-    w, den = state.phi.weights
-    sig = tuple(sigmas)
-    for vec in sig:
-        if vec.count(0) == n - 1:
-            raise PreconditionError(f"{vec} is already a divisor on the model")
-        if sum(map(mul, vec, w)) >= den:
-            raise PreconditionError(
-                f"cut valuation {vec} has zero pullback coefficient"
-            )
-    if not sig:
-        raise PreconditionError("a cut needs at least one valuation")
-
-    new_fan = insert_rays(n, sig)
-    new_state, theta = _cut_state(state, sig, new_fan)
+    weight = _weight(pair, bdiv)
+    sigmas = tuple(_cut_valuations(pair, bdiv))
+    n = pair.n
+    new_fan = insert_rays(n, sigmas)
+    new_state, theta = _cut_state(_orthant_state(pair, bdiv), sigmas, new_fan)
     step = CutStep(
-        weight_before=state_weight(state),
-        sigmas=sig,
+        weight_before=weight,
+        sigmas=sigmas,
         # insert_rays appends every new ray after the old ones
         rays_added=new_fan.rays[n:],
         theta=tuple(zip(new_fan.rays, theta)),
@@ -469,21 +454,19 @@ class ReductionTrace:
 def run_reduction(pair: LocalPair, bdiv: BDivisor) -> ReductionTrace:
     """Cut the orthant once, if there is a witness, and end at weight -1.
 
-    The cut valuations come from the pair and B's deviations
-    (``_cut_valuations``) and are not validated again.  Every witness
-    becomes a ray and no other valuation becomes one, so the cut leaves none
-    (module docstring).  The final state, cut or not, is checked once by
-    ``verify_reduction``; an output it refutes is an internal invariant
-    breach, never silently ignored.
+    The cut (``build_cut``) takes its valuations from the pair and B's
+    deviations.  Every witness becomes a ray and no other valuation becomes
+    one, so the cut leaves none (module docstring).  The final state, cut or
+    not, is checked once by ``verify_reduction``; an output it refutes is an
+    internal invariant breach, never silently ignored.
     """
-    state = initial_state(pair, bdiv)
-    weight = state_weight(state)
-    steps = ()
-    if weight >= 0:
-        sigmas = _cut_valuations(pair, bdiv)
-        if not sigmas:
+    weight = _weight(pair, bdiv)
+    if weight < 0:
+        state, steps = _orthant_state(pair, bdiv), ()
+    else:
+        state, step = build_cut(pair, bdiv)
+        if not step.sigmas:
             raise InvariantViolation("witnesses present but no cut valuation found")
-        state, step = build_cut(state, sigmas)
         steps = (step,)
     report = verify_reduction(state)
     if not report.ok:

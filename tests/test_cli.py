@@ -64,7 +64,7 @@ CASES = {
     "hurwitz": ["hurwitz", "--g", "2", "--verify"],
     "product": ["product", "--n", "2", "--g", "2", "--verify"],
     "fermat": ["fermat", "--n", "5", "--m", "8", "--verify"],
-    "fermat-scan": ["fermat", "--scan", "--m-rule", "n+3", "--n-max", "6"],
+    "fermat-scan": ["fermat", "--scan", "--n-max", "6"],
     "unitary": ["unitary", "--n", "1", "--q", "3", "--verify"],
     "charp": ["charp", "--q-max", "10", "--verify"],
     "constants": ["constants", "--n", "2", "--eps", "1", "--gamma0", "1",
@@ -116,7 +116,7 @@ def test_minvol_dimension_one():
 
 
 def test_fermat_scan_pass_column_flips_at_5():
-    code, out, _ = run_cli(["fermat", "--scan", "--m-rule", "n+3", "--n-max", "10"])
+    code, out, _ = run_cli(["fermat", "--scan", "--n-max", "10"])
     assert code == 0
     lines = out.strip().splitlines()
     verdicts = {int(l.split(",")[0]): l.split(",")[-1] for l in lines[1:]}
@@ -602,6 +602,17 @@ BAD_INPUTS = [
     pytest.param(["verify", "--state", "[]"], id="verify state not an object"),
     pytest.param(["weight", "--model", '{"n":2,"coeffs":["1/2","1"]}', "--B",
                   '{"deviations":[5]}'], id="weight deviation not an object"),
+    # a key missing inside a JSON argument
+    pytest.param(["polyvol", "--polytope", '{"n":2}'], id="polyvol polytope without normals"),
+    pytest.param(["reduce", "--model", '{"n":2,"coeffs":["1/2","1"]}', "--B",
+                  '{"deviations":[{"value":"0"}]}'], id="reduce deviation without v"),
+    pytest.param(["dcc", "--set", '{"kind":"finite"}'], id="dcc finite set without values"),
+    pytest.param(["chain", "--set", '{"kind":"closure","base":{"kind":"standard"}}',
+                  "--length", "3"], id="chain closure without denom_bound"),
+    pytest.param(["verify", "--state", json.dumps({
+        "fan": {"n": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]]},
+        "B": {"pair": ["1/2", "1/2"], "deviations": []}})], id="verify state without phi"),
+    pytest.param(["ldisc", "--pair", '{"n":2}', "--v", "[1,1]"], id="ldisc pair without coeffs"),
 ]
 
 
@@ -661,6 +672,21 @@ _DIGIT_LIMIT = f"{sys.get_int_max_str_digits()} digits"
      "expected a list of integers for 'cones', got '01'"),
     (["weight", "--model", '{"n":2,"coeffs":["1/2","1"]}', "--B", '{"deviations":""}'],
      "expected a list of deviations, got ''"),
+    # a key missing inside a JSON argument names its object, not a missing argument
+    (["polyvol", "--polytope", '{"n":2}'], "malformed polytope JSON: 'normals'"),
+    (["weight", "--model", '{"n":2,"coeffs":["1/2","1"]}', "--B",
+      '{"deviations":[{"value":"0"}]}'], "malformed b-divisor JSON: 'v'"),
+    (["dcc", "--set", '{"kind":"finite"}'], "malformed finite set description: 'values'"),
+    (["dcc", "--set", '{"kind":"closure","base":{"kind":"standard"}}'],
+     "malformed closure set description: 'denom_bound'"),
+    (["verify", "--state", json.dumps({
+        "fan": {"n": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]]},
+        "B": {"pair": ["1/2", "1/2"], "deviations": []}})], "malformed state JSON: 'phi'"),
+    (["ldisc", "--pair", '{"n":2}', "--v", "[1,1]"], "malformed pair JSON: 'coeffs'"),
+    # a missing top-level parameter is still a missing argument
+    (["ldisc", "--v", "[1,1]"], "missing argument 'pair'"),
+    # the fermat scan has one rule, m = n + 3, and takes no option naming it
+    (["fermat", "--scan", "--m-rule", "n+3"], "unrecognized arguments: --m-rule n+3"),
 ])
 def test_errors_name_their_cause(argv, cause):
     code, _, err = _run_catching_exit(main, argv)  # an error in argv exits from the parser
@@ -695,6 +721,23 @@ def test_ltrace_verify_outside_dimension_2_says_its_oracle_was_skipped():
         "--verify"])
     assert code == 0
     assert json.loads(out)["verified"] == "oracle-skipped"
+
+
+@pytest.mark.parametrize("coeffs, v, expected", [
+    (["1", "1/2"], [10**12, 1], "1/2"),
+    (["1", "1"], [10**12 + 1, 10**12], "1"),
+])
+def test_lcoeff_verify_walks_a_long_blowup_chain(coeffs, v, expected):
+    # the oracle takes each run of equal blow-up steps at once
+    code, out, _ = run_cli(["lcoeff", "--pair", json.dumps({"n": 2, "coeffs": coeffs}),
+                            "--v", json.dumps(v), "--verify"])
+    assert code == 0
+    assert json.loads(out) == {"coeff": expected, "verified": True}
+    fan = {"n": 2, "rays": [[1, 0], v, [0, 1]], "cones": [[0, 1], [1, 2]]}
+    code, out, _ = run_cli(["ltrace", "--pair", json.dumps({"n": 2, "coeffs": coeffs}),
+                            "--fan", json.dumps(fan), "--verify"])
+    assert code == 0
+    assert json.loads(out)["verified"] is True
 
 
 def test_reduce_verify_says_its_oracle_was_skipped():
@@ -1068,7 +1111,7 @@ _REFERENCE_OPTIONS = {
     "polyvol": (("--polytope", _RJ),),
     "hurwitz": (("--g", _RI),),
     "product": (("--n", _RI), ("--g", _RI)),
-    "fermat": (("--n", _RI), ("--m", _RI), ("--scan", _RF), ("--m-rule", _RS), ("--n-max", _RI)),
+    "fermat": (("--n", _RI), ("--m", _RI), ("--scan", _RF), ("--n-max", _RI)),
     "unitary": (("--n", _RI), ("--q", _RI)),
     "charp": (("--q-max", _RI), ("--csv", _RF)),
     "constants": (("--n", _RI), ("--eps", _RS), ("--gamma0", _RS), ("--delta", _RS)),

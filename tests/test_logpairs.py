@@ -194,6 +194,36 @@ def test_blowup_chain_oracle_matches_formula():
                     ), (b1, b2, v1, v2)
 
 
+def stepwise_blowup_chain_coeff(b1, b2, v) -> F:
+    """The blow-up chain one point blow-up at a time: at each step the
+    larger entry of v drops by the smaller, and the coefficient of the
+    other side becomes the exceptional coefficient x + y - 1."""
+    x, y = F(b1), F(b2)
+    alpha, beta = v
+    if beta == 0:
+        return max(F(0), x)
+    if alpha == 0:
+        return max(F(0), y)
+    while alpha != beta:
+        if alpha > beta:
+            alpha -= beta
+            y = x + y - 1
+        else:
+            beta -= alpha
+            x = x + y - 1
+    return max(F(0), x + y - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_fracs, unit_fracs, st.integers(0, 400), st.integers(0, 400))
+def test_blowup_chain_takes_runs_of_steps_as_the_stepwise_walk(b1, b2, v1, v2):
+    g = gcd(v1, v2)
+    if g == 0:
+        return
+    v = (v1 // g, v2 // g)
+    assert blowup_chain_coeff(b1, b2, v) == stepwise_blowup_chain_coeff(b1, b2, v)
+
+
 def test_mld_examples():
     assert mld_origin(LocalPair((F(0), F(0)))) == 2
     assert mld_origin(LocalPair((F(1, 2), F(1, 2)))) == 1

@@ -194,15 +194,6 @@ ALLOWED = {
     ("logpairs:blowup_chain_coeff",
      'raise PreconditionError("the blow-up chain oracle works in dimension 2")'):
         LIBRARY + "the oracles call it for surfaces only",
-    ("reduction:build_cut",
-     'raise PreconditionError("a cut needs a state on the undivided orthant")'):
-        LIBRARY + "run_reduction cuts only its initial state, on the orthant",
-    ("reduction:build_cut", 'raise PreconditionError(f"{vec} is already a divisor on the model")'):
-        LIBRARY + "run_reduction cuts the orthant at valid valuations",
-    ("reduction:build_cut", "raise PreconditionError("):
-        LIBRARY + "run_reduction cuts the orthant at valid valuations",
-    ("reduction:build_cut", 'raise PreconditionError("a cut needs at least one valuation")'):
-        LIBRARY + "run_reduction cuts the orthant at valid valuations",
 }
 
 

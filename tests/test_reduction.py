@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 from bdivkit.exact import PreconditionError
-from bdivkit.fans import orthant_fan
+from bdivkit.fans import insert_rays, orthant_fan
 from bdivkit.logpairs import (
     BDivisor,
     LocalPair,
@@ -16,12 +16,13 @@ from bdivkit.logpairs import (
 )
 from bdivkit.reduction import (
     ReductionState,
+    _cut_state,
+    _weight,
     build_cut,
-    initial_state,
     positive_pullback_prefixes,
     run_reduction,
-    state_weight,
     verify_reduction,
+    witnesses,
 )
 from test_exact import primitive_part
 from test_fans import reference_star_subdivide
@@ -30,6 +31,31 @@ from test_fans import reference_star_subdivide
 def coeff(md, ray):
     """The coefficient of a model divisor at one of its fan's rays."""
     return md.ray_coeffs[md.fan.ray_index[ray]]
+
+
+def orthant_state(pair, bdiv):
+    """The state on the undivided orthant, built by the validating constructors."""
+    return ReductionState(ModelDivisor(orthant_fan(pair.n), pair.coeffs), bdiv)
+
+
+def cut_state_and_theta(state, sigmas):
+    """A cut of an orthant state at hand-picked valuations, and its theta."""
+    return _cut_state(state, sigmas, insert_rays(state.fan.n, sigmas))
+
+
+def state_weight(state) -> int:
+    """The weight of a state on any fan, by locating each listed deviation
+    that is no ray: the most coefficient-one rays among those spanning it,
+    over the deviations whose B-value is below their pullback; -1 if none."""
+    weight = -1
+    for vec, val in state.bdiv.deviations.items():
+        if vec in state.fan.ray_index or val >= relative_pullback_coeff(state.phi, vec):
+            continue
+        loc = state.fan.locate(vec)
+        ones = sum(1 for i, x in zip(loc.ray_indices, loc.nums)
+                   if x > 0 and state.phi.ray_coeffs[i] == 1)
+        weight = max(weight, ones)
+    return weight
 
 
 def make_model(*coeffs):
@@ -91,18 +117,18 @@ def test_prefixes_reject_coefficient_one():
 def test_initial_witnesses_examples():
     # no deviations, trace values: no strict witness anywhere
     m = make_model(F(1, 2), F(1))
-    assert initial_state(m, BDivisor(m.coeffs, {})).witnesses == []
+    assert witnesses(m, BDivisor(m.coeffs, {})) == []
 
     b = BDivisor(m.coeffs, {(1, 2): F(0)})
-    [witness] = initial_state(m, b).witnesses
+    [witness] = witnesses(m, b)
     assert (witness.vec, witness.stratum, witness.weight) == ((1, 2), (0, 1), 1)
     assert witness.pullback == F(1, 2)
 
     m2 = make_model(F(1, 2), F(2, 3))
-    state2 = initial_state(m2, BDivisor(m2.coeffs, {(1, 1): F(0)}))
-    [witness2] = state2.witnesses
+    b2 = BDivisor(m2.coeffs, {(1, 1): F(0)})
+    [witness2] = witnesses(m2, b2)
     assert witness2.weight == 0 and witness2.pullback == F(1, 6)
-    assert state_weight(state2) == 0
+    assert _weight(m2, b2) == state_weight(orthant_state(m2, b2)) == 0
 
 
 def test_fiber_valuations_examples():
@@ -124,11 +150,12 @@ def test_fiber_valuations_examples():
 
 
 def test_build_cut_single_sigma():
-    # one extraction at (1,1): the new ray carries min(b1+b2-1, B value)
+    # one extraction at (1,1), the one prefix of sum above 1: the new ray
+    # carries min(b1+b2-1, B value)
     pair = LocalPair((F(2, 3), F(2, 3)))
     b = BDivisor(pair.coeffs, {(1, 1): F(1, 6)})
-    state = initial_state(pair, b)
-    new_state, step = build_cut(state, [(1, 1)])
+    new_state, step = build_cut(pair, b)
+    assert step.sigmas == ((1, 1),)
     assert coeff(new_state.phi, (1, 1)) == min(F(1, 3), F(1, 6))
     assert coeff(new_state.phi, (1, 0)) == F(2, 3)
     assert coeff(new_state.phi, (0, 1)) == F(2, 3)
@@ -136,40 +163,10 @@ def test_build_cut_single_sigma():
     assert theta[(1, 1)] == F(1, 6)
 
 
-def test_build_cut_rejects_zero_pullback_and_rays():
-    pair = LocalPair((F(1, 4), F(1, 4)))
-    state = initial_state(pair, BDivisor(pair.coeffs, {}))
-    with pytest.raises(PreconditionError):
-        build_cut(state, [(1, 1)])  # pullback coefficient 0
-    pair2 = LocalPair((F(2, 3), F(2, 3)))
-    state2 = initial_state(pair2, BDivisor(pair2.coeffs, {}))
-    with pytest.raises(PreconditionError):
-        build_cut(state2, [(1, 0)])  # already a divisor
-    with pytest.raises(PreconditionError):
-        build_cut(state2, [])
-    # a zero-pullback valuation is refused after valid ones too
-    with pytest.raises(PreconditionError) as exc:
-        build_cut(state2, [(1, 1), (2, 3)])
-    assert cli_mod._error_record(exc.value) == {
-        "error": "cut valuation (2, 3) has zero pullback coefficient", "exit_code": 2,
-    }
-
-
-def test_build_cut_refuses_a_state_off_the_orthant():
-    # the cut reads every vector as its own coordinates, true only on the
-    # orthant: a cut state handed back would get false coefficients
-    pair = LocalPair((F(1, 2), F(1)))
-    state = initial_state(pair, BDivisor(pair.coeffs, {(1, 2): F(0), (1, 3): F(0)}))
-    cut, _ = build_cut(state, [(1, 2)])
-    with pytest.raises(PreconditionError, match="undivided orthant"):
-        build_cut(cut, [(1, 3)])
-
-
 def test_build_cut_klt_branch_reaches_weight_minus_one():
     # extracting every positive-pullback valuation leaves no witness at all
     pair = LocalPair((F(1, 2), F(2, 3)))
     b = BDivisor(pair.coeffs, {})
-    state = initial_state(pair, b)
     prefixes = positive_pullback_prefixes(pair)
     sigmas = [
         f
@@ -178,15 +175,17 @@ def test_build_cut_klt_branch_reaches_weight_minus_one():
         and sum(1 for e in f if e) > 1  # units are already divisors
         and gcd(*f) == 1
     ]
-    new_state, _ = build_cut(state, sigmas)
+    new_state, step = build_cut(pair, b)
+    assert list(step.sigmas) == sigmas
     assert state_weight(new_state) == -1
 
 
 def test_cut_keeps_trace_below_old_pullback():
     pair = LocalPair((F(1, 2), F(1)))
     b = BDivisor(pair.coeffs, {(1, 2): F(0)})
-    state = initial_state(pair, b)
-    new_state, step = build_cut(state, [(1, 2)])
+    state = orthant_state(pair, b)
+    new_state, step = build_cut(pair, b)
+    assert step.sigmas == ((1, 2),)
     # the step records the weight of the state it cut
     assert step.weight_before == state_weight(state) == 1
     for ray, c in zip(new_state.fan.rays, new_state.phi.ray_coeffs):
@@ -242,7 +241,7 @@ def test_weight_never_increases_under_any_cut():
                 continue
             devs[v] = F(rng.randint(0, 2), 3)
         b = BDivisor(pair.coeffs, devs)
-        state = initial_state(pair, b)
+        state = orthant_state(pair, b)
         before = state_weight(state)
         # an arbitrary legal cut (not the driver's choice)
         candidates = [
@@ -252,7 +251,7 @@ def test_weight_never_increases_under_any_cut():
         ]
         if not candidates:
             continue
-        new_state, _ = build_cut(state, candidates[:1])
+        new_state, _ = cut_state_and_theta(state, candidates[:1])
         assert state_weight(new_state) <= before
 
 
@@ -260,7 +259,7 @@ def test_unlisted_valuations_never_witness():
     # B defaults to 1 and no pullback coefficient exceeds 1
     pair = LocalPair((F(1, 2), F(1)))
     b = BDivisor(pair.coeffs, {(1, 2): F(0)})
-    state = initial_state(pair, b)
+    state = orthant_state(pair, b)
     for v in product(range(5), repeat=2):
         if all(e == 0 for e in v):
             continue
@@ -275,7 +274,7 @@ def test_descent_chain_instrumented():
     # the inequality chain behind the weight drop, checked exactly
     pair = LocalPair((F(1, 2), F(1)))
     b = BDivisor(pair.coeffs, {(1, 2): F(0)})
-    state = initial_state(pair, b)
+    state = orthant_state(pair, b)
     sigma = (1, 2)
     y_fan = reference_star_subdivide(state.fan, sigma)
     gamma = ModelDivisor(
@@ -285,7 +284,8 @@ def test_descent_chain_instrumented():
             for r in y_fan.rays
         ),
     )
-    new_state, _ = build_cut(state, [sigma])
+    new_state, step = build_cut(pair, b)
+    assert step.sigmas == (sigma,)
     for k in range(2, 7):
         nu = (1, k)  # same prefix, nu >= sigma
         l_phi2 = relative_pullback_coeff(new_state.phi, nu)
@@ -299,7 +299,6 @@ def test_theta_matches_naive_computation():
     # the closed form on the orthant must agree with interpolating the full
     # divisor on every one-ray extraction Y_sigma, for sigma with B below and
     # at or above its pullback
-    from bdivkit.fans import insert_rays
     from bdivkit.logpairs import unit_index
     from bdivkit.reduction import _theta_coeffs
 
@@ -350,7 +349,7 @@ def test_theta_matches_naive_computation():
             sigmas.append(v)
         if not sigmas:
             continue
-        state = initial_state(pair, BDivisor(pair.coeffs, devs))
+        state = orthant_state(pair, BDivisor(pair.coeffs, devs))
         new_fan = insert_rays(n, sigmas)
         fast = _theta_coeffs(state, sigmas, new_fan.rays)
         assert fast == naive_theta(state, sigmas, new_fan.rays)
@@ -443,15 +442,24 @@ def test_verify_reports_planted_violation():
 
 def test_verify_trivial_state():
     pair = LocalPair((F(1, 2), F(2, 3)))
-    state = initial_state(pair, BDivisor(pair.coeffs, {}))
+    state = run_reduction(pair, BDivisor(pair.coeffs, {})).final_state
+    assert state == orthant_state(pair, BDivisor(pair.coeffs, {}))
     report = verify_reduction(state)
     assert report.ok and report.violation is None
 
 
 def test_initial_state_requires_matching_trace():
+    # B's dimension is checked first, then its values on the unit vectors
     pair = LocalPair((F(1, 2), F(1)))
-    with pytest.raises(PreconditionError):
-        initial_state(pair, BDivisor((F(1, 4), F(1)), {}))
+    for bdiv, message in [
+        (BDivisor((F(1, 4), F(1)), {}),
+         "the b-divisor trace must agree with the model coefficients"),
+        (BDivisor((F(1, 4), F(1), F(1)), {}), "b-divisor dimension mismatch"),
+    ]:
+        for call in witnesses, run_reduction, build_cut:
+            with pytest.raises(PreconditionError) as exc:
+                call(pair, bdiv)
+            assert str(exc.value) == message
 
 
 def test_state_json_roundtrip():
@@ -635,7 +643,7 @@ from unittest import mock
 
 import bdivkit.cli as cli_mod
 import bdivkit.reduction as reduction_mod
-from bdivkit.fans import Cone, insert_rays
+from bdivkit.fans import Cone
 
 
 @st.composite
@@ -664,12 +672,12 @@ def test_cut_states_equal_their_validated_rebuilds(inputs):
     states = []
     build_cut_checked = reduction_mod.build_cut
 
-    def recording(state, sigmas):
-        new_state, step = build_cut_checked(state, sigmas)
+    def recording(pair, bdiv):
+        new_state, step = build_cut_checked(pair, bdiv)
         states.append(new_state)
-        # at a unit ray theta is its old trace coefficient (the argument of
-        # _cut_state)
-        assert step.theta[:state.fan.n] == tuple(zip(state.fan.rays, state.phi.ray_coeffs))
+        # at a unit ray theta is its old trace coefficient, the pair's (the
+        # argument of _cut_state)
+        assert step.theta[:pair.n] == tuple(zip(orthant_fan(pair.n).rays, pair.coeffs))
         return new_state, step
 
     with mock.patch.object(reduction_mod, "build_cut", recording):
@@ -695,11 +703,6 @@ def test_cut_states_equal_their_validated_rebuilds(inputs):
 # that minimum at every ray
 
 
-def cut_state_and_theta(state, sigmas):
-    new_fan = insert_rays(state.fan.n, sigmas)
-    return reduction_mod._cut_state(state, sigmas, new_fan)
-
-
 def assert_trace_is_min_of_theta_and_b(state, new_state, theta):
     rays = new_state.fan.rays
     expected = tuple(map(min, theta, map(state.bdiv.value, rays)))
@@ -713,7 +716,7 @@ def test_cut_state_meets_theta_with_a_listed_deviation_on_a_new_ray():
     # a new ray that is no sigma; B lists it below its theta
     pair = LocalPair((F(2, 3), F(5, 6)))
     b = BDivisor(pair.coeffs, {(1, 1): F(1, 5)})
-    state = initial_state(pair, b)
+    state = orthant_state(pair, b)
     new_state, theta = cut_state_and_theta(state, [(1, 2)])
     i = new_state.fan.rays.index((1, 1))
     assert (1, 1) not in state.fan.rays and theta[i] == F(1, 2)
@@ -742,9 +745,8 @@ def test_cut_whose_trace_leaves_b_at_a_ray_is_a_breach(monkeypatch):
     monkeypatch.setattr(reduction_mod, "_theta_coeffs",
                         lambda state, sigmas, rays: tuple(F(0) for _ in rays))
     pair = LocalPair((F(1, 2), F(1)))
-    state = initial_state(pair, BDivisor(pair.coeffs, {(1, 2): F(0)}))
     with pytest.raises(InvariantViolation, match="inconsistent trace"):
-        build_cut(state, [(1, 2)])
+        build_cut(pair, BDivisor(pair.coeffs, {(1, 2): F(0)}))
 
 
 def test_cut_that_leaves_a_witness_is_a_breach(monkeypatch, capsys):
@@ -863,8 +865,8 @@ def _answer(command, coeffs, deviations) -> dict:
 
 
 def test_weight_prints_its_witness_in_the_input_coordinates():
-    [witness] = initial_state(make_model(F(1), F(1, 2)), BDivisor(
-        (F(1), F(1, 2)), {(2, 1): F(0)})).witnesses
+    [witness] = witnesses(make_model(F(1), F(1, 2)), BDivisor(
+        (F(1), F(1, 2)), {(2, 1): F(0)}))
     out = _answer("weight", ["1", "1/2"], [((2, 1), 0)])
     assert out["witness"] == witness.to_json()
     assert (out["witness"]["v"], out["witness"]["stratum"]) == ([2, 1], [0, 1])
@@ -924,3 +926,54 @@ def test_reduce_and_weight_answer_as_on_the_sorted_model(inputs):
     # B lists only v, so v is the witness, on the cone its support spans
     assert out["witness"]["v"] == list(v)
     assert out["witness"]["stratum"] == sorted(order[j] for j in sorted_out["witness"]["stratum"])
+
+
+# ---------------------------------------------------------------------------
+# the witness search on integers, against the located pullback on the orthant
+
+
+@st.composite
+def pairs_and_deviations(draw):
+    """A pair of dimension 1 to 4 and up to four deviations of B."""
+    n = draw(st.integers(1, 4))
+    pool = [F(0), F(1, 2), F(2, 3), F(5, 6), F(6, 7), F(1)]
+    pair = LocalPair(tuple(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))))
+    vec = st.lists(st.integers(0, 5), min_size=n, max_size=n).filter(any).map(
+        lambda v: primitive_part(tuple(v))).filter(lambda v: unit_index(v) is None)
+    devs = draw(st.dictionaries(vec, st.sampled_from([F(0), F(1, 7), F(1, 3), F(1)]),
+                                max_size=4))
+    return pair, BDivisor(pair.coeffs, devs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs_and_deviations())
+def test_witnesses_equal_the_located_pullback_on_the_orthant(inputs):
+    pair, bdiv = inputs
+    md = ModelDivisor(orthant_fan(pair.n), pair.coeffs)
+    expected = []
+    for vec, val in sorted(bdiv.deviations.items()):
+        pb = relative_pullback_coeff(md, vec)
+        if val < pb:
+            loc = md.fan.locate(vec)
+            stratum = tuple(i for i, x in zip(loc.ray_indices, loc.nums) if x > 0)
+            ones = sum(1 for i in stratum if md.ray_coeffs[i] == 1)
+            expected.append((vec, val, pb, stratum, ones))
+    found = witnesses(pair, bdiv)
+    assert [(w.vec, w.b_value, w.pullback, w.stratum, w.weight) for w in found] == expected
+    assert all(type(w.pullback) is F for w in found)
+    assert _weight(pair, bdiv) == state_weight(orthant_state(pair, bdiv))
+
+
+def test_weight_locates_nothing(capsys):
+    # the witnesses are read on the orthant, where a vector is its own
+    # coordinates, so weight locates no vector
+    def locate(self, v):
+        raise AssertionError(f"located {v}")
+
+    argv = ["weight", "--model", '{"n":3,"coeffs":["1/2","2/3","1"]}', "--B",
+            '{"deviations":[{"v":[0,1,1],"value":"0"},{"v":[1,0,1],"value":"0"},'
+            '{"v":[1,1,0],"value":"0"},{"v":[2,3,1],"value":"0"}]}', "--verify"]
+    with mock.patch.object(Fan, "locate", locate):
+        assert cli_mod.main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["weight"], out["witness"]["v"], out["verified"]) == (1, [1, 0, 1], True)
