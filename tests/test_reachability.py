@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 import bdivkit.cli as cli_mod
+import bdivkit.dcc as dcc_mod
 import bdivkit.fans as fans_mod
 from test_cli import BAD_INPUTS, CASES, GOLDEN
 
@@ -239,6 +240,13 @@ def _defined():
 
 
 @functools.cache
+def _in_package(filename):
+    """Whether a code object's file is a module of the package, also when the
+    package's directory is reached through a symbolic link."""
+    return Path(filename).resolve().parent == SRC
+
+
+@functools.cache
 def _missed():
     """The ALLOWED-style keys of every function not entered and every
     statement not run by the command lines, in one tracing pass."""
@@ -246,7 +254,7 @@ def _missed():
 
     def trace(frame, event, arg):
         code = frame.f_code
-        if Path(code.co_filename).parent != SRC:
+        if not _in_package(code.co_filename):
             return None
         key = (Path(code.co_filename).name, code.co_qualname, code.co_firstlineno)
         lines = ran.setdefault(key, set())
@@ -257,9 +265,11 @@ def _missed():
             return line
         return line
 
-    # the orthant is built once per dimension and process; start cold, as a
-    # command-line process does, whatever other tests built before
+    # the orthant is built once per dimension and process, and a set's members
+    # once per set and bound; start cold, as a command-line process does,
+    # whatever other tests built before
     fans_mod.orthant_fan.cache_clear()
+    dcc_mod._members.cache_clear()
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         sys.settrace(trace)
