@@ -51,6 +51,7 @@ from .bounds import (
     unitary_order_value,
 )
 from .dcc import (
+    FiniteSet,
     SearchBudget,
     desc_from_json,
     dcc_verdict,
@@ -99,12 +100,12 @@ def _ensure_match(what: str, fast, oracle) -> None:
         _mismatch(what, fast, oracle)
 
 
-def _check_members(what: str, fast, members: list, elements) -> None:
+def _check_members(what: str, members: list, elements) -> None:
     """Refuse the first of elements missing from the sorted list members."""
     for e in elements:
         i = bisect_left(members, e)
         if i == len(members) or members[i] != e:
-            _mismatch(what, fast, e)
+            _mismatch(what, "[" + ", ".join(map(format_rat, elements)) + "]", format_rat(e))
 
 
 def _arg(p, key, default):
@@ -313,9 +314,8 @@ def _cmd_verify(p):
 
 def _cmd_closure(p):
     bound = parse_int(p["denom_bound"], "denom_bound")
-    values = exceptional_closure(
-        p["base"], bound, include_one=bool(p.get("include_one", False))
-    )
+    base = FiniteSet(p["base"]).values
+    values = exceptional_closure(base, bound)
     out = {"values": [format_rat(v) for v in values]}
     if p.get("verify"):
         # every pair, on numerators over L: a + b - 1 is (x + y - L) / L
@@ -327,7 +327,7 @@ def _cmd_closure(p):
                 if e >= 0 and big_l // gcd(e, big_l) <= bound and e not in nums:
                     _mismatch("closure closedness", values, Fraction(e, big_l))
         vals = set(values)
-        for v in (parse_rat(x) for x in p["base"]):
+        for v in base:
             if v.denominator <= bound and v not in vals:
                 _mismatch("closure base membership", values, v)
         out["verified"] = True
@@ -355,13 +355,12 @@ def _cmd_chain(p):
     desc = desc_from_json(p["set"])
     length = parse_int(p["length"], "length")
     budget = _budget_from(p)
-    chain = find_decreasing_chain(desc, length, budget.denom_bound, budget)
+    chain = find_decreasing_chain(desc, length, budget)
     out = {"found": chain is not None}
     if chain is not None:
         out["chain"] = chain.to_json()
         if p.get("verify"):
-            members = materialize(desc, budget.denom_bound, budget)
-            _check_members("chain membership", list(chain.elements), members, chain.elements)
+            _check_members("chain membership", materialize(desc, budget), chain.elements)
             out["verified"] = True
     return out
 
@@ -372,8 +371,8 @@ def _cmd_dcc(p):
     verdict = dcc_verdict(desc, budget)
     out = verdict.to_json()
     if p.get("verify") and verdict.witness is not None:
-        members = materialize(desc, budget.denom_bound, budget)
-        _check_members("dcc witness membership", None, members, verdict.witness.elements)
+        _check_members("dcc witness membership", materialize(desc, budget),
+                       verdict.witness.elements)
         out["verified"] = True
     return out
 
@@ -752,7 +751,7 @@ _COMMANDS = {
     "verify": ("check pullback <= B at every valuation of a state", (("--state", _JSON),),
                _cmd_verify),
     "closure": ("closure of a base under b1+b2-1",
-                (("--base", _JSON), ("--denom-bound", int), ("--include-one", _FLAG)),
+                (("--base", _JSON), ("--denom-bound", int)),
                 _cmd_closure),
     "chain": ("find a strictly decreasing chain in a set",
               (("--set", _JSON), ("--length", int), ("--denom-bound", int),

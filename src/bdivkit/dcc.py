@@ -57,26 +57,18 @@ def standard_coeff(r: int) -> Fraction:
 CLOSURE_SIZE_CAP = 2000
 
 
-def exceptional_closure(base, denom_bound: int, include_one: bool = False) -> list:
-    """Full closure of a finite base under the exceptional sum.
+def exceptional_closure(values, denom_bound: int) -> list:
+    """Full closure of a finite set of checked values under the exceptional sum.
 
     Values whose reduced denominator exceeds denom_bound are pruned (and do
     not generate), which keeps the universe finite; the result is sorted
-    ascending.  ``include_one`` adds the value 1 to the starting set, since
-    the sum of two values below 1 can never reach it.  A closure with more
-    than CLOSURE_SIZE_CAP members is refused.
+    ascending.  The sum of two values below 1 never reaches 1, so 1 is in
+    the closure exactly when the values list it.  A closure with more than
+    CLOSURE_SIZE_CAP members is refused.
     """
     if denom_bound < 1:
         raise PreconditionError("denominator bound must be >= 1")
-    start = []
-    for v in parse_rat_list(base):
-        if not 0 <= v <= 1:
-            raise PreconditionError(f"{format_rat(v)} is outside [0, 1]")
-        if v.denominator <= denom_bound:
-            start.append(v)
-    if include_one:
-        start.append(Fraction(1))
-    big_l, out = _numerators(start)
+    big_l, out = _numerators([v for v in values if v.denominator <= denom_bound])
     frontier = set(out)
     while frontier:
         fresh = set()
@@ -138,7 +130,6 @@ class SumClosure:
 
     base: object
     denom_bound: int
-    include_one: bool = False
 
     def __post_init__(self):
         if self.denom_bound < 1:
@@ -152,7 +143,12 @@ CoeffSetDesc = object  # FiniteSet | StandardSet | UnionSet | SumClosure
 MAX_SET_DEPTH = 100
 
 
+_DESC_KEYS = {"finite": {"kind", "values"}, "standard": {"kind"}, "union": {"kind", "members"},
+              "closure": {"kind", "base", "denom_bound"}}
+
+
 def desc_from_json(data: dict, _depth: int = 0) -> CoeffSetDesc:
+    """The description a JSON object holds; a key its kind does not read is refused."""
     if _depth > MAX_SET_DEPTH:
         raise PreconditionError(
             f"set description nested deeper than the cap MAX_SET_DEPTH = {MAX_SET_DEPTH}"
@@ -160,6 +156,14 @@ def desc_from_json(data: dict, _depth: int = 0) -> CoeffSetDesc:
     if not isinstance(data, dict):
         raise PreconditionError(f"a set description must be an object, got {data!r}")
     kind = data.get("kind")
+    keys = _DESC_KEYS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        raise PreconditionError(f"unknown set description kind: {kind!r}")
+    stray = data.keys() - keys
+    if stray:
+        raise PreconditionError(
+            f"a {kind} set description takes no key {', '.join(sorted(map(repr, stray)))}"
+        )
     try:
         if kind == "finite":
             return FiniteSet(data["values"])
@@ -168,15 +172,12 @@ def desc_from_json(data: dict, _depth: int = 0) -> CoeffSetDesc:
         if kind == "union":
             members = parse_list(data["members"], "set descriptions")
             return UnionSet(tuple(desc_from_json(m, _depth + 1) for m in members))
-        if kind == "closure":
-            return SumClosure(
-                base=desc_from_json(data["base"], _depth + 1),
-                denom_bound=parse_int(data["denom_bound"], "denom_bound"),
-                include_one=bool(data.get("include_one", False)),
-            )
+        return SumClosure(
+            base=desc_from_json(data["base"], _depth + 1),
+            denom_bound=parse_int(data["denom_bound"], "denom_bound"),
+        )
     except KeyError as exc:
         raise PreconditionError(f"malformed {kind} set description: {exc}") from exc
-    raise PreconditionError(f"unknown set description kind: {kind!r}")
 
 
 @record
@@ -189,14 +190,14 @@ class SearchBudget:
     max_size: int = 40_000
 
 
-def materialize(desc: CoeffSetDesc, denom_bound: int, budget: SearchBudget | None = None) -> list:
-    """Sorted members of the description with denominators <= denom_bound.
+def materialize(desc: CoeffSetDesc, budget: SearchBudget = SearchBudget()) -> list:
+    """Sorted members of the description with denominators <= budget.denom_bound.
 
-    Finite sets and unions are exact; the standard set is truncated at the
-    bound; a closure is explored by the bounded left-linear search (a
-    verified subset of the closure).
+    Finite sets and the standard set are truncated at the bound, and a union
+    holds its members' truncations; a closure is explored by the bounded
+    left-linear search (a verified subset of the closure).
     """
-    big_l, nums, _ = _members(desc, denom_bound, budget or SearchBudget())
+    big_l, nums, _ = _members(desc, budget.denom_bound, budget)
     return [Fraction(x, big_l) for x in nums]
 
 
@@ -225,8 +226,6 @@ def _members(desc: CoeffSetDesc, denom_bound: int, budget: SearchBudget) -> tupl
         raise PreconditionError(f"unknown set description: {desc!r}")
     bound = min(denom_bound, desc.denom_bound)
     big_l, base_nums, base_stop = _members(desc.base, bound, budget)
-    if desc.include_one:
-        base_nums += (big_l,)
     current = set(base_nums)
     frontier = set(base_nums)
     pruned = False
@@ -329,40 +328,35 @@ def _halving_chain(big_l: int, nums: tuple, length: int) -> Chain | None:
 
 
 def find_decreasing_chain(
-    desc: CoeffSetDesc, length: int, denom_bound: int, budget: SearchBudget | None = None
+    desc: CoeffSetDesc, length: int, budget: SearchBudget = SearchBudget()
 ) -> Chain | None:
-    """A strictly decreasing chain of positive members, or None.
+    """A strictly decreasing chain of positive members of materialize(desc, budget), or None.
 
-    Finite sets yield their descending positive members when long enough.
-    The standard set is increasing, so below any fixed member it holds only
-    finitely many elements and is treated structurally: no chain of length
-    >= 2 is ever produced as a witness.  Closures are searched within the
-    bounded materialization for constant-step runs or halving chains.
+    A finite set yields its length largest positive members.  The standard
+    set is increasing, so below any fixed member it holds only finitely many
+    elements and is treated structurally: its one chain is (d-1)/d for the
+    bound d >= 2, and no chain of length >= 2 is ever produced as a witness.
+    A union answers from its first member with a chain.  Closures are
+    searched for constant-step runs or halving chains.
     """
     if length < 1:
         raise PreconditionError("chain length must be >= 1")
-    if isinstance(desc, FiniteSet):
-        positives = [v for v in reversed(desc.values) if v > 0]
-        if len(positives) >= length:
-            return Chain(tuple(positives[:length]))
-        return None
     if isinstance(desc, StandardSet):
-        if length == 1:
-            return Chain((standard_coeff(max(denom_bound, 1)),))
+        if length == 1 and budget.denom_bound > 1:
+            return Chain((standard_coeff(budget.denom_bound),))
         return None
     if isinstance(desc, UnionSet):
-        for m in desc.members:
-            chain = find_decreasing_chain(m, length, denom_bound, budget)
-            if chain is not None:
-                return chain
-        return None
-    if isinstance(desc, SumClosure):
-        big_l, nums, _ = _members(desc, denom_bound, budget or SearchBudget())
-        positives = nums[bisect_right(nums, 0):]
-        return _arithmetic_run_chain(big_l, positives, length) or _halving_chain(
-            big_l, positives, length
-        )
-    raise PreconditionError(f"unknown set description: {desc!r}")
+        chains = (find_decreasing_chain(m, length, budget) for m in desc.members)
+        return next((chain for chain in chains if chain is not None), None)
+    big_l, nums, _ = _members(desc, budget.denom_bound, budget)
+    positives = nums[bisect_right(nums, 0):]
+    if isinstance(desc, FiniteSet):
+        if len(positives) < length:
+            return None
+        return Chain(tuple(Fraction(x, big_l) for x in reversed(positives[-length:])))
+    return _arithmetic_run_chain(big_l, positives, length) or _halving_chain(
+        big_l, positives, length
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +384,7 @@ _STOP_REASONS = {
 }
 
 
-def dcc_verdict(desc: CoeffSetDesc, budget: SearchBudget | None = None) -> DccVerdict:
+def dcc_verdict(desc: CoeffSetDesc, budget: SearchBudget = SearchBudget()) -> DccVerdict:
     """Three-valued descending-chain verdict.
 
     Finite -> DCC.  Standard -> DCC (its only accumulation point is 1 from
@@ -402,7 +396,6 @@ def dcc_verdict(desc: CoeffSetDesc, budget: SearchBudget | None = None) -> DccVe
     the search limit that ended the search (rounds, max_size or the
     denominator bound), if any -- a closure is never declared DCC.
     """
-    budget = budget or SearchBudget()
     if isinstance(desc, FiniteSet):
         return DccVerdict("DCC", reason="finite set")
     if isinstance(desc, StandardSet):
@@ -418,19 +411,17 @@ def dcc_verdict(desc: CoeffSetDesc, budget: SearchBudget | None = None) -> DccVe
             if v.verdict == "UNKNOWN":
                 return DccVerdict("UNKNOWN", reason=f"member {i} is undecided: {v.reason}")
         return DccVerdict("DCC", reason="finite union of DCC sets")
-    if isinstance(desc, SumClosure):
-        big_l, nums, stop = _members(desc, budget.denom_bound, budget)
-        chain = _halving_chain(big_l, nums[bisect_right(nums, 0):], budget.chain_length)
-        if chain is not None:
-            return DccVerdict(
-                "NOT_DCC",
-                witness=chain,
-                reason="verified chain with geometrically shrinking distance "
-                "to its limit",
-            )
+    big_l, nums, stop = _members(desc, budget.denom_bound, budget)
+    chain = _halving_chain(big_l, nums[bisect_right(nums, 0):], budget.chain_length)
+    if chain is not None:
         return DccVerdict(
-            "UNKNOWN",
-            reason=f"no witness found: {_STOP_REASONS[stop]}; closures are never "
-            "declared DCC",
+            "NOT_DCC",
+            witness=chain,
+            reason="verified chain with geometrically shrinking distance "
+            "to its limit",
         )
-    raise PreconditionError(f"unknown set description: {desc!r}")
+    return DccVerdict(
+        "UNKNOWN",
+        reason=f"no witness found: {_STOP_REASONS[stop]}; closures are never "
+        "declared DCC",
+    )

@@ -85,6 +85,11 @@ from .logpairs import (
     unit_index,
 )
 
+# a klt cut makes most prefixes rays, at a cost per ray that grows with the
+# dimension; README times the largest model under the cap in each dimension
+PREFIX_CAP = 10_000
+
+
 def positive_pullback_prefixes(pair: LocalPair) -> list:
     """All v in N^s with sum v_i (1 - c_i) < 1, sorted lexicographically.
 
@@ -94,9 +99,10 @@ def positive_pullback_prefixes(pair: LocalPair) -> list:
     pullback coefficient; the zero vector is included.  With the
     weights as integers w_i > 0 over one denominator D, a depth-first walk
     extends each prefix by every entry e with e * w_i below the budget D
-    minus the prefix's weight, in increasing order, so the output comes
-    sorted.  The entries of the last coordinate are the e < budget / w_i,
-    the first ceil(budget / w_i) naturals, added in one step.
+    minus the prefix's weight, the first ceil(budget / w_i) naturals, in
+    increasing order, so the output comes sorted; the entries of the last
+    coordinate are added in one step.  A pair with more than PREFIX_CAP
+    prefixes is refused before they are listed.
     """
     w, den = complement_weights([c for c in pair.coeffs if c < 1])
     if not w:
@@ -106,13 +112,15 @@ def positive_pullback_prefixes(pair: LocalPair) -> list:
 
     def walk(prefix, budget):
         step = w[len(prefix)]
-        if len(prefix) == last:
-            out.extend([prefix + (e,) for e in range(-(-budget // step))])
-            return
-        e = 0
-        while e * step < budget:
-            walk(prefix + (e,), budget - e * step)
-            e += 1
+        count = -(-budget // step)  # the entries e with e * step < budget
+        if len(prefix) < last:
+            for e in range(count):
+                walk(prefix + (e,), budget - e * step)
+        elif len(out) + count > PREFIX_CAP:
+            raise PreconditionError(
+                f"the model has more prefixes than the cap PREFIX_CAP = {PREFIX_CAP}")
+        else:
+            out.extend([prefix + (e,) for e in range(count)])
 
     walk((), den)
     return out

@@ -220,7 +220,7 @@ def test_criterion_9_dcc_suite():
         assert verdict.verdict == "NOT_DCC"
         chain = verdict.witness
         assert chain is not None and len(chain.elements) >= 5
-        members = set(materialize(closure, 2000))
+        members = set(materialize(closure))
         assert all(e in members for e in chain.elements)
         assert all(a > b for a, b in zip(chain.elements, chain.elements[1:]))
         assert dcc_verdict(StandardSet()).verdict == "DCC"

@@ -314,6 +314,23 @@ _POLYTOPE_PAST_THE_CAP = ["polyvol", "--polytope", json.dumps({
 _SLOW_REDUCE = ["reduce", "--model", '{"n":2,"coeffs":["40/41","41/42"]}', "--B",
                 '{"deviations":[{"v":[20,19],"value":"0"}]}']
 
+# the closure of {1/2} with 1 in its base, as a key that no longer exists
+_INCLUDE_ONE = ('{"kind":"closure","base":{"kind":"finite","values":["1/2"]},'
+                '"denom_bound":2,"include_one":true}')
+
+# kind -> (a description with a key the kind does not read, that key)
+_STRAY_KEYS = {
+    "finite": ('{"kind":"finite","values":["1/2"],"junk":1}', "'junk'"),
+    "standard": ('{"kind":"standard","values":["1/2"]}', "'values'"),
+    "union": ('{"kind":"union","members":[{"kind":"standard"}],"denom_bound":2}',
+              "'denom_bound'"),
+    "closure": ('{"kind":"closure","base":{"kind":"standard"},"denom_bound":2,"members":[]}',
+                "'members'"),
+}
+
+# (140/141, 140/141) has 10,011 prefixes of positive pullback
+_PAST_THE_PREFIX_CAP = ["fset", "--model", '{"n":2,"coeffs":["140/141","140/141"]}']
+
 BAD_INPUTS = [
     ["ldisc", "--pair", '{"n":2,"coeffs":["1/2"]}', "--v", "[1,1]"],
     ["ldisc", "--pair", '{"n":2,"coeffs":["1/2","0.5"]}', "--v", "[1,1]"],
@@ -613,6 +630,14 @@ BAD_INPUTS = [
         "fan": {"n": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]]},
         "B": {"pair": ["1/2", "1/2"], "deviations": []}})], id="verify state without phi"),
     pytest.param(["ldisc", "--pair", '{"n":2}', "--v", "[1,1]"], id="ldisc pair without coeffs"),
+    # 1 is in a closure's base when the base lists it: no option or key says so
+    pytest.param(CASES["closure"] + ["--include-one"], id="closure --include-one"),
+    pytest.param(["dcc", "--set", _INCLUDE_ONE], id="dcc closure with include_one"),
+    # a description key its kind does not read, in each kind
+    *(pytest.param(["dcc", "--set", desc], id=f"dcc {kind} with a stray key")
+      for kind, (desc, _) in _STRAY_KEYS.items()),
+    # a model with more prefixes of positive pullback than the cap
+    pytest.param(_PAST_THE_PREFIX_CAP, id="fset past the prefix cap"),
 ]
 
 
@@ -687,6 +712,15 @@ _DIGIT_LIMIT = f"{sys.get_int_max_str_digits()} digits"
     (["ldisc", "--v", "[1,1]"], "missing argument 'pair'"),
     # the fermat scan has one rule, m = n + 3, and takes no option naming it
     (["fermat", "--scan", "--m-rule", "n+3"], "unrecognized arguments: --m-rule n+3"),
+    # 1 is listed in a closure's base, and a description holds only its kind's keys
+    (CASES["closure"] + ["--include-one"], "unrecognized arguments: --include-one"),
+    (["dcc", "--set", _INCLUDE_ONE], "a closure set description takes no key 'include_one'"),
+    *((["dcc", "--set", desc], f"a {kind} set description takes no key {key}")
+      for kind, (desc, key) in _STRAY_KEYS.items()),
+    (_PAST_THE_PREFIX_CAP, "PREFIX_CAP = 10000"),
+    # 38/39 three times has 10,660 prefixes, which a klt cut would extract
+    (["reduce", "--model", '{"n":3,"coeffs":["38/39","38/39","38/39"]}', "--B",
+      '{"deviations":[{"v":[1,1,1],"value":"0"}]}'], "PREFIX_CAP = 10000"),
 ])
 def test_errors_name_their_cause(argv, cause):
     code, _, err = _run_catching_exit(main, argv)  # an error in argv exits from the parser
@@ -998,7 +1032,7 @@ _TEMPLATES = {
     "mld": {"pair": _PAIR, "verify": True},
     "fset": {"model": _PAIR, "verify": True},
     "round-check": {"coeffs": ["1/2", "2/5"], "m": 2, "verify": True},
-    "closure": {"base": ["1/2", "2/3"], "denom_bound": 6, "include_one": True, "verify": True},
+    "closure": {"base": ["1/2", "2/3", "1"], "denom_bound": 6, "verify": True},
     "chain": {"set": {"kind": "closure", "denom_bound": 12,
                       "base": {"kind": "finite", "values": ["1/2", "2/3", "3/4"]}},
               "length": 3, "denom_bound": 12, "verify": True},
@@ -1100,7 +1134,7 @@ _REFERENCE_OPTIONS = {
     "weight": (("--model", _RJ), ("--B", _RJ), ("--stratum", _RJ)),
     "reduce": (("--model", _RJ), ("--B", _RJ)),
     "verify": (("--state", _RJ),),
-    "closure": (("--base", _RJ), ("--denom-bound", _RI), ("--include-one", _RF)),
+    "closure": (("--base", _RJ), ("--denom-bound", _RI)),
     "chain": (("--set", _RJ), ("--length", _RI), ("--denom-bound", _RI), ("--rounds", _RI),
               ("--max-size", _RI)),
     "dcc": (("--set", _RJ), ("--threshold", _RI), ("--denom-bound", _RI), ("--rounds", _RI),
@@ -1433,7 +1467,9 @@ def test_chain_verify_rejects_a_chain_outside_its_set(monkeypatch):
     monkeypatch.setattr(cli_mod, "materialize", lambda *args: [])
     code, out, err = run_cli(CASES["chain"])
     assert code == 3 and out == ""
-    assert "chain membership" in json.loads(err)["error"]
+    # the values as they are printed, not as Fraction reprs
+    assert json.loads(err)["error"] == (
+        "verification mismatch in chain membership: fast path [4/5, 3/5, 2/5, 1/5] vs oracle 4/5")
 
 
 def test_reduce_refuses_an_output_the_verifier_refutes(monkeypatch):

@@ -4,7 +4,7 @@ from math import gcd, lcm
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bdivkit import dcc
 from bdivkit.dcc import (
@@ -53,8 +53,8 @@ def test_exceptional_closure_density():
         assert got == [F(k, q) for k in range(q)]
 
 
-def test_exceptional_closure_include_one():
-    with_one = exceptional_closure([F(1, 2)], 10, include_one=True)
+def test_exceptional_closure_keeps_a_listed_one():
+    with_one = exceptional_closure([F(1, 2), F(1)], 10)
     assert F(1) in with_one and F(1, 2) in with_one and F(0) in with_one
 
 
@@ -83,23 +83,31 @@ def test_closure_is_closed():
 
 def test_find_chain_finite():
     fin = FiniteSet((F(0), F(1, 2), F(6, 7)))
-    got = find_decreasing_chain(fin, 2, 10)
+    got = find_decreasing_chain(fin, 2, SearchBudget(denom_bound=10))
     assert got is not None and list(got.elements) == [F(6, 7), F(1, 2)]
-    assert find_decreasing_chain(fin, 3, 10) is None  # only two positive members
+    assert find_decreasing_chain(fin, 3, SearchBudget(denom_bound=10)) is None  # two positive
+    # members below the bound only: 6/7 is past the bound 6
+    got = find_decreasing_chain(fin, 1, SearchBudget(denom_bound=6))
+    assert got is not None and list(got.elements) == [F(1, 2)]
+    assert find_decreasing_chain(fin, 2, SearchBudget(denom_bound=6)) is None
 
 
 def test_find_chain_standard_structural():
-    assert find_decreasing_chain(StandardSet(), 2, 100) is None
-    assert find_decreasing_chain(StandardSet(), 5, 100) is None
-    one = find_decreasing_chain(StandardSet(), 1, 100)
-    assert one is not None and len(one.elements) == 1
+    budget = SearchBudget(denom_bound=100)
+    assert find_decreasing_chain(StandardSet(), 2, budget) is None
+    assert find_decreasing_chain(StandardSet(), 5, budget) is None
+    one = find_decreasing_chain(StandardSet(), 1, budget)
+    assert one is not None and one.elements == (F(99, 100),)
+    # below the bound 1 the set holds 0 alone, no positive member
+    assert find_decreasing_chain(StandardSet(), 1, SearchBudget(denom_bound=1)) is None
 
 
 def test_find_chain_closure():
     desc = SumClosure(truncated_standard(43), denom_bound=2000)
-    chain = find_decreasing_chain(desc, 5, 2000)
+    budget = SearchBudget(denom_bound=2000)
+    chain = find_decreasing_chain(desc, 5, budget)
     assert chain is not None and len(chain.elements) == 5
-    members = set(materialize(desc, 2000))
+    members = set(materialize(desc, budget))
     for e in chain.elements:
         assert e in members and e > 0
     diffs = [a - b for a, b in zip(chain.elements, chain.elements[1:])]
@@ -132,7 +140,7 @@ def test_verdict_closure_not_dcc():
     gaps = [e - limit for e in chain.elements]
     assert all(b <= a / 2 for a, b in zip(gaps, gaps[1:]))
     # every element is a verified member
-    members = set(materialize(desc, 2000))
+    members = set(materialize(desc, SearchBudget(denom_bound=2000)))
     assert all(e in members for e in chain.elements)
 
 
@@ -184,7 +192,7 @@ def test_verdict_soundness_against_chain_search():
         v = dcc_verdict(d, budget)
         if v.verdict == "DCC":
             assert not isinstance(d, SumClosure)
-            long_chain = find_decreasing_chain(d, 50, 500, budget)
+            long_chain = find_decreasing_chain(d, 50, budget)
             if long_chain is not None:
                 assert isinstance(d, FiniteSet) and len(d.values) >= 50
 
@@ -197,12 +205,7 @@ def desc_to_json(desc):
         return {"kind": "standard"}
     if isinstance(desc, UnionSet):
         return {"kind": "union", "members": [desc_to_json(m) for m in desc.members]}
-    return {
-        "kind": "closure",
-        "base": desc_to_json(desc.base),
-        "denom_bound": desc.denom_bound,
-        "include_one": desc.include_one,
-    }
+    return {"kind": "closure", "base": desc_to_json(desc.base), "denom_bound": desc.denom_bound}
 
 
 def test_desc_json_roundtrip():
@@ -219,10 +222,8 @@ def test_desc_json_roundtrip():
 # the integer closures against the Fraction code they replaced
 
 
-def _reference_exceptional_closure(base, denom_bound, include_one=False):
+def _reference_exceptional_closure(base, denom_bound):
     start = {v for v in base if v.denominator <= denom_bound}
-    if include_one:
-        start.add(F(1))
     out = set(start)
     frontier = set(start)
     while frontier:
@@ -253,8 +254,6 @@ def _reference_materialize(desc, denom_bound, budget=None):
 def _reference_materialize_closure(desc, denom_bound, budget):
     bound = min(denom_bound, desc.denom_bound)
     base = _reference_materialize(desc.base, bound, budget)
-    if desc.include_one:
-        base = sorted(set(base) | {F(1)})
     current = set(base)
     frontier = set(base)
     for _ in range(budget.rounds):
@@ -281,15 +280,22 @@ _plain_sets = st.one_of(
     st.integers(min_value=1, max_value=12).map(truncated_standard),
     st.just(StandardSet()),
 )
+
+
+def _closure(base, bound, with_one):
+    """The closure of base, with 1 listed in the base when with_one."""
+    return SumClosure(UnionSet((base, FiniteSet((F(1),)))) if with_one else base, bound)
+
+
 _sets = st.recursive(
     _plain_sets,
     lambda inner: st.one_of(
         st.lists(inner, min_size=1, max_size=3).map(lambda ms: UnionSet(tuple(ms))),
-        st.builds(SumClosure, inner, _bounds, st.booleans()),
+        st.builds(_closure, inner, _bounds, st.booleans()),
     ),
     max_leaves=4,
 )
-_closures = st.builds(SumClosure, _sets, _bounds, st.booleans())
+_closures = st.builds(_closure, _sets, _bounds, st.booleans())
 _budgets = st.builds(
     SearchBudget,
     chain_length=st.integers(min_value=1, max_value=6),
@@ -301,10 +307,9 @@ _budgets = st.builds(
 
 @given(st.lists(_unit_fracs, max_size=6), _bounds, st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_exceptional_closure_matches_the_fraction_reference(base, bound, include_one):
-    assert exceptional_closure(base, bound, include_one) == _reference_exceptional_closure(
-        base, bound, include_one
-    )
+def test_exceptional_closure_matches_the_fraction_reference(base, bound, with_one):
+    base = base + [F(1)] * with_one
+    assert exceptional_closure(base, bound) == _reference_exceptional_closure(base, bound)
 
 
 def _over_one_denominator(values):
@@ -328,17 +333,16 @@ def _on_fractions(parent_search):
 @settings(max_examples=150, deadline=None)
 def test_closure_search_matches_the_fraction_reference(desc, budget):
     dcc._members.cache_clear()
-    bound = budget.denom_bound
-    got = materialize(desc, bound, budget)
-    assert got == _reference_materialize(desc, bound, budget)
-    chain = find_decreasing_chain(desc, budget.chain_length, bound, budget)
+    got = materialize(desc, budget)
+    assert got == _reference_materialize(desc, budget.denom_bound, budget)
+    chain = find_decreasing_chain(desc, budget.chain_length, budget)
     verdict = dcc_verdict(desc, budget)
     # the same searches over the reference's members, by the parent's Fraction searches
     with mock.patch.object(dcc, "_members", _reference_members), \
             mock.patch.object(dcc, "_arithmetic_run_chain",
                               _on_fractions(_parent_arithmetic_run_chain)), \
             mock.patch.object(dcc, "_halving_chain", _on_fractions(_parent_halving_chain)):
-        assert chain == find_decreasing_chain(desc, budget.chain_length, bound, budget)
+        assert chain == find_decreasing_chain(desc, budget.chain_length, budget)
         assert verdict == dcc_verdict(desc, budget)
 
 
@@ -354,8 +358,6 @@ def test_closure_search_matches_the_fraction_reference(desc, budget):
 def _parent_materialize_closure(desc, denom_bound, budget):
     bound = min(denom_bound, desc.denom_bound)
     base = _reference_materialize(desc.base, bound, budget)  # the same members
-    if desc.include_one:
-        base = base + [F(1)]
     big_l = lcm(*(v.denominator for v in base))
     base_nums = {v.numerator * (big_l // v.denominator) for v in base}
     current = set(base_nums)
@@ -451,7 +453,7 @@ _tight_budgets = st.builds(
 
 
 # a closure over a closure: the inner search can fire where the outer one does not
-_nested_closures = st.builds(SumClosure, _closures, _bounds, st.booleans())
+_nested_closures = st.builds(_closure, _closures, _bounds, st.booleans())
 
 
 @given(st.one_of(_sets, _closures, _nested_closures), st.one_of(_budgets, _tight_budgets),
@@ -464,6 +466,23 @@ def test_members_walk_matches_the_parent_walks(desc, budget, data):
     big_l, nums, stop = dcc._members(desc, bound, budget)
     assert (big_l, nums) == _over_one_denominator(_reference_materialize(desc, bound, budget))
     assert stop == _parent_search_stop(desc, bound, budget)
+
+
+@given(st.one_of(_sets, _closures, _nested_closures), st.one_of(_budgets, _tight_budgets),
+       st.integers(min_value=1, max_value=6))
+@example(FiniteSet((F(1, 2), F(1, 3))), SearchBudget(denom_bound=2), 2)
+@example(UnionSet((FiniteSet((F(1, 2), F(1, 3))),)), SearchBudget(denom_bound=2), 2)
+@example(StandardSet(), SearchBudget(denom_bound=1), 1)
+@settings(max_examples=300, deadline=None)
+def test_every_chain_lies_in_the_members_under_the_same_budget(desc, budget, length):
+    # finite sets hold values past the bound on some draws, the standard set
+    # is drawn at bounds down to 1, and closures list 1 in the base or not
+    dcc._members.cache_clear()
+    chain = find_decreasing_chain(desc, length, budget)
+    if chain is not None:
+        members = set(materialize(desc, budget))
+        assert len(chain.elements) == length
+        assert all(e > 0 and e in members for e in chain.elements)
 
 
 def test_members_walk_reports_every_limit():

@@ -1,11 +1,11 @@
 """The inputs of ``tools/outputs.py``: the first rounds of both benchmark
-workloads and the weights census print what they printed when the digests
-below were pinned, and write each result as ``json.dumps`` would; every
-input of the surface and threefold censuses, and a slice of the wide
-census, reduces in at most one cut, and every final state that is printed
-passes the verifier again after a round trip; the surface and threefold
-censuses and the wide slice print what they printed when their digests
-were pinned."""
+workloads and the weights and sets censuses print what they printed when
+the digests below were pinned, and write each result as ``json.dumps``
+would; every input of the surface and threefold censuses, and a slice of
+the wide census, reduces in at most one cut, and every final state that is
+printed passes the verifier again after a round trip; the surface and
+threefold censuses and the wide slice print what they printed when their
+digests were pinned."""
 
 import functools
 import hashlib
@@ -46,6 +46,17 @@ def test_weights_census_prints_the_pinned_outputs():
     digest, codes, _ = outputs.digest_outputs(["weights"])
     assert {code: len(argvs) for code, argvs in codes.items()} == {0: 3200}
     assert digest == WEIGHTS_SHA256
+
+
+# the same for the sets census: chain, dcc and closure with --verify on every
+# kind of set description; no input exits 3
+SETS_SHA256 = "220ac279a825bc10be44cd8772f368c1bbd806484ccf66ef53ad41cfb8059c62"
+
+
+def test_sets_census_verifies_and_prints_the_pinned_outputs():
+    digest, codes, _ = outputs.digest_outputs(["sets"])
+    assert {code: len(argvs) for code, argvs in codes.items()} == {0: 676}
+    assert digest == SETS_SHA256
 
 
 def test_each_result_is_written_as_json_dumps_writes_it(monkeypatch):

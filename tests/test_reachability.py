@@ -47,7 +47,7 @@ EXTRA = [
     ["batch", "--file", str(GOLDEN / "batch_int_ids.json")],
     ["batch", "--file", str(GOLDEN / "batch_empty.json")],
     ["closure", "--base", "[]", "--denom-bound", "3"],
-    ["closure", "--base", '["1/2"]', "--denom-bound", "4", "--include-one"],
+    ["closure", "--base", '["1/2","1"]', "--denom-bound", "4"],
     ["round-check", "--coeffs", "[0]", "--m", "2"],
     # oracles on their other branches, and oracles that are skipped
     ["fset", "--model", '{"n":2,"coeffs":["1","1"]}', "--verify"],
@@ -95,8 +95,8 @@ EXTRA = [
         {"kind": "closure", "base": {"kind": "standard"}, "denom_bound": 12}]}), "--verify"],
     ["dcc", "--set", '{"kind":"union","members":[{"kind":"finite","values":["1/2"]},'
                      '{"kind":"standard"}]}'],
-    ["dcc", "--set", '{"kind":"closure","base":{"kind":"finite","values":["1/2"]},'
-                     '"denom_bound":2,"include_one":true}'],
+    ["dcc", "--set", '{"kind":"closure","base":{"kind":"finite","values":["1/2","1"]},'
+                     '"denom_bound":2}'],
     ["dcc", "--set", '{"kind":"closure","base":{"kind":"standard"},"denom_bound":12}',
      "--max-size", "2"],
     ["chain", "--set", json.dumps({"kind": "union", "members": [
@@ -133,7 +133,8 @@ ALLOWED = {
     # --verify oracles that disagree with the fast path, and invariants
     ("cli:_mismatch", None): BREACH + "a --verify oracle disagrees",
     ("cli:_ensure_match", "_mismatch(what, fast, oracle)"): BREACH + "a --verify oracle disagrees",
-    ("cli:_check_members", "_mismatch(what, fast, e)"):
+    ("cli:_check_members",
+     '_mismatch(what, "[" + ", ".join(map(format_rat, elements)) + "]", format_rat(e))'):
         BREACH + "a chain or witness outside its set",
     ("cli:_cmd_closure", '_mismatch("closure closedness", values, Fraction(e, big_l))'):
         BREACH + "a closure missing a generated member",
@@ -168,10 +169,6 @@ ALLOWED = {
     ("dcc:Chain.__post_init__", 'raise PreconditionError("chain is not strictly decreasing")'):
         LIBRARY + "every search builds its chain decreasing",
     ("dcc:_members", 'raise PreconditionError(f"unknown set description: {desc!r}")'):
-        LIBRARY + "desc_from_json builds only the four kinds",
-    ("dcc:dcc_verdict", 'raise PreconditionError(f"unknown set description: {desc!r}")'):
-        LIBRARY + "desc_from_json builds only the four kinds",
-    ("dcc:find_decreasing_chain", 'raise PreconditionError(f"unknown set description: {desc!r}")'):
         LIBRARY + "desc_from_json builds only the four kinds",
     ("dcc:standard_coeff", 'raise PreconditionError("standard coefficients need r >= 1")'):
         LIBRARY + "chain checks its denominator bound first",

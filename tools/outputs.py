@@ -25,7 +25,15 @@ Each TARGET is one of
                  and one deviation; deviations are primitive vectors of
                  [0, 2]^n with at least two nonzero entries, valued 0 or
                  1/2; each input once without --stratum and once per
-                 nonempty stratum: 3,200 inputs.
+                 nonempty stratum: 3,200 inputs;
+  sets           ``chain --verify`` and ``dcc --verify`` (with the chain
+                 length as ``--threshold``) at lengths 1, 2 and 4 on finite
+                 sets of k/q values, some with q past the bound, the
+                 standard set, closures of two to four values with q <= 12
+                 (each with and without 1 listed in the base, under their
+                 own bounds 12 and 30) and of the standard set, and unions; and ``closure --verify`` on every
+                 finite and closure base; each at the denominator bounds 1,
+                 2, 6 and 30: 676 inputs.
 
 Every input runs through ``bdivkit.cli.main`` in this process, with the
 package imported from PYTHONPATH.  The tool prints one sha256 over the argv,
@@ -156,6 +164,51 @@ def wide_census() -> list:
     return argvs
 
 
+# finite sets of k/q values, most with a q past the smaller bounds
+FINITE = (["1/2", "1/3"], ["1/2", "2/3", "5/6"], ["0", "1/4", "3/4", "1"], ["1/7", "3/7", "6/7"],
+          ["1/3", "2/5", "7/12", "29/30"])
+# closure bases of two to four values with q <= 12
+BASES = (["1/2", "2/3"], ["1/2", "5/6"], ["2/3", "3/4", "5/6"], ["1/2", "3/5", "7/12", "11/12"])
+
+
+def sets_census() -> list:
+    """The 676 argv of the sets census, in a fixed order."""
+    finite = [{"kind": "finite", "values": values} for values in FINITE]
+    standard = {"kind": "standard"}
+    # 1 is spelled in the base, which every version of the closure reads
+    bases = [base + one for base in BASES for one in ([], ["1"])]
+    closures = [{"kind": "closure", "base": {"kind": "finite", "values": base}, "denom_bound": own}
+                for own in (12, 30) for base in bases]
+    closures.append({"kind": "closure", "base": standard, "denom_bound": 12})
+    unions = [
+        {"kind": "union", "members": [finite[0], standard]},
+        {"kind": "union", "members": [standard, finite[3], closures[1]]},
+        {"kind": "union", "members": [closures[2], finite[4]]},
+    ]
+    argvs = []
+    for bound in ("1", "2", "6", "30"):
+        for desc in [*finite, standard, *closures, *unions]:
+            for length in ("1", "2", "4"):
+                argvs += [
+                    ["chain", "--set", json.dumps(desc), "--length", length,
+                     "--denom-bound", bound, "--verify"],
+                    ["dcc", "--set", json.dumps(desc), "--threshold", length,
+                     "--denom-bound", bound, "--verify"],
+                ]
+        argvs += [["closure", "--base", json.dumps(base), "--denom-bound", bound, "--verify"]
+                  for base in [*FINITE, *bases]]
+    return argvs
+
+
+CENSUSES = {
+    "surface": surface_census,
+    "threefold": threefold_census,
+    "wide": wide_census,
+    "weights": weights_census,
+    "sets": sets_census,
+}
+
+
 def run(argv) -> tuple:
     """(exit code, stdout, stderr) of one command line; a traceback is 1."""
     out, err = io.StringIO(), io.StringIO()
@@ -177,21 +230,15 @@ def output_record(argv, code, out, err) -> bytes:
 
 def _inputs(target: str):
     """(argv list, files the argv read) for one target."""
-    if target == "surface":
-        return surface_census(), {}
-    if target == "threefold":
-        return threefold_census(), {}
-    if target == "weights":
-        return weights_census(), {}
-    if target == "wide":
-        return wide_census(), {}
+    if target in CENSUSES:
+        return CENSUSES[target](), {}
     workload, *numbers = target.split(":")
     if workload not in WORKLOADS or not 1 <= len(numbers) <= 2 or not all(
         map(str.isdigit, numbers)
     ):
         raise SystemExit(
             f"unknown target {target!r}: "
-            "WORKLOAD:SEED[:ROUNDS], surface, threefold, wide or weights"
+            "WORKLOAD:SEED[:ROUNDS], surface, threefold, wide, weights or sets"
         )
     ops = generate(workload, *map(int, numbers))
     return [op["argv"] for ops_round in ops["rounds"] for op in ops_round], ops["files"]
