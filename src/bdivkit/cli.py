@@ -166,30 +166,40 @@ def _cmd_ltrace(p):
     return out
 
 
-# points in the box the `mld --verify` oracle scans, the product of its
-# sides: on a 2-vCPU machine `mld --verify` on (0, 247/248, 247/248), a box of
-# exactly 10^6 points, takes 0.7 s as a fresh process; each side grows as
-# 1 / (1 - c_i), so (0, 999/1000, 999/1000) would scan 1.6 * 10^7 points and
-# (0, 999/1000, 999/1000, 999/1000) 3.2 * 10^10
-MLD_ORACLE_BOX_CAP = 1_000_000
+# points in the box an oracle of `mld --verify` or `fset --verify` scans, the
+# product of its sides: on a 2-vCPU machine `mld --verify` on
+# (0, 247/248, 247/248), a box of exactly 10^6 points, takes 0.7 s as a fresh
+# process; each side grows as 1 / (1 - c_i), so (0, 999/1000, 999/1000) would
+# scan 1.6 * 10^7 points, and `fset --verify` on six coefficients 8/9 scans
+# 21^6 = 8.6 * 10^7 (37 s)
+ORACLE_BOX_CAP = 1_000_000
 
 
-def _mld_bruteforce(pair: LocalPair, factor: int):
+def _box(start: int, sides: list):
+    """The integer points v in lex order, v_i running over sides[i] values from
+    start, or None when the box holds more than ORACLE_BOX_CAP points."""
+    if prod(sides) > ORACLE_BOX_CAP:
+        return None
+    return iter_product(*(range(start, start + side) for side in sides))
+
+
+def _mld_bruteforce(pair: LocalPair):
     """Plain exhaustive (minimum, lex-least minimizer) over an enlarged box,
     on integer weights over their lcm; an independent oracle.
 
-    None when the box holds more than MLD_ORACLE_BOX_CAP points.
+    None when the box holds more than ORACLE_BOX_CAP points.
     """
     den = lcm(*(c.denominator for c in pair.coeffs))
     w = [den - c.numerator * (den // c.denominator) for c in pair.coeffs]
     a0 = sum(w)
-    # a minimizer has v_i w_i <= a0, the value at (1,..,1); w_i = 0 pins v_i
-    box = [max(1, factor * -(-a0 // x)) if x else 1 for x in w]
-    if prod(box) > MLD_ORACLE_BOX_CAP:
+    # a minimizer has v_i w_i <= a0, the value at (1,..,1); w_i = 0 pins v_i.
+    # The box is twice that wide.
+    points = _box(1, [max(1, 2 * -(-a0 // x)) if x else 1 for x in w])
+    if points is None:
         return None
     best = best_v = None
-    # product runs in lex order, so the first minimum found is the lex-least
-    for v in iter_product(*(range(1, b + 1) for b in box)):
+    # the box runs in lex order, so the first minimum found is the lex-least
+    for v in points:
         val = sum(map(mul, v, w))
         if best is None or val < best:
             best, best_v = val, v
@@ -205,7 +215,7 @@ def _cmd_mld(p):
         "klt": pair.is_klt,
     }
     if p.get("verify"):
-        oracle = _mld_bruteforce(pair, 2)
+        oracle = _mld_bruteforce(pair)
         if oracle is None:
             out["verified"] = "oracle-skipped"
         else:
@@ -243,19 +253,15 @@ def _cmd_fset(p):
         "prefixes": [list(f) for f in prefixes],
     }
     if p.get("verify"):
-        bound = 0
-        for c in cs:
-            bound = max(bound, int(Fraction(2) / (1 - c)) + 2)
+        bound = max((int(2 / (1 - c)) + 2 for c in cs), default=0)
+        points = _box(0, [bound + 1] * len(cs))
+        if points is None:
+            out["verified"] = "oracle-skipped"
+            return out
         # sum e_i (1 - c_i) < 1, scaled to integers by the lcm of the 1 - c_i
         scale = lcm(*((1 - c).denominator for c in cs))
         weights = [int((1 - c) * scale) for c in cs]
-        naive = []
-        if not cs:
-            naive = [()]
-        else:
-            for v in iter_product(range(bound + 1), repeat=len(cs)):
-                if sum(map(mul, v, weights)) < scale:
-                    naive.append(v)
+        naive = [v for v in points if sum(map(mul, v, weights)) < scale]
         _ensure_match("fset", sorted(prefixes), sorted(naive))
         out["verified"] = True
     return out
@@ -346,8 +352,6 @@ def _budget_from(p) -> SearchBudget:
     return SearchBudget(
         chain_length=arg("threshold", defaults.chain_length),
         denom_bound=arg("denom_bound", defaults.denom_bound),
-        rounds=arg("rounds", defaults.rounds),
-        max_size=arg("max_size", defaults.max_size),
     )
 
 
@@ -702,12 +706,7 @@ def run_batch(entries, parallelism: int = 1) -> tuple:
     first_error = next(
         (i for i, r in zip(ids, results) if r["status"] != "ok"), None
     )
-    exit_code = 0
-    codes = {r["exit_code"] for r in results}
-    if 3 in codes:
-        exit_code = 3
-    elif 2 in codes:
-        exit_code = 2
+    exit_code = max((r["exit_code"] for r in results), default=0)
     return {"results": keyed, "first_error": first_error}, exit_code
 
 
@@ -754,11 +753,9 @@ _COMMANDS = {
                 (("--base", _JSON), ("--denom-bound", int)),
                 _cmd_closure),
     "chain": ("find a strictly decreasing chain in a set",
-              (("--set", _JSON), ("--length", int), ("--denom-bound", int),
-               ("--rounds", int), ("--max-size", int)), _cmd_chain),
+              (("--set", _JSON), ("--length", int), ("--denom-bound", int)), _cmd_chain),
     "dcc": ("three-valued descending-chain verdict",
-            (("--set", _JSON), ("--threshold", int), ("--denom-bound", int),
-             ("--rounds", int), ("--max-size", int)), _cmd_dcc),
+            (("--set", _JSON), ("--threshold", int), ("--denom-bound", int)), _cmd_dcc),
     "sylvester": ("terms of r0=1, r_{k+1}=r_k(r_k+1)", (("--k", int),), _cmd_sylvester),
     "minvol": ("minimal-volume candidate 1/r_{n+2}^n", (("--n", int),), _cmd_minvol),
     "pnvol": ("log volume of projective space with n+2 hyperplanes",

@@ -12,9 +12,10 @@ chain whose distance to an explicit limit at least halves at every step.  A
 closure is never declared DCC: the search can only certify failure.
 
 Materializing a closure exactly is exponential, so the bounded search closes
-the base under *left-linear* applications (each round combines the current
-set with the base only) and caps rounds and size; the result is a verified
-subset of the closure, which is all a NOT_DCC witness needs.
+the base under *left-linear* applications (each round combines the members
+the last round added with the base only), for at most SEARCH_ROUNDS rounds
+and SEARCH_SUM_CAP exceptional sums; the result is a verified subset of the
+closure, which is all a NOT_DCC witness needs.
 
 Members are integers inside this module: a set's members are numerators
 over L, the lcm of their denominators, so an exceptional sum is
@@ -182,12 +183,21 @@ def desc_from_json(data: dict, _depth: int = 0) -> CoeffSetDesc:
 
 @record
 class SearchBudget:
-    """Bounds for chain searches over materialized closures."""
+    """A verdict's chain length and the members' denominator bound; the search's
+    own limits are the fixed SEARCH_ROUNDS and SEARCH_SUM_CAP."""
 
     chain_length: int = 5
     denom_bound: int = 2000
-    rounds: int = 4
-    max_size: int = 40_000
+
+
+# the rounds of the left-linear search of a closure
+SEARCH_ROUNDS = 4
+
+# exceptional sums one closure's search examines: a round costs |frontier| *
+# |base| sums, so the closure of the standard set at bound d cost d^3 (6.6 s at
+# d = 400); capped, `dcc` on it takes 0.8 s at d = 400 and 2.5 s at d = 2000 as
+# a fresh process on a 2-vCPU machine.  Acceptance criterion 9 examines 808,013.
+SEARCH_SUM_CAP = 1_000_000
 
 
 def materialize(desc: CoeffSetDesc, budget: SearchBudget = SearchBudget()) -> list:
@@ -197,17 +207,18 @@ def materialize(desc: CoeffSetDesc, budget: SearchBudget = SearchBudget()) -> li
     holds its members' truncations; a closure is explored by the bounded
     left-linear search (a verified subset of the closure).
     """
-    big_l, nums, _ = _members(desc, budget.denom_bound, budget)
+    big_l, nums, _ = _members(desc, budget.denom_bound)
     return [Fraction(x, big_l) for x in nums]
 
 
 @lru_cache(maxsize=32)
-def _members(desc: CoeffSetDesc, denom_bound: int, budget: SearchBudget) -> tuple:
+def _members(desc: CoeffSetDesc, denom_bound: int) -> tuple:
     """(L, materialize's members as sorted numerators over L, the first search
     limit that fired or None), where L is the lcm of the members' denominators.
 
     A union's limit is the first that fired among its members, in order; a
-    closure's is its own, or else its base's.
+    closure's is its own, or else its base's.  A closure's frontier is sorted,
+    so the members kept when SEARCH_SUM_CAP fires do not depend on set order.
     """
     if isinstance(desc, FiniteSet):
         big_l, nums = _numerators([v for v in desc.values if v.denominator <= denom_bound])
@@ -216,7 +227,7 @@ def _members(desc: CoeffSetDesc, denom_bound: int, budget: SearchBudget) -> tupl
         big_l = lcm(*range(1, denom_bound + 1))
         return big_l, tuple((r - 1) * (big_l // r) for r in range(1, denom_bound + 1)), None
     if isinstance(desc, UnionSet):
-        parts = [_members(m, denom_bound, budget) for m in desc.members]
+        parts = [_members(m, denom_bound) for m in desc.members]
         big_l = lcm(*(part_l for part_l, _, _ in parts))
         nums = set()
         for part_l, part_nums, _ in parts:
@@ -225,15 +236,16 @@ def _members(desc: CoeffSetDesc, denom_bound: int, budget: SearchBudget) -> tupl
     if not isinstance(desc, SumClosure):
         raise PreconditionError(f"unknown set description: {desc!r}")
     bound = min(denom_bound, desc.denom_bound)
-    big_l, base_nums, base_stop = _members(desc.base, bound, budget)
+    big_l, base_nums, base_stop = _members(desc.base, bound)
     current = set(base_nums)
-    frontier = set(base_nums)
+    frontier = base_nums
+    # the frontier rows, of len(base_nums) sums each, that SEARCH_SUM_CAP allows
+    rows = SEARCH_SUM_CAP // max(len(base_nums), 1)
     pruned = False
-    for _ in range(budget.rounds):
-        if not frontier or len(current) > budget.max_size:
-            break
+    for _ in range(SEARCH_ROUNDS):
+        capped = len(frontier) > rows
         fresh = set()
-        for a in frontier:
+        for a in frontier[:rows]:
             for b in base_nums:
                 e = a + b - big_l
                 if e >= 0 and e not in current and e not in fresh:
@@ -241,12 +253,17 @@ def _members(desc: CoeffSetDesc, denom_bound: int, budget: SearchBudget) -> tupl
                         fresh.add(e)
                     else:
                         pruned = True
+        rows -= len(frontier)
         current |= fresh
-        frontier = fresh
-    if not frontier:
-        stop = "denom_bound" if pruned else None
+        frontier = sorted(fresh)
+        if capped or not frontier:
+            break
+    if capped:
+        stop = "max_size"
+    elif frontier:
+        stop = "rounds"
     else:
-        stop = "max_size" if len(current) > budget.max_size else "rounds"
+        stop = "denom_bound" if pruned else None
     return big_l, tuple(sorted(current)), stop or base_stop
 
 
@@ -348,7 +365,7 @@ def find_decreasing_chain(
     if isinstance(desc, UnionSet):
         chains = (find_decreasing_chain(m, length, budget) for m in desc.members)
         return next((chain for chain in chains if chain is not None), None)
-    big_l, nums, _ = _members(desc, budget.denom_bound, budget)
+    big_l, nums, _ = _members(desc, budget.denom_bound)
     positives = nums[bisect_right(nums, 0):]
     if isinstance(desc, FiniteSet):
         if len(positives) < length:
@@ -378,7 +395,7 @@ class DccVerdict:
 
 _STOP_REASONS = {
     "rounds": "the search used all its rounds with members left to extend",
-    "max_size": "the set outgrew the search's max_size",
+    "max_size": "the search examined as many exceptional sums as SEARCH_SUM_CAP = {cap} allows",
     "denom_bound": "the denominator bound pruned candidates",
     None: "the left-linear search ran out of new members within every limit",
 }
@@ -393,8 +410,8 @@ def dcc_verdict(desc: CoeffSetDesc, budget: SearchBudget = SearchBudget()) -> Dc
     undecided member by index and carries that member's reason.  Closures:
     NOT_DCC when the bounded search finds a verified chain approaching a limit
     with geometrically shrinking distances, else UNKNOWN, whose reason names
-    the search limit that ended the search (rounds, max_size or the
-    denominator bound), if any -- a closure is never declared DCC.
+    the search limit that ended the search (SEARCH_ROUNDS, SEARCH_SUM_CAP or
+    the denominator bound), if any -- a closure is never declared DCC.
     """
     if isinstance(desc, FiniteSet):
         return DccVerdict("DCC", reason="finite set")
@@ -411,7 +428,7 @@ def dcc_verdict(desc: CoeffSetDesc, budget: SearchBudget = SearchBudget()) -> Dc
             if v.verdict == "UNKNOWN":
                 return DccVerdict("UNKNOWN", reason=f"member {i} is undecided: {v.reason}")
         return DccVerdict("DCC", reason="finite union of DCC sets")
-    big_l, nums, stop = _members(desc, budget.denom_bound, budget)
+    big_l, nums, stop = _members(desc, budget.denom_bound)
     chain = _halving_chain(big_l, nums[bisect_right(nums, 0):], budget.chain_length)
     if chain is not None:
         return DccVerdict(
@@ -422,6 +439,6 @@ def dcc_verdict(desc: CoeffSetDesc, budget: SearchBudget = SearchBudget()) -> Dc
         )
     return DccVerdict(
         "UNKNOWN",
-        reason=f"no witness found: {_STOP_REASONS[stop]}; closures are never "
-        "declared DCC",
+        reason=f"no witness found: {_STOP_REASONS[stop].format(cap=SEARCH_SUM_CAP)}; "
+        "closures are never declared DCC",
     )

@@ -16,7 +16,9 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import bdivkit.cli as cli_mod
+import bdivkit.dcc as dcc_mod
 from bdivkit.cli import main, run_batch, run_command
+from bdivkit.dcc import desc_from_json
 from bdivkit.exact import PreconditionError
 from bdivkit.logpairs import LocalPair
 
@@ -638,6 +640,11 @@ BAD_INPUTS = [
       for kind, (desc, _) in _STRAY_KEYS.items()),
     # a model with more prefixes of positive pullback than the cap
     pytest.param(_PAST_THE_PREFIX_CAP, id="fset past the prefix cap"),
+    # the search's rounds and sum cap are fixed, no option or key
+    pytest.param(CASES["chain"] + ["--rounds", "3"], id="chain --rounds"),
+    pytest.param(CASES["dcc"] + ["--max-size", "4000"], id="dcc --max-size"),
+    pytest.param(["dcc", "--json", json.dumps({"set": {"kind": "standard"}, "rounds": 3})],
+                 id="dcc --json with rounds"),
 ]
 
 
@@ -666,8 +673,9 @@ _DIGIT_LIMIT = f"{sys.get_int_max_str_digits()} digits"
     (CASES["verify"] + ["--box", "6"], "unrecognized arguments: --box 6"),
     (["fermat", "--scan", "--n-max", "0"], "need n_max >= 1"),
     (["dcc", "--set", '{"kind":"standard"}', "--rounds", "-1", "--max-size", "-5"],
-     "rounds must be >= 1, got -1"),
-    (["dcc", "--set", '{"kind":"standard"}', "--max-size", "-5"], "max_size must be >= 1"),
+     "unrecognized arguments: --rounds -1 --max-size -5"),
+    (["dcc", "--set", '{"kind":"standard"}', "--max-size", "-5"],
+     "unrecognized arguments: --max-size -5"),
     (["dcc", "--set", '{"kind":"standard"}', "--threshold", "0"], "threshold must be >= 1"),
     (CASES["chain"][:-2] + ["0"], "denom_bound must be >= 1"),
     (["minvol", "--n", "1", "--out", "."], "cannot write ."),
@@ -721,6 +729,10 @@ _DIGIT_LIMIT = f"{sys.get_int_max_str_digits()} digits"
     # 38/39 three times has 10,660 prefixes, which a klt cut would extract
     (["reduce", "--model", '{"n":3,"coeffs":["38/39","38/39","38/39"]}', "--B",
       '{"deviations":[{"v":[1,1,1],"value":"0"}]}'], "PREFIX_CAP = 10000"),
+    # the search's rounds and sum cap are fixed
+    (CASES["chain"] + ["--rounds", "3"], "unrecognized arguments: --rounds 3"),
+    (["dcc", "--json", json.dumps({"set": {"kind": "standard"}, "rounds": 3, "max_size": 40})],
+     "dcc takes no argument 'max_size', 'rounds'"),
 ])
 def test_errors_name_their_cause(argv, cause):
     code, _, err = _run_catching_exit(main, argv)  # an error in argv exits from the parser
@@ -736,15 +748,6 @@ def test_batch_refuses_an_entry_with_a_stray_key():
     assert code == 2 and result["first_error"] == "b"
     assert result["results"]["b"] == {
         "status": "error", "exit_code": 2, "error": "minvol takes no argument 'box'"}
-
-
-def test_chain_takes_the_search_limits_dcc_takes():
-    # _budget_from reads them for both commands, from options or from JSON
-    limits = ["--rounds", "3", "--max-size", "4000"]
-    code, out, err = run_cli(CASES["chain"] + limits)
-    assert (code, err) == (0, "")
-    keys = {"rounds": 3, "max_size": 4000}
-    assert run_cli(CASES["chain"] + ["--json", json.dumps(keys)]) == (0, out, "")
 
 
 def test_ltrace_verify_outside_dimension_2_says_its_oracle_was_skipped():
@@ -793,12 +796,43 @@ def test_mld_verify_says_its_oracle_was_skipped_past_the_box_cap():
                                "verified": "oracle-skipped"}
 
 
+def test_mld_verify_skips_a_box_whose_sides_pass_a_machine_size():
+    # a side of 2 * (10^30 + 1) points, past what len() of a range can report
+    coeff = f"{10**30 - 1}/{10**30}"
+    code, out, _ = run_cli(["mld", "--pair", json.dumps({"n": 2, "coeffs": ["0", coeff]}),
+                            "--verify"])
+    assert code == 0
+    assert json.loads(out)["verified"] == "oracle-skipped"
+
+
 def test_mld_oracle_scans_a_box_at_the_cap(monkeypatch):
     pair = LocalPair((Fraction(1, 2), Fraction(1, 2)))  # a box of 4 * 4 points
-    monkeypatch.setattr(cli_mod, "MLD_ORACLE_BOX_CAP", 16)
-    assert cli_mod._mld_bruteforce(pair, 2) == (1, (1, 1))
-    monkeypatch.setattr(cli_mod, "MLD_ORACLE_BOX_CAP", 15)
-    assert cli_mod._mld_bruteforce(pair, 2) is None
+    monkeypatch.setattr(cli_mod, "ORACLE_BOX_CAP", 16)
+    assert cli_mod._mld_bruteforce(pair) == (1, (1, 1))
+    monkeypatch.setattr(cli_mod, "ORACLE_BOX_CAP", 15)
+    assert cli_mod._mld_bruteforce(pair) is None
+
+
+def test_fset_verify_says_its_oracle_was_skipped_past_the_box_cap():
+    # six sides of 21 points: 8.6 * 10^7 > 10^6, scanned in 37 s before the cap
+    start = time.perf_counter()
+    code, out, _ = run_cli(["fset", "--model", json.dumps({"n": 6, "coeffs": ["8/9"] * 6}),
+                            "--verify"])
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    data = json.loads(out)
+    assert data["verified"] == "oracle-skipped" and (data["s"], data["w"]) == (6, 0)
+
+
+def test_fset_oracle_scans_a_box_at_the_cap(monkeypatch):
+    # two sides of 2 * 2 + 2 + 1 = 7 points for the coefficients 1/2
+    argv = ["fset", "--model", '{"n":2,"coeffs":["1/2","1/2"]}', "--verify"]
+    monkeypatch.setattr(cli_mod, "ORACLE_BOX_CAP", 49)
+    code, out, _ = run_cli(argv)
+    assert code == 0 and json.loads(out)["verified"] is True
+    monkeypatch.setattr(cli_mod, "ORACLE_BOX_CAP", 48)
+    code, out, _ = run_cli(argv)
+    assert code == 0 and json.loads(out)["verified"] == "oracle-skipped"
 
 
 def _parent_mld_bruteforce(pair, factor):
@@ -824,7 +858,7 @@ def _parent_mld_bruteforce(pair, factor):
                 min_size=1, max_size=3))
 def test_mld_oracle_matches_the_fraction_oracle(coeffs):
     pair = LocalPair(tuple(coeffs))
-    assert cli_mod._mld_bruteforce(pair, 2) == _parent_mld_bruteforce(pair, 2)
+    assert cli_mod._mld_bruteforce(pair) == _parent_mld_bruteforce(pair, 2)
 
 
 def test_constants_refuses_a_huge_power_at_once():
@@ -847,13 +881,27 @@ def test_closure_refuses_a_set_past_the_cap_at_once():
 
 def test_dcc_union_names_its_undecided_member_and_the_limit():
     code, out, _ = run_cli(["dcc", "--set", json.dumps({"kind": "union", "members": [
-        {"kind": "closure", "denom_bound": 7, "base": {"kind": "finite", "values": ["6/7"]}}]}),
-        "--rounds", "1"])
+        {"kind": "closure", "denom_bound": 7, "base": {"kind": "finite", "values": ["6/7"]}}]})])
     assert code == 0
     verdict = json.loads(out)
     assert verdict["verdict"] == "UNKNOWN"
     assert verdict["reason"].startswith("member 0 is undecided: no witness found: ")
     assert "used all its rounds" in verdict["reason"]
+
+
+def test_dcc_on_the_standard_closure_at_the_default_bound_stops_at_the_sum_cap():
+    # unbounded, its rounds cost d^3 sums: 6.6 s at d = 400, and d = 2000 never ended
+    desc = {"kind": "closure", "base": {"kind": "standard"}, "denom_bound": 2000}
+    dcc_mod._members.cache_clear()
+    start = time.perf_counter()
+    code, out, _ = run_cli(["dcc", "--set", json.dumps(desc), "--verify"])
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    verdict = json.loads(out)
+    assert verdict["verdict"] == "NOT_DCC" and verdict["verified"] is True
+    # the cap ended the search (read back from the cache the command filled);
+    # the verdict reports its verified witness instead
+    assert dcc_mod._members(desc_from_json(desc), 2000)[2] == "max_size"
 
 
 def test_dcc_long_chain_search_over_a_large_closure_is_bounded():
@@ -1016,7 +1064,7 @@ _TEMPLATES = {
     "ldisc": {"pair": _PAIR, "v": [1, 2]},
     "dcc": {"set": {"kind": "closure", "denom_bound": 12,
                     "base": {"kind": "finite", "values": ["1/2", "2/3"]}},
-            "denom_bound": 30, "max_size": 200, "rounds": 2, "threshold": 3},
+            "denom_bound": 30, "threshold": 3},
     "sylvester": {"k": 4},
     "minvol": {"n": 2},
     "constants": {"n": 2, "eps": "1", "gamma0": "1", "delta": "1/42", "verify": True},
@@ -1135,10 +1183,8 @@ _REFERENCE_OPTIONS = {
     "reduce": (("--model", _RJ), ("--B", _RJ)),
     "verify": (("--state", _RJ),),
     "closure": (("--base", _RJ), ("--denom-bound", _RI)),
-    "chain": (("--set", _RJ), ("--length", _RI), ("--denom-bound", _RI), ("--rounds", _RI),
-              ("--max-size", _RI)),
-    "dcc": (("--set", _RJ), ("--threshold", _RI), ("--denom-bound", _RI), ("--rounds", _RI),
-            ("--max-size", _RI)),
+    "chain": (("--set", _RJ), ("--length", _RI), ("--denom-bound", _RI)),
+    "dcc": (("--set", _RJ), ("--threshold", _RI), ("--denom-bound", _RI)),
     "sylvester": (("--k", _RI),),
     "minvol": (("--n", _RI),),
     "pnvol": (("--n", _RI), ("--coeffs", _RJ), ("--sylvester", _RF)),

@@ -1,6 +1,7 @@
+from contextlib import contextmanager
 from fractions import Fraction as F
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from unittest import mock
 
 import pytest
@@ -149,25 +150,40 @@ def test_verdict_closure_never_claims_dcc():
     assert dcc_verdict(tiny).verdict == "UNKNOWN"
 
 
-# 6/7 steps down through 5/7, 4/7, ... one value per round
+# 6/7 steps down through 5/7, 4/7, ... one value per round, one sum per round:
+# the search's four rounds end at 2/7, with 1/7 and 0 left to find
 _SEVENTHS = SumClosure(FiniteSet((F(6, 7),)), denom_bound=7)
 
 
-@pytest.mark.parametrize("desc, budget, limit", [
-    pytest.param(_SEVENTHS, SearchBudget(rounds=1), "used all its rounds", id="rounds"),
-    pytest.param(_SEVENTHS, SearchBudget(rounds=10, max_size=1), "outgrew the search's max_size",
+@contextmanager
+def _sum_cap(cap):
+    """dcc.SEARCH_SUM_CAP lowered to cap (None keeps it), with no member list
+    cached under another cap before or after."""
+    dcc._members.cache_clear()
+    try:
+        with mock.patch.object(dcc, "SEARCH_SUM_CAP", cap or dcc.SEARCH_SUM_CAP):
+            yield
+    finally:
+        dcc._members.cache_clear()
+
+
+@pytest.mark.parametrize("desc, cap, limit", [
+    pytest.param(_SEVENTHS, None, "used all its rounds", id="rounds"),
+    # the second round's one sum would be past the cap
+    pytest.param(_SEVENTHS, 1, "examined as many exceptional sums as SEARCH_SUM_CAP = 1 allows",
                  id="max_size"),
     # 1/2 + 2/3 - 1 = 1/6 is past the bound 3
-    pytest.param(SumClosure(FiniteSet((F(1, 2), F(2, 3))), denom_bound=3), SearchBudget(),
+    pytest.param(SumClosure(FiniteSet((F(1, 2), F(2, 3))), denom_bound=3), None,
                  "denominator bound pruned candidates", id="denom_bound"),
-    pytest.param(SumClosure(FiniteSet((F(1, 2),)), denom_bound=10), SearchBudget(),
+    pytest.param(SumClosure(FiniteSet((F(1, 2),)), denom_bound=10), None,
                  "ran out of new members within every limit", id="enumerated in full"),
     # the outer search runs out of members, over a base its inner search cut short
-    pytest.param(SumClosure(_SEVENTHS, denom_bound=7), SearchBudget(rounds=3),
+    pytest.param(SumClosure(_SEVENTHS, denom_bound=7), None,
                  "used all its rounds", id="rounds in the base"),
 ])
-def test_unknown_names_the_limit_that_fired(desc, budget, limit):
-    verdict = dcc_verdict(desc, budget)
+def test_unknown_names_the_limit_that_fired(desc, cap, limit):
+    with _sum_cap(cap):
+        verdict = dcc_verdict(desc)
     assert verdict.verdict == "UNKNOWN" and verdict.witness is None
     assert verdict.reason.startswith("no witness found: ") and limit in verdict.reason
 
@@ -238,7 +254,7 @@ def _reference_exceptional_closure(base, denom_bound):
     return sorted(out)
 
 
-def _reference_materialize(desc, denom_bound, budget=None):
+def _reference_materialize(desc, denom_bound):
     if isinstance(desc, FiniteSet):
         return [v for v in desc.values if v.denominator <= denom_bound]
     if isinstance(desc, StandardSet):
@@ -246,28 +262,31 @@ def _reference_materialize(desc, denom_bound, budget=None):
     if isinstance(desc, UnionSet):
         out = set()
         for m in desc.members:
-            out.update(_reference_materialize(m, denom_bound, budget))
+            out.update(_reference_materialize(m, denom_bound))
         return sorted(out)
-    return list(_reference_materialize_closure(desc, denom_bound, budget or SearchBudget()))
+    return list(_reference_closure_walk(desc, denom_bound, dcc.SEARCH_SUM_CAP)[0])
 
 
-def _reference_materialize_closure(desc, denom_bound, budget):
+def _reference_closure_walk(desc, denom_bound, cap):
+    """(members, sums examined) of the closure's search under the sum cap."""
     bound = min(denom_bound, desc.denom_bound)
-    base = _reference_materialize(desc.base, bound, budget)
+    base = _reference_materialize(desc.base, bound)
     current = set(base)
     frontier = set(base)
-    for _ in range(budget.rounds):
-        if not frontier or len(current) > budget.max_size:
-            break
+    sums = 0
+    for _ in range(dcc.SEARCH_ROUNDS):
         fresh = set()
-        for a in frontier:
+        for a in sorted(frontier):
+            if sums + len(base) > cap:
+                return tuple(sorted(current | fresh)), sums
+            sums += len(base)
             for b in base:
                 e = a + b - 1
                 if e >= 0 and e.denominator <= bound and e not in current:
                     fresh.add(e)
         current |= fresh
         frontier = fresh
-    return tuple(sorted(current))
+    return tuple(sorted(current)), sums
 
 
 _unit_fracs = st.one_of(
@@ -300,9 +319,12 @@ _budgets = st.builds(
     SearchBudget,
     chain_length=st.integers(min_value=1, max_value=6),
     denom_bound=_bounds,
-    rounds=st.integers(min_value=1, max_value=4),
-    max_size=st.integers(min_value=1, max_value=400),
 )
+# sum caps that fire on the larger draws, and the default (None); the
+# Fraction references draw a lowered cap, which keeps their quadratic searches
+# short, as max_size <= 400 did when it was part of the budget
+_lowered_caps = st.integers(min_value=1, max_value=400)
+_caps = st.one_of(st.none(), _lowered_caps)
 
 
 @given(st.lists(_unit_fracs, max_size=6), _bounds, st.booleans())
@@ -318,10 +340,10 @@ def _over_one_denominator(values):
     return big_l, tuple(v.numerator * (big_l // v.denominator) for v in values)
 
 
-def _reference_members(desc, denom_bound, budget):
+def _reference_members(desc, denom_bound):
     """dcc._members from the Fraction reference and the parent's limit walk (below)."""
-    return (*_over_one_denominator(_reference_materialize(desc, denom_bound, budget)),
-            _parent_search_stop(desc, denom_bound, budget))
+    return (*_over_one_denominator(_reference_materialize(desc, denom_bound)),
+            _parent_search_stop(desc, denom_bound))
 
 
 def _on_fractions(parent_search):
@@ -329,21 +351,22 @@ def _on_fractions(parent_search):
     return lambda big_l, nums, length: parent_search([F(x, big_l) for x in nums], length)
 
 
-@given(_closures, _budgets)
+@given(_closures, _budgets, _lowered_caps)
 @settings(max_examples=150, deadline=None)
-def test_closure_search_matches_the_fraction_reference(desc, budget):
-    dcc._members.cache_clear()
-    got = materialize(desc, budget)
-    assert got == _reference_materialize(desc, budget.denom_bound, budget)
-    chain = find_decreasing_chain(desc, budget.chain_length, budget)
-    verdict = dcc_verdict(desc, budget)
-    # the same searches over the reference's members, by the parent's Fraction searches
-    with mock.patch.object(dcc, "_members", _reference_members), \
-            mock.patch.object(dcc, "_arithmetic_run_chain",
-                              _on_fractions(_parent_arithmetic_run_chain)), \
-            mock.patch.object(dcc, "_halving_chain", _on_fractions(_parent_halving_chain)):
-        assert chain == find_decreasing_chain(desc, budget.chain_length, budget)
-        assert verdict == dcc_verdict(desc, budget)
+def test_closure_search_matches_the_fraction_reference(desc, budget, cap):
+    _parent_materialize_closure.cache_clear()
+    with _sum_cap(cap):
+        got = materialize(desc, budget)
+        assert got == _reference_materialize(desc, budget.denom_bound)
+        chain = find_decreasing_chain(desc, budget.chain_length, budget)
+        verdict = dcc_verdict(desc, budget)
+        # the same searches over the reference's members, by the parent's Fraction searches
+        with mock.patch.object(dcc, "_members", _reference_members), \
+                mock.patch.object(dcc, "_arithmetic_run_chain",
+                                  _on_fractions(_parent_arithmetic_run_chain)), \
+                mock.patch.object(dcc, "_halving_chain", _on_fractions(_parent_halving_chain)):
+            assert chain == find_decreasing_chain(desc, budget.chain_length, budget)
+            assert verdict == dcc_verdict(desc, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -355,19 +378,24 @@ def test_closure_search_matches_the_fraction_reference(desc, budget):
 
 
 @lru_cache(maxsize=32)
-def _parent_materialize_closure(desc, denom_bound, budget):
+def _parent_materialize_closure(desc, denom_bound):
     bound = min(denom_bound, desc.denom_bound)
-    base = _reference_materialize(desc.base, bound, budget)  # the same members
+    base = _reference_materialize(desc.base, bound)  # the same members
     big_l = lcm(*(v.denominator for v in base))
     base_nums = {v.numerator * (big_l // v.denominator) for v in base}
     current = set(base_nums)
     frontier = set(base_nums)
-    pruned = False
-    for _ in range(budget.rounds):
-        if not frontier or len(current) > budget.max_size:
+    pruned = capped = False
+    sums = 0
+    for _ in range(dcc.SEARCH_ROUNDS):
+        if not frontier or capped:
             break
         fresh = set()
-        for a in frontier:
+        for a in sorted(frontier):
+            capped = sums + len(base_nums) > dcc.SEARCH_SUM_CAP
+            if capped:
+                break
+            sums += len(base_nums)
             for b in base_nums:
                 e = a + b - big_l
                 if e >= 0 and e not in current and e not in fresh:
@@ -377,20 +405,22 @@ def _parent_materialize_closure(desc, denom_bound, budget):
                         pruned = True
         current |= fresh
         frontier = fresh
-    if not frontier:
+    if capped:
+        stop = "max_size"
+    elif not frontier:
         stop = "denom_bound" if pruned else None
     else:
-        stop = "max_size" if len(current) > budget.max_size else "rounds"
+        stop = "rounds"
     members = tuple(F(x, big_l) for x in sorted(current))
-    return members, stop or _parent_search_stop(desc.base, bound, budget)
+    return members, stop or _parent_search_stop(desc.base, bound)
 
 
-def _parent_search_stop(desc, denom_bound, budget):
+def _parent_search_stop(desc, denom_bound):
     if isinstance(desc, SumClosure):
-        return _parent_materialize_closure(desc, denom_bound, budget)[1]
+        return _parent_materialize_closure(desc, denom_bound)[1]
     if isinstance(desc, UnionSet):
         for m in desc.members:
-            stop = _parent_search_stop(m, denom_bound, budget)
+            stop = _parent_search_stop(m, denom_bound)
             if stop is not None:
                 return stop
     return None
@@ -442,13 +472,11 @@ def _parent_halving_chain(values, length):
     return None
 
 
-# budgets whose rounds, max_size and denominator bound each fire on some draws
+# budgets whose denominator bound fires on some draws
 _tight_budgets = st.builds(
     SearchBudget,
     chain_length=st.integers(min_value=1, max_value=6),
     denom_bound=st.integers(min_value=1, max_value=40),
-    rounds=st.integers(min_value=1, max_value=3),
-    max_size=st.integers(min_value=1, max_value=60),
 )
 
 
@@ -457,48 +485,80 @@ _nested_closures = st.builds(_closure, _closures, _bounds, st.booleans())
 
 
 @given(st.one_of(_sets, _closures, _nested_closures), st.one_of(_budgets, _tight_budgets),
-       st.data())
+       _lowered_caps, st.data())
 @settings(max_examples=300, deadline=None)
-def test_members_walk_matches_the_parent_walks(desc, budget, data):
-    dcc._members.cache_clear()
+def test_members_walk_matches_the_parent_walks(desc, budget, cap, data):
     _parent_materialize_closure.cache_clear()
     bound = data.draw(st.one_of(st.just(budget.denom_bound), _bounds))
-    big_l, nums, stop = dcc._members(desc, bound, budget)
-    assert (big_l, nums) == _over_one_denominator(_reference_materialize(desc, bound, budget))
-    assert stop == _parent_search_stop(desc, bound, budget)
+    with _sum_cap(cap):
+        big_l, nums, stop = dcc._members(desc, bound)
+        assert (big_l, nums) == _over_one_denominator(_reference_materialize(desc, bound))
+        assert stop == _parent_search_stop(desc, bound)
 
 
 @given(st.one_of(_sets, _closures, _nested_closures), st.one_of(_budgets, _tight_budgets),
-       st.integers(min_value=1, max_value=6))
-@example(FiniteSet((F(1, 2), F(1, 3))), SearchBudget(denom_bound=2), 2)
-@example(UnionSet((FiniteSet((F(1, 2), F(1, 3))),)), SearchBudget(denom_bound=2), 2)
-@example(StandardSet(), SearchBudget(denom_bound=1), 1)
+       _caps, st.integers(min_value=1, max_value=6))
+@example(FiniteSet((F(1, 2), F(1, 3))), SearchBudget(denom_bound=2), None, 2)
+@example(UnionSet((FiniteSet((F(1, 2), F(1, 3))),)), SearchBudget(denom_bound=2), None, 2)
+@example(StandardSet(), SearchBudget(denom_bound=1), None, 1)
 @settings(max_examples=300, deadline=None)
-def test_every_chain_lies_in_the_members_under_the_same_budget(desc, budget, length):
+def test_every_chain_lies_in_the_members_under_the_same_budget(desc, budget, cap, length):
     # finite sets hold values past the bound on some draws, the standard set
     # is drawn at bounds down to 1, and closures list 1 in the base or not
-    dcc._members.cache_clear()
-    chain = find_decreasing_chain(desc, length, budget)
-    if chain is not None:
-        members = set(materialize(desc, budget))
-        assert len(chain.elements) == length
-        assert all(e > 0 and e in members for e in chain.elements)
+    with _sum_cap(cap):
+        chain = find_decreasing_chain(desc, length, budget)
+        if chain is not None:
+            members = set(materialize(desc, budget))
+            assert len(chain.elements) == length
+            assert all(e > 0 and e in members for e in chain.elements)
 
 
 def test_members_walk_reports_every_limit():
     # the limits the property test above compares, each seen on a union that
-    # holds the closure second, behind a finite member
+    # holds the closure second, behind a finite member; the closure of that
+    # union at bound 7 reports its base's limit, except for the cap, which
+    # fires in the outer search too
     closures = {
-        "rounds": (_SEVENTHS, SearchBudget(rounds=1)),
-        "max_size": (_SEVENTHS, SearchBudget(rounds=10, max_size=1)),
-        "denom_bound": (SumClosure(FiniteSet((F(1, 2), F(2, 3))), denom_bound=3),
-                        SearchBudget()),
-        None: (SumClosure(FiniteSet((F(1, 2),)), denom_bound=10), SearchBudget()),
+        "rounds": (_SEVENTHS, None),
+        "max_size": (_SEVENTHS, 1),
+        "denom_bound": (SumClosure(FiniteSet((F(1, 2), F(2, 3))), denom_bound=3), None),
+        None: (SumClosure(FiniteSet((F(1, 2),)), denom_bound=10), None),
     }
-    for limit, (closure, budget) in closures.items():
-        union = UnionSet((FiniteSet((F(1, 3),)), closure))
-        assert dcc._members(union, 7, budget)[2] == limit
-        assert dcc._members(SumClosure(union, 7), 7, budget)[2] == limit
+    for limit, (closure, cap) in closures.items():
+        union = UnionSet((FiniteSet((F(1, 7),)), closure))
+        with _sum_cap(cap):
+            assert dcc._members(union, 7)[2] == limit
+            assert dcc._members(SumClosure(union, 7), 7)[2] == limit
+
+
+# closures whose base holds no closure, so that their own search is the only one
+_flat_closures = st.builds(_closure, _plain_sets, _bounds, st.booleans())
+
+
+def _holds_a_closure(desc):
+    return isinstance(desc, SumClosure) or (
+        isinstance(desc, UnionSet) and any(map(_holds_a_closure, desc.members)))
+
+
+@given(st.one_of(_sets, _closures, _nested_closures, _flat_closures), _budgets, _lowered_caps)
+@settings(max_examples=300, deadline=None)
+def test_a_lowered_sum_cap_keeps_a_subset_of_the_members(desc, budget, cap):
+    dcc._members.cache_clear()
+    full = set(materialize(desc, budget))
+    with _sum_cap(cap):
+        capped = set(materialize(desc, budget))
+        chain = find_decreasing_chain(desc, budget.chain_length, budget)
+        verdict = dcc_verdict(desc, budget)
+        stop = dcc._members(desc, budget.denom_bound)[2]
+    assert capped <= full
+    assert chain is None or set(chain.elements) <= capped
+    assert verdict.witness is None or set(verdict.witness.elements) <= capped
+    if isinstance(desc, SumClosure) and not _holds_a_closure(desc.base):
+        # the cap fires exactly when the search without it examines more sums
+        fired = _reference_closure_walk(desc, budget.denom_bound, inf)[1] > cap
+        assert (stop == "max_size") == fired
+        if verdict.verdict == "UNKNOWN":
+            assert ("SEARCH_SUM_CAP" in verdict.reason) == fired
 
 
 _positive_fracs = st.fractions(min_value=F(0), max_value=F(2), max_denominator=24).filter(

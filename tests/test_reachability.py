@@ -57,6 +57,7 @@ EXTRA = [
      '{"n":3,"rays":[[1,0,0],[0,1,0],[0,0,1],[1,1,1]],"cones":[[0,1,3],[0,2,3],[1,2,3]]}',
      "--verify"],
     ["mld", "--pair", '{"n":3,"coeffs":["0","249/250","249/250"]}', "--verify"],
+    ["fset", "--model", json.dumps({"n": 6, "coeffs": ["4/5"] * 6}), "--verify"],
     ["pnvol", "--n", "1", "--coeffs", '["1/2","1/2","1/2"]', "--verify"],
     ["unitary", "--n", "1", "--verify"],
     # a stratum, on a model whose coefficient one comes first
@@ -97,8 +98,10 @@ EXTRA = [
                      '{"kind":"standard"}]}'],
     ["dcc", "--set", '{"kind":"closure","base":{"kind":"finite","values":["1/2","1"]},'
                      '"denom_bound":2}'],
-    ["dcc", "--set", '{"kind":"closure","base":{"kind":"standard"},"denom_bound":12}',
-     "--max-size", "2"],
+    # 953 rows of 1,049 sums k/1999 + j/1999 - 1 reach the sum cap in the first round
+    ["dcc", "--set", json.dumps({"kind": "closure", "denom_bound": 1999, "base": {
+        "kind": "finite", "values": [f"{k}/1999" for k in range(950, 1999)]}}),
+     "--threshold", "40"],
     ["chain", "--set", json.dumps({"kind": "union", "members": [
         {"kind": "finite", "values": ["1/2"]}, {"kind": "standard"},
         {"kind": "finite", "values": ["1/2", "1/3"]}]}), "--length", "2", "--verify"],
@@ -146,7 +149,6 @@ ALLOWED = {
         BREACH + "a result holding a value outside JSON",
     ("cli:_label", 'raise TypeError(f"keys must be str or int, not {type(key).__name__}")'):
         BREACH + "a result with a key outside JSON",
-    ("cli:run_batch", "exit_code = 3"): BREACH + "a batch entry exits 3",
     ("fans:Fan.locate", "raise InvariantViolation("): BREACH + "a fan that misses a vector",
     ("fans:insert_rays", "raise InvariantViolation("):
         BREACH + "a piece of a subdivision that loses a pending vector",
