@@ -51,8 +51,9 @@ from .bounds import (
     unitary_order_value,
 )
 from .dcc import (
+    DEFAULT_CHAIN_LENGTH,
+    DEFAULT_DENOM_BOUND,
     FiniteSet,
-    SearchBudget,
     desc_from_json,
     dcc_verdict,
     exceptional_closure,
@@ -340,42 +341,35 @@ def _cmd_closure(p):
     return out
 
 
-def _budget_from(p) -> SearchBudget:
-    defaults = SearchBudget()
-
-    def arg(key, default):
-        value = parse_int(_arg(p, key, default), key)
-        if value < 1:
-            raise PreconditionError(f"{key} must be >= 1, got {value}")
-        return value
-
-    return SearchBudget(
-        chain_length=arg("threshold", defaults.chain_length),
-        denom_bound=arg("denom_bound", defaults.denom_bound),
-    )
+def _positive_arg(p, key, default):
+    value = parse_int(_arg(p, key, default), key)
+    if value < 1:
+        raise PreconditionError(f"{key} must be >= 1, got {value}")
+    return value
 
 
 def _cmd_chain(p):
     desc = desc_from_json(p["set"])
     length = parse_int(p["length"], "length")
-    budget = _budget_from(p)
-    chain = find_decreasing_chain(desc, length, budget)
+    bound = _positive_arg(p, "denom_bound", DEFAULT_DENOM_BOUND)
+    chain = find_decreasing_chain(desc, length, bound)
     out = {"found": chain is not None}
     if chain is not None:
         out["chain"] = chain.to_json()
         if p.get("verify"):
-            _check_members("chain membership", materialize(desc, budget), chain.elements)
+            _check_members("chain membership", materialize(desc, bound), chain.elements)
             out["verified"] = True
     return out
 
 
 def _cmd_dcc(p):
     desc = desc_from_json(p["set"])
-    budget = _budget_from(p)
-    verdict = dcc_verdict(desc, budget)
+    length = _positive_arg(p, "threshold", DEFAULT_CHAIN_LENGTH)
+    bound = _positive_arg(p, "denom_bound", DEFAULT_DENOM_BOUND)
+    verdict = dcc_verdict(desc, bound, length)
     out = verdict.to_json()
     if p.get("verify") and verdict.witness is not None:
-        _check_members("dcc witness membership", materialize(desc, budget),
+        _check_members("dcc witness membership", materialize(desc, bound),
                        verdict.witness.elements)
         out["verified"] = True
     return out

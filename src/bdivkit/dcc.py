@@ -17,6 +17,13 @@ the last round added with the base only), for at most SEARCH_ROUNDS rounds
 and SEARCH_SUM_CAP exceptional sums; the result is a verified subset of the
 closure, which is all a NOT_DCC witness needs.
 
+Every question takes the members' denominator bound as a plain int
+(DEFAULT_DENOM_BOUND when a caller names none), and a verdict takes the
+length of its witness chain (DEFAULT_CHAIN_LENGTH).  Two caps bound the work
+the search leaves: the standard set is listed up to the bound
+STANDARD_BOUND_CAP, and a description read from JSON holds at most
+SET_CLOSURE_CAP closures, since each closure pays SEARCH_SUM_CAP.
+
 Members are integers inside this module: a set's members are numerators
 over L, the lcm of their denominators, so an exceptional sum is
 e = a + b - L and its reduced denominator is L // gcd(e, L).  A closure keeps
@@ -148,9 +155,34 @@ _DESC_KEYS = {"finite": {"kind", "values"}, "standard": {"kind"}, "union": {"kin
               "closure": {"kind", "base", "denom_bound"}}
 
 
-def desc_from_json(data: dict, _depth: int = 0) -> CoeffSetDesc:
-    """The description a JSON object holds; a key its kind does not read is refused."""
-    if _depth > MAX_SET_DEPTH:
+# closures one description holds: the search pays SEARCH_SUM_CAP for each
+# closure node, so a description costs its closures times the cost of one
+SET_CLOSURE_CAP = 4
+
+
+def desc_from_json(data: dict) -> CoeffSetDesc:
+    """The description a JSON object holds; a key its kind does not read is
+    refused, and so is a description holding more than SET_CLOSURE_CAP closures."""
+    desc = _desc_from_json(data, 0)
+    count = _closure_count(desc)
+    if count > SET_CLOSURE_CAP:
+        raise PreconditionError(
+            f"the set description holds {count} closures, more than the cap "
+            f"SET_CLOSURE_CAP = {SET_CLOSURE_CAP}"
+        )
+    return desc
+
+
+def _closure_count(desc: CoeffSetDesc) -> int:
+    if isinstance(desc, UnionSet):
+        return sum(map(_closure_count, desc.members))
+    if isinstance(desc, SumClosure):
+        return 1 + _closure_count(desc.base)
+    return 0
+
+
+def _desc_from_json(data: dict, depth: int) -> CoeffSetDesc:
+    if depth > MAX_SET_DEPTH:
         raise PreconditionError(
             f"set description nested deeper than the cap MAX_SET_DEPTH = {MAX_SET_DEPTH}"
         )
@@ -172,23 +204,19 @@ def desc_from_json(data: dict, _depth: int = 0) -> CoeffSetDesc:
             return StandardSet()
         if kind == "union":
             members = parse_list(data["members"], "set descriptions")
-            return UnionSet(tuple(desc_from_json(m, _depth + 1) for m in members))
+            return UnionSet(tuple(_desc_from_json(m, depth + 1) for m in members))
         return SumClosure(
-            base=desc_from_json(data["base"], _depth + 1),
+            base=_desc_from_json(data["base"], depth + 1),
             denom_bound=parse_int(data["denom_bound"], "denom_bound"),
         )
     except KeyError as exc:
         raise PreconditionError(f"malformed {kind} set description: {exc}") from exc
 
 
-@record
-class SearchBudget:
-    """A verdict's chain length and the members' denominator bound; the search's
-    own limits are the fixed SEARCH_ROUNDS and SEARCH_SUM_CAP."""
-
-    chain_length: int = 5
-    denom_bound: int = 2000
-
+# the members' denominator bound, and the length of a verdict's witness chain,
+# when a caller names neither
+DEFAULT_DENOM_BOUND = 2000
+DEFAULT_CHAIN_LENGTH = 5
 
 # the rounds of the left-linear search of a closure
 SEARCH_ROUNDS = 4
@@ -199,15 +227,22 @@ SEARCH_ROUNDS = 4
 # a fresh process on a 2-vCPU machine.  Acceptance criterion 9 examines 808,013.
 SEARCH_SUM_CAP = 1_000_000
 
+# the largest bound d at which the standard set is listed: its d numerators
+# over lcm(1..d) take memory growing as d^2 (686 MiB at d = 60000).  At the cap,
+# `chain --verify` on it takes 0.13 s and `dcc` on its closure 5.6 s as a fresh
+# process on a 2-vCPU machine.
+STANDARD_BOUND_CAP = 4000
 
-def materialize(desc: CoeffSetDesc, budget: SearchBudget = SearchBudget()) -> list:
-    """Sorted members of the description with denominators <= budget.denom_bound.
+
+def materialize(desc: CoeffSetDesc, denom_bound: int = DEFAULT_DENOM_BOUND) -> list:
+    """Sorted members of the description with denominators <= denom_bound.
 
     Finite sets and the standard set are truncated at the bound, and a union
     holds its members' truncations; a closure is explored by the bounded
-    left-linear search (a verified subset of the closure).
+    left-linear search (a verified subset of the closure).  Listing the
+    standard set past STANDARD_BOUND_CAP is refused.
     """
-    big_l, nums, _ = _members(desc, budget.denom_bound)
+    big_l, nums, _ = _members(desc, denom_bound)
     return [Fraction(x, big_l) for x in nums]
 
 
@@ -224,6 +259,11 @@ def _members(desc: CoeffSetDesc, denom_bound: int) -> tuple:
         big_l, nums = _numerators([v for v in desc.values if v.denominator <= denom_bound])
         return big_l, tuple(sorted(nums)), None
     if isinstance(desc, StandardSet):
+        if denom_bound > STANDARD_BOUND_CAP:
+            raise PreconditionError(
+                "listing the standard set needs a denominator bound of at most the cap "
+                f"STANDARD_BOUND_CAP = {STANDARD_BOUND_CAP}, got {denom_bound}"
+            )
         big_l = lcm(*range(1, denom_bound + 1))
         return big_l, tuple((r - 1) * (big_l // r) for r in range(1, denom_bound + 1)), None
     if isinstance(desc, UnionSet):
@@ -345,27 +385,28 @@ def _halving_chain(big_l: int, nums: tuple, length: int) -> Chain | None:
 
 
 def find_decreasing_chain(
-    desc: CoeffSetDesc, length: int, budget: SearchBudget = SearchBudget()
+    desc: CoeffSetDesc, length: int, denom_bound: int = DEFAULT_DENOM_BOUND
 ) -> Chain | None:
-    """A strictly decreasing chain of positive members of materialize(desc, budget), or None.
+    """A strictly decreasing chain of positive members of materialize(desc, denom_bound), or None.
 
     A finite set yields its length largest positive members.  The standard
     set is increasing, so below any fixed member it holds only finitely many
-    elements and is treated structurally: its one chain is (d-1)/d for the
-    bound d >= 2, and no chain of length >= 2 is ever produced as a witness.
+    elements and is treated structurally, unlisted at any bound: its one
+    chain is (d-1)/d for the bound d >= 2, and no chain of length >= 2 is
+    ever produced as a witness.
     A union answers from its first member with a chain.  Closures are
     searched for constant-step runs or halving chains.
     """
     if length < 1:
         raise PreconditionError("chain length must be >= 1")
     if isinstance(desc, StandardSet):
-        if length == 1 and budget.denom_bound > 1:
-            return Chain((standard_coeff(budget.denom_bound),))
+        if length == 1 and denom_bound > 1:
+            return Chain((standard_coeff(denom_bound),))
         return None
     if isinstance(desc, UnionSet):
-        chains = (find_decreasing_chain(m, length, budget) for m in desc.members)
+        chains = (find_decreasing_chain(m, length, denom_bound) for m in desc.members)
         return next((chain for chain in chains if chain is not None), None)
-    big_l, nums, _ = _members(desc, budget.denom_bound)
+    big_l, nums, _ = _members(desc, denom_bound)
     positives = nums[bisect_right(nums, 0):]
     if isinstance(desc, FiniteSet):
         if len(positives) < length:
@@ -401,8 +442,10 @@ _STOP_REASONS = {
 }
 
 
-def dcc_verdict(desc: CoeffSetDesc, budget: SearchBudget = SearchBudget()) -> DccVerdict:
-    """Three-valued descending-chain verdict.
+def dcc_verdict(desc: CoeffSetDesc, denom_bound: int = DEFAULT_DENOM_BOUND,
+                chain_length: int = DEFAULT_CHAIN_LENGTH) -> DccVerdict:
+    """Three-valued descending-chain verdict over the members with
+    denominators <= denom_bound, whose witness chains have chain_length members.
 
     Finite -> DCC.  Standard -> DCC (its only accumulation point is 1 from
     below, so every nonempty subset has a least element).  Unions of decided
@@ -420,7 +463,7 @@ def dcc_verdict(desc: CoeffSetDesc, budget: SearchBudget = SearchBudget()) -> Dc
             "DCC", reason="increasing sequence accumulating only at 1"
         )
     if isinstance(desc, UnionSet):
-        verdicts = [dcc_verdict(m, budget) for m in desc.members]
+        verdicts = [dcc_verdict(m, denom_bound, chain_length) for m in desc.members]
         for v in verdicts:
             if v.verdict == "NOT_DCC":
                 return DccVerdict("NOT_DCC", witness=v.witness, reason=v.reason)
@@ -428,8 +471,8 @@ def dcc_verdict(desc: CoeffSetDesc, budget: SearchBudget = SearchBudget()) -> Dc
             if v.verdict == "UNKNOWN":
                 return DccVerdict("UNKNOWN", reason=f"member {i} is undecided: {v.reason}")
         return DccVerdict("DCC", reason="finite union of DCC sets")
-    big_l, nums, stop = _members(desc, budget.denom_bound)
-    chain = _halving_chain(big_l, nums[bisect_right(nums, 0):], budget.chain_length)
+    big_l, nums, stop = _members(desc, denom_bound)
+    chain = _halving_chain(big_l, nums[bisect_right(nums, 0):], chain_length)
     if chain is not None:
         return DccVerdict(
             "NOT_DCC",

@@ -333,6 +333,15 @@ _STRAY_KEYS = {
 # (140/141, 140/141) has 10,011 prefixes of positive pullback
 _PAST_THE_PREFIX_CAP = ["fset", "--model", '{"n":2,"coeffs":["140/141","140/141"]}']
 
+# --verify lists the standard set at the bound, past its listing cap
+_STANDARD_PAST_THE_CAP = ["chain", "--set", '{"kind":"standard"}', "--length", "1",
+                          "--denom-bound", "100000", "--verify"]
+
+# five closures, one more than a description may hold
+_FIVE_CLOSURES = ["dcc", "--set", json.dumps({"kind": "union", "members": [
+    {"kind": "closure", "base": {"kind": "standard"}, "denom_bound": d}
+    for d in range(1996, 2001)]})]
+
 BAD_INPUTS = [
     ["ldisc", "--pair", '{"n":2,"coeffs":["1/2"]}', "--v", "[1,1]"],
     ["ldisc", "--pair", '{"n":2,"coeffs":["1/2","0.5"]}', "--v", "[1,1]"],
@@ -645,6 +654,9 @@ BAD_INPUTS = [
     pytest.param(CASES["dcc"] + ["--max-size", "4000"], id="dcc --max-size"),
     pytest.param(["dcc", "--json", json.dumps({"set": {"kind": "standard"}, "rounds": 3})],
                  id="dcc --json with rounds"),
+    # the standard set is listed up to a cap, and a description holds few closures
+    pytest.param(_STANDARD_PAST_THE_CAP, id="chain --verify on the standard set past its cap"),
+    pytest.param(_FIVE_CLOSURES, id="dcc on five closures"),
 ]
 
 
@@ -733,6 +745,8 @@ _DIGIT_LIMIT = f"{sys.get_int_max_str_digits()} digits"
     (CASES["chain"] + ["--rounds", "3"], "unrecognized arguments: --rounds 3"),
     (["dcc", "--json", json.dumps({"set": {"kind": "standard"}, "rounds": 3, "max_size": 40})],
      "dcc takes no argument 'max_size', 'rounds'"),
+    (_STANDARD_PAST_THE_CAP, "STANDARD_BOUND_CAP = 4000, got 100000"),
+    (_FIVE_CLOSURES, "holds 5 closures, more than the cap SET_CLOSURE_CAP = 4"),
 ])
 def test_errors_name_their_cause(argv, cause):
     code, _, err = _run_catching_exit(main, argv)  # an error in argv exits from the parser
@@ -902,6 +916,20 @@ def test_dcc_on_the_standard_closure_at_the_default_bound_stops_at_the_sum_cap()
     # the cap ended the search (read back from the cache the command filled);
     # the verdict reports its verified witness instead
     assert dcc_mod._members(desc_from_json(desc), 2000)[2] == "max_size"
+
+
+def test_listing_the_standard_set_past_its_cap_is_refused_at_once():
+    # its numerators over lcm(1..d) take memory growing as d^2: 686 MiB at d = 60000
+    start = time.perf_counter()
+    code, _, err = _run_catching_exit(main, _STANDARD_PAST_THE_CAP)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and "STANDARD_BOUND_CAP" in json.loads(err)["error"]
+    # answers that list nothing keep any bound
+    code, out, _ = run_cli(_STANDARD_PAST_THE_CAP[:-1])
+    assert code == 0 and json.loads(out)["chain"]["elements"] == ["99999/100000"]
+    code, out, _ = run_cli(["dcc", "--set", '{"kind":"standard"}', "--denom-bound", "100000",
+                            "--verify"])
+    assert code == 0 and json.loads(out)["verdict"] == "DCC"
 
 
 def test_dcc_long_chain_search_over_a_large_closure_is_bounded():

@@ -11,7 +11,6 @@ from bdivkit import dcc
 from bdivkit.dcc import (
     Chain,
     FiniteSet,
-    SearchBudget,
     StandardSet,
     SumClosure,
     UnionSet,
@@ -84,31 +83,29 @@ def test_closure_is_closed():
 
 def test_find_chain_finite():
     fin = FiniteSet((F(0), F(1, 2), F(6, 7)))
-    got = find_decreasing_chain(fin, 2, SearchBudget(denom_bound=10))
+    got = find_decreasing_chain(fin, 2, 10)
     assert got is not None and list(got.elements) == [F(6, 7), F(1, 2)]
-    assert find_decreasing_chain(fin, 3, SearchBudget(denom_bound=10)) is None  # two positive
+    assert find_decreasing_chain(fin, 3, 10) is None  # two positive
     # members below the bound only: 6/7 is past the bound 6
-    got = find_decreasing_chain(fin, 1, SearchBudget(denom_bound=6))
+    got = find_decreasing_chain(fin, 1, 6)
     assert got is not None and list(got.elements) == [F(1, 2)]
-    assert find_decreasing_chain(fin, 2, SearchBudget(denom_bound=6)) is None
+    assert find_decreasing_chain(fin, 2, 6) is None
 
 
 def test_find_chain_standard_structural():
-    budget = SearchBudget(denom_bound=100)
-    assert find_decreasing_chain(StandardSet(), 2, budget) is None
-    assert find_decreasing_chain(StandardSet(), 5, budget) is None
-    one = find_decreasing_chain(StandardSet(), 1, budget)
+    assert find_decreasing_chain(StandardSet(), 2, 100) is None
+    assert find_decreasing_chain(StandardSet(), 5, 100) is None
+    one = find_decreasing_chain(StandardSet(), 1, 100)
     assert one is not None and one.elements == (F(99, 100),)
     # below the bound 1 the set holds 0 alone, no positive member
-    assert find_decreasing_chain(StandardSet(), 1, SearchBudget(denom_bound=1)) is None
+    assert find_decreasing_chain(StandardSet(), 1, 1) is None
 
 
 def test_find_chain_closure():
     desc = SumClosure(truncated_standard(43), denom_bound=2000)
-    budget = SearchBudget(denom_bound=2000)
-    chain = find_decreasing_chain(desc, 5, budget)
+    chain = find_decreasing_chain(desc, 5, 2000)
     assert chain is not None and len(chain.elements) == 5
-    members = set(materialize(desc, budget))
+    members = set(materialize(desc, 2000))
     for e in chain.elements:
         assert e in members and e > 0
     diffs = [a - b for a, b in zip(chain.elements, chain.elements[1:])]
@@ -141,7 +138,7 @@ def test_verdict_closure_not_dcc():
     gaps = [e - limit for e in chain.elements]
     assert all(b <= a / 2 for a, b in zip(gaps, gaps[1:]))
     # every element is a verified member
-    members = set(materialize(desc, SearchBudget(denom_bound=2000)))
+    members = set(materialize(desc, 2000))
     assert all(e in members for e in chain.elements)
 
 
@@ -203,12 +200,11 @@ def test_verdict_soundness_against_chain_search():
         UnionSet((StandardSet(), FiniteSet((F(1, 3),)))),
         SumClosure(truncated_standard(20), denom_bound=500),
     ]
-    budget = SearchBudget(chain_length=5, denom_bound=500)
     for d in descs:
-        v = dcc_verdict(d, budget)
+        v = dcc_verdict(d, 500, 5)
         if v.verdict == "DCC":
             assert not isinstance(d, SumClosure)
-            long_chain = find_decreasing_chain(d, 50, budget)
+            long_chain = find_decreasing_chain(d, 50, 500)
             if long_chain is not None:
                 assert isinstance(d, FiniteSet) and len(d.values) >= 50
 
@@ -315,14 +311,10 @@ _sets = st.recursive(
     max_leaves=4,
 )
 _closures = st.builds(_closure, _sets, _bounds, st.booleans())
-_budgets = st.builds(
-    SearchBudget,
-    chain_length=st.integers(min_value=1, max_value=6),
-    denom_bound=_bounds,
-)
+_lengths = st.integers(min_value=1, max_value=6)
 # sum caps that fire on the larger draws, and the default (None); the
 # Fraction references draw a lowered cap, which keeps their quadratic searches
-# short, as max_size <= 400 did when it was part of the budget
+# short, as max_size <= 400 did when it was a search option
 _lowered_caps = st.integers(min_value=1, max_value=400)
 _caps = st.one_of(st.none(), _lowered_caps)
 
@@ -351,22 +343,22 @@ def _on_fractions(parent_search):
     return lambda big_l, nums, length: parent_search([F(x, big_l) for x in nums], length)
 
 
-@given(_closures, _budgets, _lowered_caps)
+@given(_closures, _bounds, _lengths, _lowered_caps)
 @settings(max_examples=150, deadline=None)
-def test_closure_search_matches_the_fraction_reference(desc, budget, cap):
+def test_closure_search_matches_the_fraction_reference(desc, bound, length, cap):
     _parent_materialize_closure.cache_clear()
     with _sum_cap(cap):
-        got = materialize(desc, budget)
-        assert got == _reference_materialize(desc, budget.denom_bound)
-        chain = find_decreasing_chain(desc, budget.chain_length, budget)
-        verdict = dcc_verdict(desc, budget)
+        got = materialize(desc, bound)
+        assert got == _reference_materialize(desc, bound)
+        chain = find_decreasing_chain(desc, length, bound)
+        verdict = dcc_verdict(desc, bound, length)
         # the same searches over the reference's members, by the parent's Fraction searches
         with mock.patch.object(dcc, "_members", _reference_members), \
                 mock.patch.object(dcc, "_arithmetic_run_chain",
                                   _on_fractions(_parent_arithmetic_run_chain)), \
                 mock.patch.object(dcc, "_halving_chain", _on_fractions(_parent_halving_chain)):
-            assert chain == find_decreasing_chain(desc, budget.chain_length, budget)
-            assert verdict == dcc_verdict(desc, budget)
+            assert chain == find_decreasing_chain(desc, length, bound)
+            assert verdict == dcc_verdict(desc, bound, length)
 
 
 # ---------------------------------------------------------------------------
@@ -472,43 +464,64 @@ def _parent_halving_chain(values, length):
     return None
 
 
-# budgets whose denominator bound fires on some draws
-_tight_budgets = st.builds(
-    SearchBudget,
-    chain_length=st.integers(min_value=1, max_value=6),
-    denom_bound=st.integers(min_value=1, max_value=40),
-)
+# denominator bounds that fire on some draws
+_tight_bounds = st.integers(min_value=1, max_value=40)
 
 
 # a closure over a closure: the inner search can fire where the outer one does not
 _nested_closures = st.builds(_closure, _closures, _bounds, st.booleans())
 
 
-@given(st.one_of(_sets, _closures, _nested_closures), st.one_of(_budgets, _tight_budgets),
-       _lowered_caps, st.data())
+def _closure_nodes(desc):
+    if isinstance(desc, UnionSet):
+        return sum(map(_closure_nodes, desc.members))
+    if isinstance(desc, SumClosure):
+        return 1 + _closure_nodes(desc.base)
+    return 0
+
+
+# unions of up to six closures, past SET_CLOSURE_CAP on some draws
+_closure_unions = st.lists(_closures, min_size=1, max_size=6).map(lambda ms: UnionSet(tuple(ms)))
+
+
+@given(st.one_of(_sets, _nested_closures, _closure_unions))
+@example(UnionSet(tuple(SumClosure(StandardSet(), d) for d in range(1996, 2001))))
+@settings(max_examples=200, deadline=None)
+def test_desc_json_roundtrips_up_to_the_closure_cap(desc):
+    data = desc_to_json(desc)
+    if _closure_nodes(desc) <= dcc.SET_CLOSURE_CAP:
+        assert desc_from_json(data) == desc
+    else:
+        with pytest.raises(PreconditionError, match=(
+                rf"holds {_closure_nodes(desc)} closures, more than the cap "
+                rf"SET_CLOSURE_CAP = {dcc.SET_CLOSURE_CAP}$")):
+            desc_from_json(data)
+
+
+@given(st.one_of(_sets, _closures, _nested_closures), st.one_of(_bounds, _tight_bounds),
+       _lowered_caps)
 @settings(max_examples=300, deadline=None)
-def test_members_walk_matches_the_parent_walks(desc, budget, cap, data):
+def test_members_walk_matches_the_parent_walks(desc, bound, cap):
     _parent_materialize_closure.cache_clear()
-    bound = data.draw(st.one_of(st.just(budget.denom_bound), _bounds))
     with _sum_cap(cap):
         big_l, nums, stop = dcc._members(desc, bound)
         assert (big_l, nums) == _over_one_denominator(_reference_materialize(desc, bound))
         assert stop == _parent_search_stop(desc, bound)
 
 
-@given(st.one_of(_sets, _closures, _nested_closures), st.one_of(_budgets, _tight_budgets),
-       _caps, st.integers(min_value=1, max_value=6))
-@example(FiniteSet((F(1, 2), F(1, 3))), SearchBudget(denom_bound=2), None, 2)
-@example(UnionSet((FiniteSet((F(1, 2), F(1, 3))),)), SearchBudget(denom_bound=2), None, 2)
-@example(StandardSet(), SearchBudget(denom_bound=1), None, 1)
+@given(st.one_of(_sets, _closures, _nested_closures), st.one_of(_bounds, _tight_bounds),
+       _caps, _lengths)
+@example(FiniteSet((F(1, 2), F(1, 3))), 2, None, 2)
+@example(UnionSet((FiniteSet((F(1, 2), F(1, 3))),)), 2, None, 2)
+@example(StandardSet(), 1, None, 1)
 @settings(max_examples=300, deadline=None)
-def test_every_chain_lies_in_the_members_under_the_same_budget(desc, budget, cap, length):
+def test_every_chain_lies_in_the_members_under_the_same_budget(desc, bound, cap, length):
     # finite sets hold values past the bound on some draws, the standard set
     # is drawn at bounds down to 1, and closures list 1 in the base or not
     with _sum_cap(cap):
-        chain = find_decreasing_chain(desc, length, budget)
+        chain = find_decreasing_chain(desc, length, bound)
         if chain is not None:
-            members = set(materialize(desc, budget))
+            members = set(materialize(desc, bound))
             assert len(chain.elements) == length
             assert all(e > 0 and e in members for e in chain.elements)
 
@@ -540,22 +553,23 @@ def _holds_a_closure(desc):
         isinstance(desc, UnionSet) and any(map(_holds_a_closure, desc.members)))
 
 
-@given(st.one_of(_sets, _closures, _nested_closures, _flat_closures), _budgets, _lowered_caps)
+@given(st.one_of(_sets, _closures, _nested_closures, _flat_closures), _bounds, _lengths,
+       _lowered_caps)
 @settings(max_examples=300, deadline=None)
-def test_a_lowered_sum_cap_keeps_a_subset_of_the_members(desc, budget, cap):
+def test_a_lowered_sum_cap_keeps_a_subset_of_the_members(desc, bound, length, cap):
     dcc._members.cache_clear()
-    full = set(materialize(desc, budget))
+    full = set(materialize(desc, bound))
     with _sum_cap(cap):
-        capped = set(materialize(desc, budget))
-        chain = find_decreasing_chain(desc, budget.chain_length, budget)
-        verdict = dcc_verdict(desc, budget)
-        stop = dcc._members(desc, budget.denom_bound)[2]
+        capped = set(materialize(desc, bound))
+        chain = find_decreasing_chain(desc, length, bound)
+        verdict = dcc_verdict(desc, bound, length)
+        stop = dcc._members(desc, bound)[2]
     assert capped <= full
     assert chain is None or set(chain.elements) <= capped
     assert verdict.witness is None or set(verdict.witness.elements) <= capped
     if isinstance(desc, SumClosure) and not _holds_a_closure(desc.base):
         # the cap fires exactly when the search without it examines more sums
-        fired = _reference_closure_walk(desc, budget.denom_bound, inf)[1] > cap
+        fired = _reference_closure_walk(desc, bound, inf)[1] > cap
         assert (stop == "max_size") == fired
         if verdict.verdict == "UNKNOWN":
             assert ("SEARCH_SUM_CAP" in verdict.reason) == fired
