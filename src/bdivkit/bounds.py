@@ -37,7 +37,6 @@ from .exact import (
     checked_power,
     cofactor_normal,
     determinant,
-    format_int,
     format_rat,
     parse_int,
     parse_int_list,
@@ -60,7 +59,7 @@ class BoundReport:
     def to_json(self) -> dict:
         out = {"kind": self.kind}
         for key, val in sorted(self.values.items()):
-            out[key] = format_int(val) if isinstance(val, int) else format_rat(val)
+            out[key] = format_rat(val)
         if self.notes:
             out["notes"] = dict(sorted(self.notes.items()))
         return out

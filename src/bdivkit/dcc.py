@@ -19,10 +19,13 @@ closure, which is all a NOT_DCC witness needs.
 
 Every question takes the members' denominator bound as a plain int
 (DEFAULT_DENOM_BOUND when a caller names none), and a verdict takes the
-length of its witness chain (DEFAULT_CHAIN_LENGTH).  Two caps bound the work
+length of its witness chain (DEFAULT_CHAIN_LENGTH).  Caps bound the work
 the search leaves: the standard set is listed up to the bound
-STANDARD_BOUND_CAP, and a description read from JSON holds at most
-SET_CLOSURE_CAP closures, since each closure pays SEARCH_SUM_CAP.
+STANDARD_BOUND_CAP, a description read from JSON holds at most
+SET_CLOSURE_CAP closures, since each closure pays SEARCH_SUM_CAP, a
+closure's base has a common denominator of at most CLOSURE_LCM_BITS_CAP
+bits, since every sum is an integer over it, and the run search of a chain
+makes at most CHAIN_PROBE_CAP probes.
 
 Members are integers inside this module: a set's members are numerators
 over L, the lcm of their denominators, so an exceptional sum is
@@ -64,6 +67,21 @@ def standard_coeff(r: int) -> Fraction:
 # closures of the tests, goldens and benchmark have at most 69 members.
 CLOSURE_SIZE_CAP = 2000
 
+# the bits of L, the lcm of a closure's base denominators, which every sum
+# and member of the closure is an integer over: lcm(1..STANDARD_BOUND_CAP) has
+# 5756, so the standard set's closure at that bound is admitted.  Each sum
+# costs time in proportion to the size of L: 600 values (p-1)/p for primes p
+# below 30,000 (L of 8,827 bits) took 9.5 s and 263 MiB under `dcc`.
+CLOSURE_LCM_BITS_CAP = 5756
+
+
+def _check_closure_lcm(big_l: int) -> None:
+    if big_l.bit_length() > CLOSURE_LCM_BITS_CAP:
+        raise PreconditionError(
+            f"the closure's base has a common denominator of {big_l.bit_length()} bits, "
+            f"more than the cap CLOSURE_LCM_BITS_CAP = {CLOSURE_LCM_BITS_CAP}"
+        )
+
 
 def exceptional_closure(values, denom_bound: int) -> list:
     """Full closure of a finite set of checked values under the exceptional sum.
@@ -72,24 +90,27 @@ def exceptional_closure(values, denom_bound: int) -> list:
     not generate), which keeps the universe finite; the result is sorted
     ascending.  The sum of two values below 1 never reaches 1, so 1 is in
     the closure exactly when the values list it.  A closure with more than
-    CLOSURE_SIZE_CAP members is refused.
+    CLOSURE_SIZE_CAP members, the base among them, and a base whose common
+    denominator has more than CLOSURE_LCM_BITS_CAP bits are refused.
     """
     if denom_bound < 1:
         raise PreconditionError("denominator bound must be >= 1")
     big_l, out = _numerators([v for v in values if v.denominator <= denom_bound])
+    _check_closure_lcm(big_l)
     frontier = set(out)
     while frontier:
         fresh = set()
         for a in frontier:
+            # checked before each row, so the first refuses a base past the cap
+            if len(out) + len(fresh) > CLOSURE_SIZE_CAP:
+                raise PreconditionError(
+                    "the closure has more members than the cap "
+                    f"CLOSURE_SIZE_CAP = {CLOSURE_SIZE_CAP}"
+                )
             for b in out:
                 e = a + b - big_l
                 if e >= 0 and e not in out and big_l // gcd(e, big_l) <= denom_bound:
                     fresh.add(e)
-                    if len(out) + len(fresh) > CLOSURE_SIZE_CAP:
-                        raise PreconditionError(
-                            "the closure has more members than the cap "
-                            f"CLOSURE_SIZE_CAP = {CLOSURE_SIZE_CAP}"
-                        )
         out |= fresh
         frontier = fresh
     return [Fraction(x, big_l) for x in sorted(out)]
@@ -277,6 +298,7 @@ def _members(desc: CoeffSetDesc, denom_bound: int) -> tuple:
         raise PreconditionError(f"unknown set description: {desc!r}")
     bound = min(denom_bound, desc.denom_bound)
     big_l, base_nums, base_stop = _members(desc.base, bound)
+    _check_closure_lcm(big_l)
     current = set(base_nums)
     frontier = base_nums
     # the frontier rows, of len(base_nums) sums each, that SEARCH_SUM_CAP allows
@@ -332,6 +354,13 @@ class Chain:
         return out
 
 
+# (q, k) probes one arithmetic-run search makes: a scan up to the denominator
+# q costs about q^2 / 2, so `chain` on the closure of {1/2, (q-1)/q} at bound
+# q took 5.4 s at q = 20000 as a fresh process on a 2-vCPU machine, and
+# nothing caps the bound.
+CHAIN_PROBE_CAP = 1_000_000
+
+
 def _arithmetic_run_chain(big_l: int, nums: tuple, length: int) -> Chain | None:
     """A descending run k0/q > (k0-1)/q > ... inside the members, if any.
 
@@ -339,13 +368,16 @@ def _arithmetic_run_chain(big_l: int, nums: tuple, length: int) -> Chain | None:
     denominators q ascending, up to the largest reduced denominator of a
     member, and returns the first run of consecutive multiples of 1/q of the
     requested length.  k/q is a member exactly when k L / q is an integer
-    and one of the numerators.
+    and one of the numerators.  The search stops, finding no run, before a q
+    whose q - 1 probes, one per k, would take the total past CHAIN_PROBE_CAP.
     """
     members = set(nums)
     if not members:
         return None
     max_q = max(big_l // gcd(x, big_l) for x in members)
     for q in range(2, max_q + 1):
+        if q * (q - 1) // 2 > CHAIN_PROBE_CAP:  # the probes up to q
+            return None
         run = []
         for k in range(q - 1, 0, -1):
             if k * big_l % q == 0 and k * big_l // q in members:

@@ -160,18 +160,6 @@ def _digit_limit_error() -> PreconditionError:
     )
 
 
-def format_int(x: int) -> str:
-    """Decimal text of an integer; one too long to convert is bad input.
-
-    Python refuses to convert integers longer than ``sys.get_int_max_str_digits()``
-    digits (4300 by default) to decimal; that limit is left as it is.
-    """
-    try:
-        return str(x)
-    except ValueError as exc:
-        raise _digit_limit_error() from exc
-
-
 def checked_power(base: Fraction | int, k: int) -> Fraction | int:
     """base ** k for a result to be printed, refused before it is computed
     when its numerator or denominator must pass the digit limit.
@@ -193,7 +181,9 @@ def checked_power(base: Fraction | int, k: int) -> Fraction | int:
 def format_rat(x) -> str:
     """Serialize a Fraction or an int as ``"p/q"`` in lowest terms (``"p"`` when q=1).
 
-    A part past the digit limit is bad input, as in ``format_int``.
+    A part past the digit limit is bad input: Python refuses to convert
+    integers longer than ``sys.get_int_max_str_digits()`` digits (4300 by
+    default) to decimal, and that limit is left as it is.
     """
     num, den = x.numerator, x.denominator
     try:
@@ -225,10 +215,6 @@ def parse_rat_list(values) -> tuple[Fraction, ...]:
 
 def parse_int_list(values, key: str) -> tuple[int, ...]:
     return tuple(parse_int(v, key) for v in parse_list(values, f"integers for {key!r}"))
-
-
-def format_rat_list(values) -> list[str]:
-    return [format_rat(v) for v in values]
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,7 @@ from .exact import (
     LatticeVec,
     PreconditionError,
     complement_weights,
-    format_int,
     format_rat,
-    format_rat_list,
     is_primitive,
     lattice_vec,
     parse_int,
@@ -98,7 +96,7 @@ class LocalPair:
         return all(c < 1 for c in self.coeffs)
 
     def to_json(self) -> dict:
-        return {"n": self.n, "coeffs": format_rat_list(self.coeffs)}
+        return {"n": self.n, "coeffs": [format_rat(c) for c in self.coeffs]}
 
     @classmethod
     def from_json(cls, data: dict) -> "LocalPair":
@@ -182,12 +180,12 @@ class BDivisor:
         i = unit_index(v)
         return _ONE if i is None else self.pair_coeffs[i]
 
-    def to_json(self, fmt=format_rat) -> dict:
+    def to_json(self) -> dict:
         return {
-            "pair": format_rat_list(self.pair_coeffs),
+            "pair": [format_rat(c) for c in self.pair_coeffs],
             # the writer renders a tuple as it renders a list
             "deviations": [
-                {"v": k, "value": fmt(val)}
+                {"v": k, "value": format_rat(val)}
                 for k, val in sorted(self.deviations.items())
             ],
         }
@@ -307,8 +305,8 @@ class RoundingReport:
 
     def to_json(self) -> dict:
         return {
-            "floor_m": [format_int(x) for x in self.floor_up],
-            "ceil_m_minus_1": [format_int(x) for x in self.ceil_down],
+            "floor_m": [format_rat(x) for x in self.floor_up],
+            "ceil_m_minus_1": [format_rat(x) for x in self.ceil_down],
             "le": self.le,
             "equal": self.equal,
         }

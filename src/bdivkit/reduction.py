@@ -262,11 +262,11 @@ class ReductionState:
         """
         return tuple(map(self.bdiv.value, self.fan.rays)) == self.phi.ray_coeffs
 
-    def to_json(self, fmt=format_rat) -> dict:
+    def to_json(self) -> dict:
         return {
             "fan": self.fan.to_json(),
-            "phi": [fmt(c) for c in self.phi.ray_coeffs],
-            "B": self.bdiv.to_json(fmt),
+            "phi": [format_rat(c) for c in self.phi.ray_coeffs],
+            "B": self.bdiv.to_json(),
         }
 
     @classmethod
@@ -298,13 +298,13 @@ class CutStep:
     rays_added: tuple
     theta: tuple  # (ray, value) pairs on the new fan
 
-    def to_json(self, fmt=format_rat) -> dict:
+    def to_json(self) -> dict:
         # the writer renders a tuple as it renders a list
         return {
             "weight_before": self.weight_before,
             "sigmas": self.sigmas,
             "rays_added": self.rays_added,
-            "theta": [{"ray": r, "value": fmt(v)} for r, v in self.theta],
+            "theta": [{"ray": r, "value": format_rat(v)} for r, v in self.theta],
         }
 
 
@@ -438,23 +438,10 @@ class ReductionTrace:
     terminated_weight: int
 
     def to_json(self) -> dict:
-        """The trace as JSON, each value of the final trace formatted once.
-
-        The last step's theta, the final phi and the final B's values at the
-        rays are mostly the same ``Fraction`` objects (``_cut_state``), so
-        phi's texts are looked up by object identity, sound while this trace
-        holds every object asked about; other values are formatted anew.
-        """
-        phi = self.final_state.phi.ray_coeffs
-        texts = dict(zip(map(id, phi), map(format_rat, phi)))
-
-        def fmt(x):
-            return texts.get(id(x)) or format_rat(x)
-
         return {
             "initial_weight": self.initial_weight,
-            "steps": [s.to_json(fmt) for s in self.steps],
-            "final": self.final_state.to_json(fmt),
+            "steps": [s.to_json() for s in self.steps],
+            "final": self.final_state.to_json(),
             "terminated_weight": self.terminated_weight,
         }
 

@@ -310,7 +310,7 @@ def test_fermat_examples():
 
 def test_fermat_refuses_past_the_digit_limit_before_any_factorial(monkeypatch):
     import bdivkit.bounds as bounds_mod
-    from bdivkit.exact import format_int
+    from bdivkit.exact import format_rat
 
     def factorial_ran(k):
         raise AssertionError("the factorial ran before the power was bounded")
@@ -320,7 +320,7 @@ def test_fermat_refuses_past_the_digit_limit_before_any_factorial(monkeypatch):
         fermat_report(100000, 100003)
     # the message of the refusal printing the product would have met
     with pytest.raises(PreconditionError) as printed:
-        format_int(100003 ** 1000)
+        format_rat(100003 ** 1000)
     assert str(refused.value) == str(printed.value)
 
 

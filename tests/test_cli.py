@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import math
 import contextlib
 import os
 import re
@@ -342,6 +343,19 @@ _FIVE_CLOSURES = ["dcc", "--set", json.dumps({"kind": "union", "members": [
     {"kind": "closure", "base": {"kind": "standard"}, "denom_bound": d}
     for d in range(1996, 2001)]})]
 
+# the 2,192 reduced fractions below 1/2 with denominators up to 120: no two
+# have a nonnegative exceptional sum, so the base is the whole closure
+_CLOSURE_BASE_PAST_THE_CAP = ["closure", "--base", json.dumps([
+    f"{k}/{q}" for q in range(2, 121) for k in range(1, (q + 1) // 2) if math.gcd(k, q) == 1]),
+    "--denom-bound", "120"]
+
+# the standard coefficients up to 4000/4001 listed as a finite base: its
+# common denominator lcm(1..4001) has 12 bits more than lcm(1..4000)
+_PAST_THE_LCM_CAP = json.dumps([f"{r - 1}/{r}" for r in range(2, 4002)])
+_CLOSURE_PAST_THE_LCM_CAP = ["dcc", "--set", json.dumps({
+    "kind": "closure", "base": {"kind": "finite", "values": json.loads(_PAST_THE_LCM_CAP)},
+    "denom_bound": 4001}), "--denom-bound", "4001"]
+
 BAD_INPUTS = [
     ["ldisc", "--pair", '{"n":2,"coeffs":["1/2"]}', "--v", "[1,1]"],
     ["ldisc", "--pair", '{"n":2,"coeffs":["1/2","0.5"]}', "--v", "[1,1]"],
@@ -657,6 +671,9 @@ BAD_INPUTS = [
     # the standard set is listed up to a cap, and a description holds few closures
     pytest.param(_STANDARD_PAST_THE_CAP, id="chain --verify on the standard set past its cap"),
     pytest.param(_FIVE_CLOSURES, id="dcc on five closures"),
+    # a closure's base is held to the size cap, and its common denominator to a cap
+    pytest.param(_CLOSURE_BASE_PAST_THE_CAP, id="closure base past the size cap"),
+    pytest.param(_CLOSURE_PAST_THE_LCM_CAP, id="dcc closure base past the lcm cap"),
 ]
 
 
@@ -747,6 +764,10 @@ _DIGIT_LIMIT = f"{sys.get_int_max_str_digits()} digits"
      "dcc takes no argument 'max_size', 'rounds'"),
     (_STANDARD_PAST_THE_CAP, "STANDARD_BOUND_CAP = 4000, got 100000"),
     (_FIVE_CLOSURES, "holds 5 closures, more than the cap SET_CLOSURE_CAP = 4"),
+    (_CLOSURE_BASE_PAST_THE_CAP, "more members than the cap CLOSURE_SIZE_CAP = 2000"),
+    (_CLOSURE_PAST_THE_LCM_CAP, "5768 bits, more than the cap CLOSURE_LCM_BITS_CAP = 5756"),
+    (["closure", "--base", _PAST_THE_LCM_CAP, "--denom-bound", "4001"],
+     "5768 bits, more than the cap CLOSURE_LCM_BITS_CAP = 5756"),
 ])
 def test_errors_name_their_cause(argv, cause):
     code, _, err = _run_catching_exit(main, argv)  # an error in argv exits from the parser
@@ -772,6 +793,14 @@ def test_ltrace_verify_outside_dimension_2_says_its_oracle_was_skipped():
         "--verify"])
     assert code == 0
     assert json.loads(out)["verified"] == "oracle-skipped"
+
+
+def test_lcoeff_verify_outside_dimension_2_says_its_oracle_was_skipped():
+    # the only formula for n != 2 is pullback_coeff's own body
+    code, out, _ = run_cli(["lcoeff", "--pair", '{"n":3,"coeffs":["1/2","2/3","3/4"]}',
+                            "--v", "[1,1,0]", "--verify"])
+    assert code == 0
+    assert json.loads(out) == {"coeff": "1/6", "verified": "oracle-skipped"}
 
 
 @pytest.mark.parametrize("coeffs, v, expected", [
@@ -930,6 +959,37 @@ def test_listing_the_standard_set_past_its_cap_is_refused_at_once():
     code, out, _ = run_cli(["dcc", "--set", '{"kind":"standard"}', "--denom-bound", "100000",
                             "--verify"])
     assert code == 0 and json.loads(out)["verdict"] == "DCC"
+
+
+# the closure of {1/2, 19999/20000} at 20000, whose first run of length 3 lies
+# at q = 10000: about 5 * 10^7 probes, past CHAIN_PROBE_CAP
+_CHAIN_PAST_THE_PROBE_CAP = ["chain", "--set", json.dumps({
+    "kind": "closure", "base": {"kind": "finite", "values": ["1/2", "19999/20000"]},
+    "denom_bound": 20000}), "--length", "3", "--denom-bound", "20000"]
+
+
+def test_chain_past_the_probe_cap_answers_at_once():
+    # the scan took 5.4 s before the cap; past it the halving chain answers
+    start = time.perf_counter()
+    code, out, _ = run_cli(_CHAIN_PAST_THE_PROBE_CAP + ["--verify"])
+    assert time.perf_counter() - start < 1.0
+    data = json.loads(out)
+    assert code == 0 and data["verified"] is True
+    assert data["found"] and len(data["chain"]["elements"]) == 3
+
+
+def test_closure_bases_past_their_caps_are_refused_at_once():
+    for argv, cap in [(_CLOSURE_BASE_PAST_THE_CAP, "CLOSURE_SIZE_CAP"),
+                      (_CLOSURE_PAST_THE_LCM_CAP, "CLOSURE_LCM_BITS_CAP")]:
+        start = time.perf_counter()
+        code, _, err = run_cli(argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and cap in json.loads(err)["error"]
+
+
+def test_the_lcm_cap_is_the_bits_of_the_standard_sets_at_its_cap():
+    assert dcc_mod.CLOSURE_LCM_BITS_CAP == math.lcm(
+        *range(1, dcc_mod.STANDARD_BOUND_CAP + 1)).bit_length()
 
 
 def test_dcc_long_chain_search_over_a_large_closure_is_bounded():

@@ -112,6 +112,19 @@ def test_find_chain_closure():
     assert all(d2 <= d1 for d1, d2 in zip(diffs, diffs[1:]))
 
 
+def test_the_run_search_stops_at_the_probe_cap(monkeypatch):
+    # the closure of {1/2, 19/20} holds the run 5/10 > 4/10 > 3/10, which the
+    # search reaches at q = 10 after 1 + 2 + ... + 9 = 45 probes
+    desc = SumClosure(FiniteSet((F(1, 2), F(19, 20))), denom_bound=20)
+    monkeypatch.setattr(dcc, "CHAIN_PROBE_CAP", 45)
+    run = find_decreasing_chain(desc, 3, 20)
+    assert run.elements == (F(1, 2), F(2, 5), F(3, 10)) and run.limit is None
+    # one probe fewer stops before q = 10, and the halving chain answers
+    monkeypatch.setattr(dcc, "CHAIN_PROBE_CAP", 44)
+    halving = find_decreasing_chain(desc, 3, 20)
+    assert halving.elements == (F(19, 20), F(1, 2), F(2, 5)) and halving.limit == F(3, 10)
+
+
 def test_chain_type_validates():
     with pytest.raises(PreconditionError):
         Chain((F(1, 2), F(1, 2)))

@@ -21,7 +21,7 @@ from pathlib import Path
 import bdivkit.cli as cli_mod
 import bdivkit.dcc as dcc_mod
 import bdivkit.fans as fans_mod
-from test_cli import BAD_INPUTS, CASES, GOLDEN
+from test_cli import _CHAIN_PAST_THE_PROBE_CAP, BAD_INPUTS, CASES, GOLDEN
 
 SRC = Path(cli_mod.__file__).resolve().parent
 
@@ -38,6 +38,8 @@ EXTRA = [
         {"kind": "closure", "base": {"kind": "finite", "values": ["6/7"]}, "denom_bound": 7},
     ]}), "--verify"],
     ["chain", "--set", '{"kind":"standard"}', "--length", "1", "--denom-bound", "12"],
+    # a run search stopped at CHAIN_PROBE_CAP
+    _CHAIN_PAST_THE_PROBE_CAP,
     # the command line: help for a command, an option shortened, --out, --file
     ["minvol", "-h"],
     ["minvol", "--ver", "--n", "1"],

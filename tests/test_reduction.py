@@ -829,23 +829,6 @@ def test_a_klt_surface_cut_builds_no_cone_after_its_cut(monkeypatch):
         assert "max_cones" not in fan.__dict__
 
 
-def test_a_reduction_formats_each_final_trace_value_once(monkeypatch):
-    pair = LocalPair((F(4, 5), F(5, 6)))
-    trace = run_reduction(pair, BDivisor(pair.coeffs, {(2, 3): F(0)}))
-    plain = {
-        "initial_weight": trace.initial_weight,
-        "steps": [s.to_json() for s in trace.steps],
-        "final": trace.final_state.to_json(),
-        "terminated_weight": trace.terminated_weight,
-    }
-    calls = []
-    real = reduction_mod.format_rat
-    monkeypatch.setattr(reduction_mod, "format_rat", lambda x: calls.append(x) or real(x))
-    assert trace.to_json() == plain
-    # here the last theta and B hold only the final trace's own objects
-    assert len(calls) == len(trace.final_state.fan.rays)
-
-
 # ---------------------------------------------------------------------------
 # the commands answer in the input's coordinates, however the components are
 # numbered
