@@ -12,7 +12,12 @@ weight the oracle shares code or values with the fast path, and ``lcoeff``
 with n != 2 has none, so it prints "oracle-skipped".
 ``reduce`` has no oracle of its own: ``run_reduction`` checks every output
 with ``verify_reduction``, so ``reduce`` prints ``verify_ok``, and with
-``--verify`` "oracle-skipped".
+``--verify`` "oracle-skipped".  ``dcc`` reads its verdict from the set
+description alone, and its oracle derives each witness 1/m again from the
+standard coefficient (m-1)/m by exceptional sums; ``chain``'s oracle checks
+each member by rule, or in the listed members of a closure that does not
+hold the standard set.  ``batch`` reads its entries from ``--file`` alone
+and refuses ``--json`` and ``--verify``.
 
 The command line is ``bdivkit COMMAND [OPTION ...]``, read by ``Parser``
 straight from the table ``_COMMANDS``; an error in argv itself exits 2 with
@@ -25,7 +30,6 @@ import io
 import json
 import re
 import sys
-from bisect import bisect_left
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import chain, product as iter_product, repeat
@@ -59,7 +63,7 @@ from .dcc import (
     dcc_verdict,
     exceptional_closure,
     find_decreasing_chain,
-    materialize,
+    members_among,
 )
 from .exact import (
     InvariantViolation,
@@ -99,14 +103,6 @@ def _mismatch(what: str, fast, oracle):
 def _ensure_match(what: str, fast, oracle) -> None:
     if fast != oracle:
         _mismatch(what, fast, oracle)
-
-
-def _check_members(what: str, members: list, elements) -> None:
-    """Refuse the first of elements missing from the sorted list members."""
-    for e in elements:
-        i = bisect_left(members, e)
-        if i == len(members) or members[i] != e:
-            _mismatch(what, "[" + ", ".join(map(format_rat, elements)) + "]", format_rat(e))
 
 
 def _arg(p, key, default):
@@ -357,7 +353,12 @@ def _cmd_chain(p):
     if chain is not None:
         out["chain"] = chain.to_json()
         if p.get("verify"):
-            _check_members("chain membership", materialize(desc, bound), chain.elements)
+            found = members_among(desc, chain.elements, bound)
+            for e in chain.elements:
+                if not (e > 0 and e in found):
+                    _mismatch("chain membership",
+                              "[" + ", ".join(map(format_rat, chain.elements)) + "]",
+                              format_rat(e))
             out["verified"] = True
     return out
 
@@ -365,12 +366,15 @@ def _cmd_chain(p):
 def _cmd_dcc(p):
     desc = desc_from_json(p["set"])
     length = _positive_arg(p, "threshold", DEFAULT_CHAIN_LENGTH)
-    bound = _positive_arg(p, "denom_bound", DEFAULT_DENOM_BOUND)
-    verdict = dcc_verdict(desc, bound, length)
+    verdict = dcc_verdict(desc, length)
     out = verdict.to_json()
     if p.get("verify") and verdict.witness is not None:
-        _check_members("dcc witness membership", materialize(desc, bound),
-                       verdict.witness.elements)
+        # each element 1/m again as the exceptional sum of m - 1 copies of the
+        # standard coefficient (m-1)/m, which is (m-1)^2/m - (m-2); its partial
+        # sums (m-1-j)/m stay non-negative, so every sum is kept
+        for e in verdict.witness.elements:
+            m = e.denominator
+            _ensure_match("dcc witness", e, (m - 1) * Fraction(m - 1, m) - (m - 2))
         out["verified"] = True
     return out
 
@@ -733,8 +737,7 @@ _COMMANDS = {
                 _cmd_closure),
     "chain": ("find a strictly decreasing chain in a set",
               (("--set", _JSON), ("--length", int), ("--denom-bound", int)), _cmd_chain),
-    "dcc": ("three-valued descending-chain verdict",
-            (("--set", _JSON), ("--threshold", int), ("--denom-bound", int)), _cmd_dcc),
+    "dcc": ("descending-chain verdict", (("--set", _JSON), ("--threshold", int)), _cmd_dcc),
     "sylvester": ("terms of r0=1, r_{k+1}=r_k(r_k+1)", (("--k", int),), _cmd_sylvester),
     "minvol": ("minimal-volume candidate 1/r_{n+2}^n", (("--n", int),), _cmd_minvol),
     "pnvol": ("log volume of projective space with n+2 hyperplanes",
@@ -1049,6 +1052,10 @@ def main(argv=None) -> int:
     out = options.pop("out", None)
     try:
         if command == "batch":
+            given = [f"--{key}" for key in ("json", "verify") if options.get(key) is not None]
+            if given:
+                raise PreconditionError(
+                    f"batch takes no {' or '.join(given)}: each entry carries its own arguments")
             if not options.get("file"):
                 raise PreconditionError("batch needs --file with the entries")
             data = _read_json_file(options["file"])

@@ -1,54 +1,59 @@
-"""Coefficient-set descriptions and descending-chain diagnostics.
+"""Coefficient-set descriptions, their members in descending order, and
+descending-chain verdicts.
 
 Coefficient sets live in [0, 1] and come in four shapes: explicit finite
 lists, the standard set {(r-1)/r : r in N}, unions, and closures under the
 exceptional-sum operation (b1, b2) -> b1 + b2 - 1 (kept only when
 non-negative) that a corner blow-up applies to boundary coefficients.
 
-Descending-chain verdicts are three-valued.  Finite sets and the standard
-set are decided structurally; closures are probed by a bounded breadth-first
-materialization, and a verdict of NOT_DCC always carries a verified witness
-chain whose distance to an explicit limit at least halves at every step.  A
-closure is never declared DCC: the search can only certify failure.
+A description denotes its whole set; verdicts are about that set.  A
+denominator bound, a caller's ``denom_bound`` or a closure's own, only cuts
+what is listed: the members whose denominators are at most the bound.  A
+closure cuts by pruning, so a sum past its bound is dropped before it can
+generate others, and a closure inside a closure is cut at the smaller bound.
+Every question is answered from four facts:
 
-Materializing a closure exactly is exponential, so the bounded search closes
-the base under *left-linear* applications (each round combines the members
-the last round added with the base only), for at most SEARCH_ROUNDS rounds
-and SEARCH_SUM_CAP exceptional sums; the result is a verified subset of the
-closure, which is all a NOT_DCC witness needs.
+1. The walk.  The exceptional sum of two members below 1 lies below both,
+   and a sum reaches 1 only as 1 + 1 - 1.  So the members of a closure
+   above x come only from members above x: popping the largest candidate,
+   pairing it with each member popped so far (they are larger) while the sum
+   stays non-negative, and pushing each new sum within the bound lists the
+   closure of a base with bounded denominators exactly, in descending order.
+   All of it is integers over L, the lcm of the base's denominators: a sum is
+   e = a + b - L, with reduced denominator L // gcd(e, L).
+2. The Farey form.  Cut at d, the closure of a base that holds the standard
+   set cut at d is the Farey fractions of order d in [0, 1), with 1 when the
+   base lists 1.  Proof: p/q with q <= d is (q-1)/q summed with (q-1)/q
+   q-1-p times, and the partial sums (q-1-j)/q have denominators dividing q;
+   conversely every member lies in [0, 1] with denominator at most d, and 1
+   only comes from the base.
+3. A closure whose base holds the standard set is not DCC: 1/m is (m-1)/m
+   summed with itself m-2 times, so 1/2 > 1/3 > 1/4 > ... lies in it and
+   descends to 0.
+4. Every other closure is DCC.  Its base's denominators divide one L (finite
+   sets have one, and unions and closures of such bases keep one), and every
+   sum is an integer over L, so the closure lies in (1/L)Z ∩ [0, 1], a
+   finite set.
 
-Every question takes the members' denominator bound as a plain int
-(DEFAULT_DENOM_BOUND when a caller names none), and a verdict takes the
-length of its witness chain (DEFAULT_CHAIN_LENGTH).  Caps bound the work
-the search leaves: the standard set is listed up to the bound
-STANDARD_BOUND_CAP, a description read from JSON holds at most
-SET_CLOSURE_CAP closures, since each closure pays SEARCH_SUM_CAP, a
-closure's base has a common denominator of at most CLOSURE_LCM_BITS_CAP
-bits, since every sum is an integer over it, and the run search of a chain
-makes at most CHAIN_PROBE_CAP probes.
+Finite sets are DCC, the standard set is too (increasing, accumulating only
+at 1), and a union is DCC exactly when each of its members is.
 
-Members are integers inside this module: a set's members are numerators
-over L, the lcm of their denominators, so an exceptional sum is
-e = a + b - L and its reduced denominator is L // gcd(e, L).  A closure keeps
-its base's L, since every sum has a denominator dividing it, and a union
-rescales its parts to the lcm of theirs.  Fractions are built only where a
-value leaves the module: by ``materialize`` and for the chains returned.
-
-One memoised walk over a description returns L, its sorted numerators and
-the first search limit that fired inside it (a union's first, in member
-order; a closure's own, else its base's), so a verdict reads all three from
-a single pass.  The chain searches run over those numerators and compare
-integers only.  In the halving search the members above a candidate limit
-are a suffix of the sorted numerators, and each chain step is one bisection
-into that suffix, so a search over N members costs O(N * length * log N)
-comparisons.
+So each description lists its members, cut at a bound, as one lazy stream
+in descending order: a finite set its values, the standard set (r-1)/r for
+r = d, ..., 1, a union the merge of its members' streams, and a closure the
+Farey fractions when its base holds the standard set at the closure's bound,
+else the walk over its base's members.  A chain is the first positive
+members of the stream, and a verdict reads the description alone.  The walk
+finds at most CLOSURE_SIZE_CAP members over an L of at most
+CLOSURE_LCM_BITS_CAP bits, and a description read from JSON holds at most
+SET_CLOSURE_CAP closures.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
-from functools import lru_cache
+from heapq import heapify, heappop, heappush, merge
+from itertools import chain, groupby, islice, starmap, takewhile
 from math import gcd, lcm
 
 from .exact import PreconditionError, format_rat, parse_int, parse_list, parse_rat_list, record
@@ -61,26 +66,57 @@ def standard_coeff(r: int) -> Fraction:
     return Fraction(r - 1, r)
 
 
-# the full closure pairs every new member with every member, so its time grows
-# with the square of its size: on a 2-vCPU machine the 1,966 values k/q with
-# q <= 80 take about 1 s, and refusing a larger closure takes about as long.  The
-# closures of the tests, goldens and benchmark have at most 69 members.
+# the members one walk finds, its base among them, the members one listing
+# holds, and the longest chain a caller may ask for: each member the walk pops
+# is paired with those popped before it, so its time grows with the square of
+# its size; `closure` on the 1,965 values k/q with q <= 80 takes 0.47 s in a
+# fresh process on a 2-vCPU machine.  The benchmark's closures have at most
+# 352 members, and its chains 4.
 CLOSURE_SIZE_CAP = 2000
 
-# the bits of L, the lcm of a closure's base denominators, which every sum
-# and member of the closure is an integer over: lcm(1..STANDARD_BOUND_CAP) has
-# 5756, so the standard set's closure at that bound is admitted.  Each sum
-# costs time in proportion to the size of L: 600 values (p-1)/p for primes p
-# below 30,000 (L of 8,827 bits) took 9.5 s and 263 MiB under `dcc`.
+# the bits of L, the lcm of a walked closure's base denominators, which every
+# sum and member is an integer over: lcm(1..4000) has 5756, so the standard
+# coefficients up to 3999/4000 are admitted as a finite base.  Each sum costs
+# time in proportion to the size of L: the walk over the 389 values (p-1)/p
+# for the largest primes p below 30,000 (L of 5,746 bits) reaches the size
+# cap in 1.9 s, and the 600 largest (8,827 bits) once took 9.5 s and 263 MiB.
 CLOSURE_LCM_BITS_CAP = 5756
 
 
-def _check_closure_lcm(big_l: int) -> None:
+def _walk(values, denom_bound: int):
+    """The closure of values (checked, with denominators <= denom_bound) under
+    the exceptional sum, pruned at denom_bound, in descending order (fact 1).
+
+    A base whose common denominator has more than CLOSURE_LCM_BITS_CAP bits
+    is refused, and so is a closure once the walk has found more than
+    CLOSURE_SIZE_CAP members, the base among them.
+    """
+    big_l = lcm(*(v.denominator for v in values))
     if big_l.bit_length() > CLOSURE_LCM_BITS_CAP:
         raise PreconditionError(
             f"the closure's base has a common denominator of {big_l.bit_length()} bits, "
             f"more than the cap CLOSURE_LCM_BITS_CAP = {CLOSURE_LCM_BITS_CAP}"
         )
+    found = {v.numerator * (big_l // v.denominator) for v in values}
+    heap = [-x for x in found]
+    heapify(heap)
+    popped = []
+    while heap:
+        # checked before each pop, so the first refuses a base past the cap
+        if len(found) > CLOSURE_SIZE_CAP:
+            raise PreconditionError(
+                f"the closure has more members than the cap CLOSURE_SIZE_CAP = {CLOSURE_SIZE_CAP}"
+            )
+        a = -heappop(heap)
+        popped.append(a)
+        for b in popped:
+            e = a + b - big_l
+            if e < 0:
+                break
+            if e not in found and big_l // gcd(e, big_l) <= denom_bound:
+                found.add(e)
+                heappush(heap, -e)
+        yield Fraction(a, big_l)
 
 
 def exceptional_closure(values, denom_bound: int) -> list:
@@ -88,38 +124,26 @@ def exceptional_closure(values, denom_bound: int) -> list:
 
     Values whose reduced denominator exceeds denom_bound are pruned (and do
     not generate), which keeps the universe finite; the result is sorted
-    ascending.  The sum of two values below 1 never reaches 1, so 1 is in
-    the closure exactly when the values list it.  A closure with more than
-    CLOSURE_SIZE_CAP members, the base among them, and a base whose common
-    denominator has more than CLOSURE_LCM_BITS_CAP bits are refused.
+    ascending.  The walk's caps apply.
     """
     if denom_bound < 1:
         raise PreconditionError("denominator bound must be >= 1")
-    big_l, out = _numerators([v for v in values if v.denominator <= denom_bound])
-    _check_closure_lcm(big_l)
-    frontier = set(out)
-    while frontier:
-        fresh = set()
-        for a in frontier:
-            # checked before each row, so the first refuses a base past the cap
-            if len(out) + len(fresh) > CLOSURE_SIZE_CAP:
-                raise PreconditionError(
-                    "the closure has more members than the cap "
-                    f"CLOSURE_SIZE_CAP = {CLOSURE_SIZE_CAP}"
-                )
-            for b in out:
-                e = a + b - big_l
-                if e >= 0 and e not in out and big_l // gcd(e, big_l) <= denom_bound:
-                    fresh.add(e)
-        out |= fresh
-        frontier = fresh
-    return [Fraction(x, big_l) for x in sorted(out)]
+    return sorted(_walk([v for v in values if v.denominator <= denom_bound], denom_bound))
 
 
-def _numerators(values) -> tuple:
-    """(L, numerators): the values as integers over L, the lcm of their denominators."""
-    big_l = lcm(*(v.denominator for v in values))
-    return big_l, {v.numerator * (big_l // v.denominator) for v in values}
+def _farey(order: int):
+    """The Farey fractions of the order in [0, 1), descending, as pairs (p, q).
+
+    Neighbours a/b > c/d of the sequence are followed by (k c - a)/(k d - b)
+    with k = (order + b) // d.
+    """
+    a, b, c, d = 1, 1, order - 1, order
+    while True:
+        yield c, d
+        if not c:
+            return
+        k = (order + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +200,8 @@ _DESC_KEYS = {"finite": {"kind", "values"}, "standard": {"kind"}, "union": {"kin
               "closure": {"kind", "base", "denom_bound"}}
 
 
-# closures one description holds: the search pays SEARCH_SUM_CAP for each
-# closure node, so a description costs its closures times the cost of one
+# closures one description holds: `chain --verify` walks each closure it
+# checks in full, and a walk costs up to about 2 s (CLOSURE_LCM_BITS_CAP)
 SET_CLOSURE_CAP = 4
 
 
@@ -234,99 +258,88 @@ def _desc_from_json(data: dict, depth: int) -> CoeffSetDesc:
         raise PreconditionError(f"malformed {kind} set description: {exc}") from exc
 
 
+# ---------------------------------------------------------------------------
+# members
+
+
 # the members' denominator bound, and the length of a verdict's witness chain,
 # when a caller names neither
 DEFAULT_DENOM_BOUND = 2000
 DEFAULT_CHAIN_LENGTH = 5
 
-# the rounds of the left-linear search of a closure
-SEARCH_ROUNDS = 4
 
-# exceptional sums one closure's search examines: a round costs |frontier| *
-# |base| sums, so the closure of the standard set at bound d cost d^3 (6.6 s at
-# d = 400); capped, `dcc` on it takes 0.8 s at d = 400 and 2.5 s at d = 2000 as
-# a fresh process on a 2-vCPU machine.  Acceptance criterion 9 examines 808,013.
-SEARCH_SUM_CAP = 1_000_000
+def _holds_standard(desc: CoeffSetDesc, denom_bound: int = 0) -> bool:
+    """Whether desc cut at denom_bound holds the standard set cut there; at 0,
+    whether desc's whole set holds the standard set.
 
-# the largest bound d at which the standard set is listed: its d numerators
-# over lcm(1..d) take memory growing as d^2 (686 MiB at d = 60000).  At the cap,
-# `chain --verify` on it takes 0.13 s and `dcc` on its closure 5.6 s as a fresh
-# process on a 2-vCPU machine.
-STANDARD_BOUND_CAP = 4000
+    A closure with a smaller bound of its own cuts the standard set shorter,
+    so only closures whose bounds reach denom_bound pass it on.
+    """
+    if isinstance(desc, StandardSet):
+        return True
+    if isinstance(desc, UnionSet):
+        return any(_holds_standard(m, denom_bound) for m in desc.members)
+    if isinstance(desc, SumClosure):
+        return desc.denom_bound >= denom_bound and _holds_standard(desc.base, denom_bound)
+    return False
+
+
+def _descending(desc: CoeffSetDesc, denom_bound: int):
+    """The members of desc with denominators <= denom_bound, descending."""
+    if isinstance(desc, FiniteSet):
+        return (v for v in reversed(desc.values) if v.denominator <= denom_bound)
+    if isinstance(desc, StandardSet):
+        return map(standard_coeff, range(denom_bound, 0, -1))
+    if isinstance(desc, UnionSet):
+        merged = merge(*(_descending(m, denom_bound) for m in desc.members), reverse=True)
+        return (x for x, _ in groupby(merged))
+    if not isinstance(desc, SumClosure):
+        raise PreconditionError(f"unknown set description: {desc!r}")
+    bound = min(denom_bound, desc.denom_bound)
+    if _holds_standard(desc.base, bound):
+        one = members_among(desc.base, [Fraction(1)], bound)
+        return chain(one, starmap(Fraction, _farey(bound)))
+    return _walk(materialize(desc.base, bound), bound)
 
 
 def materialize(desc: CoeffSetDesc, denom_bound: int = DEFAULT_DENOM_BOUND) -> list:
     """Sorted members of the description with denominators <= denom_bound.
 
-    Finite sets and the standard set are truncated at the bound, and a union
-    holds its members' truncations; a closure is explored by the bounded
-    left-linear search (a verified subset of the closure).  Listing the
-    standard set past STANDARD_BOUND_CAP is refused.
+    A listing of more than CLOSURE_SIZE_CAP members is refused.
     """
-    big_l, nums, _ = _members(desc, denom_bound)
-    return [Fraction(x, big_l) for x in nums]
+    members = list(islice(_descending(desc, denom_bound), CLOSURE_SIZE_CAP + 1))
+    if len(members) > CLOSURE_SIZE_CAP:
+        raise PreconditionError(
+            f"the set has more members than the cap CLOSURE_SIZE_CAP = {CLOSURE_SIZE_CAP}"
+        )
+    members.reverse()
+    return members
 
 
-@lru_cache(maxsize=32)
-def _members(desc: CoeffSetDesc, denom_bound: int) -> tuple:
-    """(L, materialize's members as sorted numerators over L, the first search
-    limit that fired or None), where L is the lcm of the members' denominators.
+def members_among(desc: CoeffSetDesc, values, denom_bound: int = DEFAULT_DENOM_BOUND) -> set:
+    """The values that are members of desc with denominators <= denom_bound.
 
-    A union's limit is the first that fired among its members, in order; a
-    closure's is its own, or else its base's.  A closure's frontier is sorted,
-    so the members kept when SEARCH_SUM_CAP fires do not depend on set order.
+    The standard set and a closure holding it at its bound decide by rule
+    (fact 2); any other closure lists its members once.
     """
+    values = [x for x in values if x.denominator <= denom_bound]
     if isinstance(desc, FiniteSet):
-        big_l, nums = _numerators([v for v in desc.values if v.denominator <= denom_bound])
-        return big_l, tuple(sorted(nums)), None
+        return set(values).intersection(desc.values)
     if isinstance(desc, StandardSet):
-        if denom_bound > STANDARD_BOUND_CAP:
-            raise PreconditionError(
-                "listing the standard set needs a denominator bound of at most the cap "
-                f"STANDARD_BOUND_CAP = {STANDARD_BOUND_CAP}, got {denom_bound}"
-            )
-        big_l = lcm(*range(1, denom_bound + 1))
-        return big_l, tuple((r - 1) * (big_l // r) for r in range(1, denom_bound + 1)), None
+        return {x for x in values if x.numerator + 1 == x.denominator}
     if isinstance(desc, UnionSet):
-        parts = [_members(m, denom_bound) for m in desc.members]
-        big_l = lcm(*(part_l for part_l, _, _ in parts))
-        nums = set()
-        for part_l, part_nums, _ in parts:
-            nums.update(x * (big_l // part_l) for x in part_nums)
-        return big_l, tuple(sorted(nums)), next((stop for _, _, stop in parts if stop), None)
-    if not isinstance(desc, SumClosure):
-        raise PreconditionError(f"unknown set description: {desc!r}")
+        found = set()
+        for m in desc.members:
+            found |= members_among(m, [x for x in values if x not in found], denom_bound)
+        return found
     bound = min(denom_bound, desc.denom_bound)
-    big_l, base_nums, base_stop = _members(desc.base, bound)
-    _check_closure_lcm(big_l)
-    current = set(base_nums)
-    frontier = base_nums
-    # the frontier rows, of len(base_nums) sums each, that SEARCH_SUM_CAP allows
-    rows = SEARCH_SUM_CAP // max(len(base_nums), 1)
-    pruned = False
-    for _ in range(SEARCH_ROUNDS):
-        capped = len(frontier) > rows
-        fresh = set()
-        for a in frontier[:rows]:
-            for b in base_nums:
-                e = a + b - big_l
-                if e >= 0 and e not in current and e not in fresh:
-                    if big_l // gcd(e, big_l) <= bound:
-                        fresh.add(e)
-                    else:
-                        pruned = True
-        rows -= len(frontier)
-        current |= fresh
-        frontier = sorted(fresh)
-        if capped or not frontier:
-            break
-    if capped:
-        stop = "max_size"
-    elif frontier:
-        stop = "rounds"
-    else:
-        stop = "denom_bound" if pruned else None
-    return big_l, tuple(sorted(current)), stop or base_stop
+    values = [x for x in values if x.denominator <= bound]
+    if not values:
+        return set()
+    if _holds_standard(desc.base, bound):
+        ones = [x for x in values if x == 1]
+        return {x for x in values if 0 <= x < 1} | members_among(desc.base, ones, bound)
+    return set(values).intersection(materialize(desc, bound))
 
 
 # ---------------------------------------------------------------------------
@@ -354,99 +367,26 @@ class Chain:
         return out
 
 
-# (q, k) probes one arithmetic-run search makes: a scan up to the denominator
-# q costs about q^2 / 2, so `chain` on the closure of {1/2, (q-1)/q} at bound
-# q took 5.4 s at q = 20000 as a fresh process on a 2-vCPU machine, and
-# nothing caps the bound.
-CHAIN_PROBE_CAP = 1_000_000
-
-
-def _arithmetic_run_chain(big_l: int, nums: tuple, length: int) -> Chain | None:
-    """A descending run k0/q > (k0-1)/q > ... inside the members, if any.
-
-    The members are the positive numerators nums over big_l.  Searches common
-    denominators q ascending, up to the largest reduced denominator of a
-    member, and returns the first run of consecutive multiples of 1/q of the
-    requested length.  k/q is a member exactly when k L / q is an integer
-    and one of the numerators.  The search stops, finding no run, before a q
-    whose q - 1 probes, one per k, would take the total past CHAIN_PROBE_CAP.
-    """
-    members = set(nums)
-    if not members:
-        return None
-    max_q = max(big_l // gcd(x, big_l) for x in members)
-    for q in range(2, max_q + 1):
-        if q * (q - 1) // 2 > CHAIN_PROBE_CAP:  # the probes up to q
-            return None
-        run = []
-        for k in range(q - 1, 0, -1):
-            if k * big_l % q == 0 and k * big_l // q in members:
-                if run and run[-1] - k != 1:
-                    run = []
-                run.append(k)
-                if len(run) >= length:
-                    return Chain(tuple(Fraction(k2, q) for k2 in run))
-    return None
-
-
-def _halving_chain(big_l: int, nums: tuple, length: int) -> Chain | None:
-    """A chain whose distance to an explicit limit halves at every step.
-
-    The members are the sorted positive numerators nums over big_l.  For each
-    candidate limit (0 first, then members ascending), greedily picks the
-    largest member within half the previous distance; the returned chain
-    satisfies x_{i+1} - limit <= (x_i - limit) / 2, so its differences
-    shrink geometrically toward the limit.  The members above a limit are a
-    suffix of nums, and each pick is one bisection into it; with integer
-    members, y <= limit + (x - limit) / 2 exactly when y <= limit +
-    (x - limit) // 2.
-    """
-    for limit in (0,) + nums:
-        lo = bisect_right(nums, limit)  # nums[lo:] lies above the limit
-        if len(nums) - lo < length:
-            continue
-        chain = [nums[-1]]
-        while len(chain) < length:
-            hi = bisect_right(nums, limit + (chain[-1] - limit) // 2, lo)
-            if hi == lo:
-                break
-            chain.append(nums[hi - 1])
-        if len(chain) >= length:
-            return Chain(tuple(Fraction(x, big_l) for x in chain), limit=Fraction(limit, big_l))
-    return None
+def _check_length(length: int, what: str) -> None:
+    if length < 1:
+        raise PreconditionError(f"{what} must be >= 1")
+    if length > CLOSURE_SIZE_CAP:
+        raise PreconditionError(
+            f"{what} {length} is more than the cap CLOSURE_SIZE_CAP = {CLOSURE_SIZE_CAP}"
+        )
 
 
 def find_decreasing_chain(
     desc: CoeffSetDesc, length: int, denom_bound: int = DEFAULT_DENOM_BOUND
 ) -> Chain | None:
-    """A strictly decreasing chain of positive members of materialize(desc, denom_bound), or None.
+    """The length largest positive members of desc with denominators <=
+    denom_bound, descending, or None when it has fewer.
 
-    A finite set yields its length largest positive members.  The standard
-    set is increasing, so below any fixed member it holds only finitely many
-    elements and is treated structurally, unlisted at any bound: its one
-    chain is (d-1)/d for the bound d >= 2, and no chain of length >= 2 is
-    ever produced as a witness.
-    A union answers from its first member with a chain.  Closures are
-    searched for constant-step runs or halving chains.
+    A length past CLOSURE_SIZE_CAP is refused.
     """
-    if length < 1:
-        raise PreconditionError("chain length must be >= 1")
-    if isinstance(desc, StandardSet):
-        if length == 1 and denom_bound > 1:
-            return Chain((standard_coeff(denom_bound),))
-        return None
-    if isinstance(desc, UnionSet):
-        chains = (find_decreasing_chain(m, length, denom_bound) for m in desc.members)
-        return next((chain for chain in chains if chain is not None), None)
-    big_l, nums, _ = _members(desc, denom_bound)
-    positives = nums[bisect_right(nums, 0):]
-    if isinstance(desc, FiniteSet):
-        if len(positives) < length:
-            return None
-        return Chain(tuple(Fraction(x, big_l) for x in reversed(positives[-length:])))
-    return _arithmetic_run_chain(big_l, positives, length) or _halving_chain(
-        big_l, positives, length
-    )
+    _check_length(length, "chain length")
+    top = list(islice(takewhile(bool, _descending(desc, denom_bound)), length))
+    return Chain(tuple(top)) if len(top) == length else None
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +395,7 @@ def find_decreasing_chain(
 
 @record
 class DccVerdict:
-    verdict: str  # "DCC" | "NOT_DCC" | "UNKNOWN"
+    verdict: str  # "DCC" | "NOT_DCC"
     witness: Chain | None = None
     reason: str = ""
 
@@ -466,54 +406,34 @@ class DccVerdict:
         return out
 
 
-_STOP_REASONS = {
-    "rounds": "the search used all its rounds with members left to extend",
-    "max_size": "the search examined as many exceptional sums as SEARCH_SUM_CAP = {cap} allows",
-    "denom_bound": "the denominator bound pruned candidates",
-    None: "the left-linear search ran out of new members within every limit",
-}
+def dcc_verdict(desc: CoeffSetDesc, chain_length: int = DEFAULT_CHAIN_LENGTH) -> DccVerdict:
+    """Whether desc's whole set satisfies the descending chain condition,
+    read from the description alone (facts 3 and 4).
 
-
-def dcc_verdict(desc: CoeffSetDesc, denom_bound: int = DEFAULT_DENOM_BOUND,
-                chain_length: int = DEFAULT_CHAIN_LENGTH) -> DccVerdict:
-    """Three-valued descending-chain verdict over the members with
-    denominators <= denom_bound, whose witness chains have chain_length members.
-
-    Finite -> DCC.  Standard -> DCC (its only accumulation point is 1 from
-    below, so every nonempty subset has a least element).  Unions of decided
-    descriptions are decided; an undecided union's reason names its first
-    undecided member by index and carries that member's reason.  Closures:
-    NOT_DCC when the bounded search finds a verified chain approaching a limit
-    with geometrically shrinking distances, else UNKNOWN, whose reason names
-    the search limit that ended the search (SEARCH_ROUNDS, SEARCH_SUM_CAP or
-    the denominator bound), if any -- a closure is never declared DCC.
+    A closure whose base holds the standard set is NOT_DCC, with the witness
+    1/2 > 1/3 > ... of chain_length members and its limit 0; every other
+    closure, finite set and the standard set is DCC, and a union is NOT_DCC
+    with its first member that is.  A chain_length past CLOSURE_SIZE_CAP is
+    refused.
     """
-    if isinstance(desc, FiniteSet):
-        return DccVerdict("DCC", reason="finite set")
-    if isinstance(desc, StandardSet):
-        return DccVerdict(
-            "DCC", reason="increasing sequence accumulating only at 1"
-        )
+    _check_length(chain_length, "threshold")
     if isinstance(desc, UnionSet):
-        verdicts = [dcc_verdict(m, denom_bound, chain_length) for m in desc.members]
-        for v in verdicts:
-            if v.verdict == "NOT_DCC":
-                return DccVerdict("NOT_DCC", witness=v.witness, reason=v.reason)
-        for i, v in enumerate(verdicts):
-            if v.verdict == "UNKNOWN":
-                return DccVerdict("UNKNOWN", reason=f"member {i} is undecided: {v.reason}")
-        return DccVerdict("DCC", reason="finite union of DCC sets")
-    big_l, nums, stop = _members(desc, denom_bound)
-    chain = _halving_chain(big_l, nums[bisect_right(nums, 0):], chain_length)
-    if chain is not None:
+        verdicts = (dcc_verdict(m, chain_length) for m in desc.members)
+        return next((v for v in verdicts if v.verdict == "NOT_DCC"),
+                    DccVerdict("DCC", reason="finite union of DCC sets"))
+    if isinstance(desc, SumClosure):
+        if _holds_standard(desc.base):
+            return DccVerdict(
+                "NOT_DCC",
+                witness=Chain(tuple(Fraction(1, m) for m in range(2, chain_length + 2)),
+                              limit=Fraction(0)),
+                reason="the base holds the standard set, and 1/m is (m-1)/m summed "
+                "with itself m-2 times",
+            )
         return DccVerdict(
-            "NOT_DCC",
-            witness=chain,
-            reason="verified chain with geometrically shrinking distance "
-            "to its limit",
+            "DCC", reason="the base's denominators divide one L, so the closure lies "
+            "in the finite set (1/L)Z in [0, 1]"
         )
-    return DccVerdict(
-        "UNKNOWN",
-        reason=f"no witness found: {_STOP_REASONS[stop].format(cap=SEARCH_SUM_CAP)}; "
-        "closures are never declared DCC",
-    )
+    if isinstance(desc, StandardSet):
+        return DccVerdict("DCC", reason="increasing sequence accumulating only at 1")
+    return DccVerdict("DCC", reason="finite set")

@@ -214,15 +214,22 @@ def test_criterion_9_dcc_suite():
             assert exceptional_closure([standard_coeff(q)], q) == [
                 F(k, q) for k in range(q)
             ]
+        # the closure of the standard coefficients up to 42/43 lies in
+        # (1/L)Z in [0, 1], L = lcm(1..43): finite, so DCC
         truncated = FiniteSet(tuple(standard_coeff(r) for r in range(1, 44)))
-        closure = SumClosure(truncated, denom_bound=2000)
-        verdict = dcc_verdict(closure)
-        assert verdict.verdict == "NOT_DCC"
-        chain = verdict.witness
-        assert chain is not None and len(chain.elements) >= 5
-        members = set(materialize(closure))
-        assert all(e in members for e in chain.elements)
-        assert all(a > b for a, b in zip(chain.elements, chain.elements[1:]))
+        assert dcc_verdict(SumClosure(truncated, denom_bound=2000)).verdict == "DCC"
+        # the closure of the standard set holds 1/m, (m-1)/m summed with itself
+        # m-2 times: the witness 1/2 > 1/3 > ... descends to 0
+        verdict = dcc_verdict(SumClosure(StandardSet(), denom_bound=2000), 40)
+        assert verdict.verdict == "NOT_DCC" and verdict.witness.limit == 0
+        for e in verdict.witness.elements:
+            m = e.denominator
+            x = F(m - 1, m)
+            for _ in range(m - 2):
+                x = x + F(m - 1, m) - 1
+            assert e == x == F(1, m)
+        members = set(materialize(SumClosure(StandardSet(), denom_bound=41), 41))
+        assert set(verdict.witness.elements) <= members
         assert dcc_verdict(StandardSet()).verdict == "DCC"
 
 

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 import bdivkit.cli as cli_mod
 import bdivkit.dcc as dcc_mod
 from bdivkit.cli import main, run_batch, run_command
-from bdivkit.dcc import desc_from_json
 from bdivkit.exact import PreconditionError
 from bdivkit.logpairs import LocalPair
 
@@ -334,9 +333,9 @@ _STRAY_KEYS = {
 # (140/141, 140/141) has 10,011 prefixes of positive pullback
 _PAST_THE_PREFIX_CAP = ["fset", "--model", '{"n":2,"coeffs":["140/141","140/141"]}']
 
-# --verify lists the standard set at the bound, past its listing cap
-_STANDARD_PAST_THE_CAP = ["chain", "--set", '{"kind":"standard"}', "--length", "1",
-                          "--denom-bound", "100000", "--verify"]
+# a chain one member longer than the cap
+_CHAIN_PAST_THE_LENGTH_CAP = ["chain", "--set", '{"kind":"standard"}', "--length", "2001",
+                              "--denom-bound", "100000", "--verify"]
 
 # five closures, one more than a description may hold
 _FIVE_CLOSURES = ["dcc", "--set", json.dumps({"kind": "union", "members": [
@@ -349,12 +348,27 @@ _CLOSURE_BASE_PAST_THE_CAP = ["closure", "--base", json.dumps([
     f"{k}/{q}" for q in range(2, 121) for k in range(1, (q + 1) // 2) if math.gcd(k, q) == 1]),
     "--denom-bound", "120"]
 
-# the standard coefficients up to 4000/4001 listed as a finite base: its
-# common denominator lcm(1..4001) has 12 bits more than lcm(1..4000)
-_PAST_THE_LCM_CAP = json.dumps([f"{r - 1}/{r}" for r in range(2, 4002)])
-_CLOSURE_PAST_THE_LCM_CAP = ["dcc", "--set", json.dumps({
+def _prime_power(q):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+# the standard coefficients (q-1)/q of the 590 prime powers q up to 4001 as a
+# finite base: its common denominator lcm(1..4001) has 12 bits more than
+# lcm(1..4000)
+_PAST_THE_LCM_CAP = json.dumps([f"{q - 1}/{q}" for q in range(2, 4002) if _prime_power(q)])
+_CLOSURE_PAST_THE_LCM_CAP = ["chain", "--set", json.dumps({
     "kind": "closure", "base": {"kind": "finite", "values": json.loads(_PAST_THE_LCM_CAP)},
-    "denom_bound": 4001}), "--denom-bound", "4001"]
+    "denom_bound": 4001}), "--length", "1", "--denom-bound", "4001"]
+
+# a closure over the closure of the standard set at a smaller bound: the
+# inner one is listed as a base, and its 3,044 members at 100 are past the cap
+_CLOSURE_OF_A_LONG_LISTING = ["chain", "--set", json.dumps({
+    "kind": "closure", "denom_bound": 200,
+    "base": {"kind": "closure", "denom_bound": 100, "base": {"kind": "standard"}}}),
+    "--length", "2", "--denom-bound", "200"]
 
 BAD_INPUTS = [
     ["ldisc", "--pair", '{"n":2,"coeffs":["1/2"]}', "--v", "[1,1]"],
@@ -668,12 +682,22 @@ BAD_INPUTS = [
     pytest.param(CASES["dcc"] + ["--max-size", "4000"], id="dcc --max-size"),
     pytest.param(["dcc", "--json", json.dumps({"set": {"kind": "standard"}, "rounds": 3})],
                  id="dcc --json with rounds"),
-    # the standard set is listed up to a cap, and a description holds few closures
-    pytest.param(_STANDARD_PAST_THE_CAP, id="chain --verify on the standard set past its cap"),
+    # a chain and a witness longer than the size cap, and a description
+    # holding more closures than its cap
+    pytest.param(CASES["dcc"] + ["--threshold", "2001"], id="dcc threshold past the size cap"),
     pytest.param(_FIVE_CLOSURES, id="dcc on five closures"),
     # a closure's base is held to the size cap, and its common denominator to a cap
     pytest.param(_CLOSURE_BASE_PAST_THE_CAP, id="closure base past the size cap"),
-    pytest.param(_CLOSURE_PAST_THE_LCM_CAP, id="dcc closure base past the lcm cap"),
+    # batch entries carry their own arguments: batch reads no --json or --verify
+    pytest.param(["batch", "--json", '{"junk":1}', "--file", str(GOLDEN / "batch_input.json")],
+                 id="batch --json"),
+    pytest.param(["batch", "--verify", "--file", str(GOLDEN / "batch_input.json")],
+                 id="batch --verify"),
+    pytest.param(_CHAIN_PAST_THE_LENGTH_CAP, id="chain length past the size cap"),
+    pytest.param(_CLOSURE_PAST_THE_LCM_CAP, id="chain closure base past the lcm cap"),
+    # the verdict reads the whole set, so dcc takes no bound
+    pytest.param(CASES["dcc"] + ["--denom-bound", "10"], id="dcc --denom-bound"),
+    pytest.param(_CLOSURE_OF_A_LONG_LISTING, id="chain closure of a listing past the size cap"),
 ]
 
 
@@ -762,12 +786,20 @@ _DIGIT_LIMIT = f"{sys.get_int_max_str_digits()} digits"
     (CASES["chain"] + ["--rounds", "3"], "unrecognized arguments: --rounds 3"),
     (["dcc", "--json", json.dumps({"set": {"kind": "standard"}, "rounds": 3, "max_size": 40})],
      "dcc takes no argument 'max_size', 'rounds'"),
-    (_STANDARD_PAST_THE_CAP, "STANDARD_BOUND_CAP = 4000, got 100000"),
+    (_CHAIN_PAST_THE_LENGTH_CAP, "chain length 2001 is more than the cap CLOSURE_SIZE_CAP = 2000"),
     (_FIVE_CLOSURES, "holds 5 closures, more than the cap SET_CLOSURE_CAP = 4"),
     (_CLOSURE_BASE_PAST_THE_CAP, "more members than the cap CLOSURE_SIZE_CAP = 2000"),
     (_CLOSURE_PAST_THE_LCM_CAP, "5768 bits, more than the cap CLOSURE_LCM_BITS_CAP = 5756"),
     (["closure", "--base", _PAST_THE_LCM_CAP, "--denom-bound", "4001"],
      "5768 bits, more than the cap CLOSURE_LCM_BITS_CAP = 5756"),
+    (CASES["dcc"] + ["--threshold", "2001"],
+     "threshold 2001 is more than the cap CLOSURE_SIZE_CAP = 2000"),
+    (CASES["dcc"] + ["--denom-bound", "10"], "unrecognized arguments: --denom-bound 10"),
+    (["dcc", "--json", json.dumps({"set": {"kind": "standard"}, "denom_bound": 10})],
+     "dcc takes no argument 'denom_bound'"),
+    (["batch", "--json", '{"junk":1}', "--verify", "--file", str(GOLDEN / "batch_input.json")],
+     "batch takes no --json or --verify"),
+    (_CLOSURE_OF_A_LONG_LISTING, "the set has more members than the cap CLOSURE_SIZE_CAP = 2000"),
 ])
 def test_errors_name_their_cause(argv, cause):
     code, _, err = _run_catching_exit(main, argv)  # an error in argv exits from the parser
@@ -922,60 +954,43 @@ def test_closure_refuses_a_set_past_the_cap_at_once():
     assert code == 2 and out == ""
 
 
-def test_dcc_union_names_its_undecided_member_and_the_limit():
-    code, out, _ = run_cli(["dcc", "--set", json.dumps({"kind": "union", "members": [
-        {"kind": "closure", "denom_bound": 7, "base": {"kind": "finite", "values": ["6/7"]}}]})])
-    assert code == 0
-    verdict = json.loads(out)
-    assert verdict["verdict"] == "UNKNOWN"
-    assert verdict["reason"].startswith("member 0 is undecided: no witness found: ")
-    assert "used all its rounds" in verdict["reason"]
-
-
-def test_dcc_on_the_standard_closure_at_the_default_bound_stops_at_the_sum_cap():
-    # unbounded, its rounds cost d^3 sums: 6.6 s at d = 400, and d = 2000 never ended
-    desc = {"kind": "closure", "base": {"kind": "standard"}, "denom_bound": 2000}
-    dcc_mod._members.cache_clear()
+def test_chains_over_the_standard_set_list_nothing():
+    # the standard set and the Farey fractions are streamed and decided by
+    # rule at any bound; nothing lists them
     start = time.perf_counter()
-    code, out, _ = run_cli(["dcc", "--set", json.dumps(desc), "--verify"])
-    assert time.perf_counter() - start < 5.0
-    assert code == 0
-    verdict = json.loads(out)
-    assert verdict["verdict"] == "NOT_DCC" and verdict["verified"] is True
-    # the cap ended the search (read back from the cache the command filled);
-    # the verdict reports its verified witness instead
-    assert dcc_mod._members(desc_from_json(desc), 2000)[2] == "max_size"
-
-
-def test_listing_the_standard_set_past_its_cap_is_refused_at_once():
-    # its numerators over lcm(1..d) take memory growing as d^2: 686 MiB at d = 60000
-    start = time.perf_counter()
-    code, _, err = _run_catching_exit(main, _STANDARD_PAST_THE_CAP)
+    code, out, _ = run_cli(["chain", "--set", '{"kind":"standard"}', "--length", "2",
+                            "--denom-bound", "1000000000", "--verify"])
+    assert code == 0 and json.loads(out)["chain"]["elements"] == ["999999999/1000000000", "999999998/999999999"]
+    closure = json.dumps({"kind": "closure", "base": {"kind": "standard"}, "denom_bound": 4000})
+    code, out, _ = run_cli(["chain", "--set", closure, "--length", "2000",
+                            "--denom-bound", "4000", "--verify"])
+    elements = json.loads(out)["chain"]["elements"]
+    assert code == 0 and len(elements) == 2000
+    assert elements[:2] == ["3999/4000", "3998/3999"] and elements[-1] == "2000/2001"
+    code, out, _ = run_cli(["dcc", "--set", closure, "--verify"])
+    assert code == 0 and json.loads(out)["witness"]["elements"] == ["1/2", "1/3", "1/4", "1/5", "1/6"]
     assert time.perf_counter() - start < 1.0
-    assert code == 2 and "STANDARD_BOUND_CAP" in json.loads(err)["error"]
-    # answers that list nothing keep any bound
-    code, out, _ = run_cli(_STANDARD_PAST_THE_CAP[:-1])
-    assert code == 0 and json.loads(out)["chain"]["elements"] == ["99999/100000"]
-    code, out, _ = run_cli(["dcc", "--set", '{"kind":"standard"}', "--denom-bound", "100000",
+
+
+@pytest.mark.parametrize("base, chain", [
+    pytest.param('{"kind":"standard"}', ["9/10", "8/9"], id="the standard set"),
+    pytest.param('{"kind":"union","members":[{"kind":"finite","values":["1/2"]},'
+                 '{"kind":"finite","values":["1/3"]}]}', ["1/2", "1/3"], id="a union"),
+])
+def test_chain_lists_the_largest_members(base, chain):
+    code, out, _ = run_cli(["chain", "--set", base, "--length", "2", "--denom-bound", "10",
                             "--verify"])
+    assert code == 0 and json.loads(out) == {"chain": {"elements": chain}, "found": True,
+                                             "verified": True}
+
+
+@pytest.mark.parametrize("values", [["1/2", "2/3", "6/7"], ["1/2", "2/3", "3/4"]])
+def test_dcc_on_a_closure_of_a_finite_base_is_dcc(values):
+    # the closure lies in (1/L)Z in [0, 1]: at 200 it has 21 and 9 members
+    code, out, _ = run_cli(["dcc", "--set", json.dumps({
+        "kind": "closure", "base": {"kind": "finite", "values": values}, "denom_bound": 200}),
+        "--verify"])
     assert code == 0 and json.loads(out)["verdict"] == "DCC"
-
-
-# the closure of {1/2, 19999/20000} at 20000, whose first run of length 3 lies
-# at q = 10000: about 5 * 10^7 probes, past CHAIN_PROBE_CAP
-_CHAIN_PAST_THE_PROBE_CAP = ["chain", "--set", json.dumps({
-    "kind": "closure", "base": {"kind": "finite", "values": ["1/2", "19999/20000"]},
-    "denom_bound": 20000}), "--length", "3", "--denom-bound", "20000"]
-
-
-def test_chain_past_the_probe_cap_answers_at_once():
-    # the scan took 5.4 s before the cap; past it the halving chain answers
-    start = time.perf_counter()
-    code, out, _ = run_cli(_CHAIN_PAST_THE_PROBE_CAP + ["--verify"])
-    assert time.perf_counter() - start < 1.0
-    data = json.loads(out)
-    assert code == 0 and data["verified"] is True
-    assert data["found"] and len(data["chain"]["elements"]) == 3
 
 
 def test_closure_bases_past_their_caps_are_refused_at_once():
@@ -988,20 +1003,21 @@ def test_closure_bases_past_their_caps_are_refused_at_once():
 
 
 def test_the_lcm_cap_is_the_bits_of_the_standard_sets_at_its_cap():
-    assert dcc_mod.CLOSURE_LCM_BITS_CAP == math.lcm(
-        *range(1, dcc_mod.STANDARD_BOUND_CAP + 1)).bit_length()
+    # the standard coefficients up to 3999/4000 are admitted as a finite base
+    assert dcc_mod.CLOSURE_LCM_BITS_CAP == math.lcm(*range(1, 4001)).bit_length()
 
 
 def test_dcc_long_chain_search_over_a_large_closure_is_bounded():
-    # 4,466 members and no halving chain of length 20: every candidate limit
-    # is tried
+    # the closure of the standard coefficients up to 29/30 lies in (1/L)Z in
+    # [0, 1], L = lcm(1..30), so it is finite and DCC: the verdict reads the
+    # description and lists none of its members
     base = [f"{r - 1}/{r}" for r in range(2, 31)]
     start = time.perf_counter()
     code, out, _ = run_cli(["dcc", "--set", json.dumps({
         "kind": "closure", "denom_bound": 400, "base": {"kind": "finite", "values": base}}),
-        "--threshold", "20", "--denom-bound", "400"])
-    assert time.perf_counter() - start < 5.0
-    assert code == 0 and json.loads(out)["verdict"] == "UNKNOWN"
+        "--threshold", "20", "--verify"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 0 and json.loads(out)["verdict"] == "DCC"
 
 
 def test_scan_caps_admit_their_largest_value():
@@ -1152,7 +1168,7 @@ _TEMPLATES = {
     "ldisc": {"pair": _PAIR, "v": [1, 2]},
     "dcc": {"set": {"kind": "closure", "denom_bound": 12,
                     "base": {"kind": "finite", "values": ["1/2", "2/3"]}},
-            "denom_bound": 30, "threshold": 3},
+            "threshold": 3},
     "sylvester": {"k": 4},
     "minvol": {"n": 2},
     "constants": {"n": 2, "eps": "1", "gamma0": "1", "delta": "1/42", "verify": True},
@@ -1272,7 +1288,7 @@ _REFERENCE_OPTIONS = {
     "verify": (("--state", _RJ),),
     "closure": (("--base", _RJ), ("--denom-bound", _RI)),
     "chain": (("--set", _RJ), ("--length", _RI), ("--denom-bound", _RI)),
-    "dcc": (("--set", _RJ), ("--threshold", _RI), ("--denom-bound", _RI)),
+    "dcc": (("--set", _RJ), ("--threshold", _RI)),
     "sylvester": (("--k", _RI),),
     "minvol": (("--n", _RI),),
     "pnvol": (("--n", _RI), ("--coeffs", _RJ), ("--sylvester", _RF)),
@@ -1324,6 +1340,12 @@ def _reference_main(argv) -> int:
     args = _reference_build_parser().parse_args(argv)
     try:
         if args.command == "batch":
+            given = [flag for flag, value in (("--json", args.inline_json),
+                                              ("--verify", args.verify or None))
+                     if value is not None]
+            if given:
+                raise PreconditionError(
+                    f"batch takes no {' or '.join(given)}: each entry carries its own arguments")
             if not getattr(args, "file", None):
                 raise PreconditionError("batch needs --file with the entries")
             data = cli_mod._read_json_file(args.file)
@@ -1598,12 +1620,26 @@ def test_writer_refuses_types_outside_json(bad):
 
 
 def test_chain_verify_rejects_a_chain_outside_its_set(monkeypatch):
-    monkeypatch.setattr(cli_mod, "materialize", lambda *args: [])
+    monkeypatch.setattr(cli_mod, "members_among", lambda *args: set())
     code, out, err = run_cli(CASES["chain"])
     assert code == 3 and out == ""
     # the values as they are printed, not as Fraction reprs
     assert json.loads(err)["error"] == (
-        "verification mismatch in chain membership: fast path [4/5, 3/5, 2/5, 1/5] vs oracle 4/5")
+        "verification mismatch in chain membership: fast path [9/10, 8/9, 7/8, 6/7] vs oracle 9/10")
+
+
+def test_dcc_verify_rejects_a_witness_that_is_no_unit_fraction(monkeypatch):
+    original = cli_mod.dcc_verdict
+
+    def tampered(desc, length):
+        verdict = original(desc, length)
+        return dcc_mod.DccVerdict(verdict.verdict, dcc_mod.Chain(("2/3", "1/2")), verdict.reason)
+
+    monkeypatch.setattr(cli_mod, "dcc_verdict", tampered)
+    code, out, err = run_cli(["dcc", "--set", '{"kind":"closure","base":{"kind":"standard"},'
+                                              '"denom_bound":5}', "--verify"])
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "verification mismatch in dcc witness: fast path 2/3 vs oracle 1/3"
 
 
 def test_reduce_refuses_an_output_the_verifier_refutes(monkeypatch):

@@ -1,8 +1,6 @@
-from contextlib import contextmanager
 from fractions import Fraction as F
-from functools import lru_cache
-from math import gcd, inf, lcm
-from unittest import mock
+from itertools import islice
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -93,36 +91,37 @@ def test_find_chain_finite():
 
 
 def test_find_chain_standard_structural():
-    assert find_decreasing_chain(StandardSet(), 2, 100) is None
-    assert find_decreasing_chain(StandardSet(), 5, 100) is None
-    one = find_decreasing_chain(StandardSet(), 1, 100)
-    assert one is not None and one.elements == (F(99, 100),)
-    # below the bound 1 the set holds 0 alone, no positive member
+    # (r-1)/r for r = d, d - 1, ..., read off the formula at any bound
+    assert find_decreasing_chain(StandardSet(), 2, 100).elements == (F(99, 100), F(98, 99))
+    assert find_decreasing_chain(StandardSet(), 5, 10 ** 12).elements == tuple(
+        standard_coeff(r) for r in range(10 ** 12, 10 ** 12 - 5, -1))
+    # 99 positive members below the bound 100, and below the bound 1 only 0
+    assert find_decreasing_chain(StandardSet(), 99, 100).elements[-1] == F(1, 2)
+    assert find_decreasing_chain(StandardSet(), 100, 100) is None
     assert find_decreasing_chain(StandardSet(), 1, 1) is None
 
 
 def test_find_chain_closure():
+    # the sums of two coefficients of the base lie below both, so the five
+    # largest members of the closure are the five largest of its base
     desc = SumClosure(truncated_standard(43), denom_bound=2000)
     chain = find_decreasing_chain(desc, 5, 2000)
-    assert chain is not None and len(chain.elements) == 5
-    members = set(materialize(desc, 2000))
-    for e in chain.elements:
-        assert e in members and e > 0
-    diffs = [a - b for a, b in zip(chain.elements, chain.elements[1:])]
-    assert all(d2 <= d1 for d1, d2 in zip(diffs, diffs[1:]))
+    assert chain.elements == tuple(standard_coeff(r) for r in range(43, 38, -1))
+    # under the bound 10 the closure is the Farey fractions of order 10
+    chain = find_decreasing_chain(desc, 4, 10)
+    assert chain.elements == (F(9, 10), F(8, 9), F(7, 8), F(6, 7))
+    assert find_decreasing_chain(desc, 31, 10).elements[-1] == F(1, 10)
+    assert find_decreasing_chain(desc, 32, 10) is None
 
 
-def test_the_run_search_stops_at_the_probe_cap(monkeypatch):
-    # the closure of {1/2, 19/20} holds the run 5/10 > 4/10 > 3/10, which the
-    # search reaches at q = 10 after 1 + 2 + ... + 9 = 45 probes
-    desc = SumClosure(FiniteSet((F(1, 2), F(19, 20))), denom_bound=20)
-    monkeypatch.setattr(dcc, "CHAIN_PROBE_CAP", 45)
-    run = find_decreasing_chain(desc, 3, 20)
-    assert run.elements == (F(1, 2), F(2, 5), F(3, 10)) and run.limit is None
-    # one probe fewer stops before q = 10, and the halving chain answers
-    monkeypatch.setattr(dcc, "CHAIN_PROBE_CAP", 44)
-    halving = find_decreasing_chain(desc, 3, 20)
-    assert halving.elements == (F(19, 20), F(1, 2), F(2, 5)) and halving.limit == F(3, 10)
+def test_chain_lengths_past_the_size_cap_are_refused():
+    cap = dcc.CLOSURE_SIZE_CAP
+    assert len(find_decreasing_chain(StandardSet(), cap, 10 ** 9).elements) == cap
+    assert len(dcc_verdict(SumClosure(StandardSet(), 2), cap).witness.elements) == cap
+    with pytest.raises(PreconditionError, match=f"chain length {cap + 1} is more than the cap"):
+        find_decreasing_chain(StandardSet(), cap + 1, 10 ** 9)
+    with pytest.raises(PreconditionError, match=f"threshold {cap + 1} is more than the cap"):
+        dcc_verdict(StandardSet(), cap + 1)
 
 
 def test_chain_type_validates():
@@ -139,87 +138,89 @@ def test_verdicts_structural():
     assert dcc_verdict(union).verdict == "DCC"
 
 
+def _rederived(m):
+    """1/m as (m-1)/m summed with itself m-2 times, each sum kept only when
+    non-negative."""
+    x = top = F(m - 1, m)
+    for _ in range(m - 2):
+        x = x + top - 1
+        assert x >= 0
+    return x
+
+
 def test_verdict_closure_not_dcc():
-    desc = SumClosure(truncated_standard(43), denom_bound=2000)
-    verdict = dcc_verdict(desc)
-    assert verdict.verdict == "NOT_DCC"
-    chain = verdict.witness
-    assert chain is not None and len(chain.elements) >= 5
-    # witness quality: distance to the limit at least halves
-    limit = chain.limit
-    assert limit is not None
-    gaps = [e - limit for e in chain.elements]
-    assert all(b <= a / 2 for a, b in zip(gaps, gaps[1:]))
-    # every element is a verified member
-    members = set(materialize(desc, 2000))
-    assert all(e in members for e in chain.elements)
+    # the closure of the standard set holds 1/m = (m-1)/m + ... + (m-1)/m - (m-2)
+    for desc in (SumClosure(StandardSet(), 1), SumClosure(StandardSet(), 2000),
+                 SumClosure(UnionSet((FiniteSet((F(1, 3),)), StandardSet())), 7),
+                 SumClosure(SumClosure(StandardSet(), 3), 5)):
+        verdict = dcc_verdict(desc)
+        assert verdict.verdict == "NOT_DCC" and verdict.witness.limit == 0
+        assert verdict.witness.elements == tuple(_rederived(m) for m in range(2, 7))
+    assert len(dcc_verdict(SumClosure(StandardSet(), 5), 40).witness.elements) == 40
 
 
-def test_verdict_closure_never_claims_dcc():
-    tiny = SumClosure(FiniteSet((F(1, 2),)), denom_bound=10)
-    assert dcc_verdict(tiny).verdict == "UNKNOWN"
+def test_verdict_closure_of_a_bounded_base_is_dcc():
+    # the base's denominators divide L, so the closure lies in (1/L)Z in [0, 1]
+    truncated = SumClosure(truncated_standard(43), denom_bound=2000)
+    for desc in (truncated, SumClosure(FiniteSet((F(1, 2),)), denom_bound=10),
+                 SumClosure(truncated, 5), SumClosure(UnionSet((truncated, FiniteSet((F(1),)))), 9)):
+        assert dcc_verdict(desc, 40) == dcc.DccVerdict(
+            "DCC", reason="the base's denominators divide one L, so the closure lies "
+            "in the finite set (1/L)Z in [0, 1]")
+    # L = lcm(1..7) = 420 for the base 0, 1/2, ..., 6/7: 421 multiples of 1/420 in [0, 1]
+    members = materialize(SumClosure(truncated_standard(7), 10 ** 6), 10 ** 6)
+    assert all(420 % m.denominator == 0 for m in members) and len(members) <= 421
 
 
-# 6/7 steps down through 5/7, 4/7, ... one value per round, one sum per round:
-# the search's four rounds end at 2/7, with 1/7 and 0 left to find
+# 6/7 steps down through 5/7, 4/7, ... one value a round, and 1/2 + 2/3 - 1 =
+# 1/6 lies past the bound 3: the closures that once ended a bounded search
 _SEVENTHS = SumClosure(FiniteSet((F(6, 7),)), denom_bound=7)
 
 
-@contextmanager
-def _sum_cap(cap):
-    """dcc.SEARCH_SUM_CAP lowered to cap (None keeps it), with no member list
-    cached under another cap before or after."""
-    dcc._members.cache_clear()
-    try:
-        with mock.patch.object(dcc, "SEARCH_SUM_CAP", cap or dcc.SEARCH_SUM_CAP):
-            yield
-    finally:
-        dcc._members.cache_clear()
-
-
-@pytest.mark.parametrize("desc, cap, limit", [
-    pytest.param(_SEVENTHS, None, "used all its rounds", id="rounds"),
-    # the second round's one sum would be past the cap
-    pytest.param(_SEVENTHS, 1, "examined as many exceptional sums as SEARCH_SUM_CAP = 1 allows",
-                 id="max_size"),
-    # 1/2 + 2/3 - 1 = 1/6 is past the bound 3
-    pytest.param(SumClosure(FiniteSet((F(1, 2), F(2, 3))), denom_bound=3), None,
-                 "denominator bound pruned candidates", id="denom_bound"),
-    pytest.param(SumClosure(FiniteSet((F(1, 2),)), denom_bound=10), None,
-                 "ran out of new members within every limit", id="enumerated in full"),
-    # the outer search runs out of members, over a base its inner search cut short
-    pytest.param(SumClosure(_SEVENTHS, denom_bound=7), None,
-                 "used all its rounds", id="rounds in the base"),
+@pytest.mark.parametrize("desc, members", [
+    pytest.param(_SEVENTHS, [F(k, 7) for k in range(7)], id="rounds"),
+    pytest.param(SumClosure(FiniteSet((F(1, 2), F(2, 3))), denom_bound=3),
+                 [F(0), F(1, 3), F(1, 2), F(2, 3)], id="denom_bound"),
+    pytest.param(SumClosure(FiniteSet((F(1, 2),)), denom_bound=10), [F(0), F(1, 2)],
+                 id="enumerated in full"),
+    pytest.param(SumClosure(_SEVENTHS, denom_bound=7), [F(k, 7) for k in range(7)],
+                 id="rounds in the base"),
 ])
-def test_unknown_names_the_limit_that_fired(desc, cap, limit):
-    with _sum_cap(cap):
-        verdict = dcc_verdict(desc)
-    assert verdict.verdict == "UNKNOWN" and verdict.witness is None
-    assert verdict.reason.startswith("no witness found: ") and limit in verdict.reason
+def test_verdicts_once_unknown_are_dcc(desc, members):
+    assert dcc_verdict(desc).verdict == "DCC"
+    assert materialize(desc, 7) == members
 
 
 def test_verdict_union_propagates_not_dcc():
-    desc = UnionSet(
-        (StandardSet(), SumClosure(truncated_standard(43), denom_bound=2000))
-    )
-    assert dcc_verdict(desc).verdict == "NOT_DCC"
+    standard_closure = SumClosure(StandardSet(), 12)
+    desc = UnionSet((FiniteSet((F(1, 3),)), standard_closure))
+    assert dcc_verdict(desc, 3) == dcc_verdict(standard_closure, 3)
+    assert dcc_verdict(desc, 3).verdict == "NOT_DCC"
+    # a union of DCC sets is DCC: the standard set and a finite closure
+    desc = UnionSet((StandardSet(), SumClosure(truncated_standard(43), denom_bound=2000)))
+    assert dcc_verdict(desc) == dcc.DccVerdict("DCC", reason="finite union of DCC sets")
 
 
 def test_verdict_soundness_against_chain_search():
-    # a DCC claim never coexists with a chain longer than the finite part
+    # a NOT_DCC witness lies in the set, cut at its largest denominator, and a
+    # DCC closure lists only multiples of 1/L at every bound
     descs = [
         FiniteSet((F(0), F(1, 2), F(6, 7))),
         StandardSet(),
         UnionSet((StandardSet(), FiniteSet((F(1, 3),)))),
         SumClosure(truncated_standard(20), denom_bound=500),
+        SumClosure(truncated_standard(5), denom_bound=500),
+        UnionSet((FiniteSet((F(1, 2),)), SumClosure(StandardSet(), 500))),
     ]
     for d in descs:
-        v = dcc_verdict(d, 500, 5)
-        if v.verdict == "DCC":
-            assert not isinstance(d, SumClosure)
-            long_chain = find_decreasing_chain(d, 50, 500)
-            if long_chain is not None:
-                assert isinstance(d, FiniteSet) and len(d.values) >= 50
+        v = dcc_verdict(d, 6)
+        if v.verdict == "NOT_DCC":
+            bound = max(e.denominator for e in v.witness.elements)
+            assert dcc.members_among(d, v.witness.elements, bound) == set(v.witness.elements)
+        elif isinstance(d, SumClosure):
+            big_l = lcm(*(x.denominator for x in d.base.values))
+            listed = islice(dcc._descending(d, 500), 200)
+            assert all(big_l % e.denominator == 0 for e in listed)
 
 
 def desc_to_json(desc):
@@ -244,7 +245,7 @@ def test_desc_json_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# the integer closures against the Fraction code they replaced
+# the walk and the Farey form against the Fraction code of the parent closure
 
 
 def _reference_exceptional_closure(base, denom_bound):
@@ -273,29 +274,8 @@ def _reference_materialize(desc, denom_bound):
         for m in desc.members:
             out.update(_reference_materialize(m, denom_bound))
         return sorted(out)
-    return list(_reference_closure_walk(desc, denom_bound, dcc.SEARCH_SUM_CAP)[0])
-
-
-def _reference_closure_walk(desc, denom_bound, cap):
-    """(members, sums examined) of the closure's search under the sum cap."""
     bound = min(denom_bound, desc.denom_bound)
-    base = _reference_materialize(desc.base, bound)
-    current = set(base)
-    frontier = set(base)
-    sums = 0
-    for _ in range(dcc.SEARCH_ROUNDS):
-        fresh = set()
-        for a in sorted(frontier):
-            if sums + len(base) > cap:
-                return tuple(sorted(current | fresh)), sums
-            sums += len(base)
-            for b in base:
-                e = a + b - 1
-                if e >= 0 and e.denominator <= bound and e not in current:
-                    fresh.add(e)
-        current |= fresh
-        frontier = fresh
-    return tuple(sorted(current)), sums
+    return _reference_exceptional_closure(_reference_materialize(desc.base, bound), bound)
 
 
 _unit_fracs = st.one_of(
@@ -303,6 +283,9 @@ _unit_fracs = st.one_of(
     st.fractions(min_value=F(0), max_value=F(1), max_denominator=16),
 )
 _bounds = st.integers(min_value=1, max_value=80)
+# the closures' own bounds: small enough that the Fraction reference closes
+# the standard set quickly
+_closure_bounds = st.integers(min_value=1, max_value=24)
 _plain_sets = st.one_of(
     st.lists(_unit_fracs, max_size=6).map(lambda vs: FiniteSet(tuple(vs))),
     st.integers(min_value=1, max_value=12).map(truncated_standard),
@@ -319,17 +302,14 @@ _sets = st.recursive(
     _plain_sets,
     lambda inner: st.one_of(
         st.lists(inner, min_size=1, max_size=3).map(lambda ms: UnionSet(tuple(ms))),
-        st.builds(_closure, inner, _bounds, st.booleans()),
+        st.builds(_closure, inner, _closure_bounds, st.booleans()),
     ),
     max_leaves=4,
 )
-_closures = st.builds(_closure, _sets, _bounds, st.booleans())
+_closures = st.builds(_closure, _sets, _closure_bounds, st.booleans())
+# a closure over a closure, whose inner bound may be the smaller
+_nested_closures = st.builds(_closure, _closures, _closure_bounds, st.booleans())
 _lengths = st.integers(min_value=1, max_value=6)
-# sum caps that fire on the larger draws, and the default (None); the
-# Fraction references draw a lowered cap, which keeps their quadratic searches
-# short, as max_size <= 400 did when it was a search option
-_lowered_caps = st.integers(min_value=1, max_value=400)
-_caps = st.one_of(st.none(), _lowered_caps)
 
 
 @given(st.lists(_unit_fracs, max_size=6), _bounds, st.booleans())
@@ -339,150 +319,75 @@ def test_exceptional_closure_matches_the_fraction_reference(base, bound, with_on
     assert exceptional_closure(base, bound) == _reference_exceptional_closure(base, bound)
 
 
-def _over_one_denominator(values):
-    """(L, numerators over L) of Fractions, L the lcm of their denominators."""
-    big_l = lcm(*(v.denominator for v in values))
-    return big_l, tuple(v.numerator * (big_l // v.denominator) for v in values)
+@given(st.one_of(_sets, _closures, _nested_closures), _bounds, _lengths)
+@example(SumClosure(SumClosure(StandardSet(), 12), 24), 30, 3)
+@example(UnionSet((FiniteSet((F(1, 2),)), FiniteSet((F(1, 3),)))), 10, 2)
+@settings(max_examples=200, deadline=None)
+def test_closure_search_matches_the_fraction_reference(desc, bound, length):
+    # the members, the chain of the length largest positive ones, and the
+    # membership rule, each against the Fraction reference
+    reference = _reference_materialize(desc, bound)
+    assert materialize(desc, bound) == reference
+    positives = [x for x in reversed(reference) if x > 0]
+    chain = find_decreasing_chain(desc, length, bound)
+    if len(positives) < length:
+        assert chain is None
+    else:
+        assert chain.elements == tuple(positives[:length])
+    candidates = {F(k, q) for q in range(1, bound + 2) for k in range(-1, q + 2)}
+    assert dcc.members_among(desc, candidates, bound) == candidates.intersection(reference)
 
 
-def _reference_members(desc, denom_bound):
-    """dcc._members from the Fraction reference and the parent's limit walk (below)."""
-    return (*_over_one_denominator(_reference_materialize(desc, denom_bound)),
-            _parent_search_stop(desc, denom_bound))
+def _facts_verdict(desc):
+    """NOT_DCC exactly for a closure whose base holds the standard set
+    anywhere, and for a union with such a member (facts 3 and 4)."""
+    def holds_standard(d):
+        return isinstance(d, StandardSet) or (
+            isinstance(d, UnionSet) and any(map(holds_standard, d.members))) or (
+            isinstance(d, SumClosure) and holds_standard(d.base))
+
+    def not_dcc(d):
+        return (isinstance(d, SumClosure) and holds_standard(d.base)) or (
+            isinstance(d, UnionSet) and any(map(not_dcc, d.members)))
+    return "NOT_DCC" if not_dcc(desc) else "DCC"
 
 
-def _on_fractions(parent_search):
-    """A parent chain search over Fractions, called as the integer one is."""
-    return lambda big_l, nums, length: parent_search([F(x, big_l) for x in nums], length)
+@given(st.one_of(_sets, _closures, _nested_closures), _lengths)
+@settings(max_examples=200, deadline=None)
+def test_verdicts_follow_the_facts(desc, length):
+    verdict = dcc_verdict(desc, length)
+    assert verdict.verdict == _facts_verdict(desc)
+    if verdict.verdict == "NOT_DCC":
+        assert verdict.witness.elements == tuple(_rederived(m) for m in range(2, length + 2))
+    else:
+        assert verdict.witness is None
 
 
-@given(_closures, _bounds, _lengths, _lowered_caps)
-@settings(max_examples=150, deadline=None)
-def test_closure_search_matches_the_fraction_reference(desc, bound, length, cap):
-    _parent_materialize_closure.cache_clear()
-    with _sum_cap(cap):
-        got = materialize(desc, bound)
-        assert got == _reference_materialize(desc, bound)
-        chain = find_decreasing_chain(desc, length, bound)
-        verdict = dcc_verdict(desc, bound, length)
-        # the same searches over the reference's members, by the parent's Fraction searches
-        with mock.patch.object(dcc, "_members", _reference_members), \
-                mock.patch.object(dcc, "_arithmetic_run_chain",
-                                  _on_fractions(_parent_arithmetic_run_chain)), \
-                mock.patch.object(dcc, "_halving_chain", _on_fractions(_parent_halving_chain)):
-            assert chain == find_decreasing_chain(desc, length, bound)
-            assert verdict == dcc_verdict(desc, bound, length)
+def test_farey_stream_and_membership_match_brute_force_up_to_400():
+    # brute force: the reduced k/q in [0, 1) with q <= d, grown one q at a
+    # time.  At every d the Farey pairs descend strictly and lie in it, and
+    # are as many, so they are the whole of it; the membership rule of the
+    # closure of the standard set cut at d agrees with it
+    farey = set()
+    for d in range(1, 401):
+        farey.update(F(k, d) for k in range(d))
+        count, last = 0, (1, 1)
+        for p, q in dcc._farey(d):
+            assert 0 <= p < q <= d and p * last[1] < last[0] * q
+            count, last = count + 1, (p, q)
+        assert count == len(farey)
+        desc = SumClosure(StandardSet(), d)
+        candidates = {F(k, q) for q in (d, d + 1) for k in range(-1, q + 2)}
+        assert dcc.members_among(desc, candidates, d) == candidates & farey
+        if d <= 60 or d == 400:
+            assert list(dcc._descending(desc, d)) == sorted(farey, reverse=True)
+    # 1 leads the stream exactly when the base lists it
+    with_one = SumClosure(UnionSet((StandardSet(), FiniteSet((F(1),)))), 400)
+    assert list(dcc._descending(with_one, 400)) == [F(1)] + sorted(farey, reverse=True)
 
 
 # ---------------------------------------------------------------------------
-# the one memoised walk and the bisecting chain search against the code they
-# replaced: a second walk that read each closure's search limit back from the
-# cache the members walk had filled, and a chain search that rebuilt the
-# members above every candidate limit; and the integer walk and chain searches
-# against the Fraction members and run search they replaced
-
-
-@lru_cache(maxsize=32)
-def _parent_materialize_closure(desc, denom_bound):
-    bound = min(denom_bound, desc.denom_bound)
-    base = _reference_materialize(desc.base, bound)  # the same members
-    big_l = lcm(*(v.denominator for v in base))
-    base_nums = {v.numerator * (big_l // v.denominator) for v in base}
-    current = set(base_nums)
-    frontier = set(base_nums)
-    pruned = capped = False
-    sums = 0
-    for _ in range(dcc.SEARCH_ROUNDS):
-        if not frontier or capped:
-            break
-        fresh = set()
-        for a in sorted(frontier):
-            capped = sums + len(base_nums) > dcc.SEARCH_SUM_CAP
-            if capped:
-                break
-            sums += len(base_nums)
-            for b in base_nums:
-                e = a + b - big_l
-                if e >= 0 and e not in current and e not in fresh:
-                    if big_l // gcd(e, big_l) <= bound:
-                        fresh.add(e)
-                    else:
-                        pruned = True
-        current |= fresh
-        frontier = fresh
-    if capped:
-        stop = "max_size"
-    elif not frontier:
-        stop = "denom_bound" if pruned else None
-    else:
-        stop = "rounds"
-    members = tuple(F(x, big_l) for x in sorted(current))
-    return members, stop or _parent_search_stop(desc.base, bound)
-
-
-def _parent_search_stop(desc, denom_bound):
-    if isinstance(desc, SumClosure):
-        return _parent_materialize_closure(desc, denom_bound)[1]
-    if isinstance(desc, UnionSet):
-        for m in desc.members:
-            stop = _parent_search_stop(m, denom_bound)
-            if stop is not None:
-                return stop
-    return None
-
-
-def _parent_arithmetic_run_chain(values, length):
-    members = set(values)
-    if not members:
-        return None
-    max_q = max(v.denominator for v in members)
-    for q in range(2, max_q + 1):
-        ks = sorted((k for k in range(1, q) if F(k, q) in members), reverse=True)
-        run = []
-        for k in ks:
-            if run and run[-1] - k != 1:
-                run = []
-            run.append(k)
-            if len(run) >= length:
-                return Chain(tuple(F(k2, q) for k2 in run[:length]))
-    return None
-
-
-def _parent_halving_chain(values, length):
-    ordered = sorted(values)
-    limits = [F(0)] + ordered
-    for limit in limits:
-        above = [v for v in ordered if v > limit]
-        if len(above) < length:
-            continue
-        chain = [above[-1]]
-        while len(chain) < length:
-            gap = chain[-1] - limit
-            target = limit + gap / 2
-            lo, hi = 0, len(above)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if above[mid] <= target:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            if lo == 0:
-                break
-            nxt = above[lo - 1]
-            if nxt <= limit or nxt >= chain[-1]:
-                break
-            chain.append(nxt)
-        if len(chain) >= length:
-            return Chain(tuple(chain[:length]), limit=limit)
-    return None
-
-
-# denominator bounds that fire on some draws
-_tight_bounds = st.integers(min_value=1, max_value=40)
-
-
-# a closure over a closure: the inner search can fire where the outer one does not
-_nested_closures = st.builds(_closure, _closures, _bounds, st.booleans())
+# the description cap
 
 
 def _closure_nodes(desc):
@@ -511,103 +416,33 @@ def test_desc_json_roundtrips_up_to_the_closure_cap(desc):
             desc_from_json(data)
 
 
-@given(st.one_of(_sets, _closures, _nested_closures), st.one_of(_bounds, _tight_bounds),
-       _lowered_caps)
+@given(st.one_of(_sets, _closures, _nested_closures), st.integers(min_value=1, max_value=40))
+@example(SumClosure(SumClosure(StandardSet(), 5), 10), 40)
+@example(SumClosure(UnionSet((StandardSet(), SumClosure(FiniteSet((F(2, 3),)), 3))), 12), 40)
 @settings(max_examples=300, deadline=None)
-def test_members_walk_matches_the_parent_walks(desc, bound, cap):
-    _parent_materialize_closure.cache_clear()
-    with _sum_cap(cap):
-        big_l, nums, stop = dcc._members(desc, bound)
-        assert (big_l, nums) == _over_one_denominator(_reference_materialize(desc, bound))
-        assert stop == _parent_search_stop(desc, bound)
+def test_members_walk_matches_the_parent_walks(desc, bound):
+    # every closure streams its members descending, as the parent's closure
+    # walk lists them over the stream of its base
+    if isinstance(desc, SumClosure):
+        cut = min(bound, desc.denom_bound)
+        base = dcc.materialize(desc.base, cut)
+        assert list(dcc._descending(desc, bound)) == _reference_exceptional_closure(
+            base, cut)[::-1]
+    members = list(dcc._descending(desc, bound))
+    assert members == sorted(set(members), reverse=True)
 
 
-@given(st.one_of(_sets, _closures, _nested_closures), st.one_of(_bounds, _tight_bounds),
-       _caps, _lengths)
-@example(FiniteSet((F(1, 2), F(1, 3))), 2, None, 2)
-@example(UnionSet((FiniteSet((F(1, 2), F(1, 3))),)), 2, None, 2)
-@example(StandardSet(), 1, None, 1)
+@given(st.one_of(_sets, _closures, _nested_closures), _bounds, _lengths)
+@example(FiniteSet((F(1, 2), F(1, 3))), 2, 2)
+@example(UnionSet((FiniteSet((F(1, 2), F(1, 3))),)), 2, 2)
+@example(StandardSet(), 1, 1)
 @settings(max_examples=300, deadline=None)
-def test_every_chain_lies_in_the_members_under_the_same_budget(desc, bound, cap, length):
+def test_every_chain_lies_in_the_members_under_the_same_budget(desc, bound, length):
     # finite sets hold values past the bound on some draws, the standard set
     # is drawn at bounds down to 1, and closures list 1 in the base or not
-    with _sum_cap(cap):
-        chain = find_decreasing_chain(desc, length, bound)
-        if chain is not None:
-            members = set(materialize(desc, bound))
-            assert len(chain.elements) == length
-            assert all(e > 0 and e in members for e in chain.elements)
-
-
-def test_members_walk_reports_every_limit():
-    # the limits the property test above compares, each seen on a union that
-    # holds the closure second, behind a finite member; the closure of that
-    # union at bound 7 reports its base's limit, except for the cap, which
-    # fires in the outer search too
-    closures = {
-        "rounds": (_SEVENTHS, None),
-        "max_size": (_SEVENTHS, 1),
-        "denom_bound": (SumClosure(FiniteSet((F(1, 2), F(2, 3))), denom_bound=3), None),
-        None: (SumClosure(FiniteSet((F(1, 2),)), denom_bound=10), None),
-    }
-    for limit, (closure, cap) in closures.items():
-        union = UnionSet((FiniteSet((F(1, 7),)), closure))
-        with _sum_cap(cap):
-            assert dcc._members(union, 7)[2] == limit
-            assert dcc._members(SumClosure(union, 7), 7)[2] == limit
-
-
-# closures whose base holds no closure, so that their own search is the only one
-_flat_closures = st.builds(_closure, _plain_sets, _bounds, st.booleans())
-
-
-def _holds_a_closure(desc):
-    return isinstance(desc, SumClosure) or (
-        isinstance(desc, UnionSet) and any(map(_holds_a_closure, desc.members)))
-
-
-@given(st.one_of(_sets, _closures, _nested_closures, _flat_closures), _bounds, _lengths,
-       _lowered_caps)
-@settings(max_examples=300, deadline=None)
-def test_a_lowered_sum_cap_keeps_a_subset_of_the_members(desc, bound, length, cap):
-    dcc._members.cache_clear()
-    full = set(materialize(desc, bound))
-    with _sum_cap(cap):
-        capped = set(materialize(desc, bound))
-        chain = find_decreasing_chain(desc, length, bound)
-        verdict = dcc_verdict(desc, bound, length)
-        stop = dcc._members(desc, bound)[2]
-    assert capped <= full
-    assert chain is None or set(chain.elements) <= capped
-    assert verdict.witness is None or set(verdict.witness.elements) <= capped
-    if isinstance(desc, SumClosure) and not _holds_a_closure(desc.base):
-        # the cap fires exactly when the search without it examines more sums
-        fired = _reference_closure_walk(desc, bound, inf)[1] > cap
-        assert (stop == "max_size") == fired
-        if verdict.verdict == "UNKNOWN":
-            assert ("SEARCH_SUM_CAP" in verdict.reason) == fired
-
-
-_positive_fracs = st.fractions(min_value=F(0), max_value=F(2), max_denominator=24).filter(
-    lambda v: v > 0)
-
-
-@given(st.lists(_positive_fracs, max_size=40).map(sorted), st.integers(min_value=1, max_value=8))
-@settings(max_examples=1000, deadline=None)
-def test_halving_chain_matches_the_parent(values, length):
-    big_l, nums = _over_one_denominator(values)
-    assert dcc._halving_chain(big_l, nums, length) == _parent_halving_chain(values, length)
-
-
-# members of (0, 1] with small denominators, dense enough for runs k/q, (k-1)/q, ...
-_run_fracs = st.fractions(min_value=F(0), max_value=F(1), max_denominator=12).filter(
-    lambda v: v > 0)
-
-
-@given(st.lists(_run_fracs, max_size=40).map(lambda vs: sorted(set(vs))),
-       st.integers(min_value=1, max_value=6))
-@settings(max_examples=500, deadline=None)
-def test_arithmetic_run_chain_matches_the_parent(values, length):
-    big_l, nums = _over_one_denominator(values)
-    assert dcc._arithmetic_run_chain(big_l, nums, length) == _parent_arithmetic_run_chain(
-        values, length)
+    chain = find_decreasing_chain(desc, length, bound)
+    if chain is not None:
+        members = set(materialize(desc, bound))
+        assert len(chain.elements) == length
+        assert all(e > 0 and e in members for e in chain.elements)
+        assert dcc.members_among(desc, chain.elements, bound) == set(chain.elements)

@@ -1,7 +1,8 @@
 """The inputs of ``tools/outputs.py``: the first rounds of both benchmark
 workloads and the weights and sets censuses print what they printed when
 the digests below were pinned, and write each result as ``json.dumps``
-would; every input of the surface and threefold censuses, and a slice of
+would; every ``dcc`` verdict of the sets census is the one facts 2-4 of
+``bdivkit.dcc`` give; every input of the surface and threefold censuses, and a slice of
 the wide census, reduces in at most one cut, and every final state that is
 printed passes the verifier again after a round trip; the surface and
 threefold censuses and the wide slice print what they printed when their
@@ -28,7 +29,7 @@ _spec.loader.exec_module(outputs)
 # rounds of both workloads at seed 1; a change that means to alter an output
 # pins the new digest and says so
 FIRST_ROUNDS = ["reduce_cut:1:3", "batch_small:1:3"]
-FIRST_ROUNDS_SHA256 = "cfac038d4e37c9367f614b0245c6123fde400b4a943bd0b3bb32eca329287a3e"
+FIRST_ROUNDS_SHA256 = "766e7479a8a326b7aaae0e056256073b996623d0fbfc3ca5ad11701f21be6af1"
 
 
 def test_first_rounds_print_the_pinned_outputs():
@@ -50,13 +51,49 @@ def test_weights_census_prints_the_pinned_outputs():
 
 # the same for the sets census: chain, dcc and closure with --verify on every
 # kind of set description; no input exits 3
-SETS_SHA256 = "220ac279a825bc10be44cd8772f368c1bbd806484ccf66ef53ad41cfb8059c62"
+SETS_SHA256 = "7a0d951180a798efae7ec9deb1b00a7ed115a8f8a57a5b446a86c4a1b20ecb02"
 
 
 def test_sets_census_verifies_and_prints_the_pinned_outputs():
     digest, codes, _ = outputs.digest_outputs(["sets"])
-    assert {code: len(argvs) for code, argvs in codes.items()} == {0: 676}
+    assert {code: len(argvs) for code, argvs in codes.items()} == {0: 532}
     assert digest == SETS_SHA256
+
+
+def _holds_standard(desc: dict) -> bool:
+    """Whether the whole set a description denotes holds the standard set."""
+    kind = desc["kind"]
+    if kind == "union":
+        return any(map(_holds_standard, desc["members"]))
+    return kind == "standard" or (kind == "closure" and _holds_standard(desc["base"]))
+
+
+def _not_dcc(desc: dict) -> bool:
+    """Facts 2-4: a closure is NOT_DCC exactly when its base holds the
+    standard set (1/m is (m-1)/m summed with itself m-2 times), else its
+    members lie in (1/L)Z in [0, 1]; a union is NOT_DCC exactly when a member
+    is; finite sets and the standard set are DCC."""
+    if desc["kind"] == "closure":
+        return _holds_standard(desc["base"])
+    return desc["kind"] == "union" and any(map(_not_dcc, desc["members"]))
+
+
+def test_every_dcc_verdict_of_the_sets_census_follows_the_facts():
+    argvs = [argv for argv in outputs.sets_census() if argv[0] == "dcc"]
+    assert len(argvs) == 96
+    verdicts = set()
+    for argv in argvs:
+        code, out, _ = outputs.run(argv)
+        data = json.loads(out)
+        length = int(argv[argv.index("--threshold") + 1])
+        if _not_dcc(json.loads(argv[2])):
+            assert data["verdict"] == "NOT_DCC" and data["verified"] is True, argv
+            assert data["witness"] == {
+                "elements": [f"1/{m}" for m in range(2, length + 2)], "limit": "0"}, argv
+        else:
+            assert data["verdict"] == "DCC" and "witness" not in data, argv
+        verdicts.add(data["verdict"])
+    assert verdicts == {"DCC", "NOT_DCC"}
 
 
 def test_each_result_is_written_as_json_dumps_writes_it(monkeypatch):

@@ -19,9 +19,8 @@ import sys
 from pathlib import Path
 
 import bdivkit.cli as cli_mod
-import bdivkit.dcc as dcc_mod
 import bdivkit.fans as fans_mod
-from test_cli import _CHAIN_PAST_THE_PROBE_CAP, BAD_INPUTS, CASES, GOLDEN
+from test_cli import BAD_INPUTS, CASES, GOLDEN
 
 SRC = Path(cli_mod.__file__).resolve().parent
 
@@ -38,8 +37,6 @@ EXTRA = [
         {"kind": "closure", "base": {"kind": "finite", "values": ["6/7"]}, "denom_bound": 7},
     ]}), "--verify"],
     ["chain", "--set", '{"kind":"standard"}', "--length", "1", "--denom-bound", "12"],
-    # a run search stopped at CHAIN_PROBE_CAP
-    _CHAIN_PAST_THE_PROBE_CAP,
     # the command line: help for a command, an option shortened, --out, --file
     ["minvol", "-h"],
     ["minvol", "--ver", "--n", "1"],
@@ -100,10 +97,17 @@ EXTRA = [
                      '{"kind":"standard"}]}'],
     ["dcc", "--set", '{"kind":"closure","base":{"kind":"finite","values":["1/2","1"]},'
                      '"denom_bound":2}'],
-    # 953 rows of 1,049 sums k/1999 + j/1999 - 1 reach the sum cap in the first round
-    ["dcc", "--set", json.dumps({"kind": "closure", "denom_bound": 1999, "base": {
-        "kind": "finite", "values": [f"{k}/1999" for k in range(950, 1999)]}}),
-     "--threshold", "40"],
+    # closures whose bases hold the standard set at their bound list the Farey
+    # fractions, 1 first when the base lists it, and decide membership by rule
+    ["chain", "--set", json.dumps({"kind": "closure", "denom_bound": 12, "base": {
+        "kind": "union", "members": [{"kind": "standard"}, {"kind": "finite", "values": ["1"]},
+                                     {"kind": "closure", "denom_bound": 5,
+                                      "base": {"kind": "finite", "values": ["1/2"]}}]}}),
+     "--length", "3", "--verify"],
+    # and a closure over one cut at a smaller bound walks over its Farey fractions
+    ["chain", "--set", json.dumps({"kind": "closure", "denom_bound": 12, "base": {
+        "kind": "closure", "denom_bound": 6, "base": {"kind": "standard"}}}),
+     "--length", "2", "--denom-bound", "30", "--verify"],
     ["chain", "--set", json.dumps({"kind": "union", "members": [
         {"kind": "finite", "values": ["1/2"]}, {"kind": "standard"},
         {"kind": "finite", "values": ["1/2", "1/3"]}]}), "--length", "2", "--verify"],
@@ -138,9 +142,7 @@ ALLOWED = {
     # --verify oracles that disagree with the fast path, and invariants
     ("cli:_mismatch", None): BREACH + "a --verify oracle disagrees",
     ("cli:_ensure_match", "_mismatch(what, fast, oracle)"): BREACH + "a --verify oracle disagrees",
-    ("cli:_check_members",
-     '_mismatch(what, "[" + ", ".join(map(format_rat, elements)) + "]", format_rat(e))'):
-        BREACH + "a chain or witness outside its set",
+    ("cli:_cmd_chain", '_mismatch("chain membership",'): BREACH + "a chain outside its set",
     ("cli:_cmd_closure", '_mismatch("closure closedness", values, Fraction(e, big_l))'):
         BREACH + "a closure missing a generated member",
     ("cli:_cmd_closure", '_mismatch("closure base membership", values, v)'):
@@ -172,7 +174,7 @@ ALLOWED = {
     # checks of values that every command validates before, or builds valid
     ("dcc:Chain.__post_init__", 'raise PreconditionError("chain is not strictly decreasing")'):
         LIBRARY + "every search builds its chain decreasing",
-    ("dcc:_members", 'raise PreconditionError(f"unknown set description: {desc!r}")'):
+    ("dcc:_descending", 'raise PreconditionError(f"unknown set description: {desc!r}")'):
         LIBRARY + "desc_from_json builds only the four kinds",
     ("dcc:standard_coeff", 'raise PreconditionError("standard coefficients need r >= 1")'):
         LIBRARY + "chain checks its denominator bound first",
@@ -266,11 +268,9 @@ def _missed():
             return line
         return line
 
-    # the orthant is built once per dimension and process, and a set's members
-    # once per set and bound; start cold, as a command-line process does,
-    # whatever other tests built before
+    # the orthant is built once per dimension and process; start cold, as a
+    # command-line process does, whatever other tests built before
     fans_mod.orthant_fan.cache_clear()
-    dcc_mod._members.cache_clear()
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         sys.settrace(trace)

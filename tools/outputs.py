@@ -26,14 +26,17 @@ Each TARGET is one of
                  [0, 2]^n with at least two nonzero entries, valued 0 or
                  1/2; each input once without --stratum and once per
                  nonempty stratum: 3,200 inputs;
-  sets           ``chain --verify`` and ``dcc --verify`` (with the chain
-                 length as ``--threshold``) at lengths 1, 2 and 4 on finite
-                 sets of k/q values, some with q past the bound, the
-                 standard set, closures of two to four values with q <= 12
-                 (each with and without 1 listed in the base, under their
-                 own bounds 12 and 30) and of the standard set, and unions; and ``closure --verify`` on every
-                 finite and closure base; each at the denominator bounds 1,
-                 2, 6 and 30: 676 inputs.
+  sets           ``chain --verify`` at lengths 1, 2 and 4 and the
+                 denominator bounds 1, 2, 6 and 30, and ``dcc --verify``
+                 once with each length as ``--threshold``, on finite sets of
+                 k/q values, some with q past the bound, the standard set,
+                 closures of two to four values with q <= 12 (each with and
+                 without 1 listed in the base, under their own bounds 12 and
+                 30), of {1/2, 2/3, 6/7} and {1/2, 2/3, 3/4} at 200, of the
+                 standard set at 12, 2000 and 4000, of a union holding it
+                 and of its closure at 12, and unions; and
+                 ``closure --verify`` on every finite and closure base at
+                 those four bounds: 532 inputs.
 
 Every input runs through ``bdivkit.cli.main`` in this process, with the
 package imported from PYTHONPATH.  The tool prints one sha256 over the argv,
@@ -172,31 +175,36 @@ BASES = (["1/2", "2/3"], ["1/2", "5/6"], ["2/3", "3/4", "5/6"], ["1/2", "3/5", "
 
 
 def sets_census() -> list:
-    """The 676 argv of the sets census, in a fixed order."""
+    """The 532 argv of the sets census, in a fixed order."""
     finite = [{"kind": "finite", "values": values} for values in FINITE]
     standard = {"kind": "standard"}
     # 1 is spelled in the base, which every version of the closure reads
     bases = [base + one for base in BASES for one in ([], ["1"])]
     closures = [{"kind": "closure", "base": {"kind": "finite", "values": base}, "denom_bound": own}
                 for own in (12, 30) for base in bases]
-    closures.append({"kind": "closure", "base": standard, "denom_bound": 12})
+    closures += [{"kind": "closure", "base": {"kind": "finite", "values": base}, "denom_bound": 200}
+                 for base in (["1/2", "2/3", "6/7"], ["1/2", "2/3", "3/4"])]
+    closures += [{"kind": "closure", "base": standard, "denom_bound": own}
+                 for own in (12, 2000, 4000)]
+    closures += [
+        {"kind": "closure", "base": {"kind": "union", "members": [finite[3], standard]},
+         "denom_bound": 30},
+        {"kind": "closure", "base": closures[-3], "denom_bound": 30},
+    ]
     unions = [
         {"kind": "union", "members": [finite[0], standard]},
         {"kind": "union", "members": [standard, finite[3], closures[1]]},
         {"kind": "union", "members": [closures[2], finite[4]]},
     ]
+    descs = [json.dumps(desc) for desc in [*finite, standard, *closures, *unions]]
     argvs = []
     for bound in ("1", "2", "6", "30"):
-        for desc in [*finite, standard, *closures, *unions]:
-            for length in ("1", "2", "4"):
-                argvs += [
-                    ["chain", "--set", json.dumps(desc), "--length", length,
-                     "--denom-bound", bound, "--verify"],
-                    ["dcc", "--set", json.dumps(desc), "--threshold", length,
-                     "--denom-bound", bound, "--verify"],
-                ]
+        argvs += [["chain", "--set", desc, "--length", length, "--denom-bound", bound, "--verify"]
+                  for desc in descs for length in ("1", "2", "4")]
         argvs += [["closure", "--base", json.dumps(base), "--denom-bound", bound, "--verify"]
                   for base in [*FINITE, *bases]]
+    argvs += [["dcc", "--set", desc, "--threshold", length, "--verify"]
+              for desc in descs for length in ("1", "2", "4")]
     return argvs
 
 
