@@ -15,8 +15,8 @@ with ``verify_reduction``, so ``reduce`` prints ``verify_ok``, and with
 ``--verify`` "oracle-skipped".  ``dcc`` reads its verdict from the set
 description alone, and its oracle derives each witness 1/m again from the
 standard coefficient (m-1)/m by exceptional sums; ``chain``'s oracle checks
-each member by rule, or in the listed members of a closure that does not
-hold the standard set.  ``batch`` reads its entries from ``--file`` alone
+each member by rule, or, in a closure that does not hold the standard set,
+against its walk read down to the least member checked.  ``batch`` reads its entries from ``--file`` alone
 and refuses ``--json`` and ``--verify``.
 
 The command line is ``bdivkit COMMAND [OPTION ...]``, read by ``Parser``
@@ -32,7 +32,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import chain, product as iter_product, repeat
+from itertools import chain, combinations_with_replacement, product as iter_product, repeat
 from json.encoder import encode_basestring_ascii as _escape
 from math import comb, factorial, gcd, lcm, prod
 from operator import itemgetter, mul
@@ -59,10 +59,11 @@ from .dcc import (
     DEFAULT_CHAIN_LENGTH,
     DEFAULT_DENOM_BOUND,
     FiniteSet,
+    SumClosure,
     desc_from_json,
     dcc_verdict,
-    exceptional_closure,
     find_decreasing_chain,
+    materialize,
     members_among,
 )
 from .exact import (
@@ -317,20 +318,20 @@ def _cmd_verify(p):
 
 def _cmd_closure(p):
     bound = parse_int(p["denom_bound"], "denom_bound")
-    base = FiniteSet(p["base"]).values
-    values = exceptional_closure(base, bound)
+    base = FiniteSet(p["base"])
+    values = materialize(SumClosure(base, bound), bound)
     out = {"values": [format_rat(v) for v in values]}
     if p.get("verify"):
-        # every pair, on numerators over L: a + b - 1 is (x + y - L) / L
+        # each unordered pair once, on numerators over L: a + b - 1 is
+        # (x + y - L) / L, which is symmetric in x and y
         big_l = lcm(*(v.denominator for v in values))
         nums = {v.numerator * (big_l // v.denominator) for v in values}
-        for x in nums:
-            for y in nums:
-                e = x + y - big_l
-                if e >= 0 and big_l // gcd(e, big_l) <= bound and e not in nums:
-                    _mismatch("closure closedness", values, Fraction(e, big_l))
+        for x, y in combinations_with_replacement(nums, 2):
+            e = x + y - big_l
+            if e >= 0 and big_l // gcd(e, big_l) <= bound and e not in nums:
+                _mismatch("closure closedness", values, Fraction(e, big_l))
         vals = set(values)
-        for v in base:
+        for v in base.values:
             if v.denominator <= bound and v not in vals:
                 _mismatch("closure base membership", values, v)
         out["verified"] = True

@@ -119,18 +119,6 @@ def _walk(values, denom_bound: int):
         yield Fraction(a, big_l)
 
 
-def exceptional_closure(values, denom_bound: int) -> list:
-    """Full closure of a finite set of checked values under the exceptional sum.
-
-    Values whose reduced denominator exceeds denom_bound are pruned (and do
-    not generate), which keeps the universe finite; the result is sorted
-    ascending.  The walk's caps apply.
-    """
-    if denom_bound < 1:
-        raise PreconditionError("denominator bound must be >= 1")
-    return sorted(_walk([v for v in values if v.denominator <= denom_bound], denom_bound))
-
-
 def _farey(order: int):
     """The Farey fractions of the order in [0, 1), descending, as pairs (p, q).
 
@@ -200,8 +188,8 @@ _DESC_KEYS = {"finite": {"kind", "values"}, "standard": {"kind"}, "union": {"kin
               "closure": {"kind", "base", "denom_bound"}}
 
 
-# closures one description holds: `chain --verify` walks each closure it
-# checks in full, and a walk costs up to about 2 s (CLOSURE_LCM_BITS_CAP)
+# closures one description holds: a closure over another lists that one in
+# full as its base, and a walk costs up to about 2 s (CLOSURE_LCM_BITS_CAP)
 SET_CLOSURE_CAP = 4
 
 
@@ -297,7 +285,8 @@ def _descending(desc: CoeffSetDesc, denom_bound: int):
         raise PreconditionError(f"unknown set description: {desc!r}")
     bound = min(denom_bound, desc.denom_bound)
     if _holds_standard(desc.base, bound):
-        one = members_among(desc.base, [Fraction(1)], bound)
+        # every stream descends from at most 1, so its head says whether it lists 1
+        one = [Fraction(1)] if next(_descending(desc.base, bound), None) == 1 else []
         return chain(one, starmap(Fraction, _farey(bound)))
     return _walk(materialize(desc.base, bound), bound)
 
@@ -320,7 +309,9 @@ def members_among(desc: CoeffSetDesc, values, denom_bound: int = DEFAULT_DENOM_B
     """The values that are members of desc with denominators <= denom_bound.
 
     The standard set and a closure holding it at its bound decide by rule
-    (fact 2); any other closure lists its members once.
+    (fact 2); any other closure reads its stream down to the least value
+    asked, since the members above it come only from members above it
+    (fact 1).
     """
     values = [x for x in values if x.denominator <= denom_bound]
     if isinstance(desc, FiniteSet):
@@ -339,7 +330,8 @@ def members_among(desc: CoeffSetDesc, values, denom_bound: int = DEFAULT_DENOM_B
     if _holds_standard(desc.base, bound):
         ones = [x for x in values if x == 1]
         return {x for x in values if 0 <= x < 1} | members_among(desc.base, ones, bound)
-    return set(values).intersection(materialize(desc, bound))
+    least = min(values)
+    return set(values).intersection(takewhile(least.__le__, _descending(desc, bound)))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from bdivkit.dcc import (
     StandardSet,
     SumClosure,
     dcc_verdict,
-    exceptional_closure,
     materialize,
     standard_coeff,
 )
@@ -211,7 +210,7 @@ def test_criterion_8_prefixes_and_mld_bruteforce():
 def test_criterion_9_dcc_suite():
     with criterion(9, "coefficient-set chain suite", 30.0):
         for q in range(2, 21):
-            assert exceptional_closure([standard_coeff(q)], q) == [
+            assert materialize(SumClosure(FiniteSet([standard_coeff(q)]), q), q) == [
                 F(k, q) for k in range(q)
             ]
         # the closure of the standard coefficients up to 42/43 lies in

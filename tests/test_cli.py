@@ -1002,6 +1002,31 @@ def test_closure_bases_past_their_caps_are_refused_at_once():
         assert code == 2 and cap in json.loads(err)["error"]
 
 
+# the closure of the 389 values (p-1)/p for the largest primes p below 30,000,
+# whose walk passes CLOSURE_SIZE_CAP after about 2 s
+_LARGEST_PRIMES = [p for p in range(29999, 2, -2) if all(p % d for d in range(3, math.isqrt(p) + 1, 2))]
+_PRIME_CLOSURE = json.dumps({"kind": "closure", "denom_bound": 30000, "base": {
+    "kind": "finite", "values": [f"{p - 1}/{p}" for p in _LARGEST_PRIMES[:389]]}})
+
+
+@pytest.mark.parametrize("desc, length, bound, elements", [
+    ('{"kind":"closure","base":{"kind":"finite","values":["1/2","19999/20000"]},'
+     '"denom_bound":20000}', 3, 20000, ["19999/20000", "9999/10000", "19997/20000"]),
+    (_PRIME_CLOSURE, 5, 30000, ["29988/29989", "29982/29983", "29958/29959", "29946/29947",
+                                "29926/29927"]),
+])
+def test_chain_verify_reads_a_walk_down_to_its_least_member(desc, length, bound, elements):
+    # the oracle checks the chain against the walk's members down to its
+    # last element, so it answers where `chain` does without listing the
+    # closure whole
+    start = time.perf_counter()
+    code, out, err = run_cli(["chain", "--set", desc, "--length", str(length),
+                              "--denom-bound", str(bound), "--verify"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0, err
+    assert json.loads(out) == {"chain": {"elements": elements}, "found": True, "verified": True}
+
+
 def test_the_lcm_cap_is_the_bits_of_the_standard_sets_at_its_cap():
     # the standard coefficients up to 3999/4000 are admitted as a finite base
     assert dcc_mod.CLOSURE_LCM_BITS_CAP == math.lcm(*range(1, 4001)).bit_length()
@@ -1061,8 +1086,8 @@ def test_fset_verify_rejects_a_wrong_prefix_set(monkeypatch, tamper):
     pytest.param(Fraction(2, 3), "closure base membership", id="a base value dropped"),
 ])
 def test_closure_verify_rejects_a_wrong_closure(monkeypatch, dropped, cause):
-    original = cli_mod.exceptional_closure
-    monkeypatch.setattr(cli_mod, "exceptional_closure",
+    original = cli_mod.materialize
+    monkeypatch.setattr(cli_mod, "materialize",
                         lambda *args, **kwargs: [v for v in original(*args, **kwargs)
                                                  if v != dropped])
     code, out, err = run_cli(CASES["closure"])

@@ -1,6 +1,6 @@
 from fractions import Fraction as F
 from itertools import islice
-from math import lcm
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,7 +14,6 @@ from bdivkit.dcc import (
     UnionSet,
     dcc_verdict,
     desc_from_json,
-    exceptional_closure,
     find_decreasing_chain,
     materialize,
     standard_coeff,
@@ -28,6 +27,11 @@ def truncated_standard(r_max):
     return FiniteSet(tuple(standard_coeff(r) for r in range(1, r_max + 1)))
 
 
+def closure_of(values, denom_bound):
+    """The closure of a finite base at denom_bound, ascending, as ``closure`` lists it."""
+    return materialize(SumClosure(FiniteSet(values), denom_bound), denom_bound)
+
+
 def test_standard_coeff_examples():
     assert standard_coeff(1) == 0
     assert standard_coeff(2) == F(1, 2)
@@ -37,22 +41,22 @@ def test_standard_coeff_examples():
 
 
 def test_exceptional_closure_examples():
-    assert exceptional_closure([F(1, 2)], 10) == [F(0), F(1, 2)]
-    assert exceptional_closure([standard_coeff(5)], 5) == [
+    assert closure_of([F(1, 2)], 10) == [F(0), F(1, 2)]
+    assert closure_of([standard_coeff(5)], 5) == [
         F(k, 5) for k in range(5)
     ]
-    assert F(1, 6) in exceptional_closure([F(1, 2), F(2, 3)], 6)
+    assert F(1, 6) in closure_of([F(1, 2), F(2, 3)], 6)
 
 
 def test_exceptional_closure_density():
     # every k/q appears, nothing else does
     for q in range(2, 21):
-        got = exceptional_closure([standard_coeff(q)], q)
+        got = closure_of([standard_coeff(q)], q)
         assert got == [F(k, q) for k in range(q)]
 
 
 def test_exceptional_closure_keeps_a_listed_one():
-    with_one = exceptional_closure([F(1, 2), F(1)], 10)
+    with_one = closure_of([F(1, 2), F(1)], 10)
     assert F(1) in with_one and F(1, 2) in with_one and F(0) in with_one
 
 
@@ -63,15 +67,15 @@ def test_exceptional_closure_keeps_a_listed_one():
 )
 @settings(max_examples=40, deadline=None)
 def test_closure_monotone(base, extra, bound):
-    small = set(exceptional_closure(base, bound))
-    bigger_base = set(exceptional_closure(base + extra, bound))
-    bigger_bound = set(exceptional_closure(base, bound + 5))
+    small = set(closure_of(base, bound))
+    bigger_base = set(closure_of(base + extra, bound))
+    bigger_bound = set(closure_of(base, bound + 5))
     assert small <= bigger_base
     assert small <= bigger_bound
 
 
 def test_closure_is_closed():
-    vals = set(exceptional_closure([F(1, 2), F(2, 3), F(6, 7)], 42))
+    vals = set(closure_of([F(1, 2), F(2, 3), F(6, 7)], 42))
     for a in vals:
         for b in vals:
             e = a + b - 1
@@ -122,6 +126,21 @@ def test_chain_lengths_past_the_size_cap_are_refused():
         find_decreasing_chain(StandardSet(), cap + 1, 10 ** 9)
     with pytest.raises(PreconditionError, match=f"threshold {cap + 1} is more than the cap"):
         dcc_verdict(StandardSet(), cap + 1)
+
+
+def test_membership_reads_a_walk_down_to_the_least_value_asked():
+    # the closure of the 389 values (p-1)/p for the largest primes p below
+    # 30,000 has more than CLOSURE_SIZE_CAP members, yet the members above a
+    # value come only from members above it, so its five largest are decided
+    primes = [p for p in range(29999, 2, -2) if all(p % d for d in range(3, isqrt(p) + 1, 2))]
+    desc = SumClosure(FiniteSet(tuple(F(p - 1, p) for p in primes[:389])), 30000)
+    top = [F(p - 1, p) for p in primes[:5]]
+    # 29987/29989 is 29988/29989 summed with itself; no member has the denominator 29988
+    asked = top + [F(29987, 29989), F(29987, 29988)]
+    assert dcc.members_among(desc, asked, 30000) == set(top) | {F(29987, 29989)}
+    # a value far down is decided only past the walk's cap
+    with pytest.raises(PreconditionError, match="CLOSURE_SIZE_CAP"):
+        dcc.members_among(desc, [F(1, 29989)], 30000)
 
 
 def test_chain_type_validates():
@@ -316,7 +335,7 @@ _lengths = st.integers(min_value=1, max_value=6)
 @settings(max_examples=150, deadline=None)
 def test_exceptional_closure_matches_the_fraction_reference(base, bound, with_one):
     base = base + [F(1)] * with_one
-    assert exceptional_closure(base, bound) == _reference_exceptional_closure(base, bound)
+    assert closure_of(base, bound) == _reference_exceptional_closure(base, bound)
 
 
 @given(st.one_of(_sets, _closures, _nested_closures), _bounds, _lengths)
