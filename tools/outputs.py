@@ -36,7 +36,10 @@ Each TARGET is one of
                  standard set at 12, 2000 and 4000, of a union holding it
                  and of its closure at 12, and unions; and
                  ``closure --verify`` on every finite and closure base at
-                 those four bounds: 532 inputs.
+                 those four bounds; and ``chain --verify`` on two closures
+                 past the size cap, of {1/2, 19999/20000} at 20000 (length
+                 3) and of the 389 values (p-1)/p for the largest primes p
+                 below 30,000 at 30000 (length 5): 534 inputs.
 
 Every input runs through ``bdivkit.cli.main`` in this process, with the
 package imported from PYTHONPATH.  The tool prints one sha256 over the argv,
@@ -59,7 +62,7 @@ import sys
 import tempfile
 import time
 from itertools import combinations, product
-from math import gcd
+from math import gcd, isqrt
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -175,7 +178,7 @@ BASES = (["1/2", "2/3"], ["1/2", "5/6"], ["2/3", "3/4", "5/6"], ["1/2", "3/5", "
 
 
 def sets_census() -> list:
-    """The 532 argv of the sets census, in a fixed order."""
+    """The 534 argv of the sets census, in a fixed order."""
     finite = [{"kind": "finite", "values": values} for values in FINITE]
     standard = {"kind": "standard"}
     # 1 is spelled in the base, which every version of the closure reads
@@ -205,6 +208,14 @@ def sets_census() -> list:
                   for base in [*FINITE, *bases]]
     argvs += [["dcc", "--set", desc, "--threshold", length, "--verify"]
               for desc in descs for length in ("1", "2", "4")]
+    # closures whose walks pass the size cap, of which chain reads the top alone
+    primes = [p for p in range(29999, 2, -2) if all(p % d for d in range(3, isqrt(p) + 1, 2))]
+    for values, bound, length in [(["1/2", "19999/20000"], "20000", "3"),
+                                  ([f"{p - 1}/{p}" for p in primes[:389]], "30000", "5")]:
+        desc = {"kind": "closure", "base": {"kind": "finite", "values": values},
+                "denom_bound": int(bound)}
+        argvs.append(["chain", "--set", json.dumps(desc), "--length", length,
+                      "--denom-bound", bound, "--verify"])
     return argvs
 
 
