@@ -181,13 +181,14 @@ def test_threefold_census_prints_the_pinned_outputs():
 
 # the digest of every third input of ``tools/outputs.py wide``, hashed as
 # the per-target digests are
-WIDE_SLICE_SHA256 = "16c34a94718dae61e95468735b178311477acffc97789e8ccde12c89c35f7f35"
+WIDE_SLICE_SHA256 = "ef02fa580661c7b3d0ff1d6a26538975faa6186cf113baf9b0c524c1d7a717fc"
 
 
 def test_wide_census_slice_reduces_in_one_cut_and_verifies():
-    # every third input of the wide census, in about two seconds
+    # every third input of the wide census, in about five seconds, two thirds
+    # of them in its fivefolds and sixfolds
     argvs = outputs.wide_census()
-    assert len(argvs) == 4000
+    assert len(argvs) == 4500
     digest = hashlib.sha256()
     for argv in argvs[::3]:
         code, out, err = outputs.run(argv)

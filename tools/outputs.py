@@ -17,8 +17,9 @@ Each TARGET is one of
                  vectors, valued 0 or 1/2 (2,400 inputs); 1,000 seeded
                  random threefolds with up to three coefficient-one
                  components and three deviations; and 600 seeded random
-                 fourfolds with two or three coefficient-one components
-                 and two or three deviations: 4,000 inputs;
+                 fourfolds, 300 fivefolds and 200 sixfolds, each with two
+                 or three coefficient-one components and two or three
+                 deviations: 4,500 inputs;
   weights        ``weight --verify`` on every model of n = 2 with
                  coefficients in 0, 1/2, 2/3, 1 and one or two deviations,
                  and of n = 3 with coefficients in 1/2, 1 (in every order)
@@ -154,7 +155,7 @@ def _random_reduce(rng, n, ones, count) -> list:
 
 
 def wide_census() -> list:
-    """The 4,000 argv of the wide census, in a fixed order."""
+    """The 4,500 argv of the wide census, in a fixed order."""
     vecs = _primitive_vectors(3)
     models = [(c, "1", "1") for c in ("0", "5/6", "1")] + [("1", "1/2", "1"), ("1/2", "1", "1/2")]
     argvs = [
@@ -167,6 +168,9 @@ def wide_census() -> list:
     argvs += [_random_reduce(rng, 3, rng.randrange(4), 3) for _ in range(1000)]
     argvs += [_random_reduce(rng, 4, rng.choice((2, 3)), rng.choice((2, 3)))
               for _ in range(600)]
+    rng = random.Random(2026)
+    argvs += [_random_reduce(rng, n, rng.choice((2, 3)), rng.choice((2, 3)))
+              for n, count in ((5, 300), (6, 200)) for _ in range(count)]
     return argvs
 
 
