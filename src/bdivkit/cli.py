@@ -16,8 +16,8 @@ with ``verify_reduction``, so ``reduce`` prints ``verify_ok``, and with
 description alone, and its oracle derives each witness 1/m again from the
 standard coefficient (m-1)/m by exceptional sums; ``chain``'s oracle checks
 each member by rule, or, in a closure that does not hold the standard set,
-against its walk read down to the least member checked.  ``batch`` reads its entries from ``--file`` alone
-and refuses ``--json`` and ``--verify``.
+against its walk read down to the least member checked.  ``batch`` reads
+its entries from ``--file`` alone and refuses ``--json`` and ``--verify``.
 
 The command line is ``bdivkit COMMAND [OPTION ...]``, read by ``Parser``
 straight from the table ``_COMMANDS``; an error in argv itself exits 2 with
