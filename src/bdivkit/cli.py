@@ -73,6 +73,7 @@ from .exact import (
     parse_int,
     parse_rat,
     parse_rat_list,
+    valuation,
 )
 from .fans import Fan
 from .logpairs import (
@@ -84,7 +85,6 @@ from .logpairs import (
     pullback_coeff,
     pullback_trace,
     rounding_comparison,
-    valuation,
 )
 from .reduction import (
     ReductionState,
@@ -118,7 +118,7 @@ def _arg(p, key, default):
 
 def _cmd_ldisc(p):
     pair = LocalPair.from_json(p["pair"])
-    v = valuation(p["v"])
+    v = valuation(p["v"], pair.n, "v")
     ld = log_discrepancy(pair, v)
     out = {"log_discrepancy": format_rat(ld)}
     if p.get("verify"):
@@ -132,7 +132,7 @@ def _cmd_ldisc(p):
 
 def _cmd_lcoeff(p):
     pair = LocalPair.from_json(p["pair"])
-    v = valuation(p["v"])
+    v = valuation(p["v"], pair.n, "v")
     value = pullback_coeff(pair, v)
     out = {"coeff": format_rat(value)}
     if p.get("verify"):

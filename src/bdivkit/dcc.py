@@ -41,8 +41,10 @@ at 1), and a union is DCC exactly when each of its members is.
 So each description lists its members, cut at a bound, as one lazy stream
 in descending order: a finite set its values, the standard set (r-1)/r for
 r = d, ..., 1, a union the merge of its members' streams, and a closure the
-Farey fractions when its base holds the standard set at the closure's bound,
-else the walk over its base's members.  A chain is the first positive
+stream of its base when that is a closure whose own bound reaches the cut
+(pruned at one bound, the closure of a closure is itself), else the Farey
+fractions when its base holds the standard set at the closure's bound, else
+the walk over its base's members.  A chain is the first positive
 members of the stream, and a verdict reads the description alone.  The walk
 finds at most CLOSURE_SIZE_CAP members over an L of at most
 CLOSURE_LCM_BITS_CAP bits, and a description read from JSON holds at most
@@ -188,8 +190,10 @@ _DESC_KEYS = {"finite": {"kind", "values"}, "standard": {"kind"}, "union": {"kin
               "closure": {"kind", "base", "denom_bound"}}
 
 
-# closures one description holds: a closure over another lists that one in
-# full as its base, and a walk costs up to about 2 s (CLOSURE_LCM_BITS_CAP)
+# closures one description holds: a closure over another cut at a smaller
+# bound lists that one in full as its base (over one whose bound reaches its
+# own, it reads that one's stream), and a walk costs up to about 2 s
+# (CLOSURE_LCM_BITS_CAP)
 SET_CLOSURE_CAP = 4
 
 
@@ -284,6 +288,9 @@ def _descending(desc: CoeffSetDesc, denom_bound: int):
     if not isinstance(desc, SumClosure):
         raise PreconditionError(f"unknown set description: {desc!r}")
     bound = min(denom_bound, desc.denom_bound)
+    if isinstance(desc.base, SumClosure) and desc.base.denom_bound >= bound:
+        # pruned at one bound, the closure of a closure is the closure itself
+        return _descending(desc.base, bound)
     if _holds_standard(desc.base, bound):
         # every stream descends from at most 1, so its head says whether it lists 1
         one = [Fraction(1)] if next(_descending(desc.base, bound), None) == 1 else []

@@ -3,7 +3,10 @@
 Rationals are `fractions.Fraction` (always in lowest terms with positive
 denominator); the serialized form is the string ``"p/q"``, or ``"p"`` alone
 when the denominator is 1, so command-line output is bit-exact and diffable.
-Lattice vectors are plain tuples of ints.
+Lattice vectors are plain tuples of ints.  A vector of the orthant that
+enters the program, a valuation, a fan ray, a cone generator or a vector to
+locate, is read by ``orthant_vector`` and nowhere else, and a valuation by
+``valuation``, which adds that its entries are coprime.
 
 The exact linear algebra of the package lives here too: one fraction-free
 elimination (rank, and determinants past 3 x 3), the cofactor normal of
@@ -218,31 +221,33 @@ def parse_int_list(values, key: str) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# lattice vectors
-
-LatticeVec = tuple
+# vectors of the orthant
 
 
-def lattice_vec(entries) -> LatticeVec:
-    """Validate and freeze an integer vector of dimension >= 1."""
-    try:
-        vec = tuple(entries)
-    except TypeError as exc:
-        raise PreconditionError(f"a lattice vector must be a list, got {entries!r}") from exc
-    if not vec:
-        raise PreconditionError("lattice vector needs dimension >= 1")
-    for e in vec:
-        if isinstance(e, bool) or not isinstance(e, int):
-            raise PreconditionError(f"lattice vector entries must be ints, got {e!r}")
+def orthant_vector(values, n: int, key: str) -> tuple:
+    """A nonzero integer vector of the closed positive orthant of Z^n.
+
+    The one reader of such vectors, from input or a library caller: a list
+    or tuple of n entries, each read by ``parse_int`` (an int or its decimal
+    text; a bool or a float is refused, naming key), none negative and not
+    all zero.
+    """
+    vec = parse_int_list(values, key)
+    if len(vec) != n:
+        raise PreconditionError(f"{key!r} needs {n} entries, got {list(vec)}")
+    if not any(vec) or min(vec) < 0:
+        raise PreconditionError(
+            f"{key!r} {list(vec)} is not a nonzero vector of the positive orthant"
+        )
     return vec
 
 
-def is_primitive(v) -> bool:
-    vec = tuple(v)
-    g = 0
-    for e in vec:
-        g = gcd(g, abs(e))
-    return g == 1
+def valuation(values, n: int, key: str) -> tuple:
+    """A monomial valuation: an ``orthant_vector`` whose entries are coprime."""
+    vec = orthant_vector(values, n, key)
+    if gcd(*vec) != 1:
+        raise PreconditionError(f"{key!r} {list(vec)} is not primitive")
+    return vec
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 A fan here is a simplicial subdivision of the closed positive orthant of
 ``R^n``: a list of primitive integer rays together with full-dimensional
 cones (given as sorted tuples of ray indices) whose union covers the orthant.
+A ray or cone generator is read by ``exact.valuation``, and a vector to
+locate by ``exact.orthant_vector``; neither class checks a vector itself.
 Star subdivision at a primitive vector models a weighted blow-up.  Rays
 enter a fan only through ``insert_rays(n, vecs)``, which subdivides the
 undivided orthant (``orthant_fan(n)``, the local model, affine n-space with
@@ -65,13 +67,13 @@ from .exact import (
     cofactor_normal,
     determinant,
     format_rat,
-    is_primitive,
-    lattice_vec,
+    orthant_vector,
     parse_int,
     parse_int_list,
     parse_list,
     record,
     trusted,
+    valuation,
 )
 
 MAX_DIM = 6
@@ -96,16 +98,10 @@ class Cone:
     gens: tuple
 
     def __post_init__(self):
-        gens = tuple(lattice_vec(g) for g in self.gens)
-        n = len(gens)
+        n = len(self.gens)
         _check_dim(n)
-        for g in gens:
-            if len(g) != n:
-                raise PreconditionError(f"a cone needs {n} generators of length {n}, got {g}")
-            if any(e < 0 for e in g):
-                raise PreconditionError(f"generator {g} leaves the positive orthant")
-            if not is_primitive(g):
-                raise PreconditionError(f"generator {g} is not primitive")
+        # n generators of length n: every cone is full-dimensional
+        gens = tuple(valuation(g, n, "gens") for g in self.gens)
         object.__setattr__(self, "gens", gens)
         # det(G^T) = det(G): the integer determinant, cached here, decides
         # independence
@@ -264,26 +260,23 @@ class Fan:
     cones: tuple
 
     def __post_init__(self):
-        _check_dim(self.n)
-        rays = tuple(lattice_vec(r) for r in self.rays)
-        for r in rays:
-            if len(r) != self.n:
-                raise PreconditionError("ray dimension mismatch")
-            if any(e < 0 for e in r):
-                raise PreconditionError(f"ray {r} leaves the positive orthant")
-            if not is_primitive(r):
-                raise PreconditionError(f"ray {r} is not primitive")
+        n = parse_int(self.n, "n")
+        _check_dim(n)
+        rays = tuple(valuation(r, n, "rays") for r in parse_list(self.rays, "rays"))
         if len(set(rays)) != len(rays):
             raise PreconditionError("duplicate rays")
-        cones = tuple(sorted(tuple(sorted(c)) for c in self.cones))
+        cones = tuple(sorted(
+            tuple(sorted(parse_int_list(c, "cones"))) for c in parse_list(self.cones, "cones")
+        ))
         for c in cones:
-            if len(c) != self.n:
+            if len(c) != n:
                 raise PreconditionError("maximal cones must be full-dimensional")
             if len(set(c)) != len(c):
                 raise PreconditionError("repeated ray index in a cone")
             for i in c:
                 if not 0 <= i < len(rays):
                     raise PreconditionError(f"cone refers to missing ray index {i}")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "cones", cones)
 
@@ -309,17 +302,12 @@ class Fan:
     def locate(self, v) -> BarycentricResult:
         """Find a maximal cone containing v with exact coordinates.
 
-        v is validated, then the cones are scanned in order, so ties on shared
-        faces go to the lexicographically-first cone by sorted ray indices
-        (the cones are stored in that order).
+        v is read by ``orthant_vector``, any nonzero vector of the orthant,
+        then the cones are scanned in order, so ties on shared faces go to the
+        lexicographically-first cone by sorted ray indices (the cones are
+        stored in that order).
         """
-        vec = lattice_vec(v)
-        if len(vec) != self.n:
-            raise PreconditionError("query dimension mismatch")
-        if all(e == 0 for e in vec):
-            raise PreconditionError("cannot locate the zero vector")
-        if any(e < 0 for e in vec):
-            raise PreconditionError(f"{vec} is outside the positive orthant")
+        vec = orthant_vector(v, self.n, "v")
         for idx, cone in zip(self.cones, self.max_cones):
             nums = cone.coords(vec)
             if nums is not None:
@@ -417,13 +405,7 @@ class Fan:
     def from_json(cls, data: dict) -> "Fan":
         """Read a fan and check that its cones subdivide the orthant."""
         try:
-            fan = cls(
-                n=parse_int(data["n"], "n"),
-                rays=tuple(parse_int_list(r, "rays") for r in parse_list(data["rays"], "rays")),
-                cones=tuple(
-                    parse_int_list(c, "cones") for c in parse_list(data["cones"], "cones")
-                ),
-            )
+            fan = cls(n=data["n"], rays=data["rays"], cones=data["cones"])
         except (KeyError, TypeError) as exc:
             raise PreconditionError(f"malformed fan JSON: {exc}") from exc
         defect = fan.subdivision_defect

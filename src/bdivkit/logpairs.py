@@ -2,9 +2,11 @@
 
 The local model is (C^n, sum c_i H_i) with exact rational coefficients
 c_i in [0,1] on the coordinate hyperplanes.  A monomial valuation is a
-primitive nonzero integer vector v in the closed positive orthant; its
-log discrepancy against the pair is sum v_i (1 - c_i), an affine-linear
-function pinned by the values at the origin and at the unit vectors.
+primitive nonzero integer vector v in the closed positive orthant, read by
+``exact.valuation`` wherever one enters (a valuation argument, a deviation
+key of ``BDivisor``); its log discrepancy against the pair is
+sum v_i (1 - c_i), an affine-linear function pinned by the values at the
+origin and at the unit vectors.
 
 ``pullback_coeff`` is the coefficient of the valuation in the positive
 part of the log pullback, max(0, 1 - sum v_i (1 - c_i)); this is the value
@@ -27,32 +29,17 @@ from functools import cached_property
 from math import ceil, floor
 
 from .exact import (
-    LatticeVec,
     PreconditionError,
     complement_weights,
     format_rat,
-    is_primitive,
-    lattice_vec,
     parse_int,
-    parse_int_list,
     parse_list,
     parse_rat,
     parse_rat_list,
     record,
+    valuation,
 )
 from .fans import Fan
-
-
-def valuation(v) -> LatticeVec:
-    """Validate a monomial valuation: primitive, >= 0, not zero."""
-    vec = lattice_vec(v)
-    if any(e < 0 for e in vec):
-        raise PreconditionError(f"valuation {vec} leaves the positive orthant")
-    if all(e == 0 for e in vec):
-        raise PreconditionError("the zero vector is not a valuation")
-    if not is_primitive(vec):
-        raise PreconditionError(f"valuation {vec} is not primitive")
-    return vec
 
 
 def unit_index(v) -> int | None:
@@ -80,7 +67,7 @@ class LocalPair:
     coeffs: tuple
 
     def __post_init__(self):
-        cs = tuple(parse_rat(c) for c in self.coeffs)
+        cs = parse_rat_list(self.coeffs)
         if not cs:
             raise PreconditionError("a pair needs dimension >= 1")
         for c in cs:
@@ -101,20 +88,18 @@ class LocalPair:
     @classmethod
     def from_json(cls, data: dict) -> "LocalPair":
         try:
-            coeffs = parse_rat_list(data["coeffs"])
-            n = parse_int(data["n"], "n") if "n" in data else len(coeffs)
+            pair = cls(data["coeffs"])
+            n = parse_int(data["n"], "n") if "n" in data else pair.n
         except (KeyError, TypeError) as exc:
             raise PreconditionError(f"malformed pair JSON: {exc}") from exc
-        if n != len(coeffs):
+        if n != pair.n:
             raise PreconditionError("pair JSON: n does not match the coefficient count")
-        return cls(coeffs)
+        return pair
 
 
 def log_discrepancy(pair: LocalPair, v) -> Fraction:
     """sum v_i (1 - c_i), exactly."""
-    vec = valuation(v)
-    if len(vec) != pair.n:
-        raise PreconditionError("valuation dimension mismatch")
+    vec = valuation(v, pair.n, "v")
     return sum(
         (Fraction(e) * (1 - c) for e, c in zip(vec, pair.coeffs)), Fraction(0)
     )
@@ -140,22 +125,26 @@ class BDivisor:
     """Default-one b-divisor: values at e_1..e_n plus finitely many deviations.
 
     Every valuation not listed takes the value 1; unit vectors take the pair
-    coefficients, so deviation keys must not be unit vectors.
+    coefficients, so deviation keys must not be unit vectors.  deviations is
+    a dict from valuations to values, or a list of (valuation, value) pairs
+    as ``from_json`` passes it; each key is read once, by
+    ``exact.valuation``, so two spellings of one vector are one key listed
+    twice.
     """
 
     pair_coeffs: tuple
     deviations: dict = {}
 
     def __post_init__(self):
-        pcs = tuple(parse_rat(c) for c in self.pair_coeffs)
+        pcs = parse_rat_list(self.pair_coeffs)
         for c in pcs:
             _check_unit_interval(c, "divisorial value")
-        n = len(pcs)
         devs = {}
-        for key, value in self.deviations.items():
-            vec = valuation(key)
-            if len(vec) != n:
-                raise PreconditionError("deviation dimension mismatch")
+        items = self.deviations
+        for key, value in items.items() if isinstance(items, dict) else items:
+            vec = valuation(key, len(pcs), "v")
+            if vec in devs:
+                raise PreconditionError(f"duplicate deviation key {vec}")
             if unit_index(vec) is not None:
                 raise PreconditionError(
                     f"deviation at unit vector {vec}: set the divisorial value instead"
@@ -196,17 +185,15 @@ class BDivisor:
             raise PreconditionError(f"b-divisor JSON must be an object, got {data!r}")
         try:
             if data.get("pair") is not None:
-                pcs = parse_rat_list(data["pair"])
+                pcs = data["pair"]
             elif default_pair is not None:
                 pcs = default_pair.coeffs
             else:
                 raise PreconditionError("b-divisor JSON needs 'pair' values")
-            devs = {}
-            for item in parse_list(data.get("deviations", ()), "deviations"):
-                key = parse_int_list(item["v"], "v")
-                if key in devs:
-                    raise PreconditionError(f"duplicate deviation key {key}")
-                devs[key] = parse_rat(item["value"])
+            devs = [
+                (item["v"], item["value"])
+                for item in parse_list(data.get("deviations", ()), "deviations")
+            ]
         except (KeyError, TypeError) as exc:
             raise PreconditionError(f"malformed b-divisor JSON: {exc}") from exc
         return cls(pcs, devs)
@@ -220,7 +207,7 @@ class ModelDivisor:
     ray_coeffs: tuple
 
     def __post_init__(self):
-        coeffs = tuple(parse_rat(c) for c in self.ray_coeffs)
+        coeffs = parse_rat_list(self.ray_coeffs)
         if len(coeffs) != len(self.fan.rays):
             raise PreconditionError("one coefficient per fan ray is required")
         for c in coeffs:
@@ -284,14 +271,6 @@ def mld_origin_minimizer(pair: LocalPair) -> tuple:
     return sum((1 - c for c in pair.coeffs), Fraction(0)), (1,) * pair.n
 
 
-def mld_origin(pair: LocalPair) -> Fraction:
-    """Minimum of the log discrepancy over valuations centred at the origin.
-
-    May be <= 0 when some coefficient equals 1 (the pair is then not klt).
-    """
-    return mld_origin_minimizer(pair)[0]
-
-
 # ---------------------------------------------------------------------------
 # rounding comparison
 
@@ -348,9 +327,7 @@ def blowup_chain_coeff(b1, b2, v) -> Fraction:
     continued fraction of v has terms.  Used as an independent oracle for
     ``pullback_coeff`` in dimension 2.
     """
-    vec = valuation(v)
-    if len(vec) != 2:
-        raise PreconditionError("the blow-up chain oracle works in dimension 2")
+    vec = valuation(v, 2, "v")
     x = parse_rat(b1)
     y = parse_rat(b2)
     alpha, beta = vec

@@ -55,8 +55,8 @@ coefficient exceeds, so only listed deviations can witness.  The reduction
 is a function of the pair and B alone, and so is everything it reads:
 ``witnesses(pair, bdiv)`` finds the witnesses, on integers over the pair's
 weights, and is the one place that refuses a B that does not match the
-pair; the ``weight`` command reads it, as ``run_reduction`` does for its
-initial weight and ``build_cut`` for the weight its step records.  A
+pair; the ``weight`` command reads it, as ``run_reduction`` does, once, for
+its initial weight, which it hands to ``build_cut`` for the step.  A
 ``ReductionState`` is what ``reduce`` prints and ``verify`` reads.
 """
 
@@ -71,7 +71,6 @@ from .exact import (
     PreconditionError,
     complement_weights,
     format_rat,
-    parse_rat_list,
     record,
     trusted,
 )
@@ -225,10 +224,6 @@ def witnesses(pair: LocalPair, bdiv: BDivisor) -> list:
     return out
 
 
-def _weight(pair: LocalPair, bdiv: BDivisor) -> int:
-    return max((wit.weight for wit in witnesses(pair, bdiv)), default=-1)
-
-
 # ---------------------------------------------------------------------------
 # reduction states
 
@@ -273,7 +268,7 @@ class ReductionState:
     def from_json(cls, data: dict) -> "ReductionState":
         try:
             fan = Fan.from_json(data["fan"])
-            phi = ModelDivisor(fan, parse_rat_list(data["phi"]))
+            phi = ModelDivisor(fan, data["phi"])
             bdiv = BDivisor.from_json(data["B"])
         except (KeyError, TypeError) as exc:
             raise PreconditionError(f"malformed state JSON: {exc}") from exc
@@ -403,7 +398,7 @@ def _cut_state(state: ReductionState, sigmas, new_fan: Fan) -> tuple:
     return new_state, theta
 
 
-def build_cut(pair: LocalPair, bdiv: BDivisor) -> tuple:
+def build_cut(pair: LocalPair, bdiv: BDivisor, weight: int) -> tuple:
     """The one cut of the orthant: extract the cut valuations and meet the traces.
 
     The valuations are ``_cut_valuations(pair, bdiv)``, each primitive, no
@@ -412,10 +407,10 @@ def build_cut(pair: LocalPair, bdiv: BDivisor) -> tuple:
     trace on the refined smooth fan is the minimum over sigma of the
     pullback coefficients relative to those divisors, met with B
     (``_theta_coeffs``, which reads each vector as its own coordinates, as
-    it is on the orthant).  The step records the weight, read from
-    ``witnesses``, which also refuses a B that does not match the pair.
+    it is on the orthant).  The step records the weight, which the caller
+    read from ``witnesses``; that call refuses a B that does not match the
+    pair, so the cut takes B as matched and refuses nothing.
     """
-    weight = _weight(pair, bdiv)
     sigmas = tuple(_cut_valuations(pair, bdiv))
     n = pair.n
     new_fan = insert_rays(n, sigmas)
@@ -455,11 +450,11 @@ def run_reduction(pair: LocalPair, bdiv: BDivisor) -> ReductionTrace:
     not, is checked once by ``verify_reduction``; an output it refutes is an
     internal invariant breach, never silently ignored.
     """
-    weight = _weight(pair, bdiv)
+    weight = max((wit.weight for wit in witnesses(pair, bdiv)), default=-1)
     if weight < 0:
         state, steps = _orthant_state(pair, bdiv), ()
     else:
-        state, step = build_cut(pair, bdiv)
+        state, step = build_cut(pair, bdiv, weight)
         if not step.sigmas:
             raise InvariantViolation("witnesses present but no cut valuation found")
         steps = (step,)

@@ -1027,6 +1027,21 @@ def test_chain_verify_reads_a_walk_down_to_its_least_member(desc, length, bound,
     assert json.loads(out) == {"chain": {"elements": elements}, "found": True, "verified": True}
 
 
+def test_chain_verify_on_a_closure_of_a_closure_reads_the_inner_stream():
+    # pruned at one bound, the closure of a closure is the closure itself, so
+    # the outer closure reads the inner one's stream instead of listing it
+    # whole as its base, which passes CLOSURE_SIZE_CAP
+    nested = json.dumps({"kind": "closure", "denom_bound": 30000,
+                         "base": json.loads(_PRIME_CLOSURE)})
+    start = time.perf_counter()
+    code, out, err = run_cli(["chain", "--set", nested, "--length", "1",
+                              "--denom-bound", "30000", "--verify"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0, err
+    assert json.loads(out) == {"chain": {"elements": ["29988/29989"]}, "found": True,
+                               "verified": True}
+
+
 def test_the_lcm_cap_is_the_bits_of_the_standard_sets_at_its_cap():
     # the standard coefficients up to 3999/4000 are admitted as a finite base
     assert dcc_mod.CLOSURE_LCM_BITS_CAP == math.lcm(*range(1, 4001)).bit_length()
@@ -1695,3 +1710,40 @@ def test_batch_exits_3_when_an_entry_breaches(monkeypatch):
     assert code == 3
     assert result["first_error"] == "a"
     assert [result["results"][i]["exit_code"] for i in "ab"] == [3, 2]
+
+
+# every integer vector an input carries, as a function of one of its entries
+_N2 = '{"n":2,"coeffs":["1/2","2/3"]}'
+_MODEL = '{"n":2,"coeffs":["1/2","1"]}'
+_VECTOR_ENTRIES = {
+    "ldisc --v": ("v", lambda e: ["ldisc", "--pair", _N2, "--v", json.dumps([e, 2])]),
+    "lcoeff --v": ("v", lambda e: ["lcoeff", "--pair", _N2, "--v", json.dumps([e, 2])]),
+    "weight B v": ("v", lambda e: ["weight", "--model", _MODEL, "--B", json.dumps(
+        {"deviations": [{"v": [e, 2], "value": "0"}]})]),
+    "reduce B v": ("v", lambda e: ["reduce", "--model", _MODEL, "--B", json.dumps(
+        {"deviations": [{"v": [e, 2], "value": "0"}]})]),
+    "ltrace fan rays": ("rays", lambda e: ["ltrace", "--pair", _N2, "--fan", json.dumps(
+        {"n": 2, "rays": [[e, 0], [0, 1], [1, 1]], "cones": [[0, 2], [1, 2]]})]),
+    "ltrace fan cones": ("cones", lambda e: ["ltrace", "--pair", _N2, "--fan", json.dumps(
+        {"n": 2, "rays": [[1, 0], [0, 1], [1, 1]], "cones": [[0, 2], [e, 2]]})]),
+    "weight --stratum": ("stratum", lambda e: ["weight", "--model", _MODEL, "--B",
+                                               '{"deviations":[{"v":[1,2],"value":"0"}]}',
+                                               "--stratum", json.dumps([e, 2])]),
+    "polyvol normals": ("normals", lambda e: ["polyvol", "--polytope", json.dumps(
+        {"n": 2, "normals": [[e, 0], [0, 1], [-1, -1]], "offsets": ["0", "0", "1"]})]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VECTOR_ENTRIES))
+def test_every_vector_reads_its_entries_as_every_integer_is_read(name):
+    # an int or its decimal text, and nothing else: a float or a bool exits 2
+    # naming the key
+    key, argv = _VECTOR_ENTRIES[name]
+    code, out, err = run_cli(argv(1))
+    assert code == 0, err
+    assert run_cli(argv("1")) == (0, out, "")
+    for bad in 1.0, True:
+        code, _, err = run_cli(argv(bad))
+        assert code == 2
+        assert json.loads(err) == {
+            "error": f"argument {key!r} must be an integer, got {bad!r}", "exit_code": 2}

@@ -437,6 +437,7 @@ def test_desc_json_roundtrips_up_to_the_closure_cap(desc):
 
 @given(st.one_of(_sets, _closures, _nested_closures), st.integers(min_value=1, max_value=40))
 @example(SumClosure(SumClosure(StandardSet(), 5), 10), 40)
+@example(SumClosure(SumClosure(FiniteSet((F(1, 2), F(2, 3), F(6, 7))), 30), 12), 40)
 @example(SumClosure(UnionSet((StandardSet(), SumClosure(FiniteSet((F(2, 3),)), 3))), 12), 40)
 @settings(max_examples=300, deadline=None)
 def test_members_walk_matches_the_parent_walks(desc, bound):

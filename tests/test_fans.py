@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from bdivkit.exact import InvariantViolation, PreconditionError, is_primitive
+from bdivkit.exact import InvariantViolation, PreconditionError
 from bdivkit.fans import Cone, Fan, insert_rays, orthant_fan
 from test_exact import primitive_part
 
@@ -251,6 +251,18 @@ def test_cone_validation():
         Cone(((2, 0),))  # not primitive
 
 
+def test_fan_reads_its_integers_as_every_input_does():
+    # a cone's ray indices are integers like any other, read by parse_int:
+    # decimal text is the integer it spells, where comparing it with an int
+    # once raised TypeError, and a float, a bool or other text is bad input
+    fan = Fan(2, ((1, 0), (0, 1)), ((0, 1),))
+    assert Fan(2, ((1, 0), (0, 1)), (("0", "1"),)) == fan
+    assert Fan("2", (("1", "0"), (0, "1")), ((1, "0"),)) == fan
+    for cone in ("0", "x"), (0.0, 1), (False, 1), "01":
+        with pytest.raises(PreconditionError):
+            Fan(2, ((1, 0), (0, 1)), (cone,))
+
+
 def test_fan_json_roundtrip():
     f = insert_rays(2, [(1, 1)])
     data = f.to_json()
@@ -329,7 +341,7 @@ def reference_resolve(fan):
         cone = next((c for c in fan.max_cones if abs(c.det) != 1), None)
         if cone is None:
             return fan
-        pivot = next(p for p in reference_parallelepiped_points(cone) if is_primitive(p))
+        pivot = next(p for p in reference_parallelepiped_points(cone) if gcd(*p) == 1)
         refined = reference_star_subdivide(fan, pivot)
         if len(refined.rays) == len(fan.rays):
             raise InvariantViolation("resolution failed to make progress")
@@ -617,9 +629,9 @@ def test_full_dimensional_cone_seeds_its_determinant():
     with pytest.raises(PreconditionError, match="linearly dependent"):
         Cone(((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 0, 1)))
     # a cone is full-dimensional: n generators of length n
-    with pytest.raises(PreconditionError, match="3 generators of length 3"):
+    with pytest.raises(PreconditionError, match="'gens' needs 3 entries"):
         Cone(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)))
-    with pytest.raises(PreconditionError, match="2 generators of length 2"):
+    with pytest.raises(PreconditionError, match="'gens' needs 2 entries"):
         Cone(((1, 0, 1), (0, 1, 1)))
 
 

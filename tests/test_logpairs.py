@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bdivkit.exact import PreconditionError
+from bdivkit.exact import PreconditionError, valuation
 from bdivkit.fans import orthant_fan
 from bdivkit.logpairs import (
     BDivisor,
@@ -14,13 +14,11 @@ from bdivkit.logpairs import (
     ModelDivisor,
     blowup_chain_coeff,
     log_discrepancy,
-    mld_origin,
     mld_origin_minimizer,
     pullback_coeff,
     pullback_trace,
     relative_pullback_coeff,
     rounding_comparison,
-    valuation,
 )
 from test_fans import reference_star_subdivide
 
@@ -44,11 +42,11 @@ def test_log_discrepancy_examples():
 
 def test_valuation_validation():
     with pytest.raises(PreconditionError):
-        valuation((0, 0))
+        valuation((0, 0), 2, "v")
     with pytest.raises(PreconditionError):
-        valuation((2, 4))
+        valuation((2, 4), 2, "v")
     with pytest.raises(PreconditionError):
-        valuation((-1, 2))
+        valuation((-1, 2), 2, "v")
 
 
 def test_pullback_coeff_examples():
@@ -225,17 +223,17 @@ def test_blowup_chain_takes_runs_of_steps_as_the_stepwise_walk(b1, b2, v1, v2):
 
 
 def test_mld_examples():
-    assert mld_origin(LocalPair((F(0), F(0)))) == 2
-    assert mld_origin(LocalPair((F(1, 2), F(1, 2)))) == 1
-    assert mld_origin(LocalPair((F(2, 3), F(2, 3)))) == F(2, 3)
+    assert mld_origin_minimizer(LocalPair((F(0), F(0))))[0] == 2
+    assert mld_origin_minimizer(LocalPair((F(1, 2), F(1, 2))))[0] == 1
+    assert mld_origin_minimizer(LocalPair((F(2, 3), F(2, 3))))[0] == F(2, 3)
     val, minim = mld_origin_minimizer(LocalPair((F(1, 2), F(1, 2))))
     assert (val, minim) == (1, (1, 1))
 
 
 def test_mld_with_coefficient_one():
     # not klt: the infimum drops to zero along the coefficient-one axis
-    assert mld_origin(LocalPair((F(1),))) == 0
-    assert mld_origin(LocalPair((F(1), F(1, 2)))) == F(1, 2)
+    assert mld_origin_minimizer(LocalPair((F(1),)))[0] == 0
+    assert mld_origin_minimizer(LocalPair((F(1), F(1, 2))))[0] == F(1, 2)
 
 
 def _mld_bruteforce(pair, factor):
@@ -259,7 +257,7 @@ def test_mld_agrees_with_enlarged_bruteforce():
     for _ in range(40):
         n = rng.choice([1, 2, 3])
         pair = LocalPair(tuple(rng.choice(coeff_pool) for _ in range(n)))
-        assert mld_origin(pair) == _mld_bruteforce(pair, 2)
+        assert mld_origin_minimizer(pair)[0] == _mld_bruteforce(pair, 2)
 
 
 def _parent_mld_walk(pair):
@@ -386,3 +384,9 @@ def test_b_divisor_json_refuses_a_deviation_listed_twice():
                                                  {"v": [1, 2], "value": "1/2"}]}
     with pytest.raises(PreconditionError, match=r"duplicate deviation key \(1, 2\)"):
         BDivisor.from_json(data)
+    # each key is read once, so two spellings of one vector are one key twice
+    data["deviations"][1]["v"] = ["1", "2"]
+    with pytest.raises(PreconditionError, match=r"duplicate deviation key \(1, 2\)"):
+        BDivisor.from_json(data)
+    with pytest.raises(PreconditionError, match=r"duplicate deviation key \(1, 2\)"):
+        BDivisor((F(1, 2), F(1)), {(1, 2): F(0), ("1", "2"): F(1, 2)})

@@ -17,7 +17,6 @@ from bdivkit.logpairs import (
 from bdivkit.reduction import (
     ReductionState,
     _cut_state,
-    _weight,
     build_cut,
     positive_pullback_prefixes,
     run_reduction,
@@ -36,6 +35,16 @@ def coeff(md, ray):
 def orthant_state(pair, bdiv):
     """The state on the undivided orthant, built by the validating constructors."""
     return ReductionState(ModelDivisor(orthant_fan(pair.n), pair.coeffs), bdiv)
+
+
+def witness_weight(pair, bdiv) -> int:
+    """The weight ``run_reduction`` reads from ``witnesses``."""
+    return max((w.weight for w in witnesses(pair, bdiv)), default=-1)
+
+
+def cut(pair, bdiv):
+    """``build_cut`` at the weight ``run_reduction`` hands it."""
+    return build_cut(pair, bdiv, witness_weight(pair, bdiv))
 
 
 def cut_state_and_theta(state, sigmas):
@@ -128,7 +137,7 @@ def test_initial_witnesses_examples():
     b2 = BDivisor(m2.coeffs, {(1, 1): F(0)})
     [witness2] = witnesses(m2, b2)
     assert witness2.weight == 0 and witness2.pullback == F(1, 6)
-    assert _weight(m2, b2) == state_weight(orthant_state(m2, b2)) == 0
+    assert witness_weight(m2, b2) == state_weight(orthant_state(m2, b2)) == 0
 
 
 def test_fiber_valuations_examples():
@@ -154,7 +163,7 @@ def test_build_cut_single_sigma():
     # carries min(b1+b2-1, B value)
     pair = LocalPair((F(2, 3), F(2, 3)))
     b = BDivisor(pair.coeffs, {(1, 1): F(1, 6)})
-    new_state, step = build_cut(pair, b)
+    new_state, step = cut(pair, b)
     assert step.sigmas == ((1, 1),)
     assert coeff(new_state.phi, (1, 1)) == min(F(1, 3), F(1, 6))
     assert coeff(new_state.phi, (1, 0)) == F(2, 3)
@@ -175,7 +184,7 @@ def test_build_cut_klt_branch_reaches_weight_minus_one():
         and sum(1 for e in f if e) > 1  # units are already divisors
         and gcd(*f) == 1
     ]
-    new_state, step = build_cut(pair, b)
+    new_state, step = cut(pair, b)
     assert list(step.sigmas) == sigmas
     assert state_weight(new_state) == -1
 
@@ -184,7 +193,7 @@ def test_cut_keeps_trace_below_old_pullback():
     pair = LocalPair((F(1, 2), F(1)))
     b = BDivisor(pair.coeffs, {(1, 2): F(0)})
     state = orthant_state(pair, b)
-    new_state, step = build_cut(pair, b)
+    new_state, step = cut(pair, b)
     assert step.sigmas == ((1, 2),)
     # the step records the weight of the state it cut
     assert step.weight_before == state_weight(state) == 1
@@ -284,7 +293,7 @@ def test_descent_chain_instrumented():
             for r in y_fan.rays
         ),
     )
-    new_state, step = build_cut(pair, b)
+    new_state, step = cut(pair, b)
     assert step.sigmas == (sigma,)
     for k in range(2, 7):
         nu = (1, k)  # same prefix, nu >= sigma
@@ -456,7 +465,7 @@ def test_initial_state_requires_matching_trace():
          "the b-divisor trace must agree with the model coefficients"),
         (BDivisor((F(1, 4), F(1), F(1)), {}), "b-divisor dimension mismatch"),
     ]:
-        for call in witnesses, run_reduction, build_cut:
+        for call in witnesses, run_reduction:
             with pytest.raises(PreconditionError) as exc:
                 call(pair, bdiv)
             assert str(exc.value) == message
@@ -672,8 +681,8 @@ def test_cut_states_equal_their_validated_rebuilds(inputs):
     states = []
     build_cut_checked = reduction_mod.build_cut
 
-    def recording(pair, bdiv):
-        new_state, step = build_cut_checked(pair, bdiv)
+    def recording(pair, bdiv, weight):
+        new_state, step = build_cut_checked(pair, bdiv, weight)
         states.append(new_state)
         # at a unit ray theta is its old trace coefficient, the pair's (the
         # argument of _cut_state)
@@ -737,6 +746,18 @@ def test_cut_of_a_state_whose_trace_is_above_b_at_a_unit_ray_is_a_breach():
 
 
 # ---------------------------------------------------------------------------
+def test_a_reduction_finds_its_witnesses_once(monkeypatch):
+    # run_reduction reads the weight once and hands it to the cut
+    calls = []
+    found = reduction_mod.witnesses
+    monkeypatch.setattr(reduction_mod, "witnesses",
+                        lambda pair, bdiv: calls.append(1) or found(pair, bdiv))
+    pair = LocalPair((F(1, 2), F(1)))
+    trace = run_reduction(pair, BDivisor(pair.coeffs, {(1, 2): F(0)}))
+    assert len(calls) == 1
+    assert trace.initial_weight == trace.steps[0].weight_before == 1
+
+
 # invariant breaches no command reaches, with the fault planted
 
 
@@ -746,7 +767,7 @@ def test_cut_whose_trace_leaves_b_at_a_ray_is_a_breach(monkeypatch):
                         lambda state, sigmas, rays: tuple(F(0) for _ in rays))
     pair = LocalPair((F(1, 2), F(1)))
     with pytest.raises(InvariantViolation, match="inconsistent trace"):
-        build_cut(pair, BDivisor(pair.coeffs, {(1, 2): F(0)}))
+        cut(pair, BDivisor(pair.coeffs, {(1, 2): F(0)}))
 
 
 def test_cut_that_leaves_a_witness_is_a_breach(monkeypatch, capsys):
@@ -944,7 +965,7 @@ def test_witnesses_equal_the_located_pullback_on_the_orthant(inputs):
     found = witnesses(pair, bdiv)
     assert [(w.vec, w.b_value, w.pullback, w.stratum, w.weight) for w in found] == expected
     assert all(type(w.pullback) is F for w in found)
-    assert _weight(pair, bdiv) == state_weight(orthant_state(pair, bdiv))
+    assert witness_weight(pair, bdiv) == state_weight(orthant_state(pair, bdiv))
 
 
 def test_weight_locates_nothing(capsys):
