@@ -253,8 +253,8 @@ def test_cone_validation():
 
 def test_fan_reads_its_integers_as_every_input_does():
     # a cone's ray indices are integers like any other, read by parse_int:
-    # decimal text is the integer it spells, where comparing it with an int
-    # once raised TypeError, and a float, a bool or other text is bad input
+    # decimal text is the integer it spells, and a float, a bool or other
+    # text is bad input, not a TypeError
     fan = Fan(2, ((1, 0), (0, 1)), ((0, 1),))
     assert Fan(2, ((1, 0), (0, 1)), (("0", "1"),)) == fan
     assert Fan("2", (("1", "0"), (0, "1")), ((1, "0"),)) == fan
