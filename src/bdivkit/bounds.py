@@ -197,11 +197,15 @@ class Polytope:
         enumerated on first use, once per polytope.
         """
         # recession ray check: a nonzero direction with <normal, d> >= 0 for all
-        # rows makes the polyhedron unbounded; extreme rays lie on n-1 active
-        # constraints of rank n-1, whose null space the cofactor normal spans
-        # (it is zero when the rank is lower), so scanning those is exhaustive
+        # rows makes the polyhedron unbounded.  Normals of rank below n leave
+        # a line orthogonal to all of them; otherwise extreme rays lie on n-1
+        # active constraints of rank n-1, whose null space the cofactor
+        # normal spans (it is zero when the rank is lower), so scanning those
+        # is exhaustive
         n = self.n
         rows = self.normals
+        if rank(rows) < n:
+            raise PreconditionError("polytope is unbounded")
         for subset in combinations(range(len(rows)), n - 1):
             direction = cofactor_normal([rows[i] for i in subset])
             if not any(direction):

@@ -71,6 +71,7 @@ from .exact import (
     PreconditionError,
     format_rat,
     parse_int,
+    parse_int_list,
     parse_rat,
     parse_rat_list,
     valuation,
@@ -269,17 +270,13 @@ def _cmd_weight(p):
     pair, bdiv = _model_and_bdiv(p)
     out = {}
     stratum = p.get("stratum")
-    if stratum is not None and not isinstance(stratum, list):
-        raise PreconditionError(
-            f"stratum must be a list of 1-based component indices, got {stratum!r}"
-        )
     if stratum is not None:
-        raw = [parse_int(i, "stratum") for i in stratum]
+        raw = parse_int_list(stratum, "stratum")
         for i in raw:
             if not 1 <= i <= pair.n:
                 raise PreconditionError(f"stratum index {i} is outside 1..{pair.n}")
         if len(set(raw)) < len(raw):
-            raise PreconditionError(f"stratum {raw} lists an index twice")
+            raise PreconditionError(f"stratum {list(raw)} lists an index twice")
         if not raw:
             raise PreconditionError("stratum must be a nonempty index set")
         mapped = tuple(sorted(i - 1 for i in raw))

@@ -3,8 +3,11 @@
 A fan here is a simplicial subdivision of the closed positive orthant of
 ``R^n``: a list of primitive integer rays together with full-dimensional
 cones (given as sorted tuples of ray indices) whose union covers the orthant.
-A ray or cone generator is read by ``exact.valuation``, and a vector to
-locate by ``exact.orthant_vector``; neither class checks a vector itself.
+A fan's rays are read by ``exact.valuation`` in its constructor, and a
+vector to locate by ``exact.orthant_vector``.  A cone is a set of the fan's
+rays (Fulton, Toric Varieties, 1.4): ``Fan.max_cones`` builds each one
+unchecked from rays already read, and the subdivision check refuses a cone
+of dependent generators, so ``Cone`` reads and checks nothing.
 Star subdivision at a primitive vector models a weighted blow-up.  Rays
 enter a fan only through ``insert_rays(n, vecs)``, which subdivides the
 undivided orthant (``orthant_fan(n)``, the local model, affine n-space with
@@ -93,23 +96,14 @@ def _check_dim(n: int) -> None:
 @record
 class Cone:
     """Full-dimensional simplicial cone spanned by n primitive, independent
-    rays of the orthant of R^n."""
+    rays of the orthant of R^n: the rays of a fan, which reads and checks
+    them (``Fan.max_cones``), so the constructor checks nothing."""
 
     gens: tuple
 
-    def __post_init__(self):
-        n = len(self.gens)
-        _check_dim(n)
-        # n generators of length n: every cone is full-dimensional
-        gens = tuple(valuation(g, n, "gens") for g in self.gens)
-        object.__setattr__(self, "gens", gens)
-        # det(G^T) = det(G): the integer determinant, cached here, decides
-        # independence
-        if self.det == 0:
-            raise PreconditionError("cone generators are linearly dependent")
-
     @cached_property
     def det(self) -> int:
+        # det(G^T) = det(G), from the kernel's closed forms up to 3 x 3
         return determinant(self.gens)
 
     @cached_property
@@ -224,15 +218,6 @@ class BarycentricResult(namedtuple("BarycentricResult", "cone ray_indices nums")
     __slots__ = ()
 
 
-def _arc_cone(g, h) -> Cone:
-    """The 2-D cone spanned by g and h, distinct primitive vectors of the
-    quadrant, built unchecked with their cross product as its determinant.
-
-    Two such vectors are never parallel, so the determinant is never 0.
-    """
-    return trusted(Cone, gens=(g, h), det=g[0] * h[1] - g[1] * h[0])
-
-
 def _upper_rays(rays, cones) -> dict:
     """lo -> hi for each 2-D cone (i, j): lo is the ray of smaller angle.
 
@@ -288,16 +273,13 @@ class Fan:
     def max_cones(self) -> tuple:
         """The cones as ``Cone`` objects, in the order of their keys.
 
-        A 2-D fan builds them here, on demand, each with ``trusted`` from its
-        two rays and their cross product (``_arc_cone``): its rays are
-        distinct primitive vectors of the quadrant and each cone a pair of
-        distinct rays, so no cone is degenerate.  In other dimensions each
-        cone is validated, which refuses dependent generators.
+        Built here, on demand, each with ``trusted`` from the rays its key
+        names, which the constructor has read; each determinant is computed
+        on first use.  A cone of dependent generators is not refused here:
+        ``subdivision_defect`` names it.
         """
         rays = self.rays
-        if self.n == 2:
-            return tuple(_arc_cone(rays[i], rays[j]) for i, j in self.cones)
-        return tuple(Cone(tuple(rays[i] for i in c)) for c in self.cones)
+        return tuple(trusted(Cone, gens=tuple(rays[i] for i in c)) for c in self.cones)
 
     def locate(self, v) -> BarycentricResult:
         """Find a maximal cone containing v with exact coordinates.
@@ -356,7 +338,8 @@ class Fan:
     def _facet_volume_defect(self) -> str | None:
         """The facet and volume test of ``subdivision_defect``, any dimension.
 
-        The cones subdivide the orthant when every ray spans a cone and
+        A cone of linearly dependent generators (det 0) is named first.
+        Then the cones subdivide the orthant when every ray spans a cone and
         (1) every facet either lies in a coordinate hyperplane and bounds
         one cone, or bounds exactly two cones whose apexes lie on opposite
         sides of it, and (2) the cross-sections of the cones with the simplex
@@ -365,7 +348,10 @@ class Fan:
         hence constant on the orthant; by (2) that number is 1.
         """
         rays = self.rays
-        cones = self.max_cones  # rejects cones with dependent generators
+        cones = self.max_cones
+        for cone in cones:
+            if cone.det == 0:
+                return f"the generators of cone {list(cone.gens)} are linearly dependent"
         unused = set(range(len(rays))).difference(*self.cones)
         if unused:
             return f"ray {rays[min(unused)]} spans no cone"

@@ -136,6 +136,15 @@ def test_polytope_degenerate_cases():
         )
     with pytest.raises(PreconditionError):
         Polytope(n=5, normals=((1,) * 5,) * 6, offsets=(0,) * 6)
+    # normals of rank below n: the slab 0 <= x <= 1 in R^3 holds the line
+    # (0, t, 0), and in R^4 normals of rank 2 leave a plane free.  Every
+    # cofactor normal of n - 1 rows is 0 there, so no recession ray shows
+    slab = Polytope(n=3, normals=((1, 0, 0), (-1, 0, 0)) * 2, offsets=(0, 1, 0, 1))
+    plane = Polytope(n=4, normals=((1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0),
+                                   (1, 1, 0, 0)), offsets=(0, 1, 0, 1, 0))
+    for poly in slab, plane:
+        with pytest.raises(PreconditionError, match="polytope is unbounded"):
+            polytope_volume(poly)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +161,11 @@ def _reference_vertices(poly):
         if not (has_upper and has_lower):
             raise PreconditionError("polytope is unbounded")
     else:
+        # normals spanning less than R^n are all orthogonal to some line, so
+        # the set holds that line's direction both ways: no rank n - 1
+        # subset below sees it
+        if _rank(rows) < n:
+            raise PreconditionError("polytope is unbounded")
         for subset in combinations(range(len(rows)), n - 1):
             mat = [rows[i] for i in subset]
             if _rank(mat) != n - 1:

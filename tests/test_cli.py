@@ -280,6 +280,24 @@ def test_verify_accepts_reduce_output():
     assert json.loads(out2)["ok"] is True
 
 
+def test_verify_reads_each_fan_ray_once(monkeypatch):
+    # the fan's constructor reads its rays, and its cones are built from
+    # them: no cone generator is read again
+    import bdivkit.fans as fans_mod
+
+    final = json.loads((GOLDEN / "reduce-resolve3d.out").read_text())["final"]
+    read, calls = fans_mod.valuation, []
+
+    def counting(values, n, key):
+        calls.append(key)
+        return read(values, n, key)
+
+    monkeypatch.setattr(fans_mod, "valuation", counting)
+    code, out, _ = run_cli(["verify", "--state", json.dumps(final)])
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert calls == ["rays"] * len(final["fan"]["rays"]) == ["rays"] * 15
+
+
 def test_inline_json_flag():
     code, out, _ = run_cli(["minvol", "--json", '{"n": 1}'])
     assert code == 0
@@ -369,6 +387,8 @@ _CLOSURE_OF_A_LONG_LISTING = ["chain", "--set", json.dumps({
     "kind": "closure", "denom_bound": 200,
     "base": {"kind": "closure", "denom_bound": 100, "base": {"kind": "standard"}}}),
     "--length", "2", "--denom-bound", "200"]
+
+_SLAB = '{"n":3,"normals":[[1,0,0],[-1,0,0],[1,0,0],[-1,0,0]],"offsets":["0","1","0","1"]}'
 
 BAD_INPUTS = [
     ["ldisc", "--pair", '{"n":2,"coeffs":["1/2"]}', "--v", "[1,1]"],
@@ -698,6 +718,8 @@ BAD_INPUTS = [
     # the verdict reads the whole set, so dcc takes no bound
     pytest.param(CASES["dcc"] + ["--denom-bound", "10"], id="dcc --denom-bound"),
     pytest.param(_CLOSURE_OF_A_LONG_LISTING, id="chain closure of a listing past the size cap"),
+    # normals of rank below n: the slab 0 <= x <= 1 in R^3 holds a line
+    pytest.param(["polyvol", "--polytope=" + _SLAB, "--verify"], id="polyvol slab of rank 1"),
 ]
 
 
@@ -800,6 +822,16 @@ _DIGIT_LIMIT = f"{sys.get_int_max_str_digits()} digits"
     (["batch", "--json", '{"junk":1}', "--verify", "--file", str(GOLDEN / "batch_input.json")],
      "batch takes no --json or --verify"),
     (_CLOSURE_OF_A_LONG_LISTING, "the set has more members than the cap CLOSURE_SIZE_CAP = 2000"),
+    # a cone of dependent rays is a subdivision defect like any other
+    (["ltrace", "--pair", '{"n":3,"coeffs":["1/2","1/2","1/2"]}', "--fan",
+      '{"n":3,"rays":[[1,0,0],[0,1,0],[0,0,1],[1,1,0]],"cones":[[0,1,3],[0,2,3],[1,2,3]]}'],
+     "not a subdivision of the orthant: the generators of cone "
+     "[(1, 0, 0), (0, 1, 0), (1, 1, 0)] are linearly dependent"),
+    # a stratum is read as every list of integers is
+    (CASES["weight"] + ["--stratum", "5"], "expected a list of integers for 'stratum', got 5"),
+    (CASES["weight"] + ["--stratum", '"12"'],
+     "expected a list of integers for 'stratum', got '12'"),
+    (["polyvol", "--polytope", _SLAB, "--verify"], "polytope is unbounded"),
 ])
 def test_errors_name_their_cause(argv, cause):
     code, _, err = _run_catching_exit(main, argv)  # an error in argv exits from the parser

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from bdivkit.exact import InvariantViolation, PreconditionError
+from bdivkit.exact import InvariantViolation, PreconditionError, determinant
 from bdivkit.fans import Cone, Fan, insert_rays, orthant_fan
 from test_exact import primitive_part
 
@@ -240,15 +240,6 @@ def test_resolve_3d_stress():
                 for i in range(3)
             )
             assert rebuilt == pt
-
-
-def test_cone_validation():
-    with pytest.raises(PreconditionError):
-        Cone(((1, 0), (2, 0)))  # dependent
-    with pytest.raises(PreconditionError):
-        Cone(((1, 0), (0, -1)))  # outside orthant
-    with pytest.raises(PreconditionError):
-        Cone(((2, 0),))  # not primitive
 
 
 def test_fan_reads_its_integers_as_every_input_does():
@@ -538,6 +529,15 @@ def test_subdivision_check_examples():
     assert Fan(3, rays[:3] + rays[4:], alone).subdivision_defect is None
     double = Fan(3, rays, first + second)
     assert double.subdivision_defect == "the cones fill 2 of the orthant, not all of it"
+    # e_1, e_2 and e_1 + e_2 span a plane, not a cone: the check names the
+    # cone, and the JSON reader refuses the fan as it refuses any defect
+    rays = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0))
+    flat = Fan(3, rays, ((0, 1, 3), (0, 2, 3), (1, 2, 3)))
+    defect = "the generators of cone [(1, 0, 0), (0, 1, 0), (1, 1, 0)] are linearly dependent"
+    assert flat.subdivision_defect == defect
+    with pytest.raises(PreconditionError) as refusal:
+        Fan.from_json(flat.to_json())
+    assert str(refusal.value) == f"not a subdivision of the orthant: {defect}"
 
 
 # ---------------------------------------------------------------------------
@@ -622,17 +622,13 @@ def test_the_walk_refuses_each_way_a_fan_fails():
 
 
 def test_full_dimensional_cone_seeds_its_determinant():
+    # the determinant is computed on first use and kept on the cone
     cone = Cone(((1, 0), (2, 5)))
-    assert cone.__dict__["det"] == 5 == cone.det
-    with pytest.raises(PreconditionError, match="linearly dependent"):
-        Cone(((1, 0, 0), (0, 1, 0), (1, 1, 0)))
-    with pytest.raises(PreconditionError, match="linearly dependent"):
-        Cone(((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 0, 1)))
-    # a cone is full-dimensional: n generators of length n
-    with pytest.raises(PreconditionError, match="'gens' needs 3 entries"):
-        Cone(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)))
-    with pytest.raises(PreconditionError, match="'gens' needs 2 entries"):
-        Cone(((1, 0, 1), (0, 1, 1)))
+    assert cone.det == 5 == cone.__dict__["det"]
+    # a fan's cones come from its rays, in key order, with their determinants
+    fan = Fan(2, ((1, 0), (0, 1), (2, 5)), ((0, 2), (1, 2)))
+    assert [c.gens for c in fan.max_cones] == [((1, 0), (2, 5)), ((0, 1), (2, 5))]
+    assert [c.det for c in fan.max_cones] == [5, -2]
 
 
 # ---------------------------------------------------------------------------
@@ -669,10 +665,8 @@ def cones_and_vectors(draw):
     n = draw(st.integers(1, 4))
     gen = st.lists(st.integers(0, 5), min_size=n, max_size=n).filter(any).map(primitive_part)
     gens = draw(st.lists(gen, min_size=n, max_size=n, unique=True))
-    try:
-        cone = Cone(tuple(gens))
-    except PreconditionError:
-        assume(False)
+    assume(determinant(gens) != 0)
+    cone = Cone(tuple(gens))
     if draw(st.booleans()):
         weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
         v = tuple(sum(w * g[i] for w, g in zip(weights, gens)) for i in range(n))
@@ -724,10 +718,8 @@ def test_star_piece_equals_a_cone_built_from_scratch(cone_v, reverse, data):
     j = data.draw(st.sampled_from([k for k, x in enumerate(nums) if x > 0]))
     piece = cone._star_piece(j, v, nums)
     gens = cone.gens[:j] + cone.gens[j + 1 :] + (v,)
-    try:
-        ref = Cone(gens)
-    except PreconditionError:  # v is gens[j] itself: a repeated generator
-        assume(False)
+    assume(determinant(gens) != 0)  # v is gens[j] itself: a repeated generator
+    ref = Cone(gens)
     assert piece == ref
     assert piece.det == ref.det
     assert piece._inward_adjugate == ref._inward_adjugate
