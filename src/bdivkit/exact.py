@@ -4,9 +4,9 @@ Rationals are `fractions.Fraction` (always in lowest terms with positive
 denominator); the serialized form is the string ``"p/q"``, or ``"p"`` alone
 when the denominator is 1, so command-line output is bit-exact and diffable.
 Lattice vectors are plain tuples of ints.  A vector of the orthant that
-enters the program, a valuation, a fan ray, a cone generator or a vector to
-locate, is read by ``orthant_vector`` and nowhere else, and a valuation by
-``valuation``, which adds that its entries are coprime.
+enters the program, a valuation, a fan ray or a vector to locate, is read
+by ``orthant_vector`` and nowhere else, and a valuation by ``valuation``,
+which adds that its entries are coprime.
 
 The exact linear algebra of the package lives here too: one fraction-free
 elimination (rank, and determinants past 3 x 3), the cofactor normal of

@@ -823,7 +823,7 @@ _DIGIT_LIMIT = f"{sys.get_int_max_str_digits()} digits"
      "batch takes no --json or --verify"),
     (_CLOSURE_OF_A_LONG_LISTING, "the set has more members than the cap CLOSURE_SIZE_CAP = 2000"),
     # a cone of dependent rays is a subdivision defect like any other
-    (["ltrace", "--pair", '{"n":3,"coeffs":["1/2","1/2","1/2"]}', "--fan",
+    (["ltrace", "--pair", '{"n":2,"coeffs":["1/2","1/2"]}', "--fan",
       '{"n":3,"rays":[[1,0,0],[0,1,0],[0,0,1],[1,1,0]],"cones":[[0,1,3],[0,2,3],[1,2,3]]}'],
      "not a subdivision of the orthant: the generators of cone "
      "[(1, 0, 0), (0, 1, 0), (1, 1, 0)] are linearly dependent"),
